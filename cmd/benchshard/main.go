@@ -269,7 +269,6 @@ func runWidth(cfg widthConfig, p *plan) (*widthReport, error) {
 		Admission:  true,
 		MaxPending: (cfg.maxPending + cfg.shards - 1) / cfg.shards,
 	}
-	scfg.Manager.Workers = 1
 
 	var (
 		run interface {

@@ -23,7 +23,7 @@ import (
 )
 
 func main() {
-	common := cli.New(cli.WithSeed(1), cli.WithWorkers(), cli.WithTelemetry(), cli.WithProfiling())
+	common := cli.New(cli.WithSeed(1), cli.WithTelemetry(), cli.WithProfiling())
 	var (
 		fig     = flag.String("fig", "all", "experiment id: all, 2..9, fig2..fig9, ablation-*, faults, or hetero")
 		fast    = flag.Bool("fast", false, "use benchmark-sized options")
@@ -55,7 +55,6 @@ func main() {
 	if *maxreps > 0 {
 		opts.Policy.MaxReps = *maxreps
 	}
-	opts.ManagerConfig.Workers = common.Workers
 	opts.ReplicationWorkers = *repWorkers
 	opts.Telemetry = common.Telemetry()
 	opts.TelemetrySampleMS = common.TelemetrySampleMS

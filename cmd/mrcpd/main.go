@@ -47,6 +47,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -59,7 +60,7 @@ import (
 )
 
 func main() {
-	common := cli.New(cli.WithWorkers(), cli.WithTelemetry(), cli.WithProfiling())
+	common := cli.New(cli.WithTelemetry(), cli.WithProfiling())
 	var (
 		addr    = flag.String("addr", ":8373", "HTTP listen address")
 		mode    = flag.String("mode", "wall", "clock mode: wall or virtual")
@@ -82,7 +83,6 @@ func main() {
 		deferral     = flag.Duration("deferral", 30*time.Second, "park jobs whose earliest start is further away than this (0 = off)")
 		horizon      = flag.Duration("horizon", 0, "rolling horizon: park jobs whose latest feasible start is further away than this (0 = off)")
 		warmStart    = flag.Bool("warmstart", false, "seed each reschedule from the installed timetable")
-		solveCache   = flag.Bool("solvecache", false, "memoize solve results keyed by the full reschedule input")
 
 		drainTimeout = flag.Duration("draintimeout", time.Minute, "max time to finish outstanding work on SIGTERM")
 
@@ -90,7 +90,7 @@ func main() {
 		journalSync = flag.String("journalsync", "always", "journal fsync policy: always, batch, or none")
 		doRecover   = flag.Bool("recover", false, "replay the -journal into a fresh engine before serving")
 		maxPending  = flag.Int("maxpending", 0, "shed submissions beyond this many accepted-but-unfinished jobs (0 = unbounded)")
-		determin    = flag.Bool("deterministic", false, "pin solver settings (no time limit, node budget, one worker) for reproducible runs")
+		determin    = flag.Bool("deterministic", false, "pin solver settings (no time limit, node budget) for reproducible runs")
 
 		missBudget = flag.Float64("missbudget", 0.1, "SLO miss budget: the deadline-miss rate that flips /readyz to slo-burn")
 		sloWindow  = flag.Duration("slowindow", time.Minute, "simulated-time window for the SLO burn monitor")
@@ -119,7 +119,6 @@ func main() {
 		}
 	}
 	mcfg := mrcprm.DefaultConfig()
-	mcfg.Workers = common.Workers
 	if *determin {
 		mcfg = mrcprm.DeterministicConfig()
 	}
@@ -130,7 +129,6 @@ func main() {
 	mcfg.DeferralLead = *deferral
 	mcfg.HorizonWindow = *horizon
 	mcfg.WarmStart = *warmStart
-	mcfg.SolveCache = *solveCache
 
 	// Without -telemetry the daemon still keeps a registry-only handle
 	// (counters, gauges, histograms; no event stream) so GET /metrics has
@@ -175,6 +173,14 @@ func main() {
 	if *doRecover && *journal == "" {
 		fmt.Fprintln(os.Stderr, "-recover needs -journal")
 		os.Exit(2)
+	}
+	// Bind before building the engine (which opens and may replay the
+	// journal) and before announcing the address, so a taken port exits
+	// immediately with nothing to unwind.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 	if *shards > 1 {
 		if *maxPending > 0 {
@@ -235,13 +241,12 @@ func main() {
 	}
 
 	srv := &http.Server{
-		Addr:              *addr,
 		Handler:           handler,
 		ReadHeaderTimeout: 10 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
 	httpErr := make(chan error, 1)
-	go func() { httpErr <- srv.ListenAndServe() }()
+	go func() { httpErr <- srv.Serve(ln) }()
 	fmt.Printf("mrcpd      : %s\n", cli.Version())
 	if *shards > 1 {
 		fmt.Printf("listening  : %s (%s mode, %s, m=%d, %d shards)\n", *addr, *mode, *rmName, *m, *shards)

@@ -29,7 +29,7 @@ import (
 )
 
 func main() {
-	common := cli.New(cli.WithSeed(1), cli.WithWorkers(), cli.WithTelemetry(), cli.WithProfiling())
+	common := cli.New(cli.WithSeed(1), cli.WithTelemetry(), cli.WithProfiling())
 	var (
 		rmName = flag.String("rm", "mrcp",
 			"resource manager: "+strings.Join(mrcprm.PolicyNames(), ", "))
@@ -54,9 +54,8 @@ func main() {
 		mttr      = flag.Float64("mttr", 60, "mean time to repair a down resource (s)")
 		faultSeed = flag.Uint64("faultseed", 0, "fault plan seed (0 = derive from -seed)")
 
-		horizon    = flag.Duration("horizon", 0, "mrcp: park jobs whose latest feasible start is further away than this (0 = off)")
-		warmStart  = flag.Bool("warmstart", false, "mrcp: seed each reschedule from the installed timetable")
-		solveCache = flag.Bool("solvecache", false, "mrcp: memoize solve results keyed by the full reschedule input")
+		horizon   = flag.Duration("horizon", 0, "mrcp: park jobs whose latest feasible start is further away than this (0 = off)")
+		warmStart = flag.Bool("warmstart", false, "mrcp: seed each reschedule from the installed timetable")
 
 		hetero     = flag.Float64("hetero", 1, "speed spread: second half of the machines run at 1/spread speed (1 = uniform)")
 		speedBlind = flag.Bool("speedblind", false, "mrcp: plan as if every machine ran at speed 1.0 (ablation baseline)")
@@ -134,10 +133,8 @@ func main() {
 	popts := mrcprm.PolicyOptions{}
 	if *rmName == "mrcp" {
 		mcfg := mrcprm.DefaultConfig()
-		mcfg.Workers = common.Workers
 		mcfg.HorizonWindow = *horizon
 		mcfg.WarmStart = *warmStart
-		mcfg.SolveCache = *solveCache
 		mcfg.SpeedBlind = *speedBlind
 		popts.Extra = mcfg
 	}

@@ -58,7 +58,7 @@ const demoProblem = `{
 }`
 
 func main() {
-	common := cli.New(cli.WithWorkers())
+	common := cli.New()
 	demo := flag.Bool("demo", false, "solve a built-in example problem")
 	direct := flag.Bool("direct", false, "use the direct (per-resource) CP formulation")
 	opl := flag.Bool("opl", false, "print the CP model in OPL-like syntax before solving")
@@ -110,7 +110,6 @@ func main() {
 	}
 
 	cfg := mrcprm.DefaultConfig()
-	cfg.Workers = common.Workers
 	if *direct {
 		cfg.Mode = mrcprm.ModeDirect
 	}

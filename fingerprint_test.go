@@ -12,11 +12,9 @@ import (
 // (The kernel extraction itself was verified byte-identical against the
 // pre-refactor managers under the experiment configuration.)
 //
-// MRCP-RM runs with Workers=1 (fingerprint-identical to the default
-// per-CPU portfolio via worker-0-anchored determinism, but independent of
-// the machine's core count) and without a solve time limit, so the search
-// is bounded by the deterministic node budget alone and the pins hold on
-// slow machines and under -race.
+// MRCP-RM runs without a solve time limit, so the search is bounded by the
+// deterministic node budget alone and the pins hold on slow machines and
+// under -race.
 //
 // If one of these fails after an intentional behavior change, regenerate
 // the constants with:
@@ -24,7 +22,6 @@ import (
 //	go test -run TestPinnedFingerprints -v
 func mrcpDeterministic(cluster mrcprm.Cluster) mrcprm.ResourceManager {
 	cfg := mrcprm.DefaultConfig()
-	cfg.Workers = 1
 	cfg.SolveTimeLimit = 0
 	return mrcprm.NewManager(cluster, cfg)
 }

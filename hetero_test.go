@@ -21,13 +21,11 @@ func explicitSpeeds(c mrcprm.Cluster) mrcprm.Cluster {
 }
 
 // deterministicMRCP builds the pinned-fingerprint MRCP-RM configuration
-// with the incremental machinery (warm starts, solve cache) switched on,
-// so the invariance holds on the richest code path.
+// with warm starts switched on, so the invariance holds on the richest
+// code path.
 func deterministicMRCP(cfg mrcprm.Config) mrcprm.Config {
-	cfg.Workers = 1
 	cfg.SolveTimeLimit = 0
 	cfg.WarmStart = true
-	cfg.SolveCache = true
 	return cfg
 }
 

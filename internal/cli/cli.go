@@ -1,11 +1,11 @@
 // Package cli factors the flag plumbing shared by every command in this
-// repository: the deterministic -seed, the CP portfolio -workers, the
-// -telemetry stream, the profiling trio (-cpuprofile, -memprofile, -pprof),
-// and the -version build-info stamp.
+// repository: the deterministic -seed, the -telemetry stream, the profiling
+// trio (-cpuprofile, -memprofile, -pprof), and the -version build-info
+// stamp.
 //
 // Usage pattern:
 //
-//	c := cli.New(cli.WithSeed(1), cli.WithWorkers(), cli.WithTelemetry(), cli.WithProfiling())
+//	c := cli.New(cli.WithSeed(1), cli.WithTelemetry(), cli.WithProfiling())
 //	flag.String(...) // command-specific flags
 //	c.Parse()        // flag.Parse + -version handling + profile/pprof startup
 //	defer c.Close()  // stop profiles, flush telemetry, print the telemetry summary
@@ -31,8 +31,6 @@ import (
 type Common struct {
 	// Seed is the master random seed (WithSeed).
 	Seed uint64
-	// Workers is the CP solver portfolio width (WithWorkers).
-	Workers int
 	// TelemetryPath and TelemetrySampleMS configure the JSONL telemetry
 	// stream (WithTelemetry); open it with Telemetry().
 	TelemetryPath     string
@@ -60,14 +58,6 @@ func WithSeed(def uint64) Option {
 	}
 }
 
-// WithWorkers registers -workers (CP portfolio width).
-func WithWorkers() Option {
-	return func(c *Common, fs *flag.FlagSet) {
-		fs.IntVar(&c.Workers, "workers", 0,
-			"CP solver portfolio width (0 = one per CPU, max 8; 1 = single-threaded)")
-	}
-}
-
 // WithTelemetry registers -telemetry and -telemetrysample.
 func WithTelemetry() Option {
 	return func(c *Common, fs *flag.FlagSet) {
@@ -89,9 +79,10 @@ func WithProfiling() Option {
 
 // New registers the selected shared flags (plus -version, always) on the
 // default flag set.
-func New(opts ...Option) *Common {
+func New(opts ...Option) *Common { return register(flag.CommandLine, opts...) }
+
+func register(fs *flag.FlagSet, opts ...Option) *Common {
 	c := &Common{}
-	fs := flag.CommandLine
 	fs.BoolVar(&c.version, "version", false, "print version and build information, then exit")
 	for _, o := range opts {
 		o(c, fs)

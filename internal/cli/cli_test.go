@@ -2,27 +2,37 @@ package cli
 
 import (
 	"flag"
+	"io"
+	"slices"
 	"strings"
 	"testing"
 )
 
 func TestOptionsRegisterFlags(t *testing.T) {
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	c := &Common{}
-	for _, o := range []Option{WithSeed(7), WithWorkers(), WithTelemetry(), WithProfiling()} {
-		o(c, fs)
+	newSet := func() (*flag.FlagSet, *Common) {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		return fs, register(fs, WithSeed(7), WithTelemetry(), WithProfiling())
 	}
-	if err := fs.Parse([]string{"-seed", "42", "-workers", "3", "-telemetry", "t.jsonl"}); err != nil {
+	fs, c := newSet()
+	if err := fs.Parse([]string{"-seed", "42", "-telemetry", "t.jsonl"}); err != nil {
 		t.Fatal(err)
 	}
-	if c.Seed != 42 || c.Workers != 3 || c.TelemetryPath != "t.jsonl" {
+	if c.Seed != 42 || c.TelemetryPath != "t.jsonl" {
 		t.Fatalf("parsed %+v", c)
 	}
-	for _, name := range []string{"seed", "workers", "telemetry", "telemetrysample",
-		"cpuprofile", "memprofile", "pprof"} {
-		if fs.Lookup(name) == nil {
-			t.Fatalf("flag -%s not registered", name)
-		}
+	// The shared surface is exactly this set (VisitAll is name-sorted): a
+	// flag added to or dropped from it must be a deliberate edit here.
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
+	want := []string{"cpuprofile", "memprofile", "pprof", "seed",
+		"telemetry", "telemetrysample", "version"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("registered flags %v, want %v", got, want)
+	}
+	fs, _ = newSet()
+	if err := fs.Parse([]string{"-workers", "3"}); err == nil {
+		t.Fatal("-workers parsed; it is not a shared flag")
 	}
 }
 

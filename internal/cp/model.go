@@ -471,10 +471,7 @@ func (m *Model) AddSumLE(bools []*Bool, bound int) *SumLEHandle {
 // SumLEHandle lets the solver tighten the late-job bound between rounds.
 type SumLEHandle struct{ p *sumLE }
 
-// SetBound replaces the bound. Valid at the root level; mid-search the
-// bound may only be tightened (the solver's opportunistic portfolio mode
-// does this when importing a better incumbent from another worker —
-// subtrees already explored were covered by the looser, still valid cut).
+// SetBound replaces the bound. Valid at the root level only.
 func (h *SumLEHandle) SetBound(b int) { h.p.bound = b }
 
 // Bound returns the current bound.

@@ -37,23 +37,6 @@ type Params struct {
 	// guarantees at least one solution on feasible models; strict mode is
 	// for callers with their own fallback path.
 	StrictLimits bool
-	// Workers is the width of the parallel portfolio search: that many
-	// diversified workers race on independent clones of the model, and the
-	// best solution wins by an (objective, canonical-solution) tie-break.
-	// 0 means DefaultWorkers() (one worker per CPU, capped at 8); 1 runs
-	// the classic single-threaded search, bit-identical to earlier
-	// releases. Models without an objective, and models below the
-	// portfolio size floor, always solve single-threaded. TimeLimit and
-	// NodeLimit apply per worker.
-	Workers int
-	// Opportunistic lets portfolio workers share their incumbent objective
-	// through a lock-free bound so every branch-and-bound round prunes
-	// against the global best. Sharing can only improve pruning, but the
-	// race makes node counts — and therefore limit-bounded results —
-	// nondeterministic across runs. The default (false) keeps parallel
-	// solves deterministic: fixed worker seeds, isolated searches, and the
-	// canonical merge make seeded node-limited runs byte-identical.
-	Opportunistic bool
 	// Hint warm-starts the solve from a prior assignment (see Hint). Nil
 	// (the default) leaves every search path bit-identical to a
 	// hint-unaware solver. A hint that does not cover the model's
@@ -163,20 +146,11 @@ type SearchStats struct {
 	// NodeLimitHit / TimeLimitHit report which budget stopped the search.
 	NodeLimitHit bool
 	TimeLimitHit bool
-	// Timeline is the full objective-improvement history. For portfolio
-	// solves it is the winning worker's history; the counters above are
-	// summed across workers (so Solutions may exceed len(Timeline)).
+	// Timeline is the full objective-improvement history.
 	Timeline []ObjectiveStep
-	// Workers is the number of portfolio workers behind this result (1 for
-	// the single-threaded search); Winner is the index of the worker whose
-	// solution was selected; BoundImports counts cross-worker incumbent
-	// bound imports (opportunistic parallel mode only).
-	Workers      int
-	Winner       int
-	BoundImports int64
 	// HintSeeded reports that a warm-start hint descent produced the first
-	// incumbent (for portfolio solves: on the winning worker);
-	// HintObjective is that incumbent's objective, -1 when no hint seeded.
+	// incumbent; HintObjective is that incumbent's objective, -1 when no
+	// hint seeded.
 	HintSeeded    bool
 	HintObjective int
 }
@@ -199,15 +173,10 @@ func (st *SearchStats) String() string {
 		first = fmt.Sprintf("%d @%.1fms", st.FirstObjective,
 			float64(st.TimeToFirst.Nanoseconds())/1e6)
 	}
-	out := fmt.Sprintf(
+	return fmt.Sprintf(
 		"%d nodes, %d backtracks, %d propagations, %d rounds, improve %d/%d, %d solutions (first %s), limit %s",
 		st.Nodes, st.Backtracks, st.Propagations, st.Rounds,
 		st.ImproveAccepts, st.ImprovePasses, st.Solutions, first, limits)
-	if st.Workers > 1 {
-		out += fmt.Sprintf(", %d workers (winner w%d, %d bound imports)",
-			st.Workers, st.Winner, st.BoundImports)
-	}
-	return out
 }
 
 // String summarizes the result's status, objective, and search statistics
@@ -271,22 +240,6 @@ type Solver struct {
 	// with the incumbent's late jobs boosted.
 	boost map[int]bool
 
-	// Portfolio worker state. seed 0 is the canonical worker, bit-identical
-	// to the single-threaded search; nonzero seeds perturb pick tie-breaks
-	// and the improvement neighborhoods. shared, when non-nil, is the
-	// portfolio's incumbent board (opportunistic mode only); handle,
-	// curBound, and inBB let branch-and-bound rounds import a foreign bound
-	// mid-search. provedLE is the largest value V for which this worker
-	// proved "no solution with objective <= V" (provedNothing when none),
-	// the soundness basis for the merged StatusOptimal.
-	seed         uint64
-	shared       *sharedBound
-	handle       *SumLEHandle
-	inBB         bool
-	curBound     int
-	boundImports int64
-	provedLE     int
-
 	// resBuf is the scratch slice for pickResource's domain iteration.
 	resBuf []int
 
@@ -298,8 +251,7 @@ func NewSolver(m *Model, params Params) *Solver {
 	if params.NodeLimit == 0 {
 		params.NodeLimit = 200000
 	}
-	s := &Solver{m: m, params: params, nodeLimit: params.NodeLimit,
-		provedLE: provedNothing, hintObjective: -1}
+	s := &Solver{m: m, params: params, nodeLimit: params.NodeLimit, hintObjective: -1}
 	s.resCum = make(map[int][]*cumulative)
 	s.taskCums = make([][]*cumulative, len(m.intervals))
 	for _, c := range m.cumuls {
@@ -313,35 +265,8 @@ func NewSolver(m *Model, params Params) *Solver {
 	return s
 }
 
-// Solve runs the search and returns the best solution found. With an
-// effective worker count above one (see Params.Workers) the solve runs as a
-// parallel portfolio; otherwise it is the classic single-threaded search.
+// Solve runs the search and returns the best solution found.
 func (s *Solver) Solve() Result {
-	if k := s.effectiveWorkers(); k > 1 {
-		return s.solvePortfolio(k)
-	}
-	return s.solve()
-}
-
-// effectiveWorkers resolves Params.Workers against the model: feasibility
-// solves (no objective) and models below the portfolio size floor stay
-// single-threaded, where cloning and goroutine overhead would dominate.
-func (s *Solver) effectiveWorkers() int {
-	k := s.params.Workers
-	if k == 0 {
-		k = DefaultWorkers()
-	}
-	if k < 1 {
-		k = 1
-	}
-	if len(s.m.objBools) == 0 || len(s.m.intervals) < portfolioMinIntervals {
-		return 1
-	}
-	return k
-}
-
-// solve is the single-threaded search; portfolio workers each run one.
-func (s *Solver) solve() Result {
 	start := time.Now()
 	s.started = start
 	if s.params.TimeLimit > 0 {
@@ -355,7 +280,6 @@ func (s *Solver) solve() Result {
 	} else if m.sumLE != nil {
 		handle = &SumLEHandle{p: m.sumLE}
 	}
-	s.handle = handle
 	s.e = newEngine(m)
 	s.e.scheduleAll()
 	if s.e.propagate() != nil {
@@ -405,9 +329,6 @@ func (s *Solver) solve() Result {
 			SolveTime: time.Since(start), Search: s.searchStats(rounds, start)}
 	}
 	if s.incumbent.Objective == 0 || len(m.objBools) == 0 || handle == nil {
-		if s.incumbent.Objective == 0 {
-			s.provedLE = -1 // vacuous: nothing can be below zero
-		}
 		return s.finish(StatusOptimal, rounds, start)
 	}
 	if s.hintSeeded {
@@ -441,25 +362,9 @@ func (s *Solver) solve() Result {
 		s.curRound = rounds
 		s.improvePasses++
 		prev := s.incumbent.Objective
-		if s.seed != 0 {
-			// Seeded workers rebuild the relaxation neighborhood every pass
-			// instead of accumulating it, so each pass explores a different
-			// re-descent around the current incumbent.
-			clear(s.boost)
-		}
 		for _, b := range m.objBools {
 			if s.incumbent.Lates[b.id] && !rootForced[m.lateJobKey[b.id]] {
 				s.boost[m.lateJobKey[b.id]] = true
-			}
-		}
-		if s.seed != 0 {
-			// LNS diversification: boost a seed- and pass-dependent quarter
-			// of the remaining jobs alongside the late ones.
-			for _, b := range m.objBools {
-				jk := m.lateJobKey[b.id]
-				if !s.boost[jk] && !rootForced[jk] && s.lnsPick(pass, jk) {
-					s.boost[jk] = true
-				}
 			}
 		}
 		found, _ := s.dfs()
@@ -481,51 +386,26 @@ func (s *Solver) solve() Result {
 	for {
 		rounds++
 		s.curRound = rounds
-		bound := s.incumbent.Objective - 1
-		if g := s.sharedBest(); g >= 0 && g-1 < bound {
-			// Another worker already holds something better: chase its
-			// objective instead of our own incumbent's.
-			bound = g - 1
-			s.boundImports++
-		}
-		s.curBound = bound
-		handle.SetBound(bound)
+		handle.SetBound(s.incumbent.Objective - 1)
 		s.e.scheduleAll()
 		if s.e.propagate() != nil {
-			s.provedLE = s.curBound
 			return s.finish(StatusOptimal, rounds, start)
 		}
-		s.inBB = true
 		found, exhausted := s.dfs()
-		s.inBB = false
 		s.e.store.PopAll()
 		if found {
 			if s.incumbent.Objective == 0 {
-				s.provedLE = -1
 				return s.finish(StatusOptimal, rounds, start)
 			}
 			continue
 		}
 		if exhausted {
-			// The whole subtree under the final (possibly imported) bound
-			// was explored: no solution with objective <= curBound exists.
-			s.provedLE = s.curBound
+			// The whole subtree under the bound was explored: no solution
+			// with a smaller objective exists.
 			return s.finish(StatusOptimal, rounds, start)
 		}
 		return s.finish(StatusFeasible, rounds, start)
 	}
-}
-
-// sharedBest returns the portfolio's best published objective, or -1 when
-// there is no incumbent board or nothing was published yet.
-func (s *Solver) sharedBest() int {
-	if s.shared == nil {
-		return -1
-	}
-	if g := s.shared.best.Load(); g < int64(math.MaxInt64) {
-		return int(g)
-	}
-	return -1
 }
 
 func (s *Solver) finish(st Status, rounds int, start time.Time) Result {
@@ -551,9 +431,6 @@ func (s *Solver) searchStats(rounds int, start time.Time) SearchStats {
 		NodeLimitHit:   s.nodeLimitHit,
 		TimeLimitHit:   s.timeLimitHit,
 		Timeline:       s.timeline,
-		Workers:        1,
-		Winner:         0,
-		BoundImports:   s.boundImports,
 		HintSeeded:     s.hintSeeded,
 		HintObjective:  s.hintObjective,
 	}
@@ -589,17 +466,6 @@ func (s *Solver) checkLimit() bool {
 		s.timeLimitHit = true
 		return true
 	}
-	if s.shared != nil && s.inBB && s.nodes%64 == 0 {
-		// Opportunistic mode: tighten the running branch-and-bound cut when
-		// another worker published a better incumbent. The sumLE propagator
-		// picks the new bound up on its next wake; subtrees explored before
-		// the import were covered by the looser (still valid) cut.
-		if g := s.sharedBest(); g >= 0 && g-1 < s.curBound {
-			s.curBound = g - 1
-			s.handle.SetBound(s.curBound)
-			s.boundImports++
-		}
-	}
 	return false
 }
 
@@ -622,7 +488,7 @@ type decision struct {
 func (s *Solver) pick() (decision, pickStatus) {
 	m := s.m
 	var best *Interval
-	var bestKey [5]int64
+	var bestKey [4]int64
 	undecided := false
 	for _, iv := range m.intervals {
 		needRes := iv.resVar != nil && m.ResFixedValue(iv.resVar) < 0
@@ -638,19 +504,12 @@ func (s *Solver) pick() (decision, pickStatus) {
 		if s.boost[iv.JobKey] {
 			boosted = 0
 		}
-		// Seeded portfolio workers shuffle ordering ties with a per-task
-		// jitter; the canonical worker (seed 0) leaves it at zero, keeping
-		// the key ordering identical to the classic 4-component key.
-		var jitter int64
-		if s.seed != 0 {
-			jitter = int64(splitmix64(s.seed^uint64(iv.id)*0x9e3779b97f4a7c15) & 0xff)
-		}
 		// The final tie-break is creation order, NOT a duration-derived
 		// quantity: breaking ties by startMax would start a job's longest
 		// tasks first (smaller startMax), leaving every slot busy with
 		// long work at random arrival instants and killing the system's
 		// responsiveness to tight new jobs.
-		key := [5]int64{s.targetStart(iv), boosted, s.orderKey(iv), jitter, int64(iv.id)}
+		key := [4]int64{s.targetStart(iv), boosted, s.orderKey(iv), int64(iv.id)}
 		if best == nil || lessKey(key, bestKey) {
 			best, bestKey = iv, key
 		}
@@ -707,7 +566,7 @@ func (s *Solver) orderKey(iv *Interval) int64 {
 	}
 }
 
-func lessKey(a, b [5]int64) bool {
+func lessKey(a, b [4]int64) bool {
 	for i := range a {
 		if a[i] != b[i] {
 			return a[i] < b[i]
@@ -891,8 +750,5 @@ func (s *Solver) capture() {
 			Objective: obj,
 			Wall:      time.Since(s.started),
 		})
-		if s.shared != nil {
-			s.shared.publish(int64(obj))
-		}
 	}
 }

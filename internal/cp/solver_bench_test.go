@@ -7,7 +7,8 @@ import (
 )
 
 // benchInstance builds one moderately hard combined-mode instance (the
-// shape MRCP-RM generates) for the solver micro-benchmarks.
+// shape MRCP-RM generates) for the solver micro-benchmarks. Models are
+// single-use, so every iteration builds a fresh one.
 func benchInstance() *Model {
 	rng := stats.NewStream(99, 1)
 	return buildRandomInstance(rng, 12, 6, 3, 2, true).m
@@ -41,28 +42,21 @@ func benchDirectInstance() *Model {
 	return m
 }
 
-// benchSolve measures one full solve per iteration (clone + search); the
-// clone isolates iterations, and its cost is part of the portfolio's
-// per-worker setup anyway.
-func benchSolve(b *testing.B, base *Model, p Params) {
+// benchSolve measures one full solve per iteration; the instance is rebuilt
+// outside the timer.
+func benchSolve(b *testing.B, build func() *Model) {
 	b.ReportAllocs()
-	b.ResetTimer()
 	var nodes int64
 	for i := 0; i < b.N; i++ {
-		r := NewSolver(base.Clone(), p).Solve()
+		b.StopTimer()
+		m := build()
+		b.StartTimer()
+		r := NewSolver(m, Params{NodeLimit: 4000}).Solve()
 		nodes += r.Nodes
 	}
 	b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
 }
 
-func BenchmarkSolveCombined(b *testing.B) {
-	benchSolve(b, benchInstance(), Params{NodeLimit: 4000, Workers: 1})
-}
+func BenchmarkSolveCombined(b *testing.B) { benchSolve(b, benchInstance) }
 
-func BenchmarkSolveDirect(b *testing.B) {
-	benchSolve(b, benchDirectInstance(), Params{NodeLimit: 4000, Workers: 1})
-}
-
-func BenchmarkSolvePortfolio4(b *testing.B) {
-	benchSolve(b, benchInstance(), Params{NodeLimit: 4000, Workers: 4})
-}
+func BenchmarkSolveDirect(b *testing.B) { benchSolve(b, benchDirectInstance) }

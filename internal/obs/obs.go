@@ -56,10 +56,6 @@ const (
 	// decision (placement + shard Submit), in ms; kept distinct from
 	// HistWallAdmission so a merged exposition does not double-count.
 	HistWallRoute = "wall_route_ms"
-	// CounterSolveCacheHits / CounterSolveCacheMisses count solve-result
-	// cache lookups in the manager's reschedule path (core.Config.SolveCache).
-	CounterSolveCacheHits   = "solve_cache_hits"
-	CounterSolveCacheMisses = "solve_cache_misses"
 	// CounterWarmStartHinted counts solves entered with a warm-start hint;
 	// CounterWarmStartSeeded counts those whose hint repair produced the
 	// first incumbent (the warm-start hit rate's numerator).

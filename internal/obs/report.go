@@ -404,14 +404,6 @@ func (rep *Report) Write(w io.Writer) error {
 			fmt.Fprintf(&b, "  warm-start hit rate    %7.1f%%  (%d seeded of %d hinted solves)\n",
 				100*float64(rep.WarmSeeded)/float64(rep.WarmSolves), rep.WarmSeeded, rep.WarmSolves)
 		}
-		cacheHits := rep.StatusCounts["cache_hit"]
-		if ch := rep.Counters["solve_cache_hits"]; int(ch) > cacheHits {
-			cacheHits = int(ch)
-		}
-		if lookups := cacheHits + int(rep.Counters["solve_cache_misses"]); lookups > 0 {
-			fmt.Fprintf(&b, "  solve cache hit rate   %7.1f%%  (%d of %d lookups)\n",
-				100*float64(cacheHits)/float64(lookups), cacheHits, lookups)
-		}
 	}
 
 	if rep.Samples > 0 {

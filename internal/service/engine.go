@@ -564,15 +564,24 @@ func (e *Engine) AcceptedWorkMS() int64 {
 // Start launches the run loop. In Virtual mode submissions made before
 // Start form the initial arrival-ordered job list.
 func (e *Engine) Start() error {
+	if !e.claimStart() {
+		return ErrRunning
+	}
+	go e.loop()
+	return nil
+}
+
+// claimStart marks the engine started, reporting whether this call did so:
+// the one caller that gets true owns running the loop.
+func (e *Engine) claimStart() bool {
 	e.intakeMu.Lock()
 	defer e.intakeMu.Unlock()
 	if e.started {
-		return ErrRunning
+		return false
 	}
 	e.started = true
 	e.wallStart = time.Now()
-	go e.loop()
-	return nil
+	return true
 }
 
 // CloseIntake stops accepting submissions; the run finishes outstanding
@@ -593,9 +602,18 @@ func (e *Engine) CloseIntake() {
 }
 
 // Stop aborts the run without finishing outstanding work. Wait returns
-// ErrStopped unless the run already ended.
+// ErrStopped unless the run already ended. Stopping an engine that was
+// never started ends its run before Stop returns; a later Start returns
+// ErrRunning.
 func (e *Engine) Stop() {
 	e.once.Do(func() { close(e.stop) })
+	if e.claimStart() {
+		// No loop is running to observe the stop, so run it here: it sees
+		// the stop first thing and takes the one shutdown path (ErrStopped,
+		// journal closed, Done closed).
+		e.loop()
+		return
+	}
 	e.signal()
 }
 

@@ -248,6 +248,28 @@ func TestStopAborts(t *testing.T) {
 	}
 }
 
+// Stop on a never-started engine must still end the run: nothing else will
+// ever close Done, and mrcpd's bind-failure path stops before it starts.
+func TestStopBeforeStart(t *testing.T) {
+	cluster := sim.Cluster{NumResources: 1, MapSlots: 1, ReduceSlots: 1}
+	e, err := New(Config{Cluster: cluster, Manager: deterministicCfg()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Stop()
+	select {
+	case <-e.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("Stop before Start did not close Done")
+	}
+	if err := e.Wait(); !errors.Is(err, ErrStopped) {
+		t.Fatalf("run error %v, want ErrStopped", err)
+	}
+	if err := e.Start(); !errors.Is(err, ErrRunning) {
+		t.Fatalf("Start after Stop returned %v, want ErrRunning", err)
+	}
+}
+
 func TestSubmitAfterClose(t *testing.T) {
 	cluster := sim.Cluster{NumResources: 1, MapSlots: 1, ReduceSlots: 1}
 	e, err := New(Config{Cluster: cluster, Manager: deterministicCfg()})

@@ -189,9 +189,6 @@ func TestRecoverTornTail(t *testing.T) {
 	// No close: the journal ends with the last submit record, so truncation
 	// points map cleanly onto the submission prefix.
 	e.Stop()
-	if err := e.Start(); err != nil {
-		t.Fatal(err)
-	}
 	<-e.Done()
 
 	offs := frameOffsets(t, path)
@@ -260,9 +257,6 @@ func TestNewRefusesDirtyJournal(t *testing.T) {
 	}
 	submitAll(t, e, jobs)
 	e.Stop()
-	if err := e.Start(); err != nil {
-		t.Fatal(err)
-	}
 	<-e.Done()
 
 	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "Recover") {
@@ -283,9 +277,6 @@ func TestRecoverRejectsMismatchedConfig(t *testing.T) {
 	}
 	submitAll(t, e, jobs)
 	e.Stop()
-	if err := e.Start(); err != nil {
-		t.Fatal(err)
-	}
 	<-e.Done()
 
 	bad := cfg

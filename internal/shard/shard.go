@@ -497,13 +497,9 @@ func (r *Router) Schedule() []service.TaskPlacement {
 // Start launches every shard's run loop, the rebalancer when configured,
 // and the completion watcher behind Done.
 func (r *Router) Start() error {
-	r.mu.Lock()
-	if r.started {
-		r.mu.Unlock()
+	if !r.claimStart() {
 		return service.ErrRunning
 	}
-	r.started = true
-	r.mu.Unlock()
 	for s, e := range r.engines {
 		if err := e.Start(); err != nil {
 			return fmt.Errorf("shard %d: %w", s, err)
@@ -512,14 +508,28 @@ func (r *Router) Start() error {
 	if r.cfg.RebalanceEvery > 0 {
 		go r.rebalanceLoop()
 	}
-	go func() {
-		for _, e := range r.engines {
-			<-e.Done()
-		}
-		r.stopRebalance()
-		close(r.done)
-	}()
+	go r.watch()
 	return nil
+}
+
+// claimStart marks the router started, reporting whether this call did so.
+func (r *Router) claimStart() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.started {
+		return false
+	}
+	r.started = true
+	return true
+}
+
+// watch closes Done once every shard's run loop has exited.
+func (r *Router) watch() {
+	for _, e := range r.engines {
+		<-e.Done()
+	}
+	r.stopRebalance()
+	close(r.done)
 }
 
 // CloseIntake stops accepting submissions on every shard; the rebalancer
@@ -535,15 +545,22 @@ func (r *Router) CloseIntake() {
 	}
 }
 
-// Stop aborts every shard without finishing outstanding work.
+// Stop aborts every shard without finishing outstanding work. Stopping a
+// router that was never started ends its run before Stop returns; a later
+// Start returns ErrRunning.
 func (r *Router) Stop() {
 	r.stopRebalance()
 	for _, e := range r.engines {
 		e.Stop()
 	}
+	if r.claimStart() {
+		// No Start means no watcher to close Done; the engines ended their
+		// runs inside Stop above, so this returns at once.
+		r.watch()
+	}
 }
 
-// Done closes once every shard's run loop has exited (after Start).
+// Done closes once every shard's run loop has exited.
 func (r *Router) Done() <-chan struct{} { return r.done }
 
 // Wait blocks until every shard's run ends and returns the first error.

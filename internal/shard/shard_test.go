@@ -454,3 +454,25 @@ func TestRouterRejectsInfeasible(t *testing.T) {
 		t.Fatalf("rejected job resolves to %+v ok=%v", st, ok)
 	}
 }
+
+// Stop on a never-started router must still close Done (no Start means no
+// completion watcher) and leave the router unstartable.
+func TestRouterStopBeforeStart(t *testing.T) {
+	r, err := New(testShardConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Stop()
+	r.Stop() // idempotent: must not launch a second watcher
+	select {
+	case <-r.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("Stop before Start did not close Done")
+	}
+	if err := r.Wait(); !errors.Is(err, service.ErrStopped) {
+		t.Fatalf("run error %v, want ErrStopped", err)
+	}
+	if err := r.Start(); !errors.Is(err, service.ErrRunning) {
+		t.Fatalf("Start after Stop returned %v, want ErrRunning", err)
+	}
+}

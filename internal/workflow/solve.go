@@ -122,11 +122,9 @@ func Solve(cluster sim.Cluster, wfs []*Workflow, cfg core.Config) (*Schedule, er
 	m.Minimize(lates)
 
 	res := cp.NewSolver(m, cp.Params{
-		TimeLimit:     cfg.SolveTimeLimit,
-		NodeLimit:     cfg.NodeLimit,
-		Ordering:      cfg.Ordering,
-		Workers:       cfg.Workers,
-		Opportunistic: cfg.OpportunisticSolve,
+		TimeLimit: cfg.SolveTimeLimit,
+		NodeLimit: cfg.NodeLimit,
+		Ordering:  cfg.Ordering,
 	}).Solve()
 	if !res.HasSolution() {
 		return nil, fmt.Errorf("workflow: solve failed with status %v", res.Status)

@@ -441,10 +441,10 @@ func DefaultFacebookWorkload() FacebookWorkload { return workload.DefaultFaceboo
 // DefaultConfig returns the MRCP-RM configuration used by the experiments.
 func DefaultConfig() Config { return core.DefaultConfig() }
 
-// DeterministicConfig returns DefaultConfig with every wall-clock-dependent
-// solver knob pinned (no solve time limit, node-budget bound, one portfolio
-// worker), so identical job streams produce byte-identical schedules — the
-// setting journal-replay recovery and fingerprint verification require.
+// DeterministicConfig returns DefaultConfig with the wall-clock-dependent
+// solver knob pinned (no solve time limit, node-budget bound), so identical
+// job streams produce byte-identical schedules — the setting journal-replay
+// recovery and fingerprint verification require.
 func DeterministicConfig() Config { return core.DeterministicConfig() }
 
 // NewManager creates an MRCP-RM resource manager for the cluster.

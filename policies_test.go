@@ -9,13 +9,12 @@ import (
 )
 
 // newRegisteredPolicy builds one registered policy for tests; MRCP-RM gets
-// a single-threaded portfolio and a node-bounded (wall-clock-free) search
-// so results do not depend on the machine's core count or speed.
+// a node-bounded (wall-clock-free) search so results do not depend on the
+// machine's speed.
 func newRegisteredPolicy(t *testing.T, name string, cluster mrcprm.Cluster, opts mrcprm.PolicyOptions) mrcprm.ResourceManager {
 	t.Helper()
 	if name == "mrcp" {
 		cfg := mrcprm.DefaultConfig()
-		cfg.Workers = 1
 		cfg.SolveTimeLimit = 0
 		if opts.Retry != nil {
 			cfg.Retry = *opts.Retry
