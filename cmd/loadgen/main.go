@@ -21,7 +21,6 @@
 // counts, the max sustainable rate (the highest 1-second offered rate the
 // daemon absorbed with zero sheds and p99 under -p99cap), and end-to-end
 // job-latency quantiles scraped from the daemon's Prometheus endpoint.
-// -bench writes the report as JSON (the committed BENCH_service.json).
 //
 // Exit status is non-zero if any submission fails unexpectedly, if
 // accepted != completed + abandoned, or if -verify finds a fingerprint
@@ -34,7 +33,7 @@
 //	loadgen -addr http://localhost:8373 -jobs 40 -seed 3
 //	loadgen -mode wall -speedup 60 -jobs 20
 //	loadgen -jobs 40 -seed 3 -verify          # daemon: -mode virtual -deterministic
-//	loadgen -mode stress -rate0 5 -rate1 120 -duration 10s -bench BENCH_service.json
+//	loadgen -mode stress -rate0 5 -rate1 120 -duration 10s
 package main
 
 import (
@@ -72,7 +71,6 @@ func main() {
 		burstEvery = flag.Duration("burstevery", 3*time.Second, "stress: interval between bursts")
 		tailAlpha  = flag.Float64("tailalpha", 1.5, "stress: bounded-Pareto tail index for job-size multipliers")
 		p99Cap     = flag.Duration("p99cap", 50*time.Millisecond, "stress: per-second p99 admission latency bound for the sustainable-rate estimate")
-		bench      = flag.String("bench", "", "stress: write the report as JSON to this path")
 	)
 	common.Parse()
 
@@ -81,7 +79,7 @@ func main() {
 			addr: *addr, m: *m, seed: common.Seed,
 			rate0: *rate0, rate1: *rate1, duration: *duration,
 			burst: *burst, burstEvery: *burstEvery,
-			tailAlpha: *tailAlpha, p99Cap: *p99Cap, bench: *bench,
+			tailAlpha: *tailAlpha, p99Cap: *p99Cap,
 		}))
 	}
 
@@ -160,10 +158,8 @@ func main() {
 	}
 
 	deadline := time.Now().Add(*timeout)
-	// ShardSnapshot embeds the flat single-engine snapshot, so decoding works
-	// against both a plain mrcpd and a sharded one; Shards is empty when the
-	// daemon runs a single engine.
-	var snap mrcprm.ShardSnapshot
+	// Shards is empty when the daemon runs a single engine.
+	var snap mrcprm.ServiceSnapshot
 	for {
 		if err := getJSON(client, *addr+"/v1/metrics", &snap); err != nil {
 			fmt.Fprintf(os.Stderr, "metrics: %v\n", err)
@@ -296,7 +292,6 @@ type stressConfig struct {
 	burstEvery time.Duration
 	tailAlpha  float64
 	p99Cap     time.Duration
-	bench      string
 }
 
 // stressSample is one submission's outcome.
@@ -307,51 +302,23 @@ type stressSample struct {
 	err     bool
 }
 
-// bucketReport is one second of the ramp in the bench JSON.
-type bucketReport struct {
-	Second   int     `json:"second"`
-	Offered  int     `json:"offered"`
-	Accepted int     `json:"accepted"`
-	Shed     int     `json:"shed"`
-	P99MS    float64 `json:"p99Ms"`
-}
+// stressReport is what the stress summary lines print.
+type stressReport struct {
+	submitted, accepted, rejected, shed, errors int
 
-// benchReport is the committed BENCH_service.json shape.
-type benchReport struct {
-	Benchmark   string  `json:"benchmark"`
-	Rate0       float64 `json:"rate0JobsPerSec"`
-	Rate1       float64 `json:"rate1JobsPerSec"`
-	DurationSec float64 `json:"durationSec"`
-	TailAlpha   float64 `json:"tailAlpha"`
-	Burst       int     `json:"burst"`
-	Seed        uint64  `json:"seed"`
+	// Admission latency quantiles in ms, client side.
+	p50, p90, p95, p99 float64
 
-	Submitted int `json:"submitted"`
-	Accepted  int `json:"accepted"`
-	Rejected  int `json:"rejected"`
-	Shed      int `json:"shed"`
-	Errors    int `json:"errors"`
+	// End-to-end job latency quantiles in ms, scraped from the daemon's
+	// mrcp_job_e2e_ms histogram after the ramp; zero when nothing completed
+	// by scrape time. Estimates carry the histogram's one-bucket-width
+	// (factor sqrt 2) accuracy.
+	e2eP50, e2eP90, e2eP95 float64
+	e2eCount               int64
 
-	LatencyP50MS float64 `json:"latencyP50Ms"`
-	LatencyP90MS float64 `json:"latencyP90Ms"`
-	LatencyP95MS float64 `json:"latencyP95Ms"`
-	LatencyP99MS float64 `json:"latencyP99Ms"`
-	LatencyMaxMS float64 `json:"latencyMaxMs"`
-
-	// End-to-end job latency quantiles scraped from the daemon's
-	// mrcp_job_e2e_ms histogram after the ramp; zero when nothing
-	// completed by scrape time. Estimates carry the histogram's
-	// one-bucket-width (factor sqrt 2) accuracy.
-	E2EP50MS float64 `json:"e2eP50Ms,omitempty"`
-	E2EP90MS float64 `json:"e2eP90Ms,omitempty"`
-	E2EP95MS float64 `json:"e2eP95Ms,omitempty"`
-	E2ECount int64   `json:"e2eCount,omitempty"`
-
-	// MaxSustainableJobsPerSec is the highest 1-second offered rate the
-	// daemon absorbed with zero sheds and bucket p99 within the cap.
-	MaxSustainableJobsPerSec float64        `json:"maxSustainableJobsPerSec"`
-	P99CapMS                 float64        `json:"p99CapMs"`
-	Buckets                  []bucketReport `json:"buckets"`
+	// sustainable is the highest 1-second offered rate (jobs/s) the daemon
+	// absorbed with zero sheds and bucket p99 within the cap.
+	sustainable float64
 }
 
 // stress drives the open-loop ramp and returns the process exit code.
@@ -416,27 +383,14 @@ func stress(cfg stressConfig) int {
 	rep := analyze(cfg, samples)
 	scrapeE2E(client, cfg.addr, rep)
 	fmt.Printf("loadgen stress: submitted=%d accepted=%d rejected=%d shed=%d errors=%d p50=%.1fms p90=%.1fms p95=%.1fms p99=%.1fms sustainable=%.0f jobs/s\n",
-		rep.Submitted, rep.Accepted, rep.Rejected, rep.Shed, rep.Errors,
-		rep.LatencyP50MS, rep.LatencyP90MS, rep.LatencyP95MS, rep.LatencyP99MS, rep.MaxSustainableJobsPerSec)
-	if rep.E2ECount > 0 {
+		rep.submitted, rep.accepted, rep.rejected, rep.shed, rep.errors,
+		rep.p50, rep.p90, rep.p95, rep.p99, rep.sustainable)
+	if rep.e2eCount > 0 {
 		fmt.Printf("loadgen stress: e2e (n=%d, scraped) p50=%.0fms p90=%.0fms p95=%.0fms\n",
-			rep.E2ECount, rep.E2EP50MS, rep.E2EP90MS, rep.E2EP95MS)
+			rep.e2eCount, rep.e2eP50, rep.e2eP90, rep.e2eP95)
 	}
-	if cfg.bench != "" {
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err == nil {
-			// Atomic write: CI reads this file while stress runs may still
-			// be in flight; a rename never exposes a torn JSON document.
-			err = cli.WriteFileAtomic(cfg.bench, append(buf, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			return 1
-		}
-		fmt.Printf("loadgen stress: wrote %s\n", cfg.bench)
-	}
-	if rep.Errors > 0 {
-		fmt.Fprintf(os.Stderr, "stress: %d transport errors\n", rep.Errors)
+	if rep.errors > 0 {
+		fmt.Fprintf(os.Stderr, "stress: %d transport errors\n", rep.errors)
 		return 1
 	}
 	return 0
@@ -464,20 +418,14 @@ func stressSpec(template *mrcprm.Job, u, alpha float64) mrcprm.JobSpec {
 	return spec
 }
 
-// analyze folds the samples into the bench report.
-func analyze(cfg stressConfig, samples []stressSample) *benchReport {
-	rep := &benchReport{
-		Benchmark: "service-stress", Rate0: cfg.rate0, Rate1: cfg.rate1,
-		DurationSec: cfg.duration.Seconds(), TailAlpha: cfg.tailAlpha,
-		Burst: cfg.burst, Seed: cfg.seed,
-		Submitted: len(samples),
-		P99CapMS:  float64(cfg.p99Cap.Milliseconds()),
-	}
+// analyze folds the samples into the report.
+func analyze(cfg stressConfig, samples []stressSample) *stressReport {
+	rep := &stressReport{submitted: len(samples)}
 	var lats []time.Duration
 	nBuckets := int(cfg.duration.Seconds()) + 1
 	type bucket struct {
-		offered, accepted, shed int
-		lats                    []time.Duration
+		offered, shed int
+		lats          []time.Duration
 	}
 	buckets := make([]bucket, nBuckets)
 	for _, s := range samples {
@@ -488,18 +436,17 @@ func analyze(cfg stressConfig, samples []stressSample) *benchReport {
 		buckets[b].offered++
 		switch {
 		case s.err:
-			rep.Errors++
+			rep.errors++
 			continue
 		case s.status == http.StatusAccepted:
-			rep.Accepted++
-			buckets[b].accepted++
+			rep.accepted++
 		case s.status == http.StatusUnprocessableEntity:
-			rep.Rejected++
+			rep.rejected++
 		case s.status == http.StatusTooManyRequests:
-			rep.Shed++
+			rep.shed++
 			buckets[b].shed++
 		default:
-			rep.Errors++
+			rep.errors++
 			continue
 		}
 		lats = append(lats, s.latency)
@@ -507,27 +454,17 @@ func analyze(cfg stressConfig, samples []stressSample) *benchReport {
 	}
 	sort.Slice(lats, func(i, k int) bool { return lats[i] < lats[k] })
 	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	if len(lats) > 0 {
-		rep.LatencyP50MS = ms(percentile(lats, 0.50))
-		rep.LatencyP90MS = ms(percentile(lats, 0.90))
-		rep.LatencyP95MS = ms(percentile(lats, 0.95))
-		rep.LatencyP99MS = ms(percentile(lats, 0.99))
-		rep.LatencyMaxMS = ms(lats[len(lats)-1])
-	}
-	for i, b := range buckets {
+	rep.p50 = ms(percentile(lats, 0.50))
+	rep.p90 = ms(percentile(lats, 0.90))
+	rep.p95 = ms(percentile(lats, 0.95))
+	rep.p99 = ms(percentile(lats, 0.99))
+	for _, b := range buckets {
 		if b.offered == 0 {
 			continue
 		}
 		sort.Slice(b.lats, func(x, y int) bool { return b.lats[x] < b.lats[y] })
-		p99 := time.Duration(0)
-		if len(b.lats) > 0 {
-			p99 = percentile(b.lats, 0.99)
-		}
-		rep.Buckets = append(rep.Buckets, bucketReport{
-			Second: i, Offered: b.offered, Accepted: b.accepted, Shed: b.shed, P99MS: ms(p99),
-		})
-		if b.shed == 0 && p99 <= cfg.p99Cap && float64(b.offered) > rep.MaxSustainableJobsPerSec {
-			rep.MaxSustainableJobsPerSec = float64(b.offered)
+		if b.shed == 0 && percentile(b.lats, 0.99) <= cfg.p99Cap && float64(b.offered) > rep.sustainable {
+			rep.sustainable = float64(b.offered)
 		}
 	}
 	return rep
@@ -537,7 +474,7 @@ func analyze(cfg stressConfig, samples []stressSample) *benchReport {
 // Prometheus endpoint and folds its quantiles into the report. Best
 // effort: a daemon predating /metrics, a scrape failure, or an empty
 // histogram (nothing completed yet) leaves the fields zero.
-func scrapeE2E(client *http.Client, addr string, rep *benchReport) {
+func scrapeE2E(client *http.Client, addr string, rep *stressReport) {
 	resp, err := client.Get(addr + "/metrics")
 	if err != nil {
 		return
@@ -560,10 +497,10 @@ func scrapeE2E(client *http.Client, addr string, rep *benchReport) {
 		fmt.Fprintf(os.Stderr, "stress: e2e histogram: %v\n", err)
 		return
 	}
-	rep.E2ECount = h.Count
-	rep.E2EP50MS = h.Quantile(0.50)
-	rep.E2EP90MS = h.Quantile(0.90)
-	rep.E2EP95MS = h.Quantile(0.95)
+	rep.e2eCount = h.Count
+	rep.e2eP50 = h.Quantile(0.50)
+	rep.e2eP90 = h.Quantile(0.90)
+	rep.e2eP95 = h.Quantile(0.95)
 }
 
 // percentile returns the q-quantile of sorted durations (nearest rank).

@@ -160,21 +160,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	// A single shard keeps the plain engine (same journal path, same
-	// behavior as before); -shards N>1 fronts N engines with the router.
-	var (
-		engine  *mrcprm.ServiceEngine
-		router  *mrcprm.ShardRouter
-		run     runner
-		handler http.Handler
-		closed  bool // recovered-run intake state (virtual auto-resume)
-		err     error
-	)
 	if *doRecover && *journal == "" {
 		fmt.Fprintln(os.Stderr, "-recover needs -journal")
 		os.Exit(2)
 	}
-	// Bind before building the engine (which opens and may replay the
+	// Bind before building the backend (which opens and may replay the
 	// journal) and before announcing the address, so a taken port exits
 	// immediately with nothing to unwind.
 	ln, err := net.Listen("tcp", *addr)
@@ -182,43 +172,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	if *shards > 1 {
-		if *maxPending > 0 {
-			// Split a global bound evenly (rounding up) so N shards shed at
-			// roughly the same total depth as one engine would.
-			cfg.MaxPending = (*maxPending + *shards - 1) / *shards
-		}
-		scfg := mrcprm.ShardConfig{Base: cfg, Shards: *shards, Seed: *routeSeed, RebalanceEvery: *rebalance}
-		if *doRecover {
-			var info *mrcprm.ShardRecoveryInfo
-			router, info, err = mrcprm.RecoverShardRouter(scfg)
-			if err == nil {
-				fmt.Printf("recovered  : %d shards, %d records (%d accepted, %d rejected, %d withdrawn, %d rehomed, closed=%v)\n",
-					*shards, info.Records, info.Accepted, info.Rejected, info.Withdrawn, info.Rehomed, info.Closed)
-				closed = info.Closed
-			}
-		} else {
-			router, err = mrcprm.NewShardRouter(scfg)
-		}
-		if err == nil {
-			run, handler = router, mrcprm.NewShardHandler(router)
-		}
-	} else {
-		if *doRecover {
-			var info *mrcprm.ServiceRecoveryInfo
-			engine, info, err = mrcprm.RecoverServiceEngine(cfg)
-			if err == nil {
-				fmt.Printf("recovered  : %d records (%d accepted, %d rejected, %d fault switches, %d outages, closed=%v, torn=%dB)\n",
-					info.Records, info.Accepted, info.Rejected, info.FaultSwitches, info.Outages, info.Closed, info.TornBytes)
-				closed = info.Closed
-			}
-		} else {
-			engine, err = mrcprm.NewServiceEngine(cfg)
-		}
-		if err == nil {
-			run, handler = engine, mrcprm.NewServiceHandler(engine)
-		}
-	}
+	scfg := mrcprm.ShardConfig{Base: cfg, Shards: *shards, Seed: *routeSeed, RebalanceEvery: *rebalance}
+	run, closed, err := openBackend(scfg, *doRecover)
 	if err != nil {
 		// An unknown -rm name surfaces here, listing the registered policies.
 		fmt.Fprintln(os.Stderr, err)
@@ -241,18 +196,14 @@ func main() {
 	}
 
 	srv := &http.Server{
-		Handler:           handler,
+		Handler:           mrcprm.NewServiceHandler(run),
 		ReadHeaderTimeout: 10 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
 	httpErr := make(chan error, 1)
 	go func() { httpErr <- srv.Serve(ln) }()
 	fmt.Printf("mrcpd      : %s\n", cli.Version())
-	if *shards > 1 {
-		fmt.Printf("listening  : %s (%s mode, %s, m=%d, %d shards)\n", *addr, *mode, *rmName, *m, *shards)
-	} else {
-		fmt.Printf("listening  : %s (%s mode, %s, m=%d)\n", *addr, *mode, *rmName, *m)
-	}
+	fmt.Printf("listening  : %s (%s mode, %s, m=%d, shards=%d)\n", *addr, *mode, *rmName, *m, *shards)
 	if cluster.Heterogeneous() || cluster.MemCapacity > 0 {
 		fmt.Printf("hetero     : speeds %.3g..%.3g, mem capacity %d\n",
 			cluster.MinSpeed(), cluster.MaxSpeed(), cluster.MemCapacity)
@@ -312,38 +263,55 @@ serve:
 	tel.EmitSummary(run.NowMS())
 	tel.Flush()
 
-	if engine != nil {
-		metrics, runErr := engine.Result()
-		if runErr != nil && !errors.Is(runErr, mrcprm.ErrServiceStopped) {
-			fmt.Fprintln(os.Stderr, runErr)
-			os.Exit(1)
-		}
-		if metrics != nil {
-			fmt.Printf("jobs       : %d arrived, %d completed, %d late, %d abandoned\n",
-				metrics.JobsArrived, metrics.JobsCompleted, metrics.LateJobs, metrics.JobsAbandoned)
-			fmt.Printf("makespan   : %.1f s   P=%.2f%%   T=%.1f s\n",
-				float64(metrics.MakespanMS)/1000, 100*metrics.P(), metrics.T())
-		}
-	} else {
-		if runErr := router.Wait(); runErr != nil && !errors.Is(runErr, mrcprm.ErrServiceStopped) {
-			fmt.Fprintln(os.Stderr, runErr)
-			os.Exit(1)
-		}
-		snap := router.Metrics()
-		fmt.Printf("jobs       : %d arrived, %d completed, %d late, %d abandoned (across %d shards)\n",
-			snap.JobsArrived, snap.JobsCompleted, snap.LateJobs, snap.JobsAbandoned, *shards)
-		if snap.Fingerprint != "" {
-			fmt.Printf("fingerprint: %s\n", snap.Fingerprint)
-		}
+	if runErr := run.Wait(); runErr != nil && !errors.Is(runErr, mrcprm.ErrServiceStopped) {
+		fmt.Fprintln(os.Stderr, runErr)
+		os.Exit(1)
+	}
+	snap := run.Metrics()
+	fmt.Printf("jobs       : %d arrived, %d completed, %d late, %d abandoned\n",
+		snap.JobsArrived, snap.JobsCompleted, snap.LateJobs, snap.JobsAbandoned)
+	if snap.Fingerprint != "" {
+		fmt.Printf("fingerprint: %s\n", snap.Fingerprint)
 	}
 }
 
-// runner is the lifecycle surface shared by a single engine and the shard
-// router; the serve loop drives whichever the flags built.
-type runner interface {
-	Start() error
-	CloseIntake()
-	Stop()
-	Done() <-chan struct{}
-	NowMS() int64
+// openBackend builds what the flags describe, fresh or replayed from the
+// journal: the plain engine for one shard (journal at the path as given),
+// the router over cfg.Shards engines otherwise (one journal segment per
+// shard). It is the only place that knows which; the bool reports whether
+// a recovered journal had already closed its intake.
+func openBackend(cfg mrcprm.ShardConfig, replay bool) (mrcprm.ServiceBackend, bool, error) {
+	if cfg.Shards > 1 {
+		// Split a global bound evenly (rounding up) so N shards shed at
+		// roughly the same total depth as one engine would.
+		cfg.Base.MaxPending = (cfg.Base.MaxPending + cfg.Shards - 1) / cfg.Shards
+		if !replay {
+			r, err := mrcprm.NewShardRouter(cfg)
+			if err != nil {
+				return nil, false, err
+			}
+			return r, false, nil
+		}
+		r, info, err := mrcprm.RecoverShardRouter(cfg)
+		if err != nil {
+			return nil, false, err
+		}
+		fmt.Printf("recovered  : %d shards, %d records (%d accepted, %d rejected, %d withdrawn, %d rehomed, closed=%v)\n",
+			cfg.Shards, info.Records, info.Accepted, info.Rejected, info.Withdrawn, info.Rehomed, info.Closed)
+		return r, info.Closed, nil
+	}
+	if !replay {
+		e, err := mrcprm.NewServiceEngine(cfg.Base)
+		if err != nil {
+			return nil, false, err
+		}
+		return e.Backend(), false, nil
+	}
+	e, info, err := mrcprm.RecoverServiceEngine(cfg.Base)
+	if err != nil {
+		return nil, false, err
+	}
+	fmt.Printf("recovered  : %d records (%d accepted, %d rejected, %d fault switches, %d outages, closed=%v, torn=%dB)\n",
+		info.Records, info.Accepted, info.Rejected, info.FaultSwitches, info.Outages, info.Closed, info.TornBytes)
+	return e.Backend(), info.Closed, nil
 }

@@ -159,7 +159,7 @@ func TestUniformShardRouterInvariance(t *testing.T) {
 // On a two-class cluster, planning with the true machine speeds must beat
 // planning speed-blind: no more late jobs at any spread, strictly fewer at
 // a 2x spread. This is the acceptance experiment of the refactor in
-// miniature (cmd/benchhetero sweeps the full grid).
+// miniature (cmd/experiments -fig hetero sweeps the full grid).
 func TestSpeedAwareBeatsSpeedBlind(t *testing.T) {
 	wl := mrcprm.DefaultSyntheticWorkload()
 	wl.NumResources = 10

@@ -1227,30 +1227,58 @@ type Snapshot struct {
 	// abandonments) per attribution class; the values sum to
 	// LateJobs + JobsAbandoned once the run drains.
 	MissByClass map[string]int64 `json:"missByClass,omitempty"`
+
+	// Shards is the per-shard breakdown when a shard.Router produced the
+	// snapshot: the flat fields above then carry AGGREGATE values in the
+	// exact single-engine shape (sums for flows and queue depths, max for
+	// the clock, all-finished/all-closed for the booleans, a combined
+	// fingerprint) so scrapers and loadgen work against either backend.
+	Shards []ShardView `json:"shards,omitempty"`
+}
+
+// ShardView is one shard's slice of an aggregated snapshot: the shard's
+// full engine snapshot plus its partition shape and the router's
+// pending-work estimate.
+type ShardView struct {
+	Shard         int   `json:"shard"`
+	Resources     int   `json:"resources"`
+	FirstResource int   `json:"firstResource"`
+	PendingWorkMS int64 `json:"pendingWorkMs"`
+	Snapshot
+}
+
+// Health reports the run state from the intake lock and the done channel
+// alone, never the simulator lock the run loop holds across a solve.
+func (e *Engine) Health() Health {
+	e.intakeMu.Lock()
+	h := Health{Mode: e.cfg.Mode.String(), Running: e.started, Closed: e.closed}
+	e.intakeMu.Unlock()
+	select {
+	case <-e.done:
+		h.Finished, h.Running = true, false
+	default:
+	}
+	return h
 }
 
 // Metrics returns the current engine-wide snapshot; safe mid-run.
 func (e *Engine) Metrics() Snapshot {
+	h := e.Health()
 	e.intakeMu.Lock()
 	snap := Snapshot{
-		Mode:       e.cfg.Mode.String(),
+		Mode:       h.Mode,
 		Policy:     e.policy,
+		Running:    h.Running,
+		Finished:   h.Finished,
+		Closed:     h.Closed,
 		Submitted:  e.nextID,
 		Rejected:   e.rejects,
 		Shed:       e.shed,
 		Pending:    e.accepted - int(e.finished.Load()),
 		MaxPending: e.cfg.MaxPending,
 		Journal:    e.cfg.JournalPath,
-		Running:    e.started,
-		Closed:     e.closed,
 	}
 	e.intakeMu.Unlock()
-	select {
-	case <-e.done:
-		snap.Finished = true
-		snap.Running = false
-	default:
-	}
 	e.mu.Lock()
 	if snap.Finished && e.metrics != nil {
 		snap.Fingerprint = fmt.Sprintf("%016x", e.metrics.Fingerprint())

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -14,7 +15,64 @@ import (
 	"mrcprm/internal/workload"
 )
 
-// NewHandler exposes the engine over HTTP/JSON:
+// Backend is the scheduler the HTTP handler and cmd/mrcpd drive: one engine
+// (through Engine.Backend, which widens its int job IDs) or a shard.Router
+// over N of them. Job IDs are whatever Submit returned; resource indices are
+// global.
+type Backend interface {
+	Submit(spec workload.JobSpec) (int64, error)
+	Job(id int64) (JobStatus, bool)
+	Jobs() []JobStatus
+	Trace(id int64) (events []slo.TraceEvent, dropped int, ok bool)
+	Schedule() []TaskPlacement
+	Metrics() Snapshot
+	WriteProm(w io.Writer) error
+	ApplyFaults(spec FaultSpec) error
+	InjectOutage(res int, downAt, upAt int64) error
+	NowMS() int64
+	Ready() (ok bool, reason string)
+	Health() Health
+	// Shards is the partition count, 0 for a plain engine; a positive count
+	// is reported as "shards" on the healthz, readyz and run bodies.
+	Shards() int
+
+	Start() error
+	CloseIntake()
+	Stop()
+	Done() <-chan struct{}
+	Wait() error
+}
+
+// Health is the liveness view behind GET /healthz. Producing it never takes
+// the simulator lock, so a probe is answered while a solve is in flight.
+type Health struct {
+	Mode     string
+	Running  bool
+	Finished bool
+	Closed   bool
+}
+
+// engineBackend adapts an Engine's int job IDs to Backend's int64.
+type engineBackend struct{ *Engine }
+
+// Backend returns the engine as a Backend.
+func (e *Engine) Backend() Backend { return engineBackend{e} }
+
+func (b engineBackend) Submit(spec workload.JobSpec) (int64, error) {
+	id, err := b.Engine.Submit(spec)
+	return int64(id), err
+}
+
+func (b engineBackend) Job(id int64) (JobStatus, bool) { return b.Engine.Job(int(id)) }
+
+func (b engineBackend) Trace(id int64) ([]slo.TraceEvent, int, bool) { return b.Engine.Trace(int(id)) }
+
+func (b engineBackend) Shards() int { return 0 }
+
+// NewHandler exposes one engine over HTTP/JSON; see NewBackendHandler.
+func NewHandler(e *Engine) http.Handler { return NewBackendHandler(e.Backend()) }
+
+// NewBackendHandler exposes a backend over HTTP/JSON:
 //
 //	POST /v1/jobs          submit a workload.JobSpec; 202 {"id":N}
 //	GET  /v1/jobs          every submission's status (no placements)
@@ -23,6 +81,8 @@ import (
 //	GET  /v1/jobs/{id}/trace  one submission's lifecycle timeline
 //	GET  /v1/schedule      the current placement plan
 //	GET  /v1/metrics       engine + manager + telemetry counters + SLO burn
+//	                       (fleet aggregates plus a per-shard breakdown when
+//	                       sharded)
 //	GET  /metrics          Prometheus text exposition (format 0.0.4)
 //	POST /v1/admin/faults  swap the fault plan or inject an outage
 //	POST /v1/admin/run     start the run loop (virtual mode);
@@ -33,8 +93,8 @@ import (
 // Error bodies are {"error":"..."}: 400 malformed, 404 unknown job, 409
 // double start, 422 admission rejection, 429 shed by backpressure (with a
 // Retry-After header), 500 journal write failure, 503 intake closed.
-func NewHandler(e *Engine) http.Handler {
-	s := &server{e: e}
+func NewBackendHandler(b Backend) http.Handler {
+	s := &server{b: b}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.healthz)
 	mux.HandleFunc("GET /readyz", s.readyz)
@@ -50,11 +110,26 @@ func NewHandler(e *Engine) http.Handler {
 	return mux
 }
 
-type server struct{ e *Engine }
+type server struct{ b Backend }
 
 // maxBodyBytes caps POST bodies: a job spec or fault request is a few KB at
 // most, so anything near the cap is malformed or hostile.
 const maxBodyBytes = 1 << 20
+
+// decodeBody reads a POST body into v: exactly one JSON value of v's shape,
+// at most maxBodyBytes long, with no unknown fields and nothing but
+// whitespace after it.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("unexpected data after the JSON value")
+	}
+	return nil
+}
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -68,37 +143,43 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-func (s *server) healthz(w http.ResponseWriter, r *http.Request) {
-	snap := s.e.Metrics()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":   "ok",
-		"mode":     snap.Mode,
-		"running":  snap.Running,
-		"finished": snap.Finished,
-		"closed":   snap.Closed,
-	})
+// withShards adds the partition count to a body when the backend is sharded.
+func (s *server) withShards(body map[string]any) map[string]any {
+	if n := s.b.Shards(); n > 0 {
+		body["shards"] = n
+	}
+	return body
 }
 
-// readyz is the orchestrator-facing readiness probe: 200 while the engine
+func (s *server) healthz(w http.ResponseWriter, r *http.Request) {
+	h := s.b.Health()
+	writeJSON(w, http.StatusOK, s.withShards(map[string]any{
+		"status":   "ok",
+		"mode":     h.Mode,
+		"running":  h.Running,
+		"finished": h.Finished,
+		"closed":   h.Closed,
+	}))
+}
+
+// readyz is the orchestrator-facing readiness probe: 200 while the backend
 // should receive traffic, 503 (with the reason) once it is finished,
 // draining after CloseIntake, or shedding at the MaxPending bound.
 func (s *server) readyz(w http.ResponseWriter, r *http.Request) {
-	if ok, reason := s.e.Ready(); !ok {
+	if ok, reason := s.b.Ready(); !ok {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reason": reason})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"ready": true})
+	writeJSON(w, http.StatusOK, s.withShards(map[string]any{"ready": true}))
 }
 
 func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 	var spec workload.JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := decodeBody(w, r, &spec); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("parsing job spec: %w", err))
 		return
 	}
-	id, err := s.e.Submit(spec)
+	id, err := s.b.Submit(spec)
 	var oe *OverloadError
 	switch {
 	case errors.Is(err, ErrClosed):
@@ -135,16 +216,30 @@ func retryAfterSeconds(d time.Duration) int {
 }
 
 func (s *server) listJobs(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.e.Jobs())
+	jobs := s.b.Jobs()
+	if jobs == nil {
+		jobs = []JobStatus{}
+	}
+	writeJSON(w, http.StatusOK, jobs)
+}
+
+// jobID parses the {id} path segment, answering 400 itself when it is not a
+// number.
+func jobID(w http.ResponseWriter, r *http.Request) (int64, bool) {
+	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("bad job id %q", r.PathValue("id")))
+		return 0, false
+	}
+	return id, true
 }
 
 func (s *server) getJob(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad job id %q", r.PathValue("id")))
+	id, ok := jobID(w, r)
+	if !ok {
 		return
 	}
-	st, ok := s.e.Job(id)
+	st, ok := s.b.Job(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no job %d", id))
 		return
@@ -153,7 +248,7 @@ func (s *server) getJob(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) schedule(w http.ResponseWriter, r *http.Request) {
-	ps := s.e.Schedule()
+	ps := s.b.Schedule()
 	if ps == nil {
 		ps = []TaskPlacement{}
 	}
@@ -161,7 +256,7 @@ func (s *server) schedule(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) metrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.e.Metrics())
+	writeJSON(w, http.StatusOK, s.b.Metrics())
 }
 
 // prom serves the Prometheus scrape endpoint. The exposition is rendered
@@ -169,7 +264,7 @@ func (s *server) metrics(w http.ResponseWriter, r *http.Request) {
 // truncated 200 response.
 func (s *server) prom(w http.ResponseWriter, r *http.Request) {
 	var buf bytes.Buffer
-	if err := s.e.WriteProm(&buf); err != nil {
+	if err := s.b.WriteProm(&buf); err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
@@ -181,12 +276,11 @@ func (s *server) prom(w http.ResponseWriter, r *http.Request) {
 // trace serves one job's lifecycle timeline from the SLO monitor's bounded
 // per-job event ring.
 func (s *server) trace(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad job id %q", r.PathValue("id")))
+	id, ok := jobID(w, r)
+	if !ok {
 		return
 	}
-	events, dropped, ok := s.e.Trace(id)
+	events, dropped, ok := s.b.Trace(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no trace for job %d", id))
 		return
@@ -215,20 +309,23 @@ type faultRequest struct {
 
 func (s *server) faults(w http.ResponseWriter, r *http.Request) {
 	var req faultRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("parsing fault request: %w", err))
 		return
 	}
+	// Both kinds are journaled before they take effect, so they replay at
+	// the same simulated instant on recovery; only a failed append is a 500.
+	fail := func(err error) {
+		status := http.StatusBadRequest
+		if errors.Is(err, ErrJournal) {
+			status = http.StatusInternalServerError
+		}
+		writeError(w, status, err)
+	}
 	if req.DurationMS > 0 {
-		at := s.e.NowMS() + req.DelayMS
-		if err := s.e.InjectOutage(req.Resource, at, at+req.DurationMS); err != nil {
-			status := http.StatusBadRequest
-			if errors.Is(err, ErrJournal) {
-				status = http.StatusInternalServerError
-			}
-			writeError(w, status, err)
+		at := s.b.NowMS() + req.DelayMS
+		if err := s.b.InjectOutage(req.Resource, at, at+req.DurationMS); err != nil {
+			fail(err)
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]any{
@@ -237,15 +334,9 @@ func (s *server) faults(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	// Per-attempt plans go through ApplyFaults so the switch is journaled
-	// and replays at the same simulated instant on recovery.
 	spec := FaultSpec{FailRate: req.FailRate, StragglerProb: req.StragglerProb, Seed: req.Seed}
-	if err := s.e.ApplyFaults(spec); err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, ErrJournal) {
-			status = http.StatusInternalServerError
-		}
-		writeError(w, status, err)
+	if err := s.b.ApplyFaults(spec); err != nil {
+		fail(err)
 		return
 	}
 	if !spec.enabled() {
@@ -267,22 +358,20 @@ type runRequest struct {
 func (s *server) run(w http.ResponseWriter, r *http.Request) {
 	var req runRequest
 	if r.ContentLength != 0 {
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
+		if err := decodeBody(w, r, &req); err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("parsing run request: %w", err))
 			return
 		}
 	}
-	err := s.e.Start()
+	err := s.b.Start()
 	if err != nil && !req.Close {
 		writeError(w, http.StatusConflict, err)
 		return
 	}
 	if req.Close {
-		s.e.CloseIntake()
+		s.b.CloseIntake()
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	writeJSON(w, http.StatusOK, s.withShards(map[string]any{
 		"started": err == nil, "closed": req.Close,
-	})
+	}))
 }

@@ -1,0 +1,311 @@
+package shard
+
+import (
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"sort"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"mrcprm/internal/obs"
+	"mrcprm/internal/rmkit"
+	"mrcprm/internal/service"
+	"mrcprm/internal/sim"
+	"mrcprm/internal/workload"
+)
+
+// frontEnd is one backend behind its public handler constructor; the tests
+// below drive both kinds through nothing but HTTP.
+type frontEnd struct {
+	name    string
+	handler http.Handler
+	wait    func() error
+}
+
+// frontEnds builds the plain engine and a 2-shard router over the same
+// cluster and policy. base.MaxPending is the engine's bound; the router
+// splits it across its shards the way mrcpd does.
+func frontEnds(t *testing.T, base service.Config, engineRM sim.ResourceManager) []frontEnd {
+	t.Helper()
+	base.Cluster = testCluster()
+	ecfg := base
+	ecfg.RM = engineRM
+	e, err := service.New(ecfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base.MaxPending /= 2
+	r, err := New(Config{Base: base, Shards: 2, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []frontEnd{
+		{"engine", service.NewHandler(e), e.Wait},
+		{"router", NewHandler(r), r.Wait},
+	}
+}
+
+// reply is what the conformance table compares across backends.
+type reply struct {
+	status     int
+	ctype      string
+	retryAfter string
+	body       string
+	// keys is the response object's key set, or the union of the elements'
+	// key sets for an array; nil when the body is not JSON.
+	keys []string
+	id   string // the "id" member, when there is one
+}
+
+func call(h http.Handler, method, path, body string) reply {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+	rp := reply{
+		status:     rec.Code,
+		ctype:      rec.Header().Get("Content-Type"),
+		retryAfter: rec.Header().Get("Retry-After"),
+		body:       rec.Body.String(),
+	}
+	var v any
+	if json.Unmarshal(rec.Body.Bytes(), &v) != nil {
+		return rp
+	}
+	objs, isList := v.([]any)
+	if !isList {
+		objs = []any{v}
+	}
+	set := map[string]bool{}
+	for _, o := range objs {
+		m, _ := o.(map[string]any)
+		for k, val := range m {
+			set[k] = true
+			if k == "id" {
+				rp.id = fmt.Sprint(val)
+			}
+		}
+	}
+	rp.keys = make([]string, 0, len(set))
+	for k := range set {
+		rp.keys = append(rp.keys, k)
+	}
+	sort.Strings(rp.keys)
+	return rp
+}
+
+// TestHandlerConformance drives one scripted session through the engine's
+// handler and the router's and requires the same status code, Content-Type,
+// Retry-After and JSON key set from both on every route, including the whole
+// error map. The one permitted difference is "shards" on the healthz,
+// readyz, run and metrics bodies.
+func TestHandlerConformance(t *testing.T) {
+	const good = `{"deadlineMs":3600000,"mapExecMs":[2000,2000],"reduceExecMs":[1000]}`
+	oversized := `{"deadlineMs":1,"mapExecMs":[1` + strings.Repeat(",1", 1<<19) + `]}`
+	steps := []struct {
+		name, method, path, body string
+		status                   int
+		exact                    string // when set, the whole body on both backends
+		remember                 string // store the reply's id under this {placeholder}
+	}{
+		{name: "healthz", method: "GET", path: "/healthz", status: 200},
+		{name: "readyz", method: "GET", path: "/readyz", status: 200},
+		{name: "no jobs yet", method: "GET", path: "/v1/jobs", status: 200, exact: "[]\n"},
+		{name: "no schedule yet", method: "GET", path: "/v1/schedule", status: 200, exact: "[]\n"},
+
+		{name: "malformed", method: "POST", path: "/v1/jobs", body: `{nope`, status: 400},
+		{name: "unknown field", method: "POST", path: "/v1/jobs", body: `{"deadlineMs":1,"mapExecMs":[1],"bogus":1}`, status: 400},
+		{name: "oversized", method: "POST", path: "/v1/jobs", body: oversized, status: 400},
+		{name: "second document", method: "POST", path: "/v1/jobs", body: good + `{"x":1}`, status: 400},
+		{name: "trailing garbage", method: "POST", path: "/v1/jobs", body: good + ` trailing`, status: 400},
+		{name: "faults trailing data", method: "POST", path: "/v1/admin/faults", body: `{}{}`, status: 400},
+		{name: "run trailing data", method: "POST", path: "/v1/admin/run", body: `{"close":true}]`, status: 400},
+		{name: "still no jobs", method: "GET", path: "/v1/jobs", status: 200, exact: "[]\n"},
+
+		{name: "infeasible SLA", method: "POST", path: "/v1/jobs", body: `{"deadlineMs":10,"mapExecMs":[500000000]}`, status: 422, remember: "{rejected}"},
+		{name: "accepted", method: "POST", path: "/v1/jobs", body: good, status: 202, remember: "{accepted}"},
+		{name: "accepted with trailing whitespace, intake now full", method: "POST", path: "/v1/jobs", body: good + " \n", status: 202},
+		{name: "shed", method: "POST", path: "/v1/jobs", body: good, status: 429},
+		{name: "readyz overloaded", method: "GET", path: "/readyz", status: 503},
+
+		{name: "bad id", method: "GET", path: "/v1/jobs/abc", status: 400},
+		{name: "bad trace id", method: "GET", path: "/v1/jobs/abc/trace", status: 400},
+		{name: "unknown id", method: "GET", path: "/v1/jobs/9999", status: 404},
+		{name: "unknown trace id", method: "GET", path: "/v1/jobs/9999/trace", status: 404},
+		{name: "job", method: "GET", path: "/v1/jobs/{accepted}", status: 200},
+		{name: "rejected job", method: "GET", path: "/v1/jobs/{rejected}", status: 200},
+		{name: "trace", method: "GET", path: "/v1/jobs/{accepted}/trace", status: 200},
+		{name: "jobs", method: "GET", path: "/v1/jobs", status: 200},
+		{name: "metrics", method: "GET", path: "/v1/metrics", status: 200},
+		{name: "prometheus", method: "GET", path: "/metrics", status: 200},
+
+		{name: "fault plan", method: "POST", path: "/v1/admin/faults", body: `{"failRate":0.1,"seed":3}`, status: 200},
+		{name: "fault plan off", method: "POST", path: "/v1/admin/faults", body: `{}`, status: 200},
+		{name: "outage", method: "POST", path: "/v1/admin/faults", body: `{"resource":5,"durationMs":1000}`, status: 200},
+		{name: "outage on unknown resource", method: "POST", path: "/v1/admin/faults", body: `{"resource":99,"durationMs":1000}`, status: 400},
+
+		{name: "run", method: "POST", path: "/v1/admin/run", status: 200},
+		{name: "second run", method: "POST", path: "/v1/admin/run", status: 409},
+		{name: "run+close", method: "POST", path: "/v1/admin/run", body: `{"close":true}`, status: 200},
+		{name: "closed intake", method: "POST", path: "/v1/jobs", body: good, status: 503},
+	}
+	mayDifferByShards := map[string]bool{"/healthz": true, "/readyz": true, "/v1/admin/run": true, "/v1/metrics": true}
+
+	fes := frontEnds(t, service.Config{
+		Policy: "fifo", Admission: true, MaxPending: 2, Telemetry: obs.New(obs.DiscardSink{}),
+	}, nil)
+	ids := make([]map[string]string, len(fes)) // per backend: placeholder -> job id
+	for i := range ids {
+		ids[i] = map[string]string{}
+	}
+	for _, st := range steps {
+		replies := make([]reply, len(fes))
+		for i, fe := range fes {
+			path := st.path
+			for ph, id := range ids[i] {
+				path = strings.ReplaceAll(path, ph, id)
+			}
+			rp := call(fe.handler, st.method, path, st.body)
+			if rp.status != st.status {
+				t.Errorf("%s on %s: status %d, want %d: %s", st.name, fe.name, rp.status, st.status, rp.body)
+			}
+			if st.exact != "" && rp.body != st.exact {
+				t.Errorf("%s on %s: body %q, want %q", st.name, fe.name, rp.body, st.exact)
+			}
+			if st.remember != "" {
+				ids[i][st.remember] = rp.id
+			}
+			if mayDifferByShards[st.path] && rp.status == 200 {
+				kept := rp.keys[:0]
+				for _, k := range rp.keys {
+					if k != "shards" {
+						kept = append(kept, k)
+					} else if fe.name == "engine" {
+						t.Errorf("%s on engine: unexpected %q key", st.name, k)
+					}
+				}
+				rp.keys = kept
+			}
+			replies[i] = rp
+		}
+		e, r := replies[0], replies[1]
+		if e.status != r.status || e.ctype != r.ctype || e.retryAfter != r.retryAfter || !reflect.DeepEqual(e.keys, r.keys) {
+			t.Errorf("%s: engine and router disagree:\n engine %d %q retry=%q %v\n router %d %q retry=%q %v",
+				st.name, e.status, e.ctype, e.retryAfter, e.keys, r.status, r.ctype, r.retryAfter, r.keys)
+		}
+		switch st.status {
+		case 422:
+			if !strings.Contains(e.body, `"state":"rejected"`) || e.id == "" || r.id == "" {
+				t.Errorf("%s: want id and state rejected, got %s / %s", st.name, e.body, r.body)
+			}
+		case 429:
+			if e.retryAfter == "" {
+				t.Errorf("%s: 429 without Retry-After", st.name)
+			}
+		}
+	}
+
+	for _, fe := range fes {
+		if err := fe.wait(); err != nil {
+			t.Fatalf("%s: run ended with %v", fe.name, err)
+		}
+	}
+	var finals []reply
+	for _, fe := range fes {
+		rp := call(fe.handler, "GET", "/v1/metrics", "")
+		if !strings.Contains(rp.body, `"finished":true`) || !strings.Contains(rp.body, `"fingerprint":"`) {
+			t.Errorf("%s: final metrics lack the fingerprint: %s", fe.name, rp.body)
+		}
+		finals = append(finals, call(fe.handler, "GET", "/readyz", ""))
+	}
+	if finals[0].status != 503 || finals[0].status != finals[1].status || !reflect.DeepEqual(finals[0].keys, finals[1].keys) {
+		t.Errorf("readyz after the run: engine %+v, router %+v", finals[0], finals[1])
+	}
+}
+
+// gatedPolicy is FIFO behind a gate, registered by name because a router
+// builds one manager per shard from the registry (Base.RM would be shared by
+// every shard).
+const gatedPolicy = "test-gated-fifo"
+
+// gate parks a manager inside its first arrival callback — that is, inside
+// sim.Step with the engine's simulator lock held, exactly where a CP solve
+// sits — until released.
+type gate struct {
+	once    sync.Once
+	entered chan struct{}
+	release chan struct{}
+}
+
+type gatedRM struct {
+	sim.ResourceManager
+	g *gate
+}
+
+func (m *gatedRM) OnJobArrival(ctx sim.Context, j *workload.Job) error {
+	m.g.once.Do(func() { close(m.g.entered) })
+	<-m.g.release
+	return m.ResourceManager.OnJobArrival(ctx, j)
+}
+
+// registryGate is the gate the registered factory hands the managers it
+// builds.
+var registryGate atomic.Pointer[gate]
+
+func init() {
+	rmkit.Register(gatedPolicy, func(c sim.Cluster, o rmkit.Options) (sim.ResourceManager, error) {
+		inner, err := rmkit.New("fifo", c, o)
+		if err != nil {
+			return nil, err
+		}
+		return &gatedRM{inner, registryGate.Load()}, nil
+	})
+}
+
+func newGate() *gate {
+	return &gate{entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+// TestHealthzDoesNotWaitForTheSolver: with the run loop parked inside Step,
+// liveness must still answer.
+func TestHealthzDoesNotWaitForTheSolver(t *testing.T) {
+	fifo, err := rmkit.New("fifo", testCluster(), rmkit.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One gate per backend, so each is known to be parked before its probe.
+	gates := []*gate{newGate(), newGate()}
+	registryGate.Store(gates[1])
+	fes := frontEnds(t, service.Config{Policy: gatedPolicy}, &gatedRM{fifo, gates[0]})
+	for i, fe := range fes {
+		if rp := call(fe.handler, "POST", "/v1/jobs", `{"deadlineMs":3600000,"mapExecMs":[1000]}`); rp.status != 202 {
+			t.Fatalf("%s: submit %d %s", fe.name, rp.status, rp.body)
+		}
+		if rp := call(fe.handler, "POST", "/v1/admin/run", `{"close":true}`); rp.status != 200 {
+			t.Fatalf("%s: run %d %s", fe.name, rp.status, rp.body)
+		}
+		select {
+		case <-gates[i].entered:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s: the manager never saw the arrival", fe.name)
+		}
+		answered := make(chan reply, 1)
+		go func() { answered <- call(fe.handler, "GET", "/healthz", "") }()
+		select {
+		case rp := <-answered:
+			if rp.status != 200 || !strings.Contains(rp.body, `"running":true`) {
+				t.Errorf("%s: healthz %d %s", fe.name, rp.status, rp.body)
+			}
+		case <-time.After(10 * time.Second):
+			t.Errorf("%s: /healthz waited for the blocked Step", fe.name)
+		}
+		close(gates[i].release)
+		if err := fe.wait(); err != nil {
+			t.Errorf("%s: run ended with %v", fe.name, err)
+		}
+	}
+}

@@ -1,273 +1,14 @@
 package shard
 
 import (
-	"bytes"
-	"encoding/json"
-	"errors"
-	"fmt"
 	"net/http"
-	"strconv"
-	"time"
 
-	"mrcprm/internal/core"
 	"mrcprm/internal/service"
-	"mrcprm/internal/slo"
-	"mrcprm/internal/workload"
 )
 
-// NewHandler exposes the sharded router over the SAME HTTP surface as the
-// single-engine service (route table, status codes, and body shapes are
-// identical), so loadgen and existing scrapers work against either:
-//
-//	POST /v1/jobs          route a submission; 202 {"id":<global id>}
-//	GET  /v1/jobs          every submission, global IDs, across shards
-//	GET  /v1/jobs/{id}     one submission, routed by the job→shard index
-//	GET  /v1/jobs/{id}/trace  lifecycle timeline from the job's shard
-//	GET  /v1/schedule      merged placement plan (global resource indices)
-//	GET  /v1/metrics       aggregate snapshot + per-shard breakdown
-//	GET  /metrics          ONE merged Prometheus exposition for the fleet
-//	POST /v1/admin/faults  fan a fault plan out / route an outage by
-//	                       global resource index
-//	POST /v1/admin/run     start every shard; {"close":true} closes all
-//	GET  /healthz          aggregate liveness
-//	GET  /readyz           503 unless EVERY shard is ready
-func NewHandler(r *Router) http.Handler {
-	s := &server{r: r}
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", s.healthz)
-	mux.HandleFunc("GET /readyz", s.readyz)
-	mux.HandleFunc("POST /v1/jobs", s.submit)
-	mux.HandleFunc("GET /v1/jobs", s.listJobs)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.getJob)
-	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.trace)
-	mux.HandleFunc("GET /v1/schedule", s.schedule)
-	mux.HandleFunc("GET /v1/metrics", s.metrics)
-	mux.HandleFunc("GET /metrics", s.prom)
-	mux.HandleFunc("POST /v1/admin/faults", s.faults)
-	mux.HandleFunc("POST /v1/admin/run", s.run)
-	return mux
-}
-
-type server struct{ r *Router }
-
-// maxBodyBytes mirrors the service handler's POST body cap.
-const maxBodyBytes = 1 << 20
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
-func (s *server) healthz(w http.ResponseWriter, r *http.Request) {
-	snap := s.r.Metrics()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":   "ok",
-		"mode":     snap.Mode,
-		"shards":   s.r.Shards(),
-		"running":  snap.Running,
-		"finished": snap.Finished,
-		"closed":   snap.Closed,
-	})
-}
-
-func (s *server) readyz(w http.ResponseWriter, r *http.Request) {
-	if ok, reason := s.r.Ready(); !ok {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reason": reason})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"ready": true, "shards": s.r.Shards()})
-}
-
-func (s *server) submit(w http.ResponseWriter, r *http.Request) {
-	var spec workload.JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("parsing job spec: %w", err))
-		return
-	}
-	gid, err := s.r.Submit(spec)
-	var oe *service.OverloadError
-	switch {
-	case errors.Is(err, service.ErrClosed):
-		writeError(w, http.StatusServiceUnavailable, err)
-	case errors.As(err, &oe):
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(oe.RetryAfter)))
-		writeJSON(w, http.StatusTooManyRequests, map[string]any{
-			"error": err.Error(), "pending": oe.Pending, "maxPending": oe.Max,
-			"retryAfterMs": oe.RetryAfter.Milliseconds(),
-		})
-	case errors.Is(err, service.ErrJournal):
-		writeError(w, http.StatusInternalServerError, err)
-	case err != nil:
-		var ae *core.AdmissionError
-		if errors.As(err, &ae) {
-			writeJSON(w, http.StatusUnprocessableEntity,
-				map[string]any{"id": gid, "state": service.StateRejected, "error": err.Error()})
-			return
-		}
-		writeError(w, http.StatusBadRequest, err)
-	default:
-		writeJSON(w, http.StatusAccepted, map[string]any{"id": gid, "state": service.StateQueued})
-	}
-}
-
-// retryAfterSeconds mirrors the service handler: whole seconds, rounded up.
-func retryAfterSeconds(d time.Duration) int {
-	secs := int((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
-}
-
-func (s *server) listJobs(w http.ResponseWriter, r *http.Request) {
-	jobs := s.r.Jobs()
-	if jobs == nil {
-		jobs = []service.JobStatus{}
-	}
-	writeJSON(w, http.StatusOK, jobs)
-}
-
-func (s *server) getJob(w http.ResponseWriter, r *http.Request) {
-	gid, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad job id %q", r.PathValue("id")))
-		return
-	}
-	st, ok := s.r.Job(gid)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no job %d", gid))
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-func (s *server) trace(w http.ResponseWriter, r *http.Request) {
-	gid, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad job id %q", r.PathValue("id")))
-		return
-	}
-	events, dropped, ok := s.r.Trace(gid)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no trace for job %d", gid))
-		return
-	}
-	if events == nil {
-		events = []slo.TraceEvent{}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"jobId": gid, "dropped": dropped, "events": events,
-	})
-}
-
-func (s *server) schedule(w http.ResponseWriter, r *http.Request) {
-	ps := s.r.Schedule()
-	if ps == nil {
-		ps = []service.TaskPlacement{}
-	}
-	writeJSON(w, http.StatusOK, ps)
-}
-
-func (s *server) metrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.r.Metrics())
-}
-
-func (s *server) prom(w http.ResponseWriter, r *http.Request) {
-	var buf bytes.Buffer
-	if err := s.r.WriteProm(&buf); err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	_, _ = buf.WriteTo(w)
-}
-
-// faultRequest mirrors the service handler's body; Resource is a GLOBAL
-// resource index for outages.
-type faultRequest struct {
-	FailRate      float64 `json:"failRate"`
-	StragglerProb float64 `json:"stragglerProb"`
-	Seed          uint64  `json:"seed"`
-	Resource      int     `json:"resource"`
-	DelayMS       int64   `json:"delayMs"`
-	DurationMS    int64   `json:"durationMs"`
-}
-
-func (s *server) faults(w http.ResponseWriter, r *http.Request) {
-	var req faultRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("parsing fault request: %w", err))
-		return
-	}
-	if req.DurationMS > 0 {
-		at := s.r.NowMS() + req.DelayMS
-		if err := s.r.InjectOutage(req.Resource, at, at+req.DurationMS); err != nil {
-			status := http.StatusBadRequest
-			if errors.Is(err, service.ErrJournal) {
-				status = http.StatusInternalServerError
-			}
-			writeError(w, status, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"injected": "outage", "resource": req.Resource,
-			"downAtMs": at, "upAtMs": at + req.DurationMS,
-		})
-		return
-	}
-	spec := service.FaultSpec{FailRate: req.FailRate, StragglerProb: req.StragglerProb, Seed: req.Seed}
-	if err := s.r.ApplyFaults(spec); err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, service.ErrJournal) {
-			status = http.StatusInternalServerError
-		}
-		writeError(w, status, err)
-		return
-	}
-	if req.FailRate <= 0 && req.StragglerProb <= 0 {
-		writeJSON(w, http.StatusOK, map[string]any{"injected": "none"})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"injected": "attempts", "failRate": req.FailRate, "stragglerProb": req.StragglerProb,
-	})
-}
-
-type runRequest struct {
-	Close bool `json:"close"`
-}
-
-func (s *server) run(w http.ResponseWriter, r *http.Request) {
-	var req runRequest
-	if r.ContentLength != 0 {
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("parsing run request: %w", err))
-			return
-		}
-	}
-	err := s.r.Start()
-	if err != nil && !req.Close {
-		writeError(w, http.StatusConflict, err)
-		return
-	}
-	if req.Close {
-		s.r.CloseIntake()
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"started": err == nil, "closed": req.Close, "shards": s.r.Shards(),
-	})
-}
+// NewHandler exposes the router over the service package's one HTTP handler
+// (a Router is a service.Backend), so loadgen and scrapers work against a
+// sharded daemon unchanged: job IDs and resource indices are global,
+// /v1/metrics and /metrics aggregate the fleet, and the healthz, readyz and
+// run bodies carry the shard count.
+func NewHandler(r *Router) http.Handler { return service.NewBackendHandler(r) }

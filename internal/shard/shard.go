@@ -585,6 +585,19 @@ func (r *Router) NowMS() int64 {
 	return now
 }
 
+// Health aggregates the shards' lock-light run states: running if any shard
+// is, finished and closed once every shard is.
+func (r *Router) Health() service.Health {
+	h := r.engines[0].Health()
+	for _, e := range r.engines[1:] {
+		eh := e.Health()
+		h.Running = h.Running || eh.Running
+		h.Finished = h.Finished && eh.Finished
+		h.Closed = h.Closed && eh.Closed
+	}
+	return h
+}
+
 // Ready reports whether every shard should receive traffic; the reason
 // names the first shard that is not.
 func (r *Router) Ready() (bool, string) {
@@ -621,26 +634,9 @@ func (r *Router) InjectOutage(res int, downAt, upAt int64) error {
 	return fmt.Errorf("shard: resource %d out of range", res)
 }
 
-// ShardView is one shard's slice of the aggregated metrics snapshot: the
-// shard's full engine snapshot plus its partition shape and the router's
-// pending-work estimate.
-type ShardView struct {
-	Shard         int   `json:"shard"`
-	Resources     int   `json:"resources"`
-	FirstResource int   `json:"firstResource"`
-	PendingWorkMS int64 `json:"pendingWorkMs"`
-	service.Snapshot
-}
-
-// Snapshot is the sharded /v1/metrics payload: the embedded flat fields
-// carry AGGREGATE values in the exact single-engine shape (sums for flows
-// and queue depths, max for the clock, all-finished/all-closed for the
-// booleans, a combined fingerprint) so existing scrapers and loadgen keep
-// working unchanged, and Shards adds the per-shard breakdown.
-type Snapshot struct {
-	service.Snapshot
-	Shards []ShardView `json:"shards,omitempty"`
-}
+// Snapshot is the sharded /v1/metrics payload: the service snapshot with
+// fleet aggregates in its flat fields and the per-shard breakdown in Shards.
+type Snapshot = service.Snapshot
 
 // fnv1aOffset/fnv1aPrime are the 64-bit FNV-1a parameters used to combine
 // per-shard fingerprints into the aggregate one.
@@ -674,12 +670,12 @@ func (r *Router) Metrics() Snapshot {
 	r.mu.Lock()
 	work := append([]int64(nil), r.work...)
 	r.mu.Unlock()
-	views := make([]ShardView, r.n)
+	views := make([]service.ShardView, r.n)
 	var burns []slo.BurnInfo
 	agg := Snapshot{}
 	for s := 0; s < r.n; s++ {
 		snap := r.engines[s].Metrics()
-		views[s] = ShardView{
+		views[s] = service.ShardView{
 			Shard:         s,
 			Resources:     r.parts[s].NumResources,
 			FirstResource: r.offsets[s],

@@ -297,8 +297,15 @@ type (
 	ServiceMode = service.Mode
 	// ServiceJobStatus is the queryable view of one submission.
 	ServiceJobStatus = service.JobStatus
-	// ServiceSnapshot is the engine-wide metrics view.
+	// ServiceSnapshot is the /v1/metrics payload: one engine's view, or a
+	// router's fleet aggregates in the same flat fields plus the per-shard
+	// breakdown in Shards.
 	ServiceSnapshot = service.Snapshot
+	// ShardView is one shard's slice of an aggregated snapshot.
+	ShardView = service.ShardView
+	// ServiceBackend is what the HTTP handler and cmd/mrcpd drive: a
+	// ServiceEngine's Backend() or a *ShardRouter.
+	ServiceBackend = service.Backend
 	// JobSpec is the wire representation of a job submission.
 	JobSpec = workload.JobSpec
 	// AdmissionError reports a provably infeasible submission.
@@ -356,8 +363,8 @@ func RecoverServiceEngine(cfg ServiceConfig) (*ServiceEngine, *ServiceRecoveryIn
 	return service.Recover(cfg)
 }
 
-// NewServiceHandler exposes the engine over HTTP/JSON (the cmd/mrcpd API).
-func NewServiceHandler(e *ServiceEngine) http.Handler { return service.NewHandler(e) }
+// NewServiceHandler exposes a backend over HTTP/JSON (the cmd/mrcpd API).
+func NewServiceHandler(b ServiceBackend) http.Handler { return service.NewBackendHandler(b) }
 
 // JobSpecOf captures a job as a submission spec for the service API.
 func JobSpecOf(j *Job) JobSpec { return workload.SpecOf(j) }
@@ -369,12 +376,6 @@ type (
 	// ShardRouter fronts N independent scheduler shards with deterministic
 	// feasibility-then-load admission routing.
 	ShardRouter = shard.Router
-	// ShardSnapshot is the aggregated /v1/metrics payload: the embedded
-	// flat ServiceSnapshot carries fleet aggregates and Shards the
-	// per-shard breakdown.
-	ShardSnapshot = shard.Snapshot
-	// ShardView is one shard's slice of the aggregated snapshot.
-	ShardView = shard.ShardView
 	// ShardRecoveryInfo aggregates what RecoverShardRouter replayed across
 	// the per-shard journal segments.
 	ShardRecoveryInfo = shard.RecoveryInfo
@@ -389,10 +390,6 @@ func NewShardRouter(cfg ShardConfig) (*ShardRouter, error) { return shard.New(cf
 func RecoverShardRouter(cfg ShardConfig) (*ShardRouter, *ShardRecoveryInfo, error) {
 	return shard.Recover(cfg)
 }
-
-// NewShardHandler exposes the router over the same HTTP surface as the
-// single-engine service handler.
-func NewShardHandler(r *ShardRouter) http.Handler { return shard.NewHandler(r) }
 
 // ShardJournalPath names shard i's write-ahead journal segment under a
 // base path.
