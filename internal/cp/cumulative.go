@@ -2,6 +2,7 @@ package cp
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -13,17 +14,20 @@ import (
 // lose this resource from their domain if they can no longer fit on it.
 //
 // For performance on models with thousands of tasks, the propagator keeps
-// its event list incrementally sorted and refilters only tasks that need
-// it: those whose own variables changed since the last run ("self
-// pending") and those whose windows intersect the region of the profile
-// that changed ("dirty region"). During forward search mandatory parts
-// only grow, so incremental maintenance is exact; any backtrack (detected
-// through the store's pop counter) invalidates the cache and forces a full
-// rebuild. Lazy filtering is sound: every decided start contributes a
-// mandatory part that the overload check validates, so no infeasible
-// assignment can survive to a solution.
+// its profile between runs and refilters only tasks that need it: those
+// whose own variables changed since the last run ("self pending") and those
+// whose windows intersect the region of the profile that changed ("dirty
+// region"). During forward search mandatory parts only grow, so the growth
+// is added to the cached profile in place; any backtrack (detected through
+// the store's pop counter) invalidates the cache and forces a full rebuild
+// from the sorted event list. Asking an unchanged timetable for its profile
+// — which the search does at every placement — costs nothing. Lazy
+// filtering is sound: every decided start contributes a mandatory part that
+// the overload check validates, so no infeasible assignment can survive to
+// a solution.
 type cumulative struct {
 	name     string
+	prop     int // index in Model.props
 	resIndex int
 	capacity int64
 	tasks    []*Interval
@@ -31,15 +35,16 @@ type cumulative struct {
 	// dimension (demands[i] for tasks[i]); nil uses each task's Demand.
 	demands []int64
 
-	taskPos map[int]int // interval ID -> position in tasks
-
-	// Incremental caches.
+	// Incremental caches. cacheValid says segs is the profile of lastMA/MB;
+	// an overload clears it, so that the failure repeats until a backtrack
+	// rebuilds the profile.
 	cacheValid bool
 	cachePops  int64
-	lastMA     []int64 // last contributed mandatory part per task position
-	lastMB     []int64 // (lastMA >= lastMB means no contribution)
-	events     []ttEvent
+	lastMA     []int64   // last contributed mandatory part per task position
+	lastMB     []int64   // (lastMA >= lastMB means no contribution)
+	events     []ttEvent // scratch of a rebuild
 	segs       []ttSeg
+	builds     int64 // buildSegs executions, for SearchStats.ProfileBuilds
 
 	changed   []int  // positions with unprocessed variable changes
 	changedFl []bool //
@@ -60,8 +65,10 @@ type ttEvent struct {
 	delta int64
 }
 
-// ttSeg is a maximal constant-load segment [from, to) of the profile.
-// Outside all segments the load is zero.
+// ttSeg is a constant-load segment [from, to) of the profile. Segments are
+// disjoint and ascending; outside all segments the load is zero. Neighbours
+// may carry equal loads: growth applied in place cuts segments and never
+// merges them back.
 type ttSeg struct {
 	from, to int64
 	load     int64
@@ -82,14 +89,10 @@ func newCumulative(name string, resIndex int, capacity int64, tasks []*Interval,
 		capacity:  capacity,
 		tasks:     tasks,
 		demands:   demands,
-		taskPos:   make(map[int]int, len(tasks)),
 		lastMA:    make([]int64, len(tasks)),
 		lastMB:    make([]int64, len(tasks)),
 		changedFl: make([]bool, len(tasks)),
 		selfFl:    make([]bool, len(tasks)),
-	}
-	for i, t := range tasks {
-		c.taskPos[t.id] = i
 	}
 	return c
 }
@@ -100,14 +103,6 @@ func (c *cumulative) demandAt(pos int) int64 {
 		return c.demands[pos]
 	}
 	return c.tasks[pos].Demand
-}
-
-// demandOf is demandAt keyed by the task.
-func (c *cumulative) demandOf(t *Interval) int64 {
-	if c.demands == nil {
-		return t.Demand
-	}
-	return c.demands[c.taskPos[t.id]]
 }
 
 // durOf returns the time t occupies this cumulative when running on it:
@@ -139,13 +134,9 @@ func (c *cumulative) mandatoryOf(m *Model, t *Interval) (int64, int64) {
 	return m.StartMax(t), m.StartMin(t) + c.durOf(t)
 }
 
-// noteChange records that a watched task's bounds or matchmaking domain
+// noteChange records that the bounds or matchmaking domain of tasks[pos]
 // changed; the engine calls this on every wake.
-func (c *cumulative) noteChange(iv *Interval) {
-	pos, ok := c.taskPos[iv.id]
-	if !ok {
-		return
-	}
+func (c *cumulative) noteChange(pos int) {
 	if !c.changedFl[pos] {
 		c.changedFl[pos] = true
 		c.changed = append(c.changed, pos)
@@ -209,25 +200,6 @@ func sortEventsByAt(s []ttEvent) {
 	}
 }
 
-func (c *cumulative) insertEvent(ev ttEvent) {
-	i := sort.Search(len(c.events), func(i int) bool { return c.events[i].at >= ev.at })
-	c.events = append(c.events, ttEvent{})
-	copy(c.events[i+1:], c.events[i:])
-	c.events[i] = ev
-}
-
-func (c *cumulative) removeEvent(ev ttEvent) {
-	i := sort.Search(len(c.events), func(i int) bool { return c.events[i].at >= ev.at })
-	for ; i < len(c.events) && c.events[i].at == ev.at; i++ {
-		if c.events[i].delta == ev.delta {
-			c.events = append(c.events[:i], c.events[i+1:]...)
-			return
-		}
-	}
-	// The event must exist; reaching here means cache corruption.
-	panic("cp: cumulative cache lost an event")
-}
-
 // rebuildFull recomputes every contribution from scratch and marks
 // everything for refiltering.
 func (c *cumulative) rebuildFull(m *Model) {
@@ -251,14 +223,13 @@ func (c *cumulative) rebuildFull(m *Model) {
 	c.rawSpans = c.rawSpans[:0]
 	sortEventsByAt(c.events)
 	c.fullDirty = true
-	c.cacheValid = true
 	c.cachePops = m.store.pops
 }
 
-// applyIncremental folds the pending per-task changes into the sorted
-// event list, extends the dirty region, and moves the tasks onto the
-// self-refilter list.
-func (c *cumulative) applyIncremental(m *Model) {
+// applyIncremental folds the pending per-task changes into the profile,
+// extends the dirty region, and moves the tasks onto the self-refilter
+// list. It returns errFail on capacity overload.
+func (c *cumulative) applyIncremental(m *Model) error {
 	for _, pos := range c.changed {
 		c.changedFl[pos] = false
 		if !c.selfFl[pos] {
@@ -271,25 +242,72 @@ func (c *cumulative) applyIncremental(m *Model) {
 		if oldA == newA && oldB == newB {
 			continue
 		}
-		dem := c.demandAt(pos)
-		if oldA < oldB {
-			c.removeEvent(ttEvent{oldA, dem})
-			c.removeEvent(ttEvent{oldB, -dem})
-			c.markRaw(oldA, oldB)
-		}
-		if newA < newB {
-			c.insertEvent(ttEvent{newA, dem})
-			c.insertEvent(ttEvent{newB, -dem})
-			c.markRaw(newA, newB)
-		}
 		c.lastMA[pos], c.lastMB[pos] = newA, newB
+		c.markRaw(oldA, oldB)
+		c.markRaw(newA, newB)
+		dem := c.demandAt(pos)
+		var err error
+		switch {
+		case newA >= newB && oldA >= oldB:
+			// Still no mandatory part.
+		case oldA >= oldB:
+			err = c.addLoad(newA, newB, dem)
+		case newA <= oldA && oldB <= newB:
+			if err = c.addLoad(newA, oldA, dem); err == nil {
+				err = c.addLoad(oldB, newB, dem)
+			}
+		default:
+			// A mandatory part shrank without a backtrack, which propagation
+			// never does; start over rather than trust the cache.
+			c.rebuildFull(m)
+			return c.buildSegs()
+		}
+		if err != nil {
+			c.cacheValid = false
+			return err
+		}
 	}
 	c.changed = c.changed[:0]
+	return nil
+}
+
+// addLoad raises the profile by dem over [lo, hi), cutting segments at lo
+// and hi and filling gaps between segments as needed. It returns errFail
+// where that exceeds capacity.
+func (c *cumulative) addLoad(lo, hi, dem int64) error {
+	i := sort.Search(len(c.segs), func(i int) bool { return c.segs[i].to > lo })
+	for lo < hi {
+		switch {
+		case i == len(c.segs) || c.segs[i].from >= hi:
+			c.segs = slices.Insert(c.segs, i, ttSeg{lo, hi, 0}) // nothing up to hi
+		case c.segs[i].from > lo:
+			c.segs = slices.Insert(c.segs, i, ttSeg{lo, c.segs[i].from, 0}) // a gap first
+		case c.segs[i].from < lo:
+			// The head of the segment keeps its load.
+			c.segs = slices.Insert(c.segs, i, ttSeg{c.segs[i].from, lo, c.segs[i].load})
+			i++
+			c.segs[i].from = lo
+		}
+		// segs[i] now starts at lo; so does its tail past hi, if any.
+		if c.segs[i].to > hi {
+			c.segs = slices.Insert(c.segs, i+1, ttSeg{hi, c.segs[i].to, c.segs[i].load})
+			c.segs[i].to = hi
+		}
+		c.segs[i].load += dem
+		if c.segs[i].load > c.capacity {
+			return errFail
+		}
+		lo = c.segs[i].to
+		i++
+	}
+	return nil
 }
 
 // buildSegs derives the constant-load segments from the sorted event list
 // and returns errFail if the profile exceeds capacity anywhere.
 func (c *cumulative) buildSegs() error {
+	c.builds++
+	c.cacheValid = false
 	c.segs = c.segs[:0]
 	var load int64
 	i := 0
@@ -312,26 +330,31 @@ func (c *cumulative) buildSegs() error {
 	for len(c.segs) > 0 && c.segs[len(c.segs)-1].load == 0 {
 		c.segs = c.segs[:len(c.segs)-1]
 	}
+	c.cacheValid = true
 	return nil
 }
 
 // refresh brings the profile up to date with the store, returning errFail
-// on capacity overload.
+// on capacity overload. It does nothing when no backtrack happened and no
+// watched task changed since the last call, and rebuilds the profile from
+// scratch only after a backtrack.
 func (c *cumulative) refresh(m *Model) error {
-	if !c.cacheValid || c.cachePops != m.store.pops {
-		c.rebuildFull(m)
-	} else {
-		c.applyIncremental(m)
+	if c.cacheValid && c.cachePops == m.store.pops {
+		if len(c.changed) == 0 {
+			return nil
+		}
+		return c.applyIncremental(m)
 	}
+	c.rebuildFull(m)
 	return c.buildSegs()
 }
 
 // earliestFit returns the smallest start >= from at which a window of the
-// task's duration on this resource, at the task's demand on this
-// dimension, fits under capacity on the current profile. When withOwn is
-// true, t's own mandatory part [mA, mB) is discounted from the profile.
-func (c *cumulative) earliestFit(m *Model, t *Interval, from int64, withOwn bool) int64 {
-	dur, dem := c.durOf(t), c.demandOf(t)
+// task's duration on this resource, at demand dem on this dimension, fits
+// under capacity on the current profile. When withOwn is true, t's own
+// mandatory part [mA, mB) is discounted from the profile.
+func (c *cumulative) earliestFit(m *Model, t *Interval, dem, from int64, withOwn bool) int64 {
+	dur := c.durOf(t)
 	var mA, mB int64
 	if withOwn {
 		mA, mB = m.StartMax(t), m.StartMin(t)+dur
@@ -372,8 +395,8 @@ func (c *cumulative) earliestFit(m *Model, t *Interval, from int64, withOwn bool
 // latestFit returns the largest start <= from at which the task's window
 // fits on the profile; the result may fall below the task's start window,
 // which the caller detects through setStartMax failing.
-func (c *cumulative) latestFit(m *Model, t *Interval, from int64, withOwn bool) int64 {
-	dur, dem := c.durOf(t), c.demandOf(t)
+func (c *cumulative) latestFit(m *Model, t *Interval, dem, from int64, withOwn bool) int64 {
+	dur := c.durOf(t)
 	var mA, mB int64
 	if withOwn {
 		mA, mB = m.StartMax(t), m.StartMin(t)+dur
@@ -411,44 +434,19 @@ func (c *cumulative) latestFit(m *Model, t *Interval, from int64, withOwn bool) 
 
 type span struct{ from, to int64 }
 
-// subtract returns [a,b) minus [mA,mB) as up to two spans in increasing
-// order.
-func subtract(a, b, mA, mB int64) []span {
-	if mB <= a || mA >= b || mA >= mB {
-		return []span{{a, b}}
-	}
-	var out []span
-	if a < mA {
-		out = append(out, span{a, mA})
-	}
-	if mB < b {
-		out = append(out, span{mB, b})
-	}
-	return out
-}
-
-// subtractRev is subtract with the spans in decreasing order, for the
-// backward scan.
-func subtractRev(a, b, mA, mB int64) []span {
-	s := subtract(a, b, mA, mB)
-	if len(s) == 2 {
-		s[0], s[1] = s[1], s[0]
-	}
-	return s
-}
-
 func overlaps(aLo, aHi, bLo, bHi int64) bool {
 	return aLo < bHi && bLo < aHi
 }
 
-// filterTask prunes one task against the current profile. It reports
+// filterTask prunes tasks[pos] against the current profile. It reports
 // whether any domain changed. withMin selects whether the earliest-fit
 // bound is tightened too: a full pass maintains both bounds, while the
 // incremental passes skip the min side — the search computes each task's
 // true earliest fit lazily at placement time instead, which keeps the cost
 // of a decision independent of the number of pending tasks.
-func (c *cumulative) filterTask(e *engine, t *Interval, withMin bool) (bool, error) {
+func (c *cumulative) filterTask(e *engine, pos int, withMin bool) (bool, error) {
 	m := e.m
+	t, dem := c.tasks[pos], c.demandAt(pos)
 	progressed := false
 	switch c.onRes(m, t) {
 	case onResYes:
@@ -456,14 +454,14 @@ func (c *cumulative) filterTask(e *engine, t *Interval, withMin bool) (bool, err
 			return false, nil
 		}
 		if withMin {
-			if st := c.earliestFit(m, t, m.StartMin(t), true); st > m.StartMin(t) {
+			if st := c.earliestFit(m, t, dem, m.StartMin(t), true); st > m.StartMin(t) {
 				if err := e.setStartMin(t, st); err != nil {
 					return true, err
 				}
 				progressed = true
 			}
 		}
-		if st := c.latestFit(m, t, m.StartMax(t), true); st < m.StartMax(t) {
+		if st := c.latestFit(m, t, dem, m.StartMax(t), true); st < m.StartMax(t) {
 			if err := e.setStartMax(t, st); err != nil {
 				return true, err
 			}
@@ -472,7 +470,7 @@ func (c *cumulative) filterTask(e *engine, t *Interval, withMin bool) (bool, err
 	case onResMaybe:
 		// If the task can no longer fit anywhere on this resource, remove
 		// the resource from its matchmaking domain.
-		if st := c.earliestFit(m, t, m.StartMin(t), false); st > m.StartMax(t) {
+		if st := c.earliestFit(m, t, dem, m.StartMin(t), false); st > m.StartMax(t) {
 			if err := e.removeRes(t.resVar, c.resIndex); err != nil {
 				return true, err
 			}
@@ -506,8 +504,8 @@ func (c *cumulative) propagate(e *engine) error {
 		progressed := false
 		if fullPass {
 			// After a (re)build: one bound-consistent sweep over all tasks.
-			for _, t := range c.tasks {
-				p, err := c.filterTask(e, t, true)
+			for pos := range c.tasks {
+				p, err := c.filterTask(e, pos, true)
 				progressed = progressed || p
 				if err != nil {
 					return err
@@ -517,7 +515,7 @@ func (c *cumulative) propagate(e *engine) error {
 			// Refilter self-pending tasks (their own variables changed).
 			for _, pos := range c.self {
 				c.selfFl[pos] = false
-				p, err := c.filterTask(e, c.tasks[pos], false)
+				p, err := c.filterTask(e, pos, false)
 				progressed = progressed || p
 				if err != nil {
 					return err
@@ -528,7 +526,7 @@ func (c *cumulative) propagate(e *engine) error {
 				// The profile gained a blocking region: prune deadline-side
 				// windows that touch it, and matchmaking domains of tasks
 				// that may lose their only spot on this resource.
-				for _, t := range c.tasks {
+				for pos, t := range c.tasks {
 					if m.Fixed(t) && t.resVar == nil {
 						continue
 					}
@@ -541,7 +539,7 @@ func (c *cumulative) propagate(e *engine) error {
 					if !need {
 						continue
 					}
-					p, err := c.filterTask(e, t, false)
+					p, err := c.filterTask(e, pos, false)
 					progressed = progressed || p
 					if err != nil {
 						return err
@@ -553,13 +551,4 @@ func (c *cumulative) propagate(e *engine) error {
 			return nil
 		}
 	}
-}
-
-// EarliestFit exposes the timetable earliest-fit computation for the search
-// heuristic that picks the most promising resource for a task.
-func (c *Cumulative) EarliestFit(m *Model, t *Interval) int64 {
-	if err := c.c.refresh(m); err != nil {
-		return m.Horizon()
-	}
-	return c.c.earliestFit(m, t, m.StartMin(t), false)
 }

@@ -1,6 +1,10 @@
 package cp
 
-import "testing"
+import (
+	"testing"
+
+	"mrcprm/internal/stats"
+)
 
 // profileOf builds the cumulative's profile and returns its segments.
 func profileOf(t *testing.T, m *Model, c *Cumulative) []ttSeg {
@@ -62,11 +66,11 @@ func TestEarliestFitJumpsPastConflicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	// b cannot start in (0,30): starting at 0 would end at 15 > 10.
-	if st := cum.c.earliestFit(m, b, 0, true); st != 30 {
+	if st := cum.c.earliestFit(m, b, 1, 0, true); st != 30 {
 		t.Fatalf("earliestFit = %d, want 30", st)
 	}
 	// From 40 there is no conflict.
-	if st := cum.c.earliestFit(m, b, 40, true); st != 40 {
+	if st := cum.c.earliestFit(m, b, 1, 40, true); st != 40 {
 		t.Fatalf("earliestFit = %d, want 40", st)
 	}
 }
@@ -80,12 +84,12 @@ func TestEarliestFitDiscountsOwnMandatoryPart(t *testing.T) {
 		t.Fatal(err)
 	}
 	// a itself can still start at 10: the only load is its own.
-	if st := cum.c.earliestFit(m, a, 10, true); st != 10 {
+	if st := cum.c.earliestFit(m, a, 1, 10, true); st != 10 {
 		t.Fatalf("earliestFit = %d, want 10", st)
 	}
 	// A hypothetical other task of the same shape could not.
 	b := m.NewInterval("b", 20)
-	if st := cum.c.earliestFit(m, b, 10, false); st != 30 {
+	if st := cum.c.earliestFit(m, b, 1, 10, false); st != 30 {
 		t.Fatalf("earliestFit = %d, want 30", st)
 	}
 }
@@ -100,11 +104,11 @@ func TestLatestFitPullsBeforeConflicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Latest start <= 60 that avoids [50,70) entirely: must end by 50.
-	if st := cum.c.latestFit(m, b, 60, true); st != 35 {
+	if st := cum.c.latestFit(m, b, 1, 60, true); st != 35 {
 		t.Fatalf("latestFit = %d, want 35", st)
 	}
 	// From 80 there is no conflict.
-	if st := cum.c.latestFit(m, b, 80, true); st != 80 {
+	if st := cum.c.latestFit(m, b, 1, 80, true); st != 80 {
 		t.Fatalf("latestFit = %d, want 80", st)
 	}
 }
@@ -163,26 +167,150 @@ func TestCumulativeRemovesInfeasibleResource(t *testing.T) {
 	}
 }
 
-func TestSubtractSpans(t *testing.T) {
-	cases := []struct {
-		a, b, mA, mB int64
-		want         []span
-	}{
-		{0, 10, 20, 30, []span{{0, 10}}},       // disjoint
-		{0, 10, 0, 10, nil},                    // fully covered
-		{0, 10, 3, 7, []span{{0, 3}, {7, 10}}}, // middle
-		{0, 10, 0, 4, []span{{4, 10}}},         // prefix
-		{0, 10, 6, 10, []span{{0, 6}}},         // suffix
-		{0, 10, 5, 5, []span{{0, 10}}},         // empty mandatory
-	}
-	for _, c := range cases {
-		got := subtract(c.a, c.b, c.mA, c.mB)
-		if len(got) != len(c.want) {
-			t.Fatalf("subtract(%d,%d,%d,%d) = %v, want %v", c.a, c.b, c.mA, c.mB, got, c.want)
+// loadSteps reduces a segment list to its load function: zero-load
+// segments dropped, contiguous segments of equal load merged.
+func loadSteps(segs []ttSeg) []ttSeg {
+	var out []ttSeg
+	for _, s := range segs {
+		if s.load == 0 || s.from >= s.to {
+			continue
 		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Fatalf("subtract(%d,%d,%d,%d) = %v, want %v", c.a, c.b, c.mA, c.mB, got, c.want)
+		if n := len(out); n > 0 && out[n-1].to == s.from && out[n-1].load == s.load {
+			out[n-1].to = s.to
+			continue
+		}
+		out = append(out, s)
+	}
+	return out
+}
+
+// The profile a cumulative keeps across search moves — grown in place on
+// the way down, rebuilt after a backtrack — must be the profile a fresh
+// cumulative derives from the store, and must not be re-derived when
+// nothing happened.
+func TestCachedProfileEqualsFromScratch(t *testing.T) {
+	for seed := uint64(0); seed < 60; seed++ {
+		rng := stats.NewStream(8181, seed)
+		m := NewModel(400)
+		const numRes = 2
+		direct := seed%2 == 0 // per-resource slots plus a memory dimension, or one combined resource
+		var all, memTasks []*Interval
+		var mems []int64
+		for i := 0; i < 4+rng.IntN(8); i++ {
+			iv := m.NewInterval("t", int64(5+rng.IntN(40)))
+			lo := int64(rng.IntN(150))
+			m.SetStartBounds(iv, lo, lo+int64(rng.IntN(150)))
+			if direct {
+				m.NewResVar(iv, numRes)
+				if mem := int64(rng.IntN(3)); mem > 0 {
+					memTasks = append(memTasks, iv)
+					mems = append(mems, mem)
+				}
+			}
+			all = append(all, iv)
+		}
+		if direct {
+			for r := 0; r < numRes; r++ {
+				m.AddCumulative("slot", r, 2, all)
+				if len(memTasks) > 0 {
+					m.AddCumulativeDemands("mem", r, 3, memTasks, mems)
+				}
+			}
+		} else {
+			m.AddCumulative("combined", -1, 3, all)
+		}
+		e := newEngine(m)
+
+		// check refreshes every cumulative and compares it with a fresh one.
+		// It reports whether some profile is overloaded.
+		check := func(step int, op string, poppedSince bool) (overloaded bool) {
+			for _, c := range m.cumuls {
+				before := c.builds
+				err := c.refresh(m)
+				ref := newCumulative(c.name, c.resIndex, c.capacity, c.tasks, c.demands)
+				ref.rebuildFull(m)
+				refErr := ref.buildSegs()
+				if (err == nil) != (refErr == nil) {
+					t.Fatalf("seed %d step %d (%s) %s: cached refresh says %v, from scratch %v", seed, step, op, c.name, err, refErr)
+				}
+				if err != nil {
+					overloaded = true
+					continue
+				}
+				if !poppedSince && step > 0 && c.builds != before {
+					t.Fatalf("seed %d step %d (%s) %s: profile rebuilt from its events on a forward move", seed, step, op, c.name)
+				}
+				got, want := loadSteps(c.segs), loadSteps(ref.segs)
+				if len(got) != len(want) {
+					t.Fatalf("seed %d step %d (%s) %s: cached profile %v, from scratch %v", seed, step, op, c.name, got, want)
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("seed %d step %d (%s) %s: cached profile %v, from scratch %v", seed, step, op, c.name, got, want)
+					}
+				}
+				for pos, task := range c.tasks {
+					dem := c.demandAt(pos)
+					for _, own := range []bool{false, true} {
+						if g, w := c.earliestFit(m, task, dem, m.StartMin(task), own), ref.earliestFit(m, task, dem, m.StartMin(task), own); g != w {
+							t.Fatalf("seed %d step %d (%s) %s task %d: earliestFit %d, from scratch %d", seed, step, op, c.name, pos, g, w)
+						}
+						if g, w := c.latestFit(m, task, dem, m.StartMax(task), own), ref.latestFit(m, task, dem, m.StartMax(task), own); g != w {
+							t.Fatalf("seed %d step %d (%s) %s task %d: latestFit %d, from scratch %d", seed, step, op, c.name, pos, g, w)
+						}
+					}
+				}
+				// Asking again, with nothing changed, must not build anything.
+				builds := c.builds
+				if err := c.refresh(m); err != nil || c.builds != builds {
+					t.Fatalf("seed %d step %d (%s) %s: idle refresh built the profile again (err %v)", seed, step, op, c.name, err)
+				}
+			}
+			return overloaded
+		}
+
+		if check(0, "root", true) {
+			continue // the draw is infeasible at the root
+		}
+		for step := 1; step <= 80; step++ {
+			iv := all[rng.IntN(len(all))]
+			lo, hi := m.StartMin(iv), m.StartMax(iv)
+			op, popped := "", false
+			var err error
+			switch k := rng.IntN(10); {
+			case k < 2:
+				op = "push"
+				e.store.Push()
+			case k < 5:
+				op = "fix"
+				err = e.fixStart(iv, lo+int64(rng.IntN(int(hi-lo)+1)))
+			case k < 6:
+				op = "raise min"
+				err = e.setStartMin(iv, lo+int64(rng.IntN(int(hi-lo)+1)))
+			case k < 7:
+				op = "lower max"
+				err = e.setStartMax(iv, hi-int64(rng.IntN(int(hi-lo)+1)))
+			case k < 9 && iv.resVar != nil:
+				op = "remove resource"
+				err = e.removeRes(iv.resVar, rng.IntN(numRes))
+			default:
+				if e.store.Level() == 0 {
+					continue
+				}
+				op, popped = "pop", true
+				e.pop()
+			}
+			// A failed move leaves the store in a state no propagator is asked
+			// about; that and an overloaded profile are where the search
+			// backtracks.
+			if err != nil || check(step, op, popped) {
+				if e.store.Level() == 0 {
+					break
+				}
+				e.pop()
+				if check(step, "pop after failure", true) {
+					t.Fatalf("seed %d step %d: still overloaded after undoing the level", seed, step)
+				}
 			}
 		}
 	}

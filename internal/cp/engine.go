@@ -27,10 +27,40 @@ type engine struct {
 	// propagations counts propagator executions (queue pops), the search's
 	// basic unit of filtering work; surfaced in cp.SearchStats.
 	propagations int64
+	// touched lists, once each, the intervals whose start bounds,
+	// postponement flag or resvar domain changed — by setStartMin,
+	// setStartMax, postpone, removeRes or fixRes, or by a pop undoing one of
+	// them — since the solver last drained the list; it is how the search
+	// keeps its candidate heap current without rescanning the model.
+	touched   []int32
+	touchedFl []bool
 }
 
+// newEngine prepares the propagation engine for one solve of m, sizing the
+// queue and the store's level stack and trail from the model so that the
+// search's first descent does not grow them step by step.
 func newEngine(m *Model) *engine {
-	return &engine{m: m, store: m.store, inQueue: make([]bool, len(m.props)), running: -1}
+	n := len(m.intervals)
+	// A descent opens one level per decision — a start per interval, a
+	// resource per resvar — and trails at least the two bounds of every
+	// interval it fixes. The pruning along the way comes on top — a fifth
+	// more on a typical reschedule, nearly twice as much again on a
+	// 2000-task batch — and is left to append: reserving for the batch
+	// would cost every reschedule more than growing costs the batch.
+	open := 0
+	for _, iv := range m.intervals {
+		if !m.Fixed(iv) {
+			open++
+		}
+	}
+	m.store.reserve(n+len(m.resvars)+1, 2*open)
+	return &engine{
+		m: m, store: m.store, running: -1,
+		queue:     make([]int, 0, len(m.props)),
+		inQueue:   make([]bool, len(m.props)),
+		touched:   make([]int32, 0, n),
+		touchedFl: make([]bool, n),
+	}
 }
 
 // schedule enqueues a propagator unless it is already queued or currently
@@ -75,13 +105,46 @@ func (e *engine) propagate() error {
 	return nil
 }
 
-func (e *engine) wakeInterval(iv *Interval) {
-	for _, p := range e.m.ivWatch[iv.id] {
-		if c, ok := e.m.props[p].(*cumulative); ok {
-			c.noteChange(iv)
-		}
-		e.schedule(p)
+// touch records that the search-visible state of interval id changed.
+func (e *engine) touch(id int32) {
+	if !e.touchedFl[id] {
+		e.touchedFl[id] = true
+		e.touched = append(e.touched, id)
 	}
+}
+
+// clearTouched empties the touched list once the solver has consumed it.
+func (e *engine) clearTouched() {
+	for _, id := range e.touched {
+		e.touchedFl[id] = false
+	}
+	e.touched = e.touched[:0]
+}
+
+// pop closes the current decision level like Store.Pop and marks every
+// interval the level had changed as touched, since the pop changes it back.
+func (e *engine) pop() {
+	for _, te := range e.store.levelTrail() {
+		if id := e.store.owner[te.idx]; id >= 0 {
+			e.touch(id)
+		}
+	}
+	e.store.Pop()
+}
+
+// wake notifies the propagators on a watch list, handing each cumulative
+// the position of the changed task.
+func (e *engine) wake(list []watch) {
+	for _, w := range list {
+		if w.pos >= 0 {
+			e.m.props[w.prop].(*cumulative).noteChange(int(w.pos))
+		}
+		e.schedule(int(w.prop))
+	}
+}
+
+func (e *engine) wakeInterval(iv *Interval) {
+	e.wake(e.m.ivWatch[iv.id])
 }
 
 func (e *engine) wakeBool(b *Bool) {
@@ -91,12 +154,7 @@ func (e *engine) wakeBool(b *Bool) {
 }
 
 func (e *engine) wakeResVar(rv *ResVar) {
-	for _, p := range e.m.rvWatch[rv.id] {
-		if c, ok := e.m.props[p].(*cumulative); ok {
-			c.noteChange(rv.iv)
-		}
-		e.schedule(p)
-	}
+	e.wake(e.m.rvWatch[rv.id])
 }
 
 // setStartMin raises an interval's start lower bound. Raising the bound
@@ -112,6 +170,7 @@ func (e *engine) setStartMin(iv *Interval, v int64) error {
 	}
 	e.store.set(iv.base+0, v)
 	e.store.set(iv.base+2, 0)
+	e.touch(int32(iv.id))
 	e.wakeInterval(iv)
 	return nil
 }
@@ -126,6 +185,7 @@ func (e *engine) setStartMax(iv *Interval, v int64) error {
 		return errFail
 	}
 	e.store.set(iv.base+1, v)
+	e.touch(int32(iv.id))
 	e.wakeInterval(iv)
 	return nil
 }
@@ -142,6 +202,7 @@ func (e *engine) fixStart(iv *Interval, v int64) error {
 // is trailed, so backtracking clears it.
 func (e *engine) postpone(iv *Interval) {
 	e.store.set(iv.base+2, 1)
+	e.touch(int32(iv.id))
 }
 
 // setBool decides a boolean variable.
@@ -168,6 +229,7 @@ func (e *engine) removeRes(rv *ResVar, r int) error {
 		return nil
 	}
 	e.store.set(w, word&^bit)
+	e.touch(int32(rv.iv.id))
 	if e.m.ResDomainSize(rv) == 0 {
 		return errFail
 	}
@@ -192,6 +254,7 @@ func (e *engine) fixRes(rv *ResVar, r int) error {
 		}
 	}
 	if changed {
+		e.touch(int32(rv.iv.id))
 		e.wakeResVar(rv)
 	}
 	return nil

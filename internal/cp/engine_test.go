@@ -24,7 +24,7 @@ func TestEngineQueueDeduplicates(t *testing.T) {
 	iv := m.NewInterval("t", 10)
 	p := &countingProp{}
 	idx := m.addProp(p)
-	m.watchInterval(iv, idx)
+	m.watchInterval(iv, idx, -1)
 	e := newEngine(m)
 	e.schedule(idx)
 	e.schedule(idx)
@@ -42,9 +42,9 @@ func TestEngineWakeOnBoundChange(t *testing.T) {
 	a := m.NewInterval("a", 10)
 	b := m.NewInterval("b", 10)
 	watchA := &countingProp{}
-	m.watchInterval(a, m.addProp(watchA))
+	m.watchInterval(a, m.addProp(watchA), -1)
 	watchB := &countingProp{}
-	m.watchInterval(b, m.addProp(watchB))
+	m.watchInterval(b, m.addProp(watchB), -1)
 	e := newEngine(m)
 	if err := e.setStartMin(a, 5); err != nil {
 		t.Fatal(err)
@@ -74,8 +74,8 @@ func TestEngineFailureDrainsQueue(t *testing.T) {
 	neverRun := &countingProp{}
 	fi := m.addProp(failing)
 	ni := m.addProp(neverRun)
-	m.watchInterval(iv, fi)
-	m.watchInterval(iv, ni)
+	m.watchInterval(iv, fi, -1)
+	m.watchInterval(iv, ni, -1)
 	e := newEngine(m)
 	e.schedule(fi)
 	e.schedule(ni)
@@ -108,7 +108,7 @@ func TestEngineSelfWakeSuppressed(t *testing.T) {
 		return nil
 	}}
 	idx := m.addProp(self)
-	m.watchInterval(iv, idx)
+	m.watchInterval(iv, idx, -1)
 	e := newEngine(m)
 	e.schedule(idx)
 	if err := e.propagate(); err != nil {

@@ -88,7 +88,7 @@ func TestHintFromPriorSolutionSeeds(t *testing.T) {
 
 // A hinted solve must also be internally deterministic: the same model and
 // hint give the same result every time.
-func TestHintDeterministicAcrossRunsAndWorkers(t *testing.T) {
+func TestHintDeterministicAcrossRuns(t *testing.T) {
 	m0, _ := hintTestModel()
 	cold := solveOK(t, m0, Params{})
 	hint := &Hint{Starts: cold.Starts}
@@ -112,31 +112,34 @@ func TestHintDeterministicAcrossRunsAndWorkers(t *testing.T) {
 	}
 }
 
+// garbageHints builds, for a model of n intervals, hints no prior solve
+// could have produced.
+var garbageHints = map[string]func(n int) *Hint{
+	"beyond-horizon": func(n int) *Hint {
+		h := &Hint{Starts: make([]int64, n)}
+		for i := range h.Starts {
+			h.Starts[i] = 999_999
+		}
+		return h
+	},
+	"negative": func(n int) *Hint {
+		h := &Hint{Starts: make([]int64, n), Res: make([]int, n)}
+		for i := range h.Starts {
+			h.Starts[i] = -500
+			h.Res[i] = 97 // out-of-range resource
+		}
+		return h
+	},
+	"all-colliding": func(n int) *Hint {
+		return &Hint{Starts: make([]int64, n)} // every task at t=0
+	},
+}
+
 // Garbage hints — starts beyond the window, negative, or misaligned with
 // precedence — must never crash or produce an invalid solution; at worst
 // the repair fails and the cold descent runs.
 func TestHintGarbageIsHarmless(t *testing.T) {
-	cases := map[string]func(n int) *Hint{
-		"beyond-horizon": func(n int) *Hint {
-			h := &Hint{Starts: make([]int64, n)}
-			for i := range h.Starts {
-				h.Starts[i] = 999_999
-			}
-			return h
-		},
-		"negative": func(n int) *Hint {
-			h := &Hint{Starts: make([]int64, n), Res: make([]int, n)}
-			for i := range h.Starts {
-				h.Starts[i] = -500
-				h.Res[i] = 97 // out-of-range resource
-			}
-			return h
-		},
-		"all-colliding": func(n int) *Hint {
-			return &Hint{Starts: make([]int64, n)} // every task at t=0
-		},
-	}
-	for name, mk := range cases {
+	for name, mk := range garbageHints {
 		m, ivs := hintTestModel()
 		r := solveOK(t, m, Params{Hint: mk(len(ivs))})
 		if err := m.VerifySolution(&r); err != nil {

@@ -51,6 +51,9 @@ type Bool struct {
 	Name string
 	id   int
 	base int32 // +0 min, +1 max
+	// jobKey is the JobKey of the job whose lateness this bool reifies (set
+	// by AddLateness), for the solver's squeaky-wheel boost.
+	jobKey int
 }
 
 // ID returns the bool's dense model index.
@@ -84,15 +87,23 @@ type Model struct {
 	cumuls    []*cumulative
 
 	// watchers[kind][varID] lists the propagators to wake on a change.
-	ivWatch   [][]int
+	ivWatch   [][]watch
 	boolWatch [][]int
-	rvWatch   [][]int
+	rvWatch   [][]watch
 
 	sumLE    *sumLE
 	objBools []*Bool
-	// lateJobKey maps a lateness Bool's ID to the owning job's key, for
-	// the solver's squeaky-wheel boost.
-	lateJobKey map[int]int
+}
+
+// watch is one entry of an interval's or resvar's watch list: the
+// propagator to wake and, when that propagator is a cumulative, the
+// position of the (resvar's) interval in its task list, so a wake needs no
+// lookup. pos is -1 for every other propagator. Lists are in posting order,
+// so ascending in prop; the cumulative entries of ivWatch[id] are also the
+// solver's list of the timetables interval id sits on.
+type watch struct {
+	prop int32
+	pos  int32
 }
 
 // NewModel creates an empty model. horizon is the exclusive upper bound on
@@ -132,7 +143,7 @@ func (m *Model) NewInterval(name string, dur int64) *Interval {
 		origMin: 0,
 		origMax: m.horizon - dur,
 	}
-	iv.base = m.store.alloc(iv.origMin, iv.origMax, 0)
+	iv.base = m.store.alloc(int32(iv.id), iv.origMin, iv.origMax, 0)
 	m.intervals = append(m.intervals, iv)
 	m.ivWatch = append(m.ivWatch, nil)
 	return iv
@@ -269,7 +280,7 @@ func (m *Model) postponed(iv *Interval) bool { return m.store.get(iv.base+2) != 
 // NewBool adds a 0/1 variable.
 func (m *Model) NewBool(name string) *Bool {
 	b := &Bool{Name: name, id: len(m.bools)}
-	b.base = m.store.alloc(0, 1)
+	b.base = m.store.alloc(-1, 0, 1)
 	m.bools = append(m.bools, b)
 	m.boolWatch = append(m.boolWatch, nil)
 	return b
@@ -299,7 +310,7 @@ func (m *Model) NewResVar(iv *Interval, numRes int) *ResVar {
 	for r := 0; r < numRes; r++ {
 		vals[r/64] |= 1 << (r % 64)
 	}
-	rv.base = m.store.alloc(vals...)
+	rv.base = m.store.alloc(int32(iv.id), vals...)
 	m.resvars = append(m.resvars, rv)
 	m.rvWatch = append(m.rvWatch, nil)
 	iv.resVar = rv
@@ -391,16 +402,20 @@ func (m *Model) addProp(p propagator) int {
 	return len(m.props) - 1
 }
 
-func (m *Model) watchInterval(iv *Interval, prop int) {
-	m.ivWatch[iv.id] = append(m.ivWatch[iv.id], prop)
+// watchInterval wakes prop on a change of iv's bounds; pos is iv's position
+// in prop's task list when prop is a cumulative, -1 otherwise.
+func (m *Model) watchInterval(iv *Interval, prop, pos int) {
+	m.ivWatch[iv.id] = append(m.ivWatch[iv.id], watch{int32(prop), int32(pos)})
 }
 
 func (m *Model) watchBool(b *Bool, prop int) {
 	m.boolWatch[b.id] = append(m.boolWatch[b.id], prop)
 }
 
-func (m *Model) watchResVar(rv *ResVar, prop int) {
-	m.rvWatch[rv.id] = append(m.rvWatch[rv.id], prop)
+// watchResVar is watchInterval for a change of rv's domain; pos is the
+// position of rv's interval.
+func (m *Model) watchResVar(rv *ResVar, prop, pos int) {
+	m.rvWatch[rv.id] = append(m.rvWatch[rv.id], watch{int32(prop), int32(pos)})
 }
 
 // AddPhaseBarrier posts Constraint 3 of the formulation for one job: every
@@ -412,14 +427,14 @@ func (m *Model) AddPhaseBarrier(preds, succs []*Interval) {
 	p := &phaseBarrier{preds: preds, succs: succs}
 	idx := m.addProp(p)
 	for _, pr := range preds {
-		m.watchInterval(pr, idx)
+		m.watchInterval(pr, idx, -1)
 		// A duration-table pred's EndMin moves when its resvar narrows.
 		if pr.durs != nil {
-			m.watchResVar(pr.resVar, idx)
+			m.watchResVar(pr.resVar, idx, -1)
 		}
 	}
 	for _, su := range succs {
-		m.watchInterval(su, idx)
+		m.watchInterval(su, idx, -1)
 	}
 }
 
@@ -437,16 +452,13 @@ func (m *Model) AddLateness(terminals []*Interval, deadline int64, late *Bool) {
 		panic("cp: lateness constraint needs at least one terminal task")
 	}
 	p := &lateness{terminals: terminals, deadline: deadline, late: late}
-	if m.lateJobKey == nil {
-		m.lateJobKey = make(map[int]int)
-	}
-	m.lateJobKey[late.id] = terminals[0].JobKey
+	late.jobKey = terminals[0].JobKey
 	idx := m.addProp(p)
 	for _, t := range terminals {
-		m.watchInterval(t, idx)
+		m.watchInterval(t, idx, -1)
 		// A duration-table terminal's end bounds move when its resvar narrows.
 		if t.durs != nil {
-			m.watchResVar(t.resVar, idx)
+			m.watchResVar(t.resVar, idx, -1)
 		}
 	}
 	m.watchBool(late, idx)
@@ -502,10 +514,11 @@ func (m *Model) AddCumulativeDemands(name string, resIndex int, capacity int64, 
 	}
 	c := newCumulative(name, resIndex, capacity, tasks, demands)
 	idx := m.addProp(c)
-	for _, t := range tasks {
-		m.watchInterval(t, idx)
+	c.prop = idx
+	for pos, t := range tasks {
+		m.watchInterval(t, idx, pos)
 		if t.resVar != nil && (resIndex >= 0 || t.durs != nil) {
-			m.watchResVar(t.resVar, idx)
+			m.watchResVar(t.resVar, idx, pos)
 		}
 	}
 	m.cumuls = append(m.cumuls, c)

@@ -1,10 +1,10 @@
 package cp
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
+// A 5000-task greedy descent must cost a few keys per node, not a scan of
+// the model: pick evaluates every interval once when the descent starts and
+// from then on only what the previous node changed.
 func TestPerfLargeGreedy(t *testing.T) {
 	m := NewModel(100_000_000)
 	var ivs []*Interval
@@ -19,10 +19,14 @@ func TestPerfLargeGreedy(t *testing.T) {
 	}
 	m.AddCumulative("map", -1, 64, ivs)
 	m.Minimize(lates)
-	t0 := time.Now()
-	r := NewSolver(m, Params{TimeLimit: 200 * time.Millisecond}).Solve()
-	t.Logf("status=%v obj=%d nodes=%d elapsed=%v", r.Status, r.Objective, r.Nodes, time.Since(t0))
+	r := NewSolver(m, Params{NodeLimit: 20_000}).Solve()
+	perNode := float64(r.Search.PickWork) / float64(r.Nodes)
+	t.Logf("status=%v obj=%d nodes=%d pickwork/node=%.1f profilebuilds=%d elapsed=%v",
+		r.Status, r.Objective, r.Nodes, perNode, r.Search.ProfileBuilds, r.SolveTime)
 	if !r.HasSolution() {
 		t.Fatal("no solution")
+	}
+	if limit := 0.05 * float64(len(ivs)); perNode > limit {
+		t.Fatalf("PickWork/Nodes = %.1f, want below %.0f (5%% of %d intervals)", perNode, limit, len(ivs))
 	}
 }

@@ -90,35 +90,69 @@ func TestQuickRandomInstancesVerify(t *testing.T) {
 	}
 }
 
+// buildRandomDirectInstance creates a direct-mode model: up to maxJobs jobs
+// of up to four tasks, each task with a matchmaking variable over 2..4
+// unit-capacity resources. With hetero set, every task also carries a
+// per-resource duration table and a memory demand (zero for some) on a
+// second, capacity-3 cumulative per resource that lists only the tasks
+// with a demand — so a task's position differs from one timetable to the
+// next. It returns the instance, its intervals and the resource count.
+func buildRandomDirectInstance(local *stats.Stream, maxJobs int, hetero bool) (*randomInstance, []*Interval, int) {
+	horizon := int64(100_000)
+	m := NewModel(horizon)
+	numRes := 2 + local.IntN(3)
+	var all, memTasks []*Interval
+	var mems []int64
+	var lates []*Bool
+	nJobs := 1 + local.IntN(maxJobs)
+	for j := 0; j < nJobs; j++ {
+		n := 1 + local.IntN(4)
+		var ivs []*Interval
+		for i := 0; i < n; i++ {
+			dur := int64(1 + local.IntN(50))
+			var durs []int64
+			if hetero {
+				durs = make([]int64, numRes)
+				for r := range durs {
+					durs[r] = dur + int64(local.IntN(20))
+				}
+				for _, d := range durs {
+					dur = max(dur, d) // created at the slowest mode
+				}
+			}
+			iv := m.NewInterval("t", dur)
+			iv.JobKey = j
+			iv.Due = int64(100 + local.IntN(400))
+			m.NewResVar(iv, numRes)
+			if hetero {
+				m.SetResDurations(iv, durs)
+				if mem := int64(local.IntN(3)); mem > 0 {
+					memTasks = append(memTasks, iv)
+					mems = append(mems, mem)
+				}
+			}
+			ivs = append(ivs, iv)
+			all = append(all, iv)
+		}
+		late := m.NewBool("late")
+		m.AddLateness(ivs, ivs[0].Due, late)
+		lates = append(lates, late)
+	}
+	for r := 0; r < numRes; r++ {
+		m.AddCumulative("res", r, 1, all)
+		if len(memTasks) > 0 {
+			m.AddCumulativeDemands("mem", r, 3, memTasks, mems)
+		}
+	}
+	m.Minimize(lates)
+	return &randomInstance{m: m, lates: lates}, all, numRes
+}
+
 func TestQuickRandomDirectModeVerify(t *testing.T) {
 	rng := stats.NewStream(2002, 9)
 	f := func(seed uint16) bool {
-		local := rng.Derive(uint64(seed))
-		horizon := int64(100_000)
-		m := NewModel(horizon)
-		numRes := 2 + local.IntN(3)
-		var all []*Interval
-		var lates []*Bool
-		nJobs := 1 + local.IntN(4)
-		for j := 0; j < nJobs; j++ {
-			n := 1 + local.IntN(4)
-			var ivs []*Interval
-			for i := 0; i < n; i++ {
-				iv := m.NewInterval("t", int64(1+local.IntN(50)))
-				iv.JobKey = j
-				iv.Due = int64(100 + local.IntN(400))
-				m.NewResVar(iv, numRes)
-				ivs = append(ivs, iv)
-				all = append(all, iv)
-			}
-			late := m.NewBool("late")
-			m.AddLateness(ivs, ivs[0].Due, late)
-			lates = append(lates, late)
-		}
-		for r := 0; r < numRes; r++ {
-			m.AddCumulative("res", r, 1, all)
-		}
-		m.Minimize(lates)
+		inst, all, numRes := buildRandomDirectInstance(rng.Derive(uint64(seed)), 4, seed%3 == 0)
+		m := inst.m
 		res := NewSolver(m, Params{NodeLimit: 3000}).Solve()
 		if !res.HasSolution() {
 			return false
@@ -215,22 +249,26 @@ func TestQuickDeadlineMonotonicity(t *testing.T) {
 	}
 }
 
+// buildFrozenInstance creates one frozen (already started) task and one to
+// five free ones sharing a capacity-1 resource.
+func buildFrozenInstance(local *stats.Stream) (m *Model, frozen *Interval, frozenStart int64) {
+	m = NewModel(100_000)
+	frozenStart = int64(local.IntN(500))
+	frozen = m.NewInterval("frozen", int64(1+local.IntN(200)))
+	m.FixStart(frozen, frozenStart)
+	all := []*Interval{frozen}
+	for i := 0; i < 1+local.IntN(5); i++ {
+		all = append(all, m.NewInterval("t", int64(1+local.IntN(100))))
+	}
+	m.AddCumulative("r", -1, 1, all)
+	return m, frozen, frozenStart
+}
+
 // Property: frozen (fixed) intervals are never moved by the solver.
 func TestQuickFrozenTasksImmutable(t *testing.T) {
 	rng := stats.NewStream(909, 11)
 	f := func(seed uint16) bool {
-		local := rng.Derive(uint64(seed))
-		m := NewModel(100_000)
-		frozenStart := int64(local.IntN(500))
-		frozen := m.NewInterval("frozen", int64(1+local.IntN(200)))
-		m.FixStart(frozen, frozenStart)
-		var all []*Interval
-		all = append(all, frozen)
-		for i := 0; i < 1+local.IntN(5); i++ {
-			iv := m.NewInterval("t", int64(1+local.IntN(100)))
-			all = append(all, iv)
-		}
-		m.AddCumulative("r", -1, 1, all)
+		m, frozen, frozenStart := buildFrozenInstance(rng.Derive(uint64(seed)))
 		r := NewSolver(m, Params{NodeLimit: 2000}).Solve()
 		if !r.HasSolution() {
 			return false

@@ -3,6 +3,7 @@ package cp
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 )
 
@@ -129,6 +130,14 @@ type SearchStats struct {
 	Nodes        int64
 	Backtracks   int64
 	Propagations int64
+	// PickWork counts the interval keys the branching rule evaluated to
+	// choose its decisions: one per interval each time a descent starts, one
+	// per interval that changed since the previous node otherwise.
+	// ProfileBuilds counts timetable profiles derived from their event
+	// lists. Per node, both measure how much of the model a search node
+	// touches.
+	PickWork      int64
+	ProfileBuilds int64
 	// Rounds counts search descents: the first greedy descent, each
 	// squeaky-wheel improvement pass, and each branch-and-bound round.
 	Rounds int
@@ -200,12 +209,15 @@ type Solver struct {
 	e      *engine
 	params Params
 
-	// resCum lists the cumulatives of each resource index — one for the
-	// slot dimension, plus one per extra dimension (memory) on
-	// multi-dimensional models. taskCums lists the cumulatives containing
-	// each interval, by ID.
-	resCum   map[int][]*cumulative
-	taskCums [][]*cumulative
+	// cand is the ready set pick reads its decision from. It follows the
+	// store through the engine's touched list; candStale asks for a rebuild
+	// over the whole model, which the start of a descent needs because the
+	// hint and the boost set change the keys without touching the store.
+	cand      candHeap
+	candStale bool
+	pickWork  int64
+	// onPick, when set (tests only), sees every decision pick returns.
+	onPick func(decision, pickStatus)
 
 	deadline  time.Time
 	hasDL     bool
@@ -235,13 +247,16 @@ type Solver struct {
 	hintSeeded    bool
 	hintObjective int
 
-	// boost marks jobs whose tasks are scheduled ahead of others at equal
-	// earliest starts — the "squeaky wheel" improvement loop re-descends
-	// with the incumbent's late jobs boosted.
-	boost map[int]bool
+	// boost holds, in ascending order, the JobKeys of the jobs whose tasks
+	// are scheduled ahead of others at equal earliest starts — the "squeaky
+	// wheel" improvement loop re-descends with the incumbent's late jobs
+	// boosted.
+	boost []int
 
-	// resBuf is the scratch slice for pickResource's domain iteration.
+	// resBuf and fitBuf are the scratch slices for pickResource's domain
+	// iteration and its per-resource earliest fits.
 	resBuf []int
+	fitBuf []int64
 
 	incumbent *Result
 }
@@ -251,18 +266,21 @@ func NewSolver(m *Model, params Params) *Solver {
 	if params.NodeLimit == 0 {
 		params.NodeLimit = 200000
 	}
-	s := &Solver{m: m, params: params, nodeLimit: params.NodeLimit, hintObjective: -1}
-	s.resCum = make(map[int][]*cumulative)
-	s.taskCums = make([][]*cumulative, len(m.intervals))
-	for _, c := range m.cumuls {
-		if c.resIndex >= 0 {
-			s.resCum[c.resIndex] = append(s.resCum[c.resIndex], c)
-		}
-		for _, t := range c.tasks {
-			s.taskCums[t.id] = append(s.taskCums[t.id], c)
-		}
+	return &Solver{m: m, params: params, nodeLimit: params.NodeLimit, hintObjective: -1}
+}
+
+// hasKey reports whether the ascending key set holds k.
+func hasKey(set []int, k int) bool {
+	_, found := slices.BinarySearch(set, k)
+	return found
+}
+
+// addKey inserts k into the ascending key set.
+func addKey(set []int, k int) []int {
+	if i, found := slices.BinarySearch(set, k); !found {
+		set = slices.Insert(set, i, k)
 	}
-	return s
+	return set
 }
 
 // Solve runs the search and returns the best solution found.
@@ -281,6 +299,7 @@ func (s *Solver) Solve() Result {
 		handle = &SumLEHandle{p: m.sumLE}
 	}
 	s.e = newEngine(m)
+	s.cand = newCandHeap(len(m.intervals))
 	s.e.scheduleAll()
 	if s.e.propagate() != nil {
 		return Result{Status: StatusInfeasible, SolveTime: time.Since(start),
@@ -288,10 +307,10 @@ func (s *Solver) Solve() Result {
 	}
 	// Jobs already proven late at the root cannot be rescued; boosting
 	// them would only let their tasks crowd out salvageable jobs.
-	rootForced := make(map[int]bool)
+	var rootForced []int
 	for _, b := range m.objBools {
 		if m.BoolMin(b) == 1 {
-			rootForced[m.lateJobKey[b.id]] = true
+			rootForced = addKey(rootForced, b.jobKey)
 		}
 	}
 
@@ -304,8 +323,7 @@ func (s *Solver) Solve() Result {
 	var found, exhausted bool
 	if s.params.Hint.covers(len(m.intervals)) {
 		s.hintActive = true
-		found, _ = s.dfs()
-		s.e.store.PopAll()
+		found, _ = s.descend()
 		s.hintActive = false
 		if found {
 			s.hintSeeded = true
@@ -313,12 +331,10 @@ func (s *Solver) Solve() Result {
 		} else {
 			rounds++
 			s.curRound = rounds
-			found, exhausted = s.dfs()
-			s.e.store.PopAll()
+			found, exhausted = s.descend()
 		}
 	} else {
-		found, exhausted = s.dfs()
-		s.e.store.PopAll()
+		found, exhausted = s.descend()
 	}
 	if !found {
 		st := StatusUnknown
@@ -347,7 +363,6 @@ func (s *Solver) Solve() Result {
 	// late jobs boosted to the front of the ordering. Each pass is one
 	// cheap greedy descent, which makes this effective even on models far
 	// too large for exact search.
-	s.boost = make(map[int]bool)
 	noImprove := 0
 	for pass := 0; noImprove < 2 && s.incumbent.Objective > 0; pass++ {
 		if pass == 0 {
@@ -363,12 +378,11 @@ func (s *Solver) Solve() Result {
 		s.improvePasses++
 		prev := s.incumbent.Objective
 		for _, b := range m.objBools {
-			if s.incumbent.Lates[b.id] && !rootForced[m.lateJobKey[b.id]] {
-				s.boost[m.lateJobKey[b.id]] = true
+			if s.incumbent.Lates[b.id] && !hasKey(rootForced, b.jobKey) {
+				s.boost = addKey(s.boost, b.jobKey)
 			}
 		}
-		found, _ := s.dfs()
-		s.e.store.PopAll()
+		found, _ := s.descend()
 		s.ignoreLimits = false
 		if !found || s.incumbent.Objective >= prev {
 			noImprove++
@@ -391,8 +405,7 @@ func (s *Solver) Solve() Result {
 		if s.e.propagate() != nil {
 			return s.finish(StatusOptimal, rounds, start)
 		}
-		found, exhausted := s.dfs()
-		s.e.store.PopAll()
+		found, exhausted := s.descend()
 		if found {
 			if s.incumbent.Objective == 0 {
 				return s.finish(StatusOptimal, rounds, start)
@@ -436,6 +449,10 @@ func (s *Solver) searchStats(rounds int, start time.Time) SearchStats {
 	}
 	if s.e != nil {
 		st.Propagations = s.e.propagations
+		st.PickWork = s.pickWork
+		for _, c := range s.m.cumuls {
+			st.ProfileBuilds += c.builds
+		}
 	}
 	if len(s.timeline) > 0 {
 		st.FirstObjective = s.timeline[0].Objective
@@ -484,42 +501,32 @@ type decision struct {
 
 // pick selects the next decision following the set-times rule: among
 // non-postponed undecided tasks, take the one with the smallest earliest
-// start, breaking ties with the configured ordering strategy.
+// start, breaking ties with the configured ordering strategy. It reads that
+// task off the candidate heap after bringing the heap up to date: entry by
+// entry from the engine's touched list — which covers what propagation
+// changed on the way down and what a backtrack changed back — or, at the
+// start of a descent, with one pass over the model.
 func (s *Solver) pick() (decision, pickStatus) {
 	m := s.m
-	var best *Interval
-	var bestKey [4]int64
-	undecided := false
-	for _, iv := range m.intervals {
-		needRes := iv.resVar != nil && m.ResFixedValue(iv.resVar) < 0
-		needTime := !m.Fixed(iv)
-		if !needRes && !needTime {
-			continue
+	if s.candStale {
+		s.candStale = false
+		s.cand.reset()
+		for _, iv := range m.intervals {
+			s.rekey(iv)
 		}
-		undecided = true
-		if m.postponed(iv) {
-			continue
-		}
-		var boosted int64 = 1
-		if s.boost[iv.JobKey] {
-			boosted = 0
-		}
-		// The final tie-break is creation order, NOT a duration-derived
-		// quantity: breaking ties by startMax would start a job's longest
-		// tasks first (smaller startMax), leaving every slot busy with
-		// long work at random arrival instants and killing the system's
-		// responsiveness to tight new jobs.
-		key := [4]int64{s.targetStart(iv), boosted, s.orderKey(iv), int64(iv.id)}
-		if best == nil || lessKey(key, bestKey) {
-			best, bestKey = iv, key
+	} else {
+		for _, id := range s.e.touched {
+			s.rekey(m.intervals[id])
 		}
 	}
-	if best == nil {
-		if undecided {
+	s.e.clearTouched()
+	if len(s.cand.heap) == 0 {
+		if s.cand.undecided > 0 {
 			return decision{}, pickDeadEnd
 		}
 		return decision{}, pickAllDone
 	}
+	best := m.intervals[s.cand.heap[0]]
 	if best.resVar != nil && m.ResFixedValue(best.resVar) < 0 {
 		if s.hintActive {
 			if r := s.params.Hint.res(best.id); r >= 0 && m.ResAllowed(best.resVar, r) {
@@ -529,6 +536,31 @@ func (s *Solver) pick() (decision, pickStatus) {
 		return decision{iv: best, res: s.pickResource(best)}, pickFound
 	}
 	return decision{iv: best, res: -1}, pickFound
+}
+
+// rekey re-evaluates iv's place in the ready set from the store.
+func (s *Solver) rekey(iv *Interval) {
+	s.pickWork++
+	m := s.m
+	id := int32(iv.id)
+	needRes := iv.resVar != nil && m.ResFixedValue(iv.resVar) < 0
+	switch {
+	case !needRes && m.Fixed(iv):
+		s.cand.drop(id, candDecided)
+	case m.postponed(iv):
+		s.cand.drop(id, candPostponed)
+	default:
+		// The final tie-break is creation order (the id), NOT a
+		// duration-derived quantity: breaking ties by startMax would start a
+		// job's longest tasks first (smaller startMax), leaving every slot
+		// busy with long work at random arrival instants and killing the
+		// system's responsiveness to tight new jobs.
+		k := candKey{target: s.targetStart(iv), boosted: 1, order: s.orderKey(iv)}
+		if hasKey(s.boost, iv.JobKey) {
+			k.boosted = 0
+		}
+		s.cand.put(id, k)
+	}
 }
 
 // targetStart is the earliest start the descent aims at for iv: its
@@ -566,15 +598,6 @@ func (s *Solver) orderKey(iv *Interval) int64 {
 	}
 }
 
-func lessKey(a, b [4]int64) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
-}
-
 // pickResource chooses the domain value where the task can COMPLETE
 // earliest on the current timetables (earliest fit plus the task's
 // duration on that resource), preferring lower indices on ties. On uniform
@@ -586,25 +609,57 @@ func lessKey(a, b [4]int64) bool {
 // (locality weights).
 func (s *Solver) pickResource(iv *Interval) int {
 	m := s.m
+	target := s.targetStart(iv)
+	s.resBuf = m.AppendResDomain(iv.resVar, s.resBuf[:0])
+	// fits[r] is the earliest fit on resource r over the timetables visited
+	// so far; MaxInt64 rules r out (not in the domain, or overloaded).
+	if cap(s.fitBuf) < iv.resVar.NumRes {
+		s.fitBuf = make([]int64, iv.resVar.NumRes)
+	}
+	fits := s.fitBuf[:iv.resVar.NumRes]
+	for r := range fits {
+		fits[r] = math.MaxInt64
+	}
+	for _, r := range s.resBuf {
+		fits[r] = target
+	}
+	// Every timetable of a candidate resource is consulted, in posting
+	// order. Those iv sits on are the cumulative entries of its watch list,
+	// which is in posting order too, so one merged walk finds iv's position
+	// on each. A timetable that does not list iv still counts with iv's own
+	// demand when demands are uniform (a map task is steered away from a
+	// resource whose reduce slots are full), and not at all when they are
+	// per task: no entry means no demand on that dimension.
+	watched := m.ivWatch[iv.id]
+	for _, c := range m.cumuls {
+		for len(watched) > 0 && int(watched[0].prop) < c.prop {
+			watched = watched[1:]
+		}
+		r := c.resIndex
+		if r < 0 || r >= len(fits) || fits[r] == math.MaxInt64 {
+			continue
+		}
+		dem := iv.Demand
+		if len(watched) > 0 && int(watched[0].prop) == c.prop {
+			dem = c.demandAt(int(watched[0].pos))
+		} else if c.demands != nil {
+			continue
+		}
+		if err := c.refresh(m); err != nil {
+			fits[r] = math.MaxInt64
+			continue
+		}
+		if f := c.earliestFit(m, iv, dem, fits[r], false); f > fits[r] {
+			fits[r] = f
+		}
+	}
 	bestRes := -1
 	bestComp := int64(math.MaxInt64)
 	var bestRank int64
-	target := s.targetStart(iv)
-	s.resBuf = m.AppendResDomain(iv.resVar, s.resBuf[:0])
 	for _, r := range s.resBuf {
-		fit := target
-		for _, c := range s.resCum[r] {
-			if err := c.refresh(m); err != nil {
-				fit = math.MaxInt64
-				break
-			}
-			if f := c.earliestFit(m, iv, fit, false); f > fit {
-				fit = f
-			}
-		}
 		comp := int64(math.MaxInt64)
-		if dur := iv.DurOn(r); fit < math.MaxInt64-dur {
-			comp = fit + dur
+		if dur := iv.DurOn(r); fits[r] < math.MaxInt64-dur {
+			comp = fits[r] + dur
 		}
 		rank := s.resRank(r)
 		if comp < bestComp || (comp == bestComp && bestRes >= 0 && rank < bestRank) {
@@ -626,6 +681,15 @@ func (s *Solver) resRank(r int) int64 {
 	return int64(r)
 }
 
+// descend runs one search descent from the root state and returns the store
+// to it; see dfs for the result.
+func (s *Solver) descend() (bool, bool) {
+	s.candStale = true
+	found, exhausted := s.dfs()
+	s.e.store.PopAll()
+	return found, exhausted
+}
+
 // dfs explores the subtree below the current store state. It returns
 // (true, _) as soon as a solution satisfying the current bound is found
 // (captured into s.incumbent), or (false, exhausted) otherwise, where
@@ -636,6 +700,9 @@ func (s *Solver) dfs() (bool, bool) {
 		return false, false
 	}
 	dec, st := s.pick()
+	if s.onPick != nil {
+		s.onPick(dec, st)
+	}
 	switch st {
 	case pickAllDone:
 		s.capture()
@@ -653,7 +720,7 @@ func (s *Solver) dfs() (bool, bool) {
 		}
 	}
 	s.backtracks++
-	s.e.store.Pop()
+	s.e.pop()
 	if s.limitHit {
 		return false, false
 	}
@@ -666,7 +733,7 @@ func (s *Solver) dfs() (bool, bool) {
 		}
 	}
 	s.backtracks++
-	s.e.store.Pop()
+	s.e.pop()
 	return false, !s.limitHit
 }
 
@@ -687,21 +754,26 @@ func (s *Solver) applyLeft(d decision) error {
 func (s *Solver) placementStart(iv *Interval) int64 {
 	m := s.m
 	st := s.targetStart(iv)
-	cums := s.taskCums[iv.id]
 	// Two rounds reach a fixpoint when the task sits on several timetables
 	// (it never does in the models built by this repository, but the
 	// general case is cheap to honor).
 	for range [2]struct{}{} {
-		for _, c := range cums {
+		cums := 0
+		for _, w := range m.ivWatch[iv.id] {
+			if w.pos < 0 {
+				continue
+			}
+			cums++
+			c := m.props[w.prop].(*cumulative)
 			if c.onRes(m, iv) != onResYes {
 				continue
 			}
 			if err := c.refresh(m); err != nil {
 				return st
 			}
-			st = c.earliestFit(m, iv, st, true)
+			st = c.earliestFit(m, iv, c.demandAt(int(w.pos)), st, true)
 		}
-		if len(cums) < 2 {
+		if cums < 2 {
 			break
 		}
 	}

@@ -1,17 +1,21 @@
 package cp
 
 import (
+	"fmt"
 	"testing"
 
 	"mrcprm/internal/stats"
 )
 
 // benchInstance builds one moderately hard combined-mode instance (the
-// shape MRCP-RM generates) for the solver micro-benchmarks. Models are
-// single-use, so every iteration builds a fresh one.
-func benchInstance() *Model {
+// shape MRCP-RM generates) of nJobs jobs of about 2*maxTasks tasks for the
+// solver micro-benchmarks, on capacities that grow with nJobs so the load
+// per slot stays put. Models are single-use, so every iteration builds a
+// fresh one.
+func benchInstance(nJobs, maxTasks int) *Model {
 	rng := stats.NewStream(99, 1)
-	return buildRandomInstance(rng, 12, 6, 3, 2, true).m
+	k := int64(nJobs+11) / 12
+	return buildRandomInstance(rng, nJobs, maxTasks, 3*k, 2*k, true).m
 }
 
 // benchDirectInstance builds a direct-mode instance with matchmaking
@@ -43,20 +47,44 @@ func benchDirectInstance() *Model {
 }
 
 // benchSolve measures one full solve per iteration; the instance is rebuilt
-// outside the timer.
-func benchSolve(b *testing.B, build func() *Model) {
+// outside the timer. Next to the time and allocations per solve it reports
+// the nodes searched and the time per node.
+func benchSolve(b *testing.B, nodeLimit int64, build func() *Model) {
 	b.ReportAllocs()
 	var nodes int64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		m := build()
 		b.StartTimer()
-		r := NewSolver(m, Params{NodeLimit: 4000}).Solve()
+		r := NewSolver(m, Params{NodeLimit: nodeLimit}).Solve()
 		nodes += r.Nodes
 	}
 	b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes), "ns/node")
 }
 
-func BenchmarkSolveCombined(b *testing.B) { benchSolve(b, benchInstance) }
+// BenchmarkSolveCombined solves the same generator's instance at three
+// sizes. The small one spends its 4000 nodes backtracking. The two large
+// ones (about 500 and 2000 tasks) get two nodes per task — the first
+// descent and one improvement pass, the regime of a reschedule — so their
+// ns/node compare like for like as the model quadruples. Choosing the next
+// task and keeping the profile no longer grow with the model; what is left
+// of the growth is the cumulative's sweep over all its tasks whenever a
+// region of the profile saturates.
+func BenchmarkSolveCombined(b *testing.B) {
+	for _, size := range []struct {
+		nJobs, maxTasks int
+		nodesPerTask    int64
+	}{{12, 6, 0}, {25, 20, 2}, {100, 20, 2}} {
+		tasks := len(benchInstance(size.nJobs, size.maxTasks).intervals)
+		nodeLimit := int64(4000)
+		if size.nodesPerTask > 0 {
+			nodeLimit = size.nodesPerTask * int64(tasks)
+		}
+		b.Run(fmt.Sprintf("tasks=%d", tasks), func(b *testing.B) {
+			benchSolve(b, nodeLimit, func() *Model { return benchInstance(size.nJobs, size.maxTasks) })
+		})
+	}
+}
 
-func BenchmarkSolveDirect(b *testing.B) { benchSolve(b, benchDirectInstance) }
+func BenchmarkSolveDirect(b *testing.B) { benchSolve(b, 4000, benchDirectInstance) }

@@ -32,6 +32,10 @@ type trailEntry struct {
 // Store holds all trailed solver state.
 type Store struct {
 	cells []int64
+	// owner[i] is the id of the interval that cell i belongs to — its start
+	// bounds, its postponement flag or a word of its resvar — and -1 for any
+	// other cell. It lets a backtrack name the intervals it restored.
+	owner []int32
 	trail []trailEntry
 	marks []int // trail length at the start of each level
 	pops  int64 // number of Pop calls, for cache invalidation
@@ -42,12 +46,28 @@ func NewStore() *Store {
 	return &Store{}
 }
 
-// alloc reserves n cells initialized to the given values and returns the
-// index of the first.
-func (s *Store) alloc(vals ...int64) int32 {
+// alloc reserves one cell per given value for the interval with id owner
+// (-1 for a variable that is not part of an interval) and returns the index
+// of the first.
+func (s *Store) alloc(owner int32, vals ...int64) int32 {
 	idx := int32(len(s.cells))
 	s.cells = append(s.cells, vals...)
+	for range vals {
+		s.owner = append(s.owner, owner)
+	}
 	return idx
+}
+
+// reserve sizes the level stack and the trail for a search that opens about
+// the given number of levels and trails about the given number of writes, so
+// the first descent does not grow them step by step.
+func (s *Store) reserve(levels, writes int) {
+	if cap(s.marks) < levels {
+		s.marks = append(make([]int, 0, levels), s.marks...)
+	}
+	if cap(s.trail) < writes {
+		s.trail = append(make([]trailEntry, 0, writes), s.trail...)
+	}
 }
 
 // get reads a cell.
@@ -72,6 +92,12 @@ func (s *Store) Level() int { return len(s.marks) }
 // Push opens a new decision level.
 func (s *Store) Push() {
 	s.marks = append(s.marks, len(s.trail))
+}
+
+// levelTrail returns the writes the next Pop will undo, oldest first. It
+// panics at level 0.
+func (s *Store) levelTrail() []trailEntry {
+	return s.trail[s.marks[len(s.marks)-1]:]
 }
 
 // Pop closes the current decision level, undoing all changes made in it.

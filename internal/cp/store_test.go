@@ -4,7 +4,7 @@ import "testing"
 
 func TestStoreSetGet(t *testing.T) {
 	s := NewStore()
-	a := s.alloc(10, 20)
+	a := s.alloc(-1, 10, 20)
 	if s.get(a) != 10 || s.get(a+1) != 20 {
 		t.Fatal("alloc/get broken")
 	}
@@ -19,7 +19,7 @@ func TestStoreSetGet(t *testing.T) {
 
 func TestStorePushPop(t *testing.T) {
 	s := NewStore()
-	a := s.alloc(1)
+	a := s.alloc(-1, 1)
 	s.Push()
 	s.set(a, 2)
 	s.Push()
@@ -42,7 +42,7 @@ func TestStorePushPop(t *testing.T) {
 
 func TestStorePopAll(t *testing.T) {
 	s := NewStore()
-	a := s.alloc(7)
+	a := s.alloc(-1, 7)
 	for i := 0; i < 5; i++ {
 		s.Push()
 		s.set(a, int64(100+i))
@@ -55,7 +55,7 @@ func TestStorePopAll(t *testing.T) {
 
 func TestStoreMultipleWritesSameLevel(t *testing.T) {
 	s := NewStore()
-	a := s.alloc(1)
+	a := s.alloc(-1, 1)
 	s.Push()
 	s.set(a, 2)
 	s.set(a, 3)
