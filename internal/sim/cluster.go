@@ -145,6 +145,10 @@ type slotLedger struct {
 	mapUse  []int64
 	redUse  []int64
 	memUse  []int64 // nil unless the cluster has a memory dimension
+	// mapBusy and redBusy are the cluster-wide sums of mapUse and redUse,
+	// kept here so a telemetry sample reads them without a pass over the
+	// resources.
+	mapBusy, redBusy int64
 }
 
 func newSlotLedger(c Cluster) *slotLedger {
@@ -171,11 +175,13 @@ func (l *slotLedger) acquire(res int, t *workload.Task) error {
 			return fmt.Errorf("sim: map capacity of resource %d exceeded by task %s", res, t.ID)
 		}
 		l.mapUse[res] += t.Req
+		l.mapBusy += t.Req
 	} else {
 		if l.redUse[res]+t.Req > l.cluster.ReduceSlots {
 			return fmt.Errorf("sim: reduce capacity of resource %d exceeded by task %s", res, t.ID)
 		}
 		l.redUse[res] += t.Req
+		l.redBusy += t.Req
 	}
 	if l.memUse != nil {
 		l.memUse[res] += t.Mem
@@ -186,11 +192,13 @@ func (l *slotLedger) acquire(res int, t *workload.Task) error {
 func (l *slotLedger) release(res int, t *workload.Task) {
 	if t.Type == workload.MapTask {
 		l.mapUse[res] -= t.Req
+		l.mapBusy -= t.Req
 		if l.mapUse[res] < 0 {
 			panic("sim: map slot ledger went negative")
 		}
 	} else {
 		l.redUse[res] -= t.Req
+		l.redBusy -= t.Req
 		if l.redUse[res] < 0 {
 			panic("sim: reduce slot ledger went negative")
 		}

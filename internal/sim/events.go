@@ -11,8 +11,6 @@
 // below 0.1%.
 package sim
 
-import "container/heap"
-
 type eventKind int
 
 // Priorities at equal timestamps: finishes and failures free slots first,
@@ -40,48 +38,73 @@ type event struct {
 	res     int   // evResourceDown / evResourceUp
 }
 
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before is the queue's strict total order: time, then kind priority, then
+// insertion sequence. seq is unique, so no two events compare equal and the
+// pop order cannot depend on how the heap is laid out.
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	if h[i].kind != h[j].kind {
-		return h[i].kind < h[j].kind
+	if e.kind != o.kind {
+		return e.kind < o.kind
 	}
-	return h[i].seq < h[j].seq
+	return e.seq < o.seq
 }
 
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-func (h *eventHeap) Push(x any) { *h = append(*h, x.(event)) }
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
-
+// eventQueue is a binary min-heap of events stored by value: pushing and
+// popping at steady capacity allocates nothing.
 type eventQueue struct {
-	h   eventHeap
+	h   []event
 	seq int64
 }
 
 func (q *eventQueue) push(e event) {
 	q.seq++
 	e.seq = q.seq
-	heap.Push(&q.h, e)
+	q.h = append(q.h, e)
+	h := q.h
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = e
 }
 
 func (q *eventQueue) pop() (event, bool) {
-	if len(q.h) == 0 {
+	n := len(q.h)
+	if n == 0 {
 		return event{}, false
 	}
-	return heap.Pop(&q.h).(event), true
+	h := q.h
+	top := h[0]
+	n--
+	last := h[n]
+	q.h = h[:n]
+	// Sift the former last element down from the root.
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && h[r].before(&h[child]) {
+			child = r
+		}
+		if !h[child].before(&last) {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	if n > 0 {
+		h[i] = last
+	}
+	return top, true
 }
 
 func (q *eventQueue) empty() bool { return len(q.h) == 0 }

@@ -1,0 +1,76 @@
+package sim
+
+import (
+	"fmt"
+
+	"mrcprm/internal/workload"
+)
+
+// scanSample is the sampler the transition counters replaced: it derives a
+// sample from a pass over every registered task, every resource and the
+// down flags. The counters must agree with it after every Step.
+func (s *Simulator) scanSample() sample {
+	var p sample
+	for r := 0; r < s.cluster.NumResources; r++ {
+		p.busyMap += s.ledger.mapUse[r]
+		p.busyRed += s.ledger.redUse[r]
+	}
+	for _, st := range s.byKey {
+		switch {
+		case st.completed:
+		case st.started:
+			p.running++
+		case st.scheduled:
+			if st.task.Type == workload.MapTask {
+				p.waitMap++
+			} else {
+				p.waitRed++
+			}
+		}
+	}
+	p.outstanding = s.metrics.JobsArrived - s.metrics.JobsCompleted - s.metrics.JobsAbandoned
+	for _, d := range s.down {
+		if d {
+			p.down++
+		}
+	}
+	return p
+}
+
+// scanOutstandingJobs is OutstandingJobs as it was: a pass over every job
+// ever registered.
+func (s *Simulator) scanOutstandingJobs() int {
+	n := 0
+	for j, js := range s.pending {
+		if js.left > 0 && !s.abandoned[j] {
+			n++
+		}
+	}
+	return n
+}
+
+// CheckCounters compares everything the simulator keeps by counting
+// transitions — the seven sample fields, OutstandingJobs and each job's
+// uncompleted-map count — with a scan of the state it summarises. It is the
+// hook the policy-driven oracle runs in the external test package call
+// after every Step.
+func CheckCounters(s *Simulator) error {
+	if got, want := s.sample(), s.scanSample(); got != want {
+		return fmt.Errorf("sample counters %+v, scan %+v", got, want)
+	}
+	if got, want := s.OutstandingJobs(), s.scanOutstandingJobs(); got != want {
+		return fmt.Errorf("OutstandingJobs %d, scan %d", got, want)
+	}
+	for j, js := range s.pending {
+		mapsLeft := 0
+		for _, mt := range j.MapTasks {
+			if !s.tasks[mt].completed {
+				mapsLeft++
+			}
+		}
+		if js.mapsLeft != mapsLeft {
+			return fmt.Errorf("job %d: uncompleted-map count %d, scan %d", j.ID, js.mapsLeft, mapsLeft)
+		}
+	}
+	return nil
+}

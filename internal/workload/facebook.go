@@ -126,11 +126,12 @@ func (c FacebookConfig) Generate(rng *stats.Stream) ([]*Job, error) {
 	for i, ti := range seq {
 		jt := FacebookTable4[ti]
 		j := &Job{ID: i}
-		for k := 0; k < jt.NumMap; k++ {
-			j.MapTasks = append(j.MapTasks, newTask(i, MapTask, k+1, lnMS(FacebookMapExec, shapeRng)))
+		j.newTasks(jt.NumMap, jt.NumRed)
+		for _, t := range j.MapTasks {
+			t.Exec = lnMS(FacebookMapExec, shapeRng)
 		}
-		for k := 0; k < jt.NumRed; k++ {
-			j.ReduceTasks = append(j.ReduceTasks, newTask(i, ReduceTask, k+1, lnMS(FacebookReduceExec, shapeRng)))
+		for _, t := range j.ReduceTasks {
+			t.Exec = lnMS(FacebookReduceExec, shapeRng)
 		}
 		assignSLA(j, int64(arrivals[i]*1000), 0, 0, c.DeadlineUL, slots, slots, slaRng)
 		if err := j.Validate(); err != nil {

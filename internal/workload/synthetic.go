@@ -148,18 +148,18 @@ func (c SyntheticConfig) generateJob(id int, rng *stats.Stream) *Job {
 	km := (stats.DiscreteUniform{Lo: c.NumMapLo, Hi: c.NumMapHi}).SampleInt(rng)
 	kr := (stats.DiscreteUniform{Lo: c.NumReduceLo, Hi: c.NumReduceHi}).SampleInt(rng)
 	meDist := stats.DiscreteUniform{Lo: 1, Hi: c.EmaxSec}
+	j.newTasks(int(km), int(kr))
 	var totalMapSec int64
-	for i := int64(0); i < km; i++ {
+	for _, t := range j.MapTasks {
 		sec := meDist.SampleInt(rng)
 		totalMapSec += sec
-		j.MapTasks = append(j.MapTasks, newTask(id, MapTask, int(i)+1, sec*1000))
+		t.Exec = sec * 1000
 	}
 	if kr > 0 {
 		baseMS := 3 * totalMapSec * 1000 / kr
 		noise := stats.DiscreteUniform{Lo: c.ReduceNoiseLoSec, Hi: c.ReduceNoiseHiSec}
-		for i := int64(0); i < kr; i++ {
-			exec := baseMS + noise.SampleInt(rng)*1000
-			j.ReduceTasks = append(j.ReduceTasks, newTask(id, ReduceTask, int(i)+1, exec))
+		for _, t := range j.ReduceTasks {
+			t.Exec = baseMS + noise.SampleInt(rng)*1000
 		}
 	}
 	return j

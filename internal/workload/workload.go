@@ -11,6 +11,7 @@ package workload
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"mrcprm/internal/stats"
 )
@@ -173,17 +174,19 @@ func (j *Job) Validate() error {
 	if len(j.MapTasks) == 0 {
 		return fmt.Errorf("workload: job %d has no map tasks", j.ID)
 	}
-	for _, t := range j.Tasks() {
-		if t.Exec <= 0 {
-			return fmt.Errorf("workload: job %d task %s has non-positive execution time %d",
-				j.ID, t.ID, t.Exec)
-		}
-		if t.JobID != j.ID {
-			return fmt.Errorf("workload: job %d task %s has parent job %d", j.ID, t.ID, t.JobID)
-		}
-		if !j.TaskPrecedence && len(t.Preds) > 0 {
-			return fmt.Errorf("workload: job %d task %s has preds but the job is not marked TaskPrecedence",
-				j.ID, t.ID)
+	for _, tasks := range [2][]*Task{j.MapTasks, j.ReduceTasks} {
+		for _, t := range tasks {
+			if t.Exec <= 0 {
+				return fmt.Errorf("workload: job %d task %s has non-positive execution time %d",
+					j.ID, t.ID, t.Exec)
+			}
+			if t.JobID != j.ID {
+				return fmt.Errorf("workload: job %d task %s has parent job %d", j.ID, t.ID, t.JobID)
+			}
+			if !j.TaskPrecedence && len(t.Preds) > 0 {
+				return fmt.Errorf("workload: job %d task %s has preds but the job is not marked TaskPrecedence",
+					j.ID, t.ID)
+			}
 		}
 	}
 	if j.TaskPrecedence {
@@ -236,19 +239,35 @@ func (j *Job) validatePrecedence() error {
 	return nil
 }
 
-// newTask builds a task with the paper's naming convention tJ_KIND_N.
-func newTask(jobID int, typ TaskType, idx int, exec int64) *Task {
-	kind := "m"
+// taskID names a task by the paper's convention tJ_KIND_N.
+func taskID(jobID int, typ TaskType, idx int) string {
+	kind := byte('m')
 	if typ == ReduceTask {
-		kind = "r"
+		kind = 'r'
 	}
-	return &Task{
-		ID:    fmt.Sprintf("t%d_%s%d", jobID, kind, idx),
-		JobID: jobID,
-		Type:  typ,
-		Exec:  exec,
-		Req:   1,
+	var buf [32]byte
+	id := append(buf[:0], 't')
+	id = strconv.AppendInt(id, int64(jobID), 10)
+	id = append(id, '_', kind)
+	id = strconv.AppendInt(id, int64(idx), 10)
+	return string(id)
+}
+
+// newTasks allocates the job's nMap map and nRed reduce tasks as one block
+// and points MapTasks and ReduceTasks into it, each task named by taskID
+// (numbered from 1) with unit demand; the caller fills in execution times.
+func (j *Job) newTasks(nMap, nRed int) {
+	block := make([]Task, nMap+nRed)
+	j.MapTasks = make([]*Task, nMap)
+	j.ReduceTasks = make([]*Task, nRed)
+	fill := func(ptrs []*Task, tasks []Task, typ TaskType) {
+		for i := range ptrs {
+			tasks[i] = Task{ID: taskID(j.ID, typ, i+1), JobID: j.ID, Type: typ, Req: 1}
+			ptrs[i] = &tasks[i]
+		}
 	}
+	fill(j.MapTasks, block[:nMap], MapTask)
+	fill(j.ReduceTasks, block[nMap:], ReduceTask)
 }
 
 // assignSLA fills arrival, earliest start, and deadline on the job from the
