@@ -17,10 +17,13 @@ type Assignment struct {
 	Job      *workload.Job
 	Resource int
 	Start    int64 // ms
+	// Dur is the duration the task was planned with: its execution time
+	// scaled by the speed of Resource (sim.ScaledExec).
+	Dur int64 // ms
 }
 
 // End returns the task's completion time.
-func (a Assignment) End() int64 { return a.Start + a.Task.Exec }
+func (a Assignment) End() int64 { return a.Start + a.Dur }
 
 // Schedule is the result of a closed-system batch solve: the scenario of
 // the authors' preliminary work, where a fixed set of jobs is known ahead
@@ -45,21 +48,7 @@ type Schedule struct {
 // start times and deadlines are honored. The returned assignments are
 // sorted by start time.
 func SolveBatch(cluster sim.Cluster, jobs []*workload.Job, cfg Config) (*Schedule, error) {
-	if err := cluster.Validate(); err != nil {
-		return nil, err
-	}
-	work := make([]*jobWork, 0, len(jobs))
-	for _, j := range jobs {
-		if len(j.MapTasks) == 0 {
-			return nil, fmt.Errorf("core: job %d has no map tasks", j.ID)
-		}
-		work = append(work, &jobWork{
-			job:         j,
-			pendingMaps: j.MapTasks,
-			pendingReds: j.ReduceTasks,
-		})
-	}
-	bm, err := buildModel(cfg.Mode, 0, cluster, work, nil)
+	bm, err := buildBatchModel(cluster, jobs, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -75,53 +64,27 @@ func SolveBatch(cluster sim.Cluster, jobs []*workload.Job, cfg Config) (*Schedul
 		return nil, err
 	}
 
+	var mk *matchmaker
+	if bm.mode == ModeCombined {
+		mk = newMatchmaker(cluster.NumResources, cluster.MapSlots, cluster.ReduceSlots, new(Stats))
+	}
+	placed, err := bm.placements(&res, mk)
+	if err != nil {
+		return nil, err
+	}
 	sched := &Schedule{
-		Objective: res.Objective,
-		Optimal:   res.Status == cp.StatusOptimal,
-		SolveTime: res.SolveTime,
-		Nodes:     res.Nodes,
-		Search:    res.Search,
+		Assignments: make([]Assignment, len(placed)),
+		Objective:   res.Objective,
+		Optimal:     res.Status == cp.StatusOptimal,
+		SolveTime:   res.SolveTime,
+		Nodes:       res.Nodes,
+		Search:      res.Search,
 	}
-	jobByID := make(map[int]*workload.Job, len(jobs))
-	for _, j := range jobs {
-		jobByID[j.ID] = j
+	for i, a := range placed {
+		sched.Assignments[i] = Assignment{Task: a.task, Job: a.job, Resource: a.res, Start: a.start,
+			Dur: sim.ScaledExec(a.task.Exec, cluster.SpeedOf(a.res))}
 	}
-
-	switch cfg.Mode {
-	case ModeCombined:
-		var st Stats
-		mk := newMatchmaker(cluster.NumResources, cluster.MapSlots, cluster.ReduceSlots, &st)
-		type item struct {
-			task  *workload.Task
-			start int64
-		}
-		var items []item
-		for t, iv := range bm.byTask {
-			items = append(items, item{t, res.Starts[iv.ID()]})
-		}
-		sort.Slice(items, func(a, b int) bool {
-			if items[a].start != items[b].start {
-				return items[a].start < items[b].start
-			}
-			if items[a].task.Type != items[b].task.Type {
-				return items[a].task.Type == workload.MapTask
-			}
-			return items[a].task.ID < items[b].task.ID
-		})
-		for _, it := range items {
-			a := mk.place(it.task, it.start)
-			sched.Assignments = append(sched.Assignments, Assignment{
-				Task: it.task, Job: jobByID[it.task.JobID], Resource: a.res, Start: a.start,
-			})
-		}
-	case ModeDirect:
-		for t, iv := range bm.byTask {
-			sched.Assignments = append(sched.Assignments, Assignment{
-				Task: t, Job: jobByID[t.JobID], Resource: res.Res[iv.ID()], Start: res.Starts[iv.ID()],
-			})
-		}
-	}
-	sort.Slice(sched.Assignments, func(a, b int) bool {
+	sort.SliceStable(sched.Assignments, func(a, b int) bool {
 		if sched.Assignments[a].Start != sched.Assignments[b].Start {
 			return sched.Assignments[a].Start < sched.Assignments[b].Start
 		}
@@ -130,14 +93,14 @@ func SolveBatch(cluster sim.Cluster, jobs []*workload.Job, cfg Config) (*Schedul
 
 	// Recompute lateness from the final (possibly matchmaking-adjusted)
 	// assignments rather than trusting the CP objective.
-	complete := map[int]int64{}
+	complete := make(map[*workload.Job]int64, len(jobs))
 	for _, a := range sched.Assignments {
-		if a.End() > complete[a.Task.JobID] {
-			complete[a.Task.JobID] = a.End()
+		if a.End() > complete[a.Job] {
+			complete[a.Job] = a.End()
 		}
 	}
 	for _, j := range jobs {
-		if complete[j.ID] > j.Deadline {
+		if complete[j] > j.Deadline {
 			sched.LateJobs = append(sched.LateJobs, j.ID)
 		}
 	}
@@ -145,57 +108,90 @@ func SolveBatch(cluster sim.Cluster, jobs []*workload.Job, cfg Config) (*Schedul
 	return sched, nil
 }
 
+// buildBatchModel builds the closed-system model of a batch: every task of
+// every job pending at time 0 on a fully available cluster, in the
+// formulation the cluster calls for.
+func buildBatchModel(cluster sim.Cluster, jobs []*workload.Job, cfg Config) (*builtModel, error) {
+	if err := cluster.Validate(); err != nil {
+		return nil, err
+	}
+	work := make([]*jobWork, len(jobs))
+	for i, j := range jobs {
+		// A workflow job may live in the reduce pool alone; a MapReduce
+		// job needs a map phase.
+		if len(j.MapTasks) == 0 && !(j.TaskPrecedence && len(j.ReduceTasks) > 0) {
+			return nil, fmt.Errorf("core: job %d has no map tasks", j.ID)
+		}
+		work[i] = &jobWork{job: j, pendingMaps: j.MapTasks, pendingReds: j.ReduceTasks}
+	}
+	return buildModel(cfg.formulation(cluster), 0, cluster, work, nil)
+}
+
 // WriteBatchModelOPL builds the CP model a batch solve would use and
 // renders it in OPL-like syntax (the notation of the paper's Section IV)
 // for inspection, without solving it.
 func WriteBatchModelOPL(cluster sim.Cluster, jobs []*workload.Job, cfg Config, w io.Writer) error {
-	if err := cluster.Validate(); err != nil {
-		return err
-	}
-	work := make([]*jobWork, 0, len(jobs))
-	for _, j := range jobs {
-		work = append(work, &jobWork{job: j, pendingMaps: j.MapTasks, pendingReds: j.ReduceTasks})
-	}
-	bm, err := buildModel(cfg.Mode, 0, cluster, work, nil)
+	bm, err := buildBatchModel(cluster, jobs, cfg)
 	if err != nil {
 		return err
 	}
 	return bm.model.WriteOPL(w)
 }
 
-// Validate checks a schedule against the problem rules: capacities,
-// earliest starts, and reduce-after-map precedence. Useful for tests and
-// for callers that post-process schedules.
+// Validate checks a schedule against the problem rules on the cluster's
+// true machine-scaled durations: each assignment reports the duration its
+// resource gives it, per-resource map and reduce slot capacities, memory
+// capacity when the cluster has that dimension, earliest starts, and
+// precedence — per Task.Preds for TaskPrecedence jobs, reduce-after-all-maps
+// otherwise. Useful for tests and for callers that post-process schedules.
 func (s *Schedule) Validate(cluster sim.Cluster) error {
 	type ev struct {
 		at    int64
 		delta int64
 	}
-	mapEvs := make(map[int][]ev)
-	redEvs := make(map[int][]ev)
-	mapEnd := map[int]int64{}
+	// Per resource: map slots, reduce slots, memory.
+	loads := make([][3][]ev, cluster.NumResources)
+	caps := [3]int64{cluster.MapSlots, cluster.ReduceSlots, cluster.MemCapacity}
+	kinds := [3]string{"map", "reduce", "memory"}
+	taskEnd := make(map[*workload.Task]int64, len(s.Assignments))
+	mapEnd := map[*workload.Job]int64{}
 	for _, a := range s.Assignments {
+		if a.Resource < 0 || a.Resource >= cluster.NumResources {
+			return fmt.Errorf("core: task %s placed on unknown resource %d", a.Task.ID, a.Resource)
+		}
+		if want := sim.ScaledExec(a.Task.Exec, cluster.SpeedOf(a.Resource)); a.Dur != want {
+			return fmt.Errorf("core: task %s reports duration %d but runs %d on resource %d",
+				a.Task.ID, a.Dur, want, a.Resource)
+		}
 		if a.Start < a.Job.EarliestStart {
 			return fmt.Errorf("core: task %s starts before its job's earliest start", a.Task.ID)
 		}
-		if a.Task.Type == workload.MapTask {
-			mapEvs[a.Resource] = append(mapEvs[a.Resource],
-				ev{a.Start, a.Task.Req}, ev{a.End(), -a.Task.Req})
-			if a.End() > mapEnd[a.Task.JobID] {
-				mapEnd[a.Task.JobID] = a.End()
-			}
-		} else {
-			redEvs[a.Resource] = append(redEvs[a.Resource],
-				ev{a.Start, a.Task.Req}, ev{a.End(), -a.Task.Req})
+		taskEnd[a.Task] = a.End()
+		pool := 0
+		if a.Task.Type == workload.ReduceTask {
+			pool = 1
+		} else if a.End() > mapEnd[a.Job] {
+			mapEnd[a.Job] = a.End()
+		}
+		l := &loads[a.Resource]
+		l[pool] = append(l[pool], ev{a.Start, a.Task.Req}, ev{a.End(), -a.Task.Req})
+		if cluster.MemCapacity > 0 && a.Task.Mem > 0 {
+			l[2] = append(l[2], ev{a.Start, a.Task.Mem}, ev{a.End(), -a.Task.Mem})
 		}
 	}
 	for _, a := range s.Assignments {
-		if a.Task.Type == workload.ReduceTask && a.Start < mapEnd[a.Task.JobID] {
+		if a.Job.TaskPrecedence {
+			for _, p := range a.Task.Preds {
+				if a.Start < taskEnd[p] {
+					return fmt.Errorf("core: task %s starts before predecessor %s ends", a.Task.ID, p.ID)
+				}
+			}
+		} else if a.Task.Type == workload.ReduceTask && a.Start < mapEnd[a.Job] {
 			return fmt.Errorf("core: reduce task %s starts before its job's maps end", a.Task.ID)
 		}
 	}
-	check := func(evsByRes map[int][]ev, capacity int64, kind string) error {
-		for r, evs := range evsByRes {
+	for r := range loads {
+		for k, evs := range loads[r] {
 			sort.Slice(evs, func(i, j int) bool {
 				if evs[i].at != evs[j].at {
 					return evs[i].at < evs[j].at
@@ -205,15 +201,11 @@ func (s *Schedule) Validate(cluster sim.Cluster) error {
 			var load int64
 			for _, e := range evs {
 				load += e.delta
-				if load > capacity {
-					return fmt.Errorf("core: %s capacity of resource %d exceeded", kind, r)
+				if load > caps[k] {
+					return fmt.Errorf("core: %s capacity of resource %d exceeded", kinds[k], r)
 				}
 			}
 		}
-		return nil
 	}
-	if err := check(mapEvs, cluster.MapSlots, "map"); err != nil {
-		return err
-	}
-	return check(redEvs, cluster.ReduceSlots, "reduce")
+	return nil
 }

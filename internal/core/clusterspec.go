@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"mrcprm/internal/sim"
 )
@@ -30,10 +29,6 @@ type ResourceSpec struct {
 	// A task with nominal execution time e runs for sim.ScaledExec(e,
 	// SpeedFactor) milliseconds here. Must be > 0.
 	SpeedFactor float64
-	// Locality is an optional placement-preference weight (higher
-	// preferred); it only breaks exact completion-time ties in the CP
-	// search. Zero everywhere means no preference.
-	Locality float64
 }
 
 // Cluster materializes the spec as a sim.Cluster, normalizing an all-1.0
@@ -70,21 +65,6 @@ func (s ClusterSpec) Cluster() (sim.Cluster, error) {
 	return c, nil
 }
 
-// LocalityWeights returns the per-resource locality weights, or nil when no
-// resource declares a preference.
-func (s ClusterSpec) LocalityWeights() []float64 {
-	any := false
-	w := make([]float64, len(s.Resources))
-	for i, r := range s.Resources {
-		w[i] = r.Locality
-		any = any || r.Locality != 0
-	}
-	if !any {
-		return nil
-	}
-	return w
-}
-
 // TwoClassSpec builds the canonical heterogeneity experiment cluster: m
 // resources where the first half run at speed 1.0 and the second half at
 // 1/spread (spread >= 1; 1.0 yields a uniform cluster). Slot counts follow
@@ -103,23 +83,4 @@ func TwoClassSpec(m int, mapSlots, reduceSlots int64, spread float64) ClusterSpe
 		s.Resources[i] = ResourceSpec{SpeedFactor: speed}
 	}
 	return s
-}
-
-// localityRank converts locality weights into the cp.Params.ResRank
-// preference order: resources sorted by descending weight, index breaking
-// ties, so rank[r] is r's position in that order. Nil weights rank nil.
-func localityRank(weights []float64) []int {
-	if len(weights) == 0 {
-		return nil
-	}
-	idx := make([]int, len(weights))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return weights[idx[a]] > weights[idx[b]] })
-	rank := make([]int, len(weights))
-	for pos, r := range idx {
-		rank[r] = pos
-	}
-	return rank
 }

@@ -83,27 +83,3 @@ func TestTwoClassSpec(t *testing.T) {
 		t.Fatal("spread-1 spec must build the plain uniform cluster")
 	}
 }
-
-func TestLocalityWeightsAndRank(t *testing.T) {
-	spec := ClusterSpec{
-		Resources: []ResourceSpec{{SpeedFactor: 1}, {SpeedFactor: 1}},
-		MapSlots:  1, ReduceSlots: 1,
-	}
-	if w := spec.LocalityWeights(); w != nil {
-		t.Fatalf("all-zero locality must return nil, got %v", w)
-	}
-	spec.Resources[1].Locality = 2
-	if w := spec.LocalityWeights(); !reflect.DeepEqual(w, []float64{0, 2}) {
-		t.Fatalf("locality weights %v, want [0 2]", w)
-	}
-	if r := localityRank(nil); r != nil {
-		t.Fatalf("nil weights must rank nil, got %v", r)
-	}
-	// Highest weight ranks first; equal weights keep index order.
-	if r := localityRank([]float64{0, 2, 1}); !reflect.DeepEqual(r, []int{2, 0, 1}) {
-		t.Fatalf("rank %v, want [2 0 1]", r)
-	}
-	if r := localityRank([]float64{1, 1}); !reflect.DeepEqual(r, []int{0, 1}) {
-		t.Fatalf("tied rank %v, want [0 1]", r)
-	}
-}

@@ -94,11 +94,6 @@ type Config struct {
 	// Retry is the canonical fault-recovery budget (per-task retry cap,
 	// per-job retry budget) shared with every other policy via rmkit.
 	Retry rmkit.RetryPolicy
-	// StrictSolveLimits forwards cp.Params.StrictLimits: the solver may
-	// then return no solution when its budget expires before the first
-	// descent completes, exercising the greedy fallback path. The default
-	// (false) lets every solve finish its first greedy solution.
-	StrictSolveLimits bool
 	// WarmStart seeds every CP solve's incumbent from the currently
 	// installed timetable (cp.Params.Hint): surviving tasks aim at their
 	// previous starts, so the solver opens near the prior objective and
@@ -124,14 +119,19 @@ type Config struct {
 	// experiment — the manager only learns about slow machines reactively,
 	// through slowdown replans. No effect on uniform clusters.
 	SpeedBlind bool
-	// Locality optionally weights resources by placement preference (one
-	// weight per resource, higher preferred). It is forwarded to the CP
-	// search as a tie-break rank: when two resources offer the same
-	// earliest completion for a task, the higher-weighted one wins instead
-	// of the lower-indexed one. Nil (the default) keeps the historical
-	// index tie-break. Preferences never override completion times, so
-	// they cannot make schedules worse.
-	Locality []float64
+}
+
+// formulation returns the model formulation for the planning cluster: the
+// configured mode, except that combined mode — whose single-resource
+// relaxation assumes interchangeable unit slots — gives way to the direct
+// formulation when the cluster is heterogeneous or memory-constrained. It
+// is the one place the choice is made; buildModel records it on the model
+// for the read-back and the greedy fallback.
+func (c Config) formulation(plan sim.Cluster) SolveMode {
+	if plan.Heterogeneous() || plan.MemCapacity > 0 {
+		return ModeDirect
+	}
+	return c.Mode
 }
 
 // DefaultConfig returns the configuration used by the experiments: combined

@@ -7,20 +7,28 @@ import (
 	"mrcprm/internal/workload"
 )
 
+// strictManager returns a manager whose solves honour their budget even
+// before a first solution exists (the strictLimits test hook).
+func strictManager(cluster sim.Cluster, cfg Config) *Manager {
+	mgr := New(cluster, cfg)
+	mgr.strictLimits = true
+	return mgr
+}
+
 // A CP solver failure must never terminate a run: the manager falls back to
 // the greedy EDF placer and the simulation completes every job. StrictLimits
 // plus a one-node budget guarantees every solve returns no solution.
 func TestSolverFailureFallsBackToGreedy(t *testing.T) {
 	cluster := sim.Cluster{NumResources: 2, MapSlots: 2, ReduceSlots: 2}
 	cfg := deterministicConfig()
-	cfg.StrictSolveLimits = true
 	cfg.NodeLimit = 1
 	var jobs []*workload.Job
 	for i := 0; i < 6; i++ {
 		jobs = append(jobs, mkJob(i, int64(i)*1000, int64(i)*1000, 400_000,
 			[]int64{4000, 3000}, []int64{5000}))
 	}
-	m, mgr := runJobs(t, cluster, cfg, jobs)
+	mgr := strictManager(cluster, cfg)
+	m := runManager(t, cluster, mgr, jobs)
 	st := mgr.Stats()
 	if st.FallbackRounds == 0 {
 		t.Fatal("expected greedy fallback rounds, solver succeeded under a 1-node strict budget")
@@ -36,14 +44,14 @@ func TestSolverFailureFallbackDirectMode(t *testing.T) {
 	cluster := sim.Cluster{NumResources: 2, MapSlots: 2, ReduceSlots: 2}
 	cfg := deterministicConfig()
 	cfg.Mode = ModeDirect
-	cfg.StrictSolveLimits = true
 	cfg.NodeLimit = 1
 	var jobs []*workload.Job
 	for i := 0; i < 4; i++ {
 		jobs = append(jobs, mkJob(i, int64(i)*2000, int64(i)*2000, 400_000,
 			[]int64{4000}, []int64{3000}))
 	}
-	m, mgr := runJobs(t, cluster, cfg, jobs)
+	mgr := strictManager(cluster, cfg)
+	m := runManager(t, cluster, mgr, jobs)
 	if mgr.Stats().FallbackRounds == 0 {
 		t.Fatal("expected greedy fallback rounds in direct mode")
 	}

@@ -18,7 +18,7 @@ import (
 // degraded, not dead.
 
 // greedyFallback installs an EDF schedule for all pending work.
-func (m *Manager) greedyFallback(ctx sim.Context, now int64, work []*jobWork, down []bool) error {
+func (m *Manager) greedyFallback(ctx sim.Context, mode SolveMode, now int64, work []*jobWork, down []bool) error {
 	ordered := append([]*jobWork(nil), work...)
 	sort.SliceStable(ordered, func(a, b int) bool {
 		if ordered[a].job.Deadline != ordered[b].job.Deadline {
@@ -26,7 +26,7 @@ func (m *Manager) greedyFallback(ctx sim.Context, now int64, work []*jobWork, do
 		}
 		return ordered[a].job.ID < ordered[b].job.ID
 	})
-	if m.cfg.Mode == ModeCombined {
+	if mode == ModeCombined {
 		return m.greedyCombined(ctx, now, ordered, down)
 	}
 	return m.greedyDirect(ctx, now, ordered, down)
@@ -36,20 +36,9 @@ func (m *Manager) greedyFallback(ctx sim.Context, now int64, work []*jobWork, do
 // pinned on their remembered unit slots, then pending tasks go wherever
 // they fit first.
 func (m *Manager) greedyCombined(ctx sim.Context, now int64, ordered []*jobWork, down []bool) error {
-	mk := newMatchmaker(m.cluster.NumResources, m.cluster.MapSlots, m.cluster.ReduceSlots, &m.stats)
-	for r, d := range down {
-		if d {
-			mk.blockResource(r, now)
-		}
-	}
-	for _, w := range ordered {
-		for _, f := range append(append([]frozenTask(nil), w.frozenMaps...), w.frozenReds...) {
-			slot, ok := m.unitSlot[f.task]
-			if !ok {
-				return fmt.Errorf("core: started task %s has no remembered unit slot", f.task.ID)
-			}
-			mk.pin(f.task, slot, f.start, f.exec)
-		}
+	mk, err := m.roundMatchmaker(now, ordered, down)
+	if err != nil {
+		return err
 	}
 	for _, w := range ordered {
 		est := w.job.EarliestStart
@@ -57,7 +46,7 @@ func (m *Manager) greedyCombined(ctx sim.Context, now int64, ordered []*jobWork,
 			est = now
 		}
 		for _, t := range append(append([]*workload.Task(nil), w.pendingMaps...), w.pendingReds...) {
-			a := mk.place(t, est)
+			a := mk.place(t, est, w.job.TaskPrecedence)
 			m.unitSlot[t] = a.slot
 			if err := ctx.Schedule(t, a.res, a.start); err != nil {
 				return err
@@ -193,7 +182,7 @@ func (m *Manager) greedyDirect(ctx sim.Context, now int64, ordered []*jobWork, d
 		}
 		for _, t := range append(append([]*workload.Task(nil), w.pendingMaps...), w.pendingReds...) {
 			lb := est
-			if len(t.Preds) > 0 {
+			if w.job.TaskPrecedence {
 				for _, p := range t.Preds {
 					if end := taskEnd[p]; end > lb {
 						lb = end

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"mrcprm/internal/cp"
@@ -21,9 +20,6 @@ type Manager struct {
 	// and the greedy fallback all read this; the simulation's own cluster
 	// (ctx.Cluster()) keeps the true speeds.
 	cluster sim.Cluster
-	// resRank is the locality tie-break order forwarded to the CP search
-	// (nil without Config.Locality).
-	resRank []int
 
 	// jobs owns per-job lifecycle state (retries, abandonment) in arrival
 	// order for deterministic iteration; the kernel's pending queues stay
@@ -46,27 +42,26 @@ type Manager struct {
 	// Unlike telemetry it works without a sink; the SLA attribution
 	// monitor uses it to mark solver-degradation windows.
 	onReschedule func(now int64, reason string, fallback bool)
+	// strictLimits is a test hook forwarding cp.Params.StrictLimits: the
+	// solver may then return no solution when its budget expires before the
+	// first descent completes, which is how tests reach the greedy fallback.
+	strictLimits bool
 }
 
 // New creates an MRCP-RM manager for the cluster. Two normalizations
 // happen here so the rest of the manager never special-cases them: a
 // SpeedBlind manager plans against a uniform view of the cluster (the
-// simulation still runs true machine speeds), and combined mode — whose
-// single-resource relaxation assumes interchangeable unit slots — upgrades
-// itself to the direct formulation when the planning cluster is
-// heterogeneous or memory-constrained.
+// simulation still runs true machine speeds), and cfg.Mode becomes the
+// formulation that planning view calls for (see Config.formulation).
 func New(cluster sim.Cluster, cfg Config) *Manager {
 	plan := cluster
 	if cfg.SpeedBlind {
 		plan.Speed = nil
 	}
-	if cfg.Mode == ModeCombined && (plan.Heterogeneous() || plan.MemCapacity > 0) {
-		cfg.Mode = ModeDirect
-	}
+	cfg.Mode = cfg.formulation(plan)
 	return &Manager{
 		cfg:      cfg,
 		cluster:  plan,
-		resRank:  localityRank(cfg.Locality),
 		jobs:     rmkit.NewTracker(nil),
 		unitSlot: make(map[*workload.Task]int),
 	}
@@ -300,12 +295,20 @@ func (m *Manager) OnTaskFailed(ctx sim.Context, t *workload.Task, _ int) error {
 // the down resource.
 func (m *Manager) OnResourceDown(ctx sim.Context, _ int, killed, _ []*workload.Task) error {
 	started := time.Now()
-	for _, t := range killed {
+	// Resolve every kill before charging any: when one outage kills two
+	// attempts of a job, charging the first can abandon and retire the job,
+	// and the second must then count as drained (chargeRetry skips an
+	// abandoned job), not as a kill for a job the manager never admitted.
+	states := make([]*rmkit.JobState, len(killed))
+	for i, t := range killed {
 		js, ok := m.jobs.ByID(t.JobID)
 		if !ok {
 			return fmt.Errorf("core: outage kill for unknown task %s", t.ID)
 		}
-		if err := m.chargeRetry(ctx, js, t); err != nil {
+		states[i] = js
+	}
+	for i, t := range killed {
+		if err := m.chargeRetry(ctx, states[i], t); err != nil {
 			return err
 		}
 	}
@@ -451,7 +454,7 @@ func (m *Manager) reschedule(ctx sim.Context, reason string) error {
 		// Table 2 line 24 would reject the job; a production manager must
 		// keep placing work instead, so degrade to the greedy fallback.
 		m.stats.FallbackRounds++
-		err := m.greedyFallback(ctx, now, work, down)
+		err := m.greedyFallback(ctx, bm.mode, now, work, down)
 		if telOn {
 			m.tel.Add("manager_fallbacks", 1)
 			sp.End(obs.Str("status", "fallback"), obs.Bool("fallback", true),
@@ -466,12 +469,7 @@ func (m *Manager) reschedule(ctx sim.Context, reason string) error {
 	}
 	m.stats.LateBound += res.Objective
 
-	switch m.cfg.Mode {
-	case ModeCombined:
-		err = m.installCombined(ctx, bm, &res, work)
-	default:
-		err = m.installDirect(ctx, bm, &res)
-	}
+	err = m.install(ctx, bm, &res, work, down)
 	if telOn {
 		sp.End(obs.Str("status", res.Status.String()), obs.Bool("fallback", false),
 			obs.Bool("limit_hit", res.Search.LimitHit()),
@@ -584,9 +582,8 @@ func (m *Manager) solve(bm *builtModel, hint *cp.Hint) (res cp.Result, err error
 		TimeLimit:    m.cfg.SolveTimeLimit,
 		NodeLimit:    m.cfg.NodeLimit,
 		Ordering:     m.cfg.Ordering,
-		StrictLimits: m.cfg.StrictSolveLimits,
+		StrictLimits: m.strictLimits,
 		Hint:         hint,
-		ResRank:      m.resRank,
 	})
 	return solver.Solve(), nil
 }
@@ -597,11 +594,11 @@ func (m *Manager) solve(bm *builtModel, hint *cp.Hint) (res cp.Result, err error
 // nil is returned when nothing survives to hint from.
 func buildHint(ctx sim.Context, bm *builtModel) *cp.Hint {
 	var h *cp.Hint
-	for t, iv := range bm.byTask {
-		if bm.frozen[t] {
+	for _, mt := range bm.tasks {
+		if mt.frozen {
 			continue
 		}
-		res, start, ok := ctx.Placement(t)
+		res, start, ok := ctx.Placement(mt.task)
 		if !ok {
 			continue
 		}
@@ -613,8 +610,8 @@ func buildHint(ctx sim.Context, bm *builtModel) *cp.Hint {
 				h.Res[i] = -1
 			}
 		}
-		h.Starts[iv.ID()] = start
-		h.Res[iv.ID()] = res
+		h.Starts[mt.iv.ID()] = start
+		h.Res[mt.iv.ID()] = res
 	}
 	return h
 }
@@ -668,83 +665,53 @@ func (m *Manager) collectWork(ctx sim.Context) []*jobWork {
 	return work
 }
 
-// installCombined runs the Section V.D matchmaking over the combined
-// schedule and installs placements into the simulator.
-func (m *Manager) installCombined(ctx sim.Context, bm *builtModel, res *cp.Result, work []*jobWork) error {
-	mk := newMatchmaker(m.cluster.NumResources, m.cluster.MapSlots, m.cluster.ReduceSlots, &m.stats)
-	for r := 0; r < m.cluster.NumResources; r++ {
-		if ctx.ResourceDown(r) {
-			mk.blockResource(r, ctx.Now())
+// install writes the solved timetable into the simulator: combined-mode
+// rounds run the Section V.D matchmaking around the running tasks and
+// remember each placed task's unit slot, direct-mode rounds take resources
+// straight off the solution (see placements).
+func (m *Manager) install(ctx sim.Context, bm *builtModel, res *cp.Result, work []*jobWork, down []bool) error {
+	var mk *matchmaker
+	if bm.mode == ModeCombined {
+		var err error
+		if mk, err = m.roundMatchmaker(ctx.Now(), work, down); err != nil {
+			return err
 		}
 	}
-
-	// Pin running tasks to the unit slots they were given earlier.
-	for _, w := range work {
-		for _, frozen := range [2][]frozenTask{w.frozenMaps, w.frozenReds} {
-			for _, f := range frozen {
-				slot, ok := m.unitSlot[f.task]
-				if !ok {
-					return fmt.Errorf("core: started task %s has no remembered unit slot", f.task.ID)
-				}
-				mk.pin(f.task, slot, f.start, f.exec)
-			}
-		}
+	placed, err := bm.placements(res, mk)
+	if err != nil {
+		return err
 	}
-
-	// Place schedulable tasks in start order (maps break ties before
-	// reduces so same-job precedence survives slips).
-	type placed struct {
-		task  *workload.Task
-		start int64
-	}
-	var toPlace []placed
-	for t, iv := range bm.byTask {
-		if bm.frozen[t] {
-			continue
+	for _, a := range placed {
+		if mk != nil {
+			m.unitSlot[a.task] = a.slot
 		}
-		toPlace = append(toPlace, placed{task: t, start: res.Starts[iv.ID()]})
-	}
-	sort.Slice(toPlace, func(a, b int) bool {
-		if toPlace[a].start != toPlace[b].start {
-			return toPlace[a].start < toPlace[b].start
-		}
-		if toPlace[a].task.Type != toPlace[b].task.Type {
-			return toPlace[a].task.Type == workload.MapTask
-		}
-		return toPlace[a].task.ID < toPlace[b].task.ID
-	})
-	for _, p := range toPlace {
-		a := mk.place(p.task, p.start)
-		m.unitSlot[p.task] = a.slot
-		if err := ctx.Schedule(p.task, a.res, a.start); err != nil {
+		if err := ctx.Schedule(a.task, a.res, a.start); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// installDirect reads resource assignments straight off the CP solution.
-func (m *Manager) installDirect(ctx sim.Context, bm *builtModel, res *cp.Result) error {
-	// Deterministic install order.
-	type item struct {
-		task *workload.Task
-		iv   *cp.Interval
-	}
-	var items []item
-	for t, iv := range bm.byTask {
-		if !bm.frozen[t] {
-			items = append(items, item{t, iv})
+// roundMatchmaker returns a matchmaker over the planning cluster with every
+// down resource blocked from now on and every running task pinned to the
+// unit slot it was given in an earlier round.
+func (m *Manager) roundMatchmaker(now int64, work []*jobWork, down []bool) (*matchmaker, error) {
+	mk := newMatchmaker(m.cluster.NumResources, m.cluster.MapSlots, m.cluster.ReduceSlots, &m.stats)
+	for r, d := range down {
+		if d {
+			mk.blockResource(r, now)
 		}
 	}
-	sort.Slice(items, func(a, b int) bool { return items[a].task.ID < items[b].task.ID })
-	for _, it := range items {
-		r := res.Res[it.iv.ID()]
-		if r < 0 {
-			return fmt.Errorf("core: task %s has no resource in direct solution", it.task.ID)
-		}
-		if err := ctx.Schedule(it.task, r, res.Starts[it.iv.ID()]); err != nil {
-			return err
+	for _, w := range work {
+		for _, frozen := range [2][]frozenTask{w.frozenMaps, w.frozenReds} {
+			for _, f := range frozen {
+				slot, ok := m.unitSlot[f.task]
+				if !ok {
+					return nil, fmt.Errorf("core: started task %s has no remembered unit slot", f.task.ID)
+				}
+				mk.pin(f.task, slot, f.start, f.exec)
+			}
 		}
 	}
-	return nil
+	return mk, nil
 }

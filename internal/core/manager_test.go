@@ -39,6 +39,12 @@ func deterministicConfig() Config {
 func runJobs(t *testing.T, cluster sim.Cluster, cfg Config, jobs []*workload.Job) (*sim.Metrics, *Manager) {
 	t.Helper()
 	mgr := New(cluster, cfg)
+	return runManager(t, cluster, mgr, jobs), mgr
+}
+
+// runManager drives the jobs to completion under an already built manager.
+func runManager(t *testing.T, cluster sim.Cluster, mgr *Manager, jobs []*workload.Job) *sim.Metrics {
+	t.Helper()
 	s, err := sim.New(cluster, mgr, jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +56,7 @@ func runJobs(t *testing.T, cluster sim.Cluster, cfg Config, jobs []*workload.Job
 	if m.JobsCompleted != len(jobs) {
 		t.Fatalf("completed %d of %d jobs", m.JobsCompleted, len(jobs))
 	}
-	return m, mgr
+	return m
 }
 
 func TestSingleJobOptimalSchedule(t *testing.T) {

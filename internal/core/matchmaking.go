@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 
+	"mrcprm/internal/cp"
 	"mrcprm/internal/workload"
 )
 
@@ -95,12 +97,53 @@ func (s *slotTimeline) insert(from, to int64) {
 	s.busy[i] = busySpan{from, to}
 }
 
-// assignment is the matchmaking output for one task.
+// assignment is one task's place in the timetable being installed.
 type assignment struct {
 	task  *workload.Task
+	job   *workload.Job
 	res   int   // resource index for the simulator
-	slot  int   // unit slot index (persisted for pinning after start)
+	slot  int   // unit slot index (persisted for pinning after start); -1 in direct mode
 	start int64 // possibly slipped
+}
+
+// placements is the one reader of a CP solution: it turns res into the
+// placement of every non-frozen model task, in install order. Combined
+// models are matched onto unit slots by mk in start order (maps before
+// reduces on ties, so same-job precedence survives slips; then task ID);
+// direct models carry their resources in the solution and are read in task
+// ID order, mk unused. Task IDs are unique per job only, so both sorts are
+// stable and model order breaks the ties that remain.
+func (bm *builtModel) placements(res *cp.Result, mk *matchmaker) ([]assignment, error) {
+	out := make([]assignment, 0, len(bm.tasks))
+	for _, mt := range bm.tasks {
+		if !mt.frozen {
+			id := mt.iv.ID()
+			out = append(out, assignment{task: mt.task, job: mt.job, res: res.Res[id], slot: -1, start: res.Starts[id]})
+		}
+	}
+	if bm.mode == ModeDirect {
+		sort.SliceStable(out, func(a, b int) bool { return out[a].task.ID < out[b].task.ID })
+		for _, a := range out {
+			if a.res < 0 {
+				return nil, fmt.Errorf("core: task %s has no resource in direct solution", a.task.ID)
+			}
+		}
+		return out, nil
+	}
+	sort.SliceStable(out, func(a, b int) bool {
+		if out[a].start != out[b].start {
+			return out[a].start < out[b].start
+		}
+		if out[a].task.Type != out[b].task.Type {
+			return out[a].task.Type == workload.MapTask
+		}
+		return out[a].task.ID < out[b].task.ID
+	})
+	for i, a := range out {
+		out[i] = mk.place(a.task, a.start, a.job.TaskPrecedence)
+		out[i].job = a.job
+	}
+	return out, nil
 }
 
 // matchmaker runs one round of the two-phase mapping.
@@ -173,13 +216,13 @@ func (mk *matchmaker) resourceOf(tt workload.TaskType, slot int) int {
 
 // place maps one task (in non-decreasing start order across calls) onto a
 // unit slot, preferring the best-gap slot at the task's assigned start and
-// slipping forward only when no slot is free.
-func (mk *matchmaker) place(t *workload.Task, start int64) assignment {
-	if len(t.Preds) > 0 {
-		// Task-level precedence (workflow jobs): wait for the possibly
-		// slipped ends of the predecessors placed this round or pinned.
-		// Completed predecessors are absent from taskEnd and ended at or
-		// before now <= start.
+// slipping forward only when no slot is free. taskPrec says the task's job
+// uses task-level precedence (workload.Job.TaskPrecedence).
+func (mk *matchmaker) place(t *workload.Task, start int64, taskPrec bool) assignment {
+	if taskPrec {
+		// Workflow jobs: wait for the possibly slipped ends of the
+		// predecessors placed this round or pinned. Completed predecessors
+		// are absent from taskEnd and ended at or before now <= start.
 		for _, p := range t.Preds {
 			if end := mk.taskEnd[p]; end > start {
 				start = end

@@ -121,7 +121,7 @@ func TestMatchmakerBestGapChoice(t *testing.T) {
 	mk.mapSlots[0].insert(2, 10)
 	mk.mapSlots[1].insert(5, 8)
 	task := &workload.Task{ID: "t", JobID: 0, Type: workload.MapTask, Exec: 4, Req: 1}
-	a := mk.place(task, 11)
+	a := mk.place(task, 11, false)
 	if a.slot != 0 || a.start != 11 {
 		t.Fatalf("placed on slot %d at %d, want slot 0 at 11", a.slot, a.start)
 	}
@@ -135,7 +135,7 @@ func TestMatchmakerSlipFallback(t *testing.T) {
 	mk := newMatchmaker(1, 1, 1, &st)
 	mk.mapSlots[0].insert(0, 100)
 	task := &workload.Task{ID: "t", JobID: 0, Type: workload.MapTask, Exec: 10, Req: 1}
-	a := mk.place(task, 50) // no room until 100
+	a := mk.place(task, 50, false) // no room until 100
 	if a.start != 100 {
 		t.Fatalf("slipped start %d, want 100", a.start)
 	}
@@ -150,11 +150,11 @@ func TestMatchmakerReduceWaitsForSlippedMaps(t *testing.T) {
 	mk.mapSlots[0].insert(0, 100) // pinned blocker
 	mapTask := &workload.Task{ID: "m", JobID: 7, Type: workload.MapTask, Exec: 10, Req: 1}
 	redTask := &workload.Task{ID: "r", JobID: 7, Type: workload.ReduceTask, Exec: 5, Req: 1}
-	am := mk.place(mapTask, 50) // slips to 100, ends 110
+	am := mk.place(mapTask, 50, false) // slips to 100, ends 110
 	if am.start != 100 {
 		t.Fatalf("map start %d", am.start)
 	}
-	ar := mk.place(redTask, 60) // CP said 60, but the map now ends at 110
+	ar := mk.place(redTask, 60, false) // CP said 60, but the map now ends at 110
 	if ar.start != 110 {
 		t.Fatalf("reduce start %d, want 110 (after slipped map)", ar.start)
 	}
@@ -166,7 +166,7 @@ func TestMatchmakerPinnedTasksBlockSlots(t *testing.T) {
 	running := &workload.Task{ID: "run", JobID: 1, Type: workload.MapTask, Exec: 100, Req: 1}
 	mk.pin(running, 0, 0, running.Exec) // unit slot 0 busy [0,100)
 	task := &workload.Task{ID: "new", JobID: 2, Type: workload.MapTask, Exec: 50, Req: 1}
-	a := mk.place(task, 0)
+	a := mk.place(task, 0, false)
 	if a.slot != 1 || a.start != 0 {
 		t.Fatalf("placed slot %d at %d, want free slot 1 at 0", a.slot, a.start)
 	}

@@ -9,16 +9,24 @@ import (
 )
 
 // builtModel couples a cp.Model with the bookkeeping needed to read the
-// solution back out.
+// solution back out (see placements).
 type builtModel struct {
 	model *cp.Model
-	// byTask maps each incomplete task to its interval.
-	byTask map[*workload.Task]*cp.Interval
-	// frozen marks tasks that have started executing: their start (and, in
-	// direct mode, resource) is pinned and they are not re-installed.
-	frozen map[*workload.Task]bool
-	// lates maps each job to its N_j indicator.
-	lates map[*workload.Job]*cp.Bool
+	// mode is the formulation the model was built in; the read-back and the
+	// greedy fallback follow it.
+	mode SolveMode
+	// tasks lists every modeled task in interval order: tasks[i].iv.ID() == i.
+	tasks []modelTask
+}
+
+// modelTask is one incomplete task of the model.
+type modelTask struct {
+	task *workload.Task
+	job  *workload.Job
+	iv   *cp.Interval
+	// frozen marks a task that has started executing: its start (and, in
+	// direct mode, resource) is pinned and it is not re-installed.
+	frozen bool
 }
 
 // jobWork is the schedulable remainder of one job.
@@ -48,42 +56,37 @@ type frozenTask struct {
 	exec int64
 }
 
-// buildModel constructs the Table 1 CP formulation over the given work.
-// now is the invocation time; cluster describes the system component;
-// down flags resources currently in an outage, which must receive no new
-// work (nil means all up).
+// buildModel constructs the Table 1 CP formulation over the given work in
+// the given formulation (see Config.formulation). now is the invocation
+// time; cluster describes the system component; down flags resources
+// currently in an outage, which must receive no new work (nil means all up).
 func buildModel(mode SolveMode, now int64, cluster sim.Cluster, work []*jobWork, down []bool) (*builtModel, error) {
 	hetero := cluster.Heterogeneous()
 	memOn := cluster.MemCapacity > 0
 	if mode == ModeCombined && (hetero || memOn) {
 		// The combined single-resource relaxation assumes interchangeable
 		// unit slots; machine speeds and a second capacity dimension need
-		// the per-resource formulation (the manager upgrades the mode
-		// before ever getting here).
+		// the per-resource formulation (Config.formulation picks it before
+		// ever getting here).
 		return nil, fmt.Errorf("core: combined mode cannot model a heterogeneous or memory-constrained cluster")
 	}
 	horizon := horizonFor(now, cluster, work)
 	m := cp.NewModel(horizon)
-	bm := &builtModel{
-		model:  m,
-		byTask: make(map[*workload.Task]*cp.Interval),
-		frozen: make(map[*workload.Task]bool),
-		lates:  make(map[*workload.Job]*cp.Bool),
+	var nMap, nRed int
+	for _, w := range work {
+		nMap += len(w.pendingMaps) + len(w.frozenMaps)
+		nRed += len(w.pendingReds) + len(w.frozenReds)
 	}
+	bm := &builtModel{model: m, mode: mode, tasks: make([]modelTask, 0, nMap+nRed)}
 
 	numRes := cluster.NumResources
-	var mapTasks, redTasks []*cp.Interval // combined-mode cumulative members
-	perResMap := make([][]*cp.Interval, numRes)
-	perResRed := make([][]*cp.Interval, numRes)
-	// Memory cumulative members: map and reduce tasks share one node-wide
-	// memory pool per resource, so there is a single member list (and a
-	// parallel demand vector) per resource.
-	var perResMem [][]*cp.Interval
-	var perResMemDem [][]int64
-	if memOn {
-		perResMem = make([][]*cp.Interval, numRes)
-		perResMemDem = make([][]int64, numRes)
-	}
+	// Cumulative members per slot pool, plus the tasks with a memory demand
+	// and that demand. Direct mode posts one cumulative per resource over
+	// the same lists: every task is an optional member everywhere.
+	mapTasks := make([]*cp.Interval, 0, nMap)
+	redTasks := make([]*cp.Interval, 0, nRed)
+	var memTasks []*cp.Interval
+	var memDem []int64
 
 	var lates []*cp.Bool
 	for _, w := range work {
@@ -92,12 +95,7 @@ func buildModel(mode SolveMode, now int64, cluster sim.Cluster, work []*jobWork,
 		if est < now {
 			est = now // Table 2 lines 1-4: outdated earliest start times advance to now
 		}
-		var mapIvs, redIvs []*cp.Interval
-		type taskIv struct {
-			task *workload.Task
-			iv   *cp.Interval
-		}
-		var jobTasks []taskIv // creation order, for deterministic constraint posting
+		first := len(bm.tasks) // the job's tasks are bm.tasks[first:]
 
 		addTask := func(t *workload.Task, fz *frozenTask) (*cp.Interval, error) {
 			if mode == ModeCombined && t.Req != 1 {
@@ -138,20 +136,16 @@ func buildModel(mode SolveMode, now int64, cluster sim.Cluster, work []*jobWork,
 					return nil, fmt.Errorf("core: frozen task %s at %d beyond horizon", t.ID, fz.start)
 				}
 				m.FixStart(iv, fz.start)
-				bm.frozen[t] = true
 			} else {
 				m.SetStartBounds(iv, est, horizon-dur)
 			}
-			bm.byTask[t] = iv
-			jobTasks = append(jobTasks, taskIv{t, iv})
-			switch mode {
-			case ModeCombined:
-				if t.Type == workload.MapTask {
-					mapTasks = append(mapTasks, iv)
-				} else {
-					redTasks = append(redTasks, iv)
-				}
-			case ModeDirect:
+			bm.tasks = append(bm.tasks, modelTask{task: t, job: j, iv: iv, frozen: fz != nil})
+			if t.Type == workload.MapTask {
+				mapTasks = append(mapTasks, iv)
+			} else {
+				redTasks = append(redTasks, iv)
+			}
+			if mode == ModeDirect {
 				rv := m.NewResVar(iv, numRes)
 				if fz != nil {
 					m.FixRes(rv, fz.res)
@@ -165,21 +159,15 @@ func buildModel(mode SolveMode, now int64, cluster sim.Cluster, work []*jobWork,
 						m.SetResDurations(iv, durs)
 					}
 				}
-				for r := 0; r < numRes; r++ {
-					if t.Type == workload.MapTask {
-						perResMap[r] = append(perResMap[r], iv)
-					} else {
-						perResRed[r] = append(perResRed[r], iv)
-					}
-					if memOn && t.Mem > 0 {
-						perResMem[r] = append(perResMem[r], iv)
-						perResMemDem[r] = append(perResMemDem[r], t.Mem)
-					}
+				if memOn && t.Mem > 0 {
+					memTasks = append(memTasks, iv)
+					memDem = append(memDem, t.Mem)
 				}
 			}
 			return iv, nil
 		}
 
+		var mapIvs, redIvs []*cp.Interval
 		for _, t := range w.pendingMaps {
 			iv, err := addTask(t, nil)
 			if err != nil {
@@ -215,24 +203,27 @@ func buildModel(mode SolveMode, now int64, cluster sim.Cluster, work []*jobWork,
 			// instead of the two-phase barrier. Completed predecessors
 			// ended at or before now, which every new start respects, so
 			// only incomplete predecessors constrain.
-			incompleteSucc := make(map[*workload.Task]bool)
-			for _, ti := range jobTasks {
-				for _, p := range ti.task.Preds {
-					incompleteSucc[p] = true
-				}
+			jobTasks := bm.tasks[first:]
+			index := make(map[*workload.Task]int, len(jobTasks))
+			for i, mt := range jobTasks {
+				index[mt.task] = i
 			}
-			for _, ti := range jobTasks {
+			hasSucc := make([]bool, len(jobTasks))
+			for _, mt := range jobTasks {
 				var preds []*cp.Interval
-				for _, p := range ti.task.Preds {
-					if piv, ok := bm.byTask[p]; ok {
-						preds = append(preds, piv)
+				for _, p := range mt.task.Preds {
+					if pi, ok := index[p]; ok {
+						preds = append(preds, jobTasks[pi].iv)
+						hasSucc[pi] = true
 					}
 				}
 				if len(preds) > 0 {
-					m.AddMaxEndBeforeStart(preds, ti.iv)
+					m.AddMaxEndBeforeStart(preds, mt.iv)
 				}
-				if !incompleteSucc[ti.task] {
-					terminals = append(terminals, ti.iv)
+			}
+			for i, mt := range jobTasks {
+				if !hasSucc[i] {
+					terminals = append(terminals, mt.iv)
 				}
 			}
 		} else {
@@ -250,7 +241,6 @@ func buildModel(mode SolveMode, now int64, cluster sim.Cluster, work []*jobWork,
 		if len(terminals) > 0 && !w.ghost {
 			late := m.NewBool(fmt.Sprintf("late_%d", j.ID))
 			m.AddLateness(terminals, j.Deadline, late)
-			bm.lates[j] = late
 			lates = append(lates, late)
 		}
 	}
@@ -259,14 +249,14 @@ func buildModel(mode SolveMode, now int64, cluster sim.Cluster, work []*jobWork,
 	// the combined capacity (its unit slots are also blocked during the
 	// matchmaking pass); frozen tasks never sit on down resources because
 	// an outage kills everything running on it.
-	upRes := int64(0)
-	for r := 0; r < numRes; r++ {
-		if r >= len(down) || !down[r] {
-			upRes++
-		}
-	}
 	switch mode {
 	case ModeCombined:
+		upRes := int64(0)
+		for r := 0; r < numRes; r++ {
+			if r >= len(down) || !down[r] {
+				upRes++
+			}
+		}
 		if len(mapTasks) > 0 {
 			m.AddCumulative("map", -1, upRes*cluster.MapSlots, mapTasks)
 		}
@@ -275,14 +265,14 @@ func buildModel(mode SolveMode, now int64, cluster sim.Cluster, work []*jobWork,
 		}
 	case ModeDirect:
 		for r := 0; r < numRes; r++ {
-			if len(perResMap[r]) > 0 {
-				m.AddCumulative(fmt.Sprintf("map_r%d", r), r, cluster.MapSlots, perResMap[r])
+			if len(mapTasks) > 0 {
+				m.AddCumulative(fmt.Sprintf("map_r%d", r), r, cluster.MapSlots, mapTasks)
 			}
-			if len(perResRed[r]) > 0 {
-				m.AddCumulative(fmt.Sprintf("red_r%d", r), r, cluster.ReduceSlots, perResRed[r])
+			if len(redTasks) > 0 {
+				m.AddCumulative(fmt.Sprintf("red_r%d", r), r, cluster.ReduceSlots, redTasks)
 			}
-			if memOn && len(perResMem[r]) > 0 {
-				m.AddCumulativeDemands(fmt.Sprintf("mem_r%d", r), r, cluster.MemCapacity, perResMem[r], perResMemDem[r])
+			if len(memTasks) > 0 {
+				m.AddCumulativeDemands(fmt.Sprintf("mem_r%d", r), r, cluster.MemCapacity, memTasks, memDem)
 			}
 		}
 	}

@@ -43,12 +43,6 @@ type Params struct {
 	// hint-unaware solver. A hint that does not cover the model's
 	// intervals is ignored.
 	Hint *Hint
-	// ResRank optionally overrides the resource tie-break order used when
-	// two resources offer the same earliest completion: lower rank wins.
-	// Resources beyond len(ResRank), and a nil slice, rank by index — the
-	// historical behaviour. Ranks only break exact completion ties, so a
-	// uniform model solves identically for any permutation-free ranking.
-	ResRank []int
 }
 
 // Status reports how a solve ended.
@@ -604,9 +598,7 @@ func (s *Solver) orderKey(iv *Interval) int64 {
 // models the duration term is constant, so the choice reduces to the
 // classic earliest-start rule bit for bit; on heterogeneous models it is
 // what makes the descent speed-aware — a later slot on a fast machine
-// beats an earlier slot on a slow one when it finishes sooner. A non-nil
-// Params.ResRank overrides the index tie-break with a preference order
-// (locality weights).
+// beats an earlier slot on a slow one when it finishes sooner.
 func (s *Solver) pickResource(iv *Interval) int {
 	m := s.m
 	target := s.targetStart(iv)
@@ -653,32 +645,23 @@ func (s *Solver) pickResource(iv *Interval) int {
 			fits[r] = f
 		}
 	}
+	// resBuf is in ascending order, so the strict comparison is the
+	// lower-index tie-break.
 	bestRes := -1
 	bestComp := int64(math.MaxInt64)
-	var bestRank int64
 	for _, r := range s.resBuf {
 		comp := int64(math.MaxInt64)
 		if dur := iv.DurOn(r); fits[r] < math.MaxInt64-dur {
 			comp = fits[r] + dur
 		}
-		rank := s.resRank(r)
-		if comp < bestComp || (comp == bestComp && bestRes >= 0 && rank < bestRank) {
-			bestComp, bestRes, bestRank = comp, r, rank
+		if comp < bestComp {
+			bestComp, bestRes = comp, r
 		}
 	}
 	if bestRes < 0 {
 		bestRes = s.resBuf[0]
 	}
 	return bestRes
-}
-
-// resRank returns the preference rank of resource r: its position in
-// Params.ResRank when set (lower is preferred), its index otherwise.
-func (s *Solver) resRank(r int) int64 {
-	if rk := s.params.ResRank; r < len(rk) {
-		return int64(rk[r])
-	}
-	return int64(r)
 }
 
 // descend runs one search descent from the root state and returns the store

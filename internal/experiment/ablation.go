@@ -6,10 +6,17 @@ import (
 
 	"mrcprm/internal/core"
 	"mrcprm/internal/cp"
-	"mrcprm/internal/sim"
-	"mrcprm/internal/stats"
 	"mrcprm/internal/workload"
 )
+
+// ablationArm runs one arm of an ablation: MRCP-RM under mcfg over gen's
+// workload on gen's cluster, jobs per replication — a synthetic cell with
+// the arm's manager configuration in place of the options'.
+func ablationArm(opts Options, gen workload.SyntheticConfig, mcfg core.Config, jobs int, factor string) (Point, error) {
+	opts.ManagerConfig = mcfg
+	opts.Jobs = jobs
+	return runSyntheticCell(opts, gen, factor, 0)
+}
 
 // runAblationMatchmaking quantifies the Section V.D claim: solving on a
 // single combined resource followed by gap-based matchmaking is much
@@ -23,31 +30,15 @@ func runAblationMatchmaking(opts Options) (Result, error) {
 	cfg.NumMapHi = 20
 	cfg.NumReduceHi = 10
 	cfg.Lambda = 0.02
-	cluster := sim.Cluster{NumResources: cfg.NumResources,
-		MapSlots: cfg.MapSlotsPerResource, ReduceSlots: cfg.ReduceSlotsPerResource}
 
 	jobsPerRep := min(opts.Jobs, 60) // direct mode is the expensive arm
 	for _, mode := range []core.SolveMode{core.ModeCombined, core.ModeDirect} {
 		mcfg := opts.ManagerConfig
 		mcfg.Mode = mode
-		point, err := runReplications(opts, func(rep int, rng *stats.Stream) (*sim.Metrics, error) {
-			jobs, err := cfg.Generate(jobsPerRep, rng)
-			if err != nil {
-				return nil, err
-			}
-			mgr := core.New(cluster, mcfg)
-			s, err := sim.New(cluster, mgr, jobs)
-			if err != nil {
-				return nil, err
-			}
-			opts.instrument(s, mgr)
-			return s.Run()
-		})
+		point, err := ablationArm(opts, cfg, mcfg, jobsPerRep, "mode="+mode.String())
 		if err != nil {
 			return r, err
 		}
-		point.Factor = "mode=" + mode.String()
-		point.Manager = "MRCP-RM"
 		r.Points = append(r.Points, point)
 	}
 	r.Elapsed = time.Since(started)
@@ -64,8 +55,6 @@ func runAblationDeferral(opts Options) (Result, error) {
 	cfg := workload.DefaultSynthetic()
 	cfg.P = 0.9
 	cfg.SmaxSec = 250000
-	cluster := sim.Cluster{NumResources: cfg.NumResources,
-		MapSlots: cfg.MapSlotsPerResource, ReduceSlots: cfg.ReduceSlotsPerResource}
 
 	// The no-deferral arm re-schedules every parked job on every solve —
 	// the very overhead this ablation measures — so its cost grows
@@ -76,24 +65,10 @@ func runAblationDeferral(opts Options) (Result, error) {
 		if !deferral {
 			mcfg.DeferralLead = 0
 		}
-		point, err := runReplications(opts, func(rep int, rng *stats.Stream) (*sim.Metrics, error) {
-			jobs, err := cfg.Generate(jobsPerRep, rng)
-			if err != nil {
-				return nil, err
-			}
-			mgr := core.New(cluster, mcfg)
-			s, err := sim.New(cluster, mgr, jobs)
-			if err != nil {
-				return nil, err
-			}
-			opts.instrument(s, mgr)
-			return s.Run()
-		})
+		point, err := ablationArm(opts, cfg, mcfg, jobsPerRep, fmt.Sprintf("deferral=%v", deferral))
 		if err != nil {
 			return r, err
 		}
-		point.Factor = fmt.Sprintf("deferral=%v", deferral)
-		point.Manager = "MRCP-RM"
 		r.Points = append(r.Points, point)
 	}
 	r.Elapsed = time.Since(started)
@@ -109,30 +84,14 @@ func runAblationBatching(opts Options) (Result, error) {
 	r := Result{ID: "ablation-batching", Title: "Arrival batching window at high lambda"}
 	cfg := workload.DefaultSynthetic()
 	cfg.Lambda = 0.02 // the paper's highest rate
-	cluster := sim.Cluster{NumResources: cfg.NumResources,
-		MapSlots: cfg.MapSlotsPerResource, ReduceSlots: cfg.ReduceSlotsPerResource}
 
 	for _, window := range []time.Duration{0, 10 * time.Second, 60 * time.Second} {
 		mcfg := opts.ManagerConfig
 		mcfg.BatchWindow = window
-		point, err := runReplications(opts, func(rep int, rng *stats.Stream) (*sim.Metrics, error) {
-			jobs, err := cfg.Generate(opts.Jobs, rng)
-			if err != nil {
-				return nil, err
-			}
-			mgr := core.New(cluster, mcfg)
-			s, err := sim.New(cluster, mgr, jobs)
-			if err != nil {
-				return nil, err
-			}
-			opts.instrument(s, mgr)
-			return s.Run()
-		})
+		point, err := ablationArm(opts, cfg, mcfg, opts.Jobs, fmt.Sprintf("window=%gs", window.Seconds()))
 		if err != nil {
 			return r, err
 		}
-		point.Factor = fmt.Sprintf("window=%gs", window.Seconds())
-		point.Manager = "MRCP-RM"
 		r.Points = append(r.Points, point)
 	}
 	r.Elapsed = time.Since(started)
@@ -147,8 +106,6 @@ func runAblationOrdering(opts Options) (Result, error) {
 	r := Result{ID: "ablation-ordering", Title: "Job ordering strategies under tight deadlines"}
 	cfg := workload.DefaultSynthetic()
 	cfg.DeadlineUL = 2
-	cluster := sim.Cluster{NumResources: cfg.NumResources,
-		MapSlots: cfg.MapSlotsPerResource, ReduceSlots: cfg.ReduceSlotsPerResource}
 
 	orderings := []struct {
 		name string
@@ -161,24 +118,10 @@ func runAblationOrdering(opts Options) (Result, error) {
 	for _, o := range orderings {
 		mcfg := opts.ManagerConfig
 		mcfg.Ordering = o.ord
-		point, err := runReplications(opts, func(rep int, rng *stats.Stream) (*sim.Metrics, error) {
-			jobs, err := cfg.Generate(opts.Jobs, rng)
-			if err != nil {
-				return nil, err
-			}
-			mgr := core.New(cluster, mcfg)
-			s, err := sim.New(cluster, mgr, jobs)
-			if err != nil {
-				return nil, err
-			}
-			opts.instrument(s, mgr)
-			return s.Run()
-		})
+		point, err := ablationArm(opts, cfg, mcfg, opts.Jobs, "ordering="+o.name)
 		if err != nil {
 			return r, err
 		}
-		point.Factor = "ordering=" + o.name
-		point.Manager = "MRCP-RM"
 		r.Points = append(r.Points, point)
 	}
 	r.Elapsed = time.Since(started)

@@ -6,15 +6,14 @@
 // job: earliest start time, per-task execution times, and an end-to-end
 // deadline.
 //
-// Solve maps and schedules a batch of workflows with the same CP machinery
-// MRCP-RM uses — interval variables, phase precedences, cumulative
-// capacities, reified lateness, min Σ late objective — followed by the
-// gap-based matchmaking pass onto concrete resources.
+// Solve maps and schedules a batch of workflows through core.SolveBatch —
+// the model builder, solver and read-back MRCP-RM itself uses — by turning
+// each workflow into a workload.Job with task-level precedence; ToJob makes
+// the same conversion available to the open-system manager.
 package workflow
 
 import (
 	"fmt"
-	"sort"
 
 	"mrcprm/internal/workload"
 )
@@ -209,9 +208,36 @@ func FromMapReduceJob(j *workload.Job) *Workflow {
 	return w
 }
 
-// sortTasksByIndex orders tasks deterministically.
-func sortTasksByIndex(ts []*Task) {
-	sort.Slice(ts, func(a, b int) bool { return ts[a].index < ts[b].index })
+// job is the conversion ToJob and Solve share: the workflow as a
+// workload.Job with task-level precedence arriving at arrival, and its
+// tasks in w.Tasks order (the job regroups them by pool).
+func (w *Workflow) job(arrival int64) (*workload.Job, []*workload.Task) {
+	j := &workload.Job{
+		ID:             w.ID,
+		Arrival:        arrival,
+		EarliestStart:  w.EarliestStart,
+		Deadline:       w.Deadline,
+		TaskPrecedence: true,
+	}
+	if j.EarliestStart < arrival {
+		j.EarliestStart = arrival
+	}
+	tasks := make([]*workload.Task, len(w.Tasks))
+	for i, t := range w.Tasks {
+		wt := &workload.Task{ID: t.ID, JobID: w.ID, Type: t.Pool, Exec: t.Exec, Req: t.Req}
+		tasks[i] = wt
+		if t.Pool == workload.MapTask {
+			j.MapTasks = append(j.MapTasks, wt)
+		} else {
+			j.ReduceTasks = append(j.ReduceTasks, wt)
+		}
+	}
+	for i, t := range w.Tasks {
+		for _, p := range t.preds {
+			tasks[i].Preds = append(tasks[i].Preds, tasks[p.index])
+		}
+	}
+	return j, tasks
 }
 
 // ToJob converts the workflow into a workload.Job with task-level
@@ -223,31 +249,7 @@ func (w *Workflow) ToJob(arrival int64) (*workload.Job, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
-	j := &workload.Job{
-		ID:             w.ID,
-		Arrival:        arrival,
-		EarliestStart:  w.EarliestStart,
-		Deadline:       w.Deadline,
-		TaskPrecedence: true,
-	}
-	if j.EarliestStart < arrival {
-		j.EarliestStart = arrival
-	}
-	conv := make(map[*Task]*workload.Task, len(w.Tasks))
-	for _, t := range w.Tasks {
-		wt := &workload.Task{ID: t.ID, JobID: w.ID, Type: t.Pool, Exec: t.Exec, Req: t.Req}
-		conv[t] = wt
-		if t.Pool == workload.MapTask {
-			j.MapTasks = append(j.MapTasks, wt)
-		} else {
-			j.ReduceTasks = append(j.ReduceTasks, wt)
-		}
-	}
-	for _, t := range w.Tasks {
-		for _, p := range t.preds {
-			conv[t].Preds = append(conv[t].Preds, conv[p])
-		}
-	}
+	j, _ := w.job(arrival)
 	if len(j.MapTasks) == 0 {
 		// workload.Job.Validate requires at least one map-pool task; a
 		// reduce-only workflow cannot ride on the MapReduce job carrier.

@@ -82,8 +82,8 @@ type (
 	// optional memory capacity. Build the sim.Cluster with its Cluster()
 	// method.
 	ClusterSpec = core.ClusterSpec
-	// ResourceSpec describes one machine of a ClusterSpec: a relative speed
-	// factor and an optional locality weight.
+	// ResourceSpec describes one machine of a ClusterSpec: its relative
+	// speed factor.
 	ResourceSpec = core.ResourceSpec
 	// Metrics carries the paper's O, N, T, P metrics for one run.
 	Metrics = sim.Metrics
@@ -156,7 +156,8 @@ func NewWorkflow(id int, earliestStart, deadline int64) *Workflow {
 func WorkflowFromJob(j *Job) *Workflow { return workflow.FromMapReduceJob(j) }
 
 // SolveWorkflows maps and schedules a batch of workflows, minimizing the
-// number that miss their deadlines.
+// number that miss their deadlines. It is SolveBatch over the workflows as
+// task-precedence jobs.
 func SolveWorkflows(cluster Cluster, wfs []*Workflow, cfg Config) (*WorkflowSchedule, error) {
 	return workflow.Solve(cluster, wfs, cfg)
 }

@@ -108,3 +108,56 @@ func TestPoliciesAgreeOnAbandonment(t *testing.T) {
 		})
 	}
 }
+
+// doubleKill scripts the case of ROADMAP 8(f): the first attempt of one map
+// task fails, and then a single outage kills the retried attempt and its
+// sibling map while both are running on the same resource.
+type doubleKill struct{ failFirst string }
+
+func (d doubleKill) Attempt(taskID string, attempt int) mrcprm.AttemptFault {
+	if taskID == d.failFirst && attempt == 0 {
+		return mrcprm.AttemptFault{Fails: true, FailPoint: 0.5}
+	}
+	return mrcprm.AttemptFault{}
+}
+
+func (doubleKill) PlannedOutages() []mrcprm.Outage {
+	return []mrcprm.Outage{{Resource: 0, DownAt: 7_000, UpAt: 12_000}}
+}
+
+// One outage killing two attempts of the same job, with the first kill
+// exhausting the job's retry budget and nothing else of the job running,
+// must abandon that job under every policy and leave the run alive: the
+// second kill belongs to a job that is already gone.
+func TestPoliciesAgreeOnDoubleKill(t *testing.T) {
+	cluster := mrcprm.Cluster{NumResources: 1, MapSlots: 2, ReduceSlots: 1}
+	mkJob := func(id int, arrival int64) *mrcprm.Job {
+		j := &mrcprm.Job{ID: id, Arrival: arrival, EarliestStart: arrival, Deadline: arrival + 200_000}
+		for i := 1; i <= 2; i++ {
+			j.MapTasks = append(j.MapTasks, &mrcprm.Task{ID: fmt.Sprintf("t%d_m%d", id, i),
+				JobID: id, Type: mrcprm.MapTask, Exec: 10_000, Req: 1})
+		}
+		j.ReduceTasks = []*mrcprm.Task{{ID: fmt.Sprintf("t%d_r1", id),
+			JobID: id, Type: mrcprm.ReduceTask, Exec: 5_000, Req: 1}}
+		return j
+	}
+	// Job 0's maps start together at 0; t0_m1 fails at 5 s (retry 1 of a
+	// budget of 1) and restarts at once, so the outage at 7 s kills both.
+	jobs := []*mrcprm.Job{mkJob(0, 0), mkJob(1, 20_000)}
+	opts := mrcprm.PolicyOptions{Retry: &mrcprm.RetryPolicy{JobRetryBudget: 1}}
+	for _, name := range mrcprm.PolicyNames() {
+		rm := newRegisteredPolicy(t, name, cluster, opts)
+		m, err := mrcprm.SimulateWithFaults(cluster, rm, jobs, doubleKill{failFirst: "t0_m1"})
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if m.TasksKilled != 2 {
+			t.Errorf("%s: outage killed %d attempts, the scenario needs 2", name, m.TasksKilled)
+		}
+		if m.JobsAbandoned != 1 || m.JobsCompleted != 1 {
+			t.Errorf("%s: abandoned %d, completed %d; want job 0 abandoned and job 1 completed",
+				name, m.JobsAbandoned, m.JobsCompleted)
+		}
+	}
+}
