@@ -78,8 +78,6 @@ func BenchmarkAblationDeferral(b *testing.B) { benchFigure(b, "ablation-deferral
 
 func BenchmarkAblationOrdering(b *testing.B) { benchFigure(b, "ablation-ordering") }
 
-func BenchmarkAblationBatching(b *testing.B) { benchFigure(b, "ablation-batching") }
-
 // Table 3: synthetic workload generation throughput.
 func BenchmarkTable3SyntheticGenerator(b *testing.B) {
 	cfg := workload.DefaultSynthetic()

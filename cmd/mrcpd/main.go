@@ -35,7 +35,7 @@
 //
 //	mrcpd                                  # wall clock, :8373, 10 resources
 //	mrcpd -mode virtual -addr :9000 -m 50
-//	mrcpd -speedup 60 -batchwindow 5s -batchmax 20
+//	mrcpd -speedup 60 -warmstart
 //	mrcpd -rm minedf -admission=false
 //	mrcpd -hetero 2 -memcap 64             # two speed classes + memory dimension
 //	mrcpd -mode virtual -deterministic -journal run.wal   # durable
@@ -71,18 +71,13 @@ func main() {
 		hetero  = flag.Float64("hetero", 1, "speed spread: second half of the machines run at 1/spread speed (1 = uniform)")
 		memCap  = flag.Int64("memcap", 0, "per-machine memory capacity (0 = memory dimension off)")
 
-		speedBlind = flag.Bool("speedblind", false, "mrcp: plan as if every machine ran at speed 1.0 (ablation baseline)")
-		rmName     = flag.String("rm", "mrcp",
+		rmName = flag.String("rm", "mrcp",
 			"resource manager: "+strings.Join(mrcprm.PolicyNames(), ", "))
 		listPolicies = flag.Bool("listpolicies", false, "print registered policy names and exit")
 
-		admission    = flag.Bool("admission", true, "reject provably infeasible submissions")
-		batchWindow  = flag.Duration("batchwindow", 0, "coalesce arrivals for this long before solving (0 = solve per arrival)")
-		batchMax     = flag.Int("batchmax", 0, "flush the arrival batch at this many pending jobs (0 = no cap)")
-		batchUrgency = flag.Duration("batchurgency", 0, "flush the batch when a job's latest feasible start is this close (0 = off)")
-		deferral     = flag.Duration("deferral", 30*time.Second, "park jobs whose earliest start is further away than this (0 = off)")
-		horizon      = flag.Duration("horizon", 0, "rolling horizon: park jobs whose latest feasible start is further away than this (0 = off)")
-		warmStart    = flag.Bool("warmstart", false, "seed each reschedule from the installed timetable")
+		admission = flag.Bool("admission", true, "reject provably infeasible submissions")
+		deferral  = flag.Duration("deferral", 30*time.Second, "park jobs whose earliest start is further away than this (0 = off)")
+		warmStart = flag.Bool("warmstart", false, "seed each reschedule from the installed timetable")
 
 		drainTimeout = flag.Duration("draintimeout", time.Minute, "max time to finish outstanding work on SIGTERM")
 
@@ -122,12 +117,7 @@ func main() {
 	if *determin {
 		mcfg = mrcprm.DeterministicConfig()
 	}
-	mcfg.SpeedBlind = *speedBlind
-	mcfg.BatchWindow = *batchWindow
-	mcfg.BatchMaxPending = *batchMax
-	mcfg.BatchUrgencyLead = *batchUrgency
 	mcfg.DeferralLead = *deferral
-	mcfg.HorizonWindow = *horizon
 	mcfg.WarmStart = *warmStart
 
 	// Without -telemetry the daemon still keeps a registry-only handle

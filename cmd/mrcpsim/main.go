@@ -11,7 +11,6 @@
 //	mrcpsim -emax 100 -dul 2 -jobs 500 -v
 //	mrcpsim -failrate 0.05 -straggler 0.02 -mtbf 20000 -mttr 120
 //	mrcpsim -hetero 2                    # half the machines at half speed
-//	mrcpsim -hetero 2 -speedblind        # same cluster, speed-unaware planning
 //	mrcpsim -memcap 64 -memlo 1 -memhi 16  # memory as a second dimension
 //	mrcpsim -telemetry run.jsonl          # stream telemetry events, then: obsreport run.jsonl
 //	mrcpsim -cpuprofile cpu.out -memprofile mem.out
@@ -54,14 +53,12 @@ func main() {
 		mttr      = flag.Float64("mttr", 60, "mean time to repair a down resource (s)")
 		faultSeed = flag.Uint64("faultseed", 0, "fault plan seed (0 = derive from -seed)")
 
-		horizon   = flag.Duration("horizon", 0, "mrcp: park jobs whose latest feasible start is further away than this (0 = off)")
 		warmStart = flag.Bool("warmstart", false, "mrcp: seed each reschedule from the installed timetable")
 
-		hetero     = flag.Float64("hetero", 1, "speed spread: second half of the machines run at 1/spread speed (1 = uniform)")
-		speedBlind = flag.Bool("speedblind", false, "mrcp: plan as if every machine ran at speed 1.0 (ablation baseline)")
-		memCap     = flag.Int64("memcap", 0, "per-machine memory capacity (0 = memory dimension off)")
-		taskMemLo  = flag.Int64("memlo", 0, "synthetic: per-task memory demand lower bound (needs -memcap)")
-		taskMemHi  = flag.Int64("memhi", 0, "synthetic: per-task memory demand upper bound (needs -memcap)")
+		hetero    = flag.Float64("hetero", 1, "speed spread: second half of the machines run at 1/spread speed (1 = uniform)")
+		memCap    = flag.Int64("memcap", 0, "per-machine memory capacity (0 = memory dimension off)")
+		taskMemLo = flag.Int64("memlo", 0, "synthetic: per-task memory demand lower bound (needs -memcap)")
+		taskMemHi = flag.Int64("memhi", 0, "synthetic: per-task memory demand upper bound (needs -memcap)")
 	)
 	common.Parse()
 	defer common.Close()
@@ -133,10 +130,11 @@ func main() {
 	popts := mrcprm.PolicyOptions{}
 	if *rmName == "mrcp" {
 		mcfg := mrcprm.DefaultConfig()
-		mcfg.HorizonWindow = *horizon
 		mcfg.WarmStart = *warmStart
-		mcfg.SpeedBlind = *speedBlind
 		popts.Extra = mcfg
+	} else if *warmStart {
+		fmt.Fprintln(os.Stderr, "-warmstart needs -rm mrcp")
+		os.Exit(2)
 	}
 	rm, err := mrcprm.NewPolicy(*rmName, cluster, popts)
 	if err != nil {

@@ -20,6 +20,16 @@ func explicitSpeeds(c mrcprm.Cluster) mrcprm.Cluster {
 	return c
 }
 
+// planningView is the cluster a manager is handed to plan on: the true one,
+// or — the speed-blind ablation — a copy without its speed factors. The
+// simulator always runs the true cluster.
+func planningView(c mrcprm.Cluster, blind bool) mrcprm.Cluster {
+	if blind {
+		c.Speed = nil
+	}
+	return c
+}
+
 // deterministicMRCP builds the pinned-fingerprint MRCP-RM configuration
 // with warm starts switched on, so the invariance holds on the richest
 // code path.
@@ -84,8 +94,7 @@ func TestUniformSpeedBlindInvariance(t *testing.T) {
 	jobs, cluster := faultTestWorkload(t)
 	run := func(c mrcprm.Cluster, blind bool) uint64 {
 		cfg := deterministicMRCP(mrcprm.DefaultConfig())
-		cfg.SpeedBlind = blind
-		m, err := mrcprm.Simulate(c, mrcprm.NewManager(c, cfg), jobs)
+		m, err := mrcprm.Simulate(c, mrcprm.NewManager(planningView(c, blind), cfg), jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,8 +192,7 @@ func TestSpeedAwareBeatsSpeedBlind(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := mrcprm.DeterministicConfig()
-		cfg.SpeedBlind = blind
-		m, err := mrcprm.Simulate(cluster, mrcprm.NewManager(cluster, cfg), gen())
+		m, err := mrcprm.Simulate(cluster, mrcprm.NewManager(planningView(cluster, blind), cfg), gen())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -74,23 +74,6 @@ type Config struct {
 	// matchmaking when s_j is at most DeferralLead away. Zero disables
 	// deferral (every job is scheduled on arrival).
 	DeferralLead time.Duration
-	// BatchWindow implements the paper's future-work direction of reducing
-	// matchmaking and scheduling times at high arrival rates: instead of
-	// solving on every arrival, arrivals are accumulated for this long (in
-	// simulated time) and scheduled in one solve. Zero (the default)
-	// solves on every arrival, as the paper's evaluation does.
-	BatchWindow time.Duration
-	// BatchMaxPending caps the number of arrivals a batch may accumulate:
-	// reaching it flushes the batch immediately instead of waiting for the
-	// window to expire, bounding scheduling latency under load. Zero means
-	// no cap. Only meaningful with BatchWindow > 0.
-	BatchMaxPending int
-	// BatchUrgencyLead flushes the batch immediately when an arriving job's
-	// latest feasible start (deadline minus its execution-time lower bound)
-	// is at most this far away — an urgent job must not sit out the rest of
-	// the window. Zero disables the trigger. Only meaningful with
-	// BatchWindow > 0.
-	BatchUrgencyLead time.Duration
 	// Retry is the canonical fault-recovery budget (per-task retry cap,
 	// per-job retry budget) shared with every other policy via rmkit.
 	Retry rmkit.RetryPolicy
@@ -103,22 +86,6 @@ type Config struct {
 	// The default (false) keeps every solve bit-identical to earlier
 	// releases.
 	WarmStart bool
-	// HorizonWindow bounds the modeled future: a job whose latest feasible
-	// start (deadline minus its SLALowerBound execution bound) lies beyond
-	// now + window is parked in the deferral queue instead of entering the
-	// model, and a timer admits it at latestFeasibleStart - window — i.e.
-	// while a full window of SLA slack still remains. Model size then
-	// scales with the window, not the backlog. Zero (the default)
-	// disables the window.
-	HorizonWindow time.Duration
-	// SpeedBlind makes the planner ignore the cluster's per-resource speed
-	// factors: models, admission bounds, and the greedy fallback all assume
-	// nominal (speed 1.0) durations even on a heterogeneous cluster, while
-	// the simulation still runs tasks at their true machine-scaled
-	// durations. This is the ablation baseline for the heterogeneity
-	// experiment — the manager only learns about slow machines reactively,
-	// through slowdown replans. No effect on uniform clusters.
-	SpeedBlind bool
 }
 
 // formulation returns the model formulation for the planning cluster: the
@@ -174,12 +141,6 @@ type Stats struct {
 	SlipMS int64
 	// Deferred counts jobs parked by the Section V.E optimization.
 	Deferred int
-	// EarlyFlushes counts batch flushes forced before the window expired
-	// (max-pending cap or deadline urgency).
-	EarlyFlushes int
-	// LateBound sums the solver's reported objective (expected late jobs)
-	// over rounds; a diagnostic only.
-	LateBound int
 	// FallbackRounds counts scheduling invocations in which the CP solver
 	// produced no usable solution (timeout, exhausted node budget, panic)
 	// and the greedy earliest-deadline-first fallback installed the
@@ -189,9 +150,6 @@ type Stats struct {
 	// budgets; JobsAbandoned counts jobs given up after exhausting theirs.
 	TaskRetries   int
 	JobsAbandoned int
-	// WindowParked counts jobs parked by the rolling horizon window
-	// (Config.HorizonWindow) rather than the Section V.E deferral.
-	WindowParked int
 	// WarmStartRounds counts solves that entered the solver with a
 	// warm-start hint; WarmStartSeeded counts those whose hint repair
 	// produced the first incumbent.

@@ -9,104 +9,49 @@ import (
 	"mrcprm/internal/workload"
 )
 
-// --- rolling horizon ---
+// --- drain ---
 
-// A slack-rich job (latest feasible start far beyond now+window) must be
-// window-parked at arrival, admitted by the timer with a full window of
-// SLA slack left, and still complete on time.
-func TestHorizonWindowParksSlackRichJob(t *testing.T) {
-	cluster := sim.Cluster{NumResources: 2, MapSlots: 1, ReduceSlots: 1}
-	cfg := deterministicConfig()
-	cfg.DeferralLead = 0
-	cfg.HorizonWindow = 60 * time.Second
-
-	// Min exec 9s, deadline at 600s: lfs ≈ 591_000 >> 0 + 60_000.
-	j := mkJob(0, 1000, 1000, 600_000, []int64{4000, 4000}, []int64{5000})
-	lfs := j.Deadline - SLALowerBound(cluster, j)
-
-	mgr := New(cluster, cfg)
-	s, err := sim.New(cluster, mgr, []*workload.Job{j})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := mgr.Stats().WindowParked; got != 1 {
-		t.Fatalf("WindowParked = %d, want 1", got)
-	}
-	if mgr.Stats().Deferred != 0 {
-		t.Fatalf("Deferred = %d, want 0 (lead disabled)", mgr.Stats().Deferred)
-	}
-	done, ok := s.JobDone(j)
-	if !ok || done > j.Deadline {
-		t.Fatalf("job done at %d (ok=%v), deadline %d", done, ok, j.Deadline)
-	}
-	if m.LateJobs != 0 {
-		t.Fatalf("late jobs = %d, want 0", m.LateJobs)
-	}
-	// The job cannot have started before its window admission: its first
-	// task start is at or after lfs - window.
-	if start := done - 9000; start < lfs-cfg.HorizonWindow.Milliseconds() {
-		t.Fatalf("job finished at %d — ran before the horizon admitted it (admit at %d)",
-			done, lfs-cfg.HorizonWindow.Milliseconds())
-	}
-}
-
-// Deferral and horizon compose: when both would park a job, the later
-// release wins, and a job parked only by one mechanism is counted there.
-func TestHorizonAndDeferralInteraction(t *testing.T) {
+// TestDrainWithRunningTasks: Drain force-admits a Section V.E-deferred job
+// while other tasks are mid-execution, and the run then completes without
+// waiting for the parked timer.
+func TestDrainWithRunningTasks(t *testing.T) {
 	cluster := sim.Cluster{NumResources: 2, MapSlots: 1, ReduceSlots: 1}
 	cfg := deterministicConfig()
 	cfg.DeferralLead = 10 * time.Second
-	cfg.HorizonWindow = 30 * time.Second
+	jobs := []*workload.Job{
+		mkJob(0, 0, 0, 32_000, []int64{30_000}, nil),
+		mkJob(1, 1000, 100_000, 400_000, []int64{5_000}, nil), // deferred (far-future start)
+		mkJob(2, 2000, 2000, 300_000, []int64{5_000}, nil),
+	}
 
-	// Far-future earliest start AND slack-rich deadline. Deferral release
-	// = ES - lead = 190s; horizon release = lfs - window ≈ 561s. The
-	// horizon release is later and must win.
-	j := mkJob(0, 0, 200_000, 600_000, []int64{4000, 4000}, []int64{5000})
 	mgr := New(cluster, cfg)
-	lfs := j.Deadline - SLALowerBound(cluster, j)
-	if until := mgr.parkedUntil(0, j); until != lfs-cfg.HorizonWindow.Milliseconds() {
-		t.Fatalf("parkedUntil = %d, want horizon release %d", until, lfs-30_000)
-	}
-
-	// Tight deadline, far-future start: only deferral parks it.
-	j2 := mkJob(1, 0, 200_000, 215_000, []int64{4000, 4000}, []int64{5000})
-	if until := mgr.parkedUntil(0, j2); until != 190_000 {
-		t.Fatalf("parkedUntil = %d, want deferral release 190000", until)
-	}
-
-	// Imminent job: parked by neither.
-	j3 := mkJob(2, 0, 1000, 30_000, []int64{4000, 4000}, []int64{5000})
-	if until := mgr.parkedUntil(0, j3); until != 0 {
-		t.Fatalf("parkedUntil = %d, want 0", until)
-	}
-}
-
-// Drain must force-admit window-parked jobs, not just deferral-parked
-// ones: a draining engine cannot wait hours for a horizon timer.
-func TestDrainForceAdmitsWindowParked(t *testing.T) {
-	cluster := sim.Cluster{NumResources: 2, MapSlots: 1, ReduceSlots: 1}
-	cfg := deterministicConfig()
-	cfg.DeferralLead = 0
-	cfg.HorizonWindow = 60 * time.Second
-
-	j := mkJob(0, 1000, 1000, 600_000, []int64{4000, 4000}, []int64{5000})
-	mgr := New(cluster, cfg)
-	s, err := sim.New(cluster, mgr, []*workload.Job{j})
+	s, err := sim.New(cluster, mgr, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Step the arrival event only: the job is now parked.
-	if _, err := s.Step(); err != nil {
-		t.Fatal(err)
+	// Step until job 2's arrival has been processed and job 0 is running.
+	for {
+		more, err := s.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !more {
+			t.Fatal("run ended before drain point")
+		}
+		if s.Now() >= 2000 {
+			break
+		}
 	}
-	if mgr.Stats().WindowParked != 1 || mgr.Outstanding() != 1 {
-		t.Fatalf("after arrival: WindowParked=%d Outstanding=%d, want 1/1",
-			mgr.Stats().WindowParked, mgr.Outstanding())
+	if !s.Started(jobs[0].MapTasks[0]) {
+		t.Fatal("job 0 should be running at drain time")
 	}
+	if mgr.Stats().Deferred != 1 {
+		t.Fatalf("deferred=%d, want 1", mgr.Stats().Deferred)
+	}
+	if mgr.Outstanding() != 3 {
+		t.Fatalf("outstanding=%d, want 3", mgr.Outstanding())
+	}
+
 	if err := mgr.Drain(s); err != nil {
 		t.Fatal(err)
 	}
@@ -114,16 +59,17 @@ func TestDrainForceAdmitsWindowParked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done, ok := s.JobDone(j)
-	if !ok {
-		t.Fatal("job did not complete after drain")
+	if m.JobsCompleted != 3 {
+		t.Fatalf("completed %d, want 3", m.JobsCompleted)
 	}
-	// Drained work starts immediately instead of waiting for the horizon.
-	if done > 60_000 {
-		t.Fatalf("job done at %d — drain did not force-admit it", done)
+	if mgr.Outstanding() != 0 {
+		t.Fatalf("outstanding=%d after drain+run", mgr.Outstanding())
 	}
-	if m.JobsCompleted != 1 {
-		t.Fatalf("completed %d, want 1", m.JobsCompleted)
+	// The force-admitted job still honors its earliest start time.
+	for _, r := range m.Records {
+		if r.Job.ID == 1 && r.Completion < 105_000 {
+			t.Fatalf("deferred job completed at %d, before earliest start + exec", r.Completion)
+		}
 	}
 }
 

@@ -15,10 +15,8 @@ import (
 // simulation run with New.
 type Manager struct {
 	cfg Config
-	// cluster is the PLANNING view of the system: the true cluster, except
-	// that SpeedBlind strips the speed factors. Models, admission bounds,
-	// and the greedy fallback all read this; the simulation's own cluster
-	// (ctx.Cluster()) keeps the true speeds.
+	// cluster is the planning view handed to New (see there); true machine
+	// speeds come from the simulation's own cluster, ctx.Cluster().
 	cluster sim.Cluster
 
 	// jobs owns per-job lifecycle state (retries, abandonment) in arrival
@@ -26,8 +24,6 @@ type Manager struct {
 	// unused because every round re-derives its work set from the simulator.
 	jobs     *rmkit.Tracker
 	deferred []*workload.Job // Section V.E parking lot
-	batch    []*workload.Job // arrivals awaiting the batch-window flush
-	batchAt  int64           // when the pending batch flushes; 0 = none
 
 	// unitSlot remembers each scheduled task's unit slot so that, once the
 	// task starts, later rounds pin it to the same slot.
@@ -48,20 +44,17 @@ type Manager struct {
 	strictLimits bool
 }
 
-// New creates an MRCP-RM manager for the cluster. Two normalizations
-// happen here so the rest of the manager never special-cases them: a
-// SpeedBlind manager plans against a uniform view of the cluster (the
-// simulation still runs true machine speeds), and cfg.Mode becomes the
-// formulation that planning view calls for (see Config.formulation).
+// New creates an MRCP-RM manager. The cluster argument is the manager's
+// PLANNING view: models, admission bounds and the greedy fallback are built
+// from it, while the durations tasks really run for come from the cluster
+// the simulation was created with. The two are normally the same value; a
+// speed-blind ablation hands New a copy with Speed = nil. cfg.Mode becomes
+// the formulation that planning view calls for (see Config.formulation).
 func New(cluster sim.Cluster, cfg Config) *Manager {
-	plan := cluster
-	if cfg.SpeedBlind {
-		plan.Speed = nil
-	}
-	cfg.Mode = cfg.formulation(plan)
+	cfg.Mode = cfg.formulation(cluster)
 	return &Manager{
 		cfg:      cfg,
-		cluster:  plan,
+		cluster:  cluster,
 		jobs:     rmkit.NewTracker(nil),
 		unitSlot: make(map[*workload.Task]int),
 	}
@@ -84,102 +77,40 @@ func (m *Manager) SetRescheduleObserver(fn func(now int64, reason string, fallba
 	m.onReschedule = fn
 }
 
-// OnJobArrival implements sim.ResourceManager: Section V.E defers jobs
-// whose earliest start time is far in the future, the rolling horizon
-// window parks jobs with more than a window of SLA slack; everything else
-// triggers a full matchmaking-and-scheduling round.
+// OnJobArrival implements sim.ResourceManager: admit or defer. Section V.E
+// parks a job whose earliest start time is far in the future until a timer
+// releases it; every other arrival triggers a full matchmaking-and-scheduling
+// round.
 func (m *Manager) OnJobArrival(ctx sim.Context, j *workload.Job) error {
 	started := time.Now()
 	if until := m.parkedUntil(ctx.Now(), j); until > 0 {
 		m.deferred = append(m.deferred, j)
-		lead := m.cfg.DeferralLead.Milliseconds()
-		if lead > 0 && j.EarliestStart > ctx.Now()+lead {
-			m.stats.Deferred++
-			if m.tel.Enabled() {
-				m.tel.Emit(ctx.Now(), obs.LayerManager, "job_deferred",
-					obs.Int("job", j.ID), obs.I64("earliest_start_ms", j.EarliestStart))
-			}
-		} else {
-			m.stats.WindowParked++
-			if m.tel.Enabled() {
-				m.tel.Emit(ctx.Now(), obs.LayerManager, "job_window_parked",
-					obs.Int("job", j.ID), obs.I64("admit_at_ms", until))
-			}
+		m.stats.Deferred++
+		if m.tel.Enabled() {
+			m.tel.Emit(ctx.Now(), obs.LayerManager, "job_deferred",
+				obs.Int("job", j.ID), obs.I64("earliest_start_ms", j.EarliestStart))
 		}
 		ctx.SetTimer(until)
 		ctx.AddOverhead(time.Since(started))
 		return nil
 	}
-	if w := m.cfg.BatchWindow.Milliseconds(); w > 0 {
-		// Future-work batching: accumulate arrivals and solve once per
-		// window instead of once per arrival.
-		m.batch = append(m.batch, j)
-		if m.batchAt == 0 {
-			m.batchAt = ctx.Now() + w
-			ctx.SetTimer(m.batchAt)
-		}
-		var err error
-		if reason, ok := m.flushTrigger(ctx, j); ok {
-			m.stats.EarlyFlushes++
-			err = m.flushBatch(ctx, reason)
-		}
-		ctx.AddOverhead(time.Since(started))
-		return err
-	}
-	m.admit(j)
+	m.jobs.Admit(j)
 	err := m.reschedule(ctx, "arrival")
 	ctx.AddOverhead(time.Since(started))
 	return err
 }
 
-// flushTrigger decides whether the arrival of j must flush the pending
-// batch before its window expires: the batch hit its max-pending cap, or j
-// is urgent (its latest feasible start is at most BatchUrgencyLead away).
-func (m *Manager) flushTrigger(ctx sim.Context, j *workload.Job) (string, bool) {
-	if m.cfg.BatchMaxPending > 0 && len(m.batch) >= m.cfg.BatchMaxPending {
-		return "batch_full", true
-	}
-	if lead := m.cfg.BatchUrgencyLead.Milliseconds(); lead > 0 {
-		lb := SLALowerBound(m.cluster, j)
-		if j.Deadline-lb-ctx.Now() <= lead {
-			return "batch_urgent", true
-		}
-	}
-	return "", false
-}
-
-// flushBatch admits every batched job and runs one reschedule. It resets the
-// window so the stale timer (still queued in the simulator) fires on an
-// empty batch and becomes a no-op.
-func (m *Manager) flushBatch(ctx sim.Context, reason string) error {
-	m.batchAt = 0
-	if len(m.batch) == 0 {
-		return nil
-	}
-	for _, j := range m.batch {
-		m.admit(j)
-	}
-	m.batch = m.batch[:0]
-	return m.reschedule(ctx, reason)
-}
-
-// Drain force-admits every parked job — deferred (Section V.E) and batched
-// arrivals alike — and replans, so that an engine shutting down can finish
-// all outstanding work without waiting for parked timers. The ctx is the
-// same simulation the manager runs against; callers invoke Drain between
-// events, never from inside a manager callback.
+// Drain force-admits every deferred job and replans, so that an engine
+// shutting down can finish all outstanding work without waiting for parked
+// timers. The ctx is the same simulation the manager runs against; callers
+// invoke Drain between events, never from inside a manager callback.
 func (m *Manager) Drain(ctx sim.Context) error {
 	started := time.Now()
-	n := len(m.deferred) + len(m.batch)
+	n := len(m.deferred)
 	for _, j := range m.deferred {
-		m.admit(j)
+		m.jobs.Admit(j)
 	}
 	m.deferred = m.deferred[:0]
-	for _, j := range m.batch {
-		m.admit(j)
-	}
-	m.batch = m.batch[:0]
-	m.batchAt = 0
 	var err error
 	if n > 0 {
 		err = m.reschedule(ctx, "drain")
@@ -189,58 +120,37 @@ func (m *Manager) Drain(ctx sim.Context) error {
 }
 
 // Outstanding counts the jobs the manager is still responsible for: active
-// (scheduled or running, including abandoned jobs with draining attempts),
-// deferred, and batched.
+// (scheduled or running, including abandoned jobs with draining attempts)
+// and deferred.
 func (m *Manager) Outstanding() int {
-	return m.jobs.Len() + len(m.deferred) + len(m.batch)
+	return m.jobs.Len() + len(m.deferred)
 }
 
-// parkedUntil returns the simulated time until which job j must stay
-// parked, or 0 when it should be admitted now. Two independent mechanisms
-// park jobs in the deferral queue: the Section V.E deferral of far-future
-// earliest starts (release at EarliestStart - lead), and the rolling
-// horizon window, which keeps a job out of the model while its latest
-// feasible start lfs = deadline - SLALowerBound lies beyond now + window
-// (release at lfs - window, i.e. with a full window of SLA slack left).
-// Both release times are static per job, so the single timer armed at
-// arrival suffices; a job parked by both waits for the later one.
+// parkedUntil is the Section V.E test: the simulated time until which job j
+// stays parked (EarliestStart - lead), or 0 when it should be admitted now.
+// The release time is static per job, so the timer armed at arrival suffices.
 func (m *Manager) parkedUntil(now int64, j *workload.Job) int64 {
-	var until int64
 	if lead := m.cfg.DeferralLead.Milliseconds(); lead > 0 && j.EarliestStart > now+lead {
-		until = j.EarliestStart - lead
+		return j.EarliestStart - lead
 	}
-	if w := m.cfg.HorizonWindow.Milliseconds(); w > 0 {
-		if lfs := j.Deadline - SLALowerBound(m.cluster, j); lfs > now+w && lfs-w > until {
-			until = lfs - w
-		}
-	}
-	return until
+	return 0
 }
 
 // OnTimer implements sim.ResourceManager: it releases deferred jobs whose
-// earliest start time is now close and window-parked jobs the advancing
-// horizon has reached.
+// earliest start time is now close.
 func (m *Manager) OnTimer(ctx sim.Context) error {
 	started := time.Now()
 	released := false
 	rest := m.deferred[:0]
 	for _, j := range m.deferred {
 		if m.parkedUntil(ctx.Now(), j) == 0 {
-			m.admit(j)
+			m.jobs.Admit(j)
 			released = true
 		} else {
 			rest = append(rest, j)
 		}
 	}
 	m.deferred = rest
-	if m.batchAt > 0 && ctx.Now() >= m.batchAt {
-		for _, j := range m.batch {
-			m.admit(j)
-			released = true
-		}
-		m.batch = m.batch[:0]
-		m.batchAt = 0
-	}
 	var err error
 	if released {
 		err = m.reschedule(ctx, "timer")
@@ -376,10 +286,6 @@ func (m *Manager) chargeRetry(ctx sim.Context, js *rmkit.JobState, t *workload.T
 	return nil
 }
 
-func (m *Manager) admit(j *workload.Job) {
-	m.jobs.Admit(j)
-}
-
 // reschedule is the Table 2 algorithm: classify every incomplete task of
 // every active job as frozen (started) or schedulable, regenerate the CP
 // model, solve, and install the new timetable. When the solver yields no
@@ -467,7 +373,6 @@ func (m *Manager) reschedule(ctx sim.Context, reason string) error {
 		}
 		return err
 	}
-	m.stats.LateBound += res.Objective
 
 	err = m.install(ctx, bm, &res, work, down)
 	if telOn {

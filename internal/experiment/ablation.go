@@ -75,29 +75,6 @@ func runAblationDeferral(opts Options) (Result, error) {
 	return r, nil
 }
 
-// runAblationBatching quantifies the paper's future-work direction for
-// high arrival rates: accumulating arrivals for a small window and solving
-// once per batch cuts the number of solves (and hence O) at the price of a
-// small scheduling latency.
-func runAblationBatching(opts Options) (Result, error) {
-	started := time.Now()
-	r := Result{ID: "ablation-batching", Title: "Arrival batching window at high lambda"}
-	cfg := workload.DefaultSynthetic()
-	cfg.Lambda = 0.02 // the paper's highest rate
-
-	for _, window := range []time.Duration{0, 10 * time.Second, 60 * time.Second} {
-		mcfg := opts.ManagerConfig
-		mcfg.BatchWindow = window
-		point, err := ablationArm(opts, cfg, mcfg, opts.Jobs, fmt.Sprintf("window=%gs", window.Seconds()))
-		if err != nil {
-			return r, err
-		}
-		r.Points = append(r.Points, point)
-	}
-	r.Elapsed = time.Since(started)
-	return r, nil
-}
-
 // runAblationOrdering compares the three job ordering strategies of
 // Section VI.B under the tight-deadline configuration (dUL = 2) where
 // ordering matters most. The paper reports no significant difference.

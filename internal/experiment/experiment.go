@@ -241,7 +241,6 @@ var Registry = []Spec{
 	{"ablation-matchmaking", "Combined-resource + matchmaking vs direct CP matchmaking (Section V.D)", runAblationMatchmaking},
 	{"ablation-deferral", "Deferral of far-future jobs on vs off (Section V.E)", runAblationDeferral},
 	{"ablation-ordering", "Job ordering strategies: EDF vs job-id vs least laxity (Section VI.B)", runAblationOrdering},
-	{"ablation-batching", "Arrival batching window at high lambda (future work)", runAblationBatching},
 	{"faults", "Effect of task failure rate: MRCP-RM vs MinEDF-WC (robustness)", runFaultSweep},
 	{"hetero", "Effect of machine speed heterogeneity: speed-aware vs speed-blind planning", runHeteroSweep},
 }

@@ -2,9 +2,13 @@ package experiment
 
 import (
 	"bytes"
+	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
+	"mrcprm/internal/core"
+	"mrcprm/internal/obs"
 	"mrcprm/internal/stats"
 )
 
@@ -20,11 +24,16 @@ func tinyOptions() Options {
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
-		"ablation-matchmaking", "ablation-deferral", "ablation-ordering"}
-	for _, id := range want {
-		if _, ok := ByID(id); !ok {
-			t.Errorf("experiment %q missing from registry", id)
+		"ablation-matchmaking", "ablation-deferral", "ablation-ordering", "faults", "hetero"}
+	var got []string
+	for _, s := range Registry {
+		got = append(got, s.ID)
+		if _, ok := ByID(s.ID); !ok {
+			t.Errorf("registered experiment %q does not resolve", s.ID)
 		}
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("registry is %q, want exactly %q", got, want)
 	}
 	if _, ok := ByID("fig99"); ok {
 		t.Error("unknown id resolved")
@@ -91,14 +100,64 @@ func TestFacebookComparisonRuns(t *testing.T) {
 	}
 }
 
+// solveCounts is what the ablation test reads off a "solve" event.
+type solveCounts struct {
+	Nodes      int64 `json:"nodes"`
+	ModelTasks int64 `json:"model_tasks"`
+}
+
+// solveTally is a telemetry sink that sums the solver's "solve" events per
+// simulation run; the simulator's "run_end" closes one run.
+type solveTally struct {
+	runs []solveCounts
+	cur  solveCounts
+}
+
+func (s *solveTally) Emit(e *obs.Event) {
+	switch e.Kind {
+	case "solve":
+		var ev solveCounts
+		if err := json.Unmarshal(e.AppendJSON(nil), &ev); err != nil {
+			panic(err)
+		}
+		s.cur.Nodes += ev.Nodes
+		s.cur.ModelTasks += ev.ModelTasks
+	case "run_end":
+		s.runs = append(s.runs, s.cur)
+		s.cur = solveCounts{}
+	}
+}
+
+// ROADMAP 8(e) for the one parking rule the manager keeps: on the
+// ablation's advance-reservation-heavy stream, scheduling every job on
+// arrival (Section V.E off) makes the solver visit at least ten times the
+// nodes over ten times the modelled tasks, for the same late-job count. The
+// budget is clock-free, so the counts are a function of the seed alone.
 func TestAblationDeferralRuns(t *testing.T) {
 	spec, _ := ByID("ablation-deferral")
-	r, err := spec.Run(tinyOptions())
+	opts := tinyOptions()
+	opts.Jobs = 40
+	opts.ManagerConfig = core.DeterministicConfig()
+	tally := &solveTally{}
+	opts.Telemetry = obs.New(tally)
+	r, err := spec.Run(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Points) != 2 {
-		t.Fatalf("%d points", len(r.Points))
+	if len(r.Points) != 2 || len(tally.runs) != 2 {
+		t.Fatalf("%d points over %d runs, want 2 over 2", len(r.Points), len(tally.runs))
+	}
+	on, off := r.Points[0], r.Points[1]
+	if on.Factor != "deferral=true" || off.Factor != "deferral=false" {
+		t.Fatalf("unexpected factors %q/%q", on.Factor, off.Factor)
+	}
+	if on.N.Mean != off.N.Mean {
+		t.Errorf("late jobs differ: %v with deferral, %v without", on.N.Mean, off.N.Mean)
+	}
+	with, without := tally.runs[0], tally.runs[1]
+	t.Logf("deferral on %+v, off %+v", with, without)
+	if without.Nodes < 10*with.Nodes || without.ModelTasks < 10*with.ModelTasks {
+		t.Errorf("deferral off spent %+v, want >= 10x the %+v with deferral", without, with)
 	}
 }
 

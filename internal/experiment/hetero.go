@@ -41,14 +41,18 @@ func runHeteroSweep(opts Options) (Result, error) {
 			return r, err
 		}
 		for _, blind := range []bool{false, true} {
-			cellOpts := opts
-			cellOpts.ManagerConfig.SpeedBlind = blind
-			point, err := runReplications(cellOpts, func(rep int, rng *stats.Stream) (*sim.Metrics, error) {
-				jobs, err := cfg.Generate(cellOpts.Jobs, rng)
+			// The manager plans on the cluster it is handed; the simulator
+			// always runs the true one. Speed-blind is a plan without speeds.
+			plan := cluster
+			if blind {
+				plan.Speed = nil
+			}
+			point, err := runReplications(opts, func(rep int, rng *stats.Stream) (*sim.Metrics, error) {
+				jobs, err := cfg.Generate(opts.Jobs, rng)
 				if err != nil {
 					return nil, err
 				}
-				rm, err := cellOpts.newManager("mrcp", cluster)
+				rm, err := opts.newManager("mrcp", plan)
 				if err != nil {
 					return nil, err
 				}
@@ -56,7 +60,7 @@ func runHeteroSweep(opts Options) (Result, error) {
 				if err != nil {
 					return nil, err
 				}
-				cellOpts.instrument(s, rm)
+				opts.instrument(s, rm)
 				return s.Run()
 			})
 			if err != nil {

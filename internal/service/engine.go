@@ -16,10 +16,8 @@
 //     live scheduler.
 //
 // Submissions never block on an in-flight solve: they land in an intake
-// queue under their own lock and are injected between simulator steps.
-// Arrival batching (coalesce window, max-pending and urgency flushes) is
-// the manager's job — see core.Config.BatchWindow and friends — and the
-// engine merely passes the configuration through.
+// queue under their own lock and are injected between simulator steps;
+// every injected arrival is the manager's to admit or defer.
 package service
 
 import (
@@ -104,11 +102,6 @@ type Config struct {
 	// record hits stable storage before the submission is acknowledged),
 	// "batch" (fsync every 64 appends), or "none".
 	JournalSync string
-	// JournalTimetableEvery appends an installed-timetable audit record
-	// every N simulator steps (0 = only when the intake closes). Timetable
-	// records are forensic: replay re-derives placements deterministically
-	// and ignores them.
-	JournalTimetableEvery int
 
 	// MaxPending bounds the number of accepted-but-unfinished jobs
 	// (intake queue + outstanding work). Submissions beyond the bound are
@@ -678,7 +671,6 @@ func (e *Engine) loop() {
 	defer close(e.done)
 	defer e.closeJournal()
 	drained := false
-	steps := 0
 	ttLogged := false // final timetable audit written after intake close
 	for {
 		select {
@@ -729,10 +721,6 @@ func (e *Engine) loop() {
 			return
 		}
 		e.observeProgress(&m)
-		steps++
-		if every := e.cfg.JournalTimetableEvery; every > 0 && steps%every == 0 {
-			e.journalTimetable()
-		}
 	}
 }
 
@@ -819,10 +807,10 @@ func (e *Engine) intakeClosed() bool {
 	return e.closed
 }
 
-// drainManager force-admits jobs the manager still holds parked (deferred
-// or batched) after the event queue ran dry; it reports whether a drain
-// was actually needed so the loop retries stepping once. In practice
-// parked jobs keep timers queued, so this is a shutdown safety net.
+// drainManager force-admits jobs the manager still holds deferred after
+// the event queue ran dry; it reports whether a drain was actually needed
+// so the loop retries stepping once. In practice deferred jobs keep timers
+// queued, so this is a shutdown safety net.
 func (e *Engine) drainManager() bool {
 	type drainer interface {
 		Drain(sim.Context) error

@@ -89,10 +89,7 @@ func TestVirtualRunMatchesSim(t *testing.T) {
 // while the run loop is stepping (and solving) concurrently.
 func TestConcurrentSubmissions(t *testing.T) {
 	cluster := sim.Cluster{NumResources: 4, MapSlots: 2, ReduceSlots: 2}
-	cfg := deterministicCfg()
-	cfg.BatchWindow = 2 * time.Second
-	cfg.BatchMaxPending = 8
-	e, err := New(Config{Cluster: cluster, Manager: cfg})
+	e, err := New(Config{Cluster: cluster, Manager: deterministicCfg()})
 	if err != nil {
 		t.Fatal(err)
 	}

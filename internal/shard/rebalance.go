@@ -45,8 +45,12 @@ func (r *Router) stopRebalance() {
 	r.rebalOnce.Do(func() { close(r.rebalStop) })
 }
 
+// rebalanceRatio is the hot/cold pending-work ratio that triggers a
+// migration round.
+const rebalanceRatio = 2
+
 // Rebalance runs one rebalancing round: while the hottest shard holds more
-// than RebalanceRatio times the coldest shard's pending work, migrate the
+// than rebalanceRatio times the coldest shard's pending work, migrate the
 // newest still-queued, target-feasible job from hot to cold. Returns how
 // many jobs moved.
 func (r *Router) Rebalance() int {
@@ -74,7 +78,7 @@ func (r *Router) rebalanceOnce() bool {
 			cold = s
 		}
 	}
-	if hot == cold || float64(r.work[hot]) < r.cfg.RebalanceRatio*float64(r.work[cold]+1) {
+	if hot == cold || r.work[hot] < rebalanceRatio*(r.work[cold]+1) {
 		return false
 	}
 	// Newest queued first: the oldest jobs are closest to being drained

@@ -57,9 +57,6 @@ type Config struct {
 	// routed stream a pure function of the submissions — the CI replay
 	// setting). Rebalance can always be invoked manually.
 	RebalanceEvery time.Duration
-	// RebalanceRatio is the hot/cold pending-work ratio that triggers a
-	// migration round (default 2).
-	RebalanceRatio float64
 }
 
 // SegmentPath names shard i's journal segment under a base path.
@@ -206,9 +203,6 @@ func New(cfg Config) (*Router, error) {
 func newRouter(cfg Config) (*Router, []sim.Cluster, error) {
 	if cfg.Shards == 0 {
 		cfg.Shards = 1
-	}
-	if cfg.RebalanceRatio <= 1 {
-		cfg.RebalanceRatio = 2
 	}
 	parts, err := Partition(cfg.Base.Cluster, cfg.Shards)
 	if err != nil {

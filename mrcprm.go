@@ -184,34 +184,8 @@ func NewFaultPlan(cfg FaultConfig) (FaultInjector, error) { return faults.New(cf
 // SimulateWithFaults is Simulate with a fault injector installed. A nil
 // injector behaves exactly like Simulate.
 func SimulateWithFaults(cluster Cluster, rm ResourceManager, jobs []*Job, fi FaultInjector) (*Metrics, error) {
-	s, err := sim.New(cluster, rm, jobs)
-	if err != nil {
-		return nil, err
-	}
-	if fi != nil {
-		if err := s.SetFaultInjector(fi); err != nil {
-			return nil, err
-		}
-	}
-	return s.Run()
-}
-
-// SimulateTracedWithFaults is SimulateTraced with a fault injector
-// installed. A nil injector behaves exactly like SimulateTraced.
-func SimulateTracedWithFaults(cluster Cluster, rm ResourceManager, jobs []*Job, fi FaultInjector) (*Metrics, *TraceRecorder, error) {
-	s, err := sim.New(cluster, rm, jobs)
-	if err != nil {
-		return nil, nil, err
-	}
-	if fi != nil {
-		if err := s.SetFaultInjector(fi); err != nil {
-			return nil, nil, err
-		}
-	}
-	rec := trace.NewRecorder()
-	s.SetObserver(rec)
-	m, err := s.Run()
-	return m, rec, err
+	m, _, err := SimulateInstrumented(cluster, rm, jobs, fi, nil, 0)
+	return m, err
 }
 
 // Observability (telemetry core, solver search statistics).
@@ -254,12 +228,12 @@ func ParsePrometheus(r io.Reader) (*PromScrape, error) { return obs.ParsePrometh
 // time-series envelope).
 func ReadTelemetryReport(r io.Reader) (*TelemetryReport, error) { return obs.ReadReport(r) }
 
-// SimulateInstrumented is SimulateTracedWithFaults with a telemetry stream
-// attached to the simulator and, when rm supports it (MRCP-RM does), to the
-// resource manager. sampleEveryMS sets the sim time-series cadence (<=0
-// selects the 5 s default). After the run it emits the counter summary
-// (stamped at the run's makespan) and flushes the sink. A nil tel behaves
-// exactly like SimulateTracedWithFaults; a nil injector means fault-free.
+// SimulateInstrumented is the widest run: SimulateTraced with an optional
+// fault injector and a telemetry stream attached to the simulator and, when
+// rm supports it (MRCP-RM does), to the resource manager. sampleEveryMS sets
+// the sim time-series cadence (<=0 selects the 5 s default). After the run it
+// emits the counter summary (stamped at the run's makespan) and flushes the
+// sink. A nil tel attaches nothing; a nil injector means fault-free.
 func SimulateInstrumented(cluster Cluster, rm ResourceManager, jobs []*Job,
 	fi FaultInjector, tel *Telemetry, sampleEveryMS int64) (*Metrics, *TraceRecorder, error) {
 	s, err := sim.New(cluster, rm, jobs)
@@ -483,11 +457,7 @@ func PolicyNames() []string { return rmkit.Names() }
 // Simulate runs the job stream against the cluster under the manager and
 // returns the collected metrics.
 func Simulate(cluster Cluster, rm ResourceManager, jobs []*Job) (*Metrics, error) {
-	s, err := sim.New(cluster, rm, jobs)
-	if err != nil {
-		return nil, err
-	}
-	return s.Run()
+	return SimulateWithFaults(cluster, rm, jobs, nil)
 }
 
 // SolveBatch maps and schedules a fixed batch of jobs in one shot (the
@@ -508,14 +478,7 @@ type TraceRecorder = trace.Recorder
 
 // SimulateTraced is Simulate with schedule tracing attached.
 func SimulateTraced(cluster Cluster, rm ResourceManager, jobs []*Job) (*Metrics, *TraceRecorder, error) {
-	s, err := sim.New(cluster, rm, jobs)
-	if err != nil {
-		return nil, nil, err
-	}
-	rec := trace.NewRecorder()
-	s.SetObserver(rec)
-	m, err := s.Run()
-	return m, rec, err
+	return SimulateInstrumented(cluster, rm, jobs, nil, nil, 0)
 }
 
 // Experiments lists every registered experiment in paper order.
