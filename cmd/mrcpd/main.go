@@ -20,6 +20,11 @@
 // run's. -maxpending bounds the intake: excess submissions get 429 with a
 // Retry-After derived from the recent drain rate.
 //
+// Sharding: -shards N partitions the cluster into N engines, one journal
+// segment each, behind an admission router (-routeseed breaks load ties). A
+// job is routed once, at submission: its ID modulo N names its shard for
+// good.
+//
 // Observability: GET /metrics serves Prometheus text exposition (latency
 // and end-to-end histograms, job-flow counters, SLO burn gauges) backed by
 // an always-on in-process registry; -telemetry additionally streams JSONL
@@ -92,7 +97,6 @@ func main() {
 
 		shards    = flag.Int("shards", 1, "partition the cluster into this many shards, each with its own engine, behind an admission router")
 		routeSeed = flag.Uint64("routeseed", 1, "seed for the router's deterministic placement tie-break")
-		rebalance = flag.Duration("rebalance", 0, "migrate still-queued jobs from hot to cold shards this often (0 = off)")
 	)
 	common.Parse()
 	defer common.Close()
@@ -162,7 +166,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	scfg := mrcprm.ShardConfig{Base: cfg, Shards: *shards, Seed: *routeSeed, RebalanceEvery: *rebalance}
+	scfg := mrcprm.ShardConfig{Base: cfg, Shards: *shards, Seed: *routeSeed}
 	run, closed, err := openBackend(scfg, *doRecover)
 	if err != nil {
 		// An unknown -rm name surfaces here, listing the registered policies.
@@ -286,8 +290,8 @@ func openBackend(cfg mrcprm.ShardConfig, replay bool) (mrcprm.ServiceBackend, bo
 		if err != nil {
 			return nil, false, err
 		}
-		fmt.Printf("recovered  : %d shards, %d records (%d accepted, %d rejected, %d withdrawn, %d rehomed, closed=%v)\n",
-			cfg.Shards, info.Records, info.Accepted, info.Rejected, info.Withdrawn, info.Rehomed, info.Closed)
+		fmt.Printf("recovered  : %d shards, %d records (%d accepted, %d rejected, closed=%v)\n",
+			cfg.Shards, info.Records, info.Accepted, info.Rejected, info.Closed)
 		return r, info.Closed, nil
 	}
 	if !replay {

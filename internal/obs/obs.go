@@ -44,11 +44,9 @@ const (
 	// accepted submissions not yet completed or abandoned.
 	GaugeServicePending = "service_pending_jobs"
 	// CounterShardRouted / CounterShardRejected count admission-router
-	// placements and every-shard-shed rejections; CounterShardMigrated
-	// counts still-queued jobs the rebalancer moved between shards.
+	// placements and every-shard-shed rejections.
 	CounterShardRouted   = "shard_routed"
 	CounterShardRejected = "shard_rejected"
-	CounterShardMigrated = "shard_migrated"
 	// GaugeShardPendingWorkPrefix + shard index is the router's running
 	// estimate of each shard's pending work (sum of queued task exec ms).
 	GaugeShardPendingWorkPrefix = "shard_pending_work_ms_"

@@ -63,11 +63,10 @@ type Report struct {
 	// keys in the stream; the digest normalizes them away.
 	Hists map[string]HistDigest
 
-	// Admission-router digest ("shard/route" and "shard/migrate" events
-	// plus the shard_* counters from the final counter summary).
+	// Admission-router digest ("shard/route" events plus the shard_*
+	// counters from the final counter summary).
 	Routed       int
 	RouteByShard map[string]int
-	Migrations   int
 
 	// Deadline-miss attribution digest ("obs/slo_attribution" events).
 	Attributions  int
@@ -260,8 +259,6 @@ func (rep *Report) ingest(ev map[string]any) {
 		if v, ok := num("shard"); ok {
 			rep.RouteByShard[fmt.Sprintf("%.0f", v)]++
 		}
-	case "shard/migrate":
-		rep.Migrations++
 	case "obs/slo_attribution":
 		rep.Attributions++
 		if class, ok := ev["class"].(string); ok {
@@ -443,13 +440,6 @@ func (rep *Report) Write(w io.Writer) error {
 		}
 		if rejected := int(rep.Counters[CounterShardRejected]); rejected > 0 {
 			fmt.Fprintf(&b, "  rejected               %8d\n", rejected)
-		}
-		migrated := rep.Migrations
-		if c := int(rep.Counters[CounterShardMigrated]); c > migrated {
-			migrated = c
-		}
-		if migrated > 0 {
-			fmt.Fprintf(&b, "  migrated               %8d\n", migrated)
 		}
 	}
 

@@ -133,10 +133,6 @@ var (
 	// ErrJournal wraps a write-ahead-journal append failure: the
 	// submission was NOT accepted (nothing unjournaled takes effect).
 	ErrJournal = errors.New("service: journal write failed")
-	// ErrNotQueued rejects a Withdraw of a job that is not sitting in the
-	// intake queue: unknown, rejected, already withdrawn, or already
-	// drained into the simulator.
-	ErrNotQueued = errors.New("service: job is not queued in intake")
 )
 
 // OverloadError reports a shed submission: the intake was at Max pending
@@ -169,15 +165,6 @@ type jobEntry struct {
 	// injectErr records a (should-not-happen) AddJob failure so the job
 	// does not silently vanish.
 	injectErr error
-	// withdrawn marks a submission pulled back out of the intake by
-	// Withdraw (shard migration); the entry stays registered so the ID
-	// remains queryable.
-	withdrawn bool
-	// tag carries an external identity (the shard router's original
-	// global ID) for jobs resubmitted here by a migration; tagged
-	// distinguishes tag 0 from "no tag".
-	tag    int64
-	tagged bool
 }
 
 // Engine is the embeddable online resource-manager engine.
@@ -340,18 +327,6 @@ func (e *Engine) NowMS() int64 {
 // the accepted submission is appended — and fsynced per the sync policy —
 // before Submit returns, so an acknowledged job survives a crash.
 func (e *Engine) Submit(spec workload.JobSpec) (int, error) {
-	return e.submit(spec, 0, false)
-}
-
-// SubmitTagged is Submit with an external identity attached: the tag is
-// journaled with the submission and surfaced through recovery, so a shard
-// router can migrate a job between engines (Withdraw + SubmitTagged) while
-// keeping its original global ID traceable across journal segments.
-func (e *Engine) SubmitTagged(spec workload.JobSpec, tag int64) (int, error) {
-	return e.submit(spec, tag, true)
-}
-
-func (e *Engine) submit(spec workload.JobSpec, tag int64, tagged bool) (int, error) {
 	if e.cfg.Telemetry.Enabled() {
 		defer func(start time.Time) {
 			e.cfg.Telemetry.Observe(obs.HistWallAdmission, float64(time.Since(start).Nanoseconds())/1e6)
@@ -392,13 +367,9 @@ func (e *Engine) submit(spec workload.JobSpec, tag int64, tagged bool) (int, err
 	}
 	id := e.nextID
 	e.nextID++
-	entry := &jobEntry{id: id, job: j, tag: tag, tagged: tagged}
+	entry := &jobEntry{id: id, job: j}
 	e.entries[id] = entry
 	e.order = append(e.order, id)
-	var recTag *int64
-	if tagged {
-		recTag = &tag
-	}
 	// The admission lower bound doubles as the SLO monitor's
 	// infeasible-at-admission signal: with admission enforcement on, a
 	// failing job is rejected (and its trace records the shed); with it
@@ -417,7 +388,7 @@ func (e *Engine) submit(spec workload.JobSpec, tag int64, tagged bool) (int, err
 		entry.job = nil
 		e.rejects++
 		if jerr := e.journalAppend(&journalRecord{
-			Kind: recSubmit, SimMS: now, ID: id, Spec: &spec, Rejected: entry.rejectReason, Tag: recTag,
+			Kind: recSubmit, SimMS: now, ID: id, Spec: &spec, Rejected: entry.rejectReason,
 		}); jerr != nil {
 			e.rollbackSubmit(id)
 			return 0, jerr
@@ -425,7 +396,7 @@ func (e *Engine) submit(spec workload.JobSpec, tag int64, tagged bool) (int, err
 		e.mon.JobShed(now, id, "infeasible")
 		return id, aerr
 	}
-	if jerr := e.journalAppend(&journalRecord{Kind: recSubmit, SimMS: now, ID: id, Spec: &spec, Tag: recTag}); jerr != nil {
+	if jerr := e.journalAppend(&journalRecord{Kind: recSubmit, SimMS: now, ID: id, Spec: &spec}); jerr != nil {
 		e.rollbackSubmit(id)
 		return 0, jerr
 	}
@@ -447,108 +418,17 @@ func (e *Engine) rollbackSubmit(id int) {
 	e.nextID--
 }
 
-// Withdraw pulls a still-queued submission back out of the intake so a
-// shard router can migrate it to another engine through the same journaled
-// path (Withdraw here, SubmitTagged there). Only jobs that have not yet
-// been drained into the simulator can be withdrawn; anything else fails
-// with ErrNotQueued, which a rebalancer treats as "too late, skip". The
-// withdrawal is journaled before it takes effect, the entry stays
-// registered as StateWithdrawn, and the returned spec (plus the original
-// tag, if the job was itself migrated in) is what the caller resubmits.
-func (e *Engine) Withdraw(id int) (spec workload.JobSpec, tag int64, tagged bool, err error) {
-	e.intakeMu.Lock()
-	defer e.intakeMu.Unlock()
-	entry, ok := e.entries[id]
-	if !ok || entry.job == nil || entry.withdrawn {
-		return workload.JobSpec{}, 0, false, ErrNotQueued
-	}
-	idx := -1
-	for i, j := range e.intake {
-		if j.ID == id {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return workload.JobSpec{}, 0, false, ErrNotQueued
-	}
-	if jerr := e.journalAppend(&journalRecord{Kind: recWithdraw, SimMS: e.simNow.Load(), ID: id}); jerr != nil {
-		return workload.JobSpec{}, 0, false, jerr
-	}
-	spec = workload.SpecOf(entry.job)
-	e.intake = append(e.intake[:idx], e.intake[idx+1:]...)
-	entry.withdrawn = true
-	e.accepted--
-	e.mon.JobWithdrawn(e.simNow.Load(), id)
-	return spec, entry.tag, entry.tagged, nil
-}
-
-// QueuedIDs returns the IDs of accepted submissions still sitting in the
-// intake queue (not yet drained into the simulator), in queue order — the
-// set Withdraw can still act on.
-func (e *Engine) QueuedIDs() []int {
-	e.intakeMu.Lock()
-	defer e.intakeMu.Unlock()
-	ids := make([]int, len(e.intake))
-	for i, j := range e.intake {
-		ids[i] = j.ID
-	}
-	return ids
-}
-
-// QueuedSpec returns the spec of a still-queued submission without
-// withdrawing it, so a rebalancer can test feasibility on the target shard
-// before committing to the migration.
-func (e *Engine) QueuedSpec(id int) (workload.JobSpec, bool) {
-	e.intakeMu.Lock()
-	defer e.intakeMu.Unlock()
-	for _, j := range e.intake {
-		if j.ID == id {
-			return workload.SpecOf(j), true
-		}
-	}
-	return workload.JobSpec{}, false
-}
-
-// WithdrawnJob is one withdrawn entry's identity and spec, as surfaced by
-// WithdrawnJobs for shard.Recover's orphan re-homing.
-type WithdrawnJob struct {
-	LocalID int
-	Spec    workload.JobSpec
-	Tag     int64
-	Tagged  bool
-}
-
-// WithdrawnJobs returns every withdrawn entry in submission order. A shard
-// recovery uses this to find migrations whose tagged resubmit never made
-// it to the target segment before a crash.
-func (e *Engine) WithdrawnJobs() []WithdrawnJob {
-	e.intakeMu.Lock()
-	defer e.intakeMu.Unlock()
-	var out []WithdrawnJob
-	for _, id := range e.order {
-		entry := e.entries[id]
-		if entry == nil || !entry.withdrawn || entry.job == nil {
-			continue
-		}
-		out = append(out, WithdrawnJob{
-			LocalID: id, Spec: workload.SpecOf(entry.job), Tag: entry.tag, Tagged: entry.tagged,
-		})
-	}
-	return out
-}
-
-// AcceptedWorkMS returns the total execution-time work (sum of task exec
-// times) of every accepted, not-withdrawn submission. On a not-yet-started
-// engine — the state shard.Recover sees — this equals the pending work the
-// router's load accounting tracks, since nothing has completed yet.
-func (e *Engine) AcceptedWorkMS() int64 {
+// AcceptedWork sums weigh over every accepted submission. On a
+// not-yet-started engine — the state shard.Recover sees — nothing has
+// completed yet, so under the router's own per-job load formula this is the
+// pending work its accounting tracks.
+func (e *Engine) AcceptedWork(weigh func(*workload.Job) int64) int64 {
 	e.intakeMu.Lock()
 	defer e.intakeMu.Unlock()
 	var w int64
 	for _, entry := range e.entries {
-		if entry.job != nil && !entry.withdrawn {
-			w += entry.job.TotalWork()
+		if entry.job != nil {
+			w += weigh(entry.job)
 		}
 	}
 	return w
@@ -981,10 +861,6 @@ const (
 	StateRunning   JobState = "running"
 	StateCompleted JobState = "completed"
 	StateAbandoned JobState = "abandoned"
-	// StateWithdrawn marks a submission pulled back out of this engine's
-	// intake by a shard rebalancer; the job lives on — under its original
-	// global ID — in the shard it migrated to.
-	StateWithdrawn JobState = "withdrawn"
 )
 
 // TaskPlacement is one task's planned or actual placement.
@@ -1055,12 +931,6 @@ func (e *Engine) status(entry *jobEntry, withPlacements bool) JobStatus {
 	if entry.rejectReason != "" {
 		return JobStatus{ID: entry.id, State: StateRejected, Reason: entry.rejectReason,
 			DeadlineMS: entry.rejectDeadline}
-	}
-	if entry.withdrawn {
-		j := entry.job
-		return JobStatus{ID: entry.id, State: StateWithdrawn,
-			ArrivalMS: j.Arrival, EarliestStartMS: j.EarliestStart, DeadlineMS: j.Deadline,
-			MapTasks: len(j.MapTasks), ReduceTasks: len(j.ReduceTasks)}
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -116,11 +116,16 @@ type server struct{ b Backend }
 // most, so anything near the cap is malformed or hostile.
 const maxBodyBytes = 1 << 20
 
-// decodeBody reads a POST body into v: exactly one JSON value of v's shape,
-// at most maxBodyBytes long, with no unknown fields and nothing but
-// whitespace after it.
+// decodeBody reads a POST body of at most maxBodyBytes into v, strictly
+// (decodeStrict).
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	return decodeStrict(http.MaxBytesReader(w, r.Body, maxBodyBytes), v)
+}
+
+// decodeStrict reads exactly one JSON value of v's shape from r, with no
+// unknown fields and nothing but whitespace after it.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return err

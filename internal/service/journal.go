@@ -22,6 +22,7 @@ package service
 // but re-execute the stream on the recovered engine's own clock.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 
@@ -40,7 +41,6 @@ const (
 	recOutage    = "outage"
 	recClose     = "close"
 	recTimetable = "timetable"
-	recWithdraw  = "withdraw"
 )
 
 // journalRecord is the one-line JSON payload of every WAL record; Kind
@@ -54,14 +54,10 @@ type journalRecord struct {
 	Mode    string       `json:"mode,omitempty"`
 	Cluster *sim.Cluster `json:"cluster,omitempty"`
 
-	// submit (ID is also the target of a withdraw record).
+	// submit.
 	ID       int               `json:"id"`
 	Spec     *workload.JobSpec `json:"spec,omitempty"`
 	Rejected string            `json:"rejected,omitempty"`
-	// Tag is the external identity a shard router attached via
-	// SubmitTagged (the job's original global ID after a migration); nil
-	// for plain submissions.
-	Tag *int64 `json:"tag,omitempty"`
 
 	// faults.
 	Faults *FaultSpec `json:"faults,omitempty"`
@@ -198,13 +194,6 @@ type RecoveryInfo struct {
 	// recovered virtual engine can then simply be Started to finish the
 	// interrupted stream.
 	Closed bool
-	// Withdrawn counts submissions later pulled back out of the intake by
-	// a shard rebalancer (they do not run on this engine).
-	Withdrawn int
-	// Tagged maps local submission IDs to the external tag their submit
-	// records carried (migrated-in jobs); shard.Recover rebuilds the
-	// router's global-ID overlay from it. Nil when no record was tagged.
-	Tagged map[int]int64
 }
 
 // Recover rebuilds an engine from the write-ahead journal at
@@ -237,14 +226,9 @@ func Recover(cfg Config) (*Engine, *RecoveryInfo, error) {
 	e.cfg.JournalPath = cfg.JournalPath // restore for Snapshot.Journal
 	info := &RecoveryInfo{TornBytes: j.Torn()}
 	for i, payload := range payloads {
-		var rec journalRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
+		if kind, err := e.replayPayload(payload, info); err != nil {
 			j.Close()
-			return nil, nil, fmt.Errorf("service: journal record %d: %w", i, err)
-		}
-		if err := e.replay(&rec, info); err != nil {
-			j.Close()
-			return nil, nil, fmt.Errorf("service: journal record %d (%s): %w", i, rec.Kind, err)
+			return nil, nil, fmt.Errorf("service: journal record %d (%s): %w", i, kind, err)
 		}
 		info.Records++
 	}
@@ -260,6 +244,20 @@ func Recover(cfg Config) (*Engine, *RecoveryInfo, error) {
 	}
 	e.journal = j
 	return e, info, nil
+}
+
+// replayPayload decodes one journal payload and applies it. Decoding is
+// strict (decodeStrict, as for POST bodies): a record carrying a field or
+// kind this build does not know — a journal from another format — is
+// refused by name instead of replaying as something it was not. The
+// record's kind is returned for the caller's error; the decoder fills it in
+// even when it goes on to refuse the record.
+func (e *Engine) replayPayload(payload []byte, info *RecoveryInfo) (kind string, err error) {
+	var rec journalRecord
+	if err = decodeStrict(bytes.NewReader(payload), &rec); err == nil {
+		err = e.replay(&rec, info)
+	}
+	return rec.Kind, err
 }
 
 // replay applies one journal record to a not-yet-started engine.
@@ -315,8 +313,6 @@ func (e *Engine) replay(rec *journalRecord, info *RecoveryInfo) error {
 	case recTimetable:
 		info.Timetables++ // audit only: replay re-derives placements
 		return nil
-	case recWithdraw:
-		return e.replayWithdraw(rec, info)
 	}
 	return fmt.Errorf("unknown record kind %q", rec.Kind)
 }
@@ -332,8 +328,17 @@ func (e *Engine) replaySubmit(rec *journalRecord, info *RecoveryInfo) error {
 	if rec.ID != e.nextID {
 		return fmt.Errorf("submission id %d out of order (expected %d)", rec.ID, e.nextID)
 	}
+	// Build the job before touching the registry, so a refused record leaves
+	// the engine exactly as it was.
+	var j *workload.Job
+	if rec.Rejected == "" {
+		var err error
+		if j, err = rec.Spec.Job(rec.ID); err != nil {
+			return err
+		}
+	}
 	e.nextID++
-	entry := &jobEntry{id: rec.ID}
+	entry := &jobEntry{id: rec.ID, job: j}
 	e.entries[rec.ID] = entry
 	e.order = append(e.order, rec.ID)
 	if rec.Rejected != "" {
@@ -344,22 +349,9 @@ func (e *Engine) replaySubmit(rec *journalRecord, info *RecoveryInfo) error {
 		e.mon.JobShed(rec.SimMS, rec.ID, "infeasible")
 		return nil
 	}
-	j, err := rec.Spec.Job(rec.ID)
-	if err != nil {
-		return err
-	}
-	entry.job = j
 	e.accepted++
 	e.intake = append(e.intake, j)
 	info.Accepted++
-	if rec.Tag != nil {
-		entry.tag = *rec.Tag
-		entry.tagged = true
-		if info.Tagged == nil {
-			info.Tagged = make(map[int]int64)
-		}
-		info.Tagged[rec.ID] = *rec.Tag
-	}
 	// Re-derive the infeasibility flag the original Submit computed so the
 	// recovered monitor attributes identically.
 	at := rec.SimMS
@@ -367,35 +359,5 @@ func (e *Engine) replaySubmit(rec *journalRecord, info *RecoveryInfo) error {
 		at = j.Arrival
 	}
 	e.mon.JobSubmitted(rec.SimMS, rec.ID, core.CheckAdmission(e.cfg.Cluster, j, at) != nil)
-	return nil
-}
-
-// replayWithdraw re-applies a journaled rebalancer withdrawal: the job
-// leaves the intake and never runs on this engine.
-func (e *Engine) replayWithdraw(rec *journalRecord, info *RecoveryInfo) error {
-	e.intakeMu.Lock()
-	defer e.intakeMu.Unlock()
-	entry, ok := e.entries[rec.ID]
-	if !ok || entry.job == nil || entry.withdrawn {
-		return fmt.Errorf("withdraw of id %d which is not queued", rec.ID)
-	}
-	idx := -1
-	for i, j := range e.intake {
-		if j.ID == rec.ID {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return fmt.Errorf("withdraw of id %d which is not in the intake", rec.ID)
-	}
-	e.intake = append(e.intake[:idx], e.intake[idx+1:]...)
-	entry.withdrawn = true
-	e.accepted--
-	info.Withdrawn++
-	if info.Tagged != nil {
-		delete(info.Tagged, rec.ID)
-	}
-	e.mon.JobWithdrawn(rec.SimMS, rec.ID)
 	return nil
 }

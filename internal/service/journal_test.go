@@ -15,6 +15,7 @@ import (
 	"mrcprm/internal/core"
 	"mrcprm/internal/sim"
 	"mrcprm/internal/stats"
+	"mrcprm/internal/wal"
 	"mrcprm/internal/workload"
 )
 
@@ -239,6 +240,55 @@ func TestRecoverTornTail(t *testing.T) {
 			want := refFingerprint(t, cluster, jobs[:tc.prefix])
 			if m.Fingerprint() != want {
 				t.Fatalf("prefix fingerprint %016x, want %016x", m.Fingerprint(), want)
+			}
+		})
+	}
+}
+
+// TestRecoverRefusesOldFormatRecords: a journal from the build that could
+// migrate jobs between shards may hold a withdraw record or a tagged submit.
+// This build knows neither, and replaying either as something else would
+// run a job under the wrong identity — so recovery refuses the segment,
+// naming the record, and hands back no engine.
+func TestRecoverRefusesOldFormatRecords(t *testing.T) {
+	jobs, cluster := testStream(t, 2)
+	for _, tc := range []struct {
+		name, payload, want string
+	}{
+		{"withdraw", `{"kind":"withdraw","simMs":0,"id":1}`,
+			`journal record 3 (withdraw): unknown record kind "withdraw"`},
+		{"tagged-submit", `{"kind":"submit","simMs":0,"id":2,"spec":{"arrivalMs":0,"earliestStartMs":0,"deadlineMs":3600000,"mapExecMs":[1000]},"tag":7}`,
+			`journal record 3 (submit): json: unknown field "tag"`},
+		{"trailing-data", `{"kind":"close","simMs":0,"id":0} {}`,
+			`journal record 3 (close): unexpected data after the JSON value`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Cluster: cluster, Policy: "fifo",
+				JournalPath: filepath.Join(t.TempDir(), "run.wal"), JournalSync: "none"}
+			e, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			submitAll(t, e, jobs)
+			e.Stop()
+			<-e.Done()
+			// Records 0-2 are the meta header and two good submits.
+			j, recs, err := wal.Open(cfg.JournalPath, wal.Options{})
+			if err != nil || len(recs) != 3 {
+				t.Fatalf("reopened journal: %d records, err %v", len(recs), err)
+			}
+			if err := j.Append([]byte(tc.payload)); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			r, info, err := Recover(cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Recover returned %v, want an error containing %q", err, tc.want)
+			}
+			if r != nil || info != nil {
+				t.Fatalf("refused recovery still returned engine %v, info %+v", r, info)
 			}
 		})
 	}

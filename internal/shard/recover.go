@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mrcprm/internal/service"
+	"mrcprm/internal/workload"
 )
 
 // RecoveryInfo aggregates what Recover replayed across all segments.
@@ -11,26 +12,21 @@ type RecoveryInfo struct {
 	// Shards holds each segment's per-engine replay summary, in shard
 	// order.
 	Shards []*service.RecoveryInfo
-	// Records, Accepted, Rejected, and Withdrawn are fleet totals.
-	Records   int
-	Accepted  int
-	Rejected  int
-	Withdrawn int
-	// Rehomed counts orphaned migrations (a journaled withdraw whose
-	// tagged resubmit never hit disk before the crash) that were re-placed
-	// through the normal routing path.
-	Rehomed int
+	// Records, Accepted, and Rejected are fleet totals.
+	Records  int
+	Accepted int
+	Rejected int
 	// Closed reports whether every segment had journaled an intake close.
 	Closed bool
 }
 
 // Recover rebuilds a sharded router from its N journal segments
 // (SegmentPath(Base.JournalPath, 0..N-1)): each segment replays into its
-// shard's engine, the router's load estimates and migration overlay are
-// reconstructed from the replayed state, and orphaned migrations are
-// re-placed. Start the returned router to run the recovered streams; in
-// virtual mode with deterministic solver settings the aggregate
-// fingerprint is bit-identical to the uninterrupted sharded run's.
+// shard's engine and the router's sequence counter and load estimates are
+// reconstructed from the replayed state. Start the returned router to run
+// the recovered streams; in virtual mode with deterministic solver settings
+// the aggregate fingerprint is bit-identical to the uninterrupted sharded
+// run's.
 func Recover(cfg Config) (*Router, *RecoveryInfo, error) {
 	if cfg.Base.JournalPath == "" {
 		return nil, nil, fmt.Errorf("shard: Recover needs Base.JournalPath")
@@ -50,61 +46,12 @@ func Recover(cfg Config) (*Router, *RecoveryInfo, error) {
 		agg.Records += info.Records
 		agg.Accepted += info.Accepted
 		agg.Rejected += info.Rejected
-		agg.Withdrawn += info.Withdrawn
 		agg.Closed = agg.Closed && info.Closed
-		r.work[s] = e.AcceptedWorkMS()
+		// Nothing has completed on a not-yet-started engine, so its accepted
+		// jobs under Submit's own formula are exactly the pending estimate.
+		r.work[s] = e.AcceptedWork(func(j *workload.Job) int64 { return r.effectiveWork(s, j) })
 		r.seq += uint64(info.Accepted + info.Rejected)
-		for local, gid := range info.Tagged {
-			r.overlay[gid] = ref{shard: s, local: local}
-			r.moved[ref{shard: s, local: local}] = gid
-		}
 	}
 	r.closed = agg.Closed
-	if err := r.rehomeOrphans(agg); err != nil {
-		return nil, nil, err
-	}
 	return r, agg, nil
-}
-
-// rehomeOrphans re-places every withdrawn job whose tagged resubmit is on
-// no segment (the crash hit between the migration's two journal records):
-// its spec still lives in its withdraw-side submit record, so it goes back
-// through SubmitTagged on the least-loaded feasible shard.
-func (r *Router) rehomeOrphans(agg *RecoveryInfo) error {
-	for s := range r.engines {
-		for _, wj := range r.engines[s].WithdrawnJobs() {
-			gid := int64(wj.LocalID)*int64(r.n) + int64(s)
-			if wj.Tagged {
-				gid = wj.Tag
-			}
-			if _, ok := r.overlay[gid]; ok {
-				continue // the migration completed; the tag found its home
-			}
-			probe, err := wj.Spec.Job(0)
-			if err != nil {
-				return fmt.Errorf("shard %d: orphaned job %d: %w", s, gid, err)
-			}
-			best := -1
-			for t := range r.engines {
-				if !feasibleOn(r.parts[t], probe) {
-					continue
-				}
-				if best < 0 || r.work[t] < r.work[best] {
-					best = t
-				}
-			}
-			if best < 0 {
-				best = s // infeasible everywhere: keep it home, let the engine reject
-			}
-			local, err := r.engines[best].SubmitTagged(wj.Spec, gid)
-			if err != nil {
-				return fmt.Errorf("shard %d: re-homing orphaned job %d: %w", best, gid, err)
-			}
-			r.overlay[gid] = ref{shard: best, local: local}
-			r.moved[ref{shard: best, local: local}] = gid
-			r.work[best] += probe.TotalWork()
-			agg.Rehomed++
-		}
-	}
-	return nil
 }

@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"mrcprm/internal/service"
+	"mrcprm/internal/core"
 	"mrcprm/internal/workload"
 )
 
@@ -82,126 +82,41 @@ func TestShardRecoveryEquivalence(t *testing.T) {
 	}
 }
 
-// TestRecoverRestoresMigration: a job migrated before the crash must come
-// back on its new shard, still resolvable under its original global ID.
-func TestRecoverRestoresMigration(t *testing.T) {
+// TestRecoverRestoresWorkOnHeteroShards: Submit accrues effectiveWork
+// (nominal work over the shard's mean speed), so recovery must seed the
+// load estimate from the same formula — otherwise the all-slow shard comes
+// back looking half as loaded and post-recovery routing diverges from the
+// uninterrupted run.
+func TestRecoverRestoresWorkOnHeteroShards(t *testing.T) {
+	cluster, err := core.TwoClassSpec(8, 2, 2, 2).Cluster()
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := journaledConfig(t)
+	cfg.Base.Cluster = cluster // shard 0 is all speed 1, shard 1 all speed 0.5
+	cfg.Base.Policy = "fifo"
 	r, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := workload.JobSpec{
-		DeadlineMS:   3_600_000,
-		MapExecMS:    []int64{10_000, 10_000},
-		ReduceExecMS: []int64{5_000},
-	}
-	var gids []int64
-	for i := 0; i < 6; i++ {
-		gid, err := r.Submit(spec)
-		if err != nil {
+	for _, j := range shardStream(t, 20) {
+		if _, err := r.Submit(workload.SpecOf(j)); err != nil {
 			t.Fatal(err)
 		}
-		gids = append(gids, gid)
 	}
-	probe, _ := spec.Job(0)
-	w := probe.TotalWork()
-	for _, gid := range gids {
-		if gid%2 == 1 {
-			r.noteDone(1, w)
-		}
+	before := append([]int64(nil), r.work...)
+	if before[0] == 0 || before[1] == 0 {
+		t.Fatalf("stream left a shard idle: work %v", before)
 	}
-	if moved := r.Rebalance(); moved != 1 {
-		t.Fatalf("rebalance moved %d jobs, want 1", moved)
-	}
-	r.mu.Lock()
-	var migrated int64
-	for gid := range r.overlay {
-		migrated = gid
-	}
-	r.mu.Unlock()
 
-	// Crash before the run: the journals hold 6 submits, 1 withdraw, and 1
-	// tagged resubmit across the two segments.
-	r2, info, err := Recover(cfg)
+	// Crash before the run.
+	r2, _, err := Recover(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Withdrawn != 1 || info.Rehomed != 0 {
-		t.Fatalf("recovered withdrawn=%d rehomed=%d, want 1 and 0", info.Withdrawn, info.Rehomed)
-	}
-	r2.mu.Lock()
-	home, ok := r2.overlay[migrated]
-	r2.mu.Unlock()
-	if !ok || home.shard != 1 {
-		t.Fatalf("migrated job %d recovered on %+v ok=%v, want shard 1", migrated, home, ok)
-	}
-	if err := r2.Start(); err != nil {
-		t.Fatal(err)
-	}
-	r2.CloseIntake()
-	if err := r2.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	for _, gid := range gids {
-		st, ok := r2.Job(gid)
-		if !ok || st.State != service.StateCompleted {
-			t.Fatalf("job %d recovered to %+v ok=%v, want completed", gid, st, ok)
-		}
-	}
-}
-
-// TestRecoverRehomesOrphan covers the crash window between a migration's
-// two journal records: the withdraw hit the hot segment but the tagged
-// resubmit never hit the cold one. Recovery must re-place the job through
-// the routing path instead of losing it.
-func TestRecoverRehomesOrphan(t *testing.T) {
-	cfg := journaledConfig(t)
-	r, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := workload.JobSpec{
-		DeadlineMS:   3_600_000,
-		MapExecMS:    []int64{10_000},
-		ReduceExecMS: []int64{5_000},
-	}
-	var gids []int64
-	for i := 0; i < 4; i++ {
-		gid, err := r.Submit(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gids = append(gids, gid)
-	}
-	// Simulate the torn migration: journal the withdraw on the job's home
-	// shard and crash before any resubmit.
-	victim := gids[0]
-	if _, _, _, err := r.Engine(int(victim % 2)).Withdraw(int(victim / 2)); err != nil {
-		t.Fatal(err)
-	}
-
-	r2, info, err := Recover(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Withdrawn != 1 || info.Rehomed != 1 {
-		t.Fatalf("recovered withdrawn=%d rehomed=%d, want 1 and 1", info.Withdrawn, info.Rehomed)
-	}
-	st, ok := r2.Job(victim)
-	if !ok || st.State != service.StateQueued {
-		t.Fatalf("orphaned job %d recovered to %+v ok=%v, want queued", victim, st, ok)
-	}
-	if err := r2.Start(); err != nil {
-		t.Fatal(err)
-	}
-	r2.CloseIntake()
-	if err := r2.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	for _, gid := range gids {
-		st, ok := r2.Job(gid)
-		if !ok || st.State != service.StateCompleted {
-			t.Fatalf("job %d ended %+v ok=%v, want completed", gid, st, ok)
+	for s := range before {
+		if r2.work[s] != before[s] {
+			t.Fatalf("recovered work %v, before the crash %v", r2.work, before)
 		}
 	}
 }

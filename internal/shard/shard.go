@@ -13,12 +13,11 @@
 // Only when every feasible shard sheds does the router reject with the
 // same typed overload error the single-engine service uses.
 //
-// Job IDs are global: a job accepted by shard s with engine-local ID l is
-// externally job l*N + s, so gid%N locates the home shard without any
-// shared state. A rebalancer migration moves a still-queued job to another
-// shard through the journaled Withdraw/SubmitTagged path; the original
-// global ID rides along as the submission tag and an overlay index keeps
-// it resolvable, so clients never observe an ID change.
+// A job's shard is arithmetic: it is routed once, at submission, and never
+// moves. A job accepted by shard s with engine-local ID l is externally job
+// l*N + s forever, so gid%N is its home shard and gid/N its local ID — the
+// read paths (Job, Jobs, Schedule, Trace) resolve IDs without any shared
+// state or lock.
 package shard
 
 import (
@@ -53,10 +52,6 @@ type Config struct {
 	Shards int
 	// Seed feeds the deterministic placement tie-break.
 	Seed uint64
-	// RebalanceEvery enables the periodic rebalancer (0 = off, keeping the
-	// routed stream a pure function of the submissions — the CI replay
-	// setting). Rebalance can always be invoked manually.
-	RebalanceEvery time.Duration
 }
 
 // SegmentPath names shard i's journal segment under a base path.
@@ -99,12 +94,6 @@ func Partition(c sim.Cluster, n int) ([]sim.Cluster, error) {
 	return parts, nil
 }
 
-// ref locates a job on its current shard by engine-local ID.
-type ref struct {
-	shard int
-	local int
-}
-
 // Router fronts N per-shard engines with deterministic admission routing.
 type Router struct {
 	cfg     Config
@@ -114,25 +103,19 @@ type Router struct {
 	engines []*service.Engine
 	tel     *obs.Telemetry
 
-	// mu guards the routing state. Lock order: an engine's run loop may
-	// call the shard observer (engine mu -> router mu), and routing calls
-	// engine intake methods (router mu -> engine intakeMu); never call an
-	// engine method that takes the engine's sim lock while holding mu.
+	// mu guards the routing state (seq, work, closed, started) — never the
+	// read paths, which resolve global IDs arithmetically. Lock order: an
+	// engine's run loop may call the shard observer (engine mu -> router
+	// mu), and routing calls engine intake methods (router mu -> engine
+	// intakeMu); never call an engine method that takes the engine's sim
+	// lock while holding mu.
 	mu sync.Mutex
 	// seq numbers Submit calls for the placement tie-break.
 	seq uint64
 	// work estimates each shard's pending work: total task exec ms routed
 	// there minus completions and abandonments.
-	work []int64
-	// overlay maps the global ID of every MIGRATED job to its current
-	// home; jobs that never moved resolve by gid%N alone. moved is the
-	// reverse index (current ref -> gid) for listings.
-	overlay map[int64]ref
-	moved   map[ref]int64
-	closed  bool
-
-	rebalStop chan struct{}
-	rebalOnce sync.Once
+	work   []int64
+	closed bool
 
 	done    chan struct{}
 	started bool
@@ -213,17 +196,14 @@ func newRouter(cfg Config) (*Router, []sim.Cluster, error) {
 		offsets[i] = offsets[i-1] + parts[i-1].NumResources
 	}
 	r := &Router{
-		cfg:       cfg,
-		n:         cfg.Shards,
-		parts:     parts,
-		offsets:   offsets,
-		engines:   make([]*service.Engine, cfg.Shards),
-		tel:       cfg.Base.Telemetry,
-		work:      make([]int64, cfg.Shards),
-		overlay:   make(map[int64]ref),
-		moved:     make(map[ref]int64),
-		rebalStop: make(chan struct{}),
-		done:      make(chan struct{}),
+		cfg:     cfg,
+		n:       cfg.Shards,
+		parts:   parts,
+		offsets: offsets,
+		engines: make([]*service.Engine, cfg.Shards),
+		tel:     cfg.Base.Telemetry,
+		work:    make([]int64, cfg.Shards),
+		done:    make(chan struct{}),
 	}
 	return r, parts, nil
 }
@@ -348,7 +328,7 @@ func (r *Router) Submit(spec workload.JobSpec) (int64, error) {
 		var oe *service.OverloadError
 		switch {
 		case err == nil:
-			gid := int64(id)*int64(r.n) + int64(c.s)
+			gid := r.gid(c.s, id)
 			w := r.effectiveWork(c.s, probe)
 			r.work[c.s] += w
 			r.tel.Add(obs.CounterShardRouted, 1)
@@ -362,7 +342,7 @@ func (r *Router) Submit(spec workload.JobSpec) (int64, error) {
 		case errors.Is(err, service.ErrClosed):
 			lastClosed = err
 		default:
-			gid := int64(id)*int64(r.n) + int64(c.s)
+			gid := r.gid(c.s, id)
 			var ae *core.AdmissionError
 			if errors.As(err, &ae) {
 				// The engine minted a fresh error for this submission;
@@ -394,39 +374,27 @@ func (r *Router) Submit(spec workload.JobSpec) (int64, error) {
 	return 0, service.ErrClosed
 }
 
-// locate resolves a global ID to its current (shard, local) home: the
-// migration overlay first, the gid%N encoding otherwise. Callers must not
-// hold mu.
-func (r *Router) locate(gid int64) (ref, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if ref, ok := r.overlay[gid]; ok {
-		return ref, true
-	}
-	if gid < 0 {
-		return ref{}, false
-	}
-	return ref{shard: int(gid % int64(r.n)), local: int(gid / int64(r.n))}, true
+// gid is the global ID of shard s's engine-local job: local*N + s.
+func (r *Router) gid(s, local int) int64 {
+	return int64(local)*int64(r.n) + int64(s)
 }
 
-// gidOf reports the global ID a (shard, local) entry is published under.
-// Callers must not hold mu.
-func (r *Router) gidOf(s, local int) int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if gid, ok := r.moved[ref{shard: s, local: local}]; ok {
-		return gid
+// home inverts gid: the engine that owns a global ID and the job's local ID
+// there. ok is false for a negative ID.
+func (r *Router) home(gid int64) (e *service.Engine, local int, ok bool) {
+	if gid < 0 {
+		return nil, 0, false
 	}
-	return int64(local)*int64(r.n) + int64(s)
+	return r.engines[gid%int64(r.n)], int(gid / int64(r.n)), true
 }
 
 // Job returns one submission's status under its global ID.
 func (r *Router) Job(gid int64) (service.JobStatus, bool) {
-	loc, ok := r.locate(gid)
-	if !ok || loc.shard >= r.n {
+	e, local, ok := r.home(gid)
+	if !ok {
 		return service.JobStatus{}, false
 	}
-	st, ok := r.engines[loc.shard].Job(loc.local)
+	st, ok := e.Job(local)
 	if !ok {
 		return service.JobStatus{}, false
 	}
@@ -434,28 +402,21 @@ func (r *Router) Job(gid int64) (service.JobStatus, bool) {
 	return st, true
 }
 
-// Trace returns one job's lifecycle timeline from its CURRENT shard's
-// monitor (a migrated job's pre-migration events live on the old shard,
-// which recorded the withdrawal).
+// Trace returns one job's lifecycle timeline from its home shard's monitor.
 func (r *Router) Trace(gid int64) (events []slo.TraceEvent, dropped int, ok bool) {
-	loc, okLoc := r.locate(gid)
-	if !okLoc || loc.shard >= r.n {
+	e, local, ok := r.home(gid)
+	if !ok {
 		return nil, 0, false
 	}
-	return r.engines[loc.shard].Trace(loc.local)
+	return e.Trace(local)
 }
 
 // Jobs lists every submission across all shards in global-ID order.
-// Withdrawn entries are skipped: the migrated job is listed once, from its
-// current shard, under its original global ID.
 func (r *Router) Jobs() []service.JobStatus {
 	var out []service.JobStatus
 	for s := 0; s < r.n; s++ {
 		for _, st := range r.engines[s].Jobs() {
-			if st.State == service.StateWithdrawn {
-				continue
-			}
-			st.ID = int(r.gidOf(s, st.ID))
+			st.ID = int(r.gid(s, st.ID))
 			out = append(out, st)
 		}
 	}
@@ -471,7 +432,7 @@ func (r *Router) Schedule() []service.TaskPlacement {
 	for s := 0; s < r.n; s++ {
 		off := r.offsets[s]
 		for _, p := range r.engines[s].Schedule() {
-			p.JobID = int(r.gidOf(s, p.JobID))
+			p.JobID = int(r.gid(s, p.JobID))
 			p.Resource += off
 			out = append(out, p)
 		}
@@ -488,8 +449,8 @@ func (r *Router) Schedule() []service.TaskPlacement {
 	return out
 }
 
-// Start launches every shard's run loop, the rebalancer when configured,
-// and the completion watcher behind Done.
+// Start launches every shard's run loop and the completion watcher behind
+// Done.
 func (r *Router) Start() error {
 	if !r.claimStart() {
 		return service.ErrRunning
@@ -498,9 +459,6 @@ func (r *Router) Start() error {
 		if err := e.Start(); err != nil {
 			return fmt.Errorf("shard %d: %w", s, err)
 		}
-	}
-	if r.cfg.RebalanceEvery > 0 {
-		go r.rebalanceLoop()
 	}
 	go r.watch()
 	return nil
@@ -522,15 +480,11 @@ func (r *Router) watch() {
 	for _, e := range r.engines {
 		<-e.Done()
 	}
-	r.stopRebalance()
 	close(r.done)
 }
 
-// CloseIntake stops accepting submissions on every shard; the rebalancer
-// stops first so no migration can race the close and strand a withdrawn
-// job.
+// CloseIntake stops accepting submissions on every shard.
 func (r *Router) CloseIntake() {
-	r.stopRebalance()
 	r.mu.Lock()
 	r.closed = true
 	r.mu.Unlock()
@@ -543,7 +497,6 @@ func (r *Router) CloseIntake() {
 // router that was never started ends its run before Stop returns; a later
 // Start returns ErrRunning.
 func (r *Router) Stop() {
-	r.stopRebalance()
 	for _, e := range r.engines {
 		e.Stop()
 	}

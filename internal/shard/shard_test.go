@@ -241,91 +241,40 @@ func TestAggregateMetrics(t *testing.T) {
 	}
 }
 
-// TestRebalanceMigratesQueuedJobs drives one migration round by hand: a hot
-// shard with queued work, a drained cold shard, and an explicit Rebalance
-// call. The migrated job must keep its global ID and the run must still
-// complete every job.
-func TestRebalanceMigratesQueuedJobs(t *testing.T) {
-	cfg := testShardConfig()
-	r, err := New(cfg)
+// TestReadsDoNotWaitForTheRouterLock: a global ID resolves arithmetically
+// (gid%N, gid/N), so the four read paths must answer while Router.mu is
+// held — as it is across the engine's journal fsync inside Submit.
+func TestReadsDoNotWaitForTheRouterLock(t *testing.T) {
+	r, err := New(testShardConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := workload.JobSpec{
-		DeadlineMS:   3_600_000,
-		MapExecMS:    []int64{10_000, 10_000},
-		ReduceExecMS: []int64{5_000},
-	}
 	var gids []int64
-	for i := 0; i < 6; i++ {
-		gid, err := r.Submit(spec)
+	for _, j := range shardStream(t, 4) {
+		gid, err := r.Submit(workload.SpecOf(j))
 		if err != nil {
 			t.Fatal(err)
 		}
 		gids = append(gids, gid)
 	}
-	probe, err := spec.Job(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := probe.TotalWork()
-	// Identical jobs alternate, so each shard holds 3. Pretend shard 1
-	// drained its pending work (the load estimate empties on completion
-	// even though migration sees the router-side counters only): shard 0
-	// is now hot at 3w against a cold shard at 0.
-	for _, gid := range gids {
-		if gid%2 == 1 {
-			r.noteDone(1, w)
-		}
-	}
-	moved := r.Rebalance()
-	// 3w vs 0 → one job moves (2w vs w); a second would overshoot.
-	if moved != 1 {
-		t.Fatalf("rebalance moved %d jobs, want 1", moved)
-	}
 	r.mu.Lock()
-	if len(r.overlay) != 1 {
-		r.mu.Unlock()
-		t.Fatalf("overlay tracks %d migrations, want 1", len(r.overlay))
+	defer r.mu.Unlock()
+	reads := map[string]func() bool{
+		"Job":      func() bool { st, ok := r.Job(gids[3]); return ok && st.ID == int(gids[3]) },
+		"Jobs":     func() bool { return len(r.Jobs()) == len(gids) },
+		"Schedule": func() bool { return len(r.Schedule()) == 0 }, // nothing placed before Start
+		"Trace":    func() bool { _, _, ok := r.Trace(gids[3]); return ok },
 	}
-	var migrated int64
-	for gid := range r.overlay {
-		migrated = gid
-	}
-	home := r.overlay[migrated]
-	r.mu.Unlock()
-	if migrated%2 != 0 || home.shard != 1 {
-		t.Fatalf("migrated gid %d now on shard %d, want a shard-0 job on shard 1", migrated, home.shard)
-	}
-	st, ok := r.Job(migrated)
-	if !ok || st.State != service.StateQueued || st.ID != int(migrated) {
-		t.Fatalf("migrated job status %+v ok=%v, want queued under gid %d", st, ok, migrated)
-	}
-	// The listing still shows each submission exactly once, under its
-	// original global ID.
-	listed := map[int]bool{}
-	for _, js := range r.Jobs() {
-		listed[js.ID] = true
-	}
-	if len(listed) != len(gids) {
-		t.Fatalf("listing has %d jobs, want %d", len(listed), len(gids))
-	}
-	for _, gid := range gids {
-		if !listed[int(gid)] {
-			t.Fatalf("gid %d missing from the listing after migration", gid)
-		}
-	}
-	if err := r.Start(); err != nil {
-		t.Fatal(err)
-	}
-	r.CloseIntake()
-	if err := r.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	for _, gid := range gids {
-		st, ok := r.Job(gid)
-		if !ok || st.State != service.StateCompleted {
-			t.Fatalf("job %d ended %+v ok=%v, want completed", gid, st, ok)
+	for name, read := range reads {
+		answered := make(chan bool, 1)
+		go func() { answered <- read() }()
+		select {
+		case ok := <-answered:
+			if !ok {
+				t.Errorf("%s returned the wrong answer under the held lock", name)
+			}
+		case <-time.After(time.Second):
+			t.Errorf("%s waited for Router.mu", name)
 		}
 	}
 }

@@ -65,7 +65,6 @@ const (
 	KindStraggle  = "task_straggle"
 	KindCompleted = "completed"
 	KindAbandoned = "abandoned"
-	KindWithdrawn = "withdrawn"
 )
 
 // Config tunes a Monitor. Zero values select the defaults.
@@ -250,20 +249,6 @@ func (m *Monitor) JobShed(now int64, id int, reason string) {
 	js := m.state(id)
 	m.record(js, now, KindSubmitted, "")
 	m.record(js, now, KindShed, reason)
-	js.done = true
-}
-
-// JobWithdrawn records a queued submission pulled back out of the intake
-// (a shard rebalancer migrating it elsewhere). Not an SLA miss: the job
-// finishes on another shard, so no attribution is charged here.
-func (m *Monitor) JobWithdrawn(now int64, id int) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	js := m.state(id)
-	m.record(js, now, KindWithdrawn, "")
 	js.done = true
 }
 

@@ -349,7 +349,8 @@ type (
 	// ShardConfig assembles a sharded router over N per-shard engines.
 	ShardConfig = shard.Config
 	// ShardRouter fronts N independent scheduler shards with deterministic
-	// feasibility-then-load admission routing.
+	// feasibility-then-load admission routing. A job is routed once and
+	// never moves: its global ID is local*N + shard for good.
 	ShardRouter = shard.Router
 	// ShardRecoveryInfo aggregates what RecoverShardRouter replayed across
 	// the per-shard journal segments.
