@@ -158,7 +158,6 @@ func main() {
 	}
 
 	deadline := time.Now().Add(*timeout)
-	// Shards is empty when the daemon runs a single engine.
 	var snap mrcprm.ServiceSnapshot
 	for {
 		if err := getJSON(client, *addr+"/v1/metrics", &snap); err != nil {
@@ -183,54 +182,47 @@ func main() {
 			accepted, snap.JobsCompleted, snap.JobsAbandoned)
 		os.Exit(1)
 	}
-	if *verify && len(snap.Shards) > 1 {
-		// Sharded daemon: global IDs encode the placement (gid = local*N +
-		// shard, see internal/shard), so the accepted stream partitions
-		// exactly as the router placed it. Replay each shard's stream on its
-		// slice of the cluster and require every per-shard fingerprint — and
-		// their combination — to match what the daemon served.
-		n := len(snap.Shards)
-		byShard := make([][]acceptedJob, n)
-		for _, a := range acceptedJobs {
-			byShard[a.id%n] = append(byShard[a.id%n], a)
-		}
-		fps := make([]uint64, n)
-		for s, view := range snap.Shards {
-			cluster := mrcprm.Cluster{NumResources: view.Resources, MapSlots: 2, ReduceSlots: 2}
-			fp, err := replayFingerprint(cluster, view.Policy, byShard[s], n)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "verify: shard %d: %v\n", s, err)
-				os.Exit(1)
-			}
-			fps[s] = fp
-			if want := fmt.Sprintf("%016x", fp); view.Fingerprint != want {
-				fmt.Fprintf(os.Stderr, "verify: shard %d fingerprint %s diverges from local replay %s\n",
-					s, view.Fingerprint, want)
-				os.Exit(1)
-			}
-		}
-		want := fmt.Sprintf("%016x", mrcprm.CombineShardFingerprints(fps))
-		if snap.Fingerprint != want {
-			fmt.Fprintf(os.Stderr, "verify: combined fingerprint %s diverges from local replay %s\n",
-				snap.Fingerprint, want)
-			os.Exit(1)
-		}
-		fmt.Printf("loadgen: verify ok (%d shards, combined fingerprint %s)\n", n, want)
-	} else if *verify {
-		cluster := mrcprm.Cluster{NumResources: *m, MapSlots: 2, ReduceSlots: 2}
-		fp, err := replayFingerprint(cluster, snap.Policy, acceptedJobs, 1)
-		if err != nil {
+	if *verify {
+		if err := verifyReplay(snap, acceptedJobs); err != nil {
 			fmt.Fprintf(os.Stderr, "verify: %v\n", err)
 			os.Exit(1)
 		}
-		want := fmt.Sprintf("%016x", fp)
-		if snap.Fingerprint != want {
-			fmt.Fprintf(os.Stderr, "verify: served fingerprint %s diverges from local replay %s\n",
-				snap.Fingerprint, want)
-			os.Exit(1)
-		}
-		fmt.Printf("loadgen: verify ok (fingerprint %s)\n", want)
 	}
+}
+
+// verifyReplay checks the served fingerprints against a local replay. The
+// daemon is a router over N >= 1 shards, and a global ID encodes the
+// placement (gid = local*N + shard, see internal/shard), so the accepted
+// stream partitions exactly as the router placed it: each shard's slice is
+// replayed on that shard's resources, and every per-shard fingerprint — and
+// their combination — must match what the daemon served.
+func verifyReplay(snap mrcprm.ServiceSnapshot, accepted []acceptedJob) error {
+	n := len(snap.Shards)
+	if n == 0 {
+		return fmt.Errorf("the daemon reported no shards")
+	}
+	byShard := make([][]acceptedJob, n)
+	for _, a := range accepted {
+		byShard[a.id%n] = append(byShard[a.id%n], a)
+	}
+	fps := make([]uint64, n)
+	for s, view := range snap.Shards {
+		cluster := mrcprm.Cluster{NumResources: view.Resources, MapSlots: 2, ReduceSlots: 2}
+		fp, err := replayFingerprint(cluster, view.Policy, byShard[s], n)
+		if err != nil {
+			return fmt.Errorf("shard %d: %w", s, err)
+		}
+		fps[s] = fp
+		if want := fmt.Sprintf("%016x", fp); view.Fingerprint != want {
+			return fmt.Errorf("shard %d fingerprint %s diverges from local replay %s", s, view.Fingerprint, want)
+		}
+	}
+	want := fmt.Sprintf("%016x", mrcprm.CombineShardFingerprints(fps))
+	if snap.Fingerprint != want {
+		return fmt.Errorf("combined fingerprint %s diverges from local replay %s", snap.Fingerprint, want)
+	}
+	fmt.Printf("loadgen: verify ok (%d shards, combined fingerprint %s)\n", n, want)
+	return nil
 }
 
 // acceptedJob is one admitted submission (spec + daemon-assigned ID) kept
@@ -240,10 +232,10 @@ type acceptedJob struct {
 	spec mrcprm.JobSpec
 }
 
-// replayFingerprint rebuilds the accepted stream as simulator jobs — with
-// IDs mapped from global to engine-local space (gid/n; n=1 leaves them
-// untouched) — runs it deterministically, and returns the metrics
-// fingerprint for comparison with what the daemon served.
+// replayFingerprint rebuilds one shard's accepted stream as simulator jobs —
+// with IDs mapped from global to engine-local space (gid/n) — runs it
+// deterministically, and returns the metrics fingerprint for comparison
+// with what the daemon served.
 func replayFingerprint(cluster mrcprm.Cluster, policy string, accepted []acceptedJob, n int) (uint64, error) {
 	opts := mrcprm.PolicyOptions{}
 	if policy == "mrcp" {

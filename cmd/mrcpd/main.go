@@ -12,25 +12,29 @@
 //     recorded stream is deterministic and byte-comparable to the offline
 //     simulator (see cmd/loadgen).
 //
-// Durability: -journal appends every accepted submission, fault switch,
-// and outage to a write-ahead journal before acknowledging it; after a
-// crash, -recover replays the journal into a fresh engine and finishes the
-// stream. With -deterministic (pinned solver settings) a recovered virtual
-// run's final metrics fingerprint is bit-identical to the uninterrupted
-// run's. -maxpending bounds the intake: excess submissions get 429 with a
-// Retry-After derived from the recent drain rate.
+// One backend: the daemon always serves the shard router. -shards N
+// (default 1) partitions the cluster into N engines behind it (-routeseed
+// breaks load ties); a job is routed once, at submission, and its ID
+// modulo N names its shard for good. An unsharded daemon is the N=1
+// router, with the same journal layout, fingerprint fold and telemetry.
 //
-// Sharding: -shards N partitions the cluster into N engines, one journal
-// segment each, behind an admission router (-routeseed breaks load ties). A
-// job is routed once, at submission: its ID modulo N names its shard for
-// good.
+// Durability: -journal base appends every accepted submission, fault
+// switch, and outage to shard i's write-ahead journal segment base.shard<i>
+// before acknowledging it; after a crash, -recover replays every segment
+// into fresh engines and finishes the stream, and refuses to start when a
+// segment is missing. With -deterministic (pinned solver settings) a
+// recovered virtual run's final metrics fingerprint is bit-identical to
+// the uninterrupted run's. -maxpending bounds the intake (split across
+// shards): excess submissions get 429 with a Retry-After derived from the
+// recent drain rate.
 //
 // Observability: GET /metrics serves Prometheus text exposition (latency
 // and end-to-end histograms, job-flow counters, SLO burn gauges) backed by
-// an always-on in-process registry; -telemetry additionally streams JSONL
-// events (digest with obsreport). GET /v1/jobs/{id}/trace replays one
-// job's lifecycle timeline; /readyz flips to 503 "slo-burn" while the
-// deadline-miss rate exceeds -missbudget over the -slowindow window.
+// one always-on in-process registry the router and every engine share;
+// -telemetry additionally streams their JSONL events (digest with
+// obsreport). GET /v1/jobs/{id}/trace replays one job's lifecycle
+// timeline; /readyz flips to 503 "slo-burn" while the deadline-miss rate
+// exceeds -missbudget over the -slowindow window.
 //
 // API: POST /v1/jobs, GET /v1/jobs[/{id}[/trace]], GET /v1/schedule,
 // GET /v1/metrics, GET /metrics, POST /v1/admin/faults, POST /v1/admin/run,
@@ -43,8 +47,9 @@
 //	mrcpd -speedup 60 -warmstart
 //	mrcpd -rm minedf -admission=false
 //	mrcpd -hetero 2 -memcap 64             # two speed classes + memory dimension
-//	mrcpd -mode virtual -deterministic -journal run.wal   # durable
+//	mrcpd -mode virtual -deterministic -journal run.wal   # writes run.wal.shard0
 //	mrcpd -mode virtual -deterministic -journal run.wal -recover
+//	mrcpd -mode virtual -deterministic -shards 2 -journal run.wal
 package main
 
 import (
@@ -158,6 +163,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "-recover needs -journal")
 		os.Exit(2)
 	}
+	if *shards < 1 {
+		fmt.Fprintln(os.Stderr, "-shards must be at least 1")
+		os.Exit(2)
+	}
 	// Bind before building the backend (which opens and may replay the
 	// journal) and before announcing the address, so a taken port exits
 	// immediately with nothing to unwind.
@@ -269,43 +278,22 @@ serve:
 	}
 }
 
-// openBackend builds what the flags describe, fresh or replayed from the
-// journal: the plain engine for one shard (journal at the path as given),
-// the router over cfg.Shards engines otherwise (one journal segment per
-// shard). It is the only place that knows which; the bool reports whether
-// a recovered journal had already closed its intake.
-func openBackend(cfg mrcprm.ShardConfig, replay bool) (mrcprm.ServiceBackend, bool, error) {
-	if cfg.Shards > 1 {
-		// Split a global bound evenly (rounding up) so N shards shed at
-		// roughly the same total depth as one engine would.
-		cfg.Base.MaxPending = (cfg.Base.MaxPending + cfg.Shards - 1) / cfg.Shards
-		if !replay {
-			r, err := mrcprm.NewShardRouter(cfg)
-			if err != nil {
-				return nil, false, err
-			}
-			return r, false, nil
-		}
-		r, info, err := mrcprm.RecoverShardRouter(cfg)
-		if err != nil {
-			return nil, false, err
-		}
-		fmt.Printf("recovered  : %d shards, %d records (%d accepted, %d rejected, closed=%v)\n",
-			cfg.Shards, info.Records, info.Accepted, info.Rejected, info.Closed)
-		return r, info.Closed, nil
-	}
+// openBackend builds the router the flags describe, fresh or replayed from
+// its journal segments; the bool reports whether a recovered journal had
+// already closed its intake.
+func openBackend(cfg mrcprm.ShardConfig, replay bool) (*mrcprm.ShardRouter, bool, error) {
+	// Split a global bound evenly (rounding up) so N shards shed at roughly
+	// the same total depth as one engine would.
+	cfg.Base.MaxPending = (cfg.Base.MaxPending + cfg.Shards - 1) / cfg.Shards
 	if !replay {
-		e, err := mrcprm.NewServiceEngine(cfg.Base)
-		if err != nil {
-			return nil, false, err
-		}
-		return e.Backend(), false, nil
+		r, err := mrcprm.NewShardRouter(cfg)
+		return r, false, err
 	}
-	e, info, err := mrcprm.RecoverServiceEngine(cfg.Base)
+	r, info, err := mrcprm.RecoverShardRouter(cfg)
 	if err != nil {
 		return nil, false, err
 	}
-	fmt.Printf("recovered  : %d records (%d accepted, %d rejected, %d fault switches, %d outages, closed=%v, torn=%dB)\n",
-		info.Records, info.Accepted, info.Rejected, info.FaultSwitches, info.Outages, info.Closed, info.TornBytes)
-	return e.Backend(), info.Closed, nil
+	fmt.Printf("recovered  : %d shards, %d records (%d accepted, %d rejected, closed=%v)\n",
+		cfg.Shards, info.Records, info.Accepted, info.Rejected, info.Closed)
+	return r, info.Closed, nil
 }

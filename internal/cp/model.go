@@ -116,9 +116,6 @@ func NewModel(horizon int64) *Model {
 	return &Model{store: NewStore(), horizon: horizon}
 }
 
-// Horizon returns the model horizon.
-func (m *Model) Horizon() int64 { return m.horizon }
-
 // Intervals returns all intervals in creation order.
 func (m *Model) Intervals() []*Interval { return m.intervals }
 

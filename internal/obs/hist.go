@@ -152,28 +152,6 @@ func (s *HistSnapshot) Merge(o HistSnapshot) error {
 	return nil
 }
 
-// Delta returns the observations recorded between prev and s (both
-// snapshots of the same histogram, prev taken earlier): bucket counts,
-// Count, and Sum subtract element-wise. Min/Max cannot be recovered for
-// the window, so the result conservatively keeps s's observed range —
-// quantiles stay correct because the window's values lie inside it,
-// merely losing the single-bucket clamping tightness. The phase-windowed
-// benchmarks use this to isolate one measurement phase from warm-up.
-func (s HistSnapshot) Delta(prev HistSnapshot) HistSnapshot {
-	if prev.Count == 0 {
-		return s
-	}
-	d := HistSnapshot{Name: s.Name, Count: s.Count - prev.Count, Sum: s.Sum - prev.Sum,
-		Min: s.Min, Max: s.Max, Buckets: make([]int64, len(s.Buckets))}
-	for i := range s.Buckets {
-		d.Buckets[i] = s.Buckets[i]
-		if i < len(prev.Buckets) {
-			d.Buckets[i] -= prev.Buckets[i]
-		}
-	}
-	return d
-}
-
 // Quantile estimates the q-quantile (0..1) by nearest rank over the bucket
 // counts with linear interpolation inside the bucket. The estimate is exact
 // to within one bucket width; the overflow bucket reports the observed max.

@@ -40,9 +40,6 @@ const (
 	// CounterServiceShed counts submissions rejected by the bounded-intake
 	// backpressure (Config.MaxPending).
 	CounterServiceShed = "service_shed_total"
-	// GaugeServicePending tracks the engine's current intake depth:
-	// accepted submissions not yet completed or abandoned.
-	GaugeServicePending = "service_pending_jobs"
 	// CounterShardRouted / CounterShardRejected count admission-router
 	// placements and every-shard-shed rejections.
 	CounterShardRouted   = "shard_routed"
@@ -52,7 +49,7 @@ const (
 	GaugeShardPendingWorkPrefix = "shard_pending_work_ms_"
 	// HistWallRoute is the wall-clock latency of one router admission
 	// decision (placement + shard Submit), in ms; kept distinct from
-	// HistWallAdmission so a merged exposition does not double-count.
+	// HistWallAdmission, which the shard's own Submit observes inside it.
 	HistWallRoute = "wall_route_ms"
 	// CounterWarmStartHinted counts solves entered with a warm-start hint;
 	// CounterWarmStartSeeded counts those whose hint repair produced the
@@ -430,14 +427,6 @@ func (t *Telemetry) StartSpan(simMS int64, layer, kind string, fields ...Field) 
 	}
 	return &Span{t: t, simMS: simMS, layer: layer, kind: kind,
 		wallStart: time.Now(), fields: fields}
-}
-
-// Annotate appends fields to the span before it ends. Safe on nil.
-func (sp *Span) Annotate(fields ...Field) {
-	if sp == nil {
-		return
-	}
-	sp.fields = append(sp.fields, fields...)
 }
 
 // End emits the span's event, appending its wall-clock duration. Safe on

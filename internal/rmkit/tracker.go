@@ -63,8 +63,7 @@ func (js *JobState) ChargeRetry(p RetryPolicy, taskAttempts int) bool {
 }
 
 // Tracker owns the per-job lifecycle state of one manager: an active queue
-// in a policy-chosen order plus lookup indices by job pointer, job ID, and
-// task pointer.
+// in a policy-chosen order plus lookup indices by job ID and task pointer.
 type Tracker struct {
 	// QueuePending makes Admit pre-fill each job's pending task queues (in
 	// natural task order, as Hadoop-style dispatchers expect). Managers
@@ -72,7 +71,6 @@ type Tracker struct {
 	QueuePending bool
 
 	less   func(a, b *JobState) bool
-	byJob  map[*workload.Job]*JobState
 	byID   map[int]*JobState
 	byTask map[*workload.Task]*JobState
 	order  []*JobState
@@ -85,7 +83,6 @@ type Tracker struct {
 func NewTracker(less func(a, b *JobState) bool) *Tracker {
 	return &Tracker{
 		less:   less,
-		byJob:  make(map[*workload.Job]*JobState),
 		byID:   make(map[int]*JobState),
 		byTask: make(map[*workload.Task]*JobState),
 	}
@@ -102,7 +99,6 @@ func (tr *Tracker) Admit(j *workload.Job) *JobState {
 		js.PendingMaps = append([]*workload.Task(nil), j.MapTasks...)
 		js.PendingReds = append([]*workload.Task(nil), j.ReduceTasks...)
 	}
-	tr.byJob[j] = js
 	tr.byID[j.ID] = js
 	for _, t := range j.Tasks() {
 		tr.byTask[t] = js
@@ -124,13 +120,6 @@ func (tr *Tracker) Active() []*JobState { return tr.order }
 
 // Len returns the active-queue length.
 func (tr *Tracker) Len() int { return len(tr.order) }
-
-// ByJob looks a job's state up by pointer; it resolves for retired jobs
-// only until Retire is called.
-func (tr *Tracker) ByJob(j *workload.Job) (*JobState, bool) {
-	js, ok := tr.byJob[j]
-	return js, ok
-}
 
 // ByID looks a job's state up by job ID.
 func (tr *Tracker) ByID(id int) (*JobState, bool) {
@@ -159,7 +148,6 @@ func (tr *Tracker) Dequeue(js *JobState) {
 // Retire removes the job from the active queue and every index.
 func (tr *Tracker) Retire(js *JobState) {
 	tr.Dequeue(js)
-	delete(tr.byJob, js.Job)
 	delete(tr.byID, js.Job.ID)
 	for _, t := range js.Job.Tasks() {
 		delete(tr.byTask, t)

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 	"strconv"
 	"sync"
@@ -82,7 +83,7 @@ type Config struct {
 	// rejected at submission instead of entering the system.
 	Admission bool
 	// Faults is the initial fault plan; the engine wraps it in a
-	// faults.Switch so SetFaults can swap per-attempt fates at runtime.
+	// faults.Switch so ApplyFaults can swap per-attempt fates at runtime.
 	Faults sim.FaultInjector
 	// Telemetry and TelemetrySampleMS attach a telemetry stream to the
 	// simulator and (when supported) the manager.
@@ -93,9 +94,9 @@ type Config struct {
 	Observer sim.Observer
 
 	// JournalPath enables the write-ahead journal: accepted submissions,
-	// runtime fault switches, injected outages, intake close, and
-	// installed-timetable audit snapshots are appended to this file before
-	// they take effect, so a crashed daemon can be rebuilt with Recover.
+	// runtime fault switches, injected outages and the intake close are
+	// appended to this file before they take effect, so a crashed daemon can
+	// be rebuilt with Recover.
 	// New refuses a non-empty journal (pass it to Recover instead).
 	JournalPath string
 	// JournalSync selects the fsync policy: "always" (default; every
@@ -192,8 +193,8 @@ type Engine struct {
 	closeLogged bool
 
 	// journal is the write-ahead journal (nil when durability is off).
-	// Appends happen under intakeMu on the submission path and from the
-	// run loop for timetable audits; wal.Journal serializes internally.
+	// Appends happen on the submission, fault and outage paths;
+	// wal.Journal serializes internally.
 	journal *wal.Journal
 	// scheduledFaults replays journaled mid-run fault switches: the run
 	// loop installs each spec once the simulation clock reaches its
@@ -508,10 +509,6 @@ func (e *Engine) Result() (*sim.Metrics, error) {
 	return e.metrics, e.runErr
 }
 
-// SetFaults swaps the per-attempt fault plan (failures, stragglers) at
-// runtime; nil disables injection. Outage windows go through InjectOutage.
-func (e *Engine) SetFaults(fi sim.FaultInjector) { e.sw.Set(fi) }
-
 // InjectOutage schedules a resource outage window starting no earlier than
 // the current simulated time.
 func (e *Engine) InjectOutage(res int, downAt, upAt int64) error {
@@ -551,7 +548,6 @@ func (e *Engine) loop() {
 	defer close(e.done)
 	defer e.closeJournal()
 	drained := false
-	ttLogged := false // final timetable audit written after intake close
 	for {
 		select {
 		case <-e.stop:
@@ -567,10 +563,6 @@ func (e *Engine) loop() {
 				continue // raced: a submission landed after drainIntake
 			}
 			if e.intakeClosed() {
-				if !ttLogged {
-					ttLogged = true
-					e.journalTimetable()
-				}
 				if !drained && e.drainManager() {
 					drained = true
 					continue
@@ -600,21 +592,11 @@ func (e *Engine) loop() {
 			e.end(nil, err)
 			return
 		}
-		e.observeProgress(&m)
-	}
-}
-
-// observeProgress folds one step's metrics into the backpressure state:
-// the finished count, the drain-rate window, and the queue-depth gauge.
-func (e *Engine) observeProgress(m *sim.Metrics) {
-	fin := int64(m.JobsCompleted + m.JobsAbandoned)
-	e.finished.Store(fin)
-	e.rate.observe(time.Now(), fin)
-	if e.cfg.Telemetry.Enabled() {
-		e.intakeMu.Lock()
-		depth := e.accepted - int(fin)
-		e.intakeMu.Unlock()
-		e.cfg.Telemetry.SetGauge(obs.GaugeServicePending, int64(depth))
+		// Fold the step into the backpressure state: the finished count
+		// and the drain-rate window.
+		fin := int64(m.JobsCompleted + m.JobsAbandoned)
+		e.finished.Store(fin)
+		e.rate.observe(time.Now(), fin)
 	}
 }
 
@@ -1075,6 +1057,9 @@ type Snapshot struct {
 
 	Manager *core.Stats `json:"manager,omitempty"`
 
+	// Counters and Gauges are the process's telemetry registry, which the
+	// router and every engine share; the router reads it once for the
+	// fleet, so a shard's view carries neither.
 	Counters map[string]int64 `json:"counters,omitempty"`
 	Gauges   map[string]int64 `json:"gauges,omitempty"`
 
@@ -1086,17 +1071,16 @@ type Snapshot struct {
 	// LateJobs + JobsAbandoned once the run drains.
 	MissByClass map[string]int64 `json:"missByClass,omitempty"`
 
-	// Shards is the per-shard breakdown when a shard.Router produced the
-	// snapshot: the flat fields above then carry AGGREGATE values in the
-	// exact single-engine shape (sums for flows and queue depths, max for
-	// the clock, all-finished/all-closed for the booleans, a combined
-	// fingerprint) so scrapers and loadgen work against either backend.
+	// Shards is the per-shard breakdown a shard.Router attaches: the flat
+	// fields above then carry AGGREGATE values in the single-engine shape
+	// (sums for flows and queue depths, max for the clock,
+	// all-finished/all-closed for the booleans, a combined fingerprint).
 	Shards []ShardView `json:"shards,omitempty"`
 }
 
 // ShardView is one shard's slice of an aggregated snapshot: the shard's
-// full engine snapshot plus its partition shape and the router's
-// pending-work estimate.
+// engine snapshot plus its partition shape and the router's pending-work
+// estimate.
 type ShardView struct {
 	Shard         int   `json:"shard"`
 	Resources     int   `json:"resources"`
@@ -1156,7 +1140,6 @@ func (e *Engine) Metrics() Snapshot {
 	snap.TasksFailed = m.TasksFailed
 	snap.TasksKilled = m.TasksKilled
 	snap.Outages = m.Outages
-	snap.Counters, snap.Gauges = e.cfg.Telemetry.Snapshot()
 	burn := e.mon.Burn(snap.SimTimeMS)
 	snap.SLO = &burn
 	if by := missByClass(e.mon.AttributionTotals()); len(by) > 0 {
@@ -1186,33 +1169,23 @@ func (e *Engine) Trace(id int) (events []slo.TraceEvent, dropped int, ok bool) {
 	return e.mon.Trace(id)
 }
 
-// Burn returns the current SLO burn state at the engine's clock.
-func (e *Engine) Burn() slo.BurnInfo { return e.mon.Burn(e.NowMS()) }
-
-// PromData is the raw material of one engine's Prometheus exposition:
-// counter and gauge maps (telemetry registries plus the engine-derived
-// families), histogram snapshots, and the two non-integer SLO burn ratios.
-// The maps and snapshots are mergeable across engines — counters and most
-// gauges sum, histograms merge bucket-wise — which is how the shard
-// front-end renders one exposition for N engines.
+// PromData is one engine's share of a Prometheus exposition: the families
+// derived from engine state rather than kept in the telemetry registry —
+// job-flow counters, queue and clock gauges, SLO attribution counters and
+// burn gauges — plus the burn window behind the two non-integer burn
+// ratios. Counters and most gauges sum across engines, and burn windows
+// merge (see shard.Router.WriteProm).
 type PromData struct {
 	Counters map[string]int64
 	Gauges   map[string]int64
-	Hists    []obs.HistSnapshot
-	MissRate float64
-	BurnRate float64
+	Burn     slo.BurnInfo
 }
 
-// PromData collects the engine's current exposition data; see WriteProm
-// for the families it carries.
+// PromData collects the engine-derived exposition families; they are
+// present even when no telemetry sink is attached.
 func (e *Engine) PromData() PromData {
-	counters, gauges := e.cfg.Telemetry.Snapshot()
-	if counters == nil {
-		counters = make(map[string]int64)
-	}
-	if gauges == nil {
-		gauges = make(map[string]int64)
-	}
+	counters := make(map[string]int64)
+	gauges := make(map[string]int64)
 	e.intakeMu.Lock()
 	counters["jobs_submitted_total"] = int64(e.nextID)
 	counters["jobs_rejected_total"] = int64(e.rejects)
@@ -1238,7 +1211,7 @@ func (e *Engine) PromData() PromData {
 	gauges["outstanding_jobs"] = int64(outstanding)
 	// Attribution counters are re-derived from the monitor (rather than
 	// read back from telemetry) so they are exposed even sink-less; when a
-	// sink is attached the telemetry registry holds identical values.
+	// sink is attached the telemetry registry holds identical totals.
 	var missTotal int64
 	for class, n := range missByClass(e.mon.AttributionTotals()) {
 		counters[slo.CounterMiss+class] = n
@@ -1255,32 +1228,30 @@ func (e *Engine) PromData() PromData {
 		burning = 1
 	}
 	gauges["slo_burning"] = burning
-	return PromData{Counters: counters, Gauges: gauges,
-		Hists: e.cfg.Telemetry.HistSnapshots(), MissRate: b.MissRate, BurnRate: b.BurnRate}
+	return PromData{Counters: counters, Gauges: gauges, Burn: b}
 }
 
-// WriteProm renders the engine's state as Prometheus text exposition
-// (format 0.0.4) under the mrcp_ namespace: every telemetry counter,
-// gauge, and histogram, plus engine-derived job-flow counters, queue
-// gauges, attribution counters, and the SLO burn gauges. The derived
-// families are present even when no telemetry sink is attached.
-func (e *Engine) WriteProm(w io.Writer) error {
-	d := e.PromData()
-	if err := obs.WritePrometheus(w, "mrcp_", d.Counters, d.Gauges, d.Hists); err != nil {
+// WriteProm renders one Prometheus text exposition (format 0.0.4) under the
+// mrcp_ namespace: every counter, gauge and histogram of the telemetry
+// registry tel, the engine-derived families of d, and d's SLO burn ratios.
+// Where both hold a name — the SLO monitor's slo_miss_* counters, which
+// the registry keeps only when a sink is attached — d's value is written.
+func WriteProm(w io.Writer, tel *obs.Telemetry, d PromData) error {
+	counters, gauges := tel.Snapshot()
+	if counters == nil {
+		counters, gauges = d.Counters, d.Gauges
+	} else {
+		maps.Copy(counters, d.Counters)
+		maps.Copy(gauges, d.Gauges)
+	}
+	if err := obs.WritePrometheus(w, "mrcp_", counters, gauges, tel.HistSnapshots()); err != nil {
 		return err
 	}
-	return WriteBurnGauges(w, d.MissRate, d.BurnRate)
-}
-
-// WriteBurnGauges renders the two non-integer SLO burn scalars by hand in
-// the same format the exposition writer uses; shared with the shard
-// front-end's merged exposition.
-func WriteBurnGauges(w io.Writer, missRate, burnRate float64) error {
 	_, err := fmt.Fprintf(w,
 		"# TYPE mrcp_slo_miss_rate gauge\nmrcp_slo_miss_rate %s\n"+
 			"# TYPE mrcp_slo_burn_rate gauge\nmrcp_slo_burn_rate %s\n",
-		strconv.FormatFloat(missRate, 'g', -1, 64),
-		strconv.FormatFloat(burnRate, 'g', -1, 64))
+		strconv.FormatFloat(d.Burn.MissRate, 'g', -1, 64),
+		strconv.FormatFloat(d.Burn.BurnRate, 'g', -1, 64))
 	return err
 }
 

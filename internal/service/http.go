@@ -15,10 +15,9 @@ import (
 	"mrcprm/internal/workload"
 )
 
-// Backend is the scheduler the HTTP handler and cmd/mrcpd drive: one engine
-// (through Engine.Backend, which widens its int job IDs) or a shard.Router
-// over N of them. Job IDs are whatever Submit returned; resource indices are
-// global.
+// Backend is the scheduler the HTTP handler drives: in cmd/mrcpd a
+// shard.Router over N engines, N >= 1. Job IDs are whatever Submit
+// returned; resource indices are global.
 type Backend interface {
 	Submit(spec workload.JobSpec) (int64, error)
 	Job(id int64) (JobStatus, bool)
@@ -32,8 +31,8 @@ type Backend interface {
 	NowMS() int64
 	Ready() (ok bool, reason string)
 	Health() Health
-	// Shards is the partition count, 0 for a plain engine; a positive count
-	// is reported as "shards" on the healthz, readyz and run bodies.
+	// Shards is the partition count, reported as "shards" on the healthz,
+	// readyz and run bodies.
 	Shards() int
 
 	Start() error
@@ -52,26 +51,6 @@ type Health struct {
 	Closed   bool
 }
 
-// engineBackend adapts an Engine's int job IDs to Backend's int64.
-type engineBackend struct{ *Engine }
-
-// Backend returns the engine as a Backend.
-func (e *Engine) Backend() Backend { return engineBackend{e} }
-
-func (b engineBackend) Submit(spec workload.JobSpec) (int64, error) {
-	id, err := b.Engine.Submit(spec)
-	return int64(id), err
-}
-
-func (b engineBackend) Job(id int64) (JobStatus, bool) { return b.Engine.Job(int(id)) }
-
-func (b engineBackend) Trace(id int64) ([]slo.TraceEvent, int, bool) { return b.Engine.Trace(int(id)) }
-
-func (b engineBackend) Shards() int { return 0 }
-
-// NewHandler exposes one engine over HTTP/JSON; see NewBackendHandler.
-func NewHandler(e *Engine) http.Handler { return NewBackendHandler(e.Backend()) }
-
 // NewBackendHandler exposes a backend over HTTP/JSON:
 //
 //	POST /v1/jobs          submit a workload.JobSpec; 202 {"id":N}
@@ -81,8 +60,7 @@ func NewHandler(e *Engine) http.Handler { return NewBackendHandler(e.Backend()) 
 //	GET  /v1/jobs/{id}/trace  one submission's lifecycle timeline
 //	GET  /v1/schedule      the current placement plan
 //	GET  /v1/metrics       engine + manager + telemetry counters + SLO burn
-//	                       (fleet aggregates plus a per-shard breakdown when
-//	                       sharded)
+//	                       (fleet aggregates plus a per-shard breakdown)
 //	GET  /metrics          Prometheus text exposition (format 0.0.4)
 //	POST /v1/admin/faults  swap the fault plan or inject an outage
 //	POST /v1/admin/run     start the run loop (virtual mode);
@@ -148,11 +126,9 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-// withShards adds the partition count to a body when the backend is sharded.
+// withShards adds the partition count to a body.
 func (s *server) withShards(body map[string]any) map[string]any {
-	if n := s.b.Shards(); n > 0 {
-		body["shards"] = n
-	}
+	body["shards"] = s.b.Shards()
 	return body
 }
 

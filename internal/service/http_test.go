@@ -53,7 +53,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(NewHandler(e))
+	ts := httptest.NewServer(engineHandler(e))
 	defer ts.Close()
 
 	var health map[string]any
@@ -162,7 +162,7 @@ func TestHTTPFaultInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(NewHandler(e))
+	ts := httptest.NewServer(engineHandler(e))
 	defer ts.Close()
 
 	// Outage window on resource 0, starting immediately.

@@ -9,9 +9,7 @@ package service
 // contract pinned by TestVirtualRunMatchesSim), recovery does not need
 // checkpoints — Recover rebuilds a fresh engine, replays the journaled
 // inputs, and re-runs; the result is bit-identical to the uninterrupted
-// run, fingerprint and all. Timetable records are the one exception: they
-// are forensic audit snapshots of the installed schedule (what was
-// promised to clients at crash time) and are ignored by replay.
+// run, fingerprint and all.
 //
 // The bit-exactness guarantee targets the virtual-clock regime in which
 // submissions precede Start (the loadgen / CI replay flow) under
@@ -35,12 +33,11 @@ import (
 
 // Journal record kinds.
 const (
-	recMeta      = "meta"
-	recSubmit    = "submit"
-	recFaults    = "faults"
-	recOutage    = "outage"
-	recClose     = "close"
-	recTimetable = "timetable"
+	recMeta   = "meta"
+	recSubmit = "submit"
+	recFaults = "faults"
+	recOutage = "outage"
+	recClose  = "close"
 )
 
 // journalRecord is the one-line JSON payload of every WAL record; Kind
@@ -64,9 +61,6 @@ type journalRecord struct {
 
 	// outage.
 	Outage *outageRecord `json:"outage,omitempty"`
-
-	// timetable (audit only; replay ignores it).
-	Placements []TaskPlacement `json:"placements,omitempty"`
 }
 
 // outageRecord is the journaled form of one injected outage window, with
@@ -107,10 +101,8 @@ func (s FaultSpec) plan() (sim.FaultInjector, error) {
 }
 
 // ApplyFaults journals and installs the per-attempt fault plan described
-// by spec; an all-zero spec disables injection. Unlike SetFaults (which
-// accepts an arbitrary injector and therefore cannot be journaled), plans
-// installed through ApplyFaults are replayed on recovery at the simulated
-// instant of the switch.
+// by spec; an all-zero spec disables injection. The plan is replayed on
+// recovery at the simulated instant of the switch.
 func (e *Engine) ApplyFaults(spec FaultSpec) error {
 	plan, err := spec.plan()
 	if err != nil {
@@ -154,18 +146,6 @@ func (e *Engine) journalAppend(rec *journalRecord) error {
 	return nil
 }
 
-// journalTimetable appends an installed-timetable audit snapshot (every
-// placed, not-yet-completed task). Called from the run loop, which holds
-// neither engine lock at that point.
-func (e *Engine) journalTimetable() {
-	if e.journal == nil {
-		return
-	}
-	_ = e.journalAppend(&journalRecord{
-		Kind: recTimetable, SimMS: e.simNow.Load(), Placements: e.Schedule(),
-	})
-}
-
 // closeJournal syncs and closes the journal when the run loop exits; every
 // record that matters is already on disk by then.
 func (e *Engine) closeJournal() {
@@ -185,11 +165,9 @@ type RecoveryInfo struct {
 	// admission outcome.
 	Accepted int
 	Rejected int
-	// FaultSwitches and Outages count replayed runtime fault records;
-	// Timetables counts the audit snapshots that were skipped.
+	// FaultSwitches and Outages count replayed runtime fault records.
 	FaultSwitches int
 	Outages       int
-	Timetables    int
 	// Closed reports whether the journaled run had closed its intake: a
 	// recovered virtual engine can then simply be Started to finish the
 	// interrupted stream.
@@ -309,9 +287,6 @@ func (e *Engine) replay(rec *journalRecord, info *RecoveryInfo) error {
 		e.closed = true
 		e.closeLogged = true
 		e.intakeMu.Unlock()
-		return nil
-	case recTimetable:
-		info.Timetables++ // audit only: replay re-derives placements
 		return nil
 	}
 	return fmt.Errorf("unknown record kind %q", rec.Kind)

@@ -11,7 +11,7 @@ import (
 // refused payload is an error that leaves the engine as it was, and an
 // applied one leaves the submission registry consistent with what the
 // recovery summary counted. The seed corpus (testdata/fuzz) is one real
-// segment, record by record, plus the two old-format shapes recovery
+// segment, record by record, plus the three old-format shapes recovery
 // refuses.
 func FuzzJournalReplay(f *testing.F) {
 	cluster := sim.Cluster{NumResources: 4, MapSlots: 2, ReduceSlots: 2}

@@ -246,10 +246,11 @@ func TestRecoverTornTail(t *testing.T) {
 }
 
 // TestRecoverRefusesOldFormatRecords: a journal from the build that could
-// migrate jobs between shards may hold a withdraw record or a tagged submit.
-// This build knows neither, and replaying either as something else would
-// run a job under the wrong identity — so recovery refuses the segment,
-// naming the record, and hands back no engine.
+// migrate jobs between shards may hold a withdraw record or a tagged submit,
+// and an older one a timetable audit record. This build knows none of them,
+// and replaying one as something else would run a job under the wrong
+// identity or skip what the operator meant to audit — so recovery refuses
+// the segment, naming the record, and hands back no engine.
 func TestRecoverRefusesOldFormatRecords(t *testing.T) {
 	jobs, cluster := testStream(t, 2)
 	for _, tc := range []struct {
@@ -259,6 +260,8 @@ func TestRecoverRefusesOldFormatRecords(t *testing.T) {
 			`journal record 3 (withdraw): unknown record kind "withdraw"`},
 		{"tagged-submit", `{"kind":"submit","simMs":0,"id":2,"spec":{"arrivalMs":0,"earliestStartMs":0,"deadlineMs":3600000,"mapExecMs":[1000]},"tag":7}`,
 			`journal record 3 (submit): json: unknown field "tag"`},
+		{"timetable", `{"kind":"timetable","simMs":17000,"id":0}`,
+			`journal record 3 (timetable): unknown record kind "timetable"`},
 		{"trailing-data", `{"kind":"close","simMs":0,"id":0} {}`,
 			`journal record 3 (close): unexpected data after the JSON value`},
 	} {
@@ -421,7 +424,7 @@ func TestHTTPBackpressureAndReadyz(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewHandler(e))
+	srv := httptest.NewServer(engineHandler(e))
 	defer srv.Close()
 
 	if got := getStatus(t, srv.URL+"/readyz"); got != http.StatusOK {
@@ -463,7 +466,7 @@ func TestHTTPBodyCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewHandler(e))
+	srv := httptest.NewServer(engineHandler(e))
 	defer srv.Close()
 
 	huge := fmt.Sprintf(`{"arrivalMs":0,"deadlineMs":1,"mapExecMs":[1%s]}`,

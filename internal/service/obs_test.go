@@ -27,7 +27,7 @@ func TestHTTPObservability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(NewHandler(e))
+	ts := httptest.NewServer(engineHandler(e))
 	defer ts.Close()
 
 	wcfg := workload.DefaultSynthetic()
@@ -155,7 +155,7 @@ func TestPromWithoutTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := e.WriteProm(&buf); err != nil {
+	if err := WriteProm(&buf, nil, e.PromData()); err != nil {
 		t.Fatal(err)
 	}
 	scrape, err := obs.ParsePrometheus(bytes.NewReader(buf.Bytes()))
@@ -184,7 +184,7 @@ func TestReadyzSLOBurnFlip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(NewHandler(e))
+	ts := httptest.NewServer(engineHandler(e))
 	defer ts.Close()
 
 	const n = 3

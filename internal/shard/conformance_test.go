@@ -20,35 +20,36 @@ import (
 	"mrcprm/internal/workload"
 )
 
-// frontEnd is one backend behind its public handler constructor; the tests
-// below drive both kinds through nothing but HTTP.
+// frontEnd is one router behind its public handler constructor; the tests
+// below drive it through nothing but HTTP.
 type frontEnd struct {
 	name    string
 	handler http.Handler
 	wait    func() error
 }
 
-// frontEnds builds the plain engine and a 2-shard router over the same
-// cluster and policy. base.MaxPending is the engine's bound; the router
-// splits it across its shards the way mrcpd does.
-func frontEnds(t *testing.T, base service.Config, engineRM sim.ResourceManager) []frontEnd {
+// frontEnds builds a 1-shard and a 2-shard router over the same cluster and
+// policy — what mrcpd serves at -shards 1 and -shards 2. base.MaxPending is
+// the global bound, split across shards the way mrcpd does. When gates are
+// given, gates[i] is the registry gate while front end i's managers are
+// built.
+func frontEnds(t *testing.T, base service.Config, gates ...*gate) []frontEnd {
 	t.Helper()
 	base.Cluster = testCluster()
-	ecfg := base
-	ecfg.RM = engineRM
-	e, err := service.New(ecfg)
-	if err != nil {
-		t.Fatal(err)
+	var fes []frontEnd
+	for i, n := range []int{1, 2} {
+		if i < len(gates) {
+			registryGate.Store(gates[i])
+		}
+		cfg := base
+		cfg.MaxPending = (base.MaxPending + n - 1) / n
+		r, err := New(Config{Base: cfg, Shards: n, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fes = append(fes, frontEnd{fmt.Sprintf("%d-shard", n), NewHandler(r), r.Wait})
 	}
-	base.MaxPending /= 2
-	r, err := New(Config{Base: base, Shards: 2, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return []frontEnd{
-		{"engine", service.NewHandler(e), e.Wait},
-		{"router", NewHandler(r), r.Wait},
-	}
+	return fes
 }
 
 // reply is what the conformance table compares across backends.
@@ -98,11 +99,10 @@ func call(h http.Handler, method, path, body string) reply {
 	return rp
 }
 
-// TestHandlerConformance drives one scripted session through the engine's
-// handler and the router's and requires the same status code, Content-Type,
+// TestHandlerConformance drives one scripted session through a 1-shard and
+// a 2-shard router and requires the same status code, Content-Type,
 // Retry-After and JSON key set from both on every route, including the whole
-// error map. The one permitted difference is "shards" on the healthz,
-// readyz, run and metrics bodies.
+// error map: the shard count changes values, never the shape of an answer.
 func TestHandlerConformance(t *testing.T) {
 	const good = `{"deadlineMs":3600000,"mapExecMs":[2000,2000],"reduceExecMs":[1000]}`
 	oversized := `{"deadlineMs":1,"mapExecMs":[1` + strings.Repeat(",1", 1<<19) + `]}`
@@ -153,11 +153,9 @@ func TestHandlerConformance(t *testing.T) {
 		{name: "run+close", method: "POST", path: "/v1/admin/run", body: `{"close":true}`, status: 200},
 		{name: "closed intake", method: "POST", path: "/v1/jobs", body: good, status: 503},
 	}
-	mayDifferByShards := map[string]bool{"/healthz": true, "/readyz": true, "/v1/admin/run": true, "/v1/metrics": true}
-
 	fes := frontEnds(t, service.Config{
 		Policy: "fifo", Admission: true, MaxPending: 2, Telemetry: obs.New(obs.DiscardSink{}),
-	}, nil)
+	})
 	ids := make([]map[string]string, len(fes)) // per backend: placeholder -> job id
 	for i := range ids {
 		ids[i] = map[string]string{}
@@ -179,31 +177,21 @@ func TestHandlerConformance(t *testing.T) {
 			if st.remember != "" {
 				ids[i][st.remember] = rp.id
 			}
-			if mayDifferByShards[st.path] && rp.status == 200 {
-				kept := rp.keys[:0]
-				for _, k := range rp.keys {
-					if k != "shards" {
-						kept = append(kept, k)
-					} else if fe.name == "engine" {
-						t.Errorf("%s on engine: unexpected %q key", st.name, k)
-					}
-				}
-				rp.keys = kept
-			}
 			replies[i] = rp
 		}
-		e, r := replies[0], replies[1]
-		if e.status != r.status || e.ctype != r.ctype || e.retryAfter != r.retryAfter || !reflect.DeepEqual(e.keys, r.keys) {
-			t.Errorf("%s: engine and router disagree:\n engine %d %q retry=%q %v\n router %d %q retry=%q %v",
-				st.name, e.status, e.ctype, e.retryAfter, e.keys, r.status, r.ctype, r.retryAfter, r.keys)
+		a, b := replies[0], replies[1]
+		if a.status != b.status || a.ctype != b.ctype || a.retryAfter != b.retryAfter || !reflect.DeepEqual(a.keys, b.keys) {
+			t.Errorf("%s: %s and %s disagree:\n %d %q retry=%q %v\n %d %q retry=%q %v",
+				st.name, fes[0].name, fes[1].name,
+				a.status, a.ctype, a.retryAfter, a.keys, b.status, b.ctype, b.retryAfter, b.keys)
 		}
 		switch st.status {
 		case 422:
-			if !strings.Contains(e.body, `"state":"rejected"`) || e.id == "" || r.id == "" {
-				t.Errorf("%s: want id and state rejected, got %s / %s", st.name, e.body, r.body)
+			if !strings.Contains(a.body, `"state":"rejected"`) || a.id == "" || b.id == "" {
+				t.Errorf("%s: want id and state rejected, got %s / %s", st.name, a.body, b.body)
 			}
 		case 429:
-			if e.retryAfter == "" {
+			if a.retryAfter == "" {
 				t.Errorf("%s: 429 without Retry-After", st.name)
 			}
 		}
@@ -223,7 +211,7 @@ func TestHandlerConformance(t *testing.T) {
 		finals = append(finals, call(fe.handler, "GET", "/readyz", ""))
 	}
 	if finals[0].status != 503 || finals[0].status != finals[1].status || !reflect.DeepEqual(finals[0].keys, finals[1].keys) {
-		t.Errorf("readyz after the run: engine %+v, router %+v", finals[0], finals[1])
+		t.Errorf("readyz after the run: %+v, %+v", finals[0], finals[1])
 	}
 }
 
@@ -273,14 +261,9 @@ func newGate() *gate {
 // TestHealthzDoesNotWaitForTheSolver: with the run loop parked inside Step,
 // liveness must still answer.
 func TestHealthzDoesNotWaitForTheSolver(t *testing.T) {
-	fifo, err := rmkit.New("fifo", testCluster(), rmkit.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One gate per backend, so each is known to be parked before its probe.
+	// One gate per front end, so each is known to be parked before its probe.
 	gates := []*gate{newGate(), newGate()}
-	registryGate.Store(gates[1])
-	fes := frontEnds(t, service.Config{Policy: gatedPolicy}, &gatedRM{fifo, gates[0]})
+	fes := frontEnds(t, service.Config{Policy: gatedPolicy}, gates...)
 	for i, fe := range fes {
 		if rp := call(fe.handler, "POST", "/v1/jobs", `{"deadlineMs":3600000,"mapExecMs":[1000]}`); rp.status != 202 {
 			t.Fatalf("%s: submit %d %s", fe.name, rp.status, rp.body)

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"os"
 
 	"mrcprm/internal/service"
 	"mrcprm/internal/workload"
@@ -26,7 +27,8 @@ type RecoveryInfo struct {
 // reconstructed from the replayed state. Start the returned router to run
 // the recovered streams; in virtual mode with deterministic solver settings
 // the aggregate fingerprint is bit-identical to the uninterrupted sharded
-// run's.
+// run's. Every segment must exist: a missing one (a wrong shard count, or
+// no journal at all) is an error naming it, never a blank run.
 func Recover(cfg Config) (*Router, *RecoveryInfo, error) {
 	if cfg.Base.JournalPath == "" {
 		return nil, nil, fmt.Errorf("shard: Recover needs Base.JournalPath")
@@ -34,6 +36,11 @@ func Recover(cfg Config) (*Router, *RecoveryInfo, error) {
 	r, parts, err := newRouter(cfg)
 	if err != nil {
 		return nil, nil, err
+	}
+	for s := range parts {
+		if _, err := os.Stat(SegmentPath(cfg.Base.JournalPath, s)); err != nil {
+			return nil, nil, fmt.Errorf("shard %d: journal segment: %w", s, err)
+		}
 	}
 	agg := &RecoveryInfo{Shards: make([]*service.RecoveryInfo, len(parts)), Closed: true}
 	for s := range parts {

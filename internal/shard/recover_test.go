@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -118,5 +120,65 @@ func TestRecoverRestoresWorkOnHeteroShards(t *testing.T) {
 		if r2.work[s] != before[s] {
 			t.Fatalf("recovered work %v, before the crash %v", r2.work, before)
 		}
+	}
+}
+
+// TestRecoverRefusesMissingSegment: recovery fails closed. A 1-segment
+// journal recovered as 2 shards, or a base path with no segment at all, is
+// an error naming the missing segment — never a blank run — while an
+// existing empty or torn segment still recovers to a blank engine.
+func TestRecoverRefusesMissingSegment(t *testing.T) {
+	cfg := journaledConfig(t)
+	cfg.Shards = 1
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range shardStream(t, 3) {
+		if _, err := r.Submit(workload.SpecOf(j)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.Stop()
+
+	two := cfg
+	two.Shards = 2
+	none := cfg
+	none.Base.JournalPath = filepath.Join(t.TempDir(), "never.wal")
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		missing string
+	}{
+		{"wrong shard count", two, SegmentPath(cfg.Base.JournalPath, 1)},
+		{"no journal", none, SegmentPath(none.Base.JournalPath, 0)},
+	} {
+		r, info, err := Recover(tc.cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.missing) {
+			t.Fatalf("%s: Recover returned %v, want an error naming %s", tc.name, err, tc.missing)
+		}
+		if r != nil || info != nil {
+			t.Fatalf("%s: refused recovery still returned router %v, info %+v", tc.name, r, info)
+		}
+	}
+	if _, err := os.Stat(SegmentPath(none.Base.JournalPath, 0)); !os.IsNotExist(err) {
+		t.Fatalf("refused recovery created a segment: %v", err)
+	}
+
+	// A short header is a torn tail: the segment exists, so it recovers.
+	for name, content := range map[string][]byte{"empty": nil, "torn": {5, 0, 0}} {
+		c := cfg
+		c.Base.JournalPath = filepath.Join(t.TempDir(), name+".wal")
+		if err := os.WriteFile(SegmentPath(c.Base.JournalPath, 0), content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, info, err := Recover(c)
+		if err != nil {
+			t.Fatalf("%s segment: %v", name, err)
+		}
+		if info.Records != 0 || info.Shards[0].TornBytes != int64(len(content)) || r.Metrics().Submitted != 0 {
+			t.Fatalf("%s segment recovered %+v (segment %+v), want a blank run", name, info, info.Shards[0])
+		}
+		r.Stop()
 	}
 }

@@ -1,8 +1,9 @@
-// Package shard scales the online scheduling service horizontally: it
-// partitions the cluster into N disjoint shards, runs one full
-// service.Engine per shard (each with its own journal segment, telemetry
-// registry, and SLO monitor), and fronts them with a deterministic
-// admission router.
+// Package shard is the online scheduling service's one front end: it
+// partitions the cluster into N >= 1 disjoint shards, runs one full
+// service.Engine per shard (each with its own journal segment and SLO
+// monitor, all on the caller's one telemetry handle), and fronts them with
+// a deterministic admission router. An unsharded service is the N=1
+// router.
 //
 // Placement is feasibility-then-load: a submission is offered only to
 // shards whose capacity can fit its SLA window (core.SLALowerBound against
@@ -10,8 +11,8 @@
 // router's running estimate of pending work ms — wins, with a seeded hash
 // breaking ties so the same seed and submission stream always produce the
 // same shard assignments (the loadgen replay contract, now per shard).
-// Only when every feasible shard sheds does the router reject with the
-// same typed overload error the single-engine service uses.
+// Only when every feasible shard sheds does the router reject, with the
+// same typed overload error one engine returns.
 //
 // A job's shard is arithmetic: it is routed once, at submission, and never
 // moves. A job accepted by shard s with engine-local ID l is externally job
@@ -41,12 +42,11 @@ import (
 type Config struct {
 	// Base is the per-shard engine template. Cluster is the FULL cluster
 	// (Partition splits it); JournalPath is the base path (each shard
-	// appends to JournalPath+".shard<i>"); MaxPending applies per shard
-	// (split a global bound before constructing the Config). Telemetry is
-	// the ROUTER's handle — routing events, shard counters, and the
-	// per-shard pending-work gauges land there, while each engine gets its
-	// own private registry-only handle so merged expositions never double
-	// count.
+	// appends to JournalPath+".shard<i>", at every N); MaxPending applies
+	// per shard (split a global bound before constructing the Config).
+	// Telemetry is shared by the router and every engine: one sink, one
+	// registry, so counters and histograms add up across shards by
+	// themselves.
 	Base service.Config
 	// Shards is the partition count N (>= 1; at most Cluster.NumResources).
 	Shards int
@@ -209,13 +209,11 @@ func newRouter(cfg Config) (*Router, []sim.Cluster, error) {
 }
 
 // shardEngineConfig derives shard s's engine config from the base: its
-// partition of the cluster, its journal segment, a private registry-only
-// telemetry handle, and the router's load observer teed with any caller
-// observer.
+// partition of the cluster, its journal segment, and the router's load
+// observer teed with any caller observer.
 func (r *Router) shardEngineConfig(s int) service.Config {
 	sc := r.cfg.Base
 	sc.Cluster = r.parts[s]
-	sc.Telemetry = obs.New(obs.DiscardSink{})
 	sc.Observer = sim.TeeObservers(r.cfg.Base.Observer, &shardObserver{r: r, s: s})
 	if base := r.cfg.Base.JournalPath; base != "" {
 		sc.JournalPath = SegmentPath(base, s)
@@ -305,7 +303,7 @@ func (r *Router) Submit(spec workload.JobSpec) (int64, error) {
 	if feasible == 0 {
 		// No shard can fit the window: route to every shard anyway so the
 		// least-loaded one produces the typed 422 (consuming a global ID,
-		// like the single-engine service would).
+		// as an engine does).
 		for s := 0; s < r.n; s++ {
 			cands = append(cands, cand{s: s, work: r.work[s], tie: mix(r.cfg.Seed, seq, s)})
 		}
@@ -606,8 +604,8 @@ func CombineFingerprints(fps []uint64) uint64 {
 	return h
 }
 
-// gaugeTakesMax lists merged-exposition gauges where summing across shards
-// is wrong: clocks align (take the max) and level-triggered booleans OR.
+// gaugeTakesMax lists engine-derived gauges where summing across shards is
+// wrong: clocks align (take the max) and level-triggered booleans OR.
 func gaugeTakesMax(name string) bool {
 	return name == "sim_time_ms" || name == "slo_burning"
 }
@@ -653,8 +651,6 @@ func (r *Router) Metrics() Snapshot {
 		agg.TasksFailed += snap.TasksFailed
 		agg.TasksKilled += snap.TasksKilled
 		agg.Outages += snap.Outages
-		agg.Counters = mergeScalars(agg.Counters, snap.Counters, false)
-		agg.Gauges = mergeScalars(agg.Gauges, snap.Gauges, true)
 		for class, v := range snap.MissByClass {
 			if agg.MissByClass == nil {
 				agg.MissByClass = make(map[string]int64)
@@ -665,9 +661,7 @@ func (r *Router) Metrics() Snapshot {
 			burns = append(burns, *snap.SLO)
 		}
 	}
-	rc, rg := r.tel.Snapshot()
-	agg.Counters = mergeScalars(agg.Counters, rc, false)
-	agg.Gauges = mergeScalars(agg.Gauges, rg, true)
+	agg.Counters, agg.Gauges = r.tel.Snapshot()
 	agg.Journal = r.cfg.Base.JournalPath
 	if agg.Finished {
 		fps := make([]uint64, r.n)
@@ -731,57 +725,21 @@ func mergeBurn(burns []slo.BurnInfo) slo.BurnInfo {
 	return out
 }
 
-// WriteProm renders ONE Prometheus exposition for the whole fleet:
-// counters sum, align-gauges take the max, histograms merge bucket-wise
-// (the mergeable-snapshot property), and the SLO burn scalars are
-// recomputed from the aggregated windows. The router's own families
-// (shard_routed, wall_route_ms, pending-work gauges) ride along.
+// WriteProm renders ONE Prometheus exposition for the whole fleet: the
+// shared telemetry registry as it stands, plus the engine-derived families
+// summed across shards (align-gauges take the max) and the SLO burn ratios
+// recomputed from the aggregated windows.
 func (r *Router) WriteProm(w io.Writer) error {
-	counters := map[string]int64{}
-	gauges := map[string]int64{}
-	histsByName := map[string]*obs.HistSnapshot{}
-	var histNames []string
-	mergeHists := func(hs []obs.HistSnapshot) error {
-		for _, h := range hs {
-			cur, ok := histsByName[h.Name]
-			if !ok {
-				cp := h
-				histsByName[h.Name] = &cp
-				histNames = append(histNames, h.Name)
-				continue
-			}
-			if err := cur.Merge(h); err != nil {
-				return err
-			}
-		}
-		return nil
+	var d service.PromData
+	burns := make([]slo.BurnInfo, r.n)
+	for s, e := range r.engines {
+		sd := e.PromData()
+		d.Counters = mergeScalars(d.Counters, sd.Counters, false)
+		d.Gauges = mergeScalars(d.Gauges, sd.Gauges, true)
+		burns[s] = sd.Burn
 	}
-	var burns []slo.BurnInfo
-	for s := 0; s < r.n; s++ {
-		d := r.engines[s].PromData()
-		counters = mergeScalars(counters, d.Counters, false)
-		gauges = mergeScalars(gauges, d.Gauges, true)
-		if err := mergeHists(d.Hists); err != nil {
-			return err
-		}
-		burns = append(burns, r.engines[s].Burn())
-	}
-	rc, rg := r.tel.Snapshot()
-	counters = mergeScalars(counters, rc, false)
-	gauges = mergeScalars(gauges, rg, true)
-	if err := mergeHists(r.tel.HistSnapshots()); err != nil {
-		return err
-	}
-	hists := make([]obs.HistSnapshot, 0, len(histNames))
-	sort.Strings(histNames)
-	for _, name := range histNames {
-		hists = append(hists, *histsByName[name])
-	}
-	if err := obs.WritePrometheus(w, "mrcp_", counters, gauges, hists); err != nil {
-		return err
-	}
-	b := mergeBurn(burns)
-	return service.WriteBurnGauges(w, b.MissRate, b.BurnRate)
+	d.Burn = mergeBurn(burns)
+	return service.WriteProm(w, r.tel, d)
 }
 
 // String implements fmt.Stringer for logs.

@@ -347,6 +347,15 @@ func TestShardHTTPEndToEnd(t *testing.T) {
 	if snap.JobsCompleted != len(jobs) || len(snap.Shards) != 2 || snap.Fingerprint == "" {
 		t.Fatalf("final snapshot completed=%d shards=%d fingerprint=%q", snap.JobsCompleted, len(snap.Shards), snap.Fingerprint)
 	}
+	// The one registry is the fleet's: reported once, at the top level.
+	if snap.Counters[obs.CounterShardRouted] != int64(len(jobs)) {
+		t.Fatalf("top-level counters %v, want %s = %d", snap.Counters, obs.CounterShardRouted, len(jobs))
+	}
+	for _, v := range snap.Shards {
+		if v.Counters != nil || v.Gauges != nil {
+			t.Fatalf("shard %d view repeats the registry: counters %v gauges %v", v.Shard, v.Counters, v.Gauges)
+		}
+	}
 
 	for _, id := range ids {
 		resp, err := client.Get(fmt.Sprintf("%s/v1/jobs/%d", srv.URL, id))
@@ -377,6 +386,68 @@ func TestShardHTTPEndToEnd(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("merged exposition is missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// TestRouterStreamsEngineTelemetry: the router and every engine share the
+// caller's telemetry handle, so at every shard count the engines' solver,
+// manager, sim and SLO events reach its sink next to the router's own, and
+// the one registry counts each submission and each completion once — not
+// once per shard.
+func TestRouterStreamsEngineTelemetry(t *testing.T) {
+	specs := []workload.JobSpec{
+		// Feasible on no shard and admitted anyway (admission is off): it
+		// finishes late, so the SLO monitor attributes a miss.
+		{DeadlineMS: 1, MapExecMS: []int64{500}},
+	}
+	for _, j := range shardStream(t, 6) {
+		specs = append(specs, workload.SpecOf(j))
+	}
+	for _, n := range []int{1, 2} {
+		t.Run(fmt.Sprintf("%d-shard", n), func(t *testing.T) {
+			sink := &obs.MemorySink{}
+			cfg := testShardConfig()
+			cfg.Shards = n
+			cfg.Base.Telemetry = obs.New(sink)
+			r, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := NewHandler(r)
+			for _, spec := range specs {
+				body, _ := json.Marshal(spec)
+				if rp := call(h, "POST", "/v1/jobs", string(body)); rp.status != http.StatusAccepted {
+					t.Fatalf("submit: %d %s", rp.status, rp.body)
+				}
+			}
+			if rp := call(h, "POST", "/v1/admin/run", `{"close":true}`); rp.status != http.StatusOK {
+				t.Fatalf("run: %d %s", rp.status, rp.body)
+			}
+			if err := r.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			seen := map[string]int{}
+			for _, ev := range sink.Events() {
+				seen[ev.Layer+"/"+ev.Kind]++
+			}
+			for _, want := range []string{"solver/solve", "manager/reschedule", "sim/sample", "obs/slo_attribution", "shard/route"} {
+				if seen[want] == 0 {
+					t.Errorf("sink saw no %s event: %v", want, seen)
+				}
+			}
+			scrape, err := obs.ParsePrometheus(strings.NewReader(call(h, "GET", "/metrics", "").body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := scrape.Values["mrcp_jobs_completed_total"]; got != float64(len(specs)) {
+				t.Fatalf("mrcp_jobs_completed_total = %v, want %d", got, len(specs))
+			}
+			for name, want := range map[string]int{"mrcp_wall_admission_ms": len(specs), "mrcp_job_e2e_ms": len(specs)} {
+				if h := scrape.Hists[name]; h == nil || int(h.Count) != want {
+					t.Errorf("%s: %+v, want count %d", name, h, want)
+				}
+			}
+		})
 	}
 }
 

@@ -68,15 +68,6 @@ type Metrics struct {
 	Records []JobRecord
 }
 
-// MeanLatenessSec returns the average lateness among late jobs in seconds
-// (0 when no job is late).
-func (m *Metrics) MeanLatenessSec() float64 {
-	if m.LateJobs == 0 {
-		return 0
-	}
-	return float64(m.TotalLatenessMS) / float64(m.LateJobs) / 1000
-}
-
 // MapUtilization returns the fraction of map slot capacity used over the
 // run's makespan, in [0, 1].
 func (m *Metrics) MapUtilization(cluster Cluster) float64 {
@@ -131,9 +122,6 @@ func (m *Metrics) O() float64 {
 
 // N returns the number of late jobs.
 func (m *Metrics) N() int { return m.LateJobs }
-
-// TotalOverhead returns the accumulated scheduling wall time.
-func (m *Metrics) TotalOverhead() time.Duration { return m.totalOverhead }
 
 // Fingerprint hashes every simulated-time-derived field of the metrics,
 // including the per-job records, into one value. Two runs of the same

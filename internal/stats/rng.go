@@ -55,8 +55,5 @@ func (s *Stream) NormFloat64() float64 { return s.rng.NormFloat64() }
 // ExpFloat64 returns an exponential variate with rate 1.
 func (s *Stream) ExpFloat64() float64 { return s.rng.ExpFloat64() }
 
-// Perm returns a random permutation of [0, n).
-func (s *Stream) Perm(n int) []int { return s.rng.Perm(n) }
-
 // Shuffle randomizes the order of n elements using the provided swap.
 func (s *Stream) Shuffle(n int, swap func(i, j int)) { s.rng.Shuffle(n, swap) }

@@ -264,9 +264,6 @@ func (j *Journal) Close() error {
 	return closeErr
 }
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
 // Records returns the number of records in the journal: those recovered at
 // Open plus those appended since.
 func (j *Journal) Records() int {

@@ -37,9 +37,6 @@ type Task struct {
 // Preds returns the task's direct predecessors.
 func (t *Task) Preds() []*Task { return t.preds }
 
-// Succs returns the task's direct successors.
-func (t *Task) Succs() []*Task { return t.succs }
-
 // Workflow is a DAG of tasks with an end-to-end SLA.
 type Workflow struct {
 	ID            int

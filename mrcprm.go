@@ -261,26 +261,20 @@ func SimulateInstrumented(cluster Cluster, rm ResourceManager, jobs []*Job,
 	return m, rec, err
 }
 
-// Online scheduling service (the engine behind cmd/mrcpd).
+// Online scheduling service (the engine behind each shard of cmd/mrcpd).
 type (
-	// ServiceConfig assembles an online scheduling engine.
+	// ServiceConfig assembles one online scheduling engine; a ShardConfig
+	// carries it as the per-shard template.
 	ServiceConfig = service.Config
-	// ServiceEngine accepts an open stream of job submissions and drives a
-	// resource manager over the simulator in virtual or wall-clock time.
-	ServiceEngine = service.Engine
 	// ServiceMode selects virtual or wall-clock pacing.
 	ServiceMode = service.Mode
 	// ServiceJobStatus is the queryable view of one submission.
 	ServiceJobStatus = service.JobStatus
-	// ServiceSnapshot is the /v1/metrics payload: one engine's view, or a
-	// router's fleet aggregates in the same flat fields plus the per-shard
-	// breakdown in Shards.
+	// ServiceSnapshot is the /v1/metrics payload: a router's fleet
+	// aggregates in the flat fields plus the per-shard breakdown in Shards.
 	ServiceSnapshot = service.Snapshot
 	// ShardView is one shard's slice of an aggregated snapshot.
 	ShardView = service.ShardView
-	// ServiceBackend is what the HTTP handler and cmd/mrcpd drive: a
-	// ServiceEngine's Backend() or a *ShardRouter.
-	ServiceBackend = service.Backend
 	// JobSpec is the wire representation of a job submission.
 	JobSpec = workload.JobSpec
 	// AdmissionError reports a provably infeasible submission.
@@ -288,11 +282,8 @@ type (
 	// ServiceOverloadError reports a submission shed by the MaxPending
 	// backpressure bound, carrying the queue state and a retry hint.
 	ServiceOverloadError = service.OverloadError
-	// ServiceRecoveryInfo summarizes what RecoverServiceEngine replayed
-	// from a write-ahead journal.
-	ServiceRecoveryInfo = service.RecoveryInfo
 	// ServiceFaultSpec is the journalable per-attempt fault plan installed
-	// through ServiceEngine.ApplyFaults.
+	// through ShardRouter.ApplyFaults.
 	ServiceFaultSpec = service.FaultSpec
 	// SLOConfig tunes the deadline-miss attribution and burn monitor
 	// (miss budget, sliding window, trace ring size).
@@ -309,7 +300,7 @@ const (
 	ServiceWall    = service.Wall
 )
 
-// Service engine sentinel errors.
+// Service sentinel errors.
 var (
 	// ErrServiceClosed means intake has been closed to new submissions.
 	ErrServiceClosed = service.ErrClosed
@@ -325,28 +316,13 @@ var (
 	ErrServiceJournal = service.ErrJournal
 )
 
-// NewServiceEngine assembles an online scheduling engine; call Start to
-// launch its run loop.
-func NewServiceEngine(cfg ServiceConfig) (*ServiceEngine, error) { return service.New(cfg) }
-
-// RecoverServiceEngine rebuilds an engine from the write-ahead journal at
-// cfg.JournalPath, replaying every journaled submission, fault switch,
-// outage, and intake close. Start the returned engine to run the recovered
-// stream; in virtual mode with DeterministicConfig solver settings the
-// final metrics fingerprint is bit-identical to the uninterrupted run's.
-func RecoverServiceEngine(cfg ServiceConfig) (*ServiceEngine, *ServiceRecoveryInfo, error) {
-	return service.Recover(cfg)
-}
-
-// NewServiceHandler exposes a backend over HTTP/JSON (the cmd/mrcpd API).
-func NewServiceHandler(b ServiceBackend) http.Handler { return service.NewBackendHandler(b) }
-
 // JobSpecOf captures a job as a submission spec for the service API.
 func JobSpecOf(j *Job) JobSpec { return workload.SpecOf(j) }
 
-// Sharded multi-engine service (the admission router behind mrcpd -shards).
+// Sharded service: the admission router mrcpd serves at every -shards
+// value (an unsharded daemon is the N=1 router).
 type (
-	// ShardConfig assembles a sharded router over N per-shard engines.
+	// ShardConfig assembles a router over N >= 1 per-shard engines.
 	ShardConfig = shard.Config
 	// ShardRouter fronts N independent scheduler shards with deterministic
 	// feasibility-then-load admission routing. A job is routed once and
@@ -361,11 +337,18 @@ type (
 // call Start to launch every shard's run loop.
 func NewShardRouter(cfg ShardConfig) (*ShardRouter, error) { return shard.New(cfg) }
 
-// RecoverShardRouter rebuilds a sharded router from its N journal segments
-// (ShardJournalPath(Base.JournalPath, 0..N-1)).
+// RecoverShardRouter rebuilds a router from its N journal segments
+// (ShardJournalPath(Base.JournalPath, 0..N-1)), replaying every journaled
+// submission, fault switch, outage and intake close; a missing segment is
+// an error. Start the returned router to run the recovered streams; in
+// virtual mode with DeterministicConfig solver settings the fingerprint is
+// bit-identical to the uninterrupted run's.
 func RecoverShardRouter(cfg ShardConfig) (*ShardRouter, *ShardRecoveryInfo, error) {
 	return shard.Recover(cfg)
 }
+
+// NewServiceHandler exposes a router over HTTP/JSON (the cmd/mrcpd API).
+func NewServiceHandler(r *ShardRouter) http.Handler { return shard.NewHandler(r) }
 
 // ShardJournalPath names shard i's write-ahead journal segment under a
 // base path.
