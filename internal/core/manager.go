@@ -409,6 +409,9 @@ func (m *Manager) emitSolve(now int64, res *cp.Result, solveErr error, modelTask
 		obs.I64("nodes", st.Nodes),
 		obs.I64("backtracks", st.Backtracks),
 		obs.I64("propagations", st.Propagations),
+		obs.I64("pick_work", st.PickWork),
+		obs.I64("profile_builds", st.ProfileBuilds),
+		obs.I64("sweep_work", st.SweepWork),
 		obs.Int("rounds", st.Rounds),
 		obs.Int("improve_passes", st.ImprovePasses),
 		obs.Int("improve_accepts", st.ImproveAccepts),

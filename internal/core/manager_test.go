@@ -1,10 +1,12 @@
 package core
 
 import (
+	"encoding/json"
 	"testing"
 	"time"
 
 	"mrcprm/internal/cp"
+	"mrcprm/internal/obs"
 	"mrcprm/internal/sim"
 	"mrcprm/internal/stats"
 	"mrcprm/internal/workload"
@@ -276,5 +278,58 @@ func TestHorizonFor(t *testing.T) {
 func TestModeStrings(t *testing.T) {
 	if ModeCombined.String() != "combined" || ModeDirect.String() != "direct" {
 		t.Fatal("mode strings")
+	}
+}
+
+// solveWork is what TestSolveEventCarriesWorkCounters reads off a "solve"
+// event.
+type solveWork struct {
+	Nodes         int64 `json:"nodes"`
+	PickWork      int64 `json:"pick_work"`
+	ProfileBuilds int64 `json:"profile_builds"`
+	SweepWork     int64 `json:"sweep_work"`
+}
+
+type solveWorkSink struct{ events []solveWork }
+
+func (s *solveWorkSink) Emit(e *obs.Event) {
+	if e.Kind != "solve" {
+		return
+	}
+	var w solveWork
+	if err := json.Unmarshal(e.AppendJSON(nil), &w); err != nil {
+		panic(err)
+	}
+	s.events = append(s.events, w)
+}
+
+// The solver/solve event carries the per-node work counters: the interval
+// keys the branching rule evaluated, the profiles derived from their event
+// lists (one per timetable, the combined model's map and reduce ones), and
+// the tasks the timetables' sweeps examined.
+func TestSolveEventCarriesWorkCounters(t *testing.T) {
+	cluster := sim.Cluster{NumResources: 1, MapSlots: 1, ReduceSlots: 1}
+	mgr := New(cluster, deterministicConfig())
+	sink := &solveWorkSink{}
+	mgr.SetTelemetry(obs.New(sink))
+	runManager(t, cluster, mgr, []*workload.Job{
+		mkJob(0, 0, 0, 100_000, []int64{10_000, 10_000}, []int64{5000}),
+		mkJob(1, 0, 0, 25_000, []int64{10_000}, []int64{5000}),
+	})
+	if len(sink.events) == 0 {
+		t.Fatal("no solve events")
+	}
+	var swept int64
+	for i, w := range sink.events {
+		if w.Nodes > 0 && w.PickWork == 0 {
+			t.Errorf("solve %d: %d nodes but pick_work 0", i, w.Nodes)
+		}
+		if w.ProfileBuilds != 2 {
+			t.Errorf("solve %d: profile_builds %d, want one per timetable (2)", i, w.ProfileBuilds)
+		}
+		swept += w.SweepWork
+	}
+	if swept == 0 {
+		t.Error("no solve reported sweep_work")
 	}
 }

@@ -13,18 +13,37 @@ import (
 // variable still allows several resources contribute no mandatory part but
 // lose this resource from their domain if they can no longer fit on it.
 //
-// For performance on models with thousands of tasks, the propagator keeps
-// its profile between runs and refilters only tasks that need it: those
-// whose own variables changed since the last run ("self pending") and those
-// whose windows intersect the region of the profile that changed ("dirty
-// region"). During forward search mandatory parts only grow, so the growth
-// is added to the cached profile in place; any backtrack (detected through
-// the store's pop counter) invalidates the cache and forces a full rebuild
-// from the sorted event list. Asking an unchanged timetable for its profile
-// — which the search does at every placement — costs nothing. Lazy
-// filtering is sound: every decided start contributes a mandatory part that
-// the overload check validates, so no infeasible assignment can survive to
-// a solution.
+// On models with thousands of tasks a search node must cost what it
+// changed, not what the model holds, so the propagator keeps three things
+// between runs:
+//
+//   - The profile. It is derived from the sorted event list once per solve,
+//     at the root; after that every change of a task's mandatory part —
+//     whether a mutator or a pop made it — is folded in as the difference
+//     between the part the profile holds for the task (lastMA/lastMB) and
+//     the part the store now gives it. The engine tells the cumulative
+//     which tasks a pop restored, so undoing a level costs what the level
+//     did. Segments are kept canonical (no zero-load segment, no two
+//     touching segments of equal load), which leaves the load function —
+//     all that filtering reads while no demand exceeds capacity — the one a
+//     rebuild from scratch derives.
+//   - The pending lists: tasks whose own variables changed since the last
+//     run ("self pending") and the regions of the profile that gained load
+//     ("dirty region"). Lazy filtering is sound: every decided start
+//     contributes a mandatory part that the overload check validates, so no
+//     infeasible assignment can survive to a solution.
+//   - A time-bucketed index of the tasks that are not settled (taskIndex),
+//     from which both sweeps take their candidates: filterTask can prune a
+//     task only if its window at StartMin or at StartMax overlaps a segment
+//     where load plus the largest demand exceeds capacity ("blocking"), so
+//     a sweep visits the tasks such a segment can reach instead of every
+//     task. Candidates are visited in ascending position order under the
+//     sweep's exact predicate, and filterTask has no side effect when it
+//     prunes nothing, so the pruning is the one a scan over every task
+//     makes.
+//
+// The first pass after a pop (and the root pass) is a full pass: both
+// bounds of every reachable task plus the energetic check.
 type cumulative struct {
 	name     string
 	prop     int // index in Model.props
@@ -35,24 +54,33 @@ type cumulative struct {
 	// dimension (demands[i] for tasks[i]); nil uses each task's Demand.
 	demands []int64
 
-	// Incremental caches. cacheValid says segs is the profile of lastMA/MB;
-	// an overload clears it, so that the failure repeats until a backtrack
-	// rebuilds the profile.
-	cacheValid bool
-	cachePops  int64
-	lastMA     []int64   // last contributed mandatory part per task position
-	lastMB     []int64   // (lastMA >= lastMB means no contribution)
-	events     []ttEvent // scratch of a rebuild
-	segs       []ttSeg
-	builds     int64 // buildSegs executions, for SearchStats.ProfileBuilds
+	// The profile. built says segs has been derived from the event list
+	// (once, at the first refresh); pops is the store's pop count the
+	// profile last caught up with; over counts the segments whose load
+	// exceeds capacity — refresh fails while it is positive.
+	built  bool
+	pops   int64
+	over   int
+	lastMA []int64 // mandatory part the profile holds per task position
+	lastMB []int64 // ((0, 0) when none)
+	segs   []ttSeg
+	builds int64 // buildSegs executions, for SearchStats.ProfileBuilds
 
 	changed   []int  // positions with unprocessed variable changes
 	changedFl []bool //
 	self      []int  // positions awaiting a refilter
 	selfFl    []bool //
 	rawSpans  []span // profile regions that gained load since the last pass
-	fullDirty bool   // everything needs refiltering (after a rebuild)
+	fullDirty bool   // the next pass is a full pass (root, or after a pop)
 	minDemand int64  // smallest task demand, for the saturation test
+	maxDemand int64  // largest task demand, for the reach test
+	dmax      int64  // longest duration a task can have, on this resource or any
+
+	// idx is shared with every cumulative posted over the same task list;
+	// sweepWork counts the index entries the sweeps examined, for
+	// SearchStats.SweepWork.
+	idx       *taskIndex
+	sweepWork int64
 
 	// Scratch buffers for the energetic check, reused across passes so the
 	// branch-and-bound hot path stays allocation-free.
@@ -66,9 +94,8 @@ type ttEvent struct {
 }
 
 // ttSeg is a constant-load segment [from, to) of the profile. Segments are
-// disjoint and ascending; outside all segments the load is zero. Neighbours
-// may carry equal loads: growth applied in place cuts segments and never
-// merges them back.
+// disjoint, ascending and canonical: no load is zero, and touching
+// neighbours carry different loads. Outside all segments the load is zero.
 type ttSeg struct {
 	from, to int64
 	load     int64
@@ -93,6 +120,9 @@ func newCumulative(name string, resIndex int, capacity int64, tasks []*Interval,
 		lastMB:    make([]int64, len(tasks)),
 		changedFl: make([]bool, len(tasks)),
 		selfFl:    make([]bool, len(tasks)),
+	}
+	for _, t := range tasks {
+		c.dmax = max(c.dmax, t.Dur, c.durOf(t))
 	}
 	return c
 }
@@ -125,22 +155,36 @@ func (c *cumulative) onRes(m *Model, t *Interval) onResState {
 	return onResMaybe
 }
 
-// mandatoryOf returns the task's mandatory part on this resource; a >= b
-// means none.
+// mandatoryOf returns the task's mandatory part on this resource, (0, 0)
+// when it has none.
 func (c *cumulative) mandatoryOf(m *Model, t *Interval) (int64, int64) {
 	if c.onRes(m, t) != onResYes {
 		return 0, 0
 	}
-	return m.StartMax(t), m.StartMin(t) + c.durOf(t)
+	if a, b := m.StartMax(t), m.StartMin(t)+c.durOf(t); a < b {
+		return a, b
+	}
+	return 0, 0
 }
 
+// saturated reports whether a segment blocks every task: its load plus the
+// smallest demand exceeds capacity.
+func (c *cumulative) saturated(s ttSeg) bool { return s.load+c.minDemand > c.capacity }
+
+// blocking reports whether a segment blocks some task: its load plus the
+// largest demand exceeds capacity. filterTask prunes a task only where a
+// segment blocks it.
+func (c *cumulative) blocking(s ttSeg) bool { return s.load+c.maxDemand > c.capacity }
+
 // noteChange records that the bounds or matchmaking domain of tasks[pos]
-// changed; the engine calls this on every wake.
+// changed, or that a pop restored them; the engine calls this on every
+// wake and for every task a pop restores.
 func (c *cumulative) noteChange(pos int) {
 	if !c.changedFl[pos] {
 		c.changedFl[pos] = true
 		c.changed = append(c.changed, pos)
 	}
+	c.idx.note(pos)
 }
 
 func (c *cumulative) markRaw(lo, hi int64) {
@@ -150,16 +194,16 @@ func (c *cumulative) markRaw(lo, hi int64) {
 }
 
 // saturatedDirty reduces the raw changed spans to the bounding box of the
-// sub-regions where the profile now blocks at least one task (load plus the
-// smallest demand exceeds capacity). Only such regions can move any task's
-// feasible window; mere load increases below saturation cannot.
+// sub-regions where the profile is now saturated. The dirty sweep refilters
+// only around such regions; mere load increases below saturation leave the
+// tasks to the self-pending refilter and the next full pass.
 func (c *cumulative) saturatedDirty() (int64, int64) {
 	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
 	for _, sp := range c.rawSpans {
 		i := sort.Search(len(c.segs), func(i int) bool { return c.segs[i].to > sp.from })
 		for ; i < len(c.segs) && c.segs[i].from < sp.to; i++ {
 			seg := c.segs[i]
-			if seg.load+c.minDemand <= c.capacity {
+			if !c.saturated(seg) {
 				continue
 			}
 			if f := max64(seg.from, sp.from); f < lo {
@@ -188,165 +232,239 @@ func min64(a, b int64) int64 {
 	return b
 }
 
-// sortEventsByAt orders events by ascending time via binary-insertion sort;
-// sort.Slice here allocated a reflection swapper on every post-backtrack
-// rebuild, which made it a measurable slice of the search's allocations.
-func sortEventsByAt(s []ttEvent) {
-	for i := 1; i < len(s); i++ {
-		ev := s[i]
-		j := sort.Search(i, func(k int) bool { return s[k].at > ev.at })
-		copy(s[j+1:i+1], s[j:i])
-		s[j] = ev
-	}
-}
-
-// rebuildFull recomputes every contribution from scratch and marks
-// everything for refiltering.
+// rebuildFull derives every contribution and the profile from the store
+// and marks everything for refiltering. It runs once per solve, at the
+// first refresh.
 func (c *cumulative) rebuildFull(m *Model) {
-	c.events = c.events[:0]
-	c.minDemand = math.MaxInt64
+	parts := 0
+	c.minDemand, c.maxDemand = math.MaxInt64, math.MinInt64
 	for i, t := range c.tasks {
 		a, b := c.mandatoryOf(m, t)
 		c.lastMA[i], c.lastMB[i] = a, b
-		dem := c.demandAt(i)
 		if a < b {
-			c.events = append(c.events, ttEvent{a, dem}, ttEvent{b, -dem})
+			parts++
 		}
-		if dem < c.minDemand {
-			c.minDemand = dem
-		}
+		dem := c.demandAt(i)
+		c.minDemand, c.maxDemand = min(c.minDemand, dem), max(c.maxDemand, dem)
 		c.changedFl[i] = false
 		c.selfFl[i] = false
 	}
 	c.changed = c.changed[:0]
 	c.self = c.self[:0]
 	c.rawSpans = c.rawSpans[:0]
-	sortEventsByAt(c.events)
+	if cap(m.ttEvents) < 2*parts {
+		m.ttEvents = make([]ttEvent, 0, 2*parts)
+	}
+	events := m.ttEvents[:0]
+	for i, a := range c.lastMA {
+		if b := c.lastMB[i]; a < b {
+			dem := c.demandAt(i)
+			events = append(events, ttEvent{a, dem}, ttEvent{b, -dem})
+		}
+	}
+	slices.SortFunc(events, func(a, b ttEvent) int {
+		switch {
+		case a.at < b.at:
+			return -1
+		case a.at > b.at:
+			return 1
+		}
+		return 0
+	})
+	c.buildSegs(events)
+	c.built = true
 	c.fullDirty = true
-	c.cachePops = m.store.pops
+	c.pops = m.store.pops
+}
+
+// buildSegs derives the canonical segments from the sorted event list and
+// counts the ones over capacity.
+func (c *cumulative) buildSegs(events []ttEvent) {
+	c.builds++
+	c.segs = c.segs[:0]
+	c.over = 0
+	var load int64
+	for i := 0; i < len(events); {
+		at, prev := events[i].at, load
+		for ; i < len(events) && events[i].at == at; i++ {
+			load += events[i].delta
+		}
+		if load == prev {
+			continue
+		}
+		if prev != 0 {
+			c.segs[len(c.segs)-1].to = at
+		}
+		if load != 0 {
+			c.segs = append(c.segs, ttSeg{from: at, load: load})
+			if load > c.capacity {
+				c.over++
+			}
+		}
+	}
+}
+
+// addLoad raises the profile by dem over [lo, hi) — lowers it, for a
+// negative dem — keeping the segments canonical and c.over current. It
+// cuts segments at lo and hi and fills gaps as needed; inside the range
+// touching segments keep distinct loads, so what canonical form asks of the
+// edit is dropping segments a decrease emptied and merging across lo and
+// hi.
+func (c *cumulative) addLoad(lo, hi, dem int64) {
+	if lo >= hi || dem == 0 {
+		return
+	}
+	first := sort.Search(len(c.segs), func(k int) bool { return c.segs[k].to > lo })
+	k := first
+	for at := lo; at < hi; k++ {
+		switch {
+		case k == len(c.segs) || c.segs[k].from >= hi:
+			c.segs = slices.Insert(c.segs, k, ttSeg{at, hi, 0}) // nothing up to hi
+		case c.segs[k].from > at:
+			c.segs = slices.Insert(c.segs, k, ttSeg{at, c.segs[k].from, 0}) // a gap first
+		case c.segs[k].from < at:
+			// The head of the segment keeps its load.
+			c.segs = slices.Insert(c.segs, k+1, ttSeg{at, c.segs[k].to, c.segs[k].load})
+			c.segs[k].to = at
+			c.countOver(c.segs[k].load, 1)
+			k++
+			first = k // only the first piece can start before lo
+		}
+		// segs[k] now starts at at; so does its tail past hi, if any.
+		if c.segs[k].to > hi {
+			c.segs = slices.Insert(c.segs, k+1, ttSeg{hi, c.segs[k].to, c.segs[k].load})
+			c.segs[k].to = hi
+			c.countOver(c.segs[k].load, 1)
+		}
+		c.countOver(c.segs[k].load, -1)
+		c.segs[k].load += dem
+		c.countOver(c.segs[k].load, 1)
+		at = c.segs[k].to
+	}
+	// segs[first:k] now covers [lo, hi).
+	if dem < 0 {
+		w := first
+		for _, s := range c.segs[first:k] {
+			if s.load != 0 {
+				c.segs[w] = s
+				w++
+			}
+		}
+		c.segs = slices.Delete(c.segs, w, k)
+		k = w
+	}
+	c.mergeAt(k)
+	c.mergeAt(first)
+}
+
+// countOver adjusts c.over for n segments of the given load appearing (n >
+// 0) or going (n < 0).
+func (c *cumulative) countOver(load int64, n int) {
+	if load > c.capacity {
+		c.over += n
+	}
+}
+
+// mergeAt merges segs[k] into segs[k-1] when they touch at equal load.
+func (c *cumulative) mergeAt(k int) {
+	if k <= 0 || k >= len(c.segs) {
+		return
+	}
+	if prev, s := c.segs[k-1], c.segs[k]; prev.to == s.from && prev.load == s.load {
+		c.segs[k-1].to = s.to
+		c.countOver(s.load, -1)
+		c.segs = slices.Delete(c.segs, k, k+1)
+	}
+}
+
+// reconcile makes the profile's contribution of tasks[pos] the mandatory
+// part the store now gives it. With mark it records the old and new parts
+// as changed profile regions.
+func (c *cumulative) reconcile(m *Model, pos int, mark bool) {
+	oldA, oldB := c.lastMA[pos], c.lastMB[pos]
+	newA, newB := c.mandatoryOf(m, c.tasks[pos])
+	if oldA == newA && oldB == newB {
+		return
+	}
+	c.lastMA[pos], c.lastMB[pos] = newA, newB
+	if mark {
+		c.markRaw(oldA, oldB)
+		c.markRaw(newA, newB)
+	}
+	dem := c.demandAt(pos)
+	switch {
+	case oldA >= oldB:
+		c.addLoad(newA, newB, dem)
+	case newA >= newB:
+		c.addLoad(oldA, oldB, -dem)
+	case newA < oldB && oldA < newB:
+		// Overlapping parts: move the two ends. Forward search only ever
+		// grows a part; a pop shrinks it.
+		if newA < oldA {
+			c.addLoad(newA, oldA, dem)
+		} else {
+			c.addLoad(oldA, newA, -dem)
+		}
+		if newB > oldB {
+			c.addLoad(oldB, newB, dem)
+		} else {
+			c.addLoad(newB, oldB, -dem)
+		}
+	default:
+		c.addLoad(oldA, oldB, -dem)
+		c.addLoad(newA, newB, dem)
+	}
 }
 
 // applyIncremental folds the pending per-task changes into the profile,
-// extends the dirty region, and moves the tasks onto the self-refilter
-// list. It returns errFail on capacity overload.
-func (c *cumulative) applyIncremental(m *Model) error {
+// extends the dirty region, and moves the tasks onto the
+// self-refilter list.
+func (c *cumulative) applyIncremental(m *Model) {
 	for _, pos := range c.changed {
 		c.changedFl[pos] = false
 		if !c.selfFl[pos] {
 			c.selfFl[pos] = true
 			c.self = append(c.self, pos)
 		}
-		t := c.tasks[pos]
-		oldA, oldB := c.lastMA[pos], c.lastMB[pos]
-		newA, newB := c.mandatoryOf(m, t)
-		if oldA == newA && oldB == newB {
-			continue
-		}
-		c.lastMA[pos], c.lastMB[pos] = newA, newB
-		c.markRaw(oldA, oldB)
-		c.markRaw(newA, newB)
-		dem := c.demandAt(pos)
-		var err error
-		switch {
-		case newA >= newB && oldA >= oldB:
-			// Still no mandatory part.
-		case oldA >= oldB:
-			err = c.addLoad(newA, newB, dem)
-		case newA <= oldA && oldB <= newB:
-			if err = c.addLoad(newA, oldA, dem); err == nil {
-				err = c.addLoad(oldB, newB, dem)
-			}
-		default:
-			// A mandatory part shrank without a backtrack, which propagation
-			// never does; start over rather than trust the cache.
-			c.rebuildFull(m)
-			return c.buildSegs()
-		}
-		if err != nil {
-			c.cacheValid = false
-			return err
-		}
+		c.reconcile(m, pos, true)
 	}
 	c.changed = c.changed[:0]
-	return nil
 }
 
-// addLoad raises the profile by dem over [lo, hi), cutting segments at lo
-// and hi and filling gaps between segments as needed. It returns errFail
-// where that exceeds capacity.
-func (c *cumulative) addLoad(lo, hi, dem int64) error {
-	i := sort.Search(len(c.segs), func(i int) bool { return c.segs[i].to > lo })
-	for lo < hi {
-		switch {
-		case i == len(c.segs) || c.segs[i].from >= hi:
-			c.segs = slices.Insert(c.segs, i, ttSeg{lo, hi, 0}) // nothing up to hi
-		case c.segs[i].from > lo:
-			c.segs = slices.Insert(c.segs, i, ttSeg{lo, c.segs[i].from, 0}) // a gap first
-		case c.segs[i].from < lo:
-			// The head of the segment keeps its load.
-			c.segs = slices.Insert(c.segs, i, ttSeg{c.segs[i].from, lo, c.segs[i].load})
-			i++
-			c.segs[i].from = lo
-		}
-		// segs[i] now starts at lo; so does its tail past hi, if any.
-		if c.segs[i].to > hi {
-			c.segs = slices.Insert(c.segs, i+1, ttSeg{hi, c.segs[i].to, c.segs[i].load})
-			c.segs[i].to = hi
-		}
-		c.segs[i].load += dem
-		if c.segs[i].load > c.capacity {
-			return errFail
-		}
-		lo = c.segs[i].to
-		i++
+// catchUp brings the profile back to the store after one or more pops, from the tasks the pops restored (and any change still
+// pending), and schedules a full pass: what the pending lists held
+// describes levels that no longer exist.
+func (c *cumulative) catchUp(m *Model) {
+	for _, pos := range c.changed {
+		c.changedFl[pos] = false
+		c.reconcile(m, pos, false)
 	}
-	return nil
-}
-
-// buildSegs derives the constant-load segments from the sorted event list
-// and returns errFail if the profile exceeds capacity anywhere.
-func (c *cumulative) buildSegs() error {
-	c.builds++
-	c.cacheValid = false
-	c.segs = c.segs[:0]
-	var load int64
-	i := 0
-	for i < len(c.events) {
-		at := c.events[i].at
-		for i < len(c.events) && c.events[i].at == at {
-			load += c.events[i].delta
-			i++
-		}
-		if load > c.capacity {
-			return errFail
-		}
-		if n := len(c.segs); n > 0 {
-			c.segs[n-1].to = at
-		}
-		if i < len(c.events) {
-			c.segs = append(c.segs, ttSeg{from: at, load: load})
-		}
+	c.changed = c.changed[:0]
+	for _, pos := range c.self {
+		c.selfFl[pos] = false
 	}
-	for len(c.segs) > 0 && c.segs[len(c.segs)-1].load == 0 {
-		c.segs = c.segs[:len(c.segs)-1]
-	}
-	c.cacheValid = true
-	return nil
+	c.self = c.self[:0]
+	c.rawSpans = c.rawSpans[:0]
+	c.fullDirty = true
+	c.pops = m.store.pops
 }
 
 // refresh brings the profile up to date with the store, returning errFail
-// on capacity overload. It does nothing when no backtrack happened and no
-// watched task changed since the last call, and rebuilds the profile from
-// scratch only after a backtrack.
+// while it exceeds capacity anywhere. It costs nothing when no watched task
+// changed since the last call, and what changed otherwise.
 func (c *cumulative) refresh(m *Model) error {
-	if c.cacheValid && c.cachePops == m.store.pops {
-		if len(c.changed) == 0 {
-			return nil
-		}
-		return c.applyIncremental(m)
+	switch {
+	case !c.built:
+		c.rebuildFull(m)
+	case c.pops != m.store.pops:
+		c.catchUp(m)
+	case len(c.changed) > 0:
+		c.applyIncremental(m)
 	}
-	c.rebuildFull(m)
-	return c.buildSegs()
+	if c.over > 0 {
+		return errFail
+	}
+	return nil
 }
 
 // earliestFit returns the smallest start >= from at which a window of the
@@ -444,6 +562,11 @@ func overlaps(aLo, aHi, bLo, bHi int64) bool {
 // incremental passes skip the min side — the search computes each task's
 // true earliest fit lazily at placement time instead, which keeps the cost
 // of a decision independent of the number of pending tasks.
+//
+// It can prune only a task whose window at StartMin (min side, and the
+// resource test) or at StartMax (max side) overlaps a blocking segment,
+// and it has no side effect when it prunes nothing; the sweeps' candidate
+// sets rest on both facts.
 func (c *cumulative) filterTask(e *engine, pos int, withMin bool) (bool, error) {
 	m := e.m
 	t, dem := c.tasks[pos], c.demandAt(pos)
@@ -503,9 +626,11 @@ func (c *cumulative) propagate(e *engine) error {
 		}
 		progressed := false
 		if fullPass {
-			// After a (re)build: one bound-consistent sweep over all tasks.
-			for pos := range c.tasks {
-				p, err := c.filterTask(e, pos, true)
+			// At the root and after a pop: one bound-consistent sweep over
+			// every task a blocking segment can reach.
+			e.sweep = c.reachable(m, e.sweep[:0])
+			for _, pos := range e.sweep {
+				p, err := c.filterTask(e, int(pos), true)
 				progressed = progressed || p
 				if err != nil {
 					return err
@@ -526,7 +651,10 @@ func (c *cumulative) propagate(e *engine) error {
 				// The profile gained a blocking region: prune deadline-side
 				// windows that touch it, and matchmaking domains of tasks
 				// that may lose their only spot on this resource.
-				for pos, t := range c.tasks {
+				e.sweep = c.dirtyCandidates(m, dLo, dHi, e.sweep[:0])
+				for _, p32 := range e.sweep {
+					pos := int(p32)
+					t := c.tasks[pos]
 					if m.Fixed(t) && t.resVar == nil {
 						continue
 					}

@@ -1,6 +1,9 @@
 package cp
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"mrcprm/internal/stats"
@@ -184,22 +187,101 @@ func loadSteps(segs []ttSeg) []ttSeg {
 	return out
 }
 
+// wouldPrune reports, without pruning, whether filterTask would change a
+// domain of tasks[pos]: the same tests on the same profile.
+func (c *cumulative) wouldPrune(m *Model, pos int, withMin bool) bool {
+	t, dem := c.tasks[pos], c.demandAt(pos)
+	switch c.onRes(m, t) {
+	case onResYes:
+		if m.Fixed(t) {
+			return false
+		}
+		if withMin && c.earliestFit(m, t, dem, m.StartMin(t), true) > m.StartMin(t) {
+			return true
+		}
+		return c.latestFit(m, t, dem, m.StartMax(t), true) < m.StartMax(t)
+	case onResMaybe:
+		return c.earliestFit(m, t, dem, m.StartMin(t), false) > m.StartMax(t)
+	}
+	return false
+}
+
+// dirtyNeed is the dirty sweep's predicate for tasks[pos].
+func (c *cumulative) dirtyNeed(m *Model, pos int, dLo, dHi int64) bool {
+	t := c.tasks[pos]
+	if m.Fixed(t) && t.resVar == nil {
+		return false
+	}
+	if t.resVar != nil && c.resIndex >= 0 && c.onRes(m, t) == onResMaybe {
+		return overlaps(m.StartMin(t), m.EndMax(t), dLo, dHi)
+	}
+	return overlaps(m.StartMax(t), m.EndMax(t), dLo, dHi)
+}
+
+// reachableScan is reachable as one scan over every task.
+func (c *cumulative) reachableScan(m *Model) []int32 {
+	var out []int32
+	for pos, t := range c.tasks {
+		st, d := c.onRes(m, t), c.durOf(t)
+		live := st == onResMaybe || st == onResYes && !m.Fixed(t)
+		yes := st == onResYes && !m.Fixed(t)
+		if live && c.windowBlocked(m.StartMin(t), d, math.MaxInt64) ||
+			yes && c.windowBlocked(m.StartMax(t), d, math.MaxInt64) {
+			out = append(out, int32(pos))
+		}
+	}
+	return out
+}
+
+// windowBlocked reports whether [k, k+d) overlaps a blocking segment that
+// starts before limit.
+func (c *cumulative) windowBlocked(k, d, limit int64) bool {
+	for _, s := range c.segs {
+		if s.from < limit && c.blocking(s) && overlaps(k, k+d, s.from, s.to) {
+			return true
+		}
+	}
+	return false
+}
+
+// dirtyCandidatesScan is dirtyCandidates as one scan over every task.
+func (c *cumulative) dirtyCandidatesScan(m *Model, dLo, dHi int64) []int32 {
+	var out []int32
+	for pos, t := range c.tasks {
+		st, d := c.onRes(m, t), c.durOf(t)
+		if st == onResYes && !m.Fixed(t) && overlaps(m.StartMax(t), m.StartMax(t)+d, dLo, dHi) ||
+			c.resIndex >= 0 && st == onResMaybe && c.windowBlocked(m.StartMin(t), d, dHi+c.dmax) {
+			out = append(out, int32(pos))
+		}
+	}
+	return out
+}
+
 // The profile a cumulative keeps across search moves — grown in place on
-// the way down, rebuilt after a backtrack — must be the profile a fresh
-// cumulative derives from the store, and must not be re-derived when
-// nothing happened.
+// the way down, reconciled with the store after a pop — must be the
+// profile a fresh cumulative derives from the store, and must never be
+// re-derived after the root. The time index must hand each sweep exactly
+// the tasks a scan over every task picks by the same predicate, and those
+// must include every task the sweep can prune.
 func TestCachedProfileEqualsFromScratch(t *testing.T) {
-	for seed := uint64(0); seed < 60; seed++ {
+	var fullCands, dirtyCands, prunable, bigModels int
+	for seed := uint64(0); seed < 80; seed++ {
 		rng := stats.NewStream(8181, seed)
-		m := NewModel(400)
+		// Small models hit corner cases often; from seed 60 on, models big
+		// enough to spread their tasks over many index buckets.
+		tasks, span := 4+rng.IntN(8), 150
+		if seed >= 60 {
+			tasks, span = 30+rng.IntN(30), 1500
+		}
+		m := NewModel(int64(2*span + 100))
 		const numRes = 2
 		direct := seed%2 == 0 // per-resource slots plus a memory dimension, or one combined resource
 		var all, memTasks []*Interval
 		var mems []int64
-		for i := 0; i < 4+rng.IntN(8); i++ {
+		for i := 0; i < tasks; i++ {
 			iv := m.NewInterval("t", int64(5+rng.IntN(40)))
-			lo := int64(rng.IntN(150))
-			m.SetStartBounds(iv, lo, lo+int64(rng.IntN(150)))
+			lo := int64(rng.IntN(span))
+			m.SetStartBounds(iv, lo, lo+int64(rng.IntN(span)))
 			if direct {
 				m.NewResVar(iv, numRes)
 				if mem := int64(rng.IntN(3)); mem > 0 {
@@ -223,59 +305,92 @@ func TestCachedProfileEqualsFromScratch(t *testing.T) {
 
 		// check refreshes every cumulative and compares it with a fresh one.
 		// It reports whether some profile is overloaded.
-		check := func(step int, op string, poppedSince bool) (overloaded bool) {
+		check := func(step int, op string) (overloaded bool) {
 			for _, c := range m.cumuls {
+				where := fmt.Sprintf("seed %d step %d (%s) %s r%d", seed, step, op, c.name, c.resIndex)
 				before := c.builds
 				err := c.refresh(m)
 				ref := newCumulative(c.name, c.resIndex, c.capacity, c.tasks, c.demands)
 				ref.rebuildFull(m)
-				refErr := ref.buildSegs()
-				if (err == nil) != (refErr == nil) {
-					t.Fatalf("seed %d step %d (%s) %s: cached refresh says %v, from scratch %v", seed, step, op, c.name, err, refErr)
+				if (err == nil) != (ref.over == 0) {
+					t.Fatalf("%s: cached refresh says %v, from scratch %d segments over capacity", where, err, ref.over)
+				}
+				if step > 0 && c.builds != before {
+					t.Fatalf("%s: profile rebuilt from its events after the root", where)
 				}
 				if err != nil {
 					overloaded = true
 					continue
 				}
-				if !poppedSince && step > 0 && c.builds != before {
-					t.Fatalf("seed %d step %d (%s) %s: profile rebuilt from its events on a forward move", seed, step, op, c.name)
+				if got, want := loadSteps(c.segs), loadSteps(ref.segs); !slices.Equal(got, want) {
+					t.Fatalf("%s: cached profile %v, from scratch %v", where, got, want)
 				}
-				got, want := loadSteps(c.segs), loadSteps(ref.segs)
-				if len(got) != len(want) {
-					t.Fatalf("seed %d step %d (%s) %s: cached profile %v, from scratch %v", seed, step, op, c.name, got, want)
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("seed %d step %d (%s) %s: cached profile %v, from scratch %v", seed, step, op, c.name, got, want)
-					}
+				if got := loadSteps(c.segs); !slices.Equal(got, c.segs) {
+					t.Fatalf("%s: profile %v is not canonical", where, c.segs)
 				}
 				for pos, task := range c.tasks {
 					dem := c.demandAt(pos)
 					for _, own := range []bool{false, true} {
 						if g, w := c.earliestFit(m, task, dem, m.StartMin(task), own), ref.earliestFit(m, task, dem, m.StartMin(task), own); g != w {
-							t.Fatalf("seed %d step %d (%s) %s task %d: earliestFit %d, from scratch %d", seed, step, op, c.name, pos, g, w)
+							t.Fatalf("%s task %d: earliestFit %d, from scratch %d", where, pos, g, w)
 						}
 						if g, w := c.latestFit(m, task, dem, m.StartMax(task), own), ref.latestFit(m, task, dem, m.StartMax(task), own); g != w {
-							t.Fatalf("seed %d step %d (%s) %s task %d: latestFit %d, from scratch %d", seed, step, op, c.name, pos, g, w)
+							t.Fatalf("%s task %d: latestFit %d, from scratch %d", where, pos, g, w)
 						}
 					}
 				}
 				// Asking again, with nothing changed, must not build anything.
 				builds := c.builds
 				if err := c.refresh(m); err != nil || c.builds != builds {
-					t.Fatalf("seed %d step %d (%s) %s: idle refresh built the profile again (err %v)", seed, step, op, c.name, err)
+					t.Fatalf("%s: idle refresh built the profile again (err %v)", where, err)
+				}
+
+				// The full pass's candidates.
+				full := c.reachable(m, nil)
+				if want := c.reachableScan(m); !slices.Equal(full, want) {
+					t.Fatalf("%s: index gives the full pass %v, a scan %v", where, full, want)
+				}
+				fullCands += len(full)
+				for pos := range c.tasks {
+					if c.wouldPrune(m, pos, true) {
+						prunable++
+						if _, found := slices.BinarySearch(full, int32(pos)); !found {
+							t.Fatalf("%s: the full pass can prune task %d, which is not among its candidates %v", where, pos, full)
+						}
+					}
+				}
+				// The dirty sweep's candidates, for a region around each
+				// blocking run.
+				for a, b, i, ok := c.blockRun(0); ok; a, b, i, ok = c.blockRun(i) {
+					for _, box := range [][2]int64{{a, b}, {a + (b-a)/2, b}, {a - 7, a + 1}} {
+						got := c.dirtyCandidates(m, box[0], box[1], nil)
+						if want := c.dirtyCandidatesScan(m, box[0], box[1]); !slices.Equal(got, want) {
+							t.Fatalf("%s: index gives the dirty sweep over %v %v, a scan %v", where, box, got, want)
+						}
+						dirtyCands += len(got)
+						for pos := range c.tasks {
+							if c.dirtyNeed(m, pos, box[0], box[1]) && c.wouldPrune(m, pos, false) {
+								if _, found := slices.BinarySearch(got, int32(pos)); !found {
+									t.Fatalf("%s: the dirty sweep over %v can prune task %d, which is not among its candidates %v", where, box, pos, got)
+								}
+							}
+						}
+					}
 				}
 			}
 			return overloaded
 		}
 
-		if check(0, "root", true) {
+		if check(0, "root") {
 			continue // the draw is infeasible at the root
+		}
+		if seed >= 60 {
+			bigModels++
 		}
 		for step := 1; step <= 80; step++ {
 			iv := all[rng.IntN(len(all))]
 			lo, hi := m.StartMin(iv), m.StartMax(iv)
-			op, popped := "", false
+			op := ""
 			var err error
 			switch k := rng.IntN(10); {
 			case k < 2:
@@ -297,21 +412,26 @@ func TestCachedProfileEqualsFromScratch(t *testing.T) {
 				if e.store.Level() == 0 {
 					continue
 				}
-				op, popped = "pop", true
+				op = "pop"
 				e.pop()
 			}
 			// A failed move leaves the store in a state no propagator is asked
 			// about; that and an overloaded profile are where the search
 			// backtracks.
-			if err != nil || check(step, op, popped) {
+			if err != nil || check(step, op) {
 				if e.store.Level() == 0 {
 					break
 				}
 				e.pop()
-				if check(step, "pop after failure", true) {
+				if check(step, "pop after failure") {
 					t.Fatalf("seed %d step %d: still overloaded after undoing the level", seed, step)
 				}
 			}
 		}
+	}
+	t.Logf("%d full-pass and %d dirty-sweep candidates compared, %d prunable tasks covered, %d big models searched",
+		fullCands, dirtyCands, prunable, bigModels)
+	if prunable == 0 || bigModels == 0 {
+		t.Error("the instances left no task to prune, or no big model feasible at the root")
 	}
 }

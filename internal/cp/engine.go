@@ -34,6 +34,9 @@ type engine struct {
 	// keeps its candidate heap current without rescanning the model.
 	touched   []int32
 	touchedFl []bool
+	// sweep is the candidate list of the running cumulative's sweep, shared
+	// because sweeps never nest.
+	sweep []int32
 }
 
 // newEngine prepares the propagation engine for one solve of m, sizing the
@@ -123,13 +126,33 @@ func (e *engine) clearTouched() {
 
 // pop closes the current decision level like Store.Pop and marks every
 // interval the level had changed as touched, since the pop changes it back.
+// The cumulatives the interval sits on hear of it too, unless only its
+// postponement flag changed: they undo a level by reconciling exactly those
+// tasks with the store. Every pop of a search goes through here.
 func (e *engine) pop() {
 	for _, te := range e.store.levelTrail() {
-		if id := e.store.owner[te.idx]; id >= 0 {
-			e.touch(id)
+		id := e.store.owner[te.idx]
+		if id < 0 {
+			continue
+		}
+		e.touch(id)
+		if te.idx == e.m.intervals[id].base+2 {
+			continue
+		}
+		for _, w := range e.m.ivWatch[id] {
+			if w.pos >= 0 {
+				e.m.props[w.prop].(*cumulative).noteChange(int(w.pos))
+			}
 		}
 	}
 	e.store.Pop()
+}
+
+// popAll closes every open level through pop.
+func (e *engine) popAll() {
+	for e.store.Level() > 0 {
+		e.pop()
+	}
 }
 
 // wake notifies the propagators on a watch list, handing each cumulative

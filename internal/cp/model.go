@@ -93,6 +93,9 @@ type Model struct {
 
 	sumLE    *sumLE
 	objBools []*Bool
+
+	// ttEvents is the cumulatives' scratch for deriving their profiles.
+	ttEvents []ttEvent
 }
 
 // watch is one entry of an interval's or resvar's watch list: the
@@ -510,6 +513,16 @@ func (m *Model) AddCumulativeDemands(name string, resIndex int, capacity int64, 
 		panic(fmt.Sprintf("cp: cumulative %q has %d demands for %d tasks", name, len(demands), len(tasks)))
 	}
 	c := newCumulative(name, resIndex, capacity, tasks, demands)
+	for _, o := range m.cumuls {
+		if len(tasks) > 0 && len(o.tasks) == len(tasks) && &o.tasks[0] == &tasks[0] {
+			c.idx = o.idx // the same task list: share its time index
+			break
+		}
+	}
+	if c.idx == nil {
+		c.idx = &taskIndex{}
+	}
+	c.idx.capSum += capacity
 	idx := m.addProp(c)
 	c.prop = idx
 	for pos, t := range tasks {

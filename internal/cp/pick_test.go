@@ -257,15 +257,23 @@ func workPerNode(t *testing.T, nJobs int, slotsPer40Jobs int64) (heap, scan floa
 	return float64(r.Search.PickWork) / nodes, float64(a.scanKeys) / nodes, len(m.intervals), r
 }
 
-// The work pick does per node must not grow with the model: doubling the
+// The work a search node does must not grow with the model: doubling the
 // number of jobs (same generator, same load, same node budget) may move
-// PickWork/Nodes by at most 1.4x. The linear scan, counted the same way,
-// doubles — which is what shows the gate would catch a return to it.
+// PickWork/Nodes by at most 1.4x either way, and may grow SweepWork/Nodes —
+// the tasks the timetables' sweeps examine — by at most 1.4x. The linear
+// scan pick replaced, counted the same way, doubles — which is what shows
+// the gate would catch a return to it; a sweep over every task would cost
+// each backtrack the whole model, which the overloaded instance bounds.
 func TestPerNodeWorkDoesNotScaleWithModel(t *testing.T) {
-	h1, s1, n1, _ := workPerNode(t, 40, 4)
-	h2, s2, n2, _ := workPerNode(t, 80, 4)
-	t.Logf("%d tasks: heap %.1f keys/node, scan %.1f; %d tasks: heap %.1f, scan %.1f",
-		n1, h1, s1, n2, h2, s2)
+	sweepPerNode := func(r Result) float64 { return float64(r.Search.SweepWork) / float64(r.Nodes) }
+	// growth is b/a for per-node counts, taking anything under one task per
+	// node as nothing.
+	growth := func(a, b float64) float64 { return max(b, 1) / max(a, 1) }
+
+	h1, s1, n1, r1 := workPerNode(t, 40, 4)
+	h2, s2, n2, r2 := workPerNode(t, 80, 4)
+	t.Logf("%d tasks: heap %.1f keys/node, scan %.1f, sweeps %.1f tasks/node; %d tasks: heap %.1f, scan %.1f, sweeps %.1f",
+		n1, h1, s1, sweepPerNode(r1), n2, h2, s2, sweepPerNode(r2))
 	if n2 < n1*18/10 {
 		t.Fatalf("generator did not double the model: %d vs %d tasks", n1, n2)
 	}
@@ -275,18 +283,38 @@ func TestPerNodeWorkDoesNotScaleWithModel(t *testing.T) {
 	if ratio := s2 / s1; ratio < 1.6 {
 		t.Errorf("the scan's keys/node moved only %.2fx as the model doubled; the gate above would not catch it", ratio)
 	}
+	if g := growth(sweepPerNode(r1), sweepPerNode(r2)); g > 1.4 {
+		t.Errorf("SweepWork/Nodes grew %.2fx as the model doubled (%.1f -> %.1f), want at most 1.4x", g, sweepPerNode(r1), sweepPerNode(r2))
+	}
 
 	// Under overload the search spends its budget backtracking. A backtrack
-	// re-keys what its level had changed, not the model: a resync over all
-	// intervals per backtrack would cost more than half the model per node
-	// here.
+	// re-keys what its level had changed, not the model, and the full pass
+	// after it visits the tasks a blocking segment can reach: a resync over
+	// all intervals per backtrack would cost more than half the model per
+	// node here, and a full pass over every task nearly twice the 5 % bound
+	// below.
+	_, _, no, ro := workPerNode(t, 40, 1)
 	h, s, n, r := workPerNode(t, 80, 1)
-	t.Logf("overloaded, %d tasks, %d backtracks in %d nodes: heap %.1f keys/node, scan %.1f",
-		n, r.Search.Backtracks, r.Nodes, h, s)
+	t.Logf("overloaded, %d tasks, %d backtracks in %d nodes: heap %.1f keys/node, scan %.1f, sweeps %.1f tasks/node (%.1f at %d tasks)",
+		n, r.Search.Backtracks, r.Nodes, h, s, sweepPerNode(r), sweepPerNode(ro), no)
 	if r.Search.Backtracks < r.Nodes/2 {
 		t.Fatalf("instance backtracks only %d times in %d nodes", r.Search.Backtracks, r.Nodes)
 	}
 	if h > 0.05*float64(n) {
 		t.Errorf("PickWork/Nodes = %.1f on a backtracking search, want below 5%% of %d intervals", h, n)
+	}
+	if w := sweepPerNode(r); w > 0.05*float64(n) {
+		t.Errorf("SweepWork/Nodes = %.1f on a backtracking search, want below 5%% of %d intervals", w, n)
+	}
+	if g := growth(sweepPerNode(ro), sweepPerNode(r)); g > 1.4 {
+		t.Errorf("SweepWork/Nodes grew %.2fx as the overloaded model doubled (%.1f -> %.1f), want at most 1.4x", g, sweepPerNode(ro), sweepPerNode(r))
+	}
+
+	// The profile is derived from its events once per solve, at the root,
+	// whatever the search does after.
+	for _, r := range []Result{r1, r2, ro, r} {
+		if r.Search.ProfileBuilds != 2 {
+			t.Errorf("ProfileBuilds = %d after %d backtracks, want 2 (one per timetable)", r.Search.ProfileBuilds, r.Search.Backtracks)
+		}
 	}
 }

@@ -83,7 +83,8 @@ func TestSearchStatsLimitFlags(t *testing.T) {
 func TestSearchStatsString(t *testing.T) {
 	r := solveOK(t, tightModel(8), Params{})
 	s := r.Search.String()
-	for _, want := range []string{"nodes", "backtracks", "propagations", "solutions"} {
+	for _, want := range []string{"nodes", "backtracks", "propagations", "solutions",
+		"pick work", "profile builds", "sweep work"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("SearchStats.String() = %q, missing %q", s, want)
 		}

@@ -128,10 +128,13 @@ type SearchStats struct {
 	// choose its decisions: one per interval each time a descent starts, one
 	// per interval that changed since the previous node otherwise.
 	// ProfileBuilds counts timetable profiles derived from their event
-	// lists. Per node, both measure how much of the model a search node
-	// touches.
+	// lists: one per cumulative per solve. SweepWork counts the tasks the
+	// timetables' sweeps examined, in the post-pop full pass and in the
+	// saturated-region pass alike. Per node, these measure how much of the
+	// model a search node touches.
 	PickWork      int64
 	ProfileBuilds int64
+	SweepWork     int64
 	// Rounds counts search descents: the first greedy descent, each
 	// squeaky-wheel improvement pass, and each branch-and-bound round.
 	Rounds int
@@ -177,9 +180,10 @@ func (st *SearchStats) String() string {
 			float64(st.TimeToFirst.Nanoseconds())/1e6)
 	}
 	return fmt.Sprintf(
-		"%d nodes, %d backtracks, %d propagations, %d rounds, improve %d/%d, %d solutions (first %s), limit %s",
+		"%d nodes, %d backtracks, %d propagations, %d rounds, improve %d/%d, %d solutions (first %s), limit %s, pick work %d, profile builds %d, sweep work %d",
 		st.Nodes, st.Backtracks, st.Propagations, st.Rounds,
-		st.ImproveAccepts, st.ImprovePasses, st.Solutions, first, limits)
+		st.ImproveAccepts, st.ImprovePasses, st.Solutions, first, limits,
+		st.PickWork, st.ProfileBuilds, st.SweepWork)
 }
 
 // String summarizes the result's status, objective, and search statistics
@@ -446,6 +450,7 @@ func (s *Solver) searchStats(rounds int, start time.Time) SearchStats {
 		st.PickWork = s.pickWork
 		for _, c := range s.m.cumuls {
 			st.ProfileBuilds += c.builds
+			st.SweepWork += c.sweepWork
 		}
 	}
 	if len(s.timeline) > 0 {
@@ -669,7 +674,7 @@ func (s *Solver) pickResource(iv *Interval) int {
 func (s *Solver) descend() (bool, bool) {
 	s.candStale = true
 	found, exhausted := s.dfs()
-	s.e.store.PopAll()
+	s.e.popAll()
 	return found, exhausted
 }
 

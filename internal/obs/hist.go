@@ -1,13 +1,12 @@
 package obs
 
 import (
-	"fmt"
 	"math"
 	"sync"
 )
 
 // Streaming histograms share one fixed log-scale bucket scheme so snapshots
-// from different runs (or different shards) are always mergeable. Bucket i
+// from different runs (or different shards) are always comparable. Bucket i
 // covers (bounds[i-1], bounds[i]] with bounds[k] = 2^(k/2): half-power-of-two
 // resolution from 1 ms up to ~2^31 ms (~25 days), plus an overflow bucket.
 // A quantile estimate is therefore never off by more than one bucket width
@@ -110,8 +109,7 @@ func (h *Histogram) Snapshot() HistSnapshot {
 }
 
 // HistSnapshot is a point-in-time copy of one histogram: per-bucket counts
-// over the shared bounds plus count/sum/min/max. Snapshots from any two
-// histograms merge because the bucket scheme is fixed.
+// over the shared bounds plus count/sum/min/max.
 type HistSnapshot struct {
 	Name    string
 	Count   int64
@@ -119,37 +117,6 @@ type HistSnapshot struct {
 	Min     float64
 	Max     float64
 	Buckets []int64 // len numHistBuckets; Buckets[last] is overflow
-}
-
-// Merge folds another snapshot into this one. Snapshots with mismatched
-// bucket layouts (from a future scheme change) are rejected.
-func (s *HistSnapshot) Merge(o HistSnapshot) error {
-	if o.Count == 0 {
-		return nil
-	}
-	if len(o.Buckets) != numHistBuckets {
-		return fmt.Errorf("obs: cannot merge histogram snapshot with %d buckets (want %d)",
-			len(o.Buckets), numHistBuckets)
-	}
-	if s.Buckets == nil {
-		s.Buckets = make([]int64, numHistBuckets)
-	}
-	if len(s.Buckets) != numHistBuckets {
-		return fmt.Errorf("obs: cannot merge into histogram snapshot with %d buckets (want %d)",
-			len(s.Buckets), numHistBuckets)
-	}
-	if s.Count == 0 || o.Min < s.Min {
-		s.Min = o.Min
-	}
-	if s.Count == 0 || o.Max > s.Max {
-		s.Max = o.Max
-	}
-	s.Count += o.Count
-	s.Sum += o.Sum
-	for i, c := range o.Buckets {
-		s.Buckets[i] += c
-	}
-	return nil
 }
 
 // Quantile estimates the q-quantile (0..1) by nearest rank over the bucket

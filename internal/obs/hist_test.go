@@ -151,48 +151,6 @@ func TestQuantileOverflowBucket(t *testing.T) {
 	}
 }
 
-func TestHistSnapshotMerge(t *testing.T) {
-	var a, b Histogram
-	for _, v := range []float64{1, 3, 9} {
-		a.Observe(v)
-	}
-	for _, v := range []float64{27, 81} {
-		b.Observe(v)
-	}
-	var all Histogram
-	for _, v := range []float64{1, 3, 9, 27, 81} {
-		all.Observe(v)
-	}
-	m := a.Snapshot()
-	if err := m.Merge(b.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	want := all.Snapshot()
-	if m.Count != want.Count || m.Sum != want.Sum || m.Min != want.Min || m.Max != want.Max {
-		t.Fatalf("merge stats = %+v, want %+v", m, want)
-	}
-	for i := range m.Buckets {
-		if m.Buckets[i] != want.Buckets[i] {
-			t.Fatalf("merge bucket %d = %d, want %d", i, m.Buckets[i], want.Buckets[i])
-		}
-	}
-	// Merging an empty snapshot is a no-op; mismatched layouts are rejected.
-	if err := m.Merge(HistSnapshot{}); err != nil {
-		t.Fatalf("empty merge: %v", err)
-	}
-	if err := m.Merge(HistSnapshot{Count: 1, Buckets: make([]int64, 3)}); err == nil {
-		t.Fatal("mismatched-layout merge did not error")
-	}
-	// Merge into a zero snapshot adopts the source wholesale.
-	var zero HistSnapshot
-	if err := zero.Merge(want); err != nil {
-		t.Fatal(err)
-	}
-	if zero.Count != want.Count || zero.Min != want.Min || zero.Max != want.Max {
-		t.Fatalf("merge into zero = %+v, want %+v", zero, want)
-	}
-}
-
 func TestHistogramConcurrentObserveSnapshot(t *testing.T) {
 	var h Histogram
 	const goroutines = 8
