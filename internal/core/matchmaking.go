@@ -21,35 +21,6 @@ import (
 // earliest instant a slot can take it, and dependent reduce starts are
 // pushed along; slips are counted in Stats and reflected in the metrics.
 
-// RegroupSlots implements the second step of the Section V.D matchmaking
-// algorithm in its general, heterogeneous form: totalSlots unit-capacity
-// slots are divided "evenly" among n resources, meaning every resource
-// gets floor(total/n) slots and the remainder get one more. The paper's
-// example: 100 reduce slots over nr=30 resources gives 20 resources with 3
-// slots and 10 with 4.
-//
-// The simulation harness uses homogeneous clusters (as all of the paper's
-// experiments do), so this regrouping is exposed for library users
-// building heterogeneous layouts on top of the matchmaker.
-func RegroupSlots(totalSlots int64, n int) []int64 {
-	if n <= 0 || totalSlots < 0 {
-		return nil
-	}
-	base := totalSlots / int64(n)
-	rem := totalSlots % int64(n)
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = base
-		// The paper assigns the extra slots to the tail of the list
-		// ("20 of the 30 resources will have c=3, and the remaining 10
-		// will have c=4").
-		if int64(i) >= int64(n)-rem {
-			out[i]++
-		}
-	}
-	return out
-}
-
 // slotTimeline is one unit-capacity slot's committed busy intervals,
 // kept sorted by start.
 type slotTimeline struct {

@@ -2,86 +2,9 @@ package core
 
 import (
 	"testing"
-	"testing/quick"
 
 	"mrcprm/internal/workload"
 )
-
-// The paper's Section V.D example: 100 reduce slots over nr=30 resources
-// gives 20 resources with 3 slots and 10 with 4.
-func TestRegroupSlotsPaperExample(t *testing.T) {
-	got := RegroupSlots(100, 30)
-	if len(got) != 30 {
-		t.Fatalf("%d resources", len(got))
-	}
-	threes, fours := 0, 0
-	var total int64
-	for _, c := range got {
-		total += c
-		switch c {
-		case 3:
-			threes++
-		case 4:
-			fours++
-		default:
-			t.Fatalf("unexpected capacity %d", c)
-		}
-	}
-	if threes != 20 || fours != 10 || total != 100 {
-		t.Fatalf("threes=%d fours=%d total=%d", threes, fours, total)
-	}
-}
-
-func TestRegroupSlotsEdges(t *testing.T) {
-	if got := RegroupSlots(10, 0); got != nil {
-		t.Fatal("n=0 should return nil")
-	}
-	if got := RegroupSlots(-1, 3); got != nil {
-		t.Fatal("negative slots should return nil")
-	}
-	got := RegroupSlots(7, 7)
-	for _, c := range got {
-		if c != 1 {
-			t.Fatalf("even split broken: %v", got)
-		}
-	}
-	// More resources than slots: some get zero.
-	got = RegroupSlots(2, 4)
-	var total int64
-	for _, c := range got {
-		total += c
-	}
-	if total != 2 {
-		t.Fatalf("total %d", total)
-	}
-}
-
-// Property: regrouping conserves slots and capacities differ by at most 1.
-func TestQuickRegroupSlotsInvariants(t *testing.T) {
-	f := func(totalSeed, nSeed uint8) bool {
-		total := int64(totalSeed)
-		n := int(nSeed%32) + 1
-		got := RegroupSlots(total, n)
-		if len(got) != n {
-			return false
-		}
-		var sum, min, max int64
-		min = 1 << 62
-		for _, c := range got {
-			sum += c
-			if c < min {
-				min = c
-			}
-			if c > max {
-				max = c
-			}
-		}
-		return sum == total && max-min <= 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestSlotTimelineOps(t *testing.T) {
 	var tl slotTimeline

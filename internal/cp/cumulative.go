@@ -43,7 +43,7 @@ import (
 //     makes.
 //
 // The first pass after a pop (and the root pass) is a full pass: both
-// bounds of every reachable task plus the energetic check.
+// bounds of every reachable task.
 type cumulative struct {
 	name     string
 	prop     int // index in Model.props
@@ -81,11 +81,6 @@ type cumulative struct {
 	// SearchStats.SweepWork.
 	idx       *taskIndex
 	sweepWork int64
-
-	// Scratch buffers for the energetic check, reused across passes so the
-	// branch-and-bound hot path stays allocation-free.
-	eItems    []energyItem
-	eConfined []energyItem
 }
 
 type ttEvent struct {
@@ -611,14 +606,6 @@ func (c *cumulative) propagate(e *engine) error {
 		}
 		fullPass := c.fullDirty
 		c.fullDirty = false
-		if fullPass {
-			// Energetic overload check (see energy.go): runs on root
-			// propagation and after backtracks, where deadline windows
-			// carry the information timetabling cannot see.
-			if err := c.energyCheck(m); err != nil {
-				return err
-			}
-		}
 		dLo, dHi := c.saturatedDirty()
 		dirty := dLo < dHi
 		if !fullPass && !dirty && len(c.self) == 0 {

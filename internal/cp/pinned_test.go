@@ -21,13 +21,68 @@ type pinnedCounters struct {
 
 func fixedLimit(n int64) func(*Model) int64 { return func(*Model) int64 { return n } }
 
+// pinnedHeteroInstance builds the direct model of a heterogeneous cluster:
+// four resources in two speed classes (the first two twice as fast), every
+// task carrying its duration table, map and reduce slot timetables per
+// resource, and a memory timetable per resource over the tasks with a
+// memory demand.
+func pinnedHeteroInstance() *Model {
+	rng := stats.NewStream(4242, 2)
+	m := NewModel(200_000)
+	const numRes = 4
+	var mapAll, redAll, memTasks []*Interval
+	var mems []int64
+	var lates []*Bool
+	task := func(name string, j int, due int64) *Interval {
+		fast := int64(4 + rng.IntN(16))
+		iv := m.NewInterval(name, 2*fast)
+		iv.JobKey = j
+		iv.Due = due
+		m.NewResVar(iv, numRes)
+		m.SetResDurations(iv, []int64{fast, fast, 2 * fast, 2 * fast})
+		if mem := int64(rng.IntN(3)); mem > 0 {
+			memTasks = append(memTasks, iv)
+			mems = append(mems, mem)
+		}
+		return iv
+	}
+	for j := 0; j < 12; j++ {
+		due := int64(40 + 8*j + rng.IntN(20))
+		nm, nr := 1+rng.IntN(4), rng.IntN(3)
+		var maps, reds []*Interval
+		for range nm {
+			maps = append(maps, task("m", j, due))
+		}
+		for range nr {
+			reds = append(reds, task("r", j, due))
+		}
+		m.AddPhaseBarrier(maps, reds)
+		terms := reds
+		if len(terms) == 0 {
+			terms = maps
+		}
+		late := m.NewBool("late")
+		m.AddLateness(terms, due, late)
+		lates = append(lates, late)
+		mapAll = append(mapAll, maps...)
+		redAll = append(redAll, reds...)
+	}
+	for r := 0; r < numRes; r++ {
+		m.AddCumulative("map", r, 1, mapAll)
+		m.AddCumulative("reduce", r, 1, redAll)
+		m.AddCumulativeDemands("mem", r, 3, memTasks, mems)
+	}
+	m.Minimize(lates)
+	return m
+}
+
 // twoNodesPerTask is the node budget BenchmarkSolveCombined gives its large
 // instances.
 func twoNodesPerTask(m *Model) int64 { return 2 * int64(len(m.intervals)) }
 
 var pinnedSolves = []pinnedSolve{
 	{"combined 72 tasks", func() *Model { return benchInstance(12, 6) }, fixedLimit(4000),
-		pinnedCounters{Nodes: 4000, Backtracks: 7538, Propagations: 13536, Objective: 3}},
+		pinnedCounters{Nodes: 4000, Backtracks: 7536, Propagations: 13532, Objective: 3}},
 	{"combined 501 tasks", func() *Model { return benchInstance(25, 20) }, twoNodesPerTask,
 		pinnedCounters{Nodes: 1002, Backtracks: 0, Propagations: 2998, Objective: 16}},
 	{"combined 2041 tasks", func() *Model { return benchInstance(100, 20) }, twoNodesPerTask,
@@ -38,11 +93,14 @@ var pinnedSolves = []pinnedSolve{
 		return buildRandomInstance(stats.NewStream(77, 3), 80, 10, 12, 8, true).m
 	}, fixedLimit(4000),
 		pinnedCounters{Nodes: 4000, Backtracks: 2374, Propagations: 24930, Objective: 68}},
+	{"direct hetero + memory", pinnedHeteroInstance, fixedLimit(4000),
+		pinnedCounters{Nodes: 4000, Backtracks: 7215, Propagations: 49517, Objective: 7}},
 }
 
 // Performance work on the propagators and the search must leave the search
-// itself alone: on the solver benchmarks' instances and the overloaded
-// instance of TestPerNodeWorkDoesNotScaleWithModel, the node, backtrack and
+// itself alone: on the solver benchmarks' instances, the overloaded
+// instance of TestPerNodeWorkDoesNotScaleWithModel and a heterogeneous
+// direct model with memory timetables, the node, backtrack and
 // propagation counts and the objective are pinned. A change that means to
 // alter the search re-pins this table and says so; one that only makes the
 // search cheaper leaves it untouched.

@@ -742,9 +742,12 @@ func (s *Solver) applyLeft(d decision) error {
 func (s *Solver) placementStart(iv *Interval) int64 {
 	m := s.m
 	st := s.targetStart(iv)
-	// Two rounds reach a fixpoint when the task sits on several timetables
-	// (it never does in the models built by this repository, but the
-	// general case is cheap to honor).
+	// A task can sit on several timetables of its resource: in direct mode
+	// with memory, on the resource's slot timetable and on its memory
+	// timetable, and a fit on one may land where the other is full. A
+	// second round re-fits on every timetable from the start the first
+	// round reached. That need not be a fixpoint; a start that still
+	// collides fails the overload check after fixing.
 	for range [2]struct{}{} {
 		cums := 0
 		for _, w := range m.ivWatch[iv.id] {

@@ -122,6 +122,39 @@ func TestBnBRecoversFromBadFirstOrder(t *testing.T) {
 	}
 }
 
+// Two 60-unit jobs due at 100 on one slot: meeting both deadlines is
+// impossible, and the timetable proves it at the root, so the solver
+// proves the schedule 1-late without exhausting the node budget.
+func TestBnBProvesBoundInfeasibleAtRoot(t *testing.T) {
+	m := NewModel(100_000)
+	var lates []*Bool
+	var ivs []*Interval
+	for j := 0; j < 2; j++ {
+		iv := m.NewInterval("t", 60)
+		iv.JobKey = j
+		iv.Due = 100
+		ivs = append(ivs, iv)
+		late := m.NewBool("late")
+		m.AddLateness([]*Interval{iv}, 100, late)
+		lates = append(lates, late)
+	}
+	m.AddCumulative("r", -1, 1, ivs)
+	m.Minimize(lates)
+	r := NewSolver(m, Params{NodeLimit: 100_000}).Solve()
+	if r.Objective != 1 || r.Status != StatusOptimal {
+		t.Fatalf("objective %d, status %v, want 1/optimal", r.Objective, r.Status)
+	}
+	if err := m.VerifySolution(&r); err != nil {
+		t.Fatal(err)
+	}
+	// With both jobs on time each task must start in [0, 40], so both
+	// mandatory parts hold [40, 60) and overload the slot: the bound-0
+	// round dies at the root, and the node count stays tiny.
+	if r.Nodes > 20 {
+		t.Fatalf("%d nodes: the bound-0 round was not pruned at the root", r.Nodes)
+	}
+}
+
 func TestEDFOrderingMeetsBothDeadlinesFirstDescent(t *testing.T) {
 	m := NewModel(1000)
 	a := m.NewInterval("a", 10)

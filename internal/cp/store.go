@@ -115,10 +115,3 @@ func (s *Store) Pop() {
 	}
 	s.trail = s.trail[:mark]
 }
-
-// PopAll unwinds every open level, returning the store to its root state.
-func (s *Store) PopAll() {
-	for len(s.marks) > 0 {
-		s.Pop()
-	}
-}

@@ -40,19 +40,6 @@ func TestStorePushPop(t *testing.T) {
 	}
 }
 
-func TestStorePopAll(t *testing.T) {
-	s := NewStore()
-	a := s.alloc(-1, 7)
-	for i := 0; i < 5; i++ {
-		s.Push()
-		s.set(a, int64(100+i))
-	}
-	s.PopAll()
-	if s.get(a) != 7 || s.Level() != 0 {
-		t.Fatalf("PopAll left value %d level %d", s.get(a), s.Level())
-	}
-}
-
 func TestStoreMultipleWritesSameLevel(t *testing.T) {
 	s := NewStore()
 	a := s.alloc(-1, 1)

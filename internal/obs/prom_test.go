@@ -125,7 +125,7 @@ func TestWritePrometheusDeterministic(t *testing.T) {
 func TestParsePrometheusRejectsGarbage(t *testing.T) {
 	for _, bad := range []string{
 		"not a metric line at all!{",
-		"name{le=\"1\" 3",        // unterminated label set
+		"name{le=\"1\" 3",                     // unterminated label set
 		"x_bucket{} nope\n# TYPE x histogram", // bad value
 	} {
 		if _, err := ParsePrometheus(strings.NewReader(bad)); err == nil {

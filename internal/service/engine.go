@@ -214,6 +214,13 @@ type Engine struct {
 	metrics *sim.Metrics
 	runErr  error
 
+	// view is the simulator state the metrics readers report, published
+	// under mu after every change to it; viewMu guards it alone, so
+	// /v1/metrics and /metrics never wait on mu, which a step holds
+	// across the whole solve.
+	viewMu sync.Mutex
+	view   simView
+
 	simNow    atomic.Int64
 	wallStart time.Time
 
@@ -585,7 +592,7 @@ func (e *Engine) loop() {
 		}
 		e.mu.Lock()
 		_, err := e.sim.Step()
-		m := e.sim.CurrentMetrics()
+		m := e.publish()
 		e.simNow.Store(e.sim.Now())
 		e.mu.Unlock()
 		if err != nil {
@@ -648,6 +655,38 @@ func (e *Engine) drainIntake() {
 			e.intakeMu.Unlock()
 		}
 	}
+	e.publish()
+}
+
+// simView is what the metrics readers see of the simulator and manager.
+type simView struct {
+	metrics     sim.Metrics
+	now         int64
+	outstanding int
+	manager     core.Stats
+}
+
+// managerStats is implemented by resource managers that keep core.Stats.
+type managerStats interface{ Stats() core.Stats }
+
+// publish copies the simulator state the metrics readers report into
+// e.view, in place, and returns the metrics it copied. Called under mu.
+func (e *Engine) publish() sim.Metrics {
+	v := simView{metrics: e.sim.CurrentMetrics(), now: e.sim.Now(), outstanding: e.sim.OutstandingJobs()}
+	if st, ok := e.rm.(managerStats); ok {
+		v.manager = st.Stats()
+	}
+	e.viewMu.Lock()
+	e.view = v
+	e.viewMu.Unlock()
+	return v.metrics
+}
+
+// readView returns the last published view.
+func (e *Engine) readView() simView {
+	e.viewMu.Lock()
+	defer e.viewMu.Unlock()
+	return e.view
 }
 
 // peek reports the next event's timestamp under the simulator lock.
@@ -691,6 +730,7 @@ func (e *Engine) drainManager() bool {
 		e.runErr = err
 		return false
 	}
+	e.publish()
 	return true
 }
 
@@ -1103,7 +1143,8 @@ func (e *Engine) Health() Health {
 	return h
 }
 
-// Metrics returns the current engine-wide snapshot; safe mid-run.
+// Metrics returns the current engine-wide snapshot; safe mid-run, and it
+// reads the simulator only through the view the run loop publishes.
 func (e *Engine) Metrics() Snapshot {
 	h := e.Health()
 	e.intakeMu.Lock()
@@ -1121,18 +1162,18 @@ func (e *Engine) Metrics() Snapshot {
 		Journal:    e.cfg.JournalPath,
 	}
 	e.intakeMu.Unlock()
-	e.mu.Lock()
-	if snap.Finished && e.metrics != nil {
-		snap.Fingerprint = fmt.Sprintf("%016x", e.metrics.Fingerprint())
+	if snap.Finished {
+		if m, _ := e.Result(); m != nil {
+			snap.Fingerprint = fmt.Sprintf("%016x", m.Fingerprint())
+		}
 	}
-	m := e.sim.CurrentMetrics()
-	snap.SimTimeMS = e.sim.Now()
-	snap.Outstanding = e.sim.OutstandingJobs()
-	if st, ok := e.rm.(interface{ Stats() core.Stats }); ok {
-		stats := st.Stats()
-		snap.Manager = &stats
+	v := e.readView()
+	m := v.metrics
+	snap.SimTimeMS = v.now
+	snap.Outstanding = v.outstanding
+	if _, ok := e.rm.(managerStats); ok {
+		snap.Manager = &v.manager
 	}
-	e.mu.Unlock()
 	snap.JobsArrived = m.JobsArrived
 	snap.JobsCompleted = m.JobsCompleted
 	snap.LateJobs = m.LateJobs
@@ -1192,11 +1233,8 @@ func (e *Engine) PromData() PromData {
 	counters["jobs_shed_total"] = int64(e.shed)
 	gauges["pending_jobs"] = int64(e.accepted - int(e.finished.Load()))
 	e.intakeMu.Unlock()
-	e.mu.Lock()
-	m := e.sim.CurrentMetrics()
-	now := e.sim.Now()
-	outstanding := e.sim.OutstandingJobs()
-	e.mu.Unlock()
+	v := e.readView()
+	m := v.metrics
 	counters["jobs_arrived_total"] = int64(m.JobsArrived)
 	counters["jobs_completed_total"] = int64(m.JobsCompleted)
 	counters["jobs_late_total"] = int64(m.LateJobs)
@@ -1207,8 +1245,8 @@ func (e *Engine) PromData() PromData {
 	if m.TasksKilled > 0 {
 		counters["tasks_killed_total"] = int64(m.TasksKilled)
 	}
-	gauges["sim_time_ms"] = now
-	gauges["outstanding_jobs"] = int64(outstanding)
+	gauges["sim_time_ms"] = v.now
+	gauges["outstanding_jobs"] = int64(v.outstanding)
 	// Attribution counters are re-derived from the monitor (rather than
 	// read back from telemetry) so they are exposed even sink-less; when a
 	// sink is attached the telemetry registry holds identical totals.

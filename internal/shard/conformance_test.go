@@ -259,8 +259,14 @@ func newGate() *gate {
 }
 
 // TestHealthzDoesNotWaitForTheSolver: with the run loop parked inside Step,
-// liveness must still answer.
+// liveness, the metrics snapshot and the Prometheus scrape must still
+// answer.
 func TestHealthzDoesNotWaitForTheSolver(t *testing.T) {
+	probes := []struct{ path, want string }{
+		{"/healthz", `"running":true`},
+		{"/v1/metrics", `"running":true`},
+		{"/metrics", "mrcp_jobs_submitted_total 1"},
+	}
 	// One gate per front end, so each is known to be parked before its probe.
 	gates := []*gate{newGate(), newGate()}
 	fes := frontEnds(t, service.Config{Policy: gatedPolicy}, gates...)
@@ -276,15 +282,17 @@ func TestHealthzDoesNotWaitForTheSolver(t *testing.T) {
 		case <-time.After(30 * time.Second):
 			t.Fatalf("%s: the manager never saw the arrival", fe.name)
 		}
-		answered := make(chan reply, 1)
-		go func() { answered <- call(fe.handler, "GET", "/healthz", "") }()
-		select {
-		case rp := <-answered:
-			if rp.status != 200 || !strings.Contains(rp.body, `"running":true`) {
-				t.Errorf("%s: healthz %d %s", fe.name, rp.status, rp.body)
+		for _, p := range probes {
+			answered := make(chan reply, 1)
+			go func() { answered <- call(fe.handler, "GET", p.path, "") }()
+			select {
+			case rp := <-answered:
+				if rp.status != 200 || !strings.Contains(rp.body, p.want) {
+					t.Errorf("%s: %s %d %s", fe.name, p.path, rp.status, rp.body)
+				}
+			case <-time.After(10 * time.Second):
+				t.Errorf("%s: %s waited for the blocked Step", fe.name, p.path)
 			}
-		case <-time.After(10 * time.Second):
-			t.Errorf("%s: /healthz waited for the blocked Step", fe.name)
 		}
 		close(gates[i].release)
 		if err := fe.wait(); err != nil {

@@ -88,12 +88,6 @@ func (m *Metrics) ReduceUtilization(cluster Cluster) float64 {
 	return float64(m.BusyReduceSlotMS) / den
 }
 
-// Cost converts resource-active time into money at the given price per
-// resource-hour.
-func (m *Metrics) Cost(pricePerResourceHour float64) float64 {
-	return float64(m.ResourceActiveMS) / 3_600_000 * pricePerResourceHour
-}
-
 // P returns the proportion of jobs that violated their SLA — late or
 // abandoned — over the jobs that arrived, in [0, 1].
 func (m *Metrics) P() float64 {

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"testing"
 
 	"mrcprm/internal/workload"
@@ -56,16 +55,6 @@ func TestResourceActiveCountsGapsSeparately(t *testing.T) {
 	// Busy [0,2s) and [10s,13s): 5s active, not 13s.
 	if m.ResourceActiveMS != 5000 {
 		t.Fatalf("active %d, want 5000", m.ResourceActiveMS)
-	}
-}
-
-func TestCostConversion(t *testing.T) {
-	m := &Metrics{ResourceActiveMS: 3_600_000} // one resource-hour
-	if got := m.Cost(2.5); math.Abs(got-2.5) > 1e-12 {
-		t.Fatalf("cost %g, want 2.5", got)
-	}
-	if got := (&Metrics{}).Cost(10); got != 0 {
-		t.Fatalf("zero activity cost %g", got)
 	}
 }
 

@@ -148,17 +148,6 @@ func (p PoissonProcess) NextAfter(now float64, s *Stream) float64 {
 	return now + Exponential{Rate: p.Rate}.Sample(s)
 }
 
-// ArrivalsUntil returns all arrival instants in (0, horizon], in seconds.
-func (p PoissonProcess) ArrivalsUntil(horizon float64, s *Stream) []float64 {
-	var out []float64
-	t := p.NextAfter(0, s)
-	for t <= horizon {
-		out = append(out, t)
-		t = p.NextAfter(t, s)
-	}
-	return out
-}
-
 // Arrivals returns the first n arrival instants of the process, in seconds.
 func (p PoissonProcess) Arrivals(n int, s *Stream) []float64 {
 	out := make([]float64, 0, n)

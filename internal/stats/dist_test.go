@@ -150,10 +150,10 @@ func TestLogNormalMean(t *testing.T) {
 func TestPoissonProcessRate(t *testing.T) {
 	s := testStream()
 	p := PoissonProcess{Rate: 0.01}
-	arr := p.ArrivalsUntil(1e6, s)
-	// Expect ~10000 arrivals.
-	if n := len(arr); math.Abs(float64(n)-10000) > 400 {
-		t.Fatalf("Poisson(0.01) produced %d arrivals over 1e6 s, want ~10000", n)
+	arr := p.Arrivals(10000, s)
+	// The 10000th arrival lands near 1e6 s (one standard deviation is 1 %).
+	if last := arr[len(arr)-1]; math.Abs(last-1e6) > 4e4 {
+		t.Fatalf("Poisson(0.01): 10000th arrival at %g s, want ~1e6", last)
 	}
 	for i := 1; i < len(arr); i++ {
 		if arr[i] <= arr[i-1] {

@@ -18,12 +18,6 @@ type ReplicationPolicy struct {
 	RelTol float64
 }
 
-// DefaultReplicationPolicy mirrors the paper: 95% confidence, ±1% relative
-// half-width on the primary metric.
-func DefaultReplicationPolicy() ReplicationPolicy {
-	return ReplicationPolicy{MinReps: 5, MaxReps: 50, Level: 0.95, RelTol: 0.01}
-}
-
 // Done reports whether the sample collected so far satisfies the policy.
 func (p ReplicationPolicy) Done(primary []float64) bool {
 	n := len(primary)

@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Summary holds sample statistics for one performance metric collected
@@ -175,27 +174,4 @@ func betacf(a, b, x float64) float64 {
 func lgamma(x float64) float64 {
 	v, _ := math.Lgamma(x)
 	return v
-}
-
-// Percentile returns the p-quantile (0 <= p <= 1) of the sample using linear
-// interpolation between order statistics. The input is not modified.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := p * float64(len(sorted)-1)
-	i := int(pos)
-	frac := pos - float64(i)
-	if i+1 >= len(sorted) {
-		return sorted[i]
-	}
-	return sorted[i]*(1-frac) + sorted[i+1]*frac
 }

@@ -84,29 +84,6 @@ func TestRelCIZeroMean(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	if p := Percentile(xs, 0); p != 1 {
-		t.Fatalf("p0 = %g", p)
-	}
-	if p := Percentile(xs, 1); p != 5 {
-		t.Fatalf("p100 = %g", p)
-	}
-	if p := Percentile(xs, 0.5); p != 3 {
-		t.Fatalf("p50 = %g", p)
-	}
-	if p := Percentile(xs, 0.25); p != 2 {
-		t.Fatalf("p25 = %g", p)
-	}
-	if !math.IsNaN(Percentile(nil, 0.5)) {
-		t.Fatal("percentile of empty sample should be NaN")
-	}
-	// Input must not be reordered.
-	if xs[0] != 5 {
-		t.Fatal("Percentile mutated its input")
-	}
-}
-
 func TestReplicationPolicyStopsOnTightCI(t *testing.T) {
 	p := ReplicationPolicy{MinReps: 3, MaxReps: 100, Level: 0.95, RelTol: 0.05}
 	// Nearly constant metric: should stop at MinReps.
@@ -122,13 +99,6 @@ func TestReplicationPolicyHitsCap(t *testing.T) {
 	got := p.Run(func(rep int) float64 { return s.Float64() })
 	if len(got) != 7 {
 		t.Fatalf("ran %d reps, want cap 7", len(got))
-	}
-}
-
-func TestDefaultReplicationPolicy(t *testing.T) {
-	p := DefaultReplicationPolicy()
-	if p.Level != 0.95 || p.RelTol != 0.01 || p.MinReps < 2 {
-		t.Fatalf("unexpected default policy %+v", p)
 	}
 }
 

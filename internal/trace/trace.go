@@ -195,17 +195,6 @@ func (r *Recorder) SlotProfile(tt workload.TaskType) []ProfilePoint {
 	return out
 }
 
-// PeakBusy returns the maximum simultaneous busy slots of the given kind.
-func (r *Recorder) PeakBusy(tt workload.TaskType) int64 {
-	var peak int64
-	for _, p := range r.SlotProfile(tt) {
-		if p.Busy > peak {
-			peak = p.Busy
-		}
-	}
-	return peak
-}
-
 // GanttRows renders one text row per resource with job digits marking
 // occupancy — a compact visual of the executed schedule for CLI output.
 func (r *Recorder) GanttRows(cluster sim.Cluster, width int) []string {

@@ -102,9 +102,6 @@ func TestSlotProfile(t *testing.T) {
 	if prof[1].Busy != 1 || prof[1].ToMS != 7000 {
 		t.Fatalf("segment 1: %+v", prof[1])
 	}
-	if rec.PeakBusy(workload.MapTask) != 2 {
-		t.Fatal("peak busy")
-	}
 	red := rec.SlotProfile(workload.ReduceTask)
 	if len(red) != 1 || red[0].FromMS != 7000 || red[0].ToMS != 10_000 {
 		t.Fatalf("reduce profile %+v", red)

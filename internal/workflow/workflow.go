@@ -140,18 +140,6 @@ func (w *Workflow) TopoOrder() ([]*Task, error) {
 	return order, nil
 }
 
-// Sinks returns the tasks with no successors — the workflow's terminal
-// tasks, whose completion defines the end-to-end deadline.
-func (w *Workflow) Sinks() []*Task {
-	var out []*Task
-	for _, t := range w.Tasks {
-		if len(t.succs) == 0 {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // CriticalPath returns the length (ms) of the longest dependency chain — a
 // lower bound on the workflow's makespan regardless of cluster size.
 func (w *Workflow) CriticalPath() int64 {

@@ -101,12 +101,6 @@ func (j *Job) TotalWork() int64 {
 	return w
 }
 
-// Laxity returns the job's slack L_j = d_j - s_j - TE with respect to the
-// given minimum execution time.
-func (j *Job) Laxity(te int64) int64 {
-	return j.Deadline - j.EarliestStart - te
-}
-
 // MinExecTime computes TE, the minimum execution time of the job assuming
 // no other jobs are in the system (Table 3, deadline row): the makespan of
 // the map phase on mapSlots parallel slots followed by the makespan of the

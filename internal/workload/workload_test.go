@@ -304,10 +304,6 @@ func TestJobAccessors(t *testing.T) {
 	if j.Tasks()[0].Type != MapTask || j.Tasks()[2].Type != ReduceTask {
 		t.Fatal("Tasks order")
 	}
-	j.EarliestStart, j.Deadline = 100, 7000
-	if j.Laxity(5000) != 1900 {
-		t.Fatalf("Laxity = %d", j.Laxity(5000))
-	}
 	if j.MapTasks[0].ID != "t3_m1" || j.ReduceTasks[0].ID != "t3_r1" {
 		t.Fatal("task naming")
 	}
