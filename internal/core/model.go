@@ -87,6 +87,12 @@ func buildModel(mode SolveMode, now int64, cluster sim.Cluster, work []*jobWork,
 	redTasks := make([]*cp.Interval, 0, nRed)
 	var memTasks []*cp.Interval
 	var memDem []int64
+	// durBuf holds one task's duration table at a time: SetResDurations
+	// keeps a copy.
+	var durBuf []int64
+	if hetero {
+		durBuf = make([]int64, numRes)
+	}
 
 	var lates []*cp.Bool
 	for _, w := range work {
@@ -115,7 +121,7 @@ func buildModel(mode SolveMode, now int64, cluster sim.Cluster, work []*jobWork,
 			// plain fixed-length intervals.
 			var durs []int64
 			if hetero && fz == nil {
-				durs = make([]int64, numRes)
+				durs = durBuf
 				for r := range durs {
 					durs[r] = sim.ScaledExec(t.Exec, cluster.SpeedOf(r))
 					if durs[r] > dur {

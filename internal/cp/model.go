@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Interval is a task activity with a fixed duration whose start time is a
@@ -29,15 +30,20 @@ type Interval struct {
 	// durs, when non-nil, is the per-resource duration table of a
 	// heterogeneous model: running on resource r takes durs[r] time units.
 	// nil keeps the uniform fast path where Dur holds for every resource.
-	// durLo/durHi cache min/max over the table.
-	durs  []int64
-	durLo int64
-	durHi int64
+	// The table's modes live in its capacity past len (see modes), so the
+	// Interval stays one slice header wide.
+	durs []int64
 }
+
+// modes returns the duration table's distinct durations in ascending order,
+// each followed by the resvar-word mask of the resources that run at it:
+// mode i is modes[i*stride] with mask modes[i*stride+1 : (i+1)*stride],
+// stride = 1 + resVar.words.
+func (iv *Interval) modes() []int64 { return iv.durs[len(iv.durs):cap(iv.durs)] }
 
 // Durations returns the per-resource duration table, or nil for a uniform
 // interval.
-func (iv *Interval) Durations() []int64 { return iv.durs }
+func (iv *Interval) Durations() []int64 { return iv.durs[:len(iv.durs):len(iv.durs)] }
 
 // ID returns the interval's dense model index.
 func (iv *Interval) ID() int { return iv.id }
@@ -154,7 +160,8 @@ func (m *Model) NewInterval(name string, dur int64) *Interval {
 // after NewResVar and before posting constraints over the interval. Every
 // entry must be positive and no larger than the duration the interval was
 // created with (create heterogeneous intervals with their slowest-resource
-// duration so the horizon bound stays valid for every mode).
+// duration so the horizon bound stays valid for every mode). The interval
+// keeps a copy of durs, next to the table's modes.
 func (m *Model) SetResDurations(iv *Interval, durs []int64) {
 	if iv.resVar == nil {
 		panic(fmt.Sprintf("cp: interval %q needs a resvar before durations", iv.Name))
@@ -163,17 +170,16 @@ func (m *Model) SetResDurations(iv *Interval, durs []int64) {
 		panic(fmt.Sprintf("cp: interval %q duration table has %d entries for %d resources",
 			iv.Name, len(durs), iv.resVar.NumRes))
 	}
-	lo, hi := durs[0], durs[0]
+	var few [8]int64 // a cluster has a handful of speed classes
+	distinct := few[:0]
 	for _, d := range durs {
-		if d <= 0 {
-			panic(fmt.Sprintf("cp: interval %q has non-positive mode duration %d", iv.Name, d))
+		if i, found := slices.BinarySearch(distinct, d); !found {
+			distinct = slices.Insert(distinct, i, d)
 		}
-		if d < lo {
-			lo = d
-		}
-		if d > hi {
-			hi = d
-		}
+	}
+	lo, hi := distinct[0], distinct[len(distinct)-1]
+	if lo <= 0 {
+		panic(fmt.Sprintf("cp: interval %q has non-positive mode duration %d", iv.Name, lo))
 	}
 	if hi > iv.Dur {
 		panic(fmt.Sprintf("cp: interval %q mode duration %d exceeds nominal duration %d",
@@ -182,8 +188,18 @@ func (m *Model) SetResDurations(iv *Interval, durs []int64) {
 	if lo == hi && hi == iv.Dur {
 		return // a constant table is the uniform case; keep the fast path
 	}
-	iv.durs = append([]int64(nil), durs...)
-	iv.durLo, iv.durHi = lo, hi
+	n, stride := len(durs), 1+iv.resVar.words
+	table := make([]int64, n+len(distinct)*stride)
+	copy(table, durs)
+	modes := table[n:]
+	for i, d := range distinct {
+		modes[i*stride] = d
+	}
+	for r, d := range durs {
+		i, _ := slices.BinarySearch(distinct, d)
+		modes[i*stride+1+r/64] |= 1 << (r % 64)
+	}
+	iv.durs = table[:n]
 }
 
 // SetStartBounds narrows an interval's start window at build time.
@@ -213,27 +229,20 @@ func (m *Model) StartMin(iv *Interval) int64 { return m.store.get(iv.base + 0) }
 func (m *Model) StartMax(iv *Interval) int64 { return m.store.get(iv.base + 1) }
 
 // DurMin returns the smallest duration the interval can still take: its
-// uniform duration, or the minimum of the duration table over the resvar's
-// remaining domain.
+// uniform duration, or the fastest mode with a resource left in the
+// resvar's domain. It costs a word test per mode, not a probe per resource.
 func (m *Model) DurMin(iv *Interval) int64 {
 	if iv.durs == nil {
 		return iv.Dur
 	}
-	rv := iv.resVar
-	lo := int64(math.MaxInt64)
-	for w := 0; w < rv.words; w++ {
-		word := uint64(m.store.get(rv.base + int32(w)))
-		for word != 0 {
-			if d := iv.durs[w*64+bits.TrailingZeros64(word)]; d < lo {
-				lo = d
-			}
-			word &= word - 1
+	rv, modes := iv.resVar, iv.modes()
+	stride := 1 + rv.words
+	for i := 0; i < len(modes); i += stride {
+		if m.anyAllowed(rv, modes[i+1:i+stride]) {
+			return modes[i]
 		}
 	}
-	if lo == math.MaxInt64 {
-		return iv.durLo // empty domain; the search is about to fail anyway
-	}
-	return lo
+	return modes[0] // empty domain; the search is about to fail anyway
 }
 
 // DurMax returns the largest duration the interval can still take.
@@ -241,21 +250,25 @@ func (m *Model) DurMax(iv *Interval) int64 {
 	if iv.durs == nil {
 		return iv.Dur
 	}
-	rv := iv.resVar
-	hi := int64(-1)
-	for w := 0; w < rv.words; w++ {
-		word := uint64(m.store.get(rv.base + int32(w)))
-		for word != 0 {
-			if d := iv.durs[w*64+bits.TrailingZeros64(word)]; d > hi {
-				hi = d
-			}
-			word &= word - 1
+	rv, modes := iv.resVar, iv.modes()
+	stride := 1 + rv.words
+	for i := len(modes) - stride; i >= 0; i -= stride {
+		if m.anyAllowed(rv, modes[i+1:i+stride]) {
+			return modes[i]
 		}
 	}
-	if hi < 0 {
-		return iv.durHi
+	return modes[len(modes)-stride]
+}
+
+// anyAllowed reports whether any resource of a resvar-word mask is still in
+// rv's domain.
+func (m *Model) anyAllowed(rv *ResVar, mask []int64) bool {
+	for w, word := range mask {
+		if m.store.get(rv.base+int32(w))&word != 0 {
+			return true
+		}
 	}
-	return hi
+	return false
 }
 
 // DurOn returns the interval's duration on resource r.

@@ -21,15 +21,15 @@ type pinnedCounters struct {
 
 func fixedLimit(n int64) func(*Model) int64 { return func(*Model) int64 { return n } }
 
-// pinnedHeteroInstance builds the direct model of a heterogeneous cluster:
-// four resources in two speed classes (the first two twice as fast), every
-// task carrying its duration table, map and reduce slot timetables per
-// resource, and a memory timetable per resource over the tasks with a
-// memory demand.
-func pinnedHeteroInstance() *Model {
-	rng := stats.NewStream(4242, 2)
+// heteroInstance builds the direct model of a heterogeneous cluster:
+// numRes resources in two speed classes (the first half twice as fast) and
+// nJobs jobs of one to four maps and up to two reduces, the deadlines of
+// successive jobs dueStep apart. Every task carries its duration table; each
+// resource has a map and a reduce slot timetable and a memory timetable over
+// the tasks with a memory demand.
+func heteroInstance(seed uint64, numRes, nJobs, dueStep int) *Model {
+	rng := stats.NewStream(seed, 2)
 	m := NewModel(200_000)
-	const numRes = 4
 	var mapAll, redAll, memTasks []*Interval
 	var mems []int64
 	var lates []*Bool
@@ -39,15 +39,22 @@ func pinnedHeteroInstance() *Model {
 		iv.JobKey = j
 		iv.Due = due
 		m.NewResVar(iv, numRes)
-		m.SetResDurations(iv, []int64{fast, fast, 2 * fast, 2 * fast})
+		durs := make([]int64, numRes)
+		for r := range durs {
+			durs[r] = fast
+			if r >= numRes/2 {
+				durs[r] = 2 * fast
+			}
+		}
+		m.SetResDurations(iv, durs)
 		if mem := int64(rng.IntN(3)); mem > 0 {
 			memTasks = append(memTasks, iv)
 			mems = append(mems, mem)
 		}
 		return iv
 	}
-	for j := 0; j < 12; j++ {
-		due := int64(40 + 8*j + rng.IntN(20))
+	for j := 0; j < nJobs; j++ {
+		due := int64(40 + dueStep*j + rng.IntN(20))
 		nm, nr := 1+rng.IntN(4), rng.IntN(3)
 		var maps, reds []*Interval
 		for range nm {
@@ -93,15 +100,18 @@ var pinnedSolves = []pinnedSolve{
 		return buildRandomInstance(stats.NewStream(77, 3), 80, 10, 12, 8, true).m
 	}, fixedLimit(4000),
 		pinnedCounters{Nodes: 4000, Backtracks: 2374, Propagations: 24930, Objective: 68}},
-	{"direct hetero + memory", pinnedHeteroInstance, fixedLimit(4000),
+	{"direct hetero + memory", func() *Model { return heteroInstance(4242, 4, 12, 8) }, fixedLimit(4000),
 		pinnedCounters{Nodes: 4000, Backtracks: 7215, Propagations: 49517, Objective: 7}},
+	// 70 resources make every resvar, and so every mode mask, two words wide.
+	{"direct hetero + memory, 70 resources", func() *Model { return heteroInstance(4343, 70, 100, 1) }, fixedLimit(4000),
+		pinnedCounters{Nodes: 4000, Backtracks: 511, Propagations: 538464, Objective: 1}},
 }
 
 // Performance work on the propagators and the search must leave the search
 // itself alone: on the solver benchmarks' instances, the overloaded
-// instance of TestPerNodeWorkDoesNotScaleWithModel and a heterogeneous
-// direct model with memory timetables, the node, backtrack and
-// propagation counts and the objective are pinned. A change that means to
+// instance of TestPerNodeWorkDoesNotScaleWithModel and two heterogeneous
+// direct models with memory timetables (resvars of one and of two words),
+// the node, backtrack and propagation counts and the objective are pinned. A change that means to
 // alter the search re-pins this table and says so; one that only makes the
 // search cheaper leaves it untouched.
 func TestSearchCountersPinned(t *testing.T) {

@@ -88,3 +88,12 @@ func BenchmarkSolveCombined(b *testing.B) {
 }
 
 func BenchmarkSolveDirect(b *testing.B) { benchSolve(b, 4000, benchDirectInstance) }
+
+// BenchmarkSolveHetero solves a direct model of the hetero-stream shape: 50
+// resources in two speed classes, map, reduce and memory timetables per
+// resource and about 120 tasks, each with a duration table, on that
+// workload's node limit. Unlike BenchmarkSolveDirect's uniform tasks, every
+// end bound here reads a duration table.
+func BenchmarkSolveHetero(b *testing.B) {
+	benchSolve(b, 1000, func() *Model { return heteroInstance(5050, 50, 34, 1) })
+}
