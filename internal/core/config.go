@@ -45,8 +45,10 @@ const (
 	ModeCombined SolveMode = iota
 	// ModeDirect models matchmaking inside the CP program with one
 	// alternative (resource variable) per task — the unoptimized
-	// formulation of Table 1. Exponentially more expensive; used for small
-	// systems and the ablation benchmark.
+	// formulation of Table 1. Exponentially more expensive; it is the
+	// formulation of every heterogeneous or memory-constrained cluster
+	// (Config.formulation), and otherwise used for small systems and the
+	// ablation benchmark.
 	ModeDirect
 )
 

@@ -545,7 +545,7 @@ func (m *Manager) collectWork(ctx sim.Context) []*jobWork {
 		for _, t := range j.MapTasks {
 			switch {
 			case ctx.Completed(t):
-				w.completedMaps++
+				// finished: constrains nothing, new work starts at or after now
 			case ctx.Started(t):
 				res, start, _ := ctx.Placement(t)
 				w.frozenMaps = append(w.frozenMaps, frozenTask{task: t, res: res, start: start, exec: ctx.RunningExec(t)})

@@ -38,9 +38,6 @@ type jobWork struct {
 	pendingReds []*workload.Task
 	frozenMaps  []frozenTask
 	frozenReds  []frozenTask
-	// completedMaps counts map tasks already finished (they no longer
-	// constrain anything: new work starts at or after now anyway).
-	completedMaps int
 	// ghost marks an abandoned job: its running tasks still hold capacity
 	// (and must stay in the model so nothing is placed on top of them), but
 	// it has no pending work and no lateness indicator.

@@ -9,9 +9,10 @@
 // FIFO shows how much of their SLA performance comes from deadline
 // awareness rather than from mere work conservation.
 //
-// All job-lifecycle machinery (deferral, retry budgets, abandonment, slot
-// mirrors) comes from the shared rmkit kernel; this package only supplies
-// the queue discipline (arrival order) and the dispatch pass.
+// All job-lifecycle machinery (deferral, retry budgets, abandonment) comes
+// from the shared rmkit kernel and free capacity from the simulator; this
+// package only supplies the queue discipline (arrival order) and the
+// dispatch pass.
 package fifo
 
 import (

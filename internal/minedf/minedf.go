@@ -16,10 +16,10 @@
 // of the bounds. The minimum allocation is the smallest (s_m, s_r) pair,
 // by total slots, whose estimate meets the deadline.
 //
-// All job-lifecycle machinery (deferral, retry budgets, abandonment, slot
-// mirrors) comes from the shared rmkit kernel; this package supplies the
-// EDF queue discipline, the ARIA allocation model, and the two-pass
-// dispatch.
+// All job-lifecycle machinery (deferral, retry budgets, abandonment) comes
+// from the shared rmkit kernel and free capacity from the simulator; this
+// package supplies the EDF queue discipline, the ARIA allocation model, and
+// the two-pass dispatch.
 package minedf
 
 import (

@@ -11,13 +11,13 @@ import (
 // ListScheduler is the shared reactive-manager kernel: the Hadoop-style
 // slot-based schedulers (FIFO, EDF, MinEDF-WC) differ only in their queue
 // discipline and dispatch policy, so this type owns everything else — the
-// deferred-arrival queue, the job tracker, the slot mirrors, retry
-// charging and abandonment, and every simulator callback. A policy embeds
-// *ListScheduler, picks the queue order through NewListScheduler, and
-// supplies Dispatch.
+// deferred-arrival queue, the job tracker, retry charging and abandonment,
+// and every simulator callback. A policy embeds *ListScheduler, picks the
+// queue order through NewListScheduler, and supplies Dispatch.
 //
-// Dispatch fills free slots from the active queue after every lifecycle
-// event; DispatchJob is the standard per-job inner loop.
+// Dispatch fills free capacity from the active queue after every lifecycle
+// event; DispatchJob is the standard per-job inner loop. Free capacity is
+// the simulator's to know (sim.Context.FirstFit): the kernel keeps no copy.
 type ListScheduler struct {
 	// Kind prefixes error messages ("fifo: completion for unknown task…").
 	Kind string
@@ -25,10 +25,9 @@ type ListScheduler struct {
 	Cluster sim.Cluster
 	// Retry is the fault-recovery budget; adjust before the run starts.
 	Retry RetryPolicy
-	// Tracker owns per-job lifecycle state; Slots mirrors free capacity.
+	// Tracker owns per-job lifecycle state.
 	Tracker *Tracker
-	Slots   *SlotMirror
-	// Dispatch fills free slots after a lifecycle event; the policy must
+	// Dispatch fills free capacity after a lifecycle event; the policy must
 	// set it before the simulation starts.
 	Dispatch func(ctx sim.Context) error
 
@@ -46,7 +45,6 @@ func NewListScheduler(kind string, cluster sim.Cluster, less func(a, b *JobState
 		Cluster: cluster,
 		Retry:   DefaultRetryPolicy(),
 		Tracker: tr,
-		Slots:   NewSlotMirror(cluster),
 	}
 }
 
@@ -84,22 +82,19 @@ func (ls *ListScheduler) OnTimer(ctx sim.Context) error {
 }
 
 // OnTaskComplete implements sim.ResourceManager. Completions of abandoned
-// jobs' draining attempts still free their mirrored slots; their output is
-// discarded.
+// jobs' draining attempts only discard their output.
 func (ls *ListScheduler) OnTaskComplete(ctx sim.Context, t *workload.Task) error {
 	started := time.Now()
 	js, ok := ls.Tracker.ByTask(t)
 	if !ok {
 		return fmt.Errorf("%s: completion for unknown task %s", ls.Kind, t.ID)
 	}
-	res, _, _ := ctx.Placement(t)
 	if t.Type == workload.MapTask {
 		js.RunningMaps--
 		js.MapsLeft--
 	} else {
 		js.RunningReds--
 	}
-	ls.Slots.Release(t.Type, res)
 	if !js.Abandoned {
 		js.TasksLeft--
 		if js.TasksLeft == 0 {
@@ -111,10 +106,10 @@ func (ls *ListScheduler) OnTaskComplete(ctx sim.Context, t *workload.Task) error
 	return err
 }
 
-// OnTaskFailed implements sim.FaultHooks: the attempt's slot is freed in
-// the mirrors and the task re-queued for another attempt (its job keeps
-// its place in the active order). Exhausted retry budgets abandon the job.
-func (ls *ListScheduler) OnTaskFailed(ctx sim.Context, t *workload.Task, res int) error {
+// OnTaskFailed implements sim.FaultHooks: the task is re-queued for another
+// attempt (its job keeps its place in the active order). Exhausted retry
+// budgets abandon the job.
+func (ls *ListScheduler) OnTaskFailed(ctx sim.Context, t *workload.Task, _ int) error {
 	started := time.Now()
 	js, ok := ls.Tracker.ByTask(t)
 	if !ok {
@@ -125,7 +120,6 @@ func (ls *ListScheduler) OnTaskFailed(ctx sim.Context, t *workload.Task, res int
 	} else {
 		js.RunningReds--
 	}
-	ls.Slots.Release(t.Type, res)
 	if !js.Abandoned {
 		if err := ls.chargeRetry(ctx, js, t); err != nil {
 			return err
@@ -138,8 +132,8 @@ func (ls *ListScheduler) OnTaskFailed(ctx sim.Context, t *workload.Task, res int
 
 // OnResourceDown implements sim.FaultHooks: killed attempts are charged
 // against retry budgets and re-queued, evacuated placements re-queued for
-// free, and the down resource's slot mirrors zeroed so dispatch skips it.
-func (ls *ListScheduler) OnResourceDown(ctx sim.Context, res int, killed, evacuated []*workload.Task) error {
+// free; dispatch skips the down resource because FirstFit does.
+func (ls *ListScheduler) OnResourceDown(ctx sim.Context, _ int, killed, evacuated []*workload.Task) error {
 	started := time.Now()
 	for _, t := range killed {
 		js, ok := ls.Tracker.ByTask(t)
@@ -172,24 +166,22 @@ func (ls *ListScheduler) OnResourceDown(ctx sim.Context, res int, killed, evacua
 			js.Requeue(t)
 		}
 	}
-	ls.Slots.Block(res)
 	err := ls.Dispatch(ctx)
 	ctx.AddOverhead(time.Since(started))
 	return err
 }
 
-// OnResourceUp implements sim.FaultHooks: the repaired resource's slots
-// become available again (nothing can be running there after an outage).
-func (ls *ListScheduler) OnResourceUp(ctx sim.Context, res int) error {
+// OnResourceUp implements sim.FaultHooks: the repaired resource takes work
+// again at the next dispatch.
+func (ls *ListScheduler) OnResourceUp(ctx sim.Context, _ int) error {
 	started := time.Now()
-	ls.Slots.Restore(res)
 	err := ls.Dispatch(ctx)
 	ctx.AddOverhead(time.Since(started))
 	return err
 }
 
 // OnTaskSlowdown implements sim.FaultHooks as a no-op: reactive schedulers
-// dispatch tasks at the current instant and free slots on actual
+// dispatch tasks at the current instant into capacity freed by actual
 // completion events, so an overrunning attempt cannot collide with
 // pre-planned work.
 func (ls *ListScheduler) OnTaskSlowdown(sim.Context, *workload.Task) error { return nil }
@@ -204,22 +196,21 @@ func (ls *ListScheduler) chargeRetry(ctx sim.Context, js *JobState, t *workload.
 	return ls.Abandon(ctx, js)
 }
 
-// Abandon gives up on a job: dispatched-but-not-started placements are
-// reconciled back into the slot mirrors, the simulator drops its pending
-// work, and the job leaves the active queue while its last attempts drain
-// (lookup indices stay live so their notifications resolve).
+// Abandon gives up on a job: dispatched-but-not-started placements stop
+// counting as the job's running tasks, the simulator drops its pending work,
+// and the job leaves the active queue while its last attempts drain (lookup
+// indices stay live so their notifications resolve).
 func (ls *ListScheduler) Abandon(ctx sim.Context, js *JobState) error {
 	for _, t := range js.Job.Tasks() {
 		if ctx.Started(t) || ctx.Completed(t) {
 			continue
 		}
-		if res, _, ok := ctx.Placement(t); ok {
+		if _, _, ok := ctx.Placement(t); ok {
 			if t.Type == workload.MapTask {
 				js.RunningMaps--
 			} else {
 				js.RunningReds--
 			}
-			ls.Slots.Release(t.Type, res)
 		}
 	}
 	if err := ctx.AbandonJob(js.Job); err != nil {
@@ -231,24 +222,24 @@ func (ls *ListScheduler) Abandon(ctx sim.Context, js *JobState) error {
 	return nil
 }
 
-// DispatchJob fills free slots with the job's pending tasks at the current
-// instant. mapCap and redCap bound the job's concurrently running tasks
-// per phase (an allocation-model policy's first pass); negative caps mean
-// unbounded (work-conserving). Reduce tasks start only after all of the
-// job's maps completed.
+// DispatchJob starts the job's pending tasks at the current instant, each
+// on the first resource the simulator says it fits on, and stops at the
+// first task that fits nowhere. mapCap and redCap bound the job's
+// concurrently running tasks per phase (an allocation-model policy's first
+// pass); negative caps mean unbounded (work-conserving). Reduce tasks start
+// only after all of the job's maps completed.
 func (ls *ListScheduler) DispatchJob(ctx sim.Context, js *JobState, mapCap, redCap int64) error {
 	for len(js.PendingMaps) > 0 {
 		if mapCap >= 0 && js.RunningMaps >= mapCap {
 			break
 		}
-		r := ls.Slots.FirstFree(workload.MapTask)
+		t := js.PendingMaps[0]
+		r := ctx.FirstFit(t)
 		if r < 0 {
 			break
 		}
-		t := js.PendingMaps[0]
 		js.PendingMaps = js.PendingMaps[1:]
 		js.RunningMaps++
-		ls.Slots.Take(workload.MapTask, r)
 		if err := ctx.Schedule(t, r, ctx.Now()); err != nil {
 			return err
 		}
@@ -258,14 +249,13 @@ func (ls *ListScheduler) DispatchJob(ctx sim.Context, js *JobState, mapCap, redC
 			if redCap >= 0 && js.RunningReds >= redCap {
 				break
 			}
-			r := ls.Slots.FirstFree(workload.ReduceTask)
+			t := js.PendingReds[0]
+			r := ctx.FirstFit(t)
 			if r < 0 {
 				break
 			}
-			t := js.PendingReds[0]
 			js.PendingReds = js.PendingReds[1:]
 			js.RunningReds++
-			ls.Slots.Take(workload.ReduceTask, r)
 			if err := ctx.Schedule(t, r, ctx.Now()); err != nil {
 				return err
 			}

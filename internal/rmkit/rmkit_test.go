@@ -103,41 +103,6 @@ func TestTrackerNilComparatorKeepsAdmissionOrder(t *testing.T) {
 	}
 }
 
-func TestSlotMirror(t *testing.T) {
-	cluster := sim.Cluster{NumResources: 3, MapSlots: 2, ReduceSlots: 1}
-	s := NewSlotMirror(cluster)
-	if r := s.FirstFree(workload.MapTask); r != 0 {
-		t.Fatalf("FirstFree = %d, want 0", r)
-	}
-	s.Take(workload.MapTask, 0)
-	s.Take(workload.MapTask, 0)
-	if r := s.FirstFree(workload.MapTask); r != 1 {
-		t.Fatalf("FirstFree after filling resource 0 = %d, want 1", r)
-	}
-	s.Release(workload.MapTask, 0)
-	if r := s.FirstFree(workload.MapTask); r != 0 {
-		t.Fatalf("FirstFree after release = %d, want 0", r)
-	}
-
-	s.Block(0)
-	if r := s.FirstFree(workload.MapTask); r != 1 {
-		t.Fatalf("FirstFree with resource 0 blocked = %d, want 1", r)
-	}
-	s.Restore(0)
-	if r := s.FirstFree(workload.MapTask); r != 0 {
-		t.Fatalf("FirstFree after restore = %d, want 0", r)
-	}
-
-	// Reduce slots are tracked independently.
-	s.Take(workload.ReduceTask, 0)
-	if r := s.FirstFree(workload.ReduceTask); r != 1 {
-		t.Fatalf("reduce FirstFree = %d, want 1", r)
-	}
-	if r := s.FirstFree(workload.MapTask); r != 0 {
-		t.Fatal("taking a reduce slot must not consume a map slot")
-	}
-}
-
 func TestRegistryRoundTrip(t *testing.T) {
 	name := "test-policy-roundtrip"
 	called := false

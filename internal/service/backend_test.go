@@ -24,8 +24,12 @@ func (b engineBackend) Trace(id int64) ([]slo.TraceEvent, int, bool) { return b.
 
 func (b engineBackend) Shards() int { return 1 }
 
+// WriteProm renders the engine's snapshot with the registry it shares, the
+// fields a router's snapshot carries at the top level.
 func (b engineBackend) WriteProm(w io.Writer) error {
-	return WriteProm(w, b.cfg.Telemetry, b.PromData())
+	snap := b.Metrics()
+	snap.Counters, snap.Gauges = b.cfg.Telemetry.Snapshot()
+	return WriteProm(w, snap, b.cfg.Telemetry.HistSnapshots())
 }
 
 // engineHandler exposes one engine over the package's HTTP handler.

@@ -373,57 +373,49 @@ func (e *Engine) Submit(spec workload.JobSpec) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	id := e.nextID
-	e.nextID++
-	entry := &jobEntry{id: id, job: j}
-	e.entries[id] = entry
-	e.order = append(e.order, id)
 	// The admission lower bound doubles as the SLO monitor's
 	// infeasible-at-admission signal: with admission enforcement on, a
 	// failing job is rejected (and its trace records the shed); with it
 	// off, the job enters the system flagged so a later deadline miss is
 	// attributed to infeasibility rather than backlog or faults.
-	at := now
-	if j.Arrival > at {
-		at = j.Arrival
-	}
-	aerr := core.CheckAdmission(e.cfg.Cluster, j, at)
+	aerr := core.CheckAdmission(e.cfg.Cluster, j, max(now, j.Arrival))
+	rec := &journalRecord{Kind: recSubmit, SimMS: now, ID: e.nextID, Spec: &spec}
 	if e.cfg.Admission && aerr != nil {
-		var ae *core.AdmissionError
-		errors.As(aerr, &ae)
-		entry.rejectReason = ae.Error()
-		entry.rejectDeadline = ae.Deadline
-		entry.job = nil
-		e.rejects++
-		if jerr := e.journalAppend(&journalRecord{
-			Kind: recSubmit, SimMS: now, ID: id, Spec: &spec, Rejected: entry.rejectReason,
-		}); jerr != nil {
-			e.rollbackSubmit(id)
-			return 0, jerr
-		}
-		e.mon.JobShed(now, id, "infeasible")
-		return id, aerr
+		rec.Rejected = aerr.Error()
 	}
-	if jerr := e.journalAppend(&journalRecord{Kind: recSubmit, SimMS: now, ID: id, Spec: &spec}); jerr != nil {
-		e.rollbackSubmit(id)
-		return 0, jerr
+	// Journal first, register second: a failed append leaves nothing to undo.
+	if err := e.journalAppend(rec); err != nil {
+		return 0, err
 	}
-	e.accepted++
-	e.intake = append(e.intake, j)
-	e.mon.JobSubmitted(now, id, aerr != nil)
+	e.register(rec, j, aerr != nil)
+	if rec.Rejected != "" {
+		return rec.ID, aerr
+	}
 	e.signal()
-	return id, nil
+	return rec.ID, nil
 }
 
-// rollbackSubmit undoes the registry effects of a submission whose journal
-// append failed; called under intakeMu.
-func (e *Engine) rollbackSubmit(id int) {
-	if e.entries[id] != nil && e.entries[id].rejectReason != "" {
-		e.rejects--
+// register enters one journaled submission into the registry — the one
+// apply step of Submit and journal replay; called under intakeMu. An
+// accepted record's job j joins the intake, flagged for the SLO monitor
+// when infeasible (the admission bound failed); a rejected record keeps
+// only its reason and deadline.
+func (e *Engine) register(rec *journalRecord, j *workload.Job, infeasible bool) {
+	e.nextID++
+	entry := &jobEntry{id: rec.ID}
+	e.entries[rec.ID] = entry
+	e.order = append(e.order, rec.ID)
+	if rec.Rejected != "" {
+		entry.rejectReason = rec.Rejected
+		entry.rejectDeadline = rec.Spec.DeadlineMS
+		e.rejects++
+		e.mon.JobShed(rec.SimMS, rec.ID, "infeasible")
+		return
 	}
-	delete(e.entries, id)
-	e.order = e.order[:len(e.order)-1]
-	e.nextID--
+	entry.job = j
+	e.accepted++
+	e.intake = append(e.intake, j)
+	e.mon.JobSubmitted(rec.SimMS, rec.ID, infeasible)
 }
 
 // AcceptedWork sums weigh over every accepted submission. On a
@@ -785,32 +777,6 @@ func (e *Engine) retryAfter(excess int) time.Duration {
 	return d
 }
 
-// Ready reports whether the engine should receive traffic: false (with a
-// reason) once the run finished, while the intake is draining after
-// CloseIntake, while the MaxPending bound is shedding load, or while the
-// deadline-miss rate is burning through the SLO budget. Backing for the
-// HTTP /readyz endpoint, so orchestrators stop routing before hard
-// failure.
-func (e *Engine) Ready() (bool, string) {
-	select {
-	case <-e.done:
-		return false, "finished"
-	default:
-	}
-	e.intakeMu.Lock()
-	closed, depth := e.closed, e.accepted-int(e.finished.Load())
-	e.intakeMu.Unlock()
-	switch {
-	case closed:
-		return false, "draining"
-	case e.cfg.MaxPending > 0 && depth >= e.cfg.MaxPending:
-		return false, "overloaded"
-	case e.mon.Burn(e.NowMS()).Burning:
-		return false, "slo-burn"
-	}
-	return true, ""
-}
-
 // scheduledFault is one journaled mid-run fault switch awaiting replay.
 type scheduledFault struct {
 	at   int64
@@ -1103,8 +1069,9 @@ type Snapshot struct {
 	Counters map[string]int64 `json:"counters,omitempty"`
 	Gauges   map[string]int64 `json:"gauges,omitempty"`
 
-	// SLO is the sliding-window deadline-miss burn state; the readiness
-	// probe reports "slo-burn" while SLO.Burning is set.
+	// SLO is the sliding-window deadline-miss burn state, its window ending
+	// at the engine's present (NowMS); Ready reports "slo-burn" while
+	// SLO.Burning is set.
 	SLO *slo.BurnInfo `json:"slo,omitempty"`
 	// MissByClass counts attributed deadline misses (late completions plus
 	// abandonments) per attribution class; the values sum to
@@ -1127,6 +1094,31 @@ type ShardView struct {
 	FirstResource int   `json:"firstResource"`
 	PendingWorkMS int64 `json:"pendingWorkMs"`
 	Snapshot
+}
+
+// Ready derives readiness, the answer behind GET /readyz, from the
+// snapshot: false, with a reason, once the run finished, while the intake
+// drains after CloseIntake, while the MaxPending bound sheds load, or while
+// the SLO burn alarm is set. A router's snapshot answers for its shards
+// first, naming the first one that is not ready, and then for the fleet,
+// whose merged burn window can trip while no single shard's does.
+func (s Snapshot) Ready() (bool, string) {
+	for _, v := range s.Shards {
+		if ok, reason := v.Snapshot.Ready(); !ok {
+			return false, fmt.Sprintf("shard %d: %s", v.Shard, reason)
+		}
+	}
+	switch {
+	case s.Finished:
+		return false, "finished"
+	case s.Closed:
+		return false, "draining"
+	case s.MaxPending > 0 && s.Pending >= s.MaxPending:
+		return false, "overloaded"
+	case s.SLO != nil && s.SLO.Burning:
+		return false, "slo-burn"
+	}
+	return true, ""
 }
 
 // Health reports the run state from the intake lock and the done channel
@@ -1181,7 +1173,7 @@ func (e *Engine) Metrics() Snapshot {
 	snap.TasksFailed = m.TasksFailed
 	snap.TasksKilled = m.TasksKilled
 	snap.Outages = m.Outages
-	burn := e.mon.Burn(snap.SimTimeMS)
+	burn := e.mon.Burn(e.NowMS())
 	snap.SLO = &burn
 	if by := missByClass(e.mon.AttributionTotals()); len(by) > 0 {
 		snap.MissByClass = by
@@ -1210,86 +1202,60 @@ func (e *Engine) Trace(id int) (events []slo.TraceEvent, dropped int, ok bool) {
 	return e.mon.Trace(id)
 }
 
-// PromData is one engine's share of a Prometheus exposition: the families
-// derived from engine state rather than kept in the telemetry registry —
-// job-flow counters, queue and clock gauges, SLO attribution counters and
-// burn gauges — plus the burn window behind the two non-integer burn
-// ratios. Counters and most gauges sum across engines, and burn windows
-// merge (see shard.Router.WriteProm).
-type PromData struct {
-	Counters map[string]int64
-	Gauges   map[string]int64
-	Burn     slo.BurnInfo
-}
-
-// PromData collects the engine-derived exposition families; they are
-// present even when no telemetry sink is attached.
-func (e *Engine) PromData() PromData {
-	counters := make(map[string]int64)
-	gauges := make(map[string]int64)
-	e.intakeMu.Lock()
-	counters["jobs_submitted_total"] = int64(e.nextID)
-	counters["jobs_rejected_total"] = int64(e.rejects)
-	counters["jobs_shed_total"] = int64(e.shed)
-	gauges["pending_jobs"] = int64(e.accepted - int(e.finished.Load()))
-	e.intakeMu.Unlock()
-	v := e.readView()
-	m := v.metrics
-	counters["jobs_arrived_total"] = int64(m.JobsArrived)
-	counters["jobs_completed_total"] = int64(m.JobsCompleted)
-	counters["jobs_late_total"] = int64(m.LateJobs)
-	counters["jobs_abandoned_total"] = int64(m.JobsAbandoned)
-	if m.TasksFailed > 0 {
-		counters["tasks_failed_total"] = int64(m.TasksFailed)
+// WriteProm renders one Prometheus text exposition (format 0.0.4) of a
+// metrics snapshot under the mrcp_ namespace: the telemetry registry the
+// snapshot carries, the families derived from its flat fields — job-flow
+// counters, queue and clock gauges, SLO attribution counters and the burn
+// window — and the registry's histograms hists. Where both hold a name (the
+// SLO monitor's slo_miss_* counters, which the registry keeps only when a
+// sink is attached) the snapshot's field is written.
+func WriteProm(w io.Writer, snap Snapshot, hists []obs.HistSnapshot) error {
+	counters, gauges := make(map[string]int64), make(map[string]int64)
+	maps.Copy(counters, snap.Counters)
+	maps.Copy(gauges, snap.Gauges)
+	counters["jobs_submitted_total"] = int64(snap.Submitted)
+	counters["jobs_rejected_total"] = int64(snap.Rejected)
+	counters["jobs_shed_total"] = int64(snap.Shed)
+	counters["jobs_arrived_total"] = int64(snap.JobsArrived)
+	counters["jobs_completed_total"] = int64(snap.JobsCompleted)
+	counters["jobs_late_total"] = int64(snap.LateJobs)
+	counters["jobs_abandoned_total"] = int64(snap.JobsAbandoned)
+	if snap.TasksFailed > 0 {
+		counters["tasks_failed_total"] = int64(snap.TasksFailed)
 	}
-	if m.TasksKilled > 0 {
-		counters["tasks_killed_total"] = int64(m.TasksKilled)
+	if snap.TasksKilled > 0 {
+		counters["tasks_killed_total"] = int64(snap.TasksKilled)
 	}
-	gauges["sim_time_ms"] = v.now
-	gauges["outstanding_jobs"] = int64(v.outstanding)
-	// Attribution counters are re-derived from the monitor (rather than
-	// read back from telemetry) so they are exposed even sink-less; when a
-	// sink is attached the telemetry registry holds identical totals.
 	var missTotal int64
-	for class, n := range missByClass(e.mon.AttributionTotals()) {
+	for class, n := range snap.MissByClass {
 		counters[slo.CounterMiss+class] = n
 		missTotal += n
 	}
 	if missTotal > 0 {
 		counters["slo_miss_total"] = missTotal
 	}
-	b := e.mon.Burn(e.NowMS())
-	gauges["slo_window_finished"] = int64(b.Finished)
-	gauges["slo_window_missed"] = int64(b.Missed)
+	gauges["pending_jobs"] = int64(snap.Pending)
+	gauges["sim_time_ms"] = snap.SimTimeMS
+	gauges["outstanding_jobs"] = int64(snap.Outstanding)
+	var burn slo.BurnInfo
+	if snap.SLO != nil {
+		burn = *snap.SLO
+	}
+	gauges["slo_window_finished"] = int64(burn.Finished)
+	gauges["slo_window_missed"] = int64(burn.Missed)
 	var burning int64
-	if b.Burning {
+	if burn.Burning {
 		burning = 1
 	}
 	gauges["slo_burning"] = burning
-	return PromData{Counters: counters, Gauges: gauges, Burn: b}
-}
-
-// WriteProm renders one Prometheus text exposition (format 0.0.4) under the
-// mrcp_ namespace: every counter, gauge and histogram of the telemetry
-// registry tel, the engine-derived families of d, and d's SLO burn ratios.
-// Where both hold a name — the SLO monitor's slo_miss_* counters, which
-// the registry keeps only when a sink is attached — d's value is written.
-func WriteProm(w io.Writer, tel *obs.Telemetry, d PromData) error {
-	counters, gauges := tel.Snapshot()
-	if counters == nil {
-		counters, gauges = d.Counters, d.Gauges
-	} else {
-		maps.Copy(counters, d.Counters)
-		maps.Copy(gauges, d.Gauges)
-	}
-	if err := obs.WritePrometheus(w, "mrcp_", counters, gauges, tel.HistSnapshots()); err != nil {
+	if err := obs.WritePrometheus(w, "mrcp_", counters, gauges, hists); err != nil {
 		return err
 	}
 	_, err := fmt.Fprintf(w,
 		"# TYPE mrcp_slo_miss_rate gauge\nmrcp_slo_miss_rate %s\n"+
 			"# TYPE mrcp_slo_burn_rate gauge\nmrcp_slo_burn_rate %s\n",
-		strconv.FormatFloat(d.Burn.MissRate, 'g', -1, 64),
-		strconv.FormatFloat(d.Burn.BurnRate, 'g', -1, 64))
+		strconv.FormatFloat(burn.MissRate, 'g', -1, 64),
+		strconv.FormatFloat(burn.BurnRate, 'g', -1, 64))
 	return err
 }
 

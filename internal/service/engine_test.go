@@ -114,7 +114,6 @@ func TestConcurrentSubmissions(t *testing.T) {
 				}
 				if i%3 == 0 {
 					e.Metrics()
-					e.PromData()
 					e.Jobs()
 					e.Schedule()
 				}

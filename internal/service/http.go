@@ -29,7 +29,6 @@ type Backend interface {
 	ApplyFaults(spec FaultSpec) error
 	InjectOutage(res int, downAt, upAt int64) error
 	NowMS() int64
-	Ready() (ok bool, reason string)
 	Health() Health
 	// Shards is the partition count, reported as "shards" on the healthz,
 	// readyz and run bodies.
@@ -144,10 +143,10 @@ func (s *server) healthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // readyz is the orchestrator-facing readiness probe: 200 while the backend
-// should receive traffic, 503 (with the reason) once it is finished,
-// draining after CloseIntake, or shedding at the MaxPending bound.
+// should receive traffic, 503 with the reason Snapshot.Ready gives for the
+// same snapshot GET /v1/metrics serves.
 func (s *server) readyz(w http.ResponseWriter, r *http.Request) {
-	if ok, reason := s.b.Ready(); !ok {
+	if ok, reason := s.b.Metrics().Ready(); !ok {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reason": reason})
 		return
 	}

@@ -303,36 +303,20 @@ func (e *Engine) replaySubmit(rec *journalRecord, info *RecoveryInfo) error {
 	if rec.ID != e.nextID {
 		return fmt.Errorf("submission id %d out of order (expected %d)", rec.ID, e.nextID)
 	}
-	// Build the job before touching the registry, so a refused record leaves
-	// the engine exactly as it was.
-	var j *workload.Job
-	if rec.Rejected == "" {
-		var err error
-		if j, err = rec.Spec.Job(rec.ID); err != nil {
-			return err
-		}
-	}
-	e.nextID++
-	entry := &jobEntry{id: rec.ID, job: j}
-	e.entries[rec.ID] = entry
-	e.order = append(e.order, rec.ID)
 	if rec.Rejected != "" {
-		entry.rejectReason = rec.Rejected
-		entry.rejectDeadline = rec.Spec.DeadlineMS
-		e.rejects++
+		e.register(rec, nil, true)
 		info.Rejected++
-		e.mon.JobShed(rec.SimMS, rec.ID, "infeasible")
 		return nil
 	}
-	e.accepted++
-	e.intake = append(e.intake, j)
-	info.Accepted++
+	// Build the job before touching the registry, so a refused record leaves
+	// the engine exactly as it was.
+	j, err := rec.Spec.Job(rec.ID)
+	if err != nil {
+		return err
+	}
 	// Re-derive the infeasibility flag the original Submit computed so the
 	// recovered monitor attributes identically.
-	at := rec.SimMS
-	if j.Arrival > at {
-		at = j.Arrival
-	}
-	e.mon.JobSubmitted(rec.SimMS, rec.ID, core.CheckAdmission(e.cfg.Cluster, j, at) != nil)
+	e.register(rec, j, core.CheckAdmission(e.cfg.Cluster, j, max(rec.SimMS, j.Arrival)) != nil)
+	info.Accepted++
 	return nil
 }

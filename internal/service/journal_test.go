@@ -368,7 +368,7 @@ func TestBackpressureSheds(t *testing.T) {
 	if oe.Pending != 4 || oe.Max != 4 || oe.RetryAfter < time.Second {
 		t.Fatalf("overload detail %+v", oe)
 	}
-	if ok, reason := e.Ready(); ok || reason != "overloaded" {
+	if ok, reason := e.Metrics().Ready(); ok || reason != "overloaded" {
 		t.Fatalf("Ready() = %v, %q during overload", ok, reason)
 	}
 	snap := e.Metrics()
@@ -397,12 +397,12 @@ func TestReadyLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := e.Ready(); !ok {
+	if ok, _ := e.Metrics().Ready(); !ok {
 		t.Fatal("fresh engine not ready")
 	}
 	submitAll(t, e, jobs)
 	e.CloseIntake()
-	if ok, reason := e.Ready(); ok || reason != "draining" {
+	if ok, reason := e.Metrics().Ready(); ok || reason != "draining" {
 		t.Fatalf("Ready() = %v, %q after CloseIntake", ok, reason)
 	}
 	if err := e.Start(); err != nil {
@@ -411,7 +411,7 @@ func TestReadyLifecycle(t *testing.T) {
 	if err := e.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if ok, reason := e.Ready(); ok || reason != "finished" {
+	if ok, reason := e.Metrics().Ready(); ok || reason != "finished" {
 		t.Fatalf("Ready() = %v, %q after the run", ok, reason)
 	}
 }

@@ -155,7 +155,7 @@ func TestPromWithoutTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteProm(&buf, nil, e.PromData()); err != nil {
+	if err := WriteProm(&buf, e.Metrics(), nil); err != nil {
 		t.Fatal(err)
 	}
 	scrape, err := obs.ParsePrometheus(bytes.NewReader(buf.Bytes()))
@@ -216,7 +216,7 @@ func TestReadyzSLOBurnFlip(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	if ok, reason := e.Ready(); ok || reason != "slo-burn" {
+	if ok, reason := e.Metrics().Ready(); ok || reason != "slo-burn" {
 		t.Fatalf("Ready() = %v %q, want false slo-burn", ok, reason)
 	}
 	var body map[string]any

@@ -543,17 +543,6 @@ func (r *Router) Health() service.Health {
 	return h
 }
 
-// Ready reports whether every shard should receive traffic; the reason
-// names the first shard that is not.
-func (r *Router) Ready() (bool, string) {
-	for s, e := range r.engines {
-		if ok, reason := e.Ready(); !ok {
-			return false, fmt.Sprintf("shard %d: %s", s, reason)
-		}
-	}
-	return true, ""
-}
-
 // ApplyFaults installs the same journaled per-attempt fault plan on every
 // shard (each segment journals its own copy).
 func (r *Router) ApplyFaults(spec service.FaultSpec) error {
@@ -602,12 +591,6 @@ func CombineFingerprints(fps []uint64) uint64 {
 		}
 	}
 	return h
-}
-
-// gaugeTakesMax lists engine-derived gauges where summing across shards is
-// wrong: clocks align (take the max) and level-triggered booleans OR.
-func gaugeTakesMax(name string) bool {
-	return name == "sim_time_ms" || name == "slo_burning"
 }
 
 // Metrics returns the aggregated snapshot with the per-shard breakdown.
@@ -680,27 +663,6 @@ func (r *Router) Metrics() Snapshot {
 	return agg
 }
 
-// mergeScalars folds src into dst (allocating dst on first use); gauges
-// with align-not-sum semantics take the max instead.
-func mergeScalars(dst, src map[string]int64, gauges bool) map[string]int64 {
-	if len(src) == 0 {
-		return dst
-	}
-	if dst == nil {
-		dst = make(map[string]int64, len(src))
-	}
-	for k, v := range src {
-		if gauges && gaugeTakesMax(k) {
-			if v > dst[k] {
-				dst[k] = v
-			}
-			continue
-		}
-		dst[k] += v
-	}
-	return dst
-}
-
 // mergeBurn aggregates per-shard burn windows: finishes and misses sum,
 // the rate is recomputed, and the alarm trips on the aggregate rate or any
 // single burning shard (a hot shard is a problem even when the fleet
@@ -726,20 +688,10 @@ func mergeBurn(burns []slo.BurnInfo) slo.BurnInfo {
 }
 
 // WriteProm renders ONE Prometheus exposition for the whole fleet: the
-// shared telemetry registry as it stands, plus the engine-derived families
-// summed across shards (align-gauges take the max) and the SLO burn ratios
-// recomputed from the aggregated windows.
+// snapshot Metrics returns — the shared registry plus the fleet aggregates,
+// burn included — and the registry's histograms.
 func (r *Router) WriteProm(w io.Writer) error {
-	var d service.PromData
-	burns := make([]slo.BurnInfo, r.n)
-	for s, e := range r.engines {
-		sd := e.PromData()
-		d.Counters = mergeScalars(d.Counters, sd.Counters, false)
-		d.Gauges = mergeScalars(d.Gauges, sd.Gauges, true)
-		burns[s] = sd.Burn
-	}
-	d.Burn = mergeBurn(burns)
-	return service.WriteProm(w, r.tel, d)
+	return service.WriteProm(w, r.Metrics(), r.tel.HistSnapshots())
 }
 
 // String implements fmt.Stringer for logs.

@@ -15,6 +15,7 @@ import (
 	"mrcprm/internal/obs"
 	"mrcprm/internal/service"
 	"mrcprm/internal/sim"
+	"mrcprm/internal/slo"
 	"mrcprm/internal/stats"
 	"mrcprm/internal/workload"
 )
@@ -386,6 +387,68 @@ func TestShardHTTPEndToEnd(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("merged exposition is missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// TestFleetBurnIsOneAnswer: when each shard's burn window is under
+// MinSample but the fleet's is over it and over budget, the fleet is
+// burning, and /v1/metrics, /metrics and /readyz must all say so — they
+// render one snapshot.
+func TestFleetBurnIsOneAnswer(t *testing.T) {
+	cfg := testShardConfig()
+	cfg.Base.SLO = slo.Config{MissBudget: 0.05, WindowMS: 1 << 40, MinSample: 3}
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewHandler(r)
+	// Four equal, unmeetable jobs, accepted because admission is off; least
+	// load routes them two to a shard.
+	const n = 4
+	for i := 0; i < n; i++ {
+		body := fmt.Sprintf(`{"arrivalMs":%d,"deadlineMs":%d,"mapExecMs":[500]}`, i*10, i*10+1)
+		if rp := call(h, "POST", "/v1/jobs", body); rp.status != http.StatusAccepted {
+			t.Fatalf("submit: %d %s", rp.status, rp.body)
+		}
+	}
+	// The intake stays open, so the run idles once the jobs finish and the
+	// burn state holds still.
+	if rp := call(h, "POST", "/v1/admin/run", ""); rp.status != http.StatusOK {
+		t.Fatalf("run: %d %s", rp.status, rp.body)
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	for snap := r.Metrics(); snap.JobsCompleted+snap.JobsAbandoned < n; snap = r.Metrics() {
+		if time.Now().After(deadline) {
+			t.Fatalf("jobs did not finish: %+v", snap)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	var snap Snapshot
+	if err := json.Unmarshal([]byte(call(h, "GET", "/v1/metrics", "").body), &snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range snap.Shards {
+		if v.SLO.Finished >= v.SLO.MinSample || v.SLO.Burning {
+			t.Fatalf("shard %d window %+v: the scenario needs every shard under MinSample", v.Shard, *v.SLO)
+		}
+	}
+	if snap.SLO == nil || !snap.SLO.Burning || snap.SLO.Finished != n {
+		t.Fatalf("/v1/metrics fleet burn %+v, want burning over %d finishes", snap.SLO, n)
+	}
+	scrape, err := obs.ParsePrometheus(strings.NewReader(call(h, "GET", "/metrics", "").body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := scrape.Values["mrcp_slo_burning"]; got != 1 {
+		t.Errorf("/metrics mrcp_slo_burning = %v, want 1 (burn rate %v)", got, scrape.Values["mrcp_slo_burn_rate"])
+	}
+	if rp := call(h, "GET", "/readyz", ""); rp.status != http.StatusServiceUnavailable || !strings.Contains(rp.body, `"slo-burn"`) {
+		t.Errorf("/readyz %d %s, want 503 slo-burn", rp.status, rp.body)
+	}
+	r.CloseIntake()
+	if err := r.Wait(); err != nil {
+		t.Fatal(err)
 	}
 }
 

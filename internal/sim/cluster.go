@@ -139,30 +139,43 @@ func (c Cluster) Validate() error {
 }
 
 // slotLedger tracks per-resource slot (and, when enabled, memory)
-// occupancy and enforces capacities.
+// occupancy and enforces capacities. Beside what is running it holds what
+// is promised — the demand of tasks placed on a resource but not yet
+// started — so firstFit can say where a task could start now.
 type slotLedger struct {
 	cluster Cluster
-	mapUse  []int64
-	redUse  []int64
-	memUse  []int64 // nil unless the cluster has a memory dimension
-	// mapBusy and redBusy are the cluster-wide sums of mapUse and redUse,
-	// kept here so a telemetry sample reads them without a pass over the
-	// resources.
+	// mapUse, redUse and memUse are the demand of the attempts running on
+	// each resource; memUse is nil unless the cluster has a memory dimension.
+	mapUse, redUse, memUse []int64
+	// mapHeld, redHeld and memHeld are the running demand plus the promised
+	// demand on each resource (memHeld nil as memUse): the capacity a new
+	// placement cannot have.
+	mapHeld, redHeld, memHeld []int64
+	// mapBusy and redBusy are the cluster-wide sums of mapUse and redUse, and
+	// waitMap and waitRed count the placed, not yet started tasks by type,
+	// kept here so a telemetry sample reads them without a pass.
 	mapBusy, redBusy int64
+	waitMap, waitRed int
 }
 
 func newSlotLedger(c Cluster) *slotLedger {
+	n := c.NumResources
 	l := &slotLedger{
 		cluster: c,
-		mapUse:  make([]int64, c.NumResources),
-		redUse:  make([]int64, c.NumResources),
+		mapUse:  make([]int64, n),
+		redUse:  make([]int64, n),
+		mapHeld: make([]int64, n),
+		redHeld: make([]int64, n),
 	}
 	if c.MemCapacity > 0 {
-		l.memUse = make([]int64, c.NumResources)
+		l.memUse, l.memHeld = make([]int64, n), make([]int64, n)
 	}
 	return l
 }
 
+// acquire starts an attempt of t on res. The attempt's demand is held from
+// now on; a start moves a promise here, so the caller takes the promise
+// back first.
 func (l *slotLedger) acquire(res int, t *workload.Task) error {
 	if res < 0 || res >= l.cluster.NumResources {
 		return fmt.Errorf("sim: task %s assigned to invalid resource %d", t.ID, res)
@@ -175,29 +188,35 @@ func (l *slotLedger) acquire(res int, t *workload.Task) error {
 			return fmt.Errorf("sim: map capacity of resource %d exceeded by task %s", res, t.ID)
 		}
 		l.mapUse[res] += t.Req
+		l.mapHeld[res] += t.Req
 		l.mapBusy += t.Req
 	} else {
 		if l.redUse[res]+t.Req > l.cluster.ReduceSlots {
 			return fmt.Errorf("sim: reduce capacity of resource %d exceeded by task %s", res, t.ID)
 		}
 		l.redUse[res] += t.Req
+		l.redHeld[res] += t.Req
 		l.redBusy += t.Req
 	}
 	if l.memUse != nil {
 		l.memUse[res] += t.Mem
+		l.memHeld[res] += t.Mem
 	}
 	return nil
 }
 
+// release ends an attempt of t on res (finished, failed or killed).
 func (l *slotLedger) release(res int, t *workload.Task) {
 	if t.Type == workload.MapTask {
 		l.mapUse[res] -= t.Req
+		l.mapHeld[res] -= t.Req
 		l.mapBusy -= t.Req
 		if l.mapUse[res] < 0 {
 			panic("sim: map slot ledger went negative")
 		}
 	} else {
 		l.redUse[res] -= t.Req
+		l.redHeld[res] -= t.Req
 		l.redBusy -= t.Req
 		if l.redUse[res] < 0 {
 			panic("sim: reduce slot ledger went negative")
@@ -205,14 +224,41 @@ func (l *slotLedger) release(res int, t *workload.Task) {
 	}
 	if l.memUse != nil {
 		l.memUse[res] -= t.Mem
+		l.memHeld[res] -= t.Mem
 		if l.memUse[res] < 0 {
 			panic("sim: memory ledger went negative")
 		}
 	}
 }
 
-// freeMapSlots returns the number of idle map slots on the resource.
-func (l *slotLedger) freeMapSlots(res int) int64 { return l.cluster.MapSlots - l.mapUse[res] }
+// promise books t's demand on res for a placement that has not started;
+// sign -1 takes it back (start, replan elsewhere, unplace).
+func (l *slotLedger) promise(res int, t *workload.Task, sign int64) {
+	if t.Type == workload.MapTask {
+		l.mapHeld[res] += sign * t.Req
+		l.waitMap += int(sign)
+	} else {
+		l.redHeld[res] += sign * t.Req
+		l.waitRed += int(sign)
+	}
+	if l.memHeld != nil {
+		l.memHeld[res] += sign * t.Mem
+	}
+}
 
-// freeReduceSlots returns the number of idle reduce slots on the resource.
-func (l *slotLedger) freeReduceSlots(res int) int64 { return l.cluster.ReduceSlots - l.redUse[res] }
+// firstFit returns the lowest-index up resource on which t can start now —
+// its slot demand (Req) and memory demand (Mem) fit beside the running
+// attempts and the promised placements — or -1 when there is none. A
+// resource without room for the slot demand costs one comparison.
+func (l *slotLedger) firstFit(t *workload.Task, down []bool) int {
+	held, room := l.mapHeld, l.cluster.MapSlots-t.Req
+	if t.Type == workload.ReduceTask {
+		held, room = l.redHeld, l.cluster.ReduceSlots-t.Req
+	}
+	for r, h := range held {
+		if h <= room && !down[r] && (l.memHeld == nil || l.memHeld[r]+t.Mem <= l.cluster.MemCapacity) {
+			return r
+		}
+	}
+	return -1
+}

@@ -49,14 +49,59 @@ func (s *Simulator) scanOutstandingJobs() int {
 	return n
 }
 
+// scanPromised derives the ledger's promised demand per resource — slots by
+// type and memory — from a pass over every placed, not yet started task.
+func (s *Simulator) scanPromised() (mapP, redP, memP []int64) {
+	n := s.cluster.NumResources
+	mapP, redP = make([]int64, n), make([]int64, n)
+	if s.cluster.MemCapacity > 0 {
+		memP = make([]int64, n)
+	}
+	for _, st := range s.byKey {
+		if !st.scheduled || st.started {
+			continue
+		}
+		if st.task.Type == workload.MapTask {
+			mapP[st.res] += st.task.Req
+		} else {
+			redP[st.res] += st.task.Req
+		}
+		if memP != nil {
+			memP[st.res] += st.task.Mem
+		}
+	}
+	return mapP, redP, memP
+}
+
+// checkPromised compares the ledger's promised demand per resource — what
+// it holds beyond what is running — with a scan.
+func checkPromised(dim string, held, use, scan []int64) error {
+	for r := range scan {
+		if got := held[r] - use[r]; got != scan[r] {
+			return fmt.Errorf("resource %d: promised %s demand %d, scan %d", r, dim, got, scan[r])
+		}
+	}
+	return nil
+}
+
 // CheckCounters compares everything the simulator keeps by counting
-// transitions — the seven sample fields, OutstandingJobs and each job's
-// uncompleted-map count — with a scan of the state it summarises. It is the
-// hook the policy-driven oracle runs in the external test package call
-// after every Step.
+// transitions — the seven sample fields, the ledger's promised demand per
+// resource, OutstandingJobs and each job's uncompleted-map count — with a
+// scan of the state it summarises. It is the hook the policy-driven oracle
+// runs in the external test package call after every Step.
 func CheckCounters(s *Simulator) error {
 	if got, want := s.sample(), s.scanSample(); got != want {
 		return fmt.Errorf("sample counters %+v, scan %+v", got, want)
+	}
+	mapP, redP, memP := s.scanPromised()
+	if err := checkPromised("map", s.ledger.mapHeld, s.ledger.mapUse, mapP); err != nil {
+		return err
+	}
+	if err := checkPromised("reduce", s.ledger.redHeld, s.ledger.redUse, redP); err != nil {
+		return err
+	}
+	if err := checkPromised("memory", s.ledger.memHeld, s.ledger.memUse, memP); err != nil {
+		return err
 	}
 	if got, want := s.OutstandingJobs(), s.scanOutstandingJobs(); got != want {
 		return fmt.Errorf("OutstandingJobs %d, scan %d", got, want)

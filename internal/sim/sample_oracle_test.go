@@ -88,25 +88,34 @@ func (c *coverage) JobAbandoned(_ int64, j *workload.Job) { c.abandoned[j] = tru
 // TestSampleCountersMatchScan is the sample oracle: on seeded, heavily
 // faulted runs of every built-in policy family it compares, after every
 // single Step, the seven sample fields, OutstandingJobs and the per-job
-// uncompleted-map counts with a scan of the simulator's state
-// (sim.CheckCounters). The runs are built to cross every transition a
-// counter is updated at — first placement and replan, Unschedule, start,
-// finish, failure, outage kill, outage evacuation, retry-cap abandonment
-// with an attempt still in flight, resource down and up, AddJob mid-run —
-// and the test fails if one of them never happened.
+// uncompleted-map counts, and the ledger's promised demand per resource,
+// with a scan of the simulator's state (sim.CheckCounters). The runs are
+// built to cross every transition a counter is updated at — first placement
+// and replan, Unschedule, start, finish, failure, outage kill, outage
+// evacuation, retry-cap abandonment with an attempt still in flight,
+// resource down and up, AddJob mid-run — and the test fails if one of them
+// never happened. The list policies also run on a memory-constrained
+// cluster, where they place by the simulator's FirstFit on two dimensions.
 func TestSampleCountersMatchScan(t *testing.T) {
-	gen := workload.DefaultSynthetic()
-	gen.NumResources = 4
-	gen.NumMapHi = 8
-	gen.NumReduceHi = 4
-	gen.Lambda = 0.05
-	cluster := sim.Cluster{NumResources: gen.NumResources,
-		MapSlots: gen.MapSlotsPerResource, ReduceSlots: gen.ReduceSlotsPerResource}
 	mrcp := core.DeterministicConfig()
 	mrcp.NodeLimit = 2000
 
-	for _, policy := range []string{"fifo", "minedf", "mrcp"} {
-		t.Run(policy, func(t *testing.T) {
+	for _, run := range []struct {
+		name, policy string
+		memCap       int64
+	}{{"fifo", "fifo", 0}, {"minedf", "minedf", 0}, {"mrcp", "mrcp", 0}, {"fifo-memory", "fifo", 8}, {"minedf-memory", "minedf", 8}} {
+		gen := workload.DefaultSynthetic()
+		gen.NumResources = 4
+		gen.NumMapHi = 8
+		gen.NumReduceHi = 4
+		gen.Lambda = 0.05
+		if run.memCap > 0 {
+			gen.TaskMemLo, gen.TaskMemHi = 1, 4
+		}
+		cluster := sim.Cluster{NumResources: gen.NumResources,
+			MapSlots: gen.MapSlotsPerResource, ReduceSlots: gen.ReduceSlotsPerResource, MemCapacity: run.memCap}
+		policy := run.policy
+		t.Run(run.name, func(t *testing.T) {
 			for seed := uint64(5); seed <= 9; seed++ {
 				t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 					jobs, err := gen.Generate(60, stats.NewStream(21, 0xc0de))

@@ -46,9 +46,11 @@ type Context interface {
 	Started(t *workload.Task) bool
 	// Completed reports whether the task has finished.
 	Completed(t *workload.Task) bool
-	// FreeMapSlots and FreeReduceSlots report instantaneous idle capacity.
-	FreeMapSlots(res int) int64
-	FreeReduceSlots(res int) int64
+	// FirstFit returns the lowest-index up resource on which the task can
+	// start now — its slot demand (Req) and memory demand (Mem) fit beside
+	// the running attempts and the tasks placed there but not yet started —
+	// or -1 when there is none.
+	FirstFit(t *workload.Task) int
 	// SetTimer schedules an OnTimer callback at the given time (> Now).
 	SetTimer(at int64)
 	// AddOverhead accrues matchmaking-and-scheduling wall time into the O
@@ -125,10 +127,10 @@ type Simulator struct {
 	sampleMS   int64
 	nextSample int64
 	// What a sample reports, kept current at the state transitions
-	// themselves (with or without telemetry attached): placed tasks not yet
-	// started by type, attempts in flight, and resources in an outage. The
-	// slot ledger holds the busy-slot totals the same way.
-	waitMap, waitRed, running, downN int
+	// themselves (with or without telemetry attached): attempts in flight
+	// and resources in an outage. The slot ledger holds the busy-slot totals
+	// and the placed, not yet started task counts the same way.
+	running, downN int
 
 	// Fault-injection state; all nil/empty without an injector.
 	injector  FaultInjector
@@ -529,8 +531,8 @@ func (s *Simulator) sample() sample {
 	return sample{
 		busyMap:     s.ledger.mapBusy,
 		busyRed:     s.ledger.redBusy,
-		waitMap:     s.waitMap,
-		waitRed:     s.waitRed,
+		waitMap:     s.ledger.waitMap,
+		waitRed:     s.ledger.waitRed,
 		running:     s.running,
 		outstanding: s.metrics.JobsArrived - s.metrics.JobsCompleted - s.metrics.JobsAbandoned,
 		down:        s.downN,
@@ -549,15 +551,6 @@ func (s *Simulator) emitSample(at int64) {
 		obs.Int("outstanding_jobs", p.outstanding),
 		obs.Int("down_resources", p.down),
 	)
-}
-
-// waiting returns the sample counter that holds a placed, not yet started
-// task of t's type.
-func (s *Simulator) waiting(t *workload.Task) *int {
-	if t.Type == workload.MapTask {
-		return &s.waitMap
-	}
-	return &s.waitRed
 }
 
 func (s *Simulator) stateOf(t *workload.Task) (*taskState, error) {
@@ -598,6 +591,7 @@ func (s *Simulator) handleTaskStart(ev event) error {
 	if s.down[st.res] {
 		return fmt.Errorf("sim: task %s started on down resource %d", t.ID, st.res)
 	}
+	s.ledger.promise(st.res, t, -1)
 	if err := s.ledger.acquire(st.res, t); err != nil {
 		return err
 	}
@@ -605,7 +599,6 @@ func (s *Simulator) handleTaskStart(ev event) error {
 		s.activeSince[st.res] = s.clock
 	}
 	st.started = true
-	*s.waiting(t)--
 	s.running++
 	if st.attempt > 0 {
 		s.metrics.TasksRetried++
@@ -824,9 +817,10 @@ func (s *Simulator) Schedule(t *workload.Task, res int, start int64) error {
 		return fmt.Errorf("sim: task %s scheduled on invalid resource %d", t.ID, res)
 	}
 	replan := st.scheduled
-	if !replan {
-		*s.waiting(t)++
+	if replan {
+		s.ledger.promise(st.res, t, -1)
 	}
+	s.ledger.promise(res, t, 1)
 	st.res, st.start = res, start
 	st.scheduled = true
 	st.version++
@@ -854,7 +848,7 @@ func (s *Simulator) Unschedule(t *workload.Task) error {
 
 // unplace removes the pending placement of a placed, not yet started task.
 func (s *Simulator) unplace(st *taskState) {
-	*s.waiting(st.task)--
+	s.ledger.promise(st.res, st.task, -1)
 	st.scheduled = false
 	st.res, st.start = -1, 0 // never leave a stale placement behind
 	st.version++             // existing start events become stale
@@ -881,11 +875,9 @@ func (s *Simulator) Completed(t *workload.Task) bool {
 	return ok && st.completed
 }
 
-// FreeMapSlots returns idle map slots on the resource.
-func (s *Simulator) FreeMapSlots(res int) int64 { return s.ledger.freeMapSlots(res) }
-
-// FreeReduceSlots returns idle reduce slots on the resource.
-func (s *Simulator) FreeReduceSlots(res int) int64 { return s.ledger.freeReduceSlots(res) }
+// FirstFit returns the lowest-index up resource the task can start on now,
+// or -1.
+func (s *Simulator) FirstFit(t *workload.Task) int { return s.ledger.firstFit(t, s.down) }
 
 // SetTimer schedules an OnTimer callback; duplicate timers at the same
 // instant coalesce and timers in the past are ignored.

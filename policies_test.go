@@ -28,32 +28,63 @@ func newRegisteredPolicy(t *testing.T, name string, cluster mrcprm.Cluster, opts
 	return rm
 }
 
+// memoryWorkload is tightWorkload on hetero-stream's memory shape: every
+// machine holds 8 memory units and a task needs 1–4, so memory, not slots,
+// decides where a task fits.
+func memoryWorkload(t *testing.T) ([]*mrcprm.Job, mrcprm.Cluster) {
+	t.Helper()
+	wl := mrcprm.DefaultSyntheticWorkload()
+	wl.NumResources = 6
+	wl.NumMapHi = 8
+	wl.NumReduceHi = 4
+	wl.Lambda = 0.05
+	wl.DeadlineUL = 2
+	wl.TaskMemLo, wl.TaskMemHi = 1, 4
+	jobs, err := wl.Generate(30, mrcprm.NewStream(7, 0xfeed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster := mrcprm.Cluster{NumResources: wl.NumResources,
+		MapSlots: wl.MapSlotsPerResource, ReduceSlots: wl.ReduceSlotsPerResource, MemCapacity: 8}
+	return jobs, cluster
+}
+
 // Every registered policy — including ones this test file has never heard
-// of — must drive a contended workload to completion. MRCP-RM's late-job
-// count is pinned so the smoke test doubles as a regression gate.
+// of — must drive a contended workload to completion, on slots alone and
+// with memory as a second packing dimension. MRCP-RM's late-job count on
+// the slot-only input is pinned so the smoke test doubles as a regression
+// gate.
 func TestEveryRegisteredPolicyRunsWorkload(t *testing.T) {
 	names := mrcprm.PolicyNames()
 	if len(names) < 4 {
 		t.Fatalf("expected at least mrcp, minedf, fifo, edf registered; got %v", names)
 	}
-	jobs, cluster := tightWorkload(t)
+	tightJobs, tightCluster := tightWorkload(t)
+	memJobs, memCluster := memoryWorkload(t)
+	inputs := []struct {
+		name    string
+		jobs    []*mrcprm.Job
+		cluster mrcprm.Cluster
+	}{{"slots", tightJobs, tightCluster}, {"memory", memJobs, memCluster}}
 	for _, name := range names {
 		t.Run(name, func(t *testing.T) {
-			rm := newRegisteredPolicy(t, name, cluster, mrcprm.PolicyOptions{})
-			m, err := mrcprm.Simulate(cluster, rm, jobs)
-			if err != nil {
-				t.Fatal(err)
+			for _, in := range inputs {
+				rm := newRegisteredPolicy(t, name, in.cluster, mrcprm.PolicyOptions{})
+				m, err := mrcprm.Simulate(in.cluster, rm, in.jobs)
+				if err != nil {
+					t.Fatalf("%s: %v", in.name, err)
+				}
+				if m.JobsCompleted != len(in.jobs) {
+					t.Errorf("%s: completed %d of %d jobs", in.name, m.JobsCompleted, len(in.jobs))
+				}
+				if m.JobsAbandoned != 0 {
+					t.Errorf("%s: %d jobs abandoned in a fault-free run", in.name, m.JobsAbandoned)
+				}
+				if name == "mrcp" && in.name == "slots" && m.N() != 2 {
+					t.Errorf("mrcp late jobs = %d, want 2 (pre-kernel baseline)", m.N())
+				}
+				t.Logf("%s on %s: N=%d T=%.1fs", rm.Name(), in.name, m.N(), m.T())
 			}
-			if m.JobsCompleted != len(jobs) {
-				t.Errorf("completed %d of %d jobs", m.JobsCompleted, len(jobs))
-			}
-			if m.JobsAbandoned != 0 {
-				t.Errorf("%d jobs abandoned in a fault-free run", m.JobsAbandoned)
-			}
-			if name == "mrcp" && m.N() != 2 {
-				t.Errorf("mrcp late jobs = %d, want 2 (pre-kernel baseline)", m.N())
-			}
-			t.Logf("%s: N=%d T=%.1fs", rm.Name(), m.N(), m.T())
 		})
 	}
 }
