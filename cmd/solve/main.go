@@ -3,26 +3,35 @@
 // preliminary work — and prints the schedule as a table and an ASCII Gantt
 // chart.
 //
-// The problem is read as JSON from a file or stdin:
+// The problem is read as JSON from a file or stdin. It holds a cluster and
+// jobs in the encodings the mrcpd journal writes: the cluster as a journal's
+// meta record carries it and each job as a submission spec, the body of a
+// POST /v1/jobs. Times are milliseconds, and a job's ID is its position in
+// the list:
 //
 //	{
-//	  "cluster": {"resources": 2, "mapSlots": 1, "reduceSlots": 1},
+//	  "cluster": {"NumResources": 2, "MapSlots": 1, "ReduceSlots": 1},
 //	  "jobs": [
-//	    {"id": 0, "earliestStart": 0, "deadline": 60,
-//	     "mapTasks": [10, 12], "reduceTasks": [8]},
-//	    {"id": 1, "earliestStart": 5, "deadline": 45,
-//	     "mapTasks": [20], "reduceTasks": []}
+//	    {"earliestStartMs": 0, "deadlineMs": 60000,
+//	     "mapExecMs": [10000, 12000], "reduceExecMs": [8000]},
+//	    {"earliestStartMs": 5000, "deadlineMs": 45000, "mapExecMs": [20000]}
 //	  ]
 //	}
 //
-// Times are seconds. Usage:
+// The cluster's "Speed" (one factor per machine) and "MemCapacity", with
+// the jobs' "mapMem" and "reduceMem", describe heterogeneous and
+// memory-constrained clusters. A field the format does not know is refused
+// by name, so a file in another format fails instead of solving something
+// else. Usage:
 //
 //	solve problem.json
 //	solve -demo          # solve a built-in example problem
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -33,27 +42,12 @@ import (
 	"mrcprm/internal/cli"
 )
 
-type problemJSON struct {
-	Cluster struct {
-		Resources   int   `json:"resources"`
-		MapSlots    int64 `json:"mapSlots"`
-		ReduceSlots int64 `json:"reduceSlots"`
-	} `json:"cluster"`
-	Jobs []struct {
-		ID            int       `json:"id"`
-		EarliestStart float64   `json:"earliestStart"`
-		Deadline      float64   `json:"deadline"`
-		MapTasks      []float64 `json:"mapTasks"`
-		ReduceTasks   []float64 `json:"reduceTasks"`
-	} `json:"jobs"`
-}
-
 const demoProblem = `{
-  "cluster": {"resources": 2, "mapSlots": 1, "reduceSlots": 1},
+  "cluster": {"NumResources": 2, "MapSlots": 1, "ReduceSlots": 1},
   "jobs": [
-    {"id": 0, "earliestStart": 0, "deadline": 60, "mapTasks": [10, 12], "reduceTasks": [8]},
-    {"id": 1, "earliestStart": 5, "deadline": 45, "mapTasks": [20], "reduceTasks": [6]},
-    {"id": 2, "earliestStart": 0, "deadline": 30, "mapTasks": [8, 8], "reduceTasks": []}
+    {"earliestStartMs": 0, "deadlineMs": 60000, "mapExecMs": [10000, 12000], "reduceExecMs": [8000]},
+    {"earliestStartMs": 5000, "deadlineMs": 45000, "mapExecMs": [20000], "reduceExecMs": [6000]},
+    {"earliestStartMs": 0, "deadlineMs": 30000, "mapExecMs": [8000, 8000]}
   ]
 }`
 
@@ -77,36 +71,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-
-	var prob problemJSON
-	if err := json.Unmarshal(data, &prob); err != nil {
-		fatal(fmt.Errorf("parsing problem: %w", err))
-	}
-
-	cluster := mrcprm.Cluster{
-		NumResources: prob.Cluster.Resources,
-		MapSlots:     prob.Cluster.MapSlots,
-		ReduceSlots:  prob.Cluster.ReduceSlots,
-	}
-	var jobs []*mrcprm.Job
-	for _, pj := range prob.Jobs {
-		j := &mrcprm.Job{
-			ID:            pj.ID,
-			Arrival:       sec2ms(pj.EarliestStart),
-			EarliestStart: sec2ms(pj.EarliestStart),
-			Deadline:      sec2ms(pj.Deadline),
-		}
-		for i, e := range pj.MapTasks {
-			j.MapTasks = append(j.MapTasks, &mrcprm.Task{
-				ID: fmt.Sprintf("t%d_m%d", pj.ID, i+1), JobID: pj.ID,
-				Type: mrcprm.MapTask, Exec: sec2ms(e), Req: 1})
-		}
-		for i, e := range pj.ReduceTasks {
-			j.ReduceTasks = append(j.ReduceTasks, &mrcprm.Task{
-				ID: fmt.Sprintf("t%d_r%d", pj.ID, i+1), JobID: pj.ID,
-				Type: mrcprm.ReduceTask, Exec: sec2ms(e), Req: 1})
-		}
-		jobs = append(jobs, j)
+	cluster, jobs, err := readProblem(data)
+	if err != nil {
+		fatal(err)
 	}
 
 	cfg := mrcprm.DefaultConfig()
@@ -142,7 +109,32 @@ func main() {
 	fmt.Print(gantt(cluster, sched))
 }
 
-func sec2ms(s float64) int64  { return int64(s * 1000) }
+// readProblem decodes a problem document strictly — no unknown field, no
+// second value — and materializes job i of its list under ID i.
+func readProblem(data []byte) (mrcprm.Cluster, []*mrcprm.Job, error) {
+	var prob struct {
+		Cluster mrcprm.Cluster   `json:"cluster"`
+		Jobs    []mrcprm.JobSpec `json:"jobs"`
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&prob); err != nil {
+		return mrcprm.Cluster{}, nil, fmt.Errorf("parsing problem: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return mrcprm.Cluster{}, nil, errors.New("parsing problem: unexpected data after the JSON value")
+	}
+	jobs := make([]*mrcprm.Job, len(prob.Jobs))
+	for i, spec := range prob.Jobs {
+		j, err := spec.Job(i)
+		if err != nil {
+			return mrcprm.Cluster{}, nil, fmt.Errorf("job %d: %w", i, err)
+		}
+		jobs[i] = j
+	}
+	return prob.Cluster, jobs, nil
+}
+
 func ms2sec(ms int64) float64 { return float64(ms) / 1000 }
 
 // gantt renders one row per (resource, slot kind) with '0'..'9' marking

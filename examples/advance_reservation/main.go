@@ -17,18 +17,16 @@ import (
 	"mrcprm"
 )
 
+// makeJob builds a map-only job from the submission spec the service takes
+// (times in milliseconds there, seconds here).
 func makeJob(id int, arrival, earliest, deadline int64, mapSecs []int64) *mrcprm.Job {
-	j := &mrcprm.Job{
-		ID:            id,
-		Arrival:       arrival * 1000,
-		EarliestStart: earliest * 1000,
-		Deadline:      deadline * 1000,
+	spec := mrcprm.JobSpec{ArrivalMS: arrival * 1000, EarliestStartMS: earliest * 1000, DeadlineMS: deadline * 1000}
+	for _, sec := range mapSecs {
+		spec.MapExecMS = append(spec.MapExecMS, sec*1000)
 	}
-	for i, sec := range mapSecs {
-		j.MapTasks = append(j.MapTasks, &mrcprm.Task{
-			ID:    fmt.Sprintf("t%d_m%d", id, i+1),
-			JobID: id, Type: mrcprm.MapTask, Exec: sec * 1000, Req: 1,
-		})
+	j, err := spec.Job(id)
+	if err != nil {
+		log.Fatal(err)
 	}
 	return j
 }

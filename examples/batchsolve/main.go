@@ -12,22 +12,19 @@ import (
 	"mrcprm"
 )
 
+// job builds a job from the submission spec the service takes (times in
+// milliseconds there, seconds here).
 func job(id int, earliest, deadline int64, mapSecs, redSecs []int64) *mrcprm.Job {
-	j := &mrcprm.Job{
-		ID:            id,
-		Arrival:       earliest * 1000,
-		EarliestStart: earliest * 1000,
-		Deadline:      deadline * 1000,
+	spec := mrcprm.JobSpec{ArrivalMS: earliest * 1000, EarliestStartMS: earliest * 1000, DeadlineMS: deadline * 1000}
+	for _, s := range mapSecs {
+		spec.MapExecMS = append(spec.MapExecMS, s*1000)
 	}
-	for i, s := range mapSecs {
-		j.MapTasks = append(j.MapTasks, &mrcprm.Task{
-			ID: fmt.Sprintf("t%d_m%d", id, i+1), JobID: id,
-			Type: mrcprm.MapTask, Exec: s * 1000, Req: 1})
+	for _, s := range redSecs {
+		spec.ReduceExecMS = append(spec.ReduceExecMS, s*1000)
 	}
-	for i, s := range redSecs {
-		j.ReduceTasks = append(j.ReduceTasks, &mrcprm.Task{
-			ID: fmt.Sprintf("t%d_r%d", id, i+1), JobID: id,
-			Type: mrcprm.ReduceTask, Exec: s * 1000, Req: 1})
+	j, err := spec.Job(id)
+	if err != nil {
+		log.Fatal(err)
 	}
 	return j
 }

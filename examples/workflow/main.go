@@ -21,7 +21,7 @@ func main() {
 	// Workflow 0: the ETL pipeline (times in ms).
 	etl := mrcprm.NewWorkflow(0, 0, 300_000)
 	extract := etl.AddTask("extract", mrcprm.MapTask, 30_000)
-	var transforms []*mrcprm.WorkflowTask
+	var transforms []*mrcprm.Task
 	for i := 0; i < 4; i++ {
 		tr := etl.AddTask(fmt.Sprintf("transform%d", i+1), mrcprm.MapTask, 60_000)
 		if err := etl.AddDep(extract, tr); err != nil {
@@ -52,43 +52,38 @@ func main() {
 		log.Fatal(err)
 	}
 
-	for _, w := range []*mrcprm.Workflow{etl, report} {
+	workflows := []*mrcprm.Job{etl, report}
+	for _, w := range workflows {
 		fmt.Printf("workflow %d: %d tasks, critical path %.0fs, deadline %.0fs\n",
-			w.ID, len(w.Tasks), float64(w.CriticalPath())/1000, float64(w.Deadline)/1000)
+			w.ID, w.NumTasks(), float64(w.CriticalPath())/1000, float64(w.Deadline)/1000)
 	}
 
-	sched, err := mrcprm.SolveWorkflows(cluster, []*mrcprm.Workflow{etl, report}, mrcprm.DefaultConfig())
+	// A workflow is a job: the batch solver takes it as it is.
+	sched, err := mrcprm.SolveBatch(cluster, workflows, mrcprm.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Printf("\nschedule (%d late, solved in %v over %d nodes):\n",
-		len(sched.LateWorkflows), sched.SolveTime.Round(1e5), sched.Nodes)
+		len(sched.LateJobs), sched.SolveTime.Round(1e5), sched.Nodes)
 	fmt.Printf("%-4s %-12s %-6s %-4s %10s %10s\n", "wf", "task", "pool", "res", "start(s)", "end(s)")
 	for _, a := range sched.Assignments {
 		fmt.Printf("%-4d %-12s %-6s r%-3d %10.1f %10.1f\n",
-			a.Workflow.ID, a.Task.ID, a.Task.Pool, a.Resource,
+			a.Job.ID, a.Task.ID, a.Task.Type, a.Resource,
 			float64(a.Start)/1000, float64(a.End())/1000)
 	}
-	if len(sched.LateWorkflows) > 0 {
-		fmt.Printf("late workflows: %v\n", sched.LateWorkflows)
+	if len(sched.LateJobs) > 0 {
+		fmt.Printf("late workflows: %v\n", sched.LateJobs)
 	} else {
 		fmt.Println("both workflows meet their end-to-end deadlines.")
 	}
 
-	// Workflows also run through the open system: converted to
-	// precedence-carrying jobs, they arrive as a stream and MRCP-RM
-	// re-plans on every arrival exactly as it does for MapReduce jobs.
-	etlJob, err := etl.ToJob(0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	reportJob, err := report.ToJob(10_000) // arrives 10s in, reserved for 20s
-	if err != nil {
-		log.Fatal(err)
-	}
+	// The same jobs run through the open system: they arrive as a stream
+	// and MRCP-RM re-plans on every arrival exactly as it does for
+	// MapReduce jobs.
+	report.Arrival = 10_000 // arrives 10s in, reserved for 20s
 	manager := mrcprm.NewManager(cluster, mrcprm.DefaultConfig())
-	metrics, err := mrcprm.Simulate(cluster, manager, []*mrcprm.Job{etlJob, reportJob})
+	metrics, err := mrcprm.Simulate(cluster, manager, workflows)
 	if err != nil {
 		log.Fatal(err)
 	}

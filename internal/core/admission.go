@@ -23,20 +23,23 @@ import (
 // after the map phase ends. On heterogeneous clusters the longest-task term
 // assumes the fastest machine and the spread term the aggregate
 // speed-weighted slot capacity — both still true bounds, and both reduce
-// exactly to the uniform integer arithmetic when every speed is 1.0.
+// exactly to the uniform integer arithmetic when every speed is 1.0. A
+// workflow's two pools may run side by side, so its bound is the larger pool
+// bound or its critical path on the fastest machine, not their sum.
 func SLALowerBound(cluster sim.Cluster, j *workload.Job) int64 {
+	var mapLB, redLB int64
 	if cluster.Heterogeneous() {
-		lb := phaseLowerBoundHetero(j.MapTasks, cluster.MapSlots, cluster)
-		if len(j.ReduceTasks) > 0 {
-			lb += phaseLowerBoundHetero(j.ReduceTasks, cluster.ReduceSlots, cluster)
-		}
-		return lb
+		mapLB = phaseLowerBoundHetero(j.MapTasks, cluster.MapSlots, cluster)
+		redLB = phaseLowerBoundHetero(j.ReduceTasks, cluster.ReduceSlots, cluster)
+	} else {
+		mapLB = phaseLowerBound(j.MapTasks, cluster.TotalMapSlots())
+		redLB = phaseLowerBound(j.ReduceTasks, cluster.TotalReduceSlots())
 	}
-	lb := phaseLowerBound(j.MapTasks, cluster.TotalMapSlots())
-	if len(j.ReduceTasks) > 0 {
-		lb += phaseLowerBound(j.ReduceTasks, cluster.TotalReduceSlots())
+	if j.TaskPrecedence {
+		// ceil(path / speed) never exceeds the path's per-task ceilings.
+		return max(mapLB, redLB, sim.ScaledExec(j.CriticalPath(), cluster.MaxSpeed()))
 	}
-	return lb
+	return mapLB + redLB
 }
 
 // phaseLowerBound bounds one phase: max(longest task, ceil(area / slots)).

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mrcprm/internal/sim"
+	"mrcprm/internal/workload"
 )
 
 func TestSLALowerBound(t *testing.T) {
@@ -44,6 +45,44 @@ func TestSLALowerBoundHetero(t *testing.T) {
 	j3 := mkJob(2, 0, 0, 1, []int64{10_000, 10_000, 10_000, 10_000}, []int64{5_000})
 	if a, b := SLALowerBound(uniform, j3), SLALowerBound(explicit, j3); a != b {
 		t.Fatalf("uniform bound %d != explicit all-1.0 bound %d", a, b)
+	}
+}
+
+// A workflow's pools run side by side and its chains can outlast both pool
+// bounds; the bound must stay below what the batch solver achieves.
+func TestSLALowerBoundWorkflow(t *testing.T) {
+	cluster := sim.Cluster{NumResources: 1, MapSlots: 1, ReduceSlots: 1}
+	// Independent 10 s map and reduce tasks finish together at 10 s.
+	par := workload.NewWorkflow(0, 0, 15_000)
+	par.AddTask("m", workload.MapTask, 10_000)
+	par.AddTask("r", workload.ReduceTask, 10_000)
+	if lb := SLALowerBound(cluster, par); lb != 10_000 {
+		t.Fatalf("parallel pools: lower bound %d, want 10000", lb)
+	}
+	if err := CheckAdmission(cluster, par, 0); err != nil {
+		t.Fatalf("feasible workflow rejected: %v", err)
+	}
+	sched, err := SolveBatch(cluster, []*workload.Job{par}, deterministicConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sched.LateJobs) != 0 {
+		t.Fatalf("batch solve made the admitted workflow late: %v", sched.LateJobs)
+	}
+	// A map -> reduce -> map chain is longer than either pool's work.
+	chain := workload.NewWorkflow(1, 0, 100_000)
+	a := chain.AddTask("a", workload.MapTask, 4_000)
+	b := chain.AddTask("b", workload.ReduceTask, 6_000)
+	c := chain.AddTask("c", workload.MapTask, 5_000)
+	if err := chain.Chain(a, b, c); err != nil {
+		t.Fatal(err)
+	}
+	if lb := SLALowerBound(cluster, chain); lb != 15_000 {
+		t.Fatalf("chain: lower bound %d, want 15000", lb)
+	}
+	fast := sim.Cluster{NumResources: 2, MapSlots: 1, ReduceSlots: 1, Speed: []float64{2, 1}}
+	if lb := SLALowerBound(fast, chain); lb != 7_500 {
+		t.Fatalf("chain on a 2x machine: lower bound %d, want 7500", lb)
 	}
 }
 

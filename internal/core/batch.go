@@ -117,10 +117,8 @@ func buildBatchModel(cluster sim.Cluster, jobs []*workload.Job, cfg Config) (*bu
 	}
 	work := make([]*jobWork, len(jobs))
 	for i, j := range jobs {
-		// A workflow job may live in the reduce pool alone; a MapReduce
-		// job needs a map phase.
-		if len(j.MapTasks) == 0 && !(j.TaskPrecedence && len(j.ReduceTasks) > 0) {
-			return nil, fmt.Errorf("core: job %d has no map tasks", j.ID)
+		if err := j.Validate(); err != nil {
+			return nil, err
 		}
 		work[i] = &jobWork{job: j, pendingMaps: j.MapTasks, pendingReds: j.ReduceTasks}
 	}

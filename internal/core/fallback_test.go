@@ -38,6 +38,38 @@ func TestSolverFailureFallsBackToGreedy(t *testing.T) {
 	}
 }
 
+// The fallback places a workflow's tasks after their predecessors even when
+// a map-pool task waits on a reduce-pool one; the simulator rejects any
+// start before a predecessor completes.
+func TestFallbackHonoursWorkflowPrecedence(t *testing.T) {
+	cluster := sim.Cluster{NumResources: 2, MapSlots: 2, ReduceSlots: 2}
+	for _, mode := range []SolveMode{ModeCombined, ModeDirect} {
+		cfg := deterministicConfig()
+		cfg.Mode = mode
+		cfg.NodeLimit = 1
+		var jobs []*workload.Job
+		for i := 0; i < 3; i++ {
+			w := workload.NewWorkflow(i, int64(i)*1000, 400_000)
+			w.Arrival = w.EarliestStart
+			a := w.AddTask("a", workload.MapTask, 4_000)
+			b := w.AddTask("b", workload.ReduceTask, 3_000)
+			c := w.AddTask("c", workload.MapTask, 2_000)
+			if err := w.Chain(a, b, c); err != nil {
+				t.Fatal(err)
+			}
+			jobs = append(jobs, w)
+		}
+		mgr := strictManager(cluster, cfg)
+		m := runManager(t, cluster, mgr, jobs)
+		if mgr.Stats().FallbackRounds == 0 {
+			t.Fatalf("%v: expected greedy fallback rounds", mode)
+		}
+		if m.JobsCompleted != len(jobs) {
+			t.Fatalf("%v: completed %d of %d workflows", mode, m.JobsCompleted, len(jobs))
+		}
+	}
+}
+
 // Same property for the direct formulation, whose fallback path places on
 // per-resource demand profiles rather than the unit-slot matchmaker.
 func TestSolverFailureFallbackDirectMode(t *testing.T) {

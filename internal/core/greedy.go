@@ -32,6 +32,30 @@ func (m *Manager) greedyFallback(ctx sim.Context, mode SolveMode, now int64, wor
 	return m.greedyDirect(ctx, now, ordered, down)
 }
 
+// pendingInOrder lists the job's unstarted tasks so that each comes after
+// its predecessors: maps then reduces for a classic job, the job's
+// topological order for a workflow, whose map-pool tasks may wait on
+// reduce-pool ones.
+func (w *jobWork) pendingInOrder() []*workload.Task {
+	all := append(append([]*workload.Task(nil), w.pendingMaps...), w.pendingReds...)
+	if !w.job.TaskPrecedence {
+		return all
+	}
+	pending := make(map[*workload.Task]bool, len(all))
+	for _, t := range all {
+		pending[t] = true
+	}
+	// The job was validated on arrival, so its order exists.
+	order, _ := w.job.TopoOrder()
+	all = all[:0]
+	for _, t := range order {
+		if pending[t] {
+			all = append(all, t)
+		}
+	}
+	return all
+}
+
 // greedyCombined reuses the matchmaking slot timelines: frozen tasks stay
 // pinned on their remembered unit slots, then pending tasks go wherever
 // they fit first.
@@ -45,7 +69,7 @@ func (m *Manager) greedyCombined(ctx sim.Context, now int64, ordered []*jobWork,
 		if est < now {
 			est = now
 		}
-		for _, t := range append(append([]*workload.Task(nil), w.pendingMaps...), w.pendingReds...) {
+		for _, t := range w.pendingInOrder() {
 			a := mk.place(t, est, w.job.TaskPrecedence)
 			m.unitSlot[t] = a.slot
 			if err := ctx.Schedule(t, a.res, a.start); err != nil {
@@ -180,7 +204,7 @@ func (m *Manager) greedyDirect(ctx sim.Context, now int64, ordered []*jobWork, d
 		if est < now {
 			est = now
 		}
-		for _, t := range append(append([]*workload.Task(nil), w.pendingMaps...), w.pendingReds...) {
+		for _, t := range w.pendingInOrder() {
 			lb := est
 			if w.job.TaskPrecedence {
 				for _, p := range t.Preds {

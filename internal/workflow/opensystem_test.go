@@ -9,14 +9,18 @@ import (
 	"mrcprm/internal/workload"
 )
 
-// Open-system workflow scheduling: workflows converted to precedence jobs
-// flow through the simulator under MRCP-RM like any other arrival; the
-// simulator independently enforces every task-level precedence edge.
+// Open-system workflow scheduling: workflow jobs flow through the simulator
+// under MRCP-RM like any other arrival; the simulator independently
+// enforces every task-level precedence edge.
 
 func runOpen(t *testing.T, cluster sim.Cluster, jobs []*workload.Job) *sim.Metrics {
 	t.Helper()
-	mgr := core.New(cluster, cfg())
-	s, err := sim.New(cluster, mgr, jobs)
+	return runWith(t, cluster, cfg(), jobs)
+}
+
+func runWith(t *testing.T, cluster sim.Cluster, c core.Config, jobs []*workload.Job) *sim.Metrics {
+	t.Helper()
+	s, err := sim.New(cluster, core.New(cluster, c), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,50 +34,19 @@ func runOpen(t *testing.T, cluster sim.Cluster, jobs []*workload.Job) *sim.Metri
 	return m
 }
 
-func TestToJobConversion(t *testing.T) {
-	w := New(3, 1000, 500_000)
-	a := w.AddTask("a", workload.MapTask, 10_000)
-	b := w.AddTask("b", workload.ReduceTask, 5_000)
-	if err := w.AddDep(a, b); err != nil {
-		t.Fatal(err)
-	}
-	j, err := w.ToJob(500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !j.TaskPrecedence || j.ID != 3 || j.Arrival != 500 || j.EarliestStart != 1000 {
-		t.Fatalf("job %+v", j)
-	}
-	if len(j.MapTasks) != 1 || len(j.ReduceTasks) != 1 {
-		t.Fatalf("pools %d/%d", len(j.MapTasks), len(j.ReduceTasks))
-	}
-	if len(j.ReduceTasks[0].Preds) != 1 || j.ReduceTasks[0].Preds[0] != j.MapTasks[0] {
-		t.Fatal("precedence not converted")
-	}
-}
-
-func TestToJobRejectsReduceOnly(t *testing.T) {
-	w := New(0, 0, 1000)
-	w.AddTask("r", workload.ReduceTask, 100)
-	if _, err := w.ToJob(0); err == nil {
-		t.Fatal("reduce-only workflow accepted as open-system job")
-	}
-}
-
-func TestOpenSystemChainWorkflow(t *testing.T) {
-	w := New(0, 0, 300_000)
+// chain builds a map -> map -> reduce workflow of 10 s, 20 s and 5 s tasks.
+func chain(t *testing.T, deadline int64) *workload.Job {
+	w := workload.NewWorkflow(0, 0, deadline)
 	a := w.AddTask("a", workload.MapTask, 10_000)
 	b := w.AddTask("b", workload.MapTask, 20_000)
 	c := w.AddTask("c", workload.ReduceTask, 5_000)
-	if err := w.Chain(a, b, c); err != nil {
-		t.Fatal(err)
-	}
-	j, err := w.ToJob(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, w.Chain(a, b, c))
+	return w
+}
+
+func TestOpenSystemChainWorkflow(t *testing.T) {
 	cluster := sim.Cluster{NumResources: 4, MapSlots: 2, ReduceSlots: 2}
-	m := runOpen(t, cluster, []*workload.Job{j})
+	m := runOpen(t, cluster, []*workload.Job{chain(t, 300_000)})
 	// Chain: 10 + 20 + 5 seconds.
 	if m.MakespanMS != 35_000 {
 		t.Fatalf("makespan %d, want 35000", m.MakespanMS)
@@ -86,21 +59,16 @@ func TestOpenSystemChainWorkflow(t *testing.T) {
 func TestOpenSystemDiamondUnderContention(t *testing.T) {
 	// Two diamond workflows arriving 5s apart on a small cluster.
 	mkDiamond := func(id int, arrival int64) *workload.Job {
-		w := New(id, arrival, arrival+400_000)
+		w := workload.NewWorkflow(id, arrival, arrival+400_000)
+		w.Arrival = arrival
 		src := w.AddTask("src", workload.MapTask, 5_000)
 		l := w.AddTask("l", workload.MapTask, 20_000)
 		r := w.AddTask("r", workload.MapTask, 30_000)
 		join := w.AddTask("join", workload.ReduceTask, 10_000)
-		for _, d := range []struct{ p, s *Task }{{src, l}, {src, r}, {l, join}, {r, join}} {
-			if err := w.AddDep(d.p, d.s); err != nil {
-				t.Fatal(err)
-			}
+		for _, d := range []struct{ p, s *workload.Task }{{src, l}, {src, r}, {l, join}, {r, join}} {
+			must(t, w.AddDep(d.p, d.s))
 		}
-		j, err := w.ToJob(arrival)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return j
+		return w
 	}
 	cluster := sim.Cluster{NumResources: 2, MapSlots: 1, ReduceSlots: 1}
 	m := runOpen(t, cluster, []*workload.Job{mkDiamond(0, 0), mkDiamond(1, 5_000)})
@@ -111,16 +79,10 @@ func TestOpenSystemDiamondUnderContention(t *testing.T) {
 
 func TestOpenSystemMixedClassicAndWorkflowJobs(t *testing.T) {
 	// A workflow job and classic MapReduce jobs share the cluster.
-	w := New(100, 0, 500_000)
+	w := workload.NewWorkflow(100, 0, 500_000)
 	a := w.AddTask("a", workload.MapTask, 8_000)
 	b := w.AddTask("b", workload.ReduceTask, 4_000)
-	if err := w.AddDep(a, b); err != nil {
-		t.Fatal(err)
-	}
-	wfJob, err := w.ToJob(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, w.AddDep(a, b))
 
 	gen := workload.DefaultSynthetic()
 	gen.NumResources = 4
@@ -132,39 +94,16 @@ func TestOpenSystemMixedClassicAndWorkflowJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	cluster := sim.Cluster{NumResources: 4, MapSlots: 2, ReduceSlots: 2}
-	jobs := append([]*workload.Job{wfJob}, classic...)
-	m := runOpen(t, cluster, jobs)
-	if m.JobsCompleted != len(jobs) {
-		t.Fatal("jobs lost")
-	}
+	runOpen(t, cluster, append([]*workload.Job{w}, classic...))
 }
 
 // Task-level precedence must also work under the direct (per-resource)
 // formulation, where matchmaking lives inside the CP model.
 func TestOpenSystemWorkflowDirectMode(t *testing.T) {
-	w := New(0, 0, 300_000)
-	a := w.AddTask("a", workload.MapTask, 10_000)
-	b := w.AddTask("b", workload.MapTask, 20_000)
-	c := w.AddTask("c", workload.ReduceTask, 5_000)
-	if err := w.Chain(a, b, c); err != nil {
-		t.Fatal(err)
-	}
-	j, err := w.ToJob(0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cluster := sim.Cluster{NumResources: 2, MapSlots: 1, ReduceSlots: 1}
 	dcfg := cfg()
 	dcfg.Mode = core.ModeDirect
-	mgr := core.New(cluster, dcfg)
-	s, err := sim.New(cluster, mgr, []*workload.Job{j})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := runWith(t, cluster, dcfg, []*workload.Job{chain(t, 300_000)})
 	if m.MakespanMS != 35_000 || m.LateJobs != 0 {
 		t.Fatalf("makespan %d late %d", m.MakespanMS, m.LateJobs)
 	}
@@ -175,22 +114,17 @@ func TestOpenSystemWorkflowDirectMode(t *testing.T) {
 // every precedence edge at execution time.
 func TestOpenSystemIncrementalRescheduleWithPrecedence(t *testing.T) {
 	mkChain := func(id int, arrival, deadline int64, execs ...int64) *workload.Job {
-		w := New(id, arrival, deadline)
-		var prev *Task
+		w := workload.NewWorkflow(id, arrival, deadline)
+		w.Arrival = arrival
+		var prev *workload.Task
 		for i, e := range execs {
 			task := w.AddTask(taskName(i), workload.MapTask, e)
 			if prev != nil {
-				if err := w.AddDep(prev, task); err != nil {
-					t.Fatal(err)
-				}
+				must(t, w.AddDep(prev, task))
 			}
 			prev = task
 		}
-		j, err := w.ToJob(arrival)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return j
+		return w
 	}
 	cluster := sim.Cluster{NumResources: 1, MapSlots: 1, ReduceSlots: 1}
 	long := mkChain(0, 0, 1_000_000, 30_000, 30_000)

@@ -165,7 +165,9 @@ func (j *Job) Validate() error {
 		return fmt.Errorf("workload: job %d has deadline %d before earliest start %d",
 			j.ID, j.Deadline, j.EarliestStart)
 	}
-	if len(j.MapTasks) == 0 {
+	// A workflow may live in either pool alone; a MapReduce job needs a map
+	// phase.
+	if len(j.MapTasks) == 0 && (!j.TaskPrecedence || len(j.ReduceTasks) == 0) {
 		return fmt.Errorf("workload: job %d has no map tasks", j.ID)
 	}
 	for _, tasks := range [2][]*Task{j.MapTasks, j.ReduceTasks} {
@@ -173,6 +175,9 @@ func (j *Job) Validate() error {
 			if t.Exec <= 0 {
 				return fmt.Errorf("workload: job %d task %s has non-positive execution time %d",
 					j.ID, t.ID, t.Exec)
+			}
+			if t.Req <= 0 {
+				return fmt.Errorf("workload: job %d task %s has non-positive demand %d", j.ID, t.ID, t.Req)
 			}
 			if t.JobID != j.ID {
 				return fmt.Errorf("workload: job %d task %s has parent job %d", j.ID, t.ID, t.JobID)
@@ -189,48 +194,20 @@ func (j *Job) Validate() error {
 	return nil
 }
 
-// validatePrecedence checks that the task dependency graph stays inside
-// the job and is acyclic.
+// validatePrecedence checks a workflow's user-chosen task IDs for
+// duplicates and its dependency graph for edges leaving the job and cycles.
 func (j *Job) validatePrecedence() error {
-	tasks := j.Tasks()
-	index := make(map[*Task]int, len(tasks))
-	for i, t := range tasks {
-		index[t] = i
-	}
-	indeg := make([]int, len(tasks))
-	succs := make([][]int, len(tasks))
-	for i, t := range tasks {
-		for _, p := range t.Preds {
-			pi, ok := index[p]
-			if !ok {
-				return fmt.Errorf("workload: job %d task %s depends on a task outside the job", j.ID, t.ID)
+	ids := make(map[string]bool, j.NumTasks())
+	for _, tasks := range [2][]*Task{j.MapTasks, j.ReduceTasks} {
+		for _, t := range tasks {
+			if ids[t.ID] {
+				return fmt.Errorf("workload: job %d has duplicate task id %q", j.ID, t.ID)
 			}
-			indeg[i]++
-			succs[pi] = append(succs[pi], i)
+			ids[t.ID] = true
 		}
 	}
-	var queue []int
-	for i, d := range indeg {
-		if d == 0 {
-			queue = append(queue, i)
-		}
-	}
-	seen := 0
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
-		seen++
-		for _, s := range succs[i] {
-			indeg[s]--
-			if indeg[s] == 0 {
-				queue = append(queue, s)
-			}
-		}
-	}
-	if seen != len(tasks) {
-		return fmt.Errorf("workload: job %d has a dependency cycle", j.ID)
-	}
-	return nil
+	_, err := j.TopoOrder()
+	return err
 }
 
 // taskID names a task by the paper's convention tJ_KIND_N.

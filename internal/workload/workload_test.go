@@ -329,4 +329,14 @@ func TestJobValidateCatchesBadJobs(t *testing.T) {
 	if err := j.Validate(); err == nil {
 		t.Fatal("wrong parent job accepted")
 	}
+	// Only a workflow may live in the reduce pool alone.
+	j.MapTasks = nil
+	j.ReduceTasks = []*Task{newTask(1, ReduceTask, 1, 1000)}
+	if err := j.Validate(); err == nil {
+		t.Fatal("MapReduce job without map tasks accepted")
+	}
+	j.TaskPrecedence = true
+	if err := j.Validate(); err != nil {
+		t.Fatalf("reduce-pool-only workflow refused: %v", err)
+	}
 }

@@ -44,14 +44,14 @@ import (
 	"mrcprm/internal/slo"
 	"mrcprm/internal/stats"
 	"mrcprm/internal/trace"
-	"mrcprm/internal/workflow"
 	"mrcprm/internal/workload"
 )
 
 // Workload model (Section III.A).
 type (
 	// Job is a MapReduce job with its SLA (earliest start time, task
-	// execution times, end-to-end deadline).
+	// execution times, end-to-end deadline) — or, built by NewWorkflow, a
+	// workflow whose tasks follow declared dependencies.
 	Job = workload.Job
 	// Task is one map or reduce task.
 	Task = workload.Task
@@ -133,33 +133,14 @@ type (
 	ExperimentResult = experiment.Result
 )
 
-// Workflows with user-specified precedence (the paper's future-work
-// generalization beyond two-phase MapReduce).
-type (
-	// Workflow is a DAG of tasks with an end-to-end SLA.
-	Workflow = workflow.Workflow
-	// WorkflowTask is one node of a workflow DAG.
-	WorkflowTask = workflow.Task
-	// WorkflowSchedule is a solved batch of workflows.
-	WorkflowSchedule = workflow.Schedule
-	// WorkflowAssignment is one task placement in a workflow schedule.
-	WorkflowAssignment = workflow.Assignment
-)
-
-// NewWorkflow creates an empty workflow with the given SLA.
-func NewWorkflow(id int, earliestStart, deadline int64) *Workflow {
-	return workflow.New(id, earliestStart, deadline)
-}
-
-// WorkflowFromJob converts a two-phase MapReduce job into the equivalent
-// workflow DAG.
-func WorkflowFromJob(j *Job) *Workflow { return workflow.FromMapReduceJob(j) }
-
-// SolveWorkflows maps and schedules a batch of workflows, minimizing the
-// number that miss their deadlines. It is SolveBatch over the workflows as
-// task-precedence jobs.
-func SolveWorkflows(cluster Cluster, wfs []*Workflow, cfg Config) (*WorkflowSchedule, error) {
-	return workflow.Solve(cluster, wfs, cfg)
+// NewWorkflow creates an empty workflow — the paper's future-work
+// generalization beyond two-phase MapReduce — with the given SLA. A
+// workflow is a Job whose tasks, added with AddTask, follow the
+// dependencies declared with AddDep or Chain instead of the
+// reduce-after-all-maps rule. SolveBatch and MRCP-RM schedule it as they
+// schedule any job.
+func NewWorkflow(id int, earliestStart, deadline int64) *Job {
+	return workload.NewWorkflow(id, earliestStart, deadline)
 }
 
 // Fault injection and recovery (robustness evaluation beyond the paper's

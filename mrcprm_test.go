@@ -98,21 +98,22 @@ func TestWorkflowFacade(t *testing.T) {
 	if err := w.AddDep(a, b); err != nil {
 		t.Fatal(err)
 	}
-	sched, err := mrcprm.SolveWorkflows(cluster, []*mrcprm.Workflow{w}, mrcprm.DefaultConfig())
+	if w.CriticalPath() != 15_000 {
+		t.Fatalf("critical path %d, want 15000", w.CriticalPath())
+	}
+	sched, err := mrcprm.SolveBatch(cluster, []*mrcprm.Job{w}, mrcprm.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sched.Assignments) != 2 || len(sched.LateWorkflows) != 0 {
+	if len(sched.Assignments) != 2 || len(sched.LateJobs) != 0 {
 		t.Fatalf("schedule %+v", sched)
 	}
-
-	// Conversion from a MapReduce job.
-	j := &mrcprm.Job{ID: 1, Arrival: 0, EarliestStart: 0, Deadline: 100_000}
-	j.MapTasks = []*mrcprm.Task{{ID: "t1_m1", JobID: 1, Type: mrcprm.MapTask, Exec: 1000, Req: 1}}
-	j.ReduceTasks = []*mrcprm.Task{{ID: "t1_r1", JobID: 1, Type: mrcprm.ReduceTask, Exec: 1000, Req: 1}}
-	wf := mrcprm.WorkflowFromJob(j)
-	if len(wf.Tasks) != 2 || wf.CriticalPath() != 2000 {
-		t.Fatalf("conversion broken: %d tasks, cp %d", len(wf.Tasks), wf.CriticalPath())
+	m, err := mrcprm.Simulate(cluster, mrcprm.NewManager(cluster, mrcprm.DefaultConfig()), []*mrcprm.Job{w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.JobsCompleted != 1 || m.MakespanMS != 15_000 {
+		t.Fatalf("open system: %d completed, makespan %d", m.JobsCompleted, m.MakespanMS)
 	}
 }
 
