@@ -101,31 +101,34 @@ type AdmissionError struct {
 	// asked for.
 	EarliestFinish int64
 	Deadline       int64
+	// Unrunnable is the cluster's demand error when no resource can ever
+	// host one of the job's tasks (EarliestFinish is then math.MaxInt64):
+	// such a job is refused whatever the deadline.
+	Unrunnable error
 }
 
 func (e *AdmissionError) Error() string {
+	if e.Unrunnable != nil {
+		return fmt.Sprintf("core: job %d cannot run: %v", e.JobID, e.Unrunnable)
+	}
 	return fmt.Sprintf("core: job %d SLA is infeasible: earliest possible finish %dms exceeds deadline %dms",
 		e.JobID, e.EarliestFinish, e.Deadline)
 }
 
-// CheckAdmission returns an *AdmissionError when the job's SLA is provably
+// CheckAdmission returns an *AdmissionError when the job cannot run on the
+// cluster at all (sim.Cluster.CheckDemand) or its SLA is provably
 // infeasible at time now on an otherwise empty cluster, and nil otherwise.
 // Passing the check does not guarantee the deadline will be met under load;
 // failing it guarantees it will not.
 func CheckAdmission(cluster sim.Cluster, j *workload.Job, now int64) error {
-	start := j.EarliestStart
-	if now > start {
-		start = now
-	}
-	if cluster.MemCapacity > 0 {
-		for _, t := range j.Tasks() {
-			if t.Mem > cluster.MemCapacity {
-				// No machine can ever host the task: infeasible regardless
-				// of the deadline.
-				return &AdmissionError{JobID: j.ID, EarliestFinish: math.MaxInt64, Deadline: j.Deadline}
+	for _, pool := range [][]*workload.Task{j.MapTasks, j.ReduceTasks} {
+		for _, t := range pool {
+			if err := cluster.CheckDemand(t); err != nil {
+				return &AdmissionError{JobID: j.ID, EarliestFinish: math.MaxInt64, Deadline: j.Deadline, Unrunnable: err}
 			}
 		}
 	}
+	start := max(now, j.EarliestStart)
 	if fin := start + SLALowerBound(cluster, j); fin > j.Deadline {
 		return &AdmissionError{JobID: j.ID, EarliestFinish: fin, Deadline: j.Deadline}
 	}

@@ -77,7 +77,7 @@ func SolveBatch(cluster sim.Cluster, jobs []*workload.Job, cfg Config) (*Schedul
 		Objective:   res.Objective,
 		Optimal:     res.Status == cp.StatusOptimal,
 		SolveTime:   res.SolveTime,
-		Nodes:       res.Nodes,
+		Nodes:       res.Search.Nodes,
 		Search:      res.Search,
 	}
 	for i, a := range placed {

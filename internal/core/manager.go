@@ -348,7 +348,7 @@ func (m *Manager) reschedule(ctx sim.Context, reason string) error {
 	}
 	res, solveErr := m.solve(bm, hint)
 	m.stats.Rounds++
-	m.stats.SolverNodes += res.Nodes
+	m.stats.SolverNodes += res.Search.Nodes
 	if res.Search.HintSeeded {
 		m.stats.WarmStartSeeded++
 	}

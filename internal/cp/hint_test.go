@@ -43,9 +43,9 @@ func TestHintNilOrShortIsIdenticalToCold(t *testing.T) {
 		if r.Search.HintSeeded {
 			t.Fatalf("%s hint: HintSeeded = true, want cold solve", name)
 		}
-		if r.Objective != cold.Objective || r.Nodes != cold.Nodes || r.Status != cold.Status {
+		if r.Objective != cold.Objective || r.Search.Nodes != cold.Search.Nodes || r.Status != cold.Status {
 			t.Fatalf("%s hint diverged: obj %d/%d nodes %d/%d status %v/%v",
-				name, r.Objective, cold.Objective, r.Nodes, cold.Nodes, r.Status, cold.Status)
+				name, r.Objective, cold.Objective, r.Search.Nodes, cold.Search.Nodes, r.Status, cold.Status)
 		}
 		for i := range cold.Starts {
 			if r.Starts[i] != cold.Starts[i] {

@@ -20,9 +20,9 @@ func TestPerfLargeGreedy(t *testing.T) {
 	m.AddCumulative("map", -1, 64, ivs)
 	m.Minimize(lates)
 	r := NewSolver(m, Params{NodeLimit: 20_000}).Solve()
-	perNode := float64(r.Search.PickWork) / float64(r.Nodes)
+	perNode := float64(r.Search.PickWork) / float64(r.Search.Nodes)
 	t.Logf("status=%v obj=%d nodes=%d pickwork/node=%.1f profilebuilds=%d elapsed=%v",
-		r.Status, r.Objective, r.Nodes, perNode, r.Search.ProfileBuilds, r.SolveTime)
+		r.Status, r.Objective, r.Search.Nodes, perNode, r.Search.ProfileBuilds, r.SolveTime)
 	if !r.HasSolution() {
 		t.Fatal("no solution")
 	}

@@ -250,10 +250,10 @@ func workPerNode(t *testing.T, nJobs int, slotsPer40Jobs int64) (heap, scan floa
 	k := int64(nJobs) * slotsPer40Jobs / 40
 	m := buildRandomInstance(stats.NewStream(77, 3), nJobs, 10, 6*k, 4*k, true).m
 	r, a := solveAudited(t, m, Params{NodeLimit: 4000}, fmt.Sprintf("%d jobs", nJobs))
-	if !r.HasSolution() || r.Nodes == 0 {
+	if !r.HasSolution() || r.Search.Nodes == 0 {
 		t.Fatalf("%d jobs: no search to measure (%v)", nJobs, r.Status)
 	}
-	nodes := float64(r.Nodes)
+	nodes := float64(r.Search.Nodes)
 	return float64(r.Search.PickWork) / nodes, float64(a.scanKeys) / nodes, len(m.intervals), r
 }
 
@@ -265,7 +265,7 @@ func workPerNode(t *testing.T, nJobs int, slotsPer40Jobs int64) (heap, scan floa
 // the gate would catch a return to it; a sweep over every task would cost
 // each backtrack the whole model, which the overloaded instance bounds.
 func TestPerNodeWorkDoesNotScaleWithModel(t *testing.T) {
-	sweepPerNode := func(r Result) float64 { return float64(r.Search.SweepWork) / float64(r.Nodes) }
+	sweepPerNode := func(r Result) float64 { return float64(r.Search.SweepWork) / float64(r.Search.Nodes) }
 	// growth is b/a for per-node counts, taking anything under one task per
 	// node as nothing.
 	growth := func(a, b float64) float64 { return max(b, 1) / max(a, 1) }
@@ -296,9 +296,9 @@ func TestPerNodeWorkDoesNotScaleWithModel(t *testing.T) {
 	_, _, no, ro := workPerNode(t, 40, 1)
 	h, s, n, r := workPerNode(t, 80, 1)
 	t.Logf("overloaded, %d tasks, %d backtracks in %d nodes: heap %.1f keys/node, scan %.1f, sweeps %.1f tasks/node (%.1f at %d tasks)",
-		n, r.Search.Backtracks, r.Nodes, h, s, sweepPerNode(r), sweepPerNode(ro), no)
-	if r.Search.Backtracks < r.Nodes/2 {
-		t.Fatalf("instance backtracks only %d times in %d nodes", r.Search.Backtracks, r.Nodes)
+		n, r.Search.Backtracks, r.Search.Nodes, h, s, sweepPerNode(r), sweepPerNode(ro), no)
+	if r.Search.Backtracks < r.Search.Nodes/2 {
+		t.Fatalf("instance backtracks only %d times in %d nodes", r.Search.Backtracks, r.Search.Nodes)
 	}
 	if h > 0.05*float64(n) {
 		t.Errorf("PickWork/Nodes = %.1f on a backtracking search, want below 5%% of %d intervals", h, n)

@@ -183,7 +183,7 @@ func TestQuickSolverDeterminism(t *testing.T) {
 		}
 		r1 := NewSolver(build().m, Params{NodeLimit: 2000}).Solve()
 		r2 := NewSolver(build().m, Params{NodeLimit: 2000}).Solve()
-		if r1.Status != r2.Status || r1.Objective != r2.Objective || r1.Nodes != r2.Nodes {
+		if r1.Status != r2.Status || r1.Objective != r2.Objective || r1.Search.Nodes != r2.Search.Nodes {
 			return false
 		}
 		for i := range r1.Starts {

@@ -28,8 +28,11 @@ func tightModel(n int) *Model {
 func TestSearchStatsPopulated(t *testing.T) {
 	r := solveOK(t, tightModel(8), Params{})
 	st := r.Search
-	if st.Nodes != r.Nodes {
-		t.Errorf("Search.Nodes = %d, Result.Nodes = %d; must agree", st.Nodes, r.Nodes)
+	if st.Nodes == 0 || st.Rounds == 0 {
+		t.Errorf("Nodes=%d Rounds=%d; a solve that searched must count both", st.Nodes, st.Rounds)
+	}
+	if last := st.Timeline; len(last) > 0 && last[len(last)-1].Nodes > st.Nodes {
+		t.Errorf("timeline reaches %d nodes, Search.Nodes = %d", last[len(last)-1].Nodes, st.Nodes)
 	}
 	if st.Propagations == 0 {
 		t.Error("Propagations = 0; propagation engine ran, counter must be nonzero")

@@ -88,13 +88,10 @@ type Result struct {
 	Res []int
 	// Lates[j] is the value of bool j (by Bool ID).
 	Lates []bool
-	// Nodes is the number of search nodes explored, Rounds the number of
-	// branch-and-bound rounds, and SolveTime the wall-clock duration.
-	// (Mirrored in Search for callers that want the full statistics.)
-	Nodes     int64
-	Rounds    int
+	// SolveTime is the wall-clock duration of the solve.
 	SolveTime time.Duration
-	// Search carries the detailed search statistics of this solve.
+	// Search carries the search statistics of this solve (nodes, rounds,
+	// ...).
 	Search SearchStats
 }
 
@@ -339,8 +336,7 @@ func (s *Solver) Solve() Result {
 		if exhausted {
 			st = StatusInfeasible
 		}
-		return Result{Status: st, Nodes: s.nodes, Rounds: rounds,
-			SolveTime: time.Since(start), Search: s.searchStats(rounds, start)}
+		return Result{Status: st, SolveTime: time.Since(start), Search: s.searchStats(rounds, start)}
 	}
 	if s.incumbent.Objective == 0 || len(m.objBools) == 0 || handle == nil {
 		return s.finish(StatusOptimal, rounds, start)
@@ -422,8 +418,6 @@ func (s *Solver) Solve() Result {
 func (s *Solver) finish(st Status, rounds int, start time.Time) Result {
 	r := *s.incumbent
 	r.Status = st
-	r.Nodes = s.nodes
-	r.Rounds = rounds
 	r.SolveTime = time.Since(start)
 	r.Search = s.searchStats(rounds, start)
 	return r

@@ -57,7 +57,7 @@ func benchSolve(b *testing.B, nodeLimit int64, build func() *Model) {
 		m := build()
 		b.StartTimer()
 		r := NewSolver(m, Params{NodeLimit: nodeLimit}).Solve()
-		nodes += r.Nodes
+		nodes += r.Search.Nodes
 	}
 	b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes), "ns/node")

@@ -150,8 +150,8 @@ func TestBnBProvesBoundInfeasibleAtRoot(t *testing.T) {
 	// With both jobs on time each task must start in [0, 40], so both
 	// mandatory parts hold [40, 60) and overload the slot: the bound-0
 	// round dies at the root, and the node count stays tiny.
-	if r.Nodes > 20 {
-		t.Fatalf("%d nodes: the bound-0 round was not pruned at the root", r.Nodes)
+	if r.Search.Nodes > 20 {
+		t.Fatalf("%d nodes: the bound-0 round was not pruned at the root", r.Search.Nodes)
 	}
 }
 

@@ -44,8 +44,9 @@ const (
 	// placements and every-shard-shed rejections.
 	CounterShardRouted   = "shard_routed"
 	CounterShardRejected = "shard_rejected"
-	// GaugeShardPendingWorkPrefix + shard index is the router's running
-	// estimate of each shard's pending work (sum of queued task exec ms).
+	// GaugeShardPendingWorkPrefix + shard index names each shard engine's
+	// pending work ms in the Prometheus exposition. It is not a registry
+	// gauge: service.WriteProm renders it from the snapshot's shard views.
 	GaugeShardPendingWorkPrefix = "shard_pending_work_ms_"
 	// HistWallRoute is the wall-clock latency of one router admission
 	// decision (placement + shard Submit), in ms; kept distinct from

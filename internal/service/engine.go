@@ -80,7 +80,8 @@ type Config struct {
 	Speedup float64
 	// Admission enables the fast lower-bound infeasibility check: a job
 	// whose execution-time lower bound provably overshoots its deadline is
-	// rejected at submission instead of entering the system.
+	// rejected at submission instead of entering the system. A job with a
+	// task no resource can hold is rejected either way.
 	Admission bool
 	// Faults is the initial fault plan; the engine wraps it in a
 	// faults.Switch so ApplyFaults can swap per-attempt fates at runtime.
@@ -164,7 +165,7 @@ type jobEntry struct {
 	rejectReason   string
 	rejectDeadline int64
 	// injectErr records a (should-not-happen) AddJob failure so the job
-	// does not silently vanish.
+	// does not silently vanish; the job then counts as rejected.
 	injectErr error
 }
 
@@ -206,6 +207,10 @@ type Engine struct {
 	// after every step); accepted - finished is the backpressure depth.
 	finished atomic.Int64
 	rate     rateTracker
+	// work is the pending work estimate the router balances on: the
+	// effectiveWork of every accepted job, added at register and taken
+	// back when the job completes or is abandoned (or fails injection).
+	work atomic.Int64
 
 	// mu guards the simulator (and through it the manager) — stepping,
 	// injection, and every state query.
@@ -265,7 +270,6 @@ func New(cfg Config) (*Engine, error) {
 	sloCfg := cfg.SLO
 	sloCfg.Telemetry = cfg.Telemetry
 	mon := slo.NewMonitor(sloCfg)
-	s.SetObserver(sim.TeeObservers(cfg.Observer, mon))
 	if rs, ok := rm.(interface {
 		SetRescheduleObserver(func(now int64, reason string, fallback bool))
 	}); ok {
@@ -286,6 +290,9 @@ func New(cfg Config) (*Engine, error) {
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
+	s.AddObserver(cfg.Observer)
+	s.AddObserver(mon)
+	s.AddObserver(workObserver{e: e})
 	if cfg.JournalPath != "" {
 		pol, err := wal.ParseSyncPolicy(cfg.JournalSync)
 		if err != nil {
@@ -378,9 +385,10 @@ func (e *Engine) Submit(spec workload.JobSpec) (int, error) {
 	// failing job is rejected (and its trace records the shed); with it
 	// off, the job enters the system flagged so a later deadline miss is
 	// attributed to infeasibility rather than backlog or faults.
-	aerr := core.CheckAdmission(e.cfg.Cluster, j, max(now, j.Arrival))
+	// A job the cluster can never run is refused whatever Admission says.
+	aerr, _ := core.CheckAdmission(e.cfg.Cluster, j, max(now, j.Arrival)).(*core.AdmissionError)
 	rec := &journalRecord{Kind: recSubmit, SimMS: now, ID: e.nextID, Spec: &spec}
-	if e.cfg.Admission && aerr != nil {
+	if aerr != nil && (e.cfg.Admission || aerr.Unrunnable != nil) {
 		rec.Rejected = aerr.Error()
 	}
 	// Journal first, register second: a failed append leaves nothing to undo.
@@ -414,24 +422,51 @@ func (e *Engine) register(rec *journalRecord, j *workload.Job, infeasible bool) 
 	}
 	entry.job = j
 	e.accepted++
+	e.work.Add(e.effectiveWork(j))
 	e.intake = append(e.intake, j)
 	e.mon.JobSubmitted(rec.SimMS, rec.ID, infeasible)
 }
 
-// AcceptedWork sums weigh over every accepted submission. On a
-// not-yet-started engine — the state shard.Recover sees — nothing has
-// completed yet, so under the router's own per-job load formula this is the
-// pending work its accounting tracks.
-func (e *Engine) AcceptedWork(weigh func(*workload.Job) int64) int64 {
-	e.intakeMu.Lock()
-	defer e.intakeMu.Unlock()
-	var w int64
-	for _, entry := range e.entries {
-		if entry.job != nil {
-			w += weigh(entry.job)
-		}
+// PendingWork returns the engine's pending work estimate in ms: the
+// effectiveWork of every accepted job not yet completed or abandoned.
+// Lock-free, so a router can balance on it without waiting for a solve.
+func (e *Engine) PendingWork() int64 { return e.work.Load() }
+
+// effectiveWork estimates the wall-clock slot time job j will consume on
+// the engine's cluster: its total nominal work divided by the cluster's
+// mean speed. On a uniform cluster this is exactly TotalWork (no float
+// round-trip); on a slow cluster the same nominal work counts for more
+// pending load, which keeps a router's least-loaded comparison honest
+// across speed classes.
+func (e *Engine) effectiveWork(j *workload.Job) int64 {
+	w := j.TotalWork()
+	c := e.cfg.Cluster
+	if !c.Heterogeneous() {
+		return w
 	}
-	return w
+	var mean float64
+	for r := 0; r < c.NumResources; r++ {
+		mean += c.SpeedOf(r)
+	}
+	mean /= float64(c.NumResources)
+	if mean <= 0 {
+		return w
+	}
+	return int64(float64(w) / mean)
+}
+
+// workObserver takes a finished job's work back out of PendingWork.
+type workObserver struct {
+	sim.NopObserver
+	e *Engine
+}
+
+func (o workObserver) JobCompleted(_ int64, j *workload.Job, _ int64) {
+	o.e.work.Add(-o.e.effectiveWork(j))
+}
+
+func (o workObserver) JobAbandoned(_ int64, j *workload.Job) {
+	o.e.work.Add(-o.e.effectiveWork(j))
 }
 
 // Start launches the run loop. In Virtual mode submissions made before
@@ -640,9 +675,14 @@ func (e *Engine) drainIntake() {
 	sort.SliceStable(batch, func(a, b int) bool { return batch[a].Arrival < batch[b].Arrival })
 	for _, j := range batch {
 		if err := e.sim.AddJob(j); err != nil {
+			// The job will never finish: count it rejected so it releases
+			// its pending depth and pending work.
 			e.intakeMu.Lock()
 			if entry, ok := e.entries[j.ID]; ok {
 				entry.injectErr = err
+				e.accepted--
+				e.rejects++
+				e.work.Add(-e.effectiveWork(j))
 			}
 			e.intakeMu.Unlock()
 		}
@@ -1086,8 +1126,7 @@ type Snapshot struct {
 }
 
 // ShardView is one shard's slice of an aggregated snapshot: the shard's
-// engine snapshot plus its partition shape and the router's pending-work
-// estimate.
+// engine snapshot plus its partition shape and the engine's PendingWork.
 type ShardView struct {
 	Shard         int   `json:"shard"`
 	Resources     int   `json:"resources"`
@@ -1206,9 +1245,10 @@ func (e *Engine) Trace(id int) (events []slo.TraceEvent, dropped int, ok bool) {
 // metrics snapshot under the mrcp_ namespace: the telemetry registry the
 // snapshot carries, the families derived from its flat fields — job-flow
 // counters, queue and clock gauges, SLO attribution counters and the burn
-// window — and the registry's histograms hists. Where both hold a name (the
-// SLO monitor's slo_miss_* counters, which the registry keeps only when a
-// sink is attached) the snapshot's field is written.
+// window — each shard view's pending work, and the registry's histograms
+// hists. Where both hold a name (the SLO monitor's slo_miss_* counters,
+// which the registry keeps only when a sink is attached) the snapshot's
+// field is written.
 func WriteProm(w io.Writer, snap Snapshot, hists []obs.HistSnapshot) error {
 	counters, gauges := make(map[string]int64), make(map[string]int64)
 	maps.Copy(counters, snap.Counters)
@@ -1233,6 +1273,9 @@ func WriteProm(w io.Writer, snap Snapshot, hists []obs.HistSnapshot) error {
 	}
 	if missTotal > 0 {
 		counters["slo_miss_total"] = missTotal
+	}
+	for _, v := range snap.Shards {
+		gauges[obs.GaugeShardPendingWorkPrefix+strconv.Itoa(v.Shard)] = v.PendingWorkMS
 	}
 	gauges["pending_jobs"] = int64(snap.Pending)
 	gauges["sim_time_ms"] = snap.SimTimeMS

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"errors"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -37,7 +38,7 @@ func TestVirtualRunMatchesSim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetObserver(ref)
+	s.AddObserver(ref)
 	refM, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -301,4 +302,96 @@ func TestDoubleStart(t *testing.T) {
 	if err := e.Wait(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// memCluster and fitting/unrunnable specs: on a capacity-4 memory cluster a
+// task asking for 5 units can never run, whatever its deadline.
+var (
+	memCluster     = sim.Cluster{NumResources: 2, MapSlots: 1, ReduceSlots: 1, MemCapacity: 4}
+	fittingSpec    = workload.JobSpec{DeadlineMS: 100_000, MapExecMS: []int64{1_000}, MapMem: []int64{4}}
+	unrunnableSpec = workload.JobSpec{DeadlineMS: 100_000, MapExecMS: []int64{1_000}, MapMem: []int64{5}}
+)
+
+// runToEnd starts the engine, closes its intake and waits for the run.
+func runToEnd(t *testing.T, e *Engine) {
+	t.Helper()
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+	e.CloseIntake()
+	if err := e.Wait(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkOneRejected asserts the post-run books of one fitting and one
+// unrunnable submission: the unrunnable one reads rejected, counts in
+// Rejected, and holds no pending depth or pending work.
+func checkOneRejected(t *testing.T, e *Engine, unrunnable int) {
+	t.Helper()
+	if st, _ := e.Job(unrunnable); st.State != StateRejected {
+		t.Errorf("unrunnable job state %q, want rejected", st.State)
+	}
+	snap := e.Metrics()
+	if snap.Submitted != 2 || snap.Rejected != 1 || snap.Pending != 0 || snap.JobsCompleted != 1 {
+		t.Errorf("submitted=%d rejected=%d pending=%d completed=%d, want 2 1 0 1",
+			snap.Submitted, snap.Rejected, snap.Pending, snap.JobsCompleted)
+	}
+	if w := e.PendingWork(); w != 0 {
+		t.Errorf("pending work %d ms after the run, want 0", w)
+	}
+}
+
+// TestUnrunnableJobIsRejectedWithoutAdmission: with Admission off, a job
+// the cluster can never run is still refused at Submit with the typed
+// admission error, so it never takes a MaxPending slot.
+func TestUnrunnableJobIsRejectedWithoutAdmission(t *testing.T) {
+	e, err := New(Config{Cluster: memCluster, Policy: "fifo", MaxPending: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Submit(fittingSpec); err != nil {
+		t.Fatal(err)
+	}
+	id, err := e.Submit(unrunnableSpec)
+	var ae *core.AdmissionError
+	if !errors.As(err, &ae) || ae.Unrunnable == nil {
+		t.Fatalf("unrunnable submission: %v, want an *AdmissionError with Unrunnable set", err)
+	}
+	runToEnd(t, e)
+	checkOneRejected(t, e, id)
+}
+
+// TestInjectFailureReleasesPending: a journal written before Submit refused
+// unrunnable jobs can hold one as accepted. Replayed, the simulator refuses
+// it at injection; the job then counts as rejected and releases its
+// pending depth and pending work.
+func TestInjectFailureReleasesPending(t *testing.T) {
+	cfg := Config{Cluster: memCluster, Policy: "fifo",
+		JournalPath: filepath.Join(t.TempDir(), "run.wal"), JournalSync: "none"}
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Submit(fittingSpec); err != nil {
+		t.Fatal(err)
+	}
+	spec := unrunnableSpec
+	if err := e.journalAppend(&journalRecord{Kind: recSubmit, ID: 1, Spec: &spec}); err != nil {
+		t.Fatal(err)
+	}
+	e.Stop()
+
+	r, info, err := Recover(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Accepted != 2 {
+		t.Fatalf("replayed %d accepted submissions, want 2", info.Accepted)
+	}
+	if r.PendingWork() != 2_000 {
+		t.Fatalf("replayed pending work %d ms, want 2000", r.PendingWork())
+	}
+	runToEnd(t, r)
+	checkOneRejected(t, r, 1)
 }

@@ -5,7 +5,6 @@ import (
 	"os"
 
 	"mrcprm/internal/service"
-	"mrcprm/internal/workload"
 )
 
 // RecoveryInfo aggregates what Recover replayed across all segments.
@@ -23,8 +22,8 @@ type RecoveryInfo struct {
 
 // Recover rebuilds a sharded router from its N journal segments
 // (SegmentPath(Base.JournalPath, 0..N-1)): each segment replays into its
-// shard's engine and the router's sequence counter and load estimates are
-// reconstructed from the replayed state. Start the returned router to run
+// shard's engine (which restores its own pending work) and the router's
+// sequence counter is reconstructed from the replayed records. Start the returned router to run
 // the recovered streams; in virtual mode with deterministic solver settings
 // the aggregate fingerprint is bit-identical to the uninterrupted sharded
 // run's. Every segment must exist: a missing one (a wrong shard count, or
@@ -54,9 +53,6 @@ func Recover(cfg Config) (*Router, *RecoveryInfo, error) {
 		agg.Accepted += info.Accepted
 		agg.Rejected += info.Rejected
 		agg.Closed = agg.Closed && info.Closed
-		// Nothing has completed on a not-yet-started engine, so its accepted
-		// jobs under Submit's own formula are exactly the pending estimate.
-		r.work[s] = e.AcceptedWork(func(j *workload.Job) int64 { return r.effectiveWork(s, j) })
 		r.seq += uint64(info.Accepted + info.Rejected)
 	}
 	r.closed = agg.Closed

@@ -3,6 +3,7 @@ package shard
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -84,11 +85,11 @@ func TestShardRecoveryEquivalence(t *testing.T) {
 	}
 }
 
-// TestRecoverRestoresWorkOnHeteroShards: Submit accrues effectiveWork
-// (nominal work over the shard's mean speed), so recovery must seed the
-// load estimate from the same formula — otherwise the all-slow shard comes
-// back looking half as loaded and post-recovery routing diverges from the
-// uninterrupted run.
+// TestRecoverRestoresWorkOnHeteroShards: an engine's pending work is
+// nominal work over its shard's mean speed, added when a submission
+// registers, so journal replay must restore it exactly — otherwise the
+// all-slow shard comes back looking half as loaded and post-recovery
+// routing diverges from the uninterrupted run.
 func TestRecoverRestoresWorkOnHeteroShards(t *testing.T) {
 	cluster, err := core.TwoClassSpec(8, 2, 2, 2).Cluster()
 	if err != nil {
@@ -106,7 +107,7 @@ func TestRecoverRestoresWorkOnHeteroShards(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := append([]int64(nil), r.work...)
+	before := pendingWork(r)
 	if before[0] == 0 || before[1] == 0 {
 		t.Fatalf("stream left a shard idle: work %v", before)
 	}
@@ -116,11 +117,18 @@ func TestRecoverRestoresWorkOnHeteroShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for s := range before {
-		if r2.work[s] != before[s] {
-			t.Fatalf("recovered work %v, before the crash %v", r2.work, before)
-		}
+	if after := pendingWork(r2); !slices.Equal(after, before) {
+		t.Fatalf("recovered work %v, before the crash %v", after, before)
 	}
+}
+
+// pendingWork reads every shard engine's pending work, in shard order.
+func pendingWork(r *Router) []int64 {
+	out := make([]int64, r.Shards())
+	for s := range out {
+		out[s] = r.Engine(s).PendingWork()
+	}
+	return out
 }
 
 // TestRecoverRefusesMissingSegment: recovery fails closed. A 1-segment

@@ -7,10 +7,11 @@
 //
 // Placement is feasibility-then-load: a submission is offered only to
 // shards whose capacity can fit its SLA window (core.SLALowerBound against
-// the shard's partition), and among those the least-loaded shard — by the
-// router's running estimate of pending work ms — wins, with a seeded hash
-// breaking ties so the same seed and submission stream always produce the
-// same shard assignments (the loadgen replay contract, now per shard).
+// the shard's partition), and among those the least-loaded shard — by its
+// engine's pending work ms (service.Engine.PendingWork) — wins, with a
+// seeded hash breaking ties so the same seed and submission stream always
+// produce the same shard assignments (the loadgen replay contract, now per
+// shard).
 // Only when every feasible shard sheds does the router reject, with the
 // same typed overload error one engine returns.
 //
@@ -26,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -103,65 +103,18 @@ type Router struct {
 	engines []*service.Engine
 	tel     *obs.Telemetry
 
-	// mu guards the routing state (seq, work, closed, started) — never the
-	// read paths, which resolve global IDs arithmetically. Lock order: an
-	// engine's run loop may call the shard observer (engine mu -> router
-	// mu), and routing calls engine intake methods (router mu -> engine
-	// intakeMu); never call an engine method that takes the engine's sim
-	// lock while holding mu.
+	// mu guards the routing state (seq, closed, started) — never the read
+	// paths, which resolve global IDs arithmetically, nor Metrics. Routing
+	// calls engine intake methods under it (router mu -> engine intakeMu);
+	// never call an engine method that takes the engine's sim lock while
+	// holding mu.
 	mu sync.Mutex
 	// seq numbers Submit calls for the placement tie-break.
-	seq uint64
-	// work estimates each shard's pending work: total task exec ms routed
-	// there minus completions and abandonments.
-	work   []int64
+	seq    uint64
 	closed bool
 
 	done    chan struct{}
 	started bool
-}
-
-// shardObserver keeps the router's pending-work estimate in sync with one
-// engine's job lifecycle (completions and abandonments drain work).
-type shardObserver struct {
-	r *Router
-	s int
-}
-
-func (o *shardObserver) TaskStarted(now int64, tk *workload.Task, j *workload.Job, res int)  {}
-func (o *shardObserver) TaskFinished(now int64, tk *workload.Task, j *workload.Job, res int) {}
-
-func (o *shardObserver) JobCompleted(now int64, j *workload.Job, latenessMS int64) {
-	o.r.noteDone(o.s, o.r.effectiveWork(o.s, j))
-}
-
-func (o *shardObserver) JobAbandoned(now int64, j *workload.Job) {
-	o.r.noteDone(o.s, o.r.effectiveWork(o.s, j))
-}
-
-// effectiveWork estimates the wall-clock slot time job j will consume on
-// shard s: its total nominal work divided by the shard's mean speed. On a
-// uniform shard this is exactly TotalWork (no float round-trip), so
-// homogeneous routing is bit-identical to the historical estimate; on a
-// slow shard the same nominal work counts for more pending load, which
-// keeps the least-loaded routing comparison honest across speed classes.
-// Submit's load accrual and the completion observer use the same formula,
-// so the estimate drains to zero either way.
-func (r *Router) effectiveWork(s int, j *workload.Job) int64 {
-	w := j.TotalWork()
-	part := r.parts[s]
-	if !part.Heterogeneous() {
-		return w
-	}
-	var mean float64
-	for rr := 0; rr < part.NumResources; rr++ {
-		mean += part.SpeedOf(rr)
-	}
-	mean /= float64(part.NumResources)
-	if mean <= 0 {
-		return w
-	}
-	return int64(float64(w) / mean)
 }
 
 // New partitions the cluster and builds one engine per shard; no goroutine
@@ -202,19 +155,16 @@ func newRouter(cfg Config) (*Router, []sim.Cluster, error) {
 		offsets: offsets,
 		engines: make([]*service.Engine, cfg.Shards),
 		tel:     cfg.Base.Telemetry,
-		work:    make([]int64, cfg.Shards),
 		done:    make(chan struct{}),
 	}
 	return r, parts, nil
 }
 
 // shardEngineConfig derives shard s's engine config from the base: its
-// partition of the cluster, its journal segment, and the router's load
-// observer teed with any caller observer.
+// partition of the cluster and its journal segment.
 func (r *Router) shardEngineConfig(s int) service.Config {
 	sc := r.cfg.Base
 	sc.Cluster = r.parts[s]
-	sc.Observer = sim.TeeObservers(r.cfg.Base.Observer, &shardObserver{r: r, s: s})
 	if base := r.cfg.Base.JournalPath; base != "" {
 		sc.JournalPath = SegmentPath(base, s)
 	}
@@ -226,18 +176,6 @@ func (r *Router) Shards() int { return r.n }
 
 // Engine exposes shard s's engine (tests and recovery inspection).
 func (r *Router) Engine(s int) *service.Engine { return r.engines[s] }
-
-// noteDone drains w ms of pending work from shard s's load estimate.
-func (r *Router) noteDone(s int, w int64) {
-	r.mu.Lock()
-	r.work[s] -= w
-	if r.work[s] < 0 {
-		r.work[s] = 0
-	}
-	left := r.work[s]
-	r.mu.Unlock()
-	r.tel.SetGauge(obs.GaugeShardPendingWorkPrefix+strconv.Itoa(s), left)
-}
 
 // mix is a splitmix64-style hash of (seed, submission sequence, shard):
 // the placement tie-break. Any fixed bijective mixer works; it only has to
@@ -265,7 +203,7 @@ func feasibleOn(c sim.Cluster, j *workload.Job) bool {
 }
 
 // Submit routes one submission: feasibility-filter the shards, offer the
-// job to candidates in (pending work, seeded tie-break) order, and return
+// job to candidates in (engine pending work, seeded tie-break) order, and return
 // the job's global ID. Shard-level sheds fall through to the next
 // candidate; only when every candidate sheds does Submit return one
 // aggregated *service.OverloadError. A typed admission rejection
@@ -296,7 +234,7 @@ func (r *Router) Submit(spec workload.JobSpec) (int64, error) {
 	cands := make([]cand, 0, r.n)
 	for s := 0; s < r.n; s++ {
 		if feasibleOn(r.parts[s], probe) {
-			cands = append(cands, cand{s: s, work: r.work[s], tie: mix(r.cfg.Seed, seq, s)})
+			cands = append(cands, cand{s: s, work: r.engines[s].PendingWork(), tie: mix(r.cfg.Seed, seq, s)})
 		}
 	}
 	feasible := len(cands)
@@ -305,7 +243,7 @@ func (r *Router) Submit(spec workload.JobSpec) (int64, error) {
 		// least-loaded one produces the typed 422 (consuming a global ID,
 		// as an engine does).
 		for s := 0; s < r.n; s++ {
-			cands = append(cands, cand{s: s, work: r.work[s], tie: mix(r.cfg.Seed, seq, s)})
+			cands = append(cands, cand{s: s, work: r.engines[s].PendingWork(), tie: mix(r.cfg.Seed, seq, s)})
 		}
 	}
 	sort.Slice(cands, func(a, b int) bool {
@@ -327,13 +265,10 @@ func (r *Router) Submit(spec workload.JobSpec) (int64, error) {
 		switch {
 		case err == nil:
 			gid := r.gid(c.s, id)
-			w := r.effectiveWork(c.s, probe)
-			r.work[c.s] += w
 			r.tel.Add(obs.CounterShardRouted, 1)
-			r.tel.SetGauge(obs.GaugeShardPendingWorkPrefix+strconv.Itoa(c.s), r.work[c.s])
 			r.tel.Emit(r.engines[c.s].NowMS(), obs.LayerShard, "route",
 				obs.I64("job", gid), obs.I64("shard", int64(c.s)),
-				obs.I64("feasible", int64(feasible)), obs.I64("workMs", r.work[c.s]))
+				obs.I64("feasible", int64(feasible)), obs.I64("workMs", r.engines[c.s].PendingWork()))
 			return gid, nil
 		case errors.As(err, &oe):
 			sheds = append(sheds, oe)
@@ -593,11 +528,9 @@ func CombineFingerprints(fps []uint64) uint64 {
 	return h
 }
 
-// Metrics returns the aggregated snapshot with the per-shard breakdown.
+// Metrics returns the aggregated snapshot with the per-shard breakdown; it
+// takes no router lock, so it never waits behind a Submit's journal fsync.
 func (r *Router) Metrics() Snapshot {
-	r.mu.Lock()
-	work := append([]int64(nil), r.work...)
-	r.mu.Unlock()
 	views := make([]service.ShardView, r.n)
 	var burns []slo.BurnInfo
 	agg := Snapshot{}
@@ -607,7 +540,7 @@ func (r *Router) Metrics() Snapshot {
 			Shard:         s,
 			Resources:     r.parts[s].NumResources,
 			FirstResource: r.offsets[s],
-			PendingWorkMS: work[s],
+			PendingWorkMS: r.engines[s].PendingWork(),
 			Snapshot:      snap,
 		}
 		if s == 0 {

@@ -243,8 +243,9 @@ func TestAggregateMetrics(t *testing.T) {
 }
 
 // TestReadsDoNotWaitForTheRouterLock: a global ID resolves arithmetically
-// (gid%N, gid/N), so the four read paths must answer while Router.mu is
-// held — as it is across the engine's journal fsync inside Submit.
+// (gid%N, gid/N) and each engine owns its pending work, so the read paths
+// and the metrics snapshot must answer while Router.mu is held — as it is
+// across the engine's journal fsync inside Submit.
 func TestReadsDoNotWaitForTheRouterLock(t *testing.T) {
 	r, err := New(testShardConfig())
 	if err != nil {
@@ -265,6 +266,10 @@ func TestReadsDoNotWaitForTheRouterLock(t *testing.T) {
 		"Jobs":     func() bool { return len(r.Jobs()) == len(gids) },
 		"Schedule": func() bool { return len(r.Schedule()) == 0 }, // nothing placed before Start
 		"Trace":    func() bool { _, _, ok := r.Trace(gids[3]); return ok },
+		"Metrics": func() bool {
+			m := r.Metrics()
+			return m.Submitted == len(gids) && m.Shards[0].PendingWorkMS+m.Shards[1].PendingWorkMS > 0
+		},
 	}
 	for name, read := range reads {
 		answered := make(chan bool, 1)
@@ -449,6 +454,60 @@ func TestFleetBurnIsOneAnswer(t *testing.T) {
 	r.CloseIntake()
 	if err := r.Wait(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPendingWorkDrainsToZero: each engine takes a job's work back out of
+// its PendingWork exactly once, whether the job completes or is abandoned,
+// so after a faulted 2-shard run every shard's pending work is exactly 0 —
+// on /v1/metrics and in the /metrics exposition alike.
+func TestPendingWorkDrainsToZero(t *testing.T) {
+	cfg := testShardConfig()
+	cfg.Base.Policy = "fifo"
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Half of all attempts fail, so some task exhausts its retries.
+	if err := r.ApplyFaults(service.FaultSpec{FailRate: 0.5, Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	h := NewHandler(r)
+	for _, j := range shardStream(t, 20) {
+		if _, err := r.Submit(workload.SpecOf(j)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w := r.Metrics().Shards[0].PendingWorkMS; w == 0 {
+		t.Fatal("shard 0 holds no pending work before the run")
+	}
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	r.CloseIntake()
+	if err := r.Wait(); err != nil {
+		t.Fatal(err)
+	}
+
+	var snap Snapshot
+	if err := json.Unmarshal([]byte(call(h, "GET", "/v1/metrics", "").body), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.JobsAbandoned == 0 || snap.JobsCompleted == 0 {
+		t.Fatalf("completed=%d abandoned=%d: the run needs both", snap.JobsCompleted, snap.JobsAbandoned)
+	}
+	scrape, err := obs.ParsePrometheus(strings.NewReader(call(h, "GET", "/metrics", "").body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range snap.Shards {
+		if v.PendingWorkMS != 0 {
+			t.Errorf("shard %d: /v1/metrics pendingWorkMs %d after the run, want 0", v.Shard, v.PendingWorkMS)
+		}
+		name := fmt.Sprintf("mrcp_%s%d", obs.GaugeShardPendingWorkPrefix, v.Shard)
+		if got, ok := scrape.Values[name]; !ok || got != float64(v.PendingWorkMS) {
+			t.Errorf("/metrics %s = %v (present %v), /v1/metrics says %d", name, got, ok, v.PendingWorkMS)
+		}
 	}
 }
 

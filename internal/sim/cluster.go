@@ -116,6 +116,25 @@ func (c Cluster) Equal(o Cluster) bool {
 	return true
 }
 
+// CheckDemand rejects a task that no resource of the cluster could hold:
+// its slot demand exceeds the per-resource capacity of its type, or its
+// memory demand the per-resource memory capacity.
+func (c Cluster) CheckDemand(t *workload.Task) error {
+	if t.Type == workload.MapTask && t.Req > c.MapSlots {
+		return fmt.Errorf("sim: task %s demand %d exceeds per-resource map capacity %d",
+			t.ID, t.Req, c.MapSlots)
+	}
+	if t.Type == workload.ReduceTask && t.Req > c.ReduceSlots {
+		return fmt.Errorf("sim: task %s demand %d exceeds per-resource reduce capacity %d",
+			t.ID, t.Req, c.ReduceSlots)
+	}
+	if c.MemCapacity > 0 && t.Mem > c.MemCapacity {
+		return fmt.Errorf("sim: task %s memory demand %d exceeds per-resource capacity %d",
+			t.ID, t.Mem, c.MemCapacity)
+	}
+	return nil
+}
+
 // Validate checks the cluster shape.
 func (c Cluster) Validate() error {
 	if c.NumResources < 1 || c.MapSlots < 0 || c.ReduceSlots < 0 ||

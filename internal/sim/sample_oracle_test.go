@@ -56,14 +56,13 @@ func (c *churnRM) OnResourceDown(ctx sim.Context, res int, killed, evacuated []*
 // coverage observes the run so the test can insist that every transition
 // the counters hang on actually happened.
 type coverage struct {
+	sim.NopObserver
 	replans, slowdowns int
 	abandoned          map[*workload.Job]bool
 	// finishedAfterAbandon counts tasks of an abandoned job whose in-flight
 	// attempt ran to completion afterwards.
 	finishedAfterAbandon int
 }
-
-func (c *coverage) TaskStarted(int64, *workload.Task, *workload.Job, int) {}
 
 func (c *coverage) TaskFinished(_ int64, _ *workload.Task, j *workload.Job, _ int) {
 	if c.abandoned[j] {
@@ -155,7 +154,7 @@ func TestSampleCountersMatchScan(t *testing.T) {
 					if err := s.SetFaultInjector(plan); err != nil {
 						t.Fatal(err)
 					}
-					s.SetObserver(cov)
+					s.AddObserver(cov)
 					if err := sim.CheckCounters(s); err != nil {
 						t.Fatalf("before the first step: %v", err)
 					}

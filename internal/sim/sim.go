@@ -116,11 +116,7 @@ type Simulator struct {
 	timers  map[int64]bool
 	// activeSince[r] is the instant resource r last became non-idle, or -1.
 	activeSince []int64
-	observer    Observer
-	faultObs    FaultObserver
-	placeObs    PlacementObserver
-	slowObs     SlowdownObserver
-	jobObs      JobObserver
+	observers   []Observer
 
 	// Telemetry sampling state; inert when tel is nil.
 	tel        *obs.Telemetry
@@ -148,21 +144,14 @@ type Simulator struct {
 	outageUntil []int64
 }
 
-// Observer receives task lifecycle notifications; see internal/trace for a
-// ready-made recorder. Nil observers are fine.
+// Observer receives the simulator's lifecycle notifications in simulation
+// order; see internal/trace for a ready-made recorder. Embed NopObserver to
+// implement only the events of interest.
 type Observer interface {
 	// TaskStarted fires when a task begins executing.
 	TaskStarted(now int64, t *workload.Task, j *workload.Job, res int)
 	// TaskFinished fires when a task completes.
 	TaskFinished(now int64, t *workload.Task, j *workload.Job, res int)
-}
-
-// FaultObserver extends Observer with the failure-path notifications added
-// by the fault-injection layer. Observers that implement it also see task
-// failures, outage kills, and resource down/up transitions; plain Observers
-// silently miss them.
-type FaultObserver interface {
-	Observer
 	// TaskFailed fires when a running attempt fails mid-execution.
 	TaskFailed(now int64, t *workload.Task, j *workload.Job, res int)
 	// TaskKilled fires when a resource outage kills a running attempt.
@@ -171,30 +160,13 @@ type FaultObserver interface {
 	ResourceDown(now int64, res int)
 	// ResourceUp fires when a resource outage ends.
 	ResourceUp(now int64, res int)
-}
-
-// PlacementObserver extends Observer with placement decisions: observers
-// that implement it see every Schedule call the manager makes, including
-// replacements of an existing plan (replan=true).
-type PlacementObserver interface {
-	Observer
-	// TaskScheduled fires when a placement is installed. replan is true
-	// when the task already had a pending placement that this one replaces.
+	// TaskScheduled fires for every placement the manager installs. replan
+	// is true when the task already had a pending placement that this one
+	// replaces.
 	TaskScheduled(now int64, t *workload.Task, j *workload.Job, res int, start int64, replan bool)
-}
-
-// SlowdownObserver extends Observer with straggler detection: it fires when
-// a just-started attempt is discovered to run slower than nominal.
-type SlowdownObserver interface {
-	Observer
 	// TaskSlowdown fires when an attempt starts with effective duration
-	// effExec stretched beyond the nominal exec time.
+	// effExec stretched beyond the machine-adjusted exec time nominal.
 	TaskSlowdown(now int64, t *workload.Task, j *workload.Job, res int, effExec, nominal int64)
-}
-
-// JobObserver extends Observer with job-level terminal events.
-type JobObserver interface {
-	Observer
 	// JobCompleted fires when the last task of a job finishes. latenessMS
 	// is completion minus deadline (negative when the job met its SLA).
 	JobCompleted(now int64, j *workload.Job, latenessMS int64)
@@ -202,16 +174,26 @@ type JobObserver interface {
 	JobAbandoned(now int64, j *workload.Job)
 }
 
-// SetObserver attaches a lifecycle observer; call before Run. Observers
-// that also implement FaultObserver, PlacementObserver, SlowdownObserver,
-// or JobObserver receive the corresponding extended events. Use
-// TeeObservers to attach more than one.
-func (s *Simulator) SetObserver(o Observer) {
-	s.observer = o
-	s.faultObs, _ = o.(FaultObserver)
-	s.placeObs, _ = o.(PlacementObserver)
-	s.slowObs, _ = o.(SlowdownObserver)
-	s.jobObs, _ = o.(JobObserver)
+// NopObserver implements every Observer event as a no-op.
+type NopObserver struct{}
+
+func (NopObserver) TaskStarted(int64, *workload.Task, *workload.Job, int)                {}
+func (NopObserver) TaskFinished(int64, *workload.Task, *workload.Job, int)               {}
+func (NopObserver) TaskFailed(int64, *workload.Task, *workload.Job, int)                 {}
+func (NopObserver) TaskKilled(int64, *workload.Task, *workload.Job, int)                 {}
+func (NopObserver) ResourceDown(int64, int)                                              {}
+func (NopObserver) ResourceUp(int64, int)                                                {}
+func (NopObserver) TaskScheduled(int64, *workload.Task, *workload.Job, int, int64, bool) {}
+func (NopObserver) TaskSlowdown(int64, *workload.Task, *workload.Job, int, int64, int64) {}
+func (NopObserver) JobCompleted(int64, *workload.Job, int64)                             {}
+func (NopObserver) JobAbandoned(int64, *workload.Job)                                    {}
+
+// AddObserver attaches a lifecycle observer; call before Run. Every event
+// reaches the observers in attach order. A nil observer is ignored.
+func (s *Simulator) AddObserver(o Observer) {
+	if o != nil {
+		s.observers = append(s.observers, o)
+	}
 }
 
 // SetTelemetry attaches a telemetry core; call before Run. The simulator
@@ -292,30 +274,13 @@ func New(cluster Cluster, rm ResourceManager, jobs []*workload.Job) (*Simulator,
 		}
 		tasks := j.Tasks()
 		for _, t := range tasks {
-			if err := s.checkDemand(t); err != nil {
+			if err := s.cluster.CheckDemand(t); err != nil {
 				return nil, err
 			}
 		}
 		s.register(j, tasks, idx)
 	}
 	return s, nil
-}
-
-// checkDemand rejects a task that no resource of the cluster could hold.
-func (s *Simulator) checkDemand(t *workload.Task) error {
-	if t.Type == workload.MapTask && t.Req > s.cluster.MapSlots {
-		return fmt.Errorf("sim: task %s demand %d exceeds per-resource map capacity %d",
-			t.ID, t.Req, s.cluster.MapSlots)
-	}
-	if t.Type == workload.ReduceTask && t.Req > s.cluster.ReduceSlots {
-		return fmt.Errorf("sim: task %s demand %d exceeds per-resource reduce capacity %d",
-			t.ID, t.Req, s.cluster.ReduceSlots)
-	}
-	if s.cluster.MemCapacity > 0 && t.Mem > s.cluster.MemCapacity {
-		return fmt.Errorf("sim: task %s memory demand %d exceeds per-resource capacity %d",
-			t.ID, t.Mem, s.cluster.MemCapacity)
-	}
-	return nil
 }
 
 // register enters a checked job (s.jobs[jobIdx], tasks being j.Tasks()) into
@@ -466,7 +431,7 @@ func (s *Simulator) AddJob(j *workload.Job) error {
 		if _, dup := s.tasks[t]; dup {
 			return fmt.Errorf("sim: task %s already registered", t.ID)
 		}
-		if err := s.checkDemand(t); err != nil {
+		if err := s.cluster.CheckDemand(t); err != nil {
 			return err
 		}
 	}
@@ -603,8 +568,8 @@ func (s *Simulator) handleTaskStart(ev event) error {
 	if st.attempt > 0 {
 		s.metrics.TasksRetried++
 	}
-	if s.observer != nil {
-		s.observer.TaskStarted(s.clock, t, j, st.res)
+	for _, o := range s.observers {
+		o.TaskStarted(s.clock, t, j, st.res)
 	}
 	// The machine's speed factor scales the nominal execution time first
 	// (exactly the identity on uniform clusters); straggler fault factors
@@ -634,10 +599,12 @@ func (s *Simulator) handleTaskStart(ev event) error {
 		s.queue.push(event{at: s.clock + st.effExec, kind: evTaskFinish, taskKey: ev.taskKey, version: st.version})
 	}
 	if st.effExec > scaled || st.effExec > t.Exec {
-		if s.slowObs != nil && st.effExec > scaled {
+		if st.effExec > scaled {
 			// Genuine straggler: the attempt overruns even the
 			// machine-adjusted expectation.
-			s.slowObs.TaskSlowdown(s.clock, t, j, st.res, st.effExec, scaled)
+			for _, o := range s.observers {
+				o.TaskSlowdown(s.clock, t, j, st.res, st.effExec, scaled)
+			}
 		}
 		// The attempt may overrun the window some planner assumed for it —
 		// either the machine-adjusted one (straggler) or the nominal one (a
@@ -663,8 +630,8 @@ func (s *Simulator) handleTaskFinish(ev event) error {
 	s.closeActiveWindow(st.res)
 	st.completed = true
 	s.running--
-	if s.observer != nil {
-		s.observer.TaskFinished(s.clock, t, j, st.res)
+	for _, o := range s.observers {
+		o.TaskFinished(s.clock, t, j, st.res)
 	}
 	if t.Type == workload.MapTask {
 		st.js.mapsLeft--
@@ -690,8 +657,8 @@ func (s *Simulator) handleTaskFail(ev event) error {
 	s.metrics.TasksFailed++
 	s.closeActiveWindow(res)
 	s.resetAttempt(st)
-	if s.faultObs != nil {
-		s.faultObs.TaskFailed(s.clock, t, st.job, res)
+	for _, o := range s.observers {
+		o.TaskFailed(s.clock, t, st.job, res)
 	}
 	return s.rm.OnTaskFailed(s, t, res)
 }
@@ -716,8 +683,8 @@ func (s *Simulator) handleResourceDown(ev event) error {
 			s.metrics.WastedSlotMS += (s.clock - st.start) * st.task.Req
 			s.metrics.TasksKilled++
 			s.resetAttempt(st)
-			if s.faultObs != nil {
-				s.faultObs.TaskKilled(s.clock, st.task, st.job, r)
+			for _, o := range s.observers {
+				o.TaskKilled(s.clock, st.task, st.job, r)
 			}
 			killed = append(killed, st.task)
 		case st.scheduled:
@@ -726,8 +693,8 @@ func (s *Simulator) handleResourceDown(ev event) error {
 		}
 	}
 	s.closeActiveWindow(r)
-	if s.faultObs != nil {
-		s.faultObs.ResourceDown(s.clock, r)
+	for _, o := range s.observers {
+		o.ResourceDown(s.clock, r)
 	}
 	return s.rm.OnResourceDown(s, r, killed, evacuated)
 }
@@ -738,8 +705,8 @@ func (s *Simulator) handleResourceUp(ev event) error {
 	s.down[r] = false
 	s.downN--
 	s.metrics.DowntimeMS += s.clock - s.downSince[r]
-	if s.faultObs != nil {
-		s.faultObs.ResourceUp(s.clock, r)
+	for _, o := range s.observers {
+		o.ResourceUp(s.clock, r)
 	}
 	return s.rm.OnResourceUp(s, r)
 }
@@ -788,8 +755,8 @@ func (s *Simulator) completeJob(j *workload.Job) {
 		s.tel.Observe(obs.HistJobE2E, float64(s.clock-j.Arrival))
 		s.tel.Observe(obs.HistJobLateness, float64(s.clock-j.Deadline))
 	}
-	if s.jobObs != nil {
-		s.jobObs.JobCompleted(s.clock, j, s.clock-j.Deadline)
+	for _, o := range s.observers {
+		o.JobCompleted(s.clock, j, s.clock-j.Deadline)
 	}
 }
 
@@ -825,8 +792,8 @@ func (s *Simulator) Schedule(t *workload.Task, res int, start int64) error {
 	st.scheduled = true
 	st.version++
 	s.queue.push(event{at: start, kind: evTaskStart, taskKey: st.key, version: st.version})
-	if s.placeObs != nil {
-		s.placeObs.TaskScheduled(s.clock, t, st.job, res, start, replan)
+	for _, o := range s.observers {
+		o.TaskScheduled(s.clock, t, st.job, res, start, replan)
 	}
 	return nil
 }
@@ -934,8 +901,8 @@ func (s *Simulator) AbandonJob(j *workload.Job) error {
 	}
 	s.abandoned[j] = true
 	s.metrics.JobsAbandoned++
-	if s.jobObs != nil {
-		s.jobObs.JobAbandoned(s.clock, j)
+	for _, o := range s.observers {
+		o.JobAbandoned(s.clock, j)
 	}
 	for _, t := range j.Tasks() {
 		st := s.tasks[t]

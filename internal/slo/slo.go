@@ -1,7 +1,7 @@
 // Package slo is the SLA observability plane's stateful half: per-job trace
 // timelines, deadline-miss attribution, and a sliding-window miss-budget
 // burn monitor. A Monitor attaches to a simulation as a lifecycle observer
-// (sim.SetObserver, typically through sim.TeeObservers) and, for the MRCP-RM
+// (sim.Simulator.AddObserver) and, for the MRCP-RM
 // policy, to the manager's reschedule observer; the service engine feeds it
 // the admission-side events the simulator cannot see. Everything it records
 // is stamped with simulated time, so a deterministic run produces a
@@ -12,6 +12,7 @@ import (
 	"sync"
 
 	"mrcprm/internal/obs"
+	"mrcprm/internal/sim"
 	"mrcprm/internal/workload"
 )
 
@@ -159,9 +160,11 @@ type finish struct {
 }
 
 // Monitor accumulates traces, attributions, and burn state. All methods are
-// safe for concurrent use; a nil *Monitor is inert on every method, so
-// callers thread it like a telemetry handle.
+// safe for concurrent use; a nil *Monitor is inert on every method it
+// defines, so callers thread it like a telemetry handle (the no-op events
+// it inherits from sim.NopObserver need a live one: attach only that).
 type Monitor struct {
+	sim.NopObserver
 	cfg Config
 
 	mu        sync.Mutex
@@ -263,16 +266,13 @@ func (m *Monitor) OnReschedule(now int64, reason string, fallback bool) {
 	m.mu.Unlock()
 }
 
-// --- sim.Observer and extensions ---
+// --- sim.Observer ---
+//
+// Task starts and finishes leave no trace entry (start instants are
+// recoverable from the placed events and would crowd the ring), nor do
+// resource outages, which are cluster-level.
 
-// TaskStarted implements sim.Observer (no trace entry: start instants are
-// recoverable from the placed events and would crowd the ring).
-func (m *Monitor) TaskStarted(now int64, t *workload.Task, j *workload.Job, res int) {}
-
-// TaskFinished implements sim.Observer.
-func (m *Monitor) TaskFinished(now int64, t *workload.Task, j *workload.Job, res int) {}
-
-// TaskScheduled implements sim.PlacementObserver.
+// TaskScheduled implements sim.Observer.
 func (m *Monitor) TaskScheduled(now int64, t *workload.Task, j *workload.Job, res int, start int64, replan bool) {
 	if m == nil {
 		return
@@ -292,12 +292,12 @@ func (m *Monitor) TaskScheduled(now int64, t *workload.Task, j *workload.Job, re
 	}
 }
 
-// TaskFailed implements sim.FaultObserver.
+// TaskFailed implements sim.Observer.
 func (m *Monitor) TaskFailed(now int64, t *workload.Task, j *workload.Job, res int) {
 	m.taskFault(now, t, j, KindTaskFail)
 }
 
-// TaskKilled implements sim.FaultObserver.
+// TaskKilled implements sim.Observer.
 func (m *Monitor) TaskKilled(now int64, t *workload.Task, j *workload.Job, res int) {
 	m.taskFault(now, t, j, KindTaskKill)
 }
@@ -317,13 +317,7 @@ func (m *Monitor) taskFault(now int64, t *workload.Task, j *workload.Job, kind s
 	m.record(js, now, kind, t.ID)
 }
 
-// ResourceDown implements sim.FaultObserver (cluster-level; no job trace).
-func (m *Monitor) ResourceDown(now int64, res int) {}
-
-// ResourceUp implements sim.FaultObserver.
-func (m *Monitor) ResourceUp(now int64, res int) {}
-
-// TaskSlowdown implements sim.SlowdownObserver.
+// TaskSlowdown implements sim.Observer.
 func (m *Monitor) TaskSlowdown(now int64, t *workload.Task, j *workload.Job, res int, effExec, nominal int64) {
 	if m == nil {
 		return
@@ -335,7 +329,7 @@ func (m *Monitor) TaskSlowdown(now int64, t *workload.Task, j *workload.Job, res
 	m.record(js, now, KindStraggle, t.ID)
 }
 
-// JobCompleted implements sim.JobObserver: on-time completions close the
+// JobCompleted implements sim.Observer: on-time completions close the
 // trace; late ones are attributed and counted against the budget.
 func (m *Monitor) JobCompleted(now int64, j *workload.Job, latenessMS int64) {
 	if m == nil {
@@ -363,7 +357,7 @@ func (m *Monitor) JobCompleted(now int64, j *workload.Job, latenessMS int64) {
 	}
 }
 
-// JobAbandoned implements sim.JobObserver: every abandonment is an SLA miss.
+// JobAbandoned implements sim.Observer: every abandonment is an SLA miss.
 func (m *Monitor) JobAbandoned(now int64, j *workload.Job) {
 	if m == nil {
 		return

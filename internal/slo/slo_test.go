@@ -249,7 +249,7 @@ func TestFaultSweepReconciliation(t *testing.T) {
 			tel := obs.New(&obs.MemorySink{})
 			mon := NewMonitor(Config{Telemetry: tel})
 			rm.SetRescheduleObserver(mon.OnReschedule)
-			s.SetObserver(sim.TeeObservers(mon))
+			s.AddObserver(mon)
 			metrics, err := s.Run()
 			if err != nil {
 				t.Fatal(err)

@@ -1,7 +1,7 @@
 // Package trace records the executed schedule of a simulation run — every
 // task start and finish with its resource assignment — and exports it as
 // CSV or JSON, or digests it into slot-occupancy profiles. It plugs into
-// the simulator through sim.Simulator.SetObserver.
+// the simulator through sim.Simulator.AddObserver.
 package trace
 
 import (
@@ -46,16 +46,16 @@ type Event struct {
 	ExecMS   int64     `json:"execMs"`
 }
 
-// Recorder implements sim.Observer and accumulates the run's events in
-// order.
+// Recorder implements sim.Observer and accumulates the run's task and
+// outage events in order; it ignores placements, slowdowns and job-level
+// events.
 type Recorder struct {
+	sim.NopObserver
 	events []Event
 }
 
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
-
-var _ sim.FaultObserver = (*Recorder)(nil)
 
 // TaskStarted implements sim.Observer.
 func (r *Recorder) TaskStarted(now int64, t *workload.Task, j *workload.Job, res int) {
@@ -73,7 +73,7 @@ func (r *Recorder) TaskFinished(now int64, t *workload.Task, j *workload.Job, re
 	})
 }
 
-// TaskFailed implements sim.FaultObserver: a running attempt failed
+// TaskFailed implements sim.Observer: a running attempt failed
 // mid-execution.
 func (r *Recorder) TaskFailed(now int64, t *workload.Task, j *workload.Job, res int) {
 	r.events = append(r.events, Event{
@@ -82,7 +82,7 @@ func (r *Recorder) TaskFailed(now int64, t *workload.Task, j *workload.Job, res 
 	})
 }
 
-// TaskKilled implements sim.FaultObserver: a resource outage killed a
+// TaskKilled implements sim.Observer: a resource outage killed a
 // running attempt.
 func (r *Recorder) TaskKilled(now int64, t *workload.Task, j *workload.Job, res int) {
 	r.events = append(r.events, Event{
@@ -91,12 +91,12 @@ func (r *Recorder) TaskKilled(now int64, t *workload.Task, j *workload.Job, res 
 	})
 }
 
-// ResourceDown implements sim.FaultObserver: an outage began.
+// ResourceDown implements sim.Observer: an outage began.
 func (r *Recorder) ResourceDown(now int64, res int) {
 	r.events = append(r.events, Event{TimeMS: now, Kind: ResourceDown, JobID: -1, Resource: res})
 }
 
-// ResourceUp implements sim.FaultObserver: an outage ended.
+// ResourceUp implements sim.Observer: an outage ended.
 func (r *Recorder) ResourceUp(now int64, res int) {
 	r.events = append(r.events, Event{TimeMS: now, Kind: ResourceUp, JobID: -1, Resource: res})
 }

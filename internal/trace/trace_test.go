@@ -29,7 +29,7 @@ func runTraced(t *testing.T) (*Recorder, sim.Cluster) {
 		t.Fatal(err)
 	}
 	rec := NewRecorder()
-	s.SetObserver(rec)
+	s.AddObserver(rec)
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}

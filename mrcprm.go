@@ -233,7 +233,7 @@ func SimulateInstrumented(cluster Cluster, rm ResourceManager, jobs []*Job,
 		}
 	}
 	rec := trace.NewRecorder()
-	s.SetObserver(rec)
+	s.AddObserver(rec)
 	m, err := s.Run()
 	if tel.Enabled() && m != nil {
 		tel.EmitSummary(m.MakespanMS)
