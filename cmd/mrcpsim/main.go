@@ -209,8 +209,8 @@ func main() {
 		fmt.Printf("mrcp-rm    : %d solves, %d nodes, %d deferred, %d slips (%.1fs total slip)\n",
 			st.Rounds, st.SolverNodes, st.Deferred, st.Slips, float64(st.SlipMS)/1000)
 		if faulty {
-			fmt.Printf("recovery   : %d fallback rounds, %d task retries, %d jobs abandoned\n",
-				st.FallbackRounds, st.TaskRetries, st.JobsAbandoned)
+			fmt.Printf("recovery   : %d task retries, %d jobs abandoned\n",
+				st.TaskRetries, st.JobsAbandoned)
 		}
 	}
 

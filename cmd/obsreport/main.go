@@ -1,6 +1,7 @@
 // Command obsreport digests a telemetry JSONL stream produced with
 // -telemetry into a human-readable summary: solve-latency percentiles,
-// fallback rate, objective convergence, and the sim time-series envelope.
+// solve-limit hit rate, objective convergence, and the sim time-series
+// envelope.
 //
 // Usage:
 //

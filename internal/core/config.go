@@ -95,7 +95,7 @@ type Config struct {
 // relaxation assumes interchangeable unit slots — gives way to the direct
 // formulation when the cluster is heterogeneous or memory-constrained. It
 // is the one place the choice is made; buildModel records it on the model
-// for the read-back and the greedy fallback.
+// for the read-back.
 func (c Config) formulation(plan sim.Cluster) SolveMode {
 	if plan.Heterogeneous() || plan.MemCapacity > 0 {
 		return ModeDirect
@@ -143,10 +143,8 @@ type Stats struct {
 	SlipMS int64
 	// Deferred counts jobs parked by the Section V.E optimization.
 	Deferred int
-	// FallbackRounds counts scheduling invocations in which the CP solver
-	// produced no usable solution (timeout, exhausted node budget, panic)
-	// and the greedy earliest-deadline-first fallback installed the
-	// schedule instead.
+	// FallbackRounds is always 0, since a failed solve fails the round;
+	// the benchmark harness still reports it.
 	FallbackRounds int
 	// TaskRetries counts failed task attempts charged against retry
 	// budgets; JobsAbandoned counts jobs given up after exhausting theirs.

@@ -33,23 +33,17 @@ type Manager struct {
 	// tel receives per-invocation spans and solver search events; nil (the
 	// default) disables all instrumentation at the cost of one branch.
 	tel *obs.Telemetry
-	// onReschedule, when set, fires after every reschedule round with its
-	// trigger and whether the CP solve degraded to the greedy fallback.
-	// Unlike telemetry it works without a sink; the SLA attribution
-	// monitor uses it to mark solver-degradation windows.
+	// onReschedule, when set, fires after every reschedule round whose
+	// solve succeeded. Unlike telemetry it works without a sink.
 	onReschedule func(now int64, reason string, fallback bool)
-	// strictLimits is a test hook forwarding cp.Params.StrictLimits: the
-	// solver may then return no solution when its budget expires before the
-	// first descent completes, which is how tests reach the greedy fallback.
-	strictLimits bool
 }
 
 // New creates an MRCP-RM manager. The cluster argument is the manager's
-// PLANNING view: models, admission bounds and the greedy fallback are built
-// from it, while the durations tasks really run for come from the cluster
-// the simulation was created with. The two are normally the same value; a
-// speed-blind ablation hands New a copy with Speed = nil. cfg.Mode becomes
-// the formulation that planning view calls for (see Config.formulation).
+// PLANNING view: models and admission bounds are built from it, while the
+// durations tasks really run for come from the cluster the simulation was
+// created with. The two are normally the same value; a speed-blind
+// ablation hands New a copy with Speed = nil. cfg.Mode becomes the
+// formulation that planning view calls for (see Config.formulation).
 func New(cluster sim.Cluster, cfg Config) *Manager {
 	cfg.Mode = cfg.formulation(cluster)
 	return &Manager{
@@ -71,8 +65,9 @@ func (m *Manager) Stats() Stats { return m.stats }
 func (m *Manager) SetTelemetry(tel *obs.Telemetry) { m.tel = tel }
 
 // SetRescheduleObserver installs a callback fired after every reschedule
-// round (reason is the trigger; fallback reports greedy-EDF degradation).
-// Call before the simulation starts; a nil callback detaches.
+// round whose solve succeeded (reason is the trigger; fallback is always
+// false, since a failed solve fails the round). Call before the simulation
+// starts; a nil callback detaches.
 func (m *Manager) SetRescheduleObserver(fn func(now int64, reason string, fallback bool)) {
 	m.onReschedule = fn
 }
@@ -288,10 +283,9 @@ func (m *Manager) chargeRetry(ctx sim.Context, js *rmkit.JobState, t *workload.T
 
 // reschedule is the Table 2 algorithm: classify every incomplete task of
 // every active job as frozen (started) or schedulable, regenerate the CP
-// model, solve, and install the new timetable. When the solver yields no
-// usable solution (expired budget under strict limits, or a panic) the
-// greedy earliest-deadline-first fallback installs a schedule instead, so
-// a solve failure never terminates the run.
+// model, solve, and install the new timetable. A solve that panics or
+// yields no solution fails the round, as it fails SolveBatch: nothing is
+// installed and the error names the trigger and the simulated time.
 func (m *Manager) reschedule(ctx sim.Context, reason string) error {
 	now := ctx.Now()
 	down := make([]bool, m.cluster.NumResources)
@@ -332,7 +326,7 @@ func (m *Manager) reschedule(ctx sim.Context, reason string) error {
 	bm, err := buildModel(m.cfg.Mode, now, m.cluster, work, down)
 	if err != nil {
 		if telOn {
-			sp.End(obs.Str("status", "model_error"), obs.Bool("fallback", false),
+			sp.End(obs.Str("status", "model_error"),
 				obs.Int("objective", -1), obs.Int("predicted_late", -1))
 		}
 		return err
@@ -356,27 +350,20 @@ func (m *Manager) reschedule(ctx sim.Context, reason string) error {
 		m.emitSolve(now, &res, solveErr, frozenN+pendingN, hint != nil)
 		m.tel.Add("manager_rounds", 1)
 	}
-	if solveErr != nil || !res.HasSolution() {
-		// Table 2 line 24 would reject the job; a production manager must
-		// keep placing work instead, so degrade to the greedy fallback.
-		m.stats.FallbackRounds++
-		err := m.greedyFallback(ctx, bm.mode, now, work, down)
+	if solveErr == nil && !res.HasSolution() {
+		solveErr = fmt.Errorf("solve ended with status %v", res.Status)
+	}
+	if solveErr != nil {
 		if telOn {
-			m.tel.Add("manager_fallbacks", 1)
-			sp.End(obs.Str("status", "fallback"), obs.Bool("fallback", true),
-				obs.Int("objective", -1),
-				obs.Int("predicted_late", predictedLateAfter(ctx, work, err)))
-			m.tel.Observe(obs.HistWallReschedule, float64(time.Since(wallStart).Nanoseconds())/1e6)
+			sp.End(obs.Str("status", "solve_error"),
+				obs.Int("objective", -1), obs.Int("predicted_late", -1))
 		}
-		if m.onReschedule != nil {
-			m.onReschedule(now, reason, true)
-		}
-		return err
+		return fmt.Errorf("core: %s reschedule at %d ms: %w", reason, now, solveErr)
 	}
 
 	err = m.install(ctx, bm, &res, work, down)
 	if telOn {
-		sp.End(obs.Str("status", res.Status.String()), obs.Bool("fallback", false),
+		sp.End(obs.Str("status", res.Status.String()),
 			obs.Bool("limit_hit", res.Search.LimitHit()),
 			obs.Int("objective", res.Objective),
 			obs.Int("predicted_late", predictedLateAfter(ctx, work, err)))
@@ -478,8 +465,7 @@ func predictedLateAfter(ctx sim.Context, work []*jobWork, installErr error) int 
 	return n
 }
 
-// solve runs the CP search, converting a solver panic into an error so the
-// caller can degrade gracefully.
+// solve runs the CP search, converting a solver panic into an error.
 func (m *Manager) solve(bm *builtModel, hint *cp.Hint) (res cp.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -487,11 +473,10 @@ func (m *Manager) solve(bm *builtModel, hint *cp.Hint) (res cp.Result, err error
 		}
 	}()
 	solver := cp.NewSolver(bm.model, cp.Params{
-		TimeLimit:    m.cfg.SolveTimeLimit,
-		NodeLimit:    m.cfg.NodeLimit,
-		Ordering:     m.cfg.Ordering,
-		StrictLimits: m.strictLimits,
-		Hint:         hint,
+		TimeLimit: m.cfg.SolveTimeLimit,
+		NodeLimit: m.cfg.NodeLimit,
+		Ordering:  m.cfg.Ordering,
+		Hint:      hint,
 	})
 	return solver.Solve(), nil
 }

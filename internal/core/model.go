@@ -12,8 +12,8 @@ import (
 // solution back out (see placements).
 type builtModel struct {
 	model *cp.Model
-	// mode is the formulation the model was built in; the read-back and the
-	// greedy fallback follow it.
+	// mode is the formulation the model was built in; the read-back
+	// follows it.
 	mode SolveMode
 	// tasks lists every modeled task in interval order: tasks[i].iv.ID() == i.
 	tasks []modelTask

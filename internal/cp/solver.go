@@ -32,12 +32,6 @@ type Params struct {
 	NodeLimit int64
 	// Ordering is the search tie-breaking strategy.
 	Ordering OrderingStrategy
-	// StrictLimits makes TimeLimit and NodeLimit apply even before a first
-	// solution exists, so an exhausted budget yields StatusUnknown instead
-	// of completing the initial greedy descent. The default (false)
-	// guarantees at least one solution on feasible models; strict mode is
-	// for callers with their own fallback path.
-	StrictLimits bool
 	// Hint warm-starts the solve from a prior assignment (see Hint). Nil
 	// (the default) leaves every search path bit-identical to a
 	// hint-unaware solver. A hint that does not cover the model's
@@ -60,8 +54,6 @@ const (
 	// with the lateness objective this cannot normally happen, since being
 	// late is always allowed unless a SumLE bound forbids it).
 	StatusInfeasible
-	// StatusUnknown: a limit was hit before any solution was found.
-	StatusUnknown
 )
 
 func (s Status) String() string {
@@ -73,7 +65,7 @@ func (s Status) String() string {
 	case StatusInfeasible:
 		return "infeasible"
 	default:
-		return "unknown"
+		return fmt.Sprintf("Status(%d)", int(s))
 	}
 }
 
@@ -315,7 +307,9 @@ func (s *Solver) Solve() Result {
 	// canonical cold descent runs as if no hint was given.
 	rounds := 1
 	s.curRound = rounds
-	var found, exhausted bool
+	// Limits do not apply before a first incumbent (see checkLimit), so a
+	// descent that finds nothing has exhausted the search space.
+	var found bool
 	if s.params.Hint.covers(len(m.intervals)) {
 		s.hintActive = true
 		found, _ = s.descend()
@@ -326,17 +320,13 @@ func (s *Solver) Solve() Result {
 		} else {
 			rounds++
 			s.curRound = rounds
-			found, exhausted = s.descend()
+			found, _ = s.descend()
 		}
 	} else {
-		found, exhausted = s.descend()
+		found, _ = s.descend()
 	}
 	if !found {
-		st := StatusUnknown
-		if exhausted {
-			st = StatusInfeasible
-		}
-		return Result{Status: st, SolveTime: time.Since(start), Search: s.searchStats(rounds, start)}
+		return Result{Status: StatusInfeasible, SolveTime: time.Since(start), Search: s.searchStats(rounds, start)}
 	}
 	if s.incumbent.Objective == 0 || len(m.objBools) == 0 || handle == nil {
 		return s.finish(StatusOptimal, rounds, start)
@@ -460,7 +450,7 @@ func (s *Solver) searchStats(rounds int, start time.Time) SearchStats {
 // models, so this terminates after one decision per task), mirroring a CP
 // engine that always emits at least its greedy solution under a time limit.
 func (s *Solver) checkLimit() bool {
-	if (s.incumbent == nil && !s.params.StrictLimits) || s.ignoreLimits {
+	if s.incumbent == nil || s.ignoreLimits {
 		return false
 	}
 	if s.limitHit {

@@ -1,6 +1,6 @@
 // Package obs is the zero-dependency telemetry core of this repository:
-// structured events, counters, gauges, and wall-clock spans, funneled into a
-// pluggable Sink (typically the JSONL writer in sink.go).
+// structured events, counters, histograms and wall-clock spans, funneled
+// into a pluggable Sink (typically the JSONL writer in sink.go).
 //
 // Design rules:
 //
@@ -18,6 +18,7 @@
 package obs
 
 import (
+	"maps"
 	"sort"
 	"strconv"
 	"strings"
@@ -208,7 +209,6 @@ type Telemetry struct {
 
 	mu       sync.Mutex
 	counters map[string]int64
-	gauges   map[string]int64
 	hists    map[string]*Histogram
 }
 
@@ -221,7 +221,6 @@ func New(sink Sink) *Telemetry {
 	return &Telemetry{
 		sink:     sink,
 		counters: make(map[string]int64),
-		gauges:   make(map[string]int64),
 		hists:    make(map[string]*Histogram),
 	}
 }
@@ -248,35 +247,16 @@ func (t *Telemetry) Add(name string, delta int64) {
 	t.mu.Unlock()
 }
 
-// SetGauge records the latest value of a named gauge. Safe on a nil
-// receiver.
-func (t *Telemetry) SetGauge(name string, v int64) {
+// Snapshot returns a copy of the counter registry, for metrics exposition
+// endpoints; nil when telemetry is disabled. Safe on a nil receiver and
+// under concurrent Add calls.
+func (t *Telemetry) Snapshot() map[string]int64 {
 	if !t.Enabled() {
-		return
-	}
-	t.mu.Lock()
-	t.gauges[name] = v
-	t.mu.Unlock()
-}
-
-// Snapshot returns copies of the counter and gauge registries, for metrics
-// exposition endpoints. Both maps are nil when telemetry is disabled. Safe
-// on a nil receiver and under concurrent Add/SetGauge calls.
-func (t *Telemetry) Snapshot() (counters, gauges map[string]int64) {
-	if !t.Enabled() {
-		return nil, nil
+		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	counters = make(map[string]int64, len(t.counters))
-	for k, v := range t.counters {
-		counters[k] = v
-	}
-	gauges = make(map[string]int64, len(t.gauges))
-	for k, v := range t.gauges {
-		gauges[k] = v
-	}
-	return counters, gauges
+	return maps.Clone(t.counters)
 }
 
 // Counter returns the current value of a counter (0 when disabled).
@@ -343,8 +323,8 @@ func (t *Telemetry) HistSnapshots() []HistSnapshot {
 	return out
 }
 
-// EmitSummary emits one "summary" event per registry (counters, gauges)
-// with the names in sorted order, plus one "hist" event per histogram
+// EmitSummary emits one "counters" event with the counter names in sorted
+// order, plus one "hist" event per histogram
 // carrying its count and quantile estimates. Typically called once at the
 // end of a run with the final simulated time. For histograms named with
 // the "wall_" prefix, every value-derived key is itself "wall_"-prefixed
@@ -355,13 +335,9 @@ func (t *Telemetry) EmitSummary(simMS int64) {
 	}
 	t.mu.Lock()
 	cf := sortedFields(t.counters)
-	gf := sortedFields(t.gauges)
 	t.mu.Unlock()
 	if len(cf) > 0 {
 		t.Emit(simMS, "obs", "counters", cf...)
-	}
-	if len(gf) > 0 {
-		t.Emit(simMS, "obs", "gauges", gf...)
 	}
 	for _, s := range t.HistSnapshots() {
 		if s.Count == 0 {

@@ -100,17 +100,6 @@ func WritePrometheus(w io.Writer, ns string, counters, gauges map[string]int64, 
 	return bw.Flush()
 }
 
-// WritePrometheus renders the telemetry's live counter, gauge, and
-// histogram registries as Prometheus text exposition. A nil receiver
-// renders nothing (and returns nil).
-func (t *Telemetry) WritePrometheus(w io.Writer, ns string) error {
-	if !t.Enabled() {
-		return nil
-	}
-	counters, gauges := t.Snapshot()
-	return WritePrometheus(w, ns, counters, gauges, t.HistSnapshots())
-}
-
 // PromBucket is one cumulative histogram bucket from a scrape.
 type PromBucket struct {
 	LE  float64 // inclusive upper bound; +Inf for the terminal bucket

@@ -22,20 +22,21 @@ func TestPromName(t *testing.T) {
 	}
 }
 
-// TestPromRoundTrip renders a live registry, parses the exposition back,
-// and checks every counter, gauge, and histogram bucket value survives.
+// TestPromRoundTrip renders a live registry's counters and histograms with
+// an explicit gauge map, parses the exposition back, and checks every
+// counter, gauge, and histogram bucket value survives.
 func TestPromRoundTrip(t *testing.T) {
 	tel := New(&MemorySink{})
 	tel.Add("jobs_total", 42)
 	tel.Add("shed_total", 3)
-	tel.SetGauge("pending", 7)
 	for _, v := range []float64{0.5, 1, 2, 3, 5, 8, 13, 21, 500, 9000} {
 		tel.Observe("solve_ms", v)
 	}
 	tel.Observe("wall_e2e_ms", 123.25)
 
 	var sb strings.Builder
-	if err := tel.WritePrometheus(&sb, "mrcp_"); err != nil {
+	gauges := map[string]int64{"pending": 7}
+	if err := WritePrometheus(&sb, "mrcp_", tel.Snapshot(), gauges, tel.HistSnapshots()); err != nil {
 		t.Fatal(err)
 	}
 	text := sb.String()
@@ -142,7 +143,7 @@ func TestParsePrometheusRejectsGarbage(t *testing.T) {
 func TestNilTelemetryWritePrometheus(t *testing.T) {
 	var tel *Telemetry
 	var sb strings.Builder
-	if err := tel.WritePrometheus(&sb, "x_"); err != nil {
+	if err := WritePrometheus(&sb, "x_", tel.Snapshot(), nil, tel.HistSnapshots()); err != nil {
 		t.Fatal(err)
 	}
 	if sb.Len() != 0 {

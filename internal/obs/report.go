@@ -11,7 +11,7 @@ import (
 )
 
 // Report is the digest of one telemetry JSONL stream: solve-latency
-// percentiles, fallback rate, objective convergence, and the sim
+// percentiles, solve-limit hit rate, objective convergence, and the sim
 // time-series envelope. Build one with ReadReport, render it with Write.
 type Report struct {
 	Events     int
@@ -20,7 +20,6 @@ type Report struct {
 
 	// Manager invocation digest.
 	Reschedules   int
-	Fallbacks     int
 	LimitHits     int
 	StatusCounts  map[string]int
 	ReasonCounts  map[string]int
@@ -156,9 +155,6 @@ func (rep *Report) ingest(ev map[string]any) {
 		}
 		if rs, ok := ev["reason"].(string); ok {
 			rep.ReasonCounts[rs]++
-		}
-		if fb, ok := ev["fallback"].(bool); ok && fb {
-			rep.Fallbacks++
 		}
 		if lh, ok := ev["limit_hit"].(bool); ok && lh {
 			rep.LimitHits++
@@ -341,8 +337,6 @@ func (rep *Report) Write(w io.Writer) error {
 	if rep.Reschedules > 0 {
 		b.WriteString("\nmanager invocations\n")
 		fmt.Fprintf(&b, "  reschedules            %8d\n", rep.Reschedules)
-		fmt.Fprintf(&b, "  fallback rate          %7.1f%%  (%d rounds)\n",
-			100*float64(rep.Fallbacks)/float64(rep.Reschedules), rep.Fallbacks)
 		fmt.Fprintf(&b, "  solve-limit hit rate   %7.1f%%  (%d rounds)\n",
 			100*float64(rep.LimitHits)/float64(rep.Reschedules), rep.LimitHits)
 		for _, k := range sortedKeys(rep.StatusCounts) {

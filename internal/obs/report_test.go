@@ -52,8 +52,8 @@ func TestReportContents(t *testing.T) {
 	if rep.BadLines != 1 {
 		t.Errorf("BadLines = %d, want 1", rep.BadLines)
 	}
-	if rep.Reschedules != 3 || rep.Fallbacks != 1 {
-		t.Errorf("reschedules/fallbacks = %d/%d, want 3/1", rep.Reschedules, rep.Fallbacks)
+	if rep.Reschedules != 3 {
+		t.Errorf("Reschedules = %d, want 3", rep.Reschedules)
 	}
 	if rep.Solves != 2 {
 		t.Errorf("Solves = %d, want 2", rep.Solves)

@@ -28,7 +28,7 @@ func (b engineBackend) Shards() int { return 1 }
 // fields a router's snapshot carries at the top level.
 func (b engineBackend) WriteProm(w io.Writer) error {
 	snap := b.Metrics()
-	snap.Counters, snap.Gauges = b.cfg.Telemetry.Snapshot()
+	snap.Counters = b.cfg.Telemetry.Snapshot()
 	return WriteProm(w, snap, b.cfg.Telemetry.HistSnapshots())
 }
 

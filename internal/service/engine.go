@@ -270,11 +270,6 @@ func New(cfg Config) (*Engine, error) {
 	sloCfg := cfg.SLO
 	sloCfg.Telemetry = cfg.Telemetry
 	mon := slo.NewMonitor(sloCfg)
-	if rs, ok := rm.(interface {
-		SetRescheduleObserver(func(now int64, reason string, fallback bool))
-	}); ok {
-		rs.SetRescheduleObserver(mon.OnReschedule)
-	}
 	if cfg.Speedup <= 0 {
 		cfg.Speedup = 1
 	}
@@ -1103,11 +1098,10 @@ type Snapshot struct {
 
 	Manager *core.Stats `json:"manager,omitempty"`
 
-	// Counters and Gauges are the process's telemetry registry, which the
+	// Counters is the process's telemetry counter registry, which the
 	// router and every engine share; the router reads it once for the
-	// fleet, so a shard's view carries neither.
+	// fleet, so a shard's view does not carry it.
 	Counters map[string]int64 `json:"counters,omitempty"`
-	Gauges   map[string]int64 `json:"gauges,omitempty"`
 
 	// SLO is the sliding-window deadline-miss burn state, its window ending
 	// at the engine's present (NowMS); Ready reports "slo-burn" while
@@ -1252,7 +1246,6 @@ func (e *Engine) Trace(id int) (events []slo.TraceEvent, dropped int, ok bool) {
 func WriteProm(w io.Writer, snap Snapshot, hists []obs.HistSnapshot) error {
 	counters, gauges := make(map[string]int64), make(map[string]int64)
 	maps.Copy(counters, snap.Counters)
-	maps.Copy(gauges, snap.Gauges)
 	counters["jobs_submitted_total"] = int64(snap.Submitted)
 	counters["jobs_rejected_total"] = int64(snap.Rejected)
 	counters["jobs_shed_total"] = int64(snap.Shed)

@@ -577,7 +577,7 @@ func (r *Router) Metrics() Snapshot {
 			burns = append(burns, *snap.SLO)
 		}
 	}
-	agg.Counters, agg.Gauges = r.tel.Snapshot()
+	agg.Counters = r.tel.Snapshot()
 	agg.Journal = r.cfg.Base.JournalPath
 	if agg.Finished {
 		fps := make([]uint64, r.n)

@@ -1,9 +1,8 @@
 // Package slo is the SLA observability plane's stateful half: per-job trace
 // timelines, deadline-miss attribution, and a sliding-window miss-budget
 // burn monitor. A Monitor attaches to a simulation as a lifecycle observer
-// (sim.Simulator.AddObserver) and, for the MRCP-RM
-// policy, to the manager's reschedule observer; the service engine feeds it
-// the admission-side events the simulator cannot see. Everything it records
+// (sim.Simulator.AddObserver); the service engine feeds it the
+// admission-side events the simulator cannot see. Everything it records
 // is stamped with simulated time, so a deterministic run produces a
 // deterministic trace and attribution stream.
 package slo
@@ -26,9 +25,6 @@ const (
 	// ClassFaultDelay marks jobs that suffered task failures, outage
 	// kills, or straggler slowdowns before missing.
 	ClassFaultDelay = "fault_delay"
-	// ClassSolverDegraded marks jobs whose outstanding window overlapped
-	// at least one solver-fallback round (greedy EDF degradation).
-	ClassSolverDegraded = "solver_degraded"
 	// ClassQueuedBacklog is the default: nothing went wrong with the job
 	// itself — it queued behind too much other work.
 	ClassQueuedBacklog = "queued_backlog"
@@ -36,7 +32,7 @@ const (
 
 // Classes lists every attribution class in reporting order.
 func Classes() []string {
-	return []string{ClassInfeasible, ClassFaultDelay, ClassSolverDegraded, ClassQueuedBacklog}
+	return []string{ClassInfeasible, ClassFaultDelay, ClassQueuedBacklog}
 }
 
 // CounterMiss is the obs counter-family prefix: one counter per class,
@@ -145,13 +141,9 @@ type jobState struct {
 	dropped     int
 	infeasible  bool
 	faultEvents int
-	// fallbackBase is the monitor-wide fallback-round count when the job
-	// was first seen; a higher count at finish means the job's window
-	// overlapped solver degradation.
-	fallbackBase int64
-	placedOnce   bool
-	failedTasks  map[string]bool
-	done         bool
+	placedOnce  bool
+	failedTasks map[string]bool
+	done        bool
 }
 
 type finish struct {
@@ -167,14 +159,13 @@ type Monitor struct {
 	sim.NopObserver
 	cfg Config
 
-	mu        sync.Mutex
-	jobs      map[int]*jobState
-	fallbacks int64
-	lateBy    map[string]int64
-	abandBy   map[string]int64
-	attrs     []Attribution
-	window    []finish // finish instants, ascending
-	lastNow   int64
+	mu      sync.Mutex
+	jobs    map[int]*jobState
+	lateBy  map[string]int64
+	abandBy map[string]int64
+	attrs   []Attribution
+	window  []finish // finish instants, ascending
+	lastNow int64
 }
 
 // NewMonitor creates a monitor with the given configuration.
@@ -193,7 +184,7 @@ func NewMonitor(cfg Config) *Monitor {
 func (m *Monitor) state(id int) *jobState {
 	js := m.jobs[id]
 	if js == nil {
-		js = &jobState{id: id, fallbackBase: m.fallbacks}
+		js = &jobState{id: id}
 		m.jobs[id] = js
 	}
 	return js
@@ -253,17 +244,6 @@ func (m *Monitor) JobShed(now int64, id int, reason string) {
 	m.record(js, now, KindSubmitted, "")
 	m.record(js, now, KindShed, reason)
 	js.done = true
-}
-
-// OnReschedule is wired to core.Manager.SetRescheduleObserver: fallback
-// rounds open a solver-degradation window covering every outstanding job.
-func (m *Monitor) OnReschedule(now int64, reason string, fallback bool) {
-	if m == nil || !fallback {
-		return
-	}
-	m.mu.Lock()
-	m.fallbacks++
-	m.mu.Unlock()
 }
 
 // --- sim.Observer ---
@@ -376,17 +356,14 @@ func (m *Monitor) JobAbandoned(now int64, j *workload.Job) {
 
 // classify picks the dominant miss cause. Priority: a job that was doomed
 // at admission blames admission regardless of later noise; fault damage
-// outranks solver degradation (it delays the job directly); solver
-// degradation outranks backlog (the schedule quality, not the load, is
-// what slipped); backlog is the residual explanation. Callers hold mu.
+// outranks backlog (it delays the job directly); backlog is the residual
+// explanation. Callers hold mu.
 func (m *Monitor) classify(js *jobState) string {
 	switch {
 	case js.infeasible:
 		return ClassInfeasible
 	case js.faultEvents > 0:
 		return ClassFaultDelay
-	case m.fallbacks > js.fallbackBase:
-		return ClassSolverDegraded
 	}
 	return ClassQueuedBacklog
 }

@@ -22,7 +22,6 @@ func TestNilMonitorInert(t *testing.T) {
 	tk := &workload.Task{ID: "t"}
 	m.JobSubmitted(0, 1, false)
 	m.JobShed(0, 1, "x")
-	m.OnReschedule(0, "arrival", true)
 	m.TaskScheduled(0, tk, j, 0, 10, false)
 	m.TaskFailed(5, tk, j, 0)
 	m.TaskKilled(5, tk, j, 0)
@@ -111,19 +110,11 @@ func TestClassificationPriority(t *testing.T) {
 		want  string
 	}{
 		{"backlog_default", func(m *Monitor, j *workload.Job) {}, ClassQueuedBacklog},
-		{"solver_degraded", func(m *Monitor, j *workload.Job) {
-			m.OnReschedule(10, "arrival", true)
-		}, ClassSolverDegraded},
-		{"fault_beats_solver", func(m *Monitor, j *workload.Job) {
-			m.OnReschedule(10, "arrival", true)
-			m.TaskFailed(20, tk, j, 0)
-		}, ClassFaultDelay},
 		{"straggle_is_fault", func(m *Monitor, j *workload.Job) {
 			m.TaskSlowdown(20, tk, j, 0, 30, 10)
 		}, ClassFaultDelay},
 		{"infeasible_beats_all", func(m *Monitor, j *workload.Job) {
 			m.TaskFailed(20, tk, j, 0)
-			m.OnReschedule(10, "arrival", true)
 		}, ClassInfeasible},
 	}
 	for _, tc := range cases {
@@ -141,20 +132,6 @@ func TestClassificationPriority(t *testing.T) {
 				t.Fatalf("class = %s, want %s", attrs[0].Class, tc.want)
 			}
 		})
-	}
-}
-
-// TestFallbackBeforeFirstSightIsInvisible: a fallback round that ended
-// before the job was first seen must not taint its classification.
-func TestFallbackBeforeFirstSightIsInvisible(t *testing.T) {
-	m := NewMonitor(Config{})
-	m.OnReschedule(5, "arrival", true) // degradation before job 2 exists
-	j := job(2, 10, 50)
-	m.JobSubmitted(10, 2, false)
-	m.JobCompleted(100, j, 50)
-	attrs := m.Attributions()
-	if len(attrs) != 1 || attrs[0].Class != ClassQueuedBacklog {
-		t.Fatalf("attrs = %+v, want one queued_backlog", attrs)
 	}
 }
 
@@ -248,7 +225,6 @@ func TestFaultSweepReconciliation(t *testing.T) {
 			}
 			tel := obs.New(&obs.MemorySink{})
 			mon := NewMonitor(Config{Telemetry: tel})
-			rm.SetRescheduleObserver(mon.OnReschedule)
 			s.AddObserver(mon)
 			metrics, err := s.Run()
 			if err != nil {

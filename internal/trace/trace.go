@@ -9,7 +9,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 
 	"mrcprm/internal/sim"
@@ -136,63 +135,6 @@ func (r *Recorder) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r.events)
-}
-
-// ProfilePoint is one step of a piecewise-constant occupancy profile:
-// Busy slots of the given kind are in use during [FromMS, ToMS).
-type ProfilePoint struct {
-	FromMS int64
-	ToMS   int64
-	Busy   int64
-}
-
-// SlotProfile digests the events into the exact piecewise-constant number
-// of busy slots of the given task type over time.
-func (r *Recorder) SlotProfile(tt workload.TaskType) []ProfilePoint {
-	type delta struct {
-		at int64
-		d  int64
-	}
-	var ds []delta
-	for _, e := range r.events {
-		if e.TaskType != tt.String() {
-			continue
-		}
-		switch e.Kind {
-		case TaskStart:
-			ds = append(ds, delta{e.TimeMS, 1})
-		case TaskFinish, TaskFail, TaskKill:
-			// Failed and killed attempts stop occupying their slots too.
-			ds = append(ds, delta{e.TimeMS, -1})
-		}
-	}
-	sort.Slice(ds, func(i, j int) bool {
-		if ds[i].at != ds[j].at {
-			return ds[i].at < ds[j].at
-		}
-		return ds[i].d < ds[j].d
-	})
-	var out []ProfilePoint
-	var busy int64
-	i := 0
-	for i < len(ds) {
-		at := ds[i].at
-		for i < len(ds) && ds[i].at == at {
-			busy += ds[i].d
-			i++
-		}
-		if n := len(out); n > 0 {
-			out[n-1].ToMS = at
-		}
-		if i < len(ds) {
-			out = append(out, ProfilePoint{FromMS: at, Busy: busy})
-		}
-	}
-	// Trim zero-occupancy tail segments.
-	for len(out) > 0 && out[len(out)-1].Busy == 0 {
-		out = out[:len(out)-1]
-	}
-	return out
 }
 
 // GanttRows renders one text row per resource with job digits marking

@@ -89,25 +89,6 @@ func TestJSONExportRoundTrips(t *testing.T) {
 	}
 }
 
-func TestSlotProfile(t *testing.T) {
-	rec, _ := runTraced(t)
-	prof := rec.SlotProfile(workload.MapTask)
-	// Two maps in parallel [0,5000) and [0,7000): busy 2 then 1.
-	if len(prof) != 2 {
-		t.Fatalf("profile %+v", prof)
-	}
-	if prof[0].Busy != 2 || prof[0].FromMS != 0 || prof[0].ToMS != 5000 {
-		t.Fatalf("segment 0: %+v", prof[0])
-	}
-	if prof[1].Busy != 1 || prof[1].ToMS != 7000 {
-		t.Fatalf("segment 1: %+v", prof[1])
-	}
-	red := rec.SlotProfile(workload.ReduceTask)
-	if len(red) != 1 || red[0].FromMS != 7000 || red[0].ToMS != 10_000 {
-		t.Fatalf("reduce profile %+v", red)
-	}
-}
-
 func TestGanttRows(t *testing.T) {
 	rec, cluster := runTraced(t)
 	rows := rec.GanttRows(cluster, 40)

@@ -205,8 +205,8 @@ func NewRegistryTelemetry() *Telemetry { return obs.New(obs.DiscardSink{}) }
 func ParsePrometheus(r io.Reader) (*PromScrape, error) { return obs.ParsePrometheus(r) }
 
 // ReadTelemetryReport digests a telemetry JSONL stream into a report
-// (solve-latency percentiles, fallback rate, objective convergence, sim
-// time-series envelope).
+// (solve-latency percentiles, solve-limit hit rate, objective convergence,
+// sim time-series envelope).
 func ReadTelemetryReport(r io.Reader) (*TelemetryReport, error) { return obs.ReadReport(r) }
 
 // SimulateInstrumented is the widest run: SimulateTraced with an optional
