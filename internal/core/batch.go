@@ -122,7 +122,7 @@ func buildBatchModel(cluster sim.Cluster, jobs []*workload.Job, cfg Config) (*bu
 		}
 		work[i] = &jobWork{job: j, pendingMaps: j.MapTasks, pendingReds: j.ReduceTasks}
 	}
-	return buildModel(cfg.formulation(cluster), 0, cluster, work, nil)
+	return new(round).buildModel(cfg.formulation(cluster), 0, cluster, work, nil)
 }
 
 // WriteBatchModelOPL builds the CP model a batch solve would use and

@@ -36,6 +36,9 @@ type Manager struct {
 	// onReschedule, when set, fires after every reschedule round whose
 	// solve succeeded. Unlike telemetry it works without a sink.
 	onReschedule func(now int64, reason string, fallback bool)
+
+	// round is the memory every reschedule runs in (see round).
+	round round
 }
 
 // New creates an MRCP-RM manager. The cluster argument is the manager's
@@ -288,7 +291,9 @@ func (m *Manager) chargeRetry(ctx sim.Context, js *rmkit.JobState, t *workload.T
 // installed and the error names the trigger and the simulated time.
 func (m *Manager) reschedule(ctx sim.Context, reason string) error {
 	now := ctx.Now()
-	down := make([]bool, m.cluster.NumResources)
+	rd := &m.round
+	rd.down = reserve(rd.down, m.cluster.NumResources)[:m.cluster.NumResources]
+	down := rd.down
 	allDown := true
 	for r := range down {
 		down[r] = ctx.ResourceDown(r)
@@ -323,7 +328,7 @@ func (m *Manager) reschedule(ctx sim.Context, reason string) error {
 		m.tel.Observe(obs.HistSolveModelTasks, float64(frozenN+pendingN))
 	}
 
-	bm, err := buildModel(m.cfg.Mode, now, m.cluster, work, down)
+	bm, err := rd.buildModel(m.cfg.Mode, now, m.cluster, work, down)
 	if err != nil {
 		if telOn {
 			sp.End(obs.Str("status", "model_error"),
@@ -333,7 +338,7 @@ func (m *Manager) reschedule(ctx sim.Context, reason string) error {
 	}
 	var hint *cp.Hint
 	if m.cfg.WarmStart {
-		if hint = buildHint(ctx, bm); hint != nil {
+		if hint = rd.buildHint(ctx); hint != nil {
 			m.stats.WarmStartRounds++
 			if telOn {
 				m.tel.Add(obs.CounterWarmStartHinted, 1)
@@ -485,9 +490,9 @@ func (m *Manager) solve(bm *builtModel, hint *cp.Hint) (res cp.Result, err error
 // built model so the solve can warm-start from it. Tasks without an
 // installed placement (fresh arrivals, failed attempts) carry no hint;
 // nil is returned when nothing survives to hint from.
-func buildHint(ctx sim.Context, bm *builtModel) *cp.Hint {
+func (rd *round) buildHint(ctx sim.Context) *cp.Hint {
 	var h *cp.Hint
-	for _, mt := range bm.tasks {
+	for _, mt := range rd.bm.tasks {
 		if mt.frozen {
 			continue
 		}
@@ -496,8 +501,12 @@ func buildHint(ctx sim.Context, bm *builtModel) *cp.Hint {
 			continue
 		}
 		if h == nil {
-			n := len(bm.model.Intervals())
-			h = &cp.Hint{Starts: make([]int64, n), Res: make([]int, n)}
+			// Exactly one entry per interval: a hint of another length
+			// does not cover the model.
+			n := len(rd.bm.tasks)
+			h = &rd.hint
+			h.Starts = reserve(h.Starts, n)[:n]
+			h.Res = reserve(h.Res, n)[:n]
 			for i := range h.Starts {
 				h.Starts[i] = -1
 				h.Res[i] = -1
@@ -509,9 +518,10 @@ func buildHint(ctx sim.Context, bm *builtModel) *cp.Hint {
 	return h
 }
 
-// collectWork snapshots the incomplete tasks of all active jobs. Abandoned
-// jobs contribute only their still-draining attempts (as capacity-holding
-// ghosts); ones with nothing left on the cluster are retired here.
+// collectWork snapshots the incomplete tasks of all active jobs into the
+// round's jobWork structs. Abandoned jobs contribute only their
+// still-draining attempts (as capacity-holding ghosts); ones with nothing
+// left on the cluster are retired here.
 func (m *Manager) collectWork(ctx sim.Context) []*jobWork {
 	var gone []*rmkit.JobState
 	for _, js := range m.jobs.Active() {
@@ -523,10 +533,17 @@ func (m *Manager) collectWork(ctx sim.Context) []*jobWork {
 		m.jobs.Retire(js)
 	}
 
-	var work []*jobWork
+	rd := &m.round
+	n := 0
 	for _, js := range m.jobs.Active() {
+		if n == len(rd.jobs) {
+			rd.jobs = append(rd.jobs, new(jobWork))
+		}
 		j, ghost := js.Job, js.Abandoned
-		w := &jobWork{job: j, ghost: ghost}
+		w := rd.jobs[n]
+		*w = jobWork{job: j, ghost: ghost,
+			pendingMaps: w.pendingMaps[:0], pendingReds: w.pendingReds[:0],
+			frozenMaps: w.frozenMaps[:0], frozenReds: w.frozenReds[:0]}
 		for _, t := range j.MapTasks {
 			switch {
 			case ctx.Completed(t):
@@ -552,10 +569,10 @@ func (m *Manager) collectWork(ctx sim.Context) []*jobWork {
 			}
 		}
 		if len(w.pendingMaps)+len(w.pendingReds)+len(w.frozenMaps)+len(w.frozenReds) > 0 {
-			work = append(work, w)
+			n++
 		}
 	}
-	return work
+	return rd.jobs[:n]
 }
 
 // install writes the solved timetable into the simulator: combined-mode
@@ -565,8 +582,8 @@ func (m *Manager) collectWork(ctx sim.Context) []*jobWork {
 func (m *Manager) install(ctx sim.Context, bm *builtModel, res *cp.Result, work []*jobWork, down []bool) error {
 	var mk *matchmaker
 	if bm.mode == ModeCombined {
-		var err error
-		if mk, err = m.roundMatchmaker(ctx.Now(), work, down); err != nil {
+		mk = &m.round.mk
+		if err := m.pinRound(mk, ctx.Now(), work, down); err != nil {
 			return err
 		}
 	}
@@ -585,11 +602,11 @@ func (m *Manager) install(ctx sim.Context, bm *builtModel, res *cp.Result, work 
 	return nil
 }
 
-// roundMatchmaker returns a matchmaker over the planning cluster with every
+// pinRound resets mk to a matchmaker over the planning cluster with every
 // down resource blocked from now on and every running task pinned to the
 // unit slot it was given in an earlier round.
-func (m *Manager) roundMatchmaker(now int64, work []*jobWork, down []bool) (*matchmaker, error) {
-	mk := newMatchmaker(m.cluster.NumResources, m.cluster.MapSlots, m.cluster.ReduceSlots, &m.stats)
+func (m *Manager) pinRound(mk *matchmaker, now int64, work []*jobWork, down []bool) error {
+	mk.reset(m.cluster.NumResources, m.cluster.MapSlots, m.cluster.ReduceSlots, &m.stats)
 	for r, d := range down {
 		if d {
 			mk.blockResource(r, now)
@@ -600,11 +617,11 @@ func (m *Manager) roundMatchmaker(now int64, work []*jobWork, down []bool) (*mat
 			for _, f := range frozen {
 				slot, ok := m.unitSlot[f.task]
 				if !ok {
-					return nil, fmt.Errorf("core: started task %s has no remembered unit slot", f.task.ID)
+					return fmt.Errorf("core: started task %s has no remembered unit slot", f.task.ID)
 				}
 				mk.pin(f.task, slot, f.start, f.exec)
 			}
 		}
 	}
-	return mk, nil
+	return nil
 }

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"mrcprm/internal/cp"
 	"mrcprm/internal/workload"
@@ -85,15 +88,16 @@ type assignment struct {
 // ID order, mk unused. Task IDs are unique per job only, so both sorts are
 // stable and model order breaks the ties that remain.
 func (bm *builtModel) placements(res *cp.Result, mk *matchmaker) ([]assignment, error) {
-	out := make([]assignment, 0, len(bm.tasks))
+	out := reserve(bm.placed, len(bm.tasks))
 	for _, mt := range bm.tasks {
 		if !mt.frozen {
 			id := mt.iv.ID()
 			out = append(out, assignment{task: mt.task, job: mt.job, res: res.Res[id], slot: -1, start: res.Starts[id]})
 		}
 	}
+	bm.placed = out
 	if bm.mode == ModeDirect {
-		sort.SliceStable(out, func(a, b int) bool { return out[a].task.ID < out[b].task.ID })
+		slices.SortStableFunc(out, func(a, b assignment) int { return strings.Compare(a.task.ID, b.task.ID) })
 		for _, a := range out {
 			if a.res < 0 {
 				return nil, fmt.Errorf("core: task %s has no resource in direct solution", a.task.ID)
@@ -101,14 +105,17 @@ func (bm *builtModel) placements(res *cp.Result, mk *matchmaker) ([]assignment, 
 		}
 		return out, nil
 	}
-	sort.SliceStable(out, func(a, b int) bool {
-		if out[a].start != out[b].start {
-			return out[a].start < out[b].start
+	slices.SortStableFunc(out, func(a, b assignment) int {
+		if c := cmp.Compare(a.start, b.start); c != 0 {
+			return c
 		}
-		if out[a].task.Type != out[b].task.Type {
-			return out[a].task.Type == workload.MapTask
+		if a.task.Type != b.task.Type {
+			if a.task.Type == workload.MapTask {
+				return -1
+			}
+			return 1
 		}
-		return out[a].task.ID < out[b].task.ID
+		return strings.Compare(a.task.ID, b.task.ID)
 	})
 	for i, a := range out {
 		out[i] = mk.place(a.task, a.start, a.job.TaskPrecedence)
@@ -132,16 +139,38 @@ type matchmaker struct {
 }
 
 func newMatchmaker(numRes int, mapPerRes, redPerRes int64, stats *Stats) *matchmaker {
-	return &matchmaker{
-		mapSlots:  make([]slotTimeline, int64(numRes)*mapPerRes),
-		redSlots:  make([]slotTimeline, int64(numRes)*redPerRes),
-		mapPerRes: mapPerRes,
-		redPerRes: redPerRes,
-		stats:     stats,
-		jobMapEnd: make(map[int]int64),
-		frozenEnd: make(map[int]int64),
-		taskEnd:   make(map[*workload.Task]int64),
+	mk := new(matchmaker)
+	mk.reset(numRes, mapPerRes, redPerRes, stats)
+	return mk
+}
+
+// reset makes mk the matchmaker newMatchmaker would return, keeping the
+// memory of its slot timelines and maps.
+func (mk *matchmaker) reset(numRes int, mapPerRes, redPerRes int64, stats *Stats) {
+	mk.mapSlots = resetSlots(mk.mapSlots, int(int64(numRes)*mapPerRes))
+	mk.redSlots = resetSlots(mk.redSlots, int(int64(numRes)*redPerRes))
+	mk.mapPerRes, mk.redPerRes, mk.stats = mapPerRes, redPerRes, stats
+	if mk.taskEnd == nil {
+		mk.jobMapEnd = make(map[int]int64)
+		mk.frozenEnd = make(map[int]int64)
+		mk.taskEnd = make(map[*workload.Task]int64)
 	}
+	clear(mk.jobMapEnd)
+	clear(mk.frozenEnd)
+	clear(mk.taskEnd)
+}
+
+// resetSlots returns n empty slot timelines, reusing s and the busy lists
+// of its slots.
+func resetSlots(s []slotTimeline, n int) []slotTimeline {
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([]slotTimeline, n-cap(s))...)
+	}
+	s = s[:n]
+	for i := range s {
+		s[i].busy = s[i].busy[:0]
+	}
+	return s
 }
 
 // pin commits an already-started task to its remembered unit slot. exec is

@@ -17,6 +17,8 @@ type builtModel struct {
 	mode SolveMode
 	// tasks lists every modeled task in interval order: tasks[i].iv.ID() == i.
 	tasks []modelTask
+	// placed is placements' output buffer.
+	placed []assignment
 }
 
 // modelTask is one incomplete task of the model.
@@ -53,11 +55,62 @@ type frozenTask struct {
 	exec int64
 }
 
+// round is the memory a reschedule collects its work, builds its model and
+// installs the solution in. A Manager keeps one for its lifetime and a
+// batch solve makes its own, so every model is built the same way: each
+// round resets what the last one grew and refills it, and the memory
+// follows the largest round seen.
+type round struct {
+	model cp.Model
+	bm    builtModel
+	down  []bool
+	// jobs holds the jobWork structs of earlier rounds, reused by index.
+	jobs []*jobWork
+	// The cumulatives' member lists, and every job's interval lists that
+	// its constraints hold (maps, reduces, precedence predecessors,
+	// terminals), cut from ivs.
+	mapTasks, redTasks, memTasks []*cp.Interval
+	memDem                       []int64
+	ivs                          []*cp.Interval
+	lates                        []*cp.Bool
+	durBuf                       []int64
+	// names are the direct model's cumulative names, per pool and resource.
+	names [3][]string
+	// index and hasSucc serve the precedence constraints of one workflow.
+	index   map[*workload.Task]int
+	hasSucc []bool
+	mk      matchmaker
+	hint    cp.Hint
+}
+
+// reserve returns s emptied, with room for n elements.
+func reserve[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
+}
+
+// cumulNames returns the direct model's per-resource cumulative names for
+// the map, reduce and memory timetables, formatted once per round value.
+func (rd *round) cumulNames(numRes int) *[3][]string {
+	if len(rd.names[0]) != numRes {
+		for k, prefix := range [3]string{"map_r", "red_r", "mem_r"} {
+			rd.names[k] = make([]string, numRes)
+			for r := range rd.names[k] {
+				rd.names[k][r] = fmt.Sprintf("%s%d", prefix, r)
+			}
+		}
+	}
+	return &rd.names
+}
+
 // buildModel constructs the Table 1 CP formulation over the given work in
-// the given formulation (see Config.formulation). now is the invocation
-// time; cluster describes the system component; down flags resources
-// currently in an outage, which must receive no new work (nil means all up).
-func buildModel(mode SolveMode, now int64, cluster sim.Cluster, work []*jobWork, down []bool) (*builtModel, error) {
+// the given formulation (see Config.formulation), into the round's model.
+// now is the invocation time; cluster describes the system component; down
+// flags resources currently in an outage, which must receive no new work
+// (nil means all up).
+func (rd *round) buildModel(mode SolveMode, now int64, cluster sim.Cluster, work []*jobWork, down []bool) (*builtModel, error) {
 	hetero := cluster.Heterogeneous()
 	memOn := cluster.MemCapacity > 0
 	if mode == ModeCombined && (hetero || memOn) {
@@ -68,30 +121,37 @@ func buildModel(mode SolveMode, now int64, cluster sim.Cluster, work []*jobWork,
 		return nil, fmt.Errorf("core: combined mode cannot model a heterogeneous or memory-constrained cluster")
 	}
 	horizon := horizonFor(now, cluster, work)
-	m := cp.NewModel(horizon)
+	m := &rd.model
+	m.Reset(horizon)
 	var nMap, nRed int
 	for _, w := range work {
 		nMap += len(w.pendingMaps) + len(w.frozenMaps)
 		nRed += len(w.pendingReds) + len(w.frozenReds)
 	}
-	bm := &builtModel{model: m, mode: mode, tasks: make([]modelTask, 0, nMap+nRed)}
+	bm := &rd.bm
+	bm.model, bm.mode, bm.tasks = m, mode, reserve(bm.tasks, nMap+nRed)
 
 	numRes := cluster.NumResources
 	// Cumulative members per slot pool, plus the tasks with a memory demand
 	// and that demand. Direct mode posts one cumulative per resource over
 	// the same lists: every task is an optional member everywhere.
-	mapTasks := make([]*cp.Interval, 0, nMap)
-	redTasks := make([]*cp.Interval, 0, nRed)
-	var memTasks []*cp.Interval
-	var memDem []int64
+	mapTasks := reserve(rd.mapTasks, nMap)
+	redTasks := reserve(rd.redTasks, nRed)
+	memTasks, memDem := rd.memTasks[:0], rd.memDem[:0]
+	// ivs holds every job's interval lists: maps then reduces, in model
+	// order, then the lists only precedence needs. A list is cut once its
+	// job has appended all of it, so growth never moves a list the model
+	// holds.
+	ivs := reserve(rd.ivs, nMap+nRed)
 	// durBuf holds one task's duration table at a time: SetResDurations
 	// keeps a copy.
 	var durBuf []int64
 	if hetero {
-		durBuf = make([]int64, numRes)
+		rd.durBuf = reserve(rd.durBuf, numRes)[:numRes]
+		durBuf = rd.durBuf
 	}
 
-	var lates []*cp.Bool
+	lates := rd.lates[:0]
 	for _, w := range work {
 		j := w.job
 		est := w.job.EarliestStart
@@ -100,12 +160,12 @@ func buildModel(mode SolveMode, now int64, cluster sim.Cluster, work []*jobWork,
 		}
 		first := len(bm.tasks) // the job's tasks are bm.tasks[first:]
 
-		addTask := func(t *workload.Task, fz *frozenTask) (*cp.Interval, error) {
+		addTask := func(t *workload.Task, fz *frozenTask) error {
 			if mode == ModeCombined && t.Req != 1 {
 				// The gap-based matchmaking pass places each task on
 				// exactly one unit slot; tasks demanding several slots
 				// need the direct formulation.
-				return nil, fmt.Errorf("core: task %s has demand %d; combined mode requires unit demands",
+				return fmt.Errorf("core: task %s has demand %d; combined mode requires unit demands",
 					t.ID, t.Req)
 			}
 			dur := t.Exec
@@ -136,13 +196,14 @@ func buildModel(mode SolveMode, now int64, cluster sim.Cluster, work []*jobWork,
 			if fz != nil {
 				// Table 2 line 11: pin started tasks to their placement.
 				if fz.start > horizon-dur {
-					return nil, fmt.Errorf("core: frozen task %s at %d beyond horizon", t.ID, fz.start)
+					return fmt.Errorf("core: frozen task %s at %d beyond horizon", t.ID, fz.start)
 				}
 				m.FixStart(iv, fz.start)
 			} else {
 				m.SetStartBounds(iv, est, horizon-dur)
 			}
 			bm.tasks = append(bm.tasks, modelTask{task: t, job: j, iv: iv, frozen: fz != nil})
+			ivs = append(ivs, iv)
 			if t.Type == workload.MapTask {
 				mapTasks = append(mapTasks, iv)
 			} else {
@@ -167,38 +228,33 @@ func buildModel(mode SolveMode, now int64, cluster sim.Cluster, work []*jobWork,
 					memDem = append(memDem, t.Mem)
 				}
 			}
-			return iv, nil
+			return nil
 		}
 
-		var mapIvs, redIvs []*cp.Interval
+		start := len(ivs)
 		for _, t := range w.pendingMaps {
-			iv, err := addTask(t, nil)
-			if err != nil {
+			if err := addTask(t, nil); err != nil {
 				return nil, err
 			}
-			mapIvs = append(mapIvs, iv)
 		}
 		for i := range w.frozenMaps {
-			iv, err := addTask(w.frozenMaps[i].task, &w.frozenMaps[i])
-			if err != nil {
+			if err := addTask(w.frozenMaps[i].task, &w.frozenMaps[i]); err != nil {
 				return nil, err
 			}
-			mapIvs = append(mapIvs, iv)
 		}
+		mid := len(ivs)
 		for _, t := range w.pendingReds {
-			iv, err := addTask(t, nil)
-			if err != nil {
+			if err := addTask(t, nil); err != nil {
 				return nil, err
 			}
-			redIvs = append(redIvs, iv)
 		}
 		for i := range w.frozenReds {
-			iv, err := addTask(w.frozenReds[i].task, &w.frozenReds[i])
-			if err != nil {
+			if err := addTask(w.frozenReds[i].task, &w.frozenReds[i]); err != nil {
 				return nil, err
 			}
-			redIvs = append(redIvs, iv)
 		}
+		end := len(ivs)
+		mapIvs, redIvs := ivs[start:mid:mid], ivs[mid:end:end]
 
 		var terminals []*cp.Interval
 		if j.TaskPrecedence {
@@ -207,28 +263,35 @@ func buildModel(mode SolveMode, now int64, cluster sim.Cluster, work []*jobWork,
 			// ended at or before now, which every new start respects, so
 			// only incomplete predecessors constrain.
 			jobTasks := bm.tasks[first:]
-			index := make(map[*workload.Task]int, len(jobTasks))
-			for i, mt := range jobTasks {
-				index[mt.task] = i
+			if rd.index == nil {
+				rd.index = make(map[*workload.Task]int)
 			}
-			hasSucc := make([]bool, len(jobTasks))
+			clear(rd.index)
+			for i, mt := range jobTasks {
+				rd.index[mt.task] = i
+			}
+			rd.hasSucc = reserve(rd.hasSucc, len(jobTasks))[:len(jobTasks)]
+			clear(rd.hasSucc)
 			for _, mt := range jobTasks {
-				var preds []*cp.Interval
+				from := len(ivs)
 				for _, p := range mt.task.Preds {
-					if pi, ok := index[p]; ok {
-						preds = append(preds, jobTasks[pi].iv)
-						hasSucc[pi] = true
+					if pi, ok := rd.index[p]; ok {
+						ivs = append(ivs, jobTasks[pi].iv)
+						rd.hasSucc[pi] = true
 					}
 				}
-				if len(preds) > 0 {
-					m.AddMaxEndBeforeStart(preds, mt.iv)
+				if n := len(ivs); n > from {
+					ivs = append(ivs, mt.iv)
+					m.AddPhaseBarrier(ivs[from:n:n], ivs[n:n+1:n+1])
 				}
 			}
+			from := len(ivs)
 			for i, mt := range jobTasks {
-				if !hasSucc[i] {
-					terminals = append(terminals, mt.iv)
+				if !rd.hasSucc[i] {
+					ivs = append(ivs, mt.iv)
 				}
 			}
+			terminals = ivs[from:len(ivs):len(ivs)]
 		} else {
 			// Constraint 3: reduces start after the last map. Completed
 			// maps ended at or before now, which every new start already
@@ -242,11 +305,13 @@ func buildModel(mode SolveMode, now int64, cluster sim.Cluster, work []*jobWork,
 			}
 		}
 		if len(terminals) > 0 && !w.ghost {
-			late := m.NewBool(fmt.Sprintf("late_%d", j.ID))
+			late := m.NewBool("late")
 			m.AddLateness(terminals, j.Deadline, late)
 			lates = append(lates, late)
 		}
 	}
+	rd.mapTasks, rd.redTasks, rd.memTasks, rd.memDem, rd.ivs, rd.lates =
+		mapTasks, redTasks, memTasks, memDem, ivs, lates
 
 	// Constraints 5/6: capacities. In combined mode a down resource shrinks
 	// the combined capacity (its unit slots are also blocked during the
@@ -267,15 +332,16 @@ func buildModel(mode SolveMode, now int64, cluster sim.Cluster, work []*jobWork,
 			m.AddCumulative("reduce", -1, upRes*cluster.ReduceSlots, redTasks)
 		}
 	case ModeDirect:
+		names := rd.cumulNames(numRes)
 		for r := 0; r < numRes; r++ {
 			if len(mapTasks) > 0 {
-				m.AddCumulative(fmt.Sprintf("map_r%d", r), r, cluster.MapSlots, mapTasks)
+				m.AddCumulative(names[0][r], r, cluster.MapSlots, mapTasks)
 			}
 			if len(redTasks) > 0 {
-				m.AddCumulative(fmt.Sprintf("red_r%d", r), r, cluster.ReduceSlots, redTasks)
+				m.AddCumulative(names[1][r], r, cluster.ReduceSlots, redTasks)
 			}
 			if len(memTasks) > 0 {
-				m.AddCumulativeDemands(fmt.Sprintf("mem_r%d", r), r, cluster.MemCapacity, memTasks, memDem)
+				m.AddCumulativeDemands(names[2][r], r, cluster.MemCapacity, memTasks, memDem)
 			}
 		}
 	}
@@ -298,11 +364,13 @@ func horizonFor(now int64, cluster sim.Cluster, work []*jobWork) int64 {
 		if w.job.EarliestStart > h {
 			h = w.job.EarliestStart + 1
 		}
-		for _, t := range w.job.Tasks() {
-			e := sim.ScaledExec(t.Exec, minSpeed)
-			total += e
-			if e > maxDur {
-				maxDur = e
+		for _, pool := range [2][]*workload.Task{w.job.MapTasks, w.job.ReduceTasks} {
+			for _, t := range pool {
+				e := sim.ScaledExec(t.Exec, minSpeed)
+				total += e
+				if e > maxDur {
+					maxDur = e
+				}
 			}
 		}
 		// Straggler-slowed frozen attempts can end past their nominal

@@ -13,7 +13,7 @@ func TestCombinedModeRejectsNonUnitDemand(t *testing.T) {
 	j := mkJob(0, 0, 0, 100_000, []int64{5000}, nil)
 	j.MapTasks[0].Req = 2
 	w := &jobWork{job: j, pendingMaps: j.MapTasks}
-	_, err := buildModel(ModeCombined, 0, cluster, []*jobWork{w}, nil)
+	_, err := new(round).buildModel(ModeCombined, 0, cluster, []*jobWork{w}, nil)
 	if err == nil || !strings.Contains(err.Error(), "unit demands") {
 		t.Fatalf("expected unit-demand error, got %v", err)
 	}
@@ -43,7 +43,7 @@ func TestBuildModelFrozenBeyondNominalHorizonAccepted(t *testing.T) {
 	w := &jobWork{job: j, frozenMaps: []frozenTask{
 		{task: j.MapTasks[0], res: 0, start: far, exec: 15_000},
 	}}
-	bm, err := buildModel(ModeCombined, 0, cluster, []*jobWork{w}, nil)
+	bm, err := new(round).buildModel(ModeCombined, 0, cluster, []*jobWork{w}, nil)
 	if err != nil {
 		t.Fatalf("frozen task beyond nominal horizon rejected: %v", err)
 	}
@@ -57,7 +57,7 @@ func TestBuildModelTerminalsWithoutReduces(t *testing.T) {
 	cluster := sim.Cluster{NumResources: 1, MapSlots: 1, ReduceSlots: 1}
 	j := mkJob(0, 0, 0, 4_000, []int64{5000}, nil) // impossible deadline
 	w := &jobWork{job: j, pendingMaps: j.MapTasks}
-	bm, err := buildModel(ModeCombined, 0, cluster, []*jobWork{w}, nil)
+	bm, err := new(round).buildModel(ModeCombined, 0, cluster, []*jobWork{w}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestBuildModelAdvancesStaleEarliestStarts(t *testing.T) {
 	j := mkJob(0, 0, 1_000, 1_000_000, []int64{5000}, nil)
 	w := &jobWork{job: j, pendingMaps: j.MapTasks}
 	now := int64(50_000)
-	bm, err := buildModel(ModeCombined, now, cluster, []*jobWork{w}, nil)
+	bm, err := new(round).buildModel(ModeCombined, now, cluster, []*jobWork{w}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

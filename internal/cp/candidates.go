@@ -32,8 +32,13 @@ type candHeap struct {
 	undecided int
 }
 
-func newCandHeap(n int) candHeap {
-	return candHeap{heap: make([]int32, 0, n), pos: make([]int32, n), key: make([]candKey, n)}
+// size prepares the heap for a model of n intervals, reusing its arrays
+// when they are large enough; reset fills it.
+func (h *candHeap) size(n int) {
+	h.heap = emptied(h.heap, n)
+	h.pos = resized(h.pos, n)
+	h.key = resized(h.key, n)
+	h.undecided = 0
 }
 
 // reset empties the heap and marks every interval decided.

@@ -81,6 +81,9 @@ type cumulative struct {
 	// SearchStats.SweepWork.
 	idx       *taskIndex
 	sweepWork int64
+
+	// handle is what AddCumulativeDemands returns.
+	handle Cumulative
 }
 
 type ttEvent struct {
@@ -105,21 +108,36 @@ const (
 )
 
 func newCumulative(name string, resIndex int, capacity int64, tasks []*Interval, demands []int64) *cumulative {
-	c := &cumulative{
+	c := new(cumulative)
+	c.reset(name, resIndex, capacity, tasks, demands)
+	return c
+}
+
+// reset makes c the cumulative newCumulative would return, keeping the
+// memory of the per-task arrays, the profile and the pending lists. The
+// flags must start clear: noteChange lists a position only when its flag
+// is, and rebuildFull clears only the flags of listed positions.
+func (c *cumulative) reset(name string, resIndex int, capacity int64, tasks []*Interval, demands []int64) {
+	n := len(tasks)
+	*c = cumulative{
 		name:      name,
 		resIndex:  resIndex,
 		capacity:  capacity,
 		tasks:     tasks,
 		demands:   demands,
-		lastMA:    make([]int64, len(tasks)),
-		lastMB:    make([]int64, len(tasks)),
-		changedFl: make([]bool, len(tasks)),
-		selfFl:    make([]bool, len(tasks)),
+		lastMA:    resized(c.lastMA, n),
+		lastMB:    resized(c.lastMB, n),
+		segs:      c.segs[:0],
+		changed:   c.changed[:0],
+		changedFl: cleared(c.changedFl, n),
+		self:      c.self[:0],
+		selfFl:    cleared(c.selfFl, n),
+		rawSpans:  c.rawSpans[:0],
 	}
+	c.handle.c = c
 	for _, t := range tasks {
 		c.dmax = max(c.dmax, t.Dur, c.durOf(t))
 	}
-	return c
 }
 
 // demandAt returns the demand tasks[pos] places on this dimension.
@@ -241,10 +259,14 @@ func (c *cumulative) rebuildFull(m *Model) {
 		}
 		dem := c.demandAt(i)
 		c.minDemand, c.maxDemand = min(c.minDemand, dem), max(c.maxDemand, dem)
-		c.changedFl[i] = false
-		c.selfFl[i] = false
+	}
+	for _, pos := range c.changed {
+		c.changedFl[pos] = false
 	}
 	c.changed = c.changed[:0]
+	for _, pos := range c.self {
+		c.selfFl[pos] = false
+	}
 	c.self = c.self[:0]
 	c.rawSpans = c.rawSpans[:0]
 	if cap(m.ttEvents) < 2*parts {
@@ -426,9 +448,10 @@ func (c *cumulative) applyIncremental(m *Model) {
 	c.changed = c.changed[:0]
 }
 
-// catchUp brings the profile back to the store after one or more pops, from the tasks the pops restored (and any change still
-// pending), and schedules a full pass: what the pending lists held
-// describes levels that no longer exist.
+// catchUp brings the profile back to the store after one or more pops,
+// from the tasks the pops restored (and any change still pending), and
+// schedules a full pass: what the pending lists held describes levels that
+// no longer exist.
 func (c *cumulative) catchUp(m *Model) {
 	for _, pos := range c.changed {
 		c.changedFl[pos] = false

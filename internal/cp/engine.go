@@ -39,9 +39,10 @@ type engine struct {
 	sweep []int32
 }
 
-// newEngine prepares the propagation engine for one solve of m, sizing the
+// newEngine prepares m's propagation engine for one solve of m, sizing the
 // queue and the store's level stack and trail from the model so that the
-// search's first descent does not grow them step by step.
+// search's first descent does not grow them step by step. The engine and
+// its buffers belong to the model and outlive the solve; Reset keeps them.
 func newEngine(m *Model) *engine {
 	n := len(m.intervals)
 	// A descent opens one level per decision — a start per interval, a
@@ -57,13 +58,16 @@ func newEngine(m *Model) *engine {
 		}
 	}
 	m.store.reserve(n+len(m.resvars)+1, 2*open)
-	return &engine{
+	e := &m.eng
+	*e = engine{
 		m: m, store: m.store, running: -1,
-		queue:     make([]int, 0, len(m.props)),
-		inQueue:   make([]bool, len(m.props)),
-		touched:   make([]int32, 0, n),
-		touchedFl: make([]bool, n),
+		queue:     emptied(e.queue, len(m.props)),
+		inQueue:   cleared(e.inQueue, len(m.props)),
+		touched:   emptied(e.touched, n),
+		touchedFl: cleared(e.touchedFl, n),
+		sweep:     e.sweep[:0],
 	}
+	return e
 }
 
 // schedule enqueues a propagator unless it is already queued or currently

@@ -27,11 +27,12 @@ type Interval struct {
 	origMax int64
 	resVar  *ResVar // non-nil when matchmaking is part of the model
 
-	// durs, when non-nil, is the per-resource duration table of a
+	// durs, when not empty, is the per-resource duration table of a
 	// heterogeneous model: running on resource r takes durs[r] time units.
-	// nil keeps the uniform fast path where Dur holds for every resource.
+	// Empty keeps the uniform fast path where Dur holds for every resource.
 	// The table's modes live in its capacity past len (see modes), so the
-	// Interval stays one slice header wide.
+	// Interval stays one slice header wide; the capacity is cut to exactly
+	// the modes, also when Reset hands the table to a later build.
 	durs []int64
 }
 
@@ -43,7 +44,12 @@ func (iv *Interval) modes() []int64 { return iv.durs[len(iv.durs):cap(iv.durs)] 
 
 // Durations returns the per-resource duration table, or nil for a uniform
 // interval.
-func (iv *Interval) Durations() []int64 { return iv.durs[:len(iv.durs):len(iv.durs)] }
+func (iv *Interval) Durations() []int64 {
+	if len(iv.durs) == 0 {
+		return nil
+	}
+	return iv.durs[:len(iv.durs):len(iv.durs)]
+}
 
 // ID returns the interval's dense model index.
 func (iv *Interval) ID() int { return iv.id }
@@ -68,7 +74,6 @@ func (b *Bool) ID() int { return b.id }
 // ResVar is a finite-domain variable ranging over resource indices
 // [0, NumRes) — the x_tr matchmaking variables, represented as a bitset.
 type ResVar struct {
-	Name   string
 	NumRes int
 	id     int
 	base   int32 // bitset words
@@ -80,9 +85,12 @@ type ResVar struct {
 func (rv *ResVar) ID() int { return rv.id }
 
 // Model is a constraint program under construction. Build it at the root
-// level (variables, bounds, constraints), then hand it to a Solver. A model
-// is intended for a single Solve call, matching the paper's regeneration of
-// the OPL model on every MRCP-RM invocation.
+// level (variables, bounds, constraints), then hand it to a Solver and solve
+// it once. To solve another problem, Reset the model and build that one:
+// MRCP-RM regenerates its whole model on every invocation, as the paper
+// regenerates its OPL model, and Reset lets it do so in the memory the
+// earlier builds grew instead of fresh memory. A Result owns its slices, so
+// it stays valid across a Reset; the model's variables and handles do not.
 type Model struct {
 	store     *Store
 	horizon   int64
@@ -102,6 +110,19 @@ type Model struct {
 
 	// ttEvents is the cumulatives' scratch for deriving their profiles.
 	ttEvents []ttEvent
+
+	// What Reset keeps besides the slices above: the propagators and time
+	// indexes of earlier builds, reused by index, and the search state a
+	// Solver takes over — the engine's buffers, the candidate heap and
+	// pickResource's domain and fit buffers.
+	barriers []*phaseBarrier
+	lates    []*lateness
+	sum      sumLE
+	idxs     []*taskIndex
+	eng      engine
+	cand     candHeap
+	resBuf   []int
+	fitBuf   []int64
 }
 
 // watch is one entry of an interval's or resvar's watch list: the
@@ -119,17 +140,96 @@ type watch struct {
 // any task end time; every interval's start window defaults to
 // [0, horizon-dur].
 func NewModel(horizon int64) *Model {
+	m := new(Model)
+	m.Reset(horizon)
+	return m
+}
+
+// Reset empties the model for a new build with the given horizon, as
+// NewModel would create it, but keeps the memory earlier builds grew: the
+// variable and constraint structs, the watch lists, the store and the search
+// state are reused by index, so a build no larger than an earlier one
+// allocates next to nothing. Every variable, handle and slice the model
+// returned before the Reset is invalid after it; a Result is not.
+func (m *Model) Reset(horizon int64) {
 	if horizon <= 0 {
 		panic("cp: model horizon must be positive")
 	}
-	return &Model{store: NewStore(), horizon: horizon}
+	if m.store == nil {
+		m.store = NewStore()
+	}
+	m.store.reset()
+	m.horizon = horizon
+	m.intervals = m.intervals[:0]
+	m.bools = m.bools[:0]
+	m.resvars = m.resvars[:0]
+	m.props = m.props[:0]
+	m.cumuls = m.cumuls[:0]
+	m.ivWatch = m.ivWatch[:0]
+	m.boolWatch = m.boolWatch[:0]
+	m.rvWatch = m.rvWatch[:0]
+	m.sumLE = nil
+	m.objBools = nil
+	m.barriers = m.barriers[:0]
+	m.lates = m.lates[:0]
+	m.idxs = m.idxs[:0]
+}
+
+// extend lengthens s by one element and returns the struct at the new
+// index: the one an earlier build left in s's backing array, or a new one.
+// The caller sets every field.
+func extend[T any](s []*T) ([]*T, *T) {
+	n := len(s)
+	if n == cap(s) {
+		s = append(s, new(T))
+	} else if s = s[:n+1]; s[n] == nil {
+		s[n] = new(T)
+	}
+	return s, s[n]
+}
+
+// extendList lengthens s by one empty list, reusing the backing array of
+// the list an earlier build left at that index.
+func extendList[T any](s [][]T) [][]T {
+	n := len(s)
+	if n == cap(s) {
+		return append(s, nil)
+	}
+	s = s[:n+1]
+	s[n] = s[n][:0]
+	return s
+}
+
+// resized returns a slice of length n, s's backing array when it is large
+// enough; the contents are unspecified.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// cleared is resized with every element zero.
+func cleared[T any](s []T, n int) []T {
+	s = resized(s, n)
+	clear(s)
+	return s
+}
+
+// emptied returns an empty slice with room for n elements, s's backing
+// array when it is large enough.
+func emptied[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
 }
 
 // Intervals returns all intervals in creation order.
-func (m *Model) Intervals() []*Interval { return m.intervals }
+func (m *Model) Intervals() []*Interval { return m.intervals[:len(m.intervals):len(m.intervals)] }
 
 // Bools returns all boolean variables in creation order.
-func (m *Model) Bools() []*Bool { return m.bools }
+func (m *Model) Bools() []*Bool { return m.bools[:len(m.bools):len(m.bools)] }
 
 // NewInterval adds a task interval with the given duration and demand 1.
 // Its start window is [0, horizon-dur].
@@ -140,18 +240,21 @@ func (m *Model) NewInterval(name string, dur int64) *Interval {
 	if dur > m.horizon {
 		panic(fmt.Sprintf("cp: interval %q duration %d exceeds horizon %d", name, dur, m.horizon))
 	}
-	iv := &Interval{
+	id := len(m.intervals)
+	var iv *Interval
+	m.intervals, iv = extend(m.intervals)
+	*iv = Interval{
 		Name:    name,
 		Dur:     dur,
 		Demand:  1,
 		Due:     math.MaxInt64,
-		id:      len(m.intervals),
+		id:      id,
 		origMin: 0,
 		origMax: m.horizon - dur,
+		durs:    iv.durs[:0],
 	}
-	iv.base = m.store.alloc(int32(iv.id), iv.origMin, iv.origMax, 0)
-	m.intervals = append(m.intervals, iv)
-	m.ivWatch = append(m.ivWatch, nil)
+	iv.base = m.store.alloc(int32(id), iv.origMin, iv.origMax, 0)
+	m.ivWatch = extendList(m.ivWatch)
 	return iv
 }
 
@@ -189,7 +292,8 @@ func (m *Model) SetResDurations(iv *Interval, durs []int64) {
 		return // a constant table is the uniform case; keep the fast path
 	}
 	n, stride := len(durs), 1+iv.resVar.words
-	table := make([]int64, n+len(distinct)*stride)
+	size := n + len(distinct)*stride
+	table := cleared(iv.durs, size)
 	copy(table, durs)
 	modes := table[n:]
 	for i, d := range distinct {
@@ -199,7 +303,7 @@ func (m *Model) SetResDurations(iv *Interval, durs []int64) {
 		i, _ := slices.BinarySearch(distinct, d)
 		modes[i*stride+1+r/64] |= 1 << (r % 64)
 	}
-	iv.durs = table[:n]
+	iv.durs = table[:n:size]
 }
 
 // SetStartBounds narrows an interval's start window at build time.
@@ -232,7 +336,7 @@ func (m *Model) StartMax(iv *Interval) int64 { return m.store.get(iv.base + 1) }
 // uniform duration, or the fastest mode with a resource left in the
 // resvar's domain. It costs a word test per mode, not a probe per resource.
 func (m *Model) DurMin(iv *Interval) int64 {
-	if iv.durs == nil {
+	if len(iv.durs) == 0 {
 		return iv.Dur
 	}
 	rv, modes := iv.resVar, iv.modes()
@@ -247,7 +351,7 @@ func (m *Model) DurMin(iv *Interval) int64 {
 
 // DurMax returns the largest duration the interval can still take.
 func (m *Model) DurMax(iv *Interval) int64 {
-	if iv.durs == nil {
+	if len(iv.durs) == 0 {
 		return iv.Dur
 	}
 	rv, modes := iv.resVar, iv.modes()
@@ -273,7 +377,7 @@ func (m *Model) anyAllowed(rv *ResVar, mask []int64) bool {
 
 // DurOn returns the interval's duration on resource r.
 func (iv *Interval) DurOn(r int) int64 {
-	if iv.durs == nil || r < 0 || r >= len(iv.durs) {
+	if r < 0 || r >= len(iv.durs) {
 		return iv.Dur
 	}
 	return iv.durs[r]
@@ -292,10 +396,11 @@ func (m *Model) postponed(iv *Interval) bool { return m.store.get(iv.base+2) != 
 
 // NewBool adds a 0/1 variable.
 func (m *Model) NewBool(name string) *Bool {
-	b := &Bool{Name: name, id: len(m.bools)}
-	b.base = m.store.alloc(-1, 0, 1)
-	m.bools = append(m.bools, b)
-	m.boolWatch = append(m.boolWatch, nil)
+	id := len(m.bools)
+	var b *Bool
+	m.bools, b = extend(m.bools)
+	*b = Bool{Name: name, id: id, base: m.store.alloc(-1, 0, 1)}
+	m.boolWatch = extendList(m.boolWatch)
 	return b
 }
 
@@ -318,14 +423,18 @@ func (m *Model) NewResVar(iv *Interval, numRes int) *ResVar {
 		panic(fmt.Sprintf("cp: interval %q already has a resvar", iv.Name))
 	}
 	words := (numRes + 63) / 64
-	rv := &ResVar{Name: iv.Name + ".res", NumRes: numRes, id: len(m.resvars), words: words, iv: iv}
-	vals := make([]int64, words)
-	for r := 0; r < numRes; r++ {
-		vals[r/64] |= 1 << (r % 64)
+	id := len(m.resvars)
+	var rv *ResVar
+	m.resvars, rv = extend(m.resvars)
+	*rv = ResVar{NumRes: numRes, id: id, base: int32(len(m.store.cells)), words: words, iv: iv}
+	for w := 0; w < words; w++ {
+		word := int64(-1) // all 64 resources of the word
+		if left := numRes - w*64; left < 64 {
+			word = 1<<left - 1
+		}
+		m.store.alloc(int32(iv.id), word)
 	}
-	rv.base = m.store.alloc(int32(iv.id), vals...)
-	m.resvars = append(m.resvars, rv)
-	m.rvWatch = append(m.rvWatch, nil)
+	m.rvWatch = extendList(m.rvWatch)
 	iv.resVar = rv
 	return rv
 }
@@ -387,7 +496,7 @@ func (m *Model) AppendResDomain(rv *ResVar, buf []int) []int {
 // FixRes pins a resvar at build time (frozen tasks keep their resource).
 func (m *Model) FixRes(rv *ResVar, r int) {
 	if r < 0 || r >= rv.NumRes {
-		panic(fmt.Sprintf("cp: resource %d out of range for %q", r, rv.Name))
+		panic(fmt.Sprintf("cp: resource %d out of range for %q", r, rv.iv.Name+".res"))
 	}
 	for w := 0; w < rv.words; w++ {
 		var word int64
@@ -403,7 +512,7 @@ func (m *Model) FixRes(rv *ResVar, r int) {
 // allowed here; the root propagation pass reports it as infeasible.
 func (m *Model) ForbidRes(rv *ResVar, r int) {
 	if r < 0 || r >= rv.NumRes {
-		panic(fmt.Sprintf("cp: resource %d out of range for %q", r, rv.Name))
+		panic(fmt.Sprintf("cp: resource %d out of range for %q", r, rv.iv.Name+".res"))
 	}
 	w := rv.base + int32(r/64)
 	m.store.set(w, m.store.get(w)&^(1<<(r%64)))
@@ -437,12 +546,14 @@ func (m *Model) AddPhaseBarrier(preds, succs []*Interval) {
 	if len(preds) == 0 || len(succs) == 0 {
 		return
 	}
-	p := &phaseBarrier{preds: preds, succs: succs}
+	var p *phaseBarrier
+	m.barriers, p = extend(m.barriers)
+	*p = phaseBarrier{preds: preds, succs: succs}
 	idx := m.addProp(p)
 	for _, pr := range preds {
 		m.watchInterval(pr, idx, -1)
 		// A duration-table pred's EndMin moves when its resvar narrows.
-		if pr.durs != nil {
+		if len(pr.durs) > 0 {
 			m.watchResVar(pr.resVar, idx, -1)
 		}
 	}
@@ -464,13 +575,15 @@ func (m *Model) AddLateness(terminals []*Interval, deadline int64, late *Bool) {
 	if len(terminals) == 0 {
 		panic("cp: lateness constraint needs at least one terminal task")
 	}
-	p := &lateness{terminals: terminals, deadline: deadline, late: late}
+	var p *lateness
+	m.lates, p = extend(m.lates)
+	*p = lateness{terminals: terminals, deadline: deadline, late: late}
 	late.jobKey = terminals[0].JobKey
 	idx := m.addProp(p)
 	for _, t := range terminals {
 		m.watchInterval(t, idx, -1)
 		// A duration-table terminal's end bounds move when its resvar narrows.
-		if t.durs != nil {
+		if len(t.durs) > 0 {
 			m.watchResVar(t.resVar, idx, -1)
 		}
 	}
@@ -481,16 +594,22 @@ func (m *Model) AddLateness(terminals []*Interval, deadline int64, late *Bool) {
 // late jobs. At most one such constraint may be posted per model; the solver
 // tightens the bound between branch-and-bound rounds.
 func (m *Model) AddSumLE(bools []*Bool, bound int) *SumLEHandle {
+	return &SumLEHandle{p: m.addSumLE(bools, bound)}
+}
+
+// addSumLE is AddSumLE without the handle.
+func (m *Model) addSumLE(bools []*Bool, bound int) *sumLE {
 	if m.sumLE != nil {
 		panic("cp: model already has a SumLE constraint")
 	}
-	p := &sumLE{bools: bools, bound: bound}
+	p := &m.sum
+	*p = sumLE{bools: bools, bound: bound}
 	idx := m.addProp(p)
 	for _, b := range bools {
 		m.watchBool(b, idx)
 	}
 	m.sumLE = p
-	return &SumLEHandle{p: p}
+	return p
 }
 
 // SumLEHandle lets the solver tighten the late-job bound between rounds.
@@ -525,27 +644,31 @@ func (m *Model) AddCumulativeDemands(name string, resIndex int, capacity int64, 
 	if demands != nil && len(demands) != len(tasks) {
 		panic(fmt.Sprintf("cp: cumulative %q has %d demands for %d tasks", name, len(demands), len(tasks)))
 	}
-	c := newCumulative(name, resIndex, capacity, tasks, demands)
+	var shared *taskIndex
 	for _, o := range m.cumuls {
 		if len(tasks) > 0 && len(o.tasks) == len(tasks) && &o.tasks[0] == &tasks[0] {
-			c.idx = o.idx // the same task list: share its time index
+			shared = o.idx // the same task list: share its time index
 			break
 		}
 	}
-	if c.idx == nil {
-		c.idx = &taskIndex{}
+	if shared == nil {
+		m.idxs, shared = extend(m.idxs)
+		shared.reset()
 	}
+	var c *cumulative
+	m.cumuls, c = extend(m.cumuls)
+	c.reset(name, resIndex, capacity, tasks, demands)
+	c.idx = shared
 	c.idx.capSum += capacity
 	idx := m.addProp(c)
 	c.prop = idx
 	for pos, t := range tasks {
 		m.watchInterval(t, idx, pos)
-		if t.resVar != nil && (resIndex >= 0 || t.durs != nil) {
+		if t.resVar != nil && (resIndex >= 0 || len(t.durs) > 0) {
 			m.watchResVar(t.resVar, idx, pos)
 		}
 	}
-	m.cumuls = append(m.cumuls, c)
-	return &Cumulative{c: c}
+	return &c.handle
 }
 
 // Cumulative is a public handle over a posted cumulative constraint.

@@ -156,7 +156,7 @@ func TestPickMatchesScanAtEveryNode(t *testing.T) {
 			tight := seed%2 == 0
 			build := func() *Model {
 				rng := stats.NewStream(4242, seed)
-				return buildRandomInstance(rng, 2+int(seed%7), 5, int64(1+seed%3), int64(1+seed%2), tight).m
+				return buildRandomInstance(new(Model), rng, 2+int(seed%7), 5, int64(1+seed%3), int64(1+seed%2), tight).m
 			}
 			label := fmt.Sprintf("combined seed %d ordering %d", seed, ord)
 			r, a := solveAudited(t, build(), Params{NodeLimit: 1500, Ordering: ord}, label)
@@ -248,7 +248,7 @@ func TestPickMatchesScanAtEveryNode(t *testing.T) {
 func workPerNode(t *testing.T, nJobs int, slotsPer40Jobs int64) (heap, scan float64, tasks int, r Result) {
 	t.Helper()
 	k := int64(nJobs) * slotsPer40Jobs / 40
-	m := buildRandomInstance(stats.NewStream(77, 3), nJobs, 10, 6*k, 4*k, true).m
+	m := buildRandomInstance(new(Model), stats.NewStream(77, 3), nJobs, 10, 6*k, 4*k, true).m
 	r, a := solveAudited(t, m, Params{NodeLimit: 4000}, fmt.Sprintf("%d jobs", nJobs))
 	if !r.HasSolution() || r.Search.Nodes == 0 {
 		t.Fatalf("%d jobs: no search to measure (%v)", nJobs, r.Status)

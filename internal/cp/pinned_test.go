@@ -1,15 +1,17 @@
 package cp
 
 import (
+	"slices"
 	"testing"
 
 	"mrcprm/internal/stats"
 )
 
-// pinnedSolve is one instance whose search counters are pinned.
+// pinnedSolve is one instance whose search counters are pinned. build
+// resets the model it is given and builds the instance into it.
 type pinnedSolve struct {
 	name      string
-	build     func() *Model
+	build     func(m *Model)
 	nodeLimit func(m *Model) int64
 	want      pinnedCounters
 }
@@ -26,10 +28,10 @@ func fixedLimit(n int64) func(*Model) int64 { return func(*Model) int64 { return
 // nJobs jobs of one to four maps and up to two reduces, the deadlines of
 // successive jobs dueStep apart. Every task carries its duration table; each
 // resource has a map and a reduce slot timetable and a memory timetable over
-// the tasks with a memory demand.
-func heteroInstance(seed uint64, numRes, nJobs, dueStep int) *Model {
+// the tasks with a memory demand. The instance is built into m, reset first.
+func heteroInstance(m *Model, seed uint64, numRes, nJobs, dueStep int) *Model {
 	rng := stats.NewStream(seed, 2)
-	m := NewModel(200_000)
+	m.Reset(200_000)
 	var mapAll, redAll, memTasks []*Interval
 	var mems []int64
 	var lates []*Bool
@@ -88,23 +90,33 @@ func heteroInstance(seed uint64, numRes, nJobs, dueStep int) *Model {
 func twoNodesPerTask(m *Model) int64 { return 2 * int64(len(m.intervals)) }
 
 var pinnedSolves = []pinnedSolve{
-	{"combined 72 tasks", func() *Model { return benchInstance(12, 6) }, fixedLimit(4000),
+	{"combined 72 tasks", func(m *Model) { benchInstance(m, 12, 6) }, fixedLimit(4000),
 		pinnedCounters{Nodes: 4000, Backtracks: 7536, Propagations: 13532, Objective: 3}},
-	{"combined 501 tasks", func() *Model { return benchInstance(25, 20) }, twoNodesPerTask,
+	{"combined 501 tasks", func(m *Model) { benchInstance(m, 25, 20) }, twoNodesPerTask,
 		pinnedCounters{Nodes: 1002, Backtracks: 0, Propagations: 2998, Objective: 16}},
-	{"combined 2041 tasks", func() *Model { return benchInstance(100, 20) }, twoNodesPerTask,
+	{"combined 2041 tasks", func(m *Model) { benchInstance(m, 100, 20) }, twoNodesPerTask,
 		pinnedCounters{Nodes: 4082, Backtracks: 0, Propagations: 12012, Objective: 79}},
-	{"direct", benchDirectInstance, fixedLimit(4000),
+	{"direct", func(m *Model) { benchDirectInstance(m) }, fixedLimit(4000),
 		pinnedCounters{Nodes: 4000, Backtracks: 7323, Propagations: 57314, Objective: 5}},
-	{"overloaded", func() *Model {
-		return buildRandomInstance(stats.NewStream(77, 3), 80, 10, 12, 8, true).m
+	{"overloaded", func(m *Model) {
+		buildRandomInstance(m, stats.NewStream(77, 3), 80, 10, 12, 8, true)
 	}, fixedLimit(4000),
 		pinnedCounters{Nodes: 4000, Backtracks: 2374, Propagations: 24930, Objective: 68}},
-	{"direct hetero + memory", func() *Model { return heteroInstance(4242, 4, 12, 8) }, fixedLimit(4000),
+	{"direct hetero + memory", func(m *Model) { heteroInstance(m, 4242, 4, 12, 8) }, fixedLimit(4000),
 		pinnedCounters{Nodes: 4000, Backtracks: 7215, Propagations: 49517, Objective: 7}},
 	// 70 resources make every resvar, and so every mode mask, two words wide.
-	{"direct hetero + memory, 70 resources", func() *Model { return heteroInstance(4343, 70, 100, 1) }, fixedLimit(4000),
+	{"direct hetero + memory, 70 resources", func(m *Model) { heteroInstance(m, 4343, 70, 100, 1) }, fixedLimit(4000),
 		pinnedCounters{Nodes: 4000, Backtracks: 511, Propagations: 538464, Objective: 1}},
+}
+
+// solvePinned builds p into m and solves it on p's node budget.
+func solvePinned(m *Model, p pinnedSolve) Result {
+	p.build(m)
+	return NewSolver(m, Params{NodeLimit: p.nodeLimit(m)}).Solve()
+}
+
+func countersOf(r *Result) pinnedCounters {
+	return pinnedCounters{r.Search.Nodes, r.Search.Backtracks, r.Search.Propagations, r.Objective}
 }
 
 // Performance work on the propagators and the search must leave the search
@@ -116,11 +128,56 @@ var pinnedSolves = []pinnedSolve{
 // search cheaper leaves it untouched.
 func TestSearchCountersPinned(t *testing.T) {
 	for _, p := range pinnedSolves {
-		m := p.build()
+		m := new(Model)
+		p.build(m)
 		r := NewSolver(m, Params{NodeLimit: p.nodeLimit(m)}).Solve()
 		got := pinnedCounters{r.Search.Nodes, r.Search.Backtracks, r.Search.Propagations, r.Objective}
 		if got != p.want {
 			t.Errorf("%s (%d tasks): got %+v, pinned %+v", p.name, len(m.intervals), got, p.want)
+		}
+	}
+}
+
+// A model recycled through Reset searches exactly as a fresh one. Every
+// pinned instance is solved on one model, in ascending and then descending
+// size order, so a uniform model follows a heterogeneous one with memory
+// timetables and the reverse, and narrow duration tables reuse wide ones.
+// Each recycled build must give every interval the fresh build's duration
+// table and, where it has one, modes, and each solve the fresh solve's counters, status,
+// objective and assignment.
+func TestRecycledModelMatchesFresh(t *testing.T) {
+	fresh := make([]*Model, len(pinnedSolves))
+	results := make([]Result, len(pinnedSolves))
+	order := make([]int, len(pinnedSolves))
+	for i, p := range pinnedSolves {
+		fresh[i] = new(Model)
+		results[i] = solvePinned(fresh[i], p)
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return len(fresh[a].intervals) - len(fresh[b].intervals) })
+	descending := slices.Clone(order)
+	slices.Reverse(descending)
+	recycled := new(Model)
+	for _, i := range append(order, descending...) {
+		p, want := pinnedSolves[i], &results[i]
+		p.build(recycled)
+		for id, iv := range recycled.intervals {
+			ref := fresh[i].intervals[id]
+			if !slices.Equal(iv.Durations(), ref.Durations()) ||
+				ref.Durations() != nil && !slices.Equal(iv.modes(), ref.modes()) {
+				t.Fatalf("%s: interval %d has durations %v, modes %v; fresh %v, %v",
+					p.name, id, iv.Durations(), iv.modes(), ref.Durations(), ref.modes())
+			}
+		}
+		got := NewSolver(recycled, Params{NodeLimit: p.nodeLimit(recycled)}).Solve()
+		switch {
+		case countersOf(&got) != countersOf(want):
+			t.Errorf("%s: recycled %+v, fresh %+v", p.name, countersOf(&got), countersOf(want))
+		case got.Status != want.Status:
+			t.Errorf("%s: recycled status %v, fresh %v", p.name, got.Status, want.Status)
+		case !slices.Equal(got.Starts, want.Starts) || !slices.Equal(got.Res, want.Res) ||
+			!slices.Equal(got.Lates, want.Lates):
+			t.Errorf("%s: recycled assignment differs from the fresh model's", p.name)
 		}
 	}
 }

@@ -17,11 +17,12 @@ type randomInstance struct {
 	lates []*Bool
 }
 
-// buildRandomInstance creates a model with nJobs jobs on one combined
-// map/reduce resource pair, mimicking the structure MRCP-RM generates.
-func buildRandomInstance(rng *stats.Stream, nJobs, maxTasks int, mapCap, redCap int64, tight bool) *randomInstance {
+// buildRandomInstance builds into m, reset first, a model with nJobs jobs
+// on one combined map/reduce resource pair, mimicking the structure MRCP-RM
+// generates.
+func buildRandomInstance(m *Model, rng *stats.Stream, nJobs, maxTasks int, mapCap, redCap int64, tight bool) *randomInstance {
 	horizon := int64(1_000_000)
-	m := NewModel(horizon)
+	m.Reset(horizon)
 	var mapAll, redAll []*Interval
 	var lates []*Bool
 	for j := 0; j < nJobs; j++ {
@@ -78,7 +79,7 @@ func TestQuickRandomInstancesVerify(t *testing.T) {
 	rng := stats.NewStream(1001, 7)
 	f := func(seed uint16) bool {
 		local := rng.Derive(uint64(seed))
-		inst := buildRandomInstance(local, 1+local.IntN(6), 4, int64(1+local.IntN(3)), int64(1+local.IntN(3)), seed%2 == 0)
+		inst := buildRandomInstance(new(Model), local, 1+local.IntN(6), 4, int64(1+local.IntN(3)), int64(1+local.IntN(3)), seed%2 == 0)
 		r := NewSolver(inst.m, Params{NodeLimit: 3000}).Solve()
 		if !r.HasSolution() {
 			return false
@@ -179,7 +180,7 @@ func TestQuickSolverDeterminism(t *testing.T) {
 	f := func(seed uint16) bool {
 		build := func() *randomInstance {
 			local := stats.NewStream(31, uint64(seed))
-			return buildRandomInstance(local, 3, 3, 2, 2, true)
+			return buildRandomInstance(new(Model), local, 3, 3, 2, 2, true)
 		}
 		r1 := NewSolver(build().m, Params{NodeLimit: 2000}).Solve()
 		r2 := NewSolver(build().m, Params{NodeLimit: 2000}).Solve()

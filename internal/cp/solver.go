@@ -188,9 +188,10 @@ func (m *Model) Minimize(bools []*Bool) {
 	m.objBools = bools
 }
 
-// Solver runs the set-times branch-and-bound search over a model. A solver
-// (and its model) is single-use: build, solve once, discard — mirroring the
-// paper's regeneration of the OPL model on every MRCP-RM invocation.
+// Solver runs the set-times branch-and-bound search over a model, once. Its
+// search state — the propagation engine's buffers and the candidate heap —
+// lives in the model, so a model recycled by Reset lends the next solve the
+// memory the last one grew. One model serves one solve at a time.
 type Solver struct {
 	m      *Model
 	e      *engine
@@ -200,7 +201,7 @@ type Solver struct {
 	// store through the engine's touched list; candStale asks for a rebuild
 	// over the whole model, which the start of a descent needs because the
 	// hint and the boost set change the keys without touching the store.
-	cand      candHeap
+	cand      *candHeap
 	candStale bool
 	pickWork  int64
 	// onPick, when set (tests only), sees every decision pick returns.
@@ -240,11 +241,6 @@ type Solver struct {
 	// boosted.
 	boost []int
 
-	// resBuf and fitBuf are the scratch slices for pickResource's domain
-	// iteration and its per-resource earliest fits.
-	resBuf []int
-	fitBuf []int64
-
 	incumbent *Result
 }
 
@@ -279,14 +275,13 @@ func (s *Solver) Solve() Result {
 		s.hasDL = true
 	}
 	m := s.m
-	var handle *SumLEHandle
 	if len(m.objBools) > 0 && m.sumLE == nil {
-		handle = m.AddSumLE(m.objBools, len(m.objBools))
-	} else if m.sumLE != nil {
-		handle = &SumLEHandle{p: m.sumLE}
+		m.addSumLE(m.objBools, len(m.objBools))
 	}
+	cut := m.sumLE
 	s.e = newEngine(m)
-	s.cand = newCandHeap(len(m.intervals))
+	s.cand = &m.cand
+	s.cand.size(len(m.intervals))
 	s.e.scheduleAll()
 	if s.e.propagate() != nil {
 		return Result{Status: StatusInfeasible, SolveTime: time.Since(start),
@@ -328,7 +323,7 @@ func (s *Solver) Solve() Result {
 	if !found {
 		return Result{Status: StatusInfeasible, SolveTime: time.Since(start), Search: s.searchStats(rounds, start)}
 	}
-	if s.incumbent.Objective == 0 || len(m.objBools) == 0 || handle == nil {
+	if s.incumbent.Objective == 0 || len(m.objBools) == 0 || cut == nil {
 		return s.finish(StatusOptimal, rounds, start)
 	}
 	if s.hintSeeded {
@@ -384,7 +379,7 @@ func (s *Solver) Solve() Result {
 	for {
 		rounds++
 		s.curRound = rounds
-		handle.SetBound(s.incumbent.Objective - 1)
+		cut.bound = s.incumbent.Objective - 1
 		s.e.scheduleAll()
 		if s.e.propagate() != nil {
 			return s.finish(StatusOptimal, rounds, start)
@@ -591,17 +586,16 @@ func (s *Solver) orderKey(iv *Interval) int64 {
 func (s *Solver) pickResource(iv *Interval) int {
 	m := s.m
 	target := s.targetStart(iv)
-	s.resBuf = m.AppendResDomain(iv.resVar, s.resBuf[:0])
-	// fits[r] is the earliest fit on resource r over the timetables visited
-	// so far; MaxInt64 rules r out (not in the domain, or overloaded).
-	if cap(s.fitBuf) < iv.resVar.NumRes {
-		s.fitBuf = make([]int64, iv.resVar.NumRes)
-	}
-	fits := s.fitBuf[:iv.resVar.NumRes]
+	// resBuf and fitBuf are the model's scratch for the domain and for
+	// fits[r], the earliest fit on resource r over the timetables visited so
+	// far; MaxInt64 rules r out (not in the domain, or overloaded).
+	m.resBuf = m.AppendResDomain(iv.resVar, m.resBuf[:0])
+	m.fitBuf = resized(m.fitBuf, iv.resVar.NumRes)
+	fits := m.fitBuf
 	for r := range fits {
 		fits[r] = math.MaxInt64
 	}
-	for _, r := range s.resBuf {
+	for _, r := range m.resBuf {
 		fits[r] = target
 	}
 	// Every timetable of a candidate resource is consulted, in posting
@@ -638,7 +632,7 @@ func (s *Solver) pickResource(iv *Interval) int {
 	// lower-index tie-break.
 	bestRes := -1
 	bestComp := int64(math.MaxInt64)
-	for _, r := range s.resBuf {
+	for _, r := range m.resBuf {
 		comp := int64(math.MaxInt64)
 		if dur := iv.DurOn(r); fits[r] < math.MaxInt64-dur {
 			comp = fits[r] + dur
@@ -648,7 +642,7 @@ func (s *Solver) pickResource(iv *Interval) int {
 		}
 	}
 	if bestRes < 0 {
-		bestRes = s.resBuf[0]
+		bestRes = m.resBuf[0]
 	}
 	return bestRes
 }

@@ -10,18 +10,18 @@ import (
 // benchInstance builds one moderately hard combined-mode instance (the
 // shape MRCP-RM generates) of nJobs jobs of about 2*maxTasks tasks for the
 // solver micro-benchmarks, on capacities that grow with nJobs so the load
-// per slot stays put. Models are single-use, so every iteration builds a
-// fresh one.
-func benchInstance(nJobs, maxTasks int) *Model {
+// per slot stays put. The instance is built into m, reset first.
+func benchInstance(m *Model, nJobs, maxTasks int) *Model {
 	rng := stats.NewStream(99, 1)
 	k := int64(nJobs+11) / 12
-	return buildRandomInstance(rng, nJobs, maxTasks, 3*k, 2*k, true).m
+	return buildRandomInstance(m, rng, nJobs, maxTasks, 3*k, 2*k, true).m
 }
 
 // benchDirectInstance builds a direct-mode instance with matchmaking
-// variables, exercising pickResource and the per-resource cumulatives.
-func benchDirectInstance() *Model {
-	m := NewModel(200_000)
+// variables, exercising pickResource and the per-resource cumulatives, into
+// m, reset first.
+func benchDirectInstance(m *Model) *Model {
+	m.Reset(200_000)
 	const numRes = 4
 	var all []*Interval
 	var lates []*Bool
@@ -47,14 +47,16 @@ func benchDirectInstance() *Model {
 }
 
 // benchSolve measures one full solve per iteration; the instance is rebuilt
-// outside the timer. Next to the time and allocations per solve it reports
-// the nodes searched and the time per node.
-func benchSolve(b *testing.B, nodeLimit int64, build func() *Model) {
+// outside the timer into one recycled model, as a manager rebuilds its
+// model on every reschedule. Next to the time and allocations per solve it
+// reports the nodes searched and the time per node.
+func benchSolve(b *testing.B, nodeLimit int64, build func(m *Model) *Model) {
 	b.ReportAllocs()
 	var nodes int64
+	m := new(Model)
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		m := build()
+		build(m)
 		b.StartTimer()
 		r := NewSolver(m, Params{NodeLimit: nodeLimit}).Solve()
 		nodes += r.Search.Nodes
@@ -76,13 +78,13 @@ func BenchmarkSolveCombined(b *testing.B) {
 		nJobs, maxTasks int
 		nodesPerTask    int64
 	}{{12, 6, 0}, {25, 20, 2}, {100, 20, 2}} {
-		tasks := len(benchInstance(size.nJobs, size.maxTasks).intervals)
+		tasks := len(benchInstance(new(Model), size.nJobs, size.maxTasks).intervals)
 		nodeLimit := int64(4000)
 		if size.nodesPerTask > 0 {
 			nodeLimit = size.nodesPerTask * int64(tasks)
 		}
 		b.Run(fmt.Sprintf("tasks=%d", tasks), func(b *testing.B) {
-			benchSolve(b, nodeLimit, func() *Model { return benchInstance(size.nJobs, size.maxTasks) })
+			benchSolve(b, nodeLimit, func(m *Model) *Model { return benchInstance(m, size.nJobs, size.maxTasks) })
 		})
 	}
 }
@@ -95,5 +97,5 @@ func BenchmarkSolveDirect(b *testing.B) { benchSolve(b, 4000, benchDirectInstanc
 // workload's node limit. Unlike BenchmarkSolveDirect's uniform tasks, every
 // end bound here reads a duration table.
 func BenchmarkSolveHetero(b *testing.B) {
-	benchSolve(b, 1000, func() *Model { return heteroInstance(5050, 50, 34, 1) })
+	benchSolve(b, 1000, func(m *Model) *Model { return heteroInstance(m, 5050, 50, 34, 1) })
 }

@@ -18,6 +18,11 @@
 // number of late jobs, with node and wall-clock limits. This mirrors how a
 // commercial CP engine behaves on the paper's models: a good first solution
 // is found greedily and then improved within a time budget.
+//
+// A Model is built, solved once and then rebuilt by Reset for the next
+// problem, in the memory the earlier builds grew: the variables, the
+// constraints, the store and the search state are reused by index. A
+// Result owns its slices and stays valid across a Reset.
 package cp
 
 // The Store is the backtrackable state shared by all variables: a flat
@@ -44,6 +49,15 @@ type Store struct {
 // NewStore returns an empty store at level 0.
 func NewStore() *Store {
 	return &Store{}
+}
+
+// reset empties the store to level 0, keeping its memory.
+func (s *Store) reset() {
+	s.cells = s.cells[:0]
+	s.owner = s.owner[:0]
+	s.trail = s.trail[:0]
+	s.marks = s.marks[:0]
+	s.pops = 0
 }
 
 // alloc reserves one cell per given value for the interval with id owner

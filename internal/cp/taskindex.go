@@ -38,9 +38,19 @@ type taskIndex struct {
 	// stale lists, once each (staleFl), the tasks to re-file.
 	stale   []int32
 	staleFl []bool
+	// slab backs head, chain, next, prev and stale; isBuilt says build has
+	// filed the current task list. Both outlive a Model.Reset.
+	slab    []int32
+	isBuilt bool
 }
 
-func (x *taskIndex) built() bool { return x.head != nil }
+func (x *taskIndex) built() bool { return x.isBuilt }
+
+// reset readies the index for a new task list, keeping its memory.
+func (x *taskIndex) reset() {
+	x.isBuilt = false
+	x.capSum = 0
+}
 
 // build sizes the index for c's task list and files every task. The bucket
 // span covers the releases and twice the time the list's work needs at the
@@ -49,13 +59,15 @@ func (x *taskIndex) built() bool { return x.head != nil }
 func (x *taskIndex) build(m *Model, c *cumulative) {
 	n := len(c.tasks)
 	x.nb = max(1, n/4)
-	slab := make([]int32, 2*x.nb+7*n)
+	x.slab = resized(x.slab, 2*x.nb+7*n)
+	slab := x.slab
 	for i := range slab {
 		slab[i] = -1
 	}
 	x.head, slab = slab[:2*x.nb], slab[2*x.nb:]
 	x.chain, x.next, x.prev, x.stale = slab[:2*n], slab[2*n:4*n], slab[4*n:6*n], slab[6*n:6*n]
-	x.staleFl = make([]bool, n)
+	x.staleFl = cleared(x.staleFl, n)
+	x.isBuilt = true
 	x.t0 = math.MaxInt64
 	var lastRelease, energy int64
 	for pos, t := range c.tasks {

@@ -122,7 +122,7 @@ func (m *Model) verifyCumulative(c *cumulative, r *Result) error {
 // its mode duration on the chosen resource, or the uniform duration when no
 // per-resource table was posted.
 func (m *Model) resultDur(iv *Interval, r *Result) int64 {
-	if iv.durs == nil {
+	if len(iv.durs) == 0 {
 		return iv.Dur
 	}
 	return iv.DurOn(r.Res[iv.id])

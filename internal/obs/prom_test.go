@@ -150,3 +150,58 @@ func TestNilTelemetryWritePrometheus(t *testing.T) {
 		t.Fatalf("nil telemetry wrote %q", sb.String())
 	}
 }
+
+// FuzzParsePrometheus feeds the exposition parser arbitrary payloads, which
+// it must reject or parse but never panic on. Each input also names a
+// counter and a gauge and gives their values and one histogram observation;
+// WritePrometheus's rendering of that registry must parse back to the same
+// values, buckets included.
+func FuzzParsePrometheus(f *testing.F) {
+	f.Add("# TYPE mrcp_jobs_total counter\nmrcp_jobs_total 42\n", "jobs", int64(42), int64(-7), 12.5)
+	f.Add("# TYPE h histogram\nh_bucket{le=\"1\"} 5\nh_bucket{le=\"+Inf\"} 5\nh_sum 2\nh_count 5\n",
+		"solve_ms", int64(0), int64(0), 0.25)
+	f.Add("name{le=\"1\" 3", "a-b.c", int64(1)<<62, int64(-1)<<63, 9000.0)
+	f.Add("x_bucket{} nope\n# TYPE x histogram", "9lives", int64(3), int64(1), math.Inf(1))
+	f.Fuzz(func(t *testing.T, payload, name string, counter, gauge int64, sample float64) {
+		_, _ = ParsePrometheus(strings.NewReader(payload)) // any error is fine; a panic is not
+
+		// A _total suffix keeps the counter and gauge apart from the
+		// histogram's _bucket, _sum and _count series whatever name is.
+		var h Histogram
+		h.Observe(sample)
+		hist := h.Snapshot()
+		hist.Name = "lat_ms"
+		var sb strings.Builder
+		err := WritePrometheus(&sb, "mrcp_", map[string]int64{name + "_total": counter},
+			map[string]int64{name + "_gauge_total": gauge}, []HistSnapshot{hist})
+		if err != nil {
+			t.Fatal(err)
+		}
+		scrape, err := ParsePrometheus(strings.NewReader(sb.String()))
+		if err != nil {
+			t.Fatalf("exposition does not parse back: %v\n%s", err, sb.String())
+		}
+		if got := scrape.Values[promName("mrcp_"+name+"_total")]; got != float64(counter) {
+			t.Fatalf("counter = %v, want %d\n%s", got, counter, sb.String())
+		}
+		if got := scrape.Values[promName("mrcp_"+name+"_gauge_total")]; got != float64(gauge) {
+			t.Fatalf("gauge = %v, want %d\n%s", got, gauge, sb.String())
+		}
+		ph := scrape.Hists["mrcp_lat_ms"]
+		if ph == nil {
+			t.Fatalf("histogram missing from the scrape\n%s", sb.String())
+		}
+		if ph.Count != 1 || ph.Sum != hist.Sum && !(math.IsNaN(ph.Sum) && math.IsNaN(hist.Sum)) {
+			t.Fatalf("histogram count %v sum %v, want 1 and %v", ph.Count, ph.Sum, hist.Sum)
+		}
+		back, err := ph.Snapshot("lat_ms")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range hist.Buckets {
+			if back.Buckets[i] != hist.Buckets[i] {
+				t.Fatalf("bucket %d = %d, want %d", i, back.Buckets[i], hist.Buckets[i])
+			}
+		}
+	})
+}

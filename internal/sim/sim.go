@@ -250,12 +250,19 @@ func New(cluster Cluster, rm ResourceManager, jobs []*workload.Job) (*Simulator,
 	}
 	sorted := append([]*workload.Job(nil), jobs...)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Arrival < sorted[j].Arrival })
+	// The task index is sized once: growing it task by task rehashes it
+	// about log2(tasks) times, most of what building a large run costs.
+	nTasks := 0
+	for _, j := range sorted {
+		nTasks += j.NumTasks()
+	}
 	s := &Simulator{
 		cluster:     cluster,
 		rm:          rm,
 		jobs:        sorted,
 		ledger:      newSlotLedger(cluster),
-		tasks:       make(map[*workload.Task]*taskState),
+		tasks:       make(map[*workload.Task]*taskState, nTasks),
+		byKey:       make([]*taskState, 0, nTasks),
 		pending:     make(map[*workload.Job]*jobState),
 		timers:      make(map[int64]bool),
 		activeSince: make([]int64, cluster.NumResources),
