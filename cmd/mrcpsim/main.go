@@ -206,8 +206,8 @@ func main() {
 
 	if mgr, ok := rm.(*mrcprm.Manager); ok {
 		st := mgr.Stats()
-		fmt.Printf("mrcp-rm    : %d solves, %d nodes, %d deferred, %d slips (%.1fs total slip)\n",
-			st.Rounds, st.SolverNodes, st.Deferred, st.Slips, float64(st.SlipMS)/1000)
+		fmt.Printf("mrcp-rm    : %d solves, %d nodes, %d deferred\n",
+			st.Rounds, st.SolverNodes, st.Deferred)
 		if faulty {
 			fmt.Printf("recovery   : %d task retries, %d jobs abandoned\n",
 				st.TaskRetries, st.JobsAbandoned)

@@ -66,7 +66,7 @@ func SolveBatch(cluster sim.Cluster, jobs []*workload.Job, cfg Config) (*Schedul
 
 	var mk *matchmaker
 	if bm.mode == ModeCombined {
-		mk = newMatchmaker(cluster.NumResources, cluster.MapSlots, cluster.ReduceSlots, new(Stats))
+		mk = newMatchmaker(cluster.NumResources, cluster.MapSlots, cluster.ReduceSlots)
 	}
 	placed, err := bm.placements(&res, mk)
 	if err != nil {
@@ -91,8 +91,8 @@ func SolveBatch(cluster sim.Cluster, jobs []*workload.Job, cfg Config) (*Schedul
 		return sched.Assignments[a].Task.ID < sched.Assignments[b].Task.ID
 	})
 
-	// Recompute lateness from the final (possibly matchmaking-adjusted)
-	// assignments rather than trusting the CP objective.
+	// Recompute lateness from the assignments' machine-scaled ends rather
+	// than trusting the CP objective.
 	complete := make(map[*workload.Job]int64, len(jobs))
 	for _, a := range sched.Assignments {
 		if a.End() > complete[a.Job] {

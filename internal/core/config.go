@@ -135,12 +135,10 @@ type Stats struct {
 	Rounds int
 	// SolverNodes sums search nodes over all solves.
 	SolverNodes int64
-	// Slips counts tasks the matchmaking pass could not place at their
-	// CP-assigned start and had to delay; SlipMS accumulates the total
-	// delay. The paper's two-phase optimization admits this rarely
-	// (see DESIGN.md); both numbers should stay near zero.
-	Slips  int
-	SlipMS int64
+	// Slips is always 0, since the matchmaking pass places every task at
+	// its CP start or fails the round; the benchmark harness still reports
+	// it.
+	Slips int
 	// Deferred counts jobs parked by the Section V.E optimization.
 	Deferred int
 	// FallbackRounds is always 0, since a failed solve fails the round;

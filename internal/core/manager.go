@@ -606,7 +606,7 @@ func (m *Manager) install(ctx sim.Context, bm *builtModel, res *cp.Result, work 
 // down resource blocked from now on and every running task pinned to the
 // unit slot it was given in an earlier round.
 func (m *Manager) pinRound(mk *matchmaker, now int64, work []*jobWork, down []bool) error {
-	mk.reset(m.cluster.NumResources, m.cluster.MapSlots, m.cluster.ReduceSlots, &m.stats)
+	mk.reset(m.cluster.NumResources, m.cluster.MapSlots, m.cluster.ReduceSlots)
 	for r, d := range down {
 		if d {
 			mk.blockResource(r, now)

@@ -13,16 +13,25 @@ import (
 
 // The Section V.D matchmaking algorithm: the combined-resource schedule is
 // mapped onto unit-capacity slots (m * c^mp map slots and m * c^rd reduce
-// slots), choosing for each task the slot that leaves the smallest gap
+// slots), choosing for each task the free slot that leaves the smallest gap
 // behind it. Unit slots are grouped into resources with the configured
 // per-resource capacities. Tasks that have already started stay pinned on
-// the unit slot they were given in an earlier round.
+// the unit slot they were given in an earlier round, and a down resource's
+// slots are blocked from now on.
 //
-// The paper's two-phase scheme is a relaxation (see DESIGN.md): with
-// pinned tasks pre-colored, a task occasionally fits the combined capacity
-// profile but no single unit slot. When that happens the task slips to the
-// earliest instant a slot can take it, and dependent reduce starts are
-// pushed along; slips are counted in Stats and reflected in the metrics.
+// The mapping is exact: every task gets a unit slot at its CP start.
+//  1. Every pinned or blocked span contains now: it is a running task or a
+//     down resource's block.
+//  2. Tasks are placed in non-decreasing start order, all at or after now.
+//  3. At a task's start t the busy slots hold running tasks and placed
+//     tasks that run at t. The combined cumulative counts running work and
+//     up slots only, so it bounds those plus the new task by the number of
+//     up slots: some slot is idle at t.
+//  4. Nothing on that slot starts after t, by 1 and 2, so it stays free
+//     for the task's whole duration.
+// A task that finds no free slot is therefore an invariant violation, and
+// place reports it as an error. The argument needs one packing dimension;
+// a second one (memory) goes to the direct formulation (see DESIGN.md).
 
 // slotTimeline is one unit-capacity slot's committed busy intervals,
 // kept sorted by start.
@@ -49,20 +58,6 @@ func (s *slotTimeline) gapBefore(from int64) int64 {
 	return from - s.busy[i-1].to
 }
 
-// earliestFitAfter returns the smallest start >= from such that a window of
-// length dur is free.
-func (s *slotTimeline) earliestFitAfter(from, dur int64) int64 {
-	st := from
-	i := sort.Search(len(s.busy), func(i int) bool { return s.busy[i].to > st })
-	for ; i < len(s.busy); i++ {
-		if s.busy[i].from >= st+dur {
-			break
-		}
-		st = s.busy[i].to
-	}
-	return st
-}
-
 // insert commits [from, to) on the slot.
 func (s *slotTimeline) insert(from, to int64) {
 	i := sort.Search(len(s.busy), func(i int) bool { return s.busy[i].from >= from })
@@ -77,16 +72,17 @@ type assignment struct {
 	job   *workload.Job
 	res   int   // resource index for the simulator
 	slot  int   // unit slot index (persisted for pinning after start); -1 in direct mode
-	start int64 // possibly slipped
+	start int64 // the CP start
 }
 
 // placements is the one reader of a CP solution: it turns res into the
 // placement of every non-frozen model task, in install order. Combined
-// models are matched onto unit slots by mk in start order (maps before
-// reduces on ties, so same-job precedence survives slips; then task ID);
+// models are matched onto unit slots by mk in start order, then task ID;
 // direct models carry their resources in the solution and are read in task
 // ID order, mk unused. Task IDs are unique per job only, so both sorts are
-// stable and model order breaks the ties that remain.
+// stable and model order breaks the ties that remain. Maps and reduces
+// fill separate slot pools, so how their ties interleave orders only the
+// installs.
 func (bm *builtModel) placements(res *cp.Result, mk *matchmaker) ([]assignment, error) {
 	out := reserve(bm.placed, len(bm.tasks))
 	for _, mt := range bm.tasks {
@@ -109,16 +105,14 @@ func (bm *builtModel) placements(res *cp.Result, mk *matchmaker) ([]assignment, 
 		if c := cmp.Compare(a.start, b.start); c != 0 {
 			return c
 		}
-		if a.task.Type != b.task.Type {
-			if a.task.Type == workload.MapTask {
-				return -1
-			}
-			return 1
-		}
 		return strings.Compare(a.task.ID, b.task.ID)
 	})
 	for i, a := range out {
-		out[i] = mk.place(a.task, a.start, a.job.TaskPrecedence)
+		placed, err := mk.place(a.task, a.start)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = placed
 		out[i].job = a.job
 	}
 	return out, nil
@@ -130,34 +124,20 @@ type matchmaker struct {
 	redSlots  []slotTimeline
 	mapPerRes int64
 	redPerRes int64
-	stats     *Stats
-	jobMapEnd map[int]int64 // per job: latest (possibly slipped) map end this round
-	frozenEnd map[int]int64 // per job: latest frozen/running map end
-	// taskEnd records per-task placed/pinned ends for jobs using
-	// task-level precedence (the workflow generalization).
-	taskEnd map[*workload.Task]int64
 }
 
-func newMatchmaker(numRes int, mapPerRes, redPerRes int64, stats *Stats) *matchmaker {
+func newMatchmaker(numRes int, mapPerRes, redPerRes int64) *matchmaker {
 	mk := new(matchmaker)
-	mk.reset(numRes, mapPerRes, redPerRes, stats)
+	mk.reset(numRes, mapPerRes, redPerRes)
 	return mk
 }
 
 // reset makes mk the matchmaker newMatchmaker would return, keeping the
-// memory of its slot timelines and maps.
-func (mk *matchmaker) reset(numRes int, mapPerRes, redPerRes int64, stats *Stats) {
+// memory of its slot timelines.
+func (mk *matchmaker) reset(numRes int, mapPerRes, redPerRes int64) {
 	mk.mapSlots = resetSlots(mk.mapSlots, int(int64(numRes)*mapPerRes))
 	mk.redSlots = resetSlots(mk.redSlots, int(int64(numRes)*redPerRes))
-	mk.mapPerRes, mk.redPerRes, mk.stats = mapPerRes, redPerRes, stats
-	if mk.taskEnd == nil {
-		mk.jobMapEnd = make(map[int]int64)
-		mk.frozenEnd = make(map[int]int64)
-		mk.taskEnd = make(map[*workload.Task]int64)
-	}
-	clear(mk.jobMapEnd)
-	clear(mk.frozenEnd)
-	clear(mk.taskEnd)
+	mk.mapPerRes, mk.redPerRes = mapPerRes, redPerRes
 }
 
 // resetSlots returns n empty slot timelines, reusing s and the busy lists
@@ -175,20 +155,14 @@ func resetSlots(s []slotTimeline, n int) []slotTimeline {
 
 // pin commits an already-started task to its remembered unit slot. exec is
 // the attempt's effective execution time (straggler slowdowns make it
-// exceed t.Exec).
+// exceed t.Exec), the duration the model gave its frozen interval.
 func (mk *matchmaker) pin(t *workload.Task, slot int, start, exec int64) {
-	tl := mk.timeline(t.Type, slot)
-	tl.insert(start, start+exec)
-	mk.taskEnd[t] = start + exec
-	if t.Type == workload.MapTask {
-		if end := start + exec; end > mk.frozenEnd[t.JobID] {
-			mk.frozenEnd[t.JobID] = end
-		}
-	}
+	slots, _ := mk.pool(t.Type)
+	slots[slot].insert(start, start+exec)
 }
 
 // blockResource marks every unit slot of a down resource busy from now on,
-// so neither the best-gap pass nor the slip path can place work there.
+// so no task is placed there.
 func (mk *matchmaker) blockResource(res int, from int64) {
 	const forever = int64(1) << 62
 	for s := res * int(mk.mapPerRes); s < (res+1)*int(mk.mapPerRes); s++ {
@@ -199,46 +173,20 @@ func (mk *matchmaker) blockResource(res int, from int64) {
 	}
 }
 
-func (mk *matchmaker) timeline(tt workload.TaskType, slot int) *slotTimeline {
+// pool returns a task type's unit slots and how many of them each
+// resource holds: unit slot s belongs to resource s / perRes.
+func (mk *matchmaker) pool(tt workload.TaskType) (slots []slotTimeline, perRes int64) {
 	if tt == workload.MapTask {
-		return &mk.mapSlots[slot]
+		return mk.mapSlots, mk.mapPerRes
 	}
-	return &mk.redSlots[slot]
+	return mk.redSlots, mk.redPerRes
 }
 
-// resourceOf converts a unit slot index to its owning resource.
-func (mk *matchmaker) resourceOf(tt workload.TaskType, slot int) int {
-	if tt == workload.MapTask {
-		return int(int64(slot) / mk.mapPerRes)
-	}
-	return int(int64(slot) / mk.redPerRes)
-}
-
-// place maps one task (in non-decreasing start order across calls) onto a
-// unit slot, preferring the best-gap slot at the task's assigned start and
-// slipping forward only when no slot is free. taskPrec says the task's job
-// uses task-level precedence (workload.Job.TaskPrecedence).
-func (mk *matchmaker) place(t *workload.Task, start int64, taskPrec bool) assignment {
-	if taskPrec {
-		// Workflow jobs: wait for the possibly slipped ends of the
-		// predecessors placed this round or pinned. Completed predecessors
-		// are absent from taskEnd and ended at or before now <= start.
-		for _, p := range t.Preds {
-			if end := mk.taskEnd[p]; end > start {
-				start = end
-			}
-		}
-	} else if t.Type == workload.ReduceTask {
-		// Classic jobs: reduces must not start before the job's (possibly
-		// slipped) maps.
-		if end := mk.jobEnd(t.JobID); end > start {
-			start = end
-		}
-	}
-	slots := mk.mapSlots
-	if t.Type == workload.ReduceTask {
-		slots = mk.redSlots
-	}
+// place maps one task (in non-decreasing start order across calls) onto the
+// free unit slot with the smallest gap before start, at start. Some slot is
+// always free (see the argument above); finding none is an invariant error.
+func (mk *matchmaker) place(t *workload.Task, start int64) (assignment, error) {
+	slots, perRes := mk.pool(t.Type)
 	best := -1
 	var bestGap int64
 	for i := range slots {
@@ -250,35 +198,9 @@ func (mk *matchmaker) place(t *workload.Task, start int64, taskPrec bool) assign
 			best, bestGap = i, gap
 		}
 	}
-	actual := start
 	if best < 0 {
-		// Relaxation edge case: slip to the earliest feasible instant.
-		bestAt := int64(1<<63 - 1)
-		for i := range slots {
-			at := slots[i].earliestFitAfter(start, t.Exec)
-			if at < bestAt {
-				bestAt, best = at, i
-			}
-		}
-		actual = bestAt
-		mk.stats.Slips++
-		mk.stats.SlipMS += actual - start
+		return assignment{}, fmt.Errorf("core: task %s has no free unit slot at %d", t.ID, start)
 	}
-	slots[best].insert(actual, actual+t.Exec)
-	mk.taskEnd[t] = actual + t.Exec
-	if t.Type == workload.MapTask {
-		if end := actual + t.Exec; end > mk.jobMapEnd[t.JobID] {
-			mk.jobMapEnd[t.JobID] = end
-		}
-	}
-	return assignment{task: t, res: mk.resourceOf(t.Type, best), slot: best, start: actual}
-}
-
-// jobEnd returns the job's latest known map completion this round.
-func (mk *matchmaker) jobEnd(jobID int) int64 {
-	end := mk.frozenEnd[jobID]
-	if e := mk.jobMapEnd[jobID]; e > end {
-		end = e
-	}
-	return end
+	slots[best].insert(start, start+t.Exec)
+	return assignment{task: t, res: best / int(perRes), slot: best, start: start}, nil
 }

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
+	"mrcprm/internal/cp"
+	"mrcprm/internal/sim"
 	"mrcprm/internal/workload"
 )
 
@@ -22,74 +25,60 @@ func TestSlotTimelineOps(t *testing.T) {
 	if g := tl.gapBefore(5); g != 5 {
 		t.Fatalf("gapBefore(5) = %d, want 5 (empty prefix)", g)
 	}
-	if at := tl.earliestFitAfter(0, 10); at != 0 {
-		t.Fatalf("earliestFitAfter(0,10) = %d, want 0 ([0,10) touches nothing)", at)
-	}
-	if at := tl.earliestFitAfter(5, 10); at != 20 {
-		t.Fatalf("earliestFitAfter(5,10) = %d, want 20 (jump past [10,20))", at)
-	}
-	if at := tl.earliestFitAfter(0, 5); at != 0 {
-		t.Fatalf("earliestFitAfter(0,5) = %d, want 0", at)
-	}
-	if at := tl.earliestFitAfter(35, 10); at != 40 {
-		t.Fatalf("earliestFitAfter(35,10) = %d, want 40", at)
-	}
 }
 
 func TestMatchmakerBestGapChoice(t *testing.T) {
-	var st Stats
-	mk := newMatchmaker(2, 1, 1, &st) // 2 resources, 1 map slot each
+	mk := newMatchmaker(2, 1, 1) // 2 resources, 1 map slot each
 	// Slot 0 busy [2,10), slot 1 busy [5,8): placing at 11 leaves gap 1 on
 	// slot 0 and gap 3 on slot 1 — the paper's example prefers slot 0.
 	mk.mapSlots[0].insert(2, 10)
 	mk.mapSlots[1].insert(5, 8)
 	task := &workload.Task{ID: "t", JobID: 0, Type: workload.MapTask, Exec: 4, Req: 1}
-	a := mk.place(task, 11, false)
+	a, err := mk.place(task, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if a.slot != 0 || a.start != 11 {
 		t.Fatalf("placed on slot %d at %d, want slot 0 at 11", a.slot, a.start)
 	}
-	if st.Slips != 0 {
-		t.Fatal("no slip expected")
-	}
 }
 
-func TestMatchmakerSlipFallback(t *testing.T) {
-	var st Stats
-	mk := newMatchmaker(1, 1, 1, &st)
-	mk.mapSlots[0].insert(0, 100)
-	task := &workload.Task{ID: "t", JobID: 0, Type: workload.MapTask, Exec: 10, Req: 1}
-	a := mk.place(task, 50, false) // no room until 100
-	if a.start != 100 {
-		t.Fatalf("slipped start %d, want 100", a.start)
+// A slot state the combined cumulative forbids — every unit slot busy at a
+// task's CP start — is an invariant violation: placements names the task
+// and the time and returns no placements, instead of delaying the task.
+func TestPlacementsRejectOverfullSlots(t *testing.T) {
+	cluster := sim.Cluster{NumResources: 1, MapSlots: 1, ReduceSlots: 1}
+	j := &workload.Job{ID: 0, Deadline: 10_000}
+	j.MapTasks = []*workload.Task{{ID: "m0", JobID: 0, Type: workload.MapTask, Exec: 1000, Req: 1}}
+	work := []*jobWork{{job: j, pendingMaps: j.MapTasks}}
+	bm, err := new(round).buildModel(ModeCombined, 0, cluster, work, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st.Slips != 1 || st.SlipMS != 50 {
-		t.Fatalf("slip stats %+v", st)
+	res := cp.NewSolver(bm.model, cp.Params{NodeLimit: 100}).Solve()
+	if !res.HasSolution() || res.Starts[0] != 0 {
+		t.Fatalf("want m0 at 0, got status %v starts %v", res.Status, res.Starts)
 	}
-}
-
-func TestMatchmakerReduceWaitsForSlippedMaps(t *testing.T) {
-	var st Stats
-	mk := newMatchmaker(1, 1, 1, &st)
-	mk.mapSlots[0].insert(0, 100) // pinned blocker
-	mapTask := &workload.Task{ID: "m", JobID: 7, Type: workload.MapTask, Exec: 10, Req: 1}
-	redTask := &workload.Task{ID: "r", JobID: 7, Type: workload.ReduceTask, Exec: 5, Req: 1}
-	am := mk.place(mapTask, 50, false) // slips to 100, ends 110
-	if am.start != 100 {
-		t.Fatalf("map start %d", am.start)
+	mk := newMatchmaker(1, 1, 1)
+	mk.mapSlots[0].insert(0, 500) // a running task the cumulative never saw
+	placed, err := bm.placements(&res, mk)
+	if err == nil || !strings.Contains(err.Error(), "task m0 has no free unit slot at 0") {
+		t.Fatalf("placements error %v, want the invariant error for m0 at 0", err)
 	}
-	ar := mk.place(redTask, 60, false) // CP said 60, but the map now ends at 110
-	if ar.start != 110 {
-		t.Fatalf("reduce start %d, want 110 (after slipped map)", ar.start)
+	if placed != nil {
+		t.Fatalf("placements returned %d placements with the error", len(placed))
 	}
 }
 
 func TestMatchmakerPinnedTasksBlockSlots(t *testing.T) {
-	var st Stats
-	mk := newMatchmaker(1, 2, 1, &st) // one resource, two map slots
+	mk := newMatchmaker(1, 2, 1) // one resource, two map slots
 	running := &workload.Task{ID: "run", JobID: 1, Type: workload.MapTask, Exec: 100, Req: 1}
 	mk.pin(running, 0, 0, running.Exec) // unit slot 0 busy [0,100)
 	task := &workload.Task{ID: "new", JobID: 2, Type: workload.MapTask, Exec: 50, Req: 1}
-	a := mk.place(task, 0, false)
+	a, err := mk.place(task, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if a.slot != 1 || a.start != 0 {
 		t.Fatalf("placed slot %d at %d, want free slot 1 at 0", a.slot, a.start)
 	}

@@ -186,8 +186,8 @@ func (rd *round) buildModel(mode SolveMode, now int64, cluster sim.Cluster, work
 					}
 				}
 			}
-			if fz != nil && fz.exec > 0 {
-				dur = fz.exec
+			if fz != nil {
+				dur = fz.exec // as horizonFor and matchmaker.pin read it
 			}
 			iv := m.NewInterval(t.ID, dur)
 			iv.Demand = t.Req
