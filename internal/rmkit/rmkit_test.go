@@ -80,12 +80,22 @@ func TestTrackerAdmitOrderAndIndices(t *testing.T) {
 	if _, ok := tr.ByID(1); !ok {
 		t.Fatal("Dequeue must keep lookup indices")
 	}
+	for _, task := range j1.Tasks() {
+		if byTask, ok := tr.ByTask(task); !ok || byTask != js {
+			t.Fatalf("ByTask(%s) did not resolve after Dequeue", task.ID)
+		}
+	}
 	tr.Retire(js)
 	if _, ok := tr.ByID(1); ok {
 		t.Fatal("Retire must drop lookup indices")
 	}
-	if _, ok := tr.ByTask(j1.MapTasks[0]); ok {
-		t.Fatal("Retire must drop task indices")
+	for _, task := range j1.Tasks() {
+		if _, ok := tr.ByTask(task); ok {
+			t.Fatalf("ByTask(%s) resolved after Retire", task.ID)
+		}
+	}
+	if byTask, ok := tr.ByTask(j2.MapTasks[0]); !ok || byTask.Job != j2 {
+		t.Fatal("Retire dropped another job's task lookup")
 	}
 }
 

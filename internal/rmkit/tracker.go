@@ -63,17 +63,17 @@ func (js *JobState) ChargeRetry(p RetryPolicy, taskAttempts int) bool {
 }
 
 // Tracker owns the per-job lifecycle state of one manager: an active queue
-// in a policy-chosen order plus lookup indices by job ID and task pointer.
+// in a policy-chosen order plus a lookup index by job ID, which also
+// resolves tasks (a valid job's tasks carry its ID).
 type Tracker struct {
 	// QueuePending makes Admit pre-fill each job's pending task queues (in
 	// natural task order, as Hadoop-style dispatchers expect). Managers
 	// that re-derive their work set from the simulator leave it false.
 	QueuePending bool
 
-	less   func(a, b *JobState) bool
-	byID   map[int]*JobState
-	byTask map[*workload.Task]*JobState
-	order  []*JobState
+	less  func(a, b *JobState) bool
+	byID  map[int]*JobState
+	order []*JobState
 }
 
 // NewTracker creates an empty tracker. less defines the active-queue order
@@ -82,9 +82,8 @@ type Tracker struct {
 // order.
 func NewTracker(less func(a, b *JobState) bool) *Tracker {
 	return &Tracker{
-		less:   less,
-		byID:   make(map[int]*JobState),
-		byTask: make(map[*workload.Task]*JobState),
+		less: less,
+		byID: make(map[int]*JobState),
 	}
 }
 
@@ -100,9 +99,6 @@ func (tr *Tracker) Admit(j *workload.Job) *JobState {
 		js.PendingReds = append([]*workload.Task(nil), j.ReduceTasks...)
 	}
 	tr.byID[j.ID] = js
-	for _, t := range j.Tasks() {
-		tr.byTask[t] = js
-	}
 	if tr.less == nil {
 		tr.order = append(tr.order, js)
 		return js
@@ -127,14 +123,14 @@ func (tr *Tracker) ByID(id int) (*JobState, bool) {
 	return js, ok
 }
 
-// ByTask looks up the state of the job owning the task.
+// ByTask looks up the state of the job owning the task: job IDs are
+// unique and Job.Validate holds every task's JobID to its job's.
 func (tr *Tracker) ByTask(t *workload.Task) (*JobState, bool) {
-	js, ok := tr.byTask[t]
-	return js, ok
+	return tr.ByID(t.JobID)
 }
 
-// Dequeue removes the job from the active queue but keeps every lookup
-// index, so late completion or failure notifications for still-draining
+// Dequeue removes the job from the active queue but keeps its lookup
+// entry, so late completion or failure notifications for still-draining
 // attempts of an abandoned job resolve.
 func (tr *Tracker) Dequeue(js *JobState) {
 	for i, other := range tr.order {
@@ -145,13 +141,10 @@ func (tr *Tracker) Dequeue(js *JobState) {
 	}
 }
 
-// Retire removes the job from the active queue and every index.
+// Retire removes the job from the active queue and the lookup index.
 func (tr *Tracker) Retire(js *JobState) {
 	tr.Dequeue(js)
 	delete(tr.byID, js.Job.ID)
-	for _, t := range js.Job.Tasks() {
-		delete(tr.byTask, t)
-	}
 }
 
 // AnyRunning reports whether any of the job's tasks is mid-execution —

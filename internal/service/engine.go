@@ -326,17 +326,31 @@ func (e *Engine) NowMS() int64 {
 	return e.simNow.Load()
 }
 
-// Submit accepts one job submission and returns its assigned ID. In Wall
-// mode the spec's arrival time is replaced with the submission instant; in
-// Virtual mode it is honored, clamped up to the current simulation clock.
-// A non-nil *core.AdmissionError return still carries a valid ID: the
-// rejection is recorded and queryable.
+// Submit accepts one job submission and returns its assigned ID: it
+// builds the spec's job and hands both to SubmitJob.
+func (e *Engine) Submit(spec workload.JobSpec) (int, error) {
+	j, err := spec.Job(0)
+	if err != nil {
+		return 0, err
+	}
+	return e.SubmitJob(spec, j)
+}
+
+// SubmitJob accepts one job submission, j being spec's job built by
+// spec.Job under any ID (a router's feasibility probe), and returns its
+// assigned ID. In Wall mode the spec's arrival time is replaced with the
+// submission instant; in Virtual mode it is honored, clamped up to the
+// current simulation clock. j is then bound to the adjusted spec and the
+// assigned ID (workload.JobSpec.Bind), so the registered job equals the
+// one journal replay rebuilds. A non-nil *core.AdmissionError return still
+// carries a valid ID: the rejection is recorded and queryable.
 //
 // When MaxPending is set and the intake is full the submission is shed
-// with an *OverloadError (no ID is consumed); when a journal is attached
-// the accepted submission is appended — and fsynced per the sync policy —
-// before Submit returns, so an acknowledged job survives a crash.
-func (e *Engine) Submit(spec workload.JobSpec) (int, error) {
+// with an *OverloadError (no ID is consumed, j is left as it was); when a
+// journal is attached the accepted submission is appended — and fsynced
+// per the sync policy — before SubmitJob returns, so an acknowledged job
+// survives a crash. Nothing keeps spec's slices after the call.
+func (e *Engine) SubmitJob(spec workload.JobSpec, j *workload.Job) (int, error) {
 	if e.cfg.Telemetry.Enabled() {
 		defer func(start time.Time) {
 			e.cfg.Telemetry.Observe(obs.HistWallAdmission, float64(time.Since(start).Nanoseconds())/1e6)
@@ -371,8 +385,7 @@ func (e *Engine) Submit(spec workload.JobSpec) (int, error) {
 		// the clock advanced in between, which replay does not reproduce).
 		spec.ArrivalMS = now
 	}
-	j, err := spec.Job(e.nextID)
-	if err != nil {
+	if err := spec.Bind(j, e.nextID); err != nil {
 		return 0, err
 	}
 	// The admission lower bound doubles as the SLO monitor's
@@ -399,7 +412,7 @@ func (e *Engine) Submit(spec workload.JobSpec) (int, error) {
 }
 
 // register enters one journaled submission into the registry — the one
-// apply step of Submit and journal replay; called under intakeMu. An
+// apply step of SubmitJob and journal replay; called under intakeMu. An
 // accepted record's job j joins the intake, flagged for the SLO monitor
 // when infeasible (the admission bound failed); a rejected record keeps
 // only its reason and deadline.
@@ -659,7 +672,9 @@ func (e *Engine) drainIntake() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	now := e.sim.Now()
+	nTasks := 0
 	for _, j := range batch {
+		nTasks += j.NumTasks()
 		if j.Arrival < now {
 			j.Arrival = now
 			if j.EarliestStart < now {
@@ -668,6 +683,7 @@ func (e *Engine) drainIntake() {
 		}
 	}
 	sort.SliceStable(batch, func(a, b int) bool { return batch[a].Arrival < batch[b].Arrival })
+	e.sim.Reserve(nTasks)
 	for _, j := range batch {
 		if err := e.sim.AddJob(j); err != nil {
 			// The job will never finish: count it rejected so it releases

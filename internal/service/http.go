@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"mrcprm/internal/core"
@@ -19,6 +20,8 @@ import (
 // shard.Router over N engines, N >= 1. Job IDs are whatever Submit
 // returned; resource indices are global.
 type Backend interface {
+	// Submit must not keep spec's slices once it returns: the handler
+	// decodes every POST into a recycled spec.
 	Submit(spec workload.JobSpec) (int64, error)
 	Job(id int64) (JobStatus, bool)
 	Jobs() []JobStatus
@@ -153,13 +156,26 @@ func (s *server) readyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.withShards(map[string]any{"ready": true}))
 }
 
+// specPool recycles POST /v1/jobs decode targets, so a body decodes into
+// slices earlier POSTs already grew.
+var specPool = sync.Pool{New: func() any { return new(workload.JobSpec) }}
+
 func (s *server) submit(w http.ResponseWriter, r *http.Request) {
-	var spec workload.JobSpec
-	if err := decodeBody(w, r, &spec); err != nil {
+	spec := specPool.Get().(*workload.JobSpec)
+	defer specPool.Put(spec)
+	// Fields the body leaves out must read as absent, not as the last
+	// POST's values.
+	*spec = workload.JobSpec{
+		MapExecMS:    spec.MapExecMS[:0],
+		ReduceExecMS: spec.ReduceExecMS[:0],
+		MapMem:       spec.MapMem[:0],
+		ReduceMem:    spec.ReduceMem[:0],
+	}
+	if err := decodeBody(w, r, spec); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("parsing job spec: %w", err))
 		return
 	}
-	id, err := s.b.Submit(spec)
+	id, err := s.b.Submit(*spec)
 	var oe *OverloadError
 	switch {
 	case errors.Is(err, ErrClosed):

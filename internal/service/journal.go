@@ -314,7 +314,7 @@ func (e *Engine) replaySubmit(rec *journalRecord, info *RecoveryInfo) error {
 	if err != nil {
 		return err
 	}
-	// Re-derive the infeasibility flag the original Submit computed so the
+	// Re-derive the infeasibility flag the original SubmitJob computed so the
 	// recovered monitor attributes identically.
 	e.register(rec, j, core.CheckAdmission(e.cfg.Cluster, j, max(rec.SimMS, j.Arrival)) != nil)
 	info.Accepted++

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -342,6 +343,90 @@ func TestRecoverRejectsMismatchedConfig(t *testing.T) {
 	if _, _, err := Recover(bad); err == nil {
 		t.Fatal("Recover accepted a journal written for another cluster")
 	}
+}
+
+// TestSubmitJobMatchesReplay: the job SubmitJob registers is the caller's
+// probe, built under ID 0 and bound after the wall restamp or the virtual
+// clamp; it must equal the job journal replay rebuilds from the journaled
+// spec, task names and memory demands included. A first submission makes
+// the probe's ID differ from the one it is bound to.
+func TestSubmitJobMatchesReplay(t *testing.T) {
+	cases := []struct {
+		name    string
+		mode    Mode
+		advance bool // run the first job so the virtual clock passes 1000 ms
+		spec    workload.JobSpec
+	}{
+		{"wall restamp", Wall, false, workload.JobSpec{ArrivalMS: 5_000, EarliestStartMS: 7_000,
+			DeadlineMS: 60_000, MapExecMS: []int64{1_000, 2_000}, ReduceExecMS: []int64{500}}},
+		{"virtual clamp", Virtual, true, workload.JobSpec{EarliestStartMS: 400,
+			DeadlineMS: 60_000, MapExecMS: []int64{1_000, 2_000}, ReduceExecMS: []int64{500}}},
+		{"memory slices", Virtual, false, workload.JobSpec{ArrivalMS: 50, DeadlineMS: 60_000,
+			MapExecMS: []int64{1_000, 2_000, 300}, MapMem: []int64{4, 2},
+			ReduceExecMS: []int64{500}, ReduceMem: []int64{3}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Cluster: memCluster, Policy: "fifo", Mode: tc.mode,
+				JournalPath: filepath.Join(t.TempDir(), "run.wal"), JournalSync: "none"}
+			e, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Submit(fittingSpec); err != nil {
+				t.Fatal(err)
+			}
+			if tc.advance {
+				if err := e.Start(); err != nil {
+					t.Fatal(err)
+				}
+				deadline := time.Now().Add(10 * time.Second)
+				for e.NowMS() < 1_000 {
+					if time.Now().After(deadline) {
+						t.Fatalf("virtual clock stuck at %d ms", e.NowMS())
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
+			probe, err := tc.spec.Job(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			id, err := e.SubmitJob(tc.spec, probe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Stop()
+			<-e.Done()
+			if got := e.entries[id].job; got != probe {
+				t.Fatal("SubmitJob registered another job than the one handed in")
+			}
+			if tc.mode == Wall && probe.Arrival == tc.spec.ArrivalMS {
+				t.Fatalf("wall-mode arrival %d was not restamped", probe.Arrival)
+			}
+			if tc.advance && probe.EarliestStart < 1_000 {
+				t.Fatalf("stale earliest start %d was not clamped to the clock", probe.EarliestStart)
+			}
+
+			r, _, err := Recover(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Stop()
+			if replayed := r.entries[id].job; !reflect.DeepEqual(replayed, probe) {
+				t.Fatalf("registered job differs from the replayed one:\n%s\n%s", jobString(probe), jobString(replayed))
+			}
+		})
+	}
+}
+
+// jobString renders a job with its tasks for a failure message.
+func jobString(j *workload.Job) string {
+	s := fmt.Sprintf("job %d arrival %d start %d deadline %d:", j.ID, j.Arrival, j.EarliestStart, j.Deadline)
+	for _, t := range j.Tasks() {
+		s += fmt.Sprintf(" %s(job %d exec %d mem %d)", t.ID, t.JobID, t.Exec, t.Mem)
+	}
+	return s
 }
 
 // TestBackpressureSheds covers the MaxPending bound: excess submissions are

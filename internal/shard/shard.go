@@ -208,7 +208,9 @@ func feasibleOn(c sim.Cluster, j *workload.Job) bool {
 // candidate; only when every candidate sheds does Submit return one
 // aggregated *service.OverloadError. A typed admission rejection
 // (*core.AdmissionError) ends routing immediately — it is deterministic,
-// so every other shard of equal capacity would reject too.
+// so every other shard of equal capacity would reject too. The job built
+// for the feasibility filter is the one the accepting engine binds to its
+// ID and registers (service.Engine.SubmitJob): a POST builds its job once.
 func (r *Router) Submit(spec workload.JobSpec) (int64, error) {
 	if r.tel.Enabled() {
 		defer func(start time.Time) {
@@ -260,7 +262,7 @@ func (r *Router) Submit(spec workload.JobSpec) (int64, error) {
 		lastClosed error
 	)
 	for _, c := range cands {
-		id, err := r.engines[c.s].Submit(spec)
+		id, err := r.engines[c.s].SubmitJob(spec, probe)
 		var oe *service.OverloadError
 		switch {
 		case err == nil:

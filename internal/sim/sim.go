@@ -250,19 +250,11 @@ func New(cluster Cluster, rm ResourceManager, jobs []*workload.Job) (*Simulator,
 	}
 	sorted := append([]*workload.Job(nil), jobs...)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Arrival < sorted[j].Arrival })
-	// The task index is sized once: growing it task by task rehashes it
-	// about log2(tasks) times, most of what building a large run costs.
-	nTasks := 0
-	for _, j := range sorted {
-		nTasks += j.NumTasks()
-	}
 	s := &Simulator{
 		cluster:     cluster,
 		rm:          rm,
 		jobs:        sorted,
 		ledger:      newSlotLedger(cluster),
-		tasks:       make(map[*workload.Task]*taskState, nTasks),
-		byKey:       make([]*taskState, 0, nTasks),
 		pending:     make(map[*workload.Job]*jobState),
 		timers:      make(map[int64]bool),
 		activeSince: make([]int64, cluster.NumResources),
@@ -275,31 +267,63 @@ func New(cluster Cluster, rm ResourceManager, jobs []*workload.Job) (*Simulator,
 	for r := range s.activeSince {
 		s.activeSince[r] = -1
 	}
+	nTasks := 0
+	for _, j := range sorted {
+		nTasks += j.NumTasks()
+	}
+	s.Reserve(nTasks)
 	for idx, j := range sorted {
 		if err := j.Validate(); err != nil {
 			return nil, err
 		}
-		tasks := j.Tasks()
-		for _, t := range tasks {
-			if err := s.cluster.CheckDemand(t); err != nil {
-				return nil, err
+		for _, tasks := range [2][]*workload.Task{j.MapTasks, j.ReduceTasks} {
+			for _, t := range tasks {
+				if err := s.cluster.CheckDemand(t); err != nil {
+					return nil, err
+				}
 			}
 		}
-		s.register(j, tasks, idx)
+		s.register(j, idx)
 	}
 	return s, nil
 }
 
-// register enters a checked job (s.jobs[jobIdx], tasks being j.Tasks()) into
-// the run: its task states, allocated as one block, and its arrival event.
-func (s *Simulator) register(j *workload.Job, tasks []*workload.Task, jobIdx int) {
-	js := &jobState{left: len(tasks), mapsLeft: len(j.MapTasks)}
-	states := make([]taskState, len(tasks))
-	for i, t := range tasks {
-		st := &states[i]
-		*st = taskState{task: t, job: j, js: js, key: len(s.byKey), res: -1}
-		s.tasks[t] = st
-		s.byKey = append(s.byKey, st)
+// Reserve sizes the task index for n more tasks, ahead of a batch of
+// AddJob calls. The index grows only when n would overflow it, to at least
+// twice its capacity, so reserving every batch costs amortized O(1) per
+// task; growing it task by task instead rehashes it about log2(tasks)
+// times, most of what registering a large run costs.
+func (s *Simulator) Reserve(n int) {
+	need := len(s.byKey) + n
+	if s.tasks != nil && need <= cap(s.byKey) {
+		return
+	}
+	need = max(need, 2*cap(s.byKey))
+	byKey := make([]*taskState, len(s.byKey), need)
+	copy(byKey, s.byKey)
+	s.byKey = byKey
+	tasks := make(map[*workload.Task]*taskState, need)
+	for t, st := range s.tasks {
+		tasks[t] = st
+	}
+	s.tasks = tasks
+}
+
+// register enters a checked job (s.jobs[jobIdx]) into the run: its task
+// states, allocated as one block and keyed maps first, then reduces, and
+// its arrival event.
+func (s *Simulator) register(j *workload.Job, jobIdx int) {
+	js := &jobState{left: j.NumTasks(), mapsLeft: len(j.MapTasks)}
+	states := make([]taskState, j.NumTasks())
+	i := 0
+	for _, tasks := range [2][]*workload.Task{j.MapTasks, j.ReduceTasks} {
+		for _, t := range tasks {
+			st := &states[i]
+			i++
+			*st = taskState{task: t, job: j, js: js, key: len(s.byKey), res: -1}
+			s.tasks[t] = st
+			s.byKey = append(s.byKey, st)
+		}
 	}
 	s.pending[j] = js
 	s.queue.push(event{at: j.Arrival, kind: evJobArrival, jobIdx: jobIdx})
@@ -433,17 +457,18 @@ func (s *Simulator) AddJob(j *workload.Job) error {
 	if j.Arrival < s.clock {
 		return fmt.Errorf("sim: job %d arrival %d lies in the past (now %d)", j.ID, j.Arrival, s.clock)
 	}
-	tasks := j.Tasks()
-	for _, t := range tasks {
-		if _, dup := s.tasks[t]; dup {
-			return fmt.Errorf("sim: task %s already registered", t.ID)
-		}
-		if err := s.cluster.CheckDemand(t); err != nil {
-			return err
+	for _, tasks := range [2][]*workload.Task{j.MapTasks, j.ReduceTasks} {
+		for _, t := range tasks {
+			if _, dup := s.tasks[t]; dup {
+				return fmt.Errorf("sim: task %s already registered", t.ID)
+			}
+			if err := s.cluster.CheckDemand(t); err != nil {
+				return err
+			}
 		}
 	}
 	s.jobs = append(s.jobs, j)
-	s.register(j, tasks, len(s.jobs)-1)
+	s.register(j, len(s.jobs)-1)
 	return nil
 }
 

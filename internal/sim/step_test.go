@@ -59,7 +59,8 @@ func TestStepDrivenRunMatchesRun(t *testing.T) {
 }
 
 // TestAddJobMatchesPreloaded checks that adding jobs online (before the
-// first step, in arrival order) reproduces a pre-loaded run exactly.
+// first step, in arrival order) reproduces a pre-loaded run exactly, also
+// when Reserve rebuilds the task index between two AddJob calls.
 func TestAddJobMatchesPreloaded(t *testing.T) {
 	gen := func() []*workload.Job {
 		return []*workload.Job{
@@ -83,7 +84,14 @@ func TestAddJobMatchesPreloaded(t *testing.T) {
 		t.Fatal(err)
 	}
 	jobs := gen()
-	for _, j := range jobs {
+	for i, j := range jobs {
+		if i == 1 {
+			// Job 0's two tasks fill the index; one more overflows it.
+			sAdd.Reserve(j.NumTasks())
+			if cap(sAdd.byKey) < 4 {
+				t.Fatalf("Reserve left the task index at capacity %d, want at least 4", cap(sAdd.byKey))
+			}
+		}
 		if err := sAdd.AddJob(j); err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +104,7 @@ func TestAddJobMatchesPreloaded(t *testing.T) {
 		t.Fatal(err)
 	}
 	if mPre.JobsCompleted != mAdd.JobsCompleted || mPre.MakespanMS != mAdd.MakespanMS ||
-		mPre.LateJobs != mAdd.LateJobs {
+		mPre.LateJobs != mAdd.LateJobs || mPre.Fingerprint() != mAdd.Fingerprint() {
 		t.Fatalf("online-added run diverged: %+v vs %+v", mAdd, mPre)
 	}
 	if sAdd.OutstandingJobs() != 0 {

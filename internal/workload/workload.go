@@ -224,21 +224,39 @@ func taskID(jobID int, typ TaskType, idx int) string {
 	return string(id)
 }
 
-// newTasks allocates the job's nMap map and nRed reduce tasks as one block
-// and points MapTasks and ReduceTasks into it, each task named by taskID
-// (numbered from 1) with unit demand; the caller fills in execution times.
+// newTasks allocates the job's nMap map and nRed reduce tasks (allocTasks)
+// and names them under the job's ID; the caller fills in execution times.
 func (j *Job) newTasks(nMap, nRed int) {
+	j.allocTasks(nMap, nRed)
+	j.nameTasks()
+}
+
+// allocTasks allocates the job's nMap map and nRed reduce tasks as one
+// block, with unit demand, and points MapTasks and ReduceTasks into it.
+func (j *Job) allocTasks(nMap, nRed int) {
 	block := make([]Task, nMap+nRed)
 	j.MapTasks = make([]*Task, nMap)
 	j.ReduceTasks = make([]*Task, nRed)
-	fill := func(ptrs []*Task, tasks []Task, typ TaskType) {
-		for i := range ptrs {
-			tasks[i] = Task{ID: taskID(j.ID, typ, i+1), JobID: j.ID, Type: typ, Req: 1}
-			ptrs[i] = &tasks[i]
+	for i := range block {
+		block[i].Req = 1
+		if i < nMap {
+			j.MapTasks[i] = &block[i]
+		} else {
+			block[i].Type = ReduceTask
+			j.ReduceTasks[i-nMap] = &block[i]
 		}
 	}
-	fill(j.MapTasks, block[:nMap], MapTask)
-	fill(j.ReduceTasks, block[nMap:], ReduceTask)
+}
+
+// nameTasks stamps the job's ID on every task and names each by taskID,
+// numbered from 1 within its phase.
+func (j *Job) nameTasks() {
+	for _, tasks := range [2][]*Task{j.MapTasks, j.ReduceTasks} {
+		for i, t := range tasks {
+			t.JobID = j.ID
+			t.ID = taskID(j.ID, t.Type, i+1)
+		}
+	}
 }
 
 // assignSLA fills arrival, earliest start, and deadline on the job from the
