@@ -81,7 +81,7 @@ func SolveBatch(cluster sim.Cluster, jobs []*workload.Job, cfg Config) (*Schedul
 		Search:      res.Search,
 	}
 	for i, a := range placed {
-		sched.Assignments[i] = Assignment{Task: a.task, Job: a.job, Resource: a.res, Start: a.start,
+		sched.Assignments[i] = Assignment{Task: a.task, Job: bm.tasks[a.id].job, Resource: a.res, Start: a.start,
 			Dur: sim.ScaledExec(a.task.Exec, cluster.SpeedOf(a.res))}
 	}
 	sort.SliceStable(sched.Assignments, func(a, b int) bool {

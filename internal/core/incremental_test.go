@@ -42,7 +42,7 @@ func TestDrainWithRunningTasks(t *testing.T) {
 			break
 		}
 	}
-	if !s.Started(jobs[0].MapTasks[0]) {
+	if !s.Status(jobs[0].MapTasks[0]).Started {
 		t.Fatal("job 0 should be running at drain time")
 	}
 	if mgr.Stats().Deferred != 1 {

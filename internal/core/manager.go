@@ -25,10 +25,6 @@ type Manager struct {
 	jobs     *rmkit.Tracker
 	deferred []*workload.Job // Section V.E parking lot
 
-	// unitSlot remembers each scheduled task's unit slot so that, once the
-	// task starts, later rounds pin it to the same slot.
-	unitSlot map[*workload.Task]int
-
 	stats Stats
 	// tel receives per-invocation spans and solver search events; nil (the
 	// default) disables all instrumentation at the cost of one branch.
@@ -50,10 +46,9 @@ type Manager struct {
 func New(cluster sim.Cluster, cfg Config) *Manager {
 	cfg.Mode = cfg.formulation(cluster)
 	return &Manager{
-		cfg:      cfg,
-		cluster:  cluster,
-		jobs:     rmkit.NewTracker(nil),
-		unitSlot: make(map[*workload.Task]int),
+		cfg:     cfg,
+		cluster: cluster,
+		jobs:    rmkit.NewTracker(nil),
 	}
 }
 
@@ -161,7 +156,6 @@ func (m *Manager) OnTimer(ctx sim.Context) error {
 // on completions (the installed timetable already accounts for them); it
 // only maintains its bookkeeping.
 func (m *Manager) OnTaskComplete(ctx sim.Context, t *workload.Task) error {
-	delete(m.unitSlot, t)
 	js, ok := m.jobs.ByID(t.JobID)
 	if !ok {
 		return fmt.Errorf("core: completion for unknown task %s", t.ID)
@@ -236,7 +230,7 @@ func (m *Manager) OnResourceUp(ctx sim.Context, _ int) error {
 
 // OnTaskSlowdown implements sim.FaultHooks: an attempt that will overrun
 // its planned window forces a replan with its true duration (the
-// reschedule freezes it at ctx.RunningExec) before later starts collide.
+// reschedule freezes it at its status's Exec) before later starts collide.
 // The hook also fires for ordinary slow-machine starts; when the planning
 // cluster already budgeted the attempt's machine-scaled duration the plan
 // is intact and no replan is needed — only genuinely unplanned overruns
@@ -244,9 +238,9 @@ func (m *Manager) OnResourceUp(ctx sim.Context, _ int) error {
 // a reschedule.
 func (m *Manager) OnTaskSlowdown(ctx sim.Context, t *workload.Task) error {
 	started := time.Now()
-	if res, _, ok := ctx.Placement(t); ok {
-		planned := sim.ScaledExec(t.Exec, m.cluster.SpeedOf(res))
-		if ctx.RunningExec(t) <= planned {
+	if st := ctx.Status(t); st.Placed {
+		planned := sim.ScaledExec(t.Exec, m.cluster.SpeedOf(st.Res))
+		if st.Exec <= planned {
 			ctx.AddOverhead(time.Since(started))
 			return nil
 		}
@@ -271,13 +265,6 @@ func (m *Manager) chargeRetry(ctx sim.Context, js *rmkit.JobState, t *workload.T
 	}
 	js.Abandoned = true
 	m.stats.JobsAbandoned++
-	for _, jt := range js.Job.Tasks() {
-		// Keep the unit slots of still-draining attempts (combined-mode
-		// rounds pin them until they finish); drop the rest.
-		if !ctx.Started(jt) || ctx.Completed(jt) {
-			delete(m.unitSlot, jt)
-		}
-	}
 	if !rmkit.AnyRunning(ctx, js.Job) {
 		m.jobs.Retire(js)
 	}
@@ -329,6 +316,9 @@ func (m *Manager) reschedule(ctx sim.Context, reason string) error {
 	}
 
 	bm, err := rd.buildModel(m.cfg.Mode, now, m.cluster, work, down)
+	if err == nil && len(rd.refs) != len(bm.tasks) {
+		err = fmt.Errorf("core: %d task handles for %d model tasks", len(rd.refs), len(bm.tasks))
+	}
 	if err != nil {
 		if telOn {
 			sp.End(obs.Str("status", "model_error"),
@@ -337,12 +327,11 @@ func (m *Manager) reschedule(ctx sim.Context, reason string) error {
 		return err
 	}
 	var hint *cp.Hint
-	if m.cfg.WarmStart {
-		if hint = rd.buildHint(ctx); hint != nil {
-			m.stats.WarmStartRounds++
-			if telOn {
-				m.tel.Add(obs.CounterWarmStartHinted, 1)
-			}
+	if rd.hinted {
+		hint = &rd.hint
+		m.stats.WarmStartRounds++
+		if telOn {
+			m.tel.Add(obs.CounterWarmStartHinted, 1)
 		}
 	}
 	res, solveErr := m.solve(bm, hint)
@@ -451,11 +440,11 @@ func predictedLateAfter(ctx sim.Context, work []*jobWork, installErr error) int 
 		cluster := ctx.Cluster()
 		pend := func(ts []*workload.Task) {
 			for _, t := range ts {
-				if res, start, ok := ctx.Placement(t); ok {
+				if st := ctx.Status(t); st.Placed {
 					// True machine-scaled duration, so the prediction
 					// reflects what will actually happen — including the
 					// overruns a speed-blind plan is about to suffer.
-					if e := start + sim.ScaledExec(t.Exec, cluster.SpeedOf(res)); e > end {
+					if e := st.Start + sim.ScaledExec(t.Exec, cluster.SpeedOf(st.Res)); e > end {
 						end = e
 					}
 				}
@@ -486,42 +475,18 @@ func (m *Manager) solve(bm *builtModel, hint *cp.Hint) (res cp.Result, err error
 	return solver.Solve(), nil
 }
 
-// buildHint re-indexes the currently installed timetable onto the freshly
-// built model so the solve can warm-start from it. Tasks without an
-// installed placement (fresh arrivals, failed attempts) carry no hint;
-// nil is returned when nothing survives to hint from.
-func (rd *round) buildHint(ctx sim.Context) *cp.Hint {
-	var h *cp.Hint
-	for _, mt := range rd.bm.tasks {
-		if mt.frozen {
-			continue
-		}
-		res, start, ok := ctx.Placement(mt.task)
-		if !ok {
-			continue
-		}
-		if h == nil {
-			// Exactly one entry per interval: a hint of another length
-			// does not cover the model.
-			n := len(rd.bm.tasks)
-			h = &rd.hint
-			h.Starts = reserve(h.Starts, n)[:n]
-			h.Res = reserve(h.Res, n)[:n]
-			for i := range h.Starts {
-				h.Starts[i] = -1
-				h.Res[i] = -1
-			}
-		}
-		h.Starts[mt.iv.ID()] = start
-		h.Res[mt.iv.ID()] = res
-	}
-	return h
-}
-
 // collectWork snapshots the incomplete tasks of all active jobs into the
-// round's jobWork structs. Abandoned jobs contribute only their
-// still-draining attempts (as capacity-holding ghosts); ones with nothing
-// left on the cluster are retired here.
+// round's jobWork structs, reading each job's task states at once
+// (Context.JobStatus). Abandoned jobs contribute only their still-draining
+// attempts (as capacity-holding ghosts); ones with nothing left on the
+// cluster are retired here.
+//
+// Alongside it lays out, by model index — the order buildModel adds a
+// job's tasks in: pending maps, frozen maps, pending reduces, frozen
+// reduces — each pending task's handle for install (rd.refs, zero for a
+// frozen task) and, under WarmStart, the hint: the placement the last
+// round installed, -1 where there is none. rd.hinted says some task has
+// one.
 func (m *Manager) collectWork(ctx sim.Context) []*jobWork {
 	var gone []*rmkit.JobState
 	for _, js := range m.jobs.Active() {
@@ -534,6 +499,10 @@ func (m *Manager) collectWork(ctx sim.Context) []*jobWork {
 	}
 
 	rd := &m.round
+	warm := m.cfg.WarmStart
+	rd.refs, rd.hinted = rd.refs[:0], false
+	h := &rd.hint
+	h.Starts, h.Res = h.Starts[:0], h.Res[:0]
 	n := 0
 	for _, js := range m.jobs.Active() {
 		if n == len(rd.jobs) {
@@ -544,28 +513,37 @@ func (m *Manager) collectWork(ctx sim.Context) []*jobWork {
 		*w = jobWork{job: j, ghost: ghost,
 			pendingMaps: w.pendingMaps[:0], pendingReds: w.pendingReds[:0],
 			frozenMaps: w.frozenMaps[:0], frozenReds: w.frozenReds[:0]}
-		for _, t := range j.MapTasks {
-			switch {
-			case ctx.Completed(t):
-				// finished: constrains nothing, new work starts at or after now
-			case ctx.Started(t):
-				res, start, _ := ctx.Placement(t)
-				w.frozenMaps = append(w.frozenMaps, frozenTask{task: t, res: res, start: start, exec: ctx.RunningExec(t)})
-			case ghost:
-				// dead work: never scheduled again
-			default:
-				w.pendingMaps = append(w.pendingMaps, t)
+		rd.status = ctx.JobStatus(j, rd.status[:0])
+		nm := len(j.MapTasks)
+		for phase, part := range [2][]sim.TaskStatus{rd.status[:nm], rd.status[nm:]} {
+			pending, frozen := &w.pendingMaps, &w.frozenMaps
+			if phase == 1 {
+				pending, frozen = &w.pendingReds, &w.frozenReds
 			}
-		}
-		for _, t := range j.ReduceTasks {
-			switch {
-			case ctx.Completed(t):
-			case ctx.Started(t):
-				res, start, _ := ctx.Placement(t)
-				w.frozenReds = append(w.frozenReds, frozenTask{task: t, res: res, start: start, exec: ctx.RunningExec(t)})
-			case ghost:
-			default:
-				w.pendingReds = append(w.pendingReds, t)
+			for _, st := range part {
+				switch {
+				case st.Completed:
+					// finished: constrains nothing, new work starts at or after now
+				case st.Started:
+					*frozen = append(*frozen, frozenTask{task: st.Task, res: st.Res, start: st.Start, exec: st.Exec})
+				case ghost:
+					// dead work: never scheduled again
+				default:
+					*pending = append(*pending, st.Task)
+					rd.refs = append(rd.refs, st.Ref)
+					if warm && st.Placed {
+						h.Starts, h.Res = append(h.Starts, st.Start), append(h.Res, st.Res)
+						rd.hinted = true
+					} else if warm {
+						h.Starts, h.Res = append(h.Starts, -1), append(h.Res, -1)
+					}
+				}
+			}
+			for range *frozen {
+				rd.refs = append(rd.refs, sim.TaskRef{})
+				if warm {
+					h.Starts, h.Res = append(h.Starts, -1), append(h.Res, -1)
+				}
 			}
 		}
 		if len(w.pendingMaps)+len(w.pendingReds)+len(w.frozenMaps)+len(w.frozenReds) > 0 {
@@ -576,14 +554,14 @@ func (m *Manager) collectWork(ctx sim.Context) []*jobWork {
 }
 
 // install writes the solved timetable into the simulator: combined-mode
-// rounds run the Section V.D matchmaking around the running tasks and
-// remember each placed task's unit slot, direct-mode rounds take resources
-// straight off the solution (see placements).
+// rounds run the Section V.D matchmaking around the running tasks,
+// direct-mode rounds take resources straight off the solution (see
+// placements). Each task is placed through the handle collectWork read.
 func (m *Manager) install(ctx sim.Context, bm *builtModel, res *cp.Result, work []*jobWork, down []bool) error {
 	var mk *matchmaker
 	if bm.mode == ModeCombined {
 		mk = &m.round.mk
-		if err := m.pinRound(mk, ctx.Now(), work, down); err != nil {
+		if err := mk.pinRound(m.cluster, work, down); err != nil {
 			return err
 		}
 	}
@@ -592,35 +570,8 @@ func (m *Manager) install(ctx sim.Context, bm *builtModel, res *cp.Result, work 
 		return err
 	}
 	for _, a := range placed {
-		if mk != nil {
-			m.unitSlot[a.task] = a.slot
-		}
-		if err := ctx.Schedule(a.task, a.res, a.start); err != nil {
+		if err := ctx.Place(m.round.refs[a.id], a.res, a.start); err != nil {
 			return err
-		}
-	}
-	return nil
-}
-
-// pinRound resets mk to a matchmaker over the planning cluster with every
-// down resource blocked from now on and every running task pinned to the
-// unit slot it was given in an earlier round.
-func (m *Manager) pinRound(mk *matchmaker, now int64, work []*jobWork, down []bool) error {
-	mk.reset(m.cluster.NumResources, m.cluster.MapSlots, m.cluster.ReduceSlots)
-	for r, d := range down {
-		if d {
-			mk.blockResource(r, now)
-		}
-	}
-	for _, w := range work {
-		for _, frozen := range [2][]frozenTask{w.frozenMaps, w.frozenReds} {
-			for _, f := range frozen {
-				slot, ok := m.unitSlot[f.task]
-				if !ok {
-					return fmt.Errorf("core: started task %s has no remembered unit slot", f.task.ID)
-				}
-				mk.pin(f.task, slot, f.start, f.exec)
-			}
 		}
 	}
 	return nil

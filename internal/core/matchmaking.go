@@ -4,10 +4,10 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"mrcprm/internal/cp"
+	"mrcprm/internal/sim"
 	"mrcprm/internal/workload"
 )
 
@@ -15,9 +15,9 @@ import (
 // mapped onto unit-capacity slots (m * c^mp map slots and m * c^rd reduce
 // slots), choosing for each task the free slot that leaves the smallest gap
 // behind it. Unit slots are grouped into resources with the configured
-// per-resource capacities. Tasks that have already started stay pinned on
-// the unit slot they were given in an earlier round, and a down resource's
-// slots are blocked from now on.
+// per-resource capacities. Tasks that have already started are pinned on a
+// unit slot of the resource they run on, and a down resource's slots are
+// blocked from now on.
 //
 // The mapping is exact: every task gets a unit slot at its CP start.
 //  1. Every pinned or blocked span contains now: it is a running task or a
@@ -32,46 +32,27 @@ import (
 // A task that finds no free slot is therefore an invariant violation, and
 // place reports it as an error. The argument needs one packing dimension;
 // a second one (memory) goes to the direct formulation (see DESIGN.md).
+//
+// By 1 and 2, every span on a slot starts at or before the task being
+// placed, so a slot is all its free time: the end of its last span (0 for
+// an empty slot, forever for a blocked one). The task fits where the free
+// time is at or before its start, the gap it leaves is start minus the free
+// time, and place takes the largest free time not past the start, the
+// lowest slot on ties. Which slot of its resource a running task is pinned
+// on does not matter: place's choice of resource depends only on each
+// resource's free times, ties go to the lowest slot and a resource's slots
+// are consecutive, so pinRound pins each running task on the first unpinned
+// slot of its resource and no round remembers slots for the next.
 
-// slotTimeline is one unit-capacity slot's committed busy intervals,
-// kept sorted by start.
-type slotTimeline struct {
-	busy []busySpan
-}
-
-type busySpan struct{ from, to int64 }
-
-// fits reports whether [from, to) is free on the slot.
-func (s *slotTimeline) fits(from, to int64) bool {
-	i := sort.Search(len(s.busy), func(i int) bool { return s.busy[i].to > from })
-	return i == len(s.busy) || s.busy[i].from >= to
-}
-
-// gapBefore returns from minus the end of the latest busy span ending at or
-// before from (or from itself on an empty prefix) — the matchmaking
-// "remaining gap" criterion.
-func (s *slotTimeline) gapBefore(from int64) int64 {
-	i := sort.Search(len(s.busy), func(i int) bool { return s.busy[i].to > from })
-	if i == 0 {
-		return from
-	}
-	return from - s.busy[i-1].to
-}
-
-// insert commits [from, to) on the slot.
-func (s *slotTimeline) insert(from, to int64) {
-	i := sort.Search(len(s.busy), func(i int) bool { return s.busy[i].from >= from })
-	s.busy = append(s.busy, busySpan{})
-	copy(s.busy[i+1:], s.busy[i:])
-	s.busy[i] = busySpan{from, to}
-}
+// forever is a blocked slot's free time.
+const forever = int64(1) << 62
 
 // assignment is one task's place in the timetable being installed.
 type assignment struct {
 	task  *workload.Task
-	job   *workload.Job
+	id    int   // the task's model index: builtModel.tasks[id]
 	res   int   // resource index for the simulator
-	slot  int   // unit slot index (persisted for pinning after start); -1 in direct mode
+	slot  int   // unit slot index; -1 in direct mode
 	start int64 // the CP start
 }
 
@@ -88,7 +69,7 @@ func (bm *builtModel) placements(res *cp.Result, mk *matchmaker) ([]assignment, 
 	for _, mt := range bm.tasks {
 		if !mt.frozen {
 			id := mt.iv.ID()
-			out = append(out, assignment{task: mt.task, job: mt.job, res: res.Res[id], slot: -1, start: res.Starts[id]})
+			out = append(out, assignment{task: mt.task, id: id, res: res.Res[id], slot: -1, start: res.Starts[id]})
 		}
 	}
 	bm.placed = out
@@ -112,16 +93,17 @@ func (bm *builtModel) placements(res *cp.Result, mk *matchmaker) ([]assignment, 
 		if err != nil {
 			return nil, err
 		}
-		out[i] = placed
-		out[i].job = a.job
+		out[i].res, out[i].slot = placed.res, placed.slot
 	}
 	return out, nil
 }
 
-// matchmaker runs one round of the two-phase mapping.
+// matchmaker runs one round of the two-phase mapping. mapFree[s] and
+// redFree[s] are the free times of unit slot s of each pool; unit slot s
+// belongs to resource s / perRes.
 type matchmaker struct {
-	mapSlots  []slotTimeline
-	redSlots  []slotTimeline
+	mapFree   []int64
+	redFree   []int64
 	mapPerRes int64
 	redPerRes int64
 }
@@ -133,74 +115,99 @@ func newMatchmaker(numRes int, mapPerRes, redPerRes int64) *matchmaker {
 }
 
 // reset makes mk the matchmaker newMatchmaker would return, keeping the
-// memory of its slot timelines.
+// memory of its free-time arrays: every slot empty.
 func (mk *matchmaker) reset(numRes int, mapPerRes, redPerRes int64) {
-	mk.mapSlots = resetSlots(mk.mapSlots, int(int64(numRes)*mapPerRes))
-	mk.redSlots = resetSlots(mk.redSlots, int(int64(numRes)*redPerRes))
+	mk.mapFree = cleared(mk.mapFree, int(int64(numRes)*mapPerRes))
+	mk.redFree = cleared(mk.redFree, int(int64(numRes)*redPerRes))
 	mk.mapPerRes, mk.redPerRes = mapPerRes, redPerRes
 }
 
-// resetSlots returns n empty slot timelines, reusing s and the busy lists
-// of its slots.
-func resetSlots(s []slotTimeline, n int) []slotTimeline {
-	if cap(s) < n {
-		s = append(s[:cap(s)], make([]slotTimeline, n-cap(s))...)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i].busy = s[i].busy[:0]
-	}
+// cleared returns s resized to n zeros, reusing its backing array.
+func cleared(s []int64, n int) []int64 {
+	s = reserve(s, n)[:n]
+	clear(s)
 	return s
 }
 
-// pin commits an already-started task to its remembered unit slot. exec is
-// the attempt's effective execution time (straggler slowdowns make it
-// exceed t.Exec), the duration the model gave its frozen interval.
-func (mk *matchmaker) pin(t *workload.Task, slot int, start, exec int64) {
-	slots, _ := mk.pool(t.Type)
-	slots[slot].insert(start, start+exec)
+// pin commits an already-started task to the first unpinned unit slot of
+// the resource it runs on. exec is the attempt's effective execution time
+// (straggler slowdowns make it exceed t.Exec), the duration the model gave
+// its frozen interval; a running task ends after now, so a pinned slot's
+// free time is positive. A resource with no unpinned slot left — more
+// running tasks of a type than it has slots, or a running task on a
+// blocked resource — is an invariant error.
+func (mk *matchmaker) pin(t *workload.Task, res int, start, exec int64) error {
+	free, perRes := mk.pool(t.Type)
+	for s := res * int(perRes); s < (res+1)*int(perRes); s++ {
+		if free[s] == 0 {
+			free[s] = start + exec
+			return nil
+		}
+	}
+	return fmt.Errorf("core: started task %s finds no unpinned unit slot on resource %d", t.ID, res)
 }
 
-// blockResource marks every unit slot of a down resource busy from now on,
-// so no task is placed there.
-func (mk *matchmaker) blockResource(res int, from int64) {
-	const forever = int64(1) << 62
-	for s := res * int(mk.mapPerRes); s < (res+1)*int(mk.mapPerRes); s++ {
-		mk.mapSlots[s].insert(from, forever)
+// pinRound resets mk to a matchmaker over the planning cluster with every
+// down resource blocked and every running task of work pinned on a unit
+// slot of its resource.
+func (mk *matchmaker) pinRound(cluster sim.Cluster, work []*jobWork, down []bool) error {
+	mk.reset(cluster.NumResources, cluster.MapSlots, cluster.ReduceSlots)
+	for r, d := range down {
+		if d {
+			mk.blockResource(r)
+		}
 	}
-	for s := res * int(mk.redPerRes); s < (res+1)*int(mk.redPerRes); s++ {
-		mk.redSlots[s].insert(from, forever)
+	for _, w := range work {
+		for _, frozen := range [2][]frozenTask{w.frozenMaps, w.frozenReds} {
+			for _, f := range frozen {
+				if err := mk.pin(f.task, f.res, f.start, f.exec); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// blockResource marks every unit slot of a down resource busy for good, so
+// no task is placed there.
+func (mk *matchmaker) blockResource(res int) {
+	for _, tt := range [2]workload.TaskType{workload.MapTask, workload.ReduceTask} {
+		free, perRes := mk.pool(tt)
+		for s := res * int(perRes); s < (res+1)*int(perRes); s++ {
+			free[s] = forever
+		}
 	}
 }
 
-// pool returns a task type's unit slots and how many of them each
-// resource holds: unit slot s belongs to resource s / perRes.
-func (mk *matchmaker) pool(tt workload.TaskType) (slots []slotTimeline, perRes int64) {
+// pool returns a task type's unit-slot free times and how many slots each
+// resource holds.
+func (mk *matchmaker) pool(tt workload.TaskType) (free []int64, perRes int64) {
 	if tt == workload.MapTask {
-		return mk.mapSlots, mk.mapPerRes
+		return mk.mapFree, mk.mapPerRes
 	}
-	return mk.redSlots, mk.redPerRes
+	return mk.redFree, mk.redPerRes
 }
 
 // place maps one task (in non-decreasing start order across calls) onto the
-// free unit slot with the smallest gap before start, at start. Some slot is
-// always free (see the argument above); finding none is an invariant error.
+// free unit slot with the smallest gap before start, at start: the slot
+// with the largest free time at or before start, the lowest on ties. Some
+// slot is always free (see the argument above); finding none is an
+// invariant error.
 func (mk *matchmaker) place(t *workload.Task, start int64) (assignment, error) {
-	slots, perRes := mk.pool(t.Type)
-	best := -1
-	var bestGap int64
-	for i := range slots {
-		if !slots[i].fits(start, start+t.Exec) {
-			continue
-		}
-		gap := slots[i].gapBefore(start)
-		if best < 0 || gap < bestGap {
-			best, bestGap = i, gap
+	free, perRes := mk.pool(t.Type)
+	best, bestFree := -1, int64(-1) // free times are never negative
+	for i, f := range free {
+		if f <= start && f > bestFree {
+			best, bestFree = i, f
+			if f == start {
+				break // no gap: nothing later can beat it
+			}
 		}
 	}
 	if best < 0 {
 		return assignment{}, fmt.Errorf("core: task %s has no free unit slot at %d", t.ID, start)
 	}
-	slots[best].insert(start, start+t.Exec)
+	free[best] = start + t.Exec
 	return assignment{task: t, res: best / int(perRes), slot: best, start: start}, nil
 }

@@ -64,8 +64,13 @@ type round struct {
 	model cp.Model
 	bm    builtModel
 	down  []bool
-	// jobs holds the jobWork structs of earlier rounds, reused by index.
-	jobs []*jobWork
+	// jobs holds the jobWork structs of earlier rounds, reused by index;
+	// status is the buffer collectWork reads one job's task states into.
+	jobs   []*jobWork
+	status []sim.TaskStatus
+	// refs holds, by model index, the handle install places each pending
+	// task through (see collectWork).
+	refs []sim.TaskRef
 	// The cumulatives' member lists, and every job's interval lists that
 	// its constraints hold (maps, reduces, precedence predecessors,
 	// terminals), cut from ivs.
@@ -80,7 +85,10 @@ type round struct {
 	index   map[*workload.Task]int
 	hasSucc []bool
 	mk      matchmaker
-	hint    cp.Hint
+	// hint is the warm start collectWork lays out; hinted says it holds a
+	// placement.
+	hint   cp.Hint
+	hinted bool
 }
 
 // reserve returns s emptied, with room for n elements.

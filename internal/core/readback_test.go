@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -19,8 +20,9 @@ import (
 // defined for instances whose task IDs are unique across jobs, which is
 // what those three callers saw. The combined keys lack the old
 // maps-before-reduces tie-break, which ordered only the installs across
-// the two slot pools.
-func oraclePlacements(bm *builtModel, res *cp.Result, mk *matchmaker) []assignment {
+// the two slot pools. Combined models are matched onto the busy lists of
+// busyMatchmaker, not onto the free times of the matchmaker under test.
+func oraclePlacements(bm *builtModel, res *cp.Result, mk *busyMatchmaker) []assignment {
 	byTask := make(map[*workload.Task]*cp.Interval)
 	frozen := make(map[*workload.Task]bool)
 	for _, mt := range bm.tasks {
@@ -68,7 +70,7 @@ type readbackInstance struct {
 	now     int64
 	work    []*jobWork
 	down    []bool                 // resources in an outage; nil when all are up
-	slots   map[*workload.Task]int // unit slots of the running tasks
+	slots   map[*workload.Task]int // unit slots of the running tasks (see pinnedSlots)
 }
 
 // randomReadbackInstance draws 2-5 jobs with unique task IDs. taskPrec
@@ -187,22 +189,136 @@ func randomReadbackInstance(rng *stats.Stream, cluster sim.Cluster, mode SolveMo
 		}
 		in.work = append(in.work, w)
 	}
+	in.slots = pinnedSlots(in)
 	return in
 }
 
+// pinnedSlots moves every running task of in onto the unit slot
+// matchmaker.pinRound pins it on: the first of its resource's slots that
+// no earlier running task (in work order) took. The matchmaker keeps no
+// slot identity between rounds, so this is the slot it pins a task on.
+func pinnedSlots(in readbackInstance) map[*workload.Task]int {
+	slots := map[*workload.Task]int{}
+	taken := map[[2]int]bool{}
+	for _, w := range in.work {
+		for _, frozen := range [2][]frozenTask{w.frozenMaps, w.frozenReds} {
+			for _, f := range frozen {
+				per := int(in.cluster.MapSlots)
+				if f.task.Type == workload.ReduceTask {
+					per = int(in.cluster.ReduceSlots)
+				}
+				s := f.res * per
+				for taken[[2]int{int(f.task.Type), s}] {
+					s++
+				}
+				taken[[2]int{int(f.task.Type), s}] = true
+				slots[f.task] = s
+			}
+		}
+	}
+	return slots
+}
+
 // matchmaker returns the matchmaker a manager's round would place into,
-// with the down resources blocked and the running tasks pinned on their
-// unit slots, or nil for a direct model.
+// with the down resources blocked and the running tasks pinned, or nil for
+// a direct model.
 func (in readbackInstance) matchmaker(t *testing.T) *matchmaker {
 	if in.mode == ModeDirect {
 		return nil
 	}
-	m := &Manager{cluster: in.cluster, unitSlot: in.slots}
 	mk := new(matchmaker)
-	if err := m.pinRound(mk, in.now, in.work, in.down); err != nil {
+	if err := mk.pinRound(in.cluster, in.work, in.down); err != nil {
 		t.Fatal(err)
 	}
 	return mk
+}
+
+// oracle returns the busy-list matchmaker over in's cluster with the down
+// resources blocked from now on and every running task on its unit slot in
+// slots.
+func (in readbackInstance) oracle(slots map[*workload.Task]int) *busyMatchmaker {
+	mk := &busyMatchmaker{perRes: [2]int64{in.cluster.MapSlots, in.cluster.ReduceSlots}}
+	for k, per := range mk.perRes {
+		mk.slots[k] = make([]slotTimeline, in.cluster.NumResources*int(per))
+	}
+	for r, d := range in.down {
+		if d {
+			for k, per := range mk.perRes {
+				for s := r * int(per); s < (r+1)*int(per); s++ {
+					mk.slots[k][s].insert(in.now, forever)
+				}
+			}
+		}
+	}
+	for _, w := range in.work {
+		for _, frozen := range [2][]frozenTask{w.frozenMaps, w.frozenReds} {
+			for _, f := range frozen {
+				mk.slots[f.task.Type][slots[f.task]].insert(f.start, f.start+f.exec)
+			}
+		}
+	}
+	return mk
+}
+
+// slotTimeline is one unit slot's committed busy intervals, kept sorted by
+// start: the reference form of a slot, every span rather than only the
+// free time the matchmaker keeps.
+type slotTimeline struct {
+	busy []busySpan
+}
+
+type busySpan struct{ from, to int64 }
+
+// fits reports whether [from, to) is free on the slot.
+func (s *slotTimeline) fits(from, to int64) bool {
+	i := sort.Search(len(s.busy), func(i int) bool { return s.busy[i].to > from })
+	return i == len(s.busy) || s.busy[i].from >= to
+}
+
+// gapBefore returns from minus the end of the latest busy span ending at or
+// before from (or from itself on an empty prefix) — the matchmaking
+// "remaining gap" criterion.
+func (s *slotTimeline) gapBefore(from int64) int64 {
+	i := sort.Search(len(s.busy), func(i int) bool { return s.busy[i].to > from })
+	if i == 0 {
+		return from
+	}
+	return from - s.busy[i-1].to
+}
+
+// insert commits [from, to) on the slot.
+func (s *slotTimeline) insert(from, to int64) {
+	i := sort.Search(len(s.busy), func(i int) bool { return s.busy[i].from >= from })
+	s.busy = slices.Insert(s.busy, i, busySpan{from, to})
+}
+
+// busyMatchmaker is the placement oracle: the map and reduce pools' unit
+// slots as busy lists, and how many slots of each pool a resource holds.
+type busyMatchmaker struct {
+	slots  [2][]slotTimeline
+	perRes [2]int64
+}
+
+// place maps one task onto the free unit slot with the smallest gap before
+// start, the lowest on ties, checking every busy span.
+func (mk *busyMatchmaker) place(t *workload.Task, start int64) (assignment, error) {
+	slots, perRes := mk.slots[t.Type], mk.perRes[t.Type]
+	best := -1
+	var bestGap int64
+	for i := range slots {
+		if !slots[i].fits(start, start+t.Exec) {
+			continue
+		}
+		gap := slots[i].gapBefore(start)
+		if best < 0 || gap < bestGap {
+			best, bestGap = i, gap
+		}
+	}
+	if best < 0 {
+		return assignment{}, fmt.Errorf("core: task %s has no free unit slot at %d", t.ID, start)
+	}
+	slots[best].insert(start, start+t.Exec)
+	return assignment{task: t, res: best / int(perRes), slot: best, start: start}, nil
 }
 
 // checkExact asserts what the matchmaker's exactness promises, reading the
@@ -341,7 +457,7 @@ func TestPlacementsMatchOracle(t *testing.T) {
 				if err := checkExact(in, bm, &res, got); err != nil {
 					t.Fatalf("instance %d: %v", n, err)
 				}
-				want := oraclePlacements(bm, &res, in.matchmaker(t))
+				want := oraclePlacements(bm, &res, in.oracle(in.slots))
 				if len(got) != len(want) {
 					t.Fatalf("instance %d: %d placements, oracle has %d", n, len(got), len(want))
 				}

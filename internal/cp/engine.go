@@ -58,6 +58,13 @@ func newEngine(m *Model) *engine {
 		}
 	}
 	m.store.reserve(n+len(m.resvars)+1, 2*open)
+	// A solve starts the barriers and lateness constraints afresh.
+	for _, p := range m.barriers {
+		p.primed = false
+	}
+	for _, p := range m.lates {
+		p.primed = false
+	}
 	e := &m.eng
 	*e = engine{
 		m: m, store: m.store, running: -1,
@@ -132,7 +139,9 @@ func (e *engine) clearTouched() {
 // interval the level had changed as touched, since the pop changes it back.
 // The cumulatives the interval sits on hear of it too, unless only its
 // postponement flag changed: they undo a level by reconciling exactly those
-// tasks with the store. Every pop of a search goes through here.
+// tasks with the store. The phase barriers and lateness constraints do not:
+// their first run after a pop recomputes from the store. Every pop of a
+// search goes through here.
 func (e *engine) pop() {
 	for _, te := range e.store.levelTrail() {
 		id := e.store.owner[te.idx]
@@ -144,8 +153,8 @@ func (e *engine) pop() {
 			continue
 		}
 		for _, w := range e.m.ivWatch[id] {
-			if w.pos >= 0 {
-				e.m.props[w.prop].(*cumulative).noteChange(int(w.pos))
+			if c, ok := e.m.props[w.prop].(*cumulative); ok {
+				c.noteChange(int(w.pos))
 			}
 		}
 	}
@@ -159,12 +168,17 @@ func (e *engine) popAll() {
 	}
 }
 
-// wake notifies the propagators on a watch list, handing each cumulative
-// the position of the changed task.
+// wake notifies the propagators on a watch list, handing each the watch
+// position of the changed variable.
 func (e *engine) wake(list []watch) {
 	for _, w := range list {
-		if w.pos >= 0 {
-			e.m.props[w.prop].(*cumulative).noteChange(int(w.pos))
+		switch p := e.m.props[w.prop].(type) {
+		case *cumulative:
+			p.noteChange(int(w.pos))
+		case *phaseBarrier:
+			p.noteChange(e.m, int(w.pos))
+		case *lateness:
+			p.noteChange(e.m, int(w.pos))
 		}
 		e.schedule(int(w.prop))
 	}

@@ -126,10 +126,11 @@ type Model struct {
 }
 
 // watch is one entry of an interval's or resvar's watch list: the
-// propagator to wake and, when that propagator is a cumulative, the
-// position of the (resvar's) interval in its task list, so a wake needs no
-// lookup. pos is -1 for every other propagator. Lists are in posting order,
-// so ascending in prop; the cumulative entries of ivWatch[id] are also the
+// propagator to wake and the position of the (resvar's) interval among the
+// propagator's variables, so a wake needs no lookup: its index in a
+// cumulative's task list, and the watch positions phaseBarrier.noteChange
+// and lateness.noteChange describe. Lists are in posting order, so
+// ascending in prop; the cumulative entries of ivWatch[id] are also the
 // solver's list of the timetables interval id sits on.
 type watch struct {
 	prop int32
@@ -524,8 +525,8 @@ func (m *Model) addProp(p propagator) int {
 	return len(m.props) - 1
 }
 
-// watchInterval wakes prop on a change of iv's bounds; pos is iv's position
-// in prop's task list when prop is a cumulative, -1 otherwise.
+// watchInterval wakes prop on a change of iv's bounds; pos is iv's watch
+// position in prop.
 func (m *Model) watchInterval(iv *Interval, prop, pos int) {
 	m.ivWatch[iv.id] = append(m.ivWatch[iv.id], watch{int32(prop), int32(pos)})
 }
@@ -534,8 +535,7 @@ func (m *Model) watchBool(b *Bool, prop int) {
 	m.boolWatch[b.id] = append(m.boolWatch[b.id], prop)
 }
 
-// watchResVar is watchInterval for a change of rv's domain; pos is the
-// position of rv's interval.
+// watchResVar is watchInterval for a change of rv's domain.
 func (m *Model) watchResVar(rv *ResVar, prop, pos int) {
 	m.rvWatch[rv.id] = append(m.rvWatch[rv.id], watch{int32(prop), int32(pos)})
 }
@@ -548,17 +548,18 @@ func (m *Model) AddPhaseBarrier(preds, succs []*Interval) {
 	}
 	var p *phaseBarrier
 	m.barriers, p = extend(m.barriers)
-	*p = phaseBarrier{preds: preds, succs: succs}
+	*p = phaseBarrier{preds: preds, succs: succs, pendLatest: math.MaxInt64}
 	idx := m.addProp(p)
-	for _, pr := range preds {
-		m.watchInterval(pr, idx, -1)
+	np, ns := len(preds), len(succs)
+	for i, pr := range preds {
+		m.watchInterval(pr, idx, i)
 		// A duration-table pred's EndMin moves when its resvar narrows.
 		if len(pr.durs) > 0 {
-			m.watchResVar(pr.resVar, idx, -1)
+			m.watchResVar(pr.resVar, idx, np+ns+i)
 		}
 	}
-	for _, su := range succs {
-		m.watchInterval(su, idx, -1)
+	for i, su := range succs {
+		m.watchInterval(su, idx, np+i)
 	}
 }
 
@@ -580,11 +581,11 @@ func (m *Model) AddLateness(terminals []*Interval, deadline int64, late *Bool) {
 	*p = lateness{terminals: terminals, deadline: deadline, late: late}
 	late.jobKey = terminals[0].JobKey
 	idx := m.addProp(p)
-	for _, t := range terminals {
-		m.watchInterval(t, idx, -1)
+	for i, t := range terminals {
+		m.watchInterval(t, idx, i)
 		// A duration-table terminal's end bounds move when its resvar narrows.
 		if len(t.durs) > 0 {
-			m.watchResVar(t.resVar, idx, -1)
+			m.watchResVar(t.resVar, idx, len(terminals)+i)
 		}
 	}
 	m.watchBool(late, idx)

@@ -729,11 +729,11 @@ func (s *Solver) placementStart(iv *Interval) int64 {
 	for range [2]struct{}{} {
 		cums := 0
 		for _, w := range m.ivWatch[iv.id] {
-			if w.pos < 0 {
+			c, ok := m.props[w.prop].(*cumulative)
+			if !ok {
 				continue
 			}
 			cums++
-			c := m.props[w.prop].(*cumulative)
 			if c.onRes(m, iv) != onResYes {
 				continue
 			}

@@ -201,15 +201,14 @@ func (ls *ListScheduler) chargeRetry(ctx sim.Context, js *JobState, t *workload.
 // and the job leaves the active queue while its last attempts drain (lookup
 // indices stay live so their notifications resolve).
 func (ls *ListScheduler) Abandon(ctx sim.Context, js *JobState) error {
-	for _, t := range js.Job.Tasks() {
-		if ctx.Started(t) || ctx.Completed(t) {
-			continue
-		}
-		if _, _, ok := ctx.Placement(t); ok {
-			if t.Type == workload.MapTask {
-				js.RunningMaps--
-			} else {
-				js.RunningReds--
+	for _, tasks := range [2][]*workload.Task{js.Job.MapTasks, js.Job.ReduceTasks} {
+		for _, t := range tasks {
+			if st := ctx.Status(t); st.Placed && !st.Started && !st.Completed {
+				if t.Type == workload.MapTask {
+					js.RunningMaps--
+				} else {
+					js.RunningReds--
+				}
 			}
 		}
 	}

@@ -151,9 +151,11 @@ func (tr *Tracker) Retire(js *JobState) {
 // the condition that keeps an abandoned job tracked as a capacity-holding
 // ghost until its last attempts drain.
 func AnyRunning(ctx sim.Context, j *workload.Job) bool {
-	for _, t := range j.Tasks() {
-		if ctx.Started(t) && !ctx.Completed(t) {
-			return true
+	for _, tasks := range [2][]*workload.Task{j.MapTasks, j.ReduceTasks} {
+		for _, t := range tasks {
+			if st := ctx.Status(t); st.Started && !st.Completed {
+				return true
+			}
 		}
 	}
 	return false

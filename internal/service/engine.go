@@ -218,6 +218,9 @@ type Engine struct {
 	sim     *sim.Simulator
 	metrics *sim.Metrics
 	runErr  error
+	// taskBuf is the buffer the job views read a job's task states into,
+	// under mu.
+	taskBuf []sim.TaskStatus
 
 	// view is the simulator state the metrics readers report, published
 	// under mu after every change to it; viewMu guards it alone, so
@@ -987,29 +990,31 @@ func (e *Engine) status(entry *jobEntry, withPlacements bool) JobStatus {
 		st.Reason = entry.injectErr.Error()
 		return st
 	}
+	e.taskBuf = e.sim.JobStatus(j, e.taskBuf[:0])
 	var (
 		anyStarted bool
-		allPlaced  = true
-		end        int64
+		// A job the simulator has not registered yet has no placement.
+		allPlaced = len(e.taskBuf) == j.NumTasks()
+		end       int64
 	)
-	for _, t := range j.Tasks() {
-		res, start, placed := e.sim.Placement(t)
+	for _, ts := range e.taskBuf {
 		switch {
-		case e.sim.Completed(t):
+		case ts.Completed:
 			st.CompletedTasks++
-		case e.sim.Started(t):
+		case ts.Started:
 			anyStarted = true
 		}
-		if !placed {
+		if !ts.Placed {
 			allPlaced = false
-		} else if tEnd := start + e.sim.RunningExec(t); tEnd > end {
+		} else if tEnd := ts.Start + ts.Exec; tEnd > end {
 			end = tEnd
 		}
-		if withPlacements && placed {
+		if withPlacements && ts.Placed {
+			t := ts.Task
 			st.Placements = append(st.Placements, TaskPlacement{
-				Task: t.ID, JobID: j.ID, Type: t.Type.String(), Resource: res,
-				StartMS: start, EndMS: start + e.sim.RunningExec(t),
-				Started: e.sim.Started(t), Done: e.sim.Completed(t),
+				Task: t.ID, JobID: j.ID, Type: t.Type.String(), Resource: ts.Res,
+				StartMS: ts.Start, EndMS: ts.Start + ts.Exec,
+				Started: ts.Started, Done: ts.Completed,
 			})
 		}
 	}
@@ -1057,15 +1062,16 @@ func (e *Engine) Schedule() []TaskPlacement {
 		if entry.job == nil {
 			continue
 		}
-		for _, t := range entry.job.Tasks() {
-			res, start, placed := e.sim.Placement(t)
-			if !placed || e.sim.Completed(t) {
+		e.taskBuf = e.sim.JobStatus(entry.job, e.taskBuf[:0])
+		for _, ts := range e.taskBuf {
+			if !ts.Placed || ts.Completed {
 				continue
 			}
+			t := ts.Task
 			out = append(out, TaskPlacement{
-				Task: t.ID, JobID: entry.job.ID, Type: t.Type.String(), Resource: res,
-				StartMS: start, EndMS: start + e.sim.RunningExec(t),
-				Started: e.sim.Started(t),
+				Task: t.ID, JobID: entry.job.ID, Type: t.Type.String(), Resource: ts.Res,
+				StartMS: ts.Start, EndMS: ts.Start + ts.Exec,
+				Started: ts.Started,
 			})
 		}
 	}

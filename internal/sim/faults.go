@@ -74,7 +74,7 @@ type FaultHooks interface {
 	// OnTaskSlowdown fires when a task starts an attempt whose effective
 	// execution time exceeds the nominal t.Exec (a straggler). Managers
 	// that pre-plan future starts must replan around the overrun —
-	// ctx.RunningExec reports the attempt's true duration — or later start
+	// ctx.Status(t).Exec reports the attempt's true duration — or later start
 	// events may find their slots still occupied. Purely reactive managers
 	// can ignore it.
 	OnTaskSlowdown(ctx Context, t *workload.Task) error

@@ -34,15 +34,15 @@ func (c *churnRM) OnTaskComplete(ctx sim.Context, t *workload.Task) error {
 	}
 	for _, j := range c.jobs {
 		for _, pt := range j.Tasks() {
-			res, start, ok := ctx.Placement(pt)
-			if !ok || ctx.Started(pt) {
+			st := ctx.Status(pt)
+			if !st.Placed || st.Started {
 				continue
 			}
 			if err := ctx.Unschedule(pt); err != nil {
 				return err
 			}
 			c.unscheduled++
-			return ctx.Schedule(pt, res, start)
+			return ctx.Schedule(pt, st.Res, st.Start)
 		}
 	}
 	return nil
@@ -84,11 +84,30 @@ func (c *coverage) JobCompleted(int64, *workload.Job, int64) {}
 
 func (c *coverage) JobAbandoned(_ int64, j *workload.Job) { c.abandoned[j] = true }
 
+// checkJobStatus compares each job's one-lookup JobStatus with the status
+// of each of its tasks, maps then reduces.
+func checkJobStatus(s *sim.Simulator, jobs []*workload.Job) error {
+	var buf []sim.TaskStatus
+	for _, j := range jobs {
+		buf = s.JobStatus(j, buf[:0])
+		if len(buf) != j.NumTasks() {
+			return fmt.Errorf("job %d: JobStatus has %d tasks, the job %d", j.ID, len(buf), j.NumTasks())
+		}
+		for i, t := range j.Tasks() {
+			if want := s.Status(t); buf[i] != want {
+				return fmt.Errorf("job %d task %s: JobStatus %+v, Status %+v", j.ID, t.ID, buf[i], want)
+			}
+		}
+	}
+	return nil
+}
+
 // TestSampleCountersMatchScan is the sample oracle: on seeded, heavily
 // faulted runs of every built-in policy family it compares, after every
 // single Step, the seven sample fields, OutstandingJobs and the per-job
 // uncompleted-map counts, and the ledger's promised demand per resource,
-// with a scan of the simulator's state (sim.CheckCounters). The runs are
+// with a scan of the simulator's state (sim.CheckCounters), and every
+// job's JobStatus with its tasks' Status (checkJobStatus). The runs are
 // built to cross every transition a counter is updated at — first placement
 // and replan, Unschedule, start, finish, failure, outage kill, outage
 // evacuation, retry-cap abandonment with an attempt still in flight,
@@ -165,6 +184,9 @@ func TestSampleCountersMatchScan(t *testing.T) {
 							t.Fatalf("step %d: %v", step, err)
 						}
 						if err := sim.CheckCounters(s); err != nil {
+							t.Fatalf("after step %d (t=%d): %v", step, s.Now(), err)
+						}
+						if err := checkJobStatus(s, jobs[:next]); err != nil {
 							t.Fatalf("after step %d (t=%d): %v", step, s.Now(), err)
 						}
 						for next < len(jobs) && s.CurrentMetrics().JobsArrived >= next {

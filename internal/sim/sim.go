@@ -37,15 +37,20 @@ type Context interface {
 	// Schedule installs (or replaces) the placement of a not-yet-started
 	// task: it will start on resource res at time start >= Now().
 	Schedule(t *workload.Task, res int, start int64) error
+	// Place is Schedule for the task a status handle names, without the
+	// lookup: ref is TaskStatus.Ref from Status or JobStatus.
+	Place(ref TaskRef, res int, start int64) error
 	// Unschedule removes a pending placement. It is an error to unschedule
 	// a started task.
 	Unschedule(t *workload.Task) error
-	// Placement returns a task's planned or actual placement.
-	Placement(t *workload.Task) (res int, start int64, ok bool)
-	// Started reports whether the task has begun executing.
-	Started(t *workload.Task) bool
-	// Completed reports whether the task has finished.
-	Completed(t *workload.Task) bool
+	// Status returns what the simulator knows of a task: its planned or
+	// actual placement, whether it started and completed, the duration of
+	// its in-flight attempt, and the handle Place takes.
+	Status(t *workload.Task) TaskStatus
+	// JobStatus appends the status of each of j's tasks, maps then
+	// reduces, to buf and returns it: one lookup for the whole job. An
+	// unknown job appends nothing.
+	JobStatus(j *workload.Job, buf []TaskStatus) []TaskStatus
 	// FirstFit returns the lowest-index up resource on which the task can
 	// start now — its slot demand (Req) and memory demand (Mem) fit beside
 	// the running attempts and the tasks placed there but not yet started —
@@ -62,17 +67,37 @@ type Context interface {
 	// Attempts returns the number of failed execution attempts of the task
 	// so far (0 when it has never failed).
 	Attempts(t *workload.Task) int
-	// RunningExec returns the effective execution time (after straggler
-	// slowdown) of the task's in-flight attempt, or the nominal t.Exec when
-	// the task is not running. Managers use it to model the true finish
-	// time of started work.
-	RunningExec(t *workload.Task) int64
 	// AbandonJob gives up on a job (typically after exhausting its retry
 	// budget): pending placements are removed, the job counts as an SLA
 	// violation, and the run may end without completing it. In-flight
 	// attempts run to completion and their output is discarded.
 	AbandonJob(j *workload.Job) error
 }
+
+// TaskStatus is one task's state as Context.Status and Context.JobStatus
+// report it.
+type TaskStatus struct {
+	Task *workload.Task
+	// Ref is the handle Context.Place takes; the zero TaskRef names no
+	// task.
+	Ref TaskRef
+	// Res and Start are the task's planned or actual placement when Placed
+	// is set; Res is -1 otherwise.
+	Res   int
+	Start int64
+	// Exec is the effective execution time (after straggler slowdown) of
+	// the in-flight attempt, or the nominal Task.Exec when the task is not
+	// running. Managers use it to model the true finish time of started
+	// work.
+	Exec int64
+	// Placed says the task has a placement; Started and Completed that it
+	// has begun executing and has finished.
+	Placed, Started, Completed bool
+}
+
+// TaskRef is an opaque handle on a task of one simulation, valid for the
+// whole run.
+type TaskRef struct{ st *taskState }
 
 type taskState struct {
 	task      *workload.Task
@@ -93,7 +118,10 @@ type taskState struct {
 
 // jobState is the bookkeeping the task states of one job share.
 type jobState struct {
-	left int // uncompleted tasks
+	// first is the key of the job's first task: its task states are
+	// byKey[first:first+NumTasks()], maps then reduces.
+	first int32
+	left  int // uncompleted tasks
 	// mapsLeft counts uncompleted map tasks: a reduce task may start only
 	// at zero (classic MapReduce jobs; TaskPrecedence jobs use Preds).
 	mapsLeft int
@@ -313,8 +341,8 @@ func (s *Simulator) Reserve(n int) {
 // states, allocated as one block and keyed maps first, then reduces, and
 // its arrival event.
 func (s *Simulator) register(j *workload.Job, jobIdx int) {
-	js := &jobState{left: j.NumTasks(), mapsLeft: len(j.MapTasks)}
 	states := make([]taskState, j.NumTasks())
+	js := &jobState{first: int32(len(s.byKey)), left: len(states), mapsLeft: len(j.MapTasks)}
 	i := 0
 	for _, tasks := range [2][]*workload.Task{j.MapTasks, j.ReduceTasks} {
 		for _, t := range tasks {
@@ -806,6 +834,19 @@ func (s *Simulator) Schedule(t *workload.Task, res int, start int64) error {
 	if err != nil {
 		return err
 	}
+	return s.place(st, res, start)
+}
+
+// Place is Schedule for the task ref names.
+func (s *Simulator) Place(ref TaskRef, res int, start int64) error {
+	if st := ref.st; st == nil || st.key >= len(s.byKey) || s.byKey[st.key] != st {
+		return fmt.Errorf("sim: placement through a task handle of no task in this run")
+	}
+	return s.place(ref.st, res, start)
+}
+
+func (s *Simulator) place(st *taskState, res int, start int64) error {
+	t := st.task
 	if st.started {
 		return fmt.Errorf("sim: cannot reschedule started task %s", t.ID)
 	}
@@ -853,25 +894,42 @@ func (s *Simulator) unplace(st *taskState) {
 	st.version++             // existing start events become stale
 }
 
-// Placement returns the planned or actual placement of the task.
-func (s *Simulator) Placement(t *workload.Task) (int, int64, bool) {
-	st, ok := s.tasks[t]
-	if !ok || !st.scheduled {
-		return -1, 0, false
+// Status returns the task's state; an unknown task has neither placement
+// nor handle.
+func (s *Simulator) Status(t *workload.Task) TaskStatus {
+	if st, ok := s.tasks[t]; ok {
+		return st.status()
 	}
-	return st.res, st.start, true
+	return TaskStatus{Task: t, Res: -1, Exec: t.Exec}
 }
 
-// Started reports whether the task has begun executing.
-func (s *Simulator) Started(t *workload.Task) bool {
-	st, ok := s.tasks[t]
-	return ok && st.started
+// JobStatus appends the state of each of j's tasks, maps then reduces.
+func (s *Simulator) JobStatus(j *workload.Job, buf []TaskStatus) []TaskStatus {
+	js, ok := s.pending[j]
+	if !ok {
+		return buf
+	}
+	for _, st := range js.states(s, j) {
+		buf = append(buf, st.status())
+	}
+	return buf
 }
 
-// Completed reports whether the task has finished.
-func (s *Simulator) Completed(t *workload.Task) bool {
-	st, ok := s.tasks[t]
-	return ok && st.completed
+// states returns the task states of j, whose bookkeeping js is.
+func (js *jobState) states(s *Simulator, j *workload.Job) []*taskState {
+	return s.byKey[js.first : int(js.first)+j.NumTasks()]
+}
+
+func (st *taskState) status() TaskStatus {
+	ts := TaskStatus{Task: st.task, Ref: TaskRef{st}, Res: -1, Exec: st.task.Exec,
+		Started: st.started, Completed: st.completed}
+	if st.scheduled {
+		ts.Placed, ts.Res, ts.Start = true, st.res, st.start
+	}
+	if st.started && !st.completed {
+		ts.Exec = st.effExec
+	}
+	return ts
 }
 
 // FirstFit returns the lowest-index up resource the task can start on now,
@@ -908,16 +966,6 @@ func (s *Simulator) Attempts(t *workload.Task) int {
 	return st.attempt
 }
 
-// RunningExec returns the effective duration of the task's in-flight
-// attempt, or its nominal execution time when not running.
-func (s *Simulator) RunningExec(t *workload.Task) int64 {
-	st, ok := s.tasks[t]
-	if !ok || !st.started || st.completed {
-		return t.Exec
-	}
-	return st.effExec
-}
-
 // AbandonJob implements Context: the job's pending placements are removed
 // and the run may end without completing it.
 func (s *Simulator) AbandonJob(j *workload.Job) error {
@@ -936,8 +984,7 @@ func (s *Simulator) AbandonJob(j *workload.Job) error {
 	for _, o := range s.observers {
 		o.JobAbandoned(s.clock, j)
 	}
-	for _, t := range j.Tasks() {
-		st := s.tasks[t]
+	for _, st := range js.states(s, j) {
 		if st.scheduled && !st.started {
 			s.unplace(st)
 		}

@@ -220,9 +220,9 @@ func TestSimRejectsReduceBeforeMaps(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "reduce task r started before map task lost completed") {
 			t.Fatalf("%s: expected the reduce-before-map error to name the lost map task, got %v", name, err)
 		}
-		if !s.Completed(done) || s.Completed(lost) || s.Attempts(lost) != 1 {
+		if !s.Status(done).Completed || s.Status(lost).Completed || s.Attempts(lost) != 1 {
 			t.Fatalf("%s: run did not reach the state under test: done completed=%v, lost completed=%v attempts=%d",
-				name, s.Completed(done), s.Completed(lost), s.Attempts(lost))
+				name, s.Status(done).Completed, s.Status(lost).Completed, s.Attempts(lost))
 		}
 	}
 }
@@ -328,7 +328,7 @@ func (r *timerRM) OnTaskComplete(Context, *workload.Task) error { return nil }
 func (r *timerRM) OnTimer(ctx Context) error {
 	r.fired++
 	for _, j := range r.jobs {
-		if !ctx.Started(j.MapTasks[0]) {
+		if !ctx.Status(j.MapTasks[0]).Started {
 			if err := ctx.Schedule(j.MapTasks[0], 0, ctx.Now()); err != nil {
 				return err
 			}
@@ -413,20 +413,34 @@ func TestSimPlacementQueries(t *testing.T) {
 	j := makeJob(0, 0, 0, 1e9, []int64{1000}, nil)
 	s, _ := New(oneSlotCluster(), &noopRM{}, []*workload.Job{j})
 	task := j.MapTasks[0]
-	if _, _, ok := s.Placement(task); ok {
+	if st := s.Status(task); st.Placed || st.Res != -1 {
 		t.Fatal("unscheduled task has a placement")
 	}
 	if err := s.Schedule(task, 0, 500); err != nil {
 		t.Fatal(err)
 	}
-	res, start, ok := s.Placement(task)
-	if !ok || res != 0 || start != 500 {
-		t.Fatalf("placement %d/%d/%v", res, start, ok)
+	st := s.Status(task)
+	if !st.Placed || st.Res != 0 || st.Start != 500 {
+		t.Fatalf("placement %d/%d/%v", st.Res, st.Start, st.Placed)
 	}
 	if err := s.Unschedule(task); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := s.Placement(task); ok {
+	if s.Status(task).Placed {
 		t.Fatal("unscheduled placement still visible")
+	}
+	// Place through the handle is Schedule without the lookup.
+	if err := s.Place(st.Ref, 0, 700); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Status(task); !got.Placed || got.Res != 0 || got.Start != 700 {
+		t.Fatalf("placement through the handle %d/%d/%v", got.Res, got.Start, got.Placed)
+	}
+	if err := s.Place(TaskRef{}, 0, 700); err == nil {
+		t.Fatal("Place accepted the empty handle")
+	}
+	other, _ := New(oneSlotCluster(), &noopRM{}, []*workload.Job{makeJob(0, 0, 0, 1e9, []int64{1000}, nil)})
+	if err := other.Place(st.Ref, 0, 700); err == nil {
+		t.Fatal("Place accepted a handle of another run")
 	}
 }

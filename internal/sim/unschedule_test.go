@@ -37,7 +37,7 @@ func TestUnscheduleClearsStalePlacement(t *testing.T) {
 	if st.version == v {
 		t.Fatal("version not bumped; queued start event would not be invalidated")
 	}
-	if _, _, ok := s.Placement(task); ok {
-		t.Fatal("Placement still reports the removed placement")
+	if s.Status(task).Placed {
+		t.Fatal("Status still reports the removed placement")
 	}
 }

@@ -93,6 +93,11 @@ type (
 	ResourceManager = sim.ResourceManager
 	// Context is the view managers operate through.
 	Context = sim.Context
+	// TaskStatus is one task's state as Context.Status and
+	// Context.JobStatus report it.
+	TaskStatus = sim.TaskStatus
+	// TaskRef is the handle Context.Place takes (TaskStatus.Ref).
+	TaskRef = sim.TaskRef
 )
 
 // MRCP-RM (Sections III-V).
