@@ -81,6 +81,9 @@ type cumulative struct {
 	// SearchStats.SweepWork.
 	idx       *taskIndex
 	sweepWork int64
+	// fam is the family of a resource-indexed timetable, nil for a
+	// combined one (see family).
+	fam *family
 
 	// handle is what AddCumulativeDemands returns.
 	handle Cumulative
@@ -191,13 +194,19 @@ func (c *cumulative) blocking(s ttSeg) bool { return s.load+c.maxDemand > c.capa
 
 // noteChange records that the bounds or matchmaking domain of tasks[pos]
 // changed, or that a pop restored them; the engine calls this on every
-// wake and for every task a pop restores.
+// wake and for every task a pop restores, and a family calls markChanged
+// and the index's note for its members.
 func (c *cumulative) noteChange(pos int) {
+	c.markChanged(pos)
+	c.idx.note(pos)
+}
+
+// markChanged lists tasks[pos] for the next refresh to reconcile.
+func (c *cumulative) markChanged(pos int) {
 	if !c.changedFl[pos] {
 		c.changedFl[pos] = true
 		c.changed = append(c.changed, pos)
 	}
-	c.idx.note(pos)
 }
 
 func (c *cumulative) markRaw(lo, hi int64) {

@@ -262,9 +262,11 @@ func (c *cumulative) dirtyCandidatesScan(m *Model, dLo, dHi int64) []int32 {
 // profile a fresh cumulative derives from the store, and must never be
 // re-derived after the root. The time index must hand each sweep exactly
 // the tasks a scan over every task picks by the same predicate, and those
-// must include every task the sweep can prune.
+// must include every task the sweep can prune. The walks mix one- and
+// two-word resvars, removed and fixed resources, and slot and memory
+// timetables over separate and over shared task lists.
 func TestCachedProfileEqualsFromScratch(t *testing.T) {
-	var fullCands, dirtyCands, prunable, bigModels int
+	var fullCands, dirtyCands, prunable, bigModels, resFixes, wideSharedSteps int
 	for seed := uint64(0); seed < 80; seed++ {
 		rng := stats.NewStream(8181, seed)
 		// Small models hit corner cases often; from seed 60 on, models big
@@ -274,8 +276,14 @@ func TestCachedProfileEqualsFromScratch(t *testing.T) {
 			tasks, span = 30+rng.IntN(30), 1500
 		}
 		m := NewModel(int64(2*span + 100))
-		const numRes = 2
-		direct := seed%2 == 0 // per-resource slots plus a memory dimension, or one combined resource
+		// 70 resources make every resvar two words wide.
+		numRes := []int{2, 3, 70}[rng.IntN(3)]
+		// One combined resource; or per-resource slots plus a memory
+		// dimension over the tasks with a memory demand; or per-resource
+		// slots and memory over one task list, as the hetero brute-force
+		// test posts them.
+		shape := seed % 3
+		direct, shared := shape != 0, shape == 2
 		var all, memTasks []*Interval
 		var mems []int64
 		for i := 0; i < tasks; i++ {
@@ -284,12 +292,15 @@ func TestCachedProfileEqualsFromScratch(t *testing.T) {
 			m.SetStartBounds(iv, lo, lo+int64(rng.IntN(span)))
 			if direct {
 				m.NewResVar(iv, numRes)
-				if mem := int64(rng.IntN(3)); mem > 0 {
+				if mem := int64(rng.IntN(3)); mem > 0 || shared {
 					memTasks = append(memTasks, iv)
 					mems = append(mems, mem)
 				}
 			}
 			all = append(all, iv)
+		}
+		if shared {
+			memTasks = all
 		}
 		if direct {
 			for r := 0; r < numRes; r++ {
@@ -392,7 +403,7 @@ func TestCachedProfileEqualsFromScratch(t *testing.T) {
 			lo, hi := m.StartMin(iv), m.StartMax(iv)
 			op := ""
 			var err error
-			switch k := rng.IntN(10); {
+			switch k := rng.IntN(11); {
 			case k < 2:
 				op = "push"
 				e.store.Push()
@@ -408,12 +419,20 @@ func TestCachedProfileEqualsFromScratch(t *testing.T) {
 			case k < 9 && iv.resVar != nil:
 				op = "remove resource"
 				err = e.removeRes(iv.resVar, rng.IntN(numRes))
+			case k < 10 && iv.resVar != nil:
+				op = "fix resource"
+				if err = e.fixRes(iv.resVar, rng.IntN(numRes)); err == nil {
+					resFixes++
+				}
 			default:
 				if e.store.Level() == 0 {
 					continue
 				}
 				op = "pop"
 				e.pop()
+			}
+			if shared && numRes == 70 {
+				wideSharedSteps++
 			}
 			// A failed move leaves the store in a state no propagator is asked
 			// about; that and an overloaded profile are where the search
@@ -429,9 +448,9 @@ func TestCachedProfileEqualsFromScratch(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d full-pass and %d dirty-sweep candidates compared, %d prunable tasks covered, %d big models searched",
-		fullCands, dirtyCands, prunable, bigModels)
-	if prunable == 0 || bigModels == 0 {
-		t.Error("the instances left no task to prune, or no big model feasible at the root")
+	t.Logf("%d full-pass and %d dirty-sweep candidates compared, %d prunable tasks covered, %d big models searched, %d resources fixed, %d steps on shared two-word models",
+		fullCands, dirtyCands, prunable, bigModels, resFixes, wideSharedSteps)
+	if prunable == 0 || bigModels == 0 || resFixes == 0 || wideSharedSteps == 0 {
+		t.Error("the instances left no task to prune, no big model feasible at the root, no resource fixed or no shared two-word model searched")
 	}
 }

@@ -1,6 +1,9 @@
 package cp
 
-import "errors"
+import (
+	"errors"
+	"math"
+)
 
 // errFail signals an inconsistent state; the search backtracks on it.
 var errFail = errors.New("cp: inconsistent")
@@ -37,6 +40,9 @@ type engine struct {
 	// sweep is the candidate list of the running cumulative's sweep, shared
 	// because sweeps never nest.
 	sweep []int32
+	// runs holds, during a wake, the member props of the families the
+	// watch list has named and the wake has not yet scheduled.
+	runs [][]int32
 }
 
 // newEngine prepares m's propagation engine for one solve of m, sizing the
@@ -73,6 +79,7 @@ func newEngine(m *Model) *engine {
 		touched:   emptied(e.touched, n),
 		touchedFl: cleared(e.touchedFl, n),
 		sweep:     e.sweep[:0],
+		runs:      e.runs[:0],
 	}
 	return e
 }
@@ -139,26 +146,35 @@ func (e *engine) clearTouched() {
 // interval the level had changed as touched, since the pop changes it back.
 // The cumulatives the interval sits on hear of it too, unless only its
 // postponement flag changed: they undo a level by reconciling exactly those
-// tasks with the store. The phase barriers and lateness constraints do not:
-// their first run after a pop recomputes from the store. Every pop of a
-// search goes through here.
+// tasks with the store. A family hears of it after the pop, which restores
+// the domain that names the members to note (see family). The phase
+// barriers and lateness constraints do not: their first run after a pop
+// recomputes from the store. Every pop of a search goes through here.
 func (e *engine) pop() {
-	for _, te := range e.store.levelTrail() {
+	m := e.m
+	trail := e.store.levelTrail()
+	// Pop only shortens the trail, so the level's entries stay readable
+	// until the next write.
+	e.store.Pop()
+	last := int32(-1)
+	for _, te := range trail {
 		id := e.store.owner[te.idx]
 		if id < 0 {
 			continue
 		}
 		e.touch(id)
-		if te.idx == e.m.intervals[id].base+2 {
+		if te.idx == m.intervals[id].base+2 || id == last {
 			continue
 		}
-		for _, w := range e.m.ivWatch[id] {
-			if c, ok := e.m.props[w.prop].(*cumulative); ok {
+		last = id
+		for _, w := range m.ivWatch[id] {
+			if w.prop < 0 {
+				m.families[^w.prop].note(m, int(w.pos))
+			} else if c, ok := m.props[w.prop].(*cumulative); ok {
 				c.noteChange(int(w.pos))
 			}
 		}
 	}
-	e.store.Pop()
 }
 
 // popAll closes every open level through pop.
@@ -169,18 +185,35 @@ func (e *engine) popAll() {
 }
 
 // wake notifies the propagators on a watch list, handing each the watch
-// position of the changed variable.
+// position of the changed variable, and schedules them in ascending prop
+// order. A family entry notes the members the interval's domain holds and
+// schedules every member, merged into that order.
 func (e *engine) wake(list []watch) {
+	m := e.m
+	runs := e.runs[:0]
 	for _, w := range list {
-		switch p := e.m.props[w.prop].(type) {
+		if w.prop < 0 {
+			f := m.families[^w.prop]
+			f.note(m, int(w.pos))
+			runs = append(runs, f.props)
+			continue
+		}
+		if len(runs) > 0 {
+			runs = e.scheduleBelow(runs, w.prop)
+		}
+		switch p := m.props[w.prop].(type) {
 		case *cumulative:
 			p.noteChange(int(w.pos))
 		case *phaseBarrier:
-			p.noteChange(e.m, int(w.pos))
+			p.noteChange(m, int(w.pos))
 		case *lateness:
-			p.noteChange(e.m, int(w.pos))
+			p.noteChange(m, int(w.pos))
 		}
 		e.schedule(int(w.prop))
+	}
+	if len(runs) > 0 {
+		e.scheduleBelow(runs, math.MaxInt32)
+		e.runs = runs[:0]
 	}
 }
 

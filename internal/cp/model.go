@@ -99,6 +99,7 @@ type Model struct {
 	resvars   []*ResVar
 	props     []propagator
 	cumuls    []*cumulative
+	families  []*family
 
 	// watchers[kind][varID] lists the propagators to wake on a change.
 	ivWatch   [][]watch
@@ -113,8 +114,9 @@ type Model struct {
 
 	// What Reset keeps besides the slices above: the propagators and time
 	// indexes of earlier builds, reused by index, and the search state a
-	// Solver takes over — the engine's buffers, the candidate heap and
-	// pickResource's domain and fit buffers.
+	// Solver takes over — the engine's buffers, the candidate heap,
+	// pickResource's domain, fit and family-position buffers and
+	// placementStart's timetable buffer.
 	barriers []*phaseBarrier
 	lates    []*lateness
 	sum      sumLE
@@ -123,15 +125,20 @@ type Model struct {
 	cand     candHeap
 	resBuf   []int
 	fitBuf   []int64
+	famPos   []int32
+	onBuf    []onTimetable
 }
 
 // watch is one entry of an interval's or resvar's watch list: the
 // propagator to wake and the position of the (resvar's) interval among the
 // propagator's variables, so a wake needs no lookup: its index in a
 // cumulative's task list, and the watch positions phaseBarrier.noteChange
-// and lateness.noteChange describe. Lists are in posting order, so
-// ascending in prop; the cumulative entries of ivWatch[id] are also the
-// solver's list of the timetables interval id sits on.
+// and lateness.noteChange describe. A negative prop is a family entry:
+// prop ^f stands for every member of families[f], pos for the interval's
+// index in the family's task list. Lists are in posting order, so ascending
+// in prop, a family entry sitting where its first member was posted; the
+// cumulative and family entries of ivWatch[id] are also the solver's list
+// of the timetables interval id sits on.
 type watch struct {
 	prop int32
 	pos  int32
@@ -166,6 +173,7 @@ func (m *Model) Reset(horizon int64) {
 	m.resvars = m.resvars[:0]
 	m.props = m.props[:0]
 	m.cumuls = m.cumuls[:0]
+	m.families = m.families[:0]
 	m.ivWatch = m.ivWatch[:0]
 	m.boolWatch = m.boolWatch[:0]
 	m.rvWatch = m.rvWatch[:0]
@@ -647,7 +655,7 @@ func (m *Model) AddCumulativeDemands(name string, resIndex int, capacity int64, 
 	}
 	var shared *taskIndex
 	for _, o := range m.cumuls {
-		if len(tasks) > 0 && len(o.tasks) == len(tasks) && &o.tasks[0] == &tasks[0] {
+		if len(tasks) > 0 && sameList(o.tasks, tasks) {
 			shared = o.idx // the same task list: share its time index
 			break
 		}
@@ -663,9 +671,24 @@ func (m *Model) AddCumulativeDemands(name string, resIndex int, capacity int64, 
 	c.idx.capSum += capacity
 	idx := m.addProp(c)
 	c.prop = idx
+	if resIndex >= 0 && len(tasks) > 0 {
+		// A resource's timetable joins its family, whose one watch entry
+		// per task covers every member.
+		f, isNew := m.familyFor(tasks, demands, resIndex)
+		f.add(c)
+		if isNew {
+			for pos, t := range tasks {
+				m.watchInterval(t, ^f.id, pos)
+				if t.resVar != nil {
+					m.watchResVar(t.resVar, ^f.id, pos)
+				}
+			}
+		}
+		return &c.handle
+	}
 	for pos, t := range tasks {
 		m.watchInterval(t, idx, pos)
-		if t.resVar != nil && (resIndex >= 0 || len(t.durs) > 0) {
+		if t.resVar != nil && len(t.durs) > 0 {
 			m.watchResVar(t.resVar, idx, pos)
 		}
 	}

@@ -85,6 +85,78 @@ func heteroInstance(m *Model, seed uint64, numRes, nJobs, dueStep int) *Model {
 	return m
 }
 
+// sharedListInstance builds a direct model on numRes resources in two
+// speed classes whose slot and memory timetables run over one task list:
+// every task of nJobs jobs sits on each resource's slot timetable (capacity
+// 2) and, with a demand of one to three, on its memory timetable (capacity
+// 4). The instance is built into m, reset first.
+func sharedListInstance(m *Model, seed uint64, numRes, nJobs int) *Model {
+	rng := stats.NewStream(seed, 5)
+	m.Reset(200_000)
+	var all []*Interval
+	var mems []int64
+	var lates []*Bool
+	for j := 0; j < nJobs; j++ {
+		due := int64(30 + 6*j + rng.IntN(20))
+		var maps, reds []*Interval
+		for i := range 2 + rng.IntN(4) {
+			fast := int64(4 + rng.IntN(16))
+			iv := m.NewInterval("t", 2*fast)
+			iv.JobKey, iv.Due = j, due
+			m.NewResVar(iv, numRes)
+			durs := make([]int64, numRes)
+			for r := range durs {
+				durs[r] = fast
+				if r%2 == 1 {
+					durs[r] = 2 * fast
+				}
+			}
+			m.SetResDurations(iv, durs)
+			if i < 2 {
+				maps = append(maps, iv)
+			} else {
+				reds = append(reds, iv)
+			}
+			all = append(all, iv)
+			mems = append(mems, int64(1+rng.IntN(3)))
+		}
+		m.AddPhaseBarrier(maps, reds)
+		terms := reds
+		if len(terms) == 0 {
+			terms = maps
+		}
+		late := m.NewBool("late")
+		m.AddLateness(terms, due, late)
+		lates = append(lates, late)
+	}
+	for r := 0; r < numRes; r++ {
+		m.AddCumulative("slot", r, 2, all)
+		m.AddCumulativeDemands("mem", r, 4, all, mems)
+	}
+	m.Minimize(lates)
+	return m
+}
+
+// frozenDownInstance is heteroInstance on numRes resources with resource 0
+// down and the first frozen maps started: each is pinned at time 0 on a
+// resource of its own, as a manager freezes the tasks that run, and every
+// other task is barred from resource 0. The instance is built into m,
+// reset first.
+func frozenDownInstance(m *Model, seed uint64, numRes, nJobs, frozen int) *Model {
+	heteroInstance(m, seed, numRes, nJobs, 1)
+	r := 1
+	for _, iv := range m.intervals {
+		if iv.Name == "m" && r <= frozen {
+			m.FixRes(iv.resVar, r)
+			m.FixStart(iv, 0)
+			r++
+			continue
+		}
+		m.ForbidRes(iv.resVar, 0)
+	}
+	return m
+}
+
 // twoNodesPerTask is the node budget BenchmarkSolveCombined gives its large
 // instances.
 func twoNodesPerTask(m *Model) int64 { return 2 * int64(len(m.intervals)) }
@@ -107,6 +179,10 @@ var pinnedSolves = []pinnedSolve{
 	// 70 resources make every resvar, and so every mode mask, two words wide.
 	{"direct hetero + memory, 70 resources", func(m *Model) { heteroInstance(m, 4343, 70, 100, 1) }, fixedLimit(4000),
 		pinnedCounters{Nodes: 4000, Backtracks: 511, Propagations: 538464, Objective: 1}},
+	{"direct, slot and memory over one task list", func(m *Model) { sharedListInstance(m, 4545, 6, 16) }, fixedLimit(4000),
+		pinnedCounters{Nodes: 4000, Backtracks: 7024, Propagations: 189401, Objective: 3}},
+	{"direct hetero + memory, 70 resources, one down, frozen maps", func(m *Model) { frozenDownInstance(m, 4646, 70, 100, 12) }, fixedLimit(4000),
+		pinnedCounters{Nodes: 4000, Backtracks: 624, Propagations: 537617, Objective: 1}},
 }
 
 // solvePinned builds p into m and solves it on p's node budget.
@@ -121,9 +197,11 @@ func countersOf(r *Result) pinnedCounters {
 
 // Performance work on the propagators and the search must leave the search
 // itself alone: on the solver benchmarks' instances, the overloaded
-// instance of TestPerNodeWorkDoesNotScaleWithModel and two heterogeneous
+// instance of TestPerNodeWorkDoesNotScaleWithModel, two heterogeneous
 // direct models with memory timetables (resvars of one and of two words),
-// the node, backtrack and propagation counts and the objective are pinned. A change that means to
+// a direct model whose slot and memory timetables share one task list and
+// a two-word one with a down resource and frozen tasks, the node,
+// backtrack and propagation counts and the objective are pinned. A change that means to
 // alter the search re-pins this table and says so; one that only makes the
 // search cheaper leaves it untouched.
 func TestSearchCountersPinned(t *testing.T) {

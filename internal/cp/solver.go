@@ -599,24 +599,30 @@ func (s *Solver) pickResource(iv *Interval) int {
 		fits[r] = target
 	}
 	// Every timetable of a candidate resource is consulted, in posting
-	// order. Those iv sits on are the cumulative entries of its watch list,
-	// which is in posting order too, so one merged walk finds iv's position
-	// on each. A timetable that does not list iv still counts with iv's own
-	// demand when demands are uniform (a map task is steered away from a
-	// resource whose reduce slots are full), and not at all when they are
-	// per task: no entry means no demand on that dimension.
-	watched := m.ivWatch[iv.id]
-	for _, c := range m.cumuls {
-		for len(watched) > 0 && int(watched[0].prop) < c.prop {
-			watched = watched[1:]
+	// order. Those iv sits on are the members of the families its watch
+	// list names, and the family entry gives iv's position on each. A
+	// timetable that does not list iv still counts with iv's own demand
+	// when demands are uniform (a map task is steered away from a resource
+	// whose reduce slots are full), and not at all when they are per task:
+	// no entry means no demand on that dimension.
+	m.famPos = resized(m.famPos, len(m.families))
+	famPos := m.famPos
+	for i := range famPos {
+		famPos[i] = -1
+	}
+	for _, w := range m.ivWatch[iv.id] {
+		if w.prop < 0 && famPos[^w.prop] < 0 {
+			famPos[^w.prop] = w.pos
 		}
+	}
+	for _, c := range m.cumuls {
 		r := c.resIndex
 		if r < 0 || r >= len(fits) || fits[r] == math.MaxInt64 {
 			continue
 		}
 		dem := iv.Demand
-		if len(watched) > 0 && int(watched[0].prop) == c.prop {
-			dem = c.demandAt(int(watched[0].pos))
+		if c.fam != nil && famPos[c.fam.id] >= 0 {
+			dem = c.demandAt(int(famPos[c.fam.id]))
 		} else if c.demands != nil {
 			continue
 		}
@@ -725,22 +731,17 @@ func (s *Solver) placementStart(iv *Interval) int64 {
 	// timetable, and a fit on one may land where the other is full. A
 	// second round re-fits on every timetable from the start the first
 	// round reached. That need not be a fixpoint; a start that still
-	// collides fails the overload check after fixing.
+	// collides fails the overload check after fixing. Whether a second
+	// round runs depends on every timetable the task sits on, each member
+	// of its families included, not only on those it runs on.
+	on, cums := m.timetablesOn(iv, m.onBuf[:0])
+	m.onBuf = on
 	for range [2]struct{}{} {
-		cums := 0
-		for _, w := range m.ivWatch[iv.id] {
-			c, ok := m.props[w.prop].(*cumulative)
-			if !ok {
-				continue
-			}
-			cums++
-			if c.onRes(m, iv) != onResYes {
-				continue
-			}
-			if err := c.refresh(m); err != nil {
+		for _, t := range on {
+			if err := t.c.refresh(m); err != nil {
 				return st
 			}
-			st = c.earliestFit(m, iv, c.demandAt(int(w.pos)), st, true)
+			st = t.c.earliestFit(m, iv, t.c.demandAt(t.pos), st, true)
 		}
 		if cums < 2 {
 			break

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -555,14 +556,27 @@ func (e *Engine) Result() (*sim.Metrics, error) {
 }
 
 // InjectOutage schedules a resource outage window starting no earlier than
-// the current simulated time.
-func (e *Engine) InjectOutage(res int, downAt, upAt int64) error {
+// the current simulated time and returns the window it scheduled: a window
+// that asks for a start the simulator has passed begins now and keeps its
+// length. A window the simulator refuses is neither journaled nor
+// scheduled.
+func (e *Engine) InjectOutage(res int, downAt, upAt int64) (int64, int64, error) {
+	if downAt < 0 || upAt <= downAt {
+		return 0, 0, fmt.Errorf("service: outage window [%d,%d) is invalid", downAt, upAt)
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	now := e.sim.Now()
 	if downAt < now {
-		upAt += now - downAt
-		downAt = now
+		shift := now - downAt
+		if upAt > math.MaxInt64-shift {
+			return 0, 0, fmt.Errorf("service: outage window [%d,%d) moved to start at %d ends past the largest time",
+				downAt, upAt, now)
+		}
+		downAt, upAt = now, upAt+shift
+	}
+	if err := e.sim.CheckOutage(res, downAt, upAt); err != nil {
+		return 0, 0, err
 	}
 	// Journal the clamped window before injecting (WAL discipline: nothing
 	// unjournaled takes effect) so replay schedules the exact same events.
@@ -570,13 +584,13 @@ func (e *Engine) InjectOutage(res int, downAt, upAt int64) error {
 		Kind: recOutage, SimMS: now,
 		Outage: &outageRecord{Resource: res, DownMS: downAt, UpMS: upAt},
 	}); err != nil {
-		return err
+		return 0, 0, err
 	}
 	if err := e.sim.InjectOutage(res, downAt, upAt); err != nil {
-		return err
+		return 0, 0, err
 	}
 	e.signal()
-	return nil
+	return downAt, upAt, nil
 }
 
 // signal nudges the run loop without blocking.

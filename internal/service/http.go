@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -30,7 +31,9 @@ type Backend interface {
 	Metrics() Snapshot
 	WriteProm(w io.Writer) error
 	ApplyFaults(spec FaultSpec) error
-	InjectOutage(res int, downAt, upAt int64) error
+	// InjectOutage returns the window it scheduled, which may start later
+	// than asked (see Engine.InjectOutage).
+	InjectOutage(res int, downAt, upAt int64) (downAtMS, upAtMS int64, err error)
 	NowMS() int64
 	Health() Health
 	// Shards is the partition count, reported as "shards" on the healthz,
@@ -319,14 +322,27 @@ func (s *server) faults(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, err)
 	}
 	if req.DurationMS > 0 {
-		at := s.b.NowMS() + req.DelayMS
-		if err := s.b.InjectOutage(req.Resource, at, at+req.DurationMS); err != nil {
+		now := s.b.NowMS()
+		switch {
+		case req.DelayMS < 0:
+			fail(fmt.Errorf("delayMs %d is negative", req.DelayMS))
+			return
+		case req.DelayMS > math.MaxInt64-now || req.DurationMS > math.MaxInt64-now-req.DelayMS:
+			fail(fmt.Errorf("outage window of delayMs %d and durationMs %d ends past the largest time",
+				req.DelayMS, req.DurationMS))
+			return
+		}
+		at := now + req.DelayMS
+		// The backend may start the window later than asked (the clock
+		// moved on); the reply names the window it scheduled and journaled.
+		down, up, err := s.b.InjectOutage(req.Resource, at, at+req.DurationMS)
+		if err != nil {
 			fail(err)
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]any{
 			"injected": "outage", "resource": req.Resource,
-			"downAtMs": at, "upAtMs": at + req.DurationMS,
+			"downAtMs": down, "upAtMs": up,
 		})
 		return
 	}

@@ -492,8 +492,8 @@ func (r *Router) ApplyFaults(spec service.FaultSpec) error {
 }
 
 // InjectOutage schedules an outage for a GLOBAL resource index on the
-// shard that owns it.
-func (r *Router) InjectOutage(res int, downAt, upAt int64) error {
+// shard that owns it and returns the window that shard scheduled.
+func (r *Router) InjectOutage(res int, downAt, upAt int64) (int64, int64, error) {
 	for s := r.n - 1; s >= 0; s-- {
 		if res >= r.offsets[s] {
 			if res >= r.offsets[s]+r.parts[s].NumResources {
@@ -502,7 +502,7 @@ func (r *Router) InjectOutage(res int, downAt, upAt int64) error {
 			return r.engines[s].InjectOutage(res-r.offsets[s], downAt, upAt)
 		}
 	}
-	return fmt.Errorf("shard: resource %d out of range", res)
+	return 0, 0, fmt.Errorf("shard: resource %d out of range", res)
 }
 
 // Snapshot is the sharded /v1/metrics payload: the service snapshot with

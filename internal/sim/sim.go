@@ -504,6 +504,21 @@ func (s *Simulator) AddJob(j *workload.Job) error {
 // fault-injection endpoint). The window must start now or later and must not
 // overlap any planned or previously injected outage on the resource.
 func (s *Simulator) InjectOutage(res int, downAt, upAt int64) error {
+	if err := s.CheckOutage(res, downAt, upAt); err != nil {
+		return err
+	}
+	if !s.started {
+		s.start()
+	}
+	s.outageUntil[res] = upAt
+	s.queue.push(event{at: downAt, kind: evResourceDown, res: res})
+	s.queue.push(event{at: upAt, kind: evResourceUp, res: res})
+	return nil
+}
+
+// CheckOutage returns the error InjectOutage would return for the window,
+// changing nothing: nil when the window is one InjectOutage schedules.
+func (s *Simulator) CheckOutage(res int, downAt, upAt int64) error {
 	if res < 0 || res >= s.cluster.NumResources {
 		return fmt.Errorf("sim: outage on invalid resource %d", res)
 	}
@@ -511,17 +526,26 @@ func (s *Simulator) InjectOutage(res int, downAt, upAt int64) error {
 		return fmt.Errorf("sim: outage window [%d,%d) on resource %d is invalid at time %d",
 			downAt, upAt, res, s.clock)
 	}
-	if !s.started {
-		s.start() // materialize planned outages so overlap checks see them
-	}
-	if s.down[res] || downAt < s.outageUntil[res] {
+	if s.down[res] || downAt < s.OutageEnd(res) {
 		return fmt.Errorf("sim: outage window [%d,%d) overlaps an existing outage on resource %d",
 			downAt, upAt, res)
 	}
-	s.outageUntil[res] = upAt
-	s.queue.push(event{at: downAt, kind: evResourceDown, res: res})
-	s.queue.push(event{at: upAt, kind: evResourceUp, res: res})
 	return nil
+}
+
+// OutageEnd returns the end of the latest outage window planned or injected
+// on resource res, 0 when there is none.
+func (s *Simulator) OutageEnd(res int) int64 {
+	end := s.outageUntil[res]
+	if !s.started && s.injector != nil {
+		// The planned windows enter outageUntil when the run starts.
+		for _, o := range s.injector.PlannedOutages() {
+			if o.Resource == res {
+				end = max(end, o.UpAt)
+			}
+		}
+	}
+	return end
 }
 
 // JobDone returns the completion instant of a job, or false while it is
