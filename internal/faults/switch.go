@@ -13,22 +13,20 @@ import (
 // plans while the engine is stepping).
 //
 // Only per-attempt fates (failures, stragglers) are swappable: the
-// simulator reads PlannedOutages once at run start, so outage windows added
-// later must go through sim.Simulator.InjectOutage instead. Switch
-// therefore always reports the planned outages of the *initial* plan.
+// simulator reads PlannedOutages once at run start, so outage windows must
+// go through sim.Simulator.InjectOutage instead, and a Switch plans none.
 type Switch struct {
-	initial sim.FaultInjector
 	current atomic.Pointer[injectorBox]
 }
 
 // injectorBox wraps the interface value so atomic.Pointer can hold it.
 type injectorBox struct{ fi sim.FaultInjector }
 
-// NewSwitch returns a Switch initially delegating to fi; a nil fi injects
-// nothing until Set installs a plan.
-func NewSwitch(fi sim.FaultInjector) *Switch {
-	s := &Switch{initial: fi}
-	s.current.Store(&injectorBox{fi: fi})
+// NewSwitch returns a Switch that injects nothing until Set installs a
+// plan.
+func NewSwitch() *Switch {
+	s := &Switch{}
+	s.current.Store(&injectorBox{})
 	return s
 }
 
@@ -46,11 +44,5 @@ func (s *Switch) Attempt(taskID string, attempt int) sim.AttemptFault {
 	return sim.AttemptFault{}
 }
 
-// PlannedOutages implements sim.FaultInjector: the initial plan's windows
-// (the simulator reads them only once, at run start).
-func (s *Switch) PlannedOutages() []sim.Outage {
-	if s.initial != nil {
-		return s.initial.PlannedOutages()
-	}
-	return nil
-}
+// PlannedOutages implements sim.FaultInjector: a Switch plans no outage.
+func (s *Switch) PlannedOutages() []sim.Outage { return nil }

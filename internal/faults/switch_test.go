@@ -12,7 +12,7 @@ func TestSwitchDelegatesAndSwaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw := NewSwitch(nil)
+	sw := NewSwitch()
 	if f := sw.Attempt("t0_m1", 0); f.Fails || f.Factor > 1 {
 		t.Fatalf("empty switch injected %+v", f)
 	}
@@ -32,38 +32,12 @@ func TestSwitchDelegatesAndSwaps(t *testing.T) {
 	}
 }
 
-func TestSwitchInitialOutagesOnly(t *testing.T) {
-	planned, err := New(Config{
-		MTBFMs: 10_000, MTTRMs: 1_000, OutageHorizonMs: 100_000,
-		NumResources: 4, Seed1: 3, Seed2: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw := NewSwitch(planned)
-	want := len(planned.PlannedOutages())
-	if want == 0 {
-		t.Fatal("test plan generated no outages")
-	}
-	other, err := New(Config{
-		MTBFMs: 1_000, MTTRMs: 1_000, OutageHorizonMs: 100_000,
-		NumResources: 4, Seed1: 5, Seed2: 6,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw.Set(other)
-	if got := len(sw.PlannedOutages()); got != want {
-		t.Fatalf("planned outages changed after swap: %d vs %d", got, want)
-	}
-}
-
 func TestSwitchConcurrentSetAndAttempt(t *testing.T) {
 	plan, err := New(Config{TaskFailureProb: 0.5, Seed1: 7, Seed2: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw := NewSwitch(nil)
+	sw := NewSwitch()
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)

@@ -84,9 +84,6 @@ type Config struct {
 	// rejected at submission instead of entering the system. A job with a
 	// task no resource can hold is rejected either way.
 	Admission bool
-	// Faults is the initial fault plan; the engine wraps it in a
-	// faults.Switch so ApplyFaults can swap per-attempt fates at runtime.
-	Faults sim.FaultInjector
 	// Telemetry and TelemetrySampleMS attach a telemetry stream to the
 	// simulator and (when supported) the manager.
 	Telemetry         *obs.Telemetry
@@ -136,6 +133,9 @@ var (
 	// ErrJournal wraps a write-ahead-journal append failure: the
 	// submission was NOT accepted (nothing unjournaled takes effect).
 	ErrJournal = errors.New("service: journal write failed")
+	// ErrFinished refuses a fault switch or an outage once the run has
+	// ended; nothing is journaled or applied.
+	ErrFinished = errors.New("service: run finished")
 )
 
 // OverloadError reports a shed submission: the intake was at Max pending
@@ -158,7 +158,6 @@ func (e *OverloadError) Is(target error) bool { return target == ErrOverloaded }
 // jobEntry is the engine's record of one submission. The immutable fields
 // are set at Submit; injectErr is written by the run loop under mu.
 type jobEntry struct {
-	id  int
 	job *workload.Job // nil when the submission was rejected
 	// rejectReason is non-empty for admission rejections (kept as a plain
 	// string so journal replay can restore it without re-deriving the
@@ -178,39 +177,39 @@ type Engine struct {
 	sw     *faults.Switch
 	mon    *slo.Monitor
 
-	// intakeMu guards submissions and the job registry; it is never held
-	// across a simulator step, so Submit cannot block on a solve.
+	// intakeMu guards submissions, the job registry, the run's end and the
+	// journal's appends; it is never held across a simulator step, so
+	// Submit cannot block on a solve.
 	intakeMu sync.Mutex
-	nextID   int
 	intake   []*workload.Job
-	entries  map[int]*jobEntry
-	order    []int
+	// entries is the job registry, indexed by the local ID each submission
+	// was assigned, so its length is the next ID. It only grows: a slice
+	// read under intakeMu stays valid after the lock is released.
+	entries  []*jobEntry
 	closed   bool
 	started  bool
 	rejects  int
 	accepted int
 	shed     int
-	// closeLogged dedups the journal's close record (CloseIntake is
-	// idempotent; replay must see at most one).
-	closeLogged bool
+	// ended is set when the run loop exits: from then on a fault switch or
+	// an outage is refused with ErrFinished.
+	ended bool
 
 	// journal is the write-ahead journal (nil when durability is off).
-	// Appends happen on the submission, fault and outage paths;
-	// wal.Journal serializes internally.
 	journal *wal.Journal
-	// scheduledFaults replays journaled mid-run fault switches: the run
-	// loop installs each spec once the simulation clock reaches its
-	// recorded instant. Owned by the loop goroutine after Start; populated
-	// only by Recover before it.
-	scheduledFaults []scheduledFault
+	// scheduledFaults holds replayed fault switches whose instant lies
+	// ahead of the simulation clock; the run loop applies each once the
+	// clock reaches it. Owned by the loop goroutine after Start.
+	scheduledFaults []*journalRecord
 
 	// finished counts completed + abandoned jobs (updated by the run loop
 	// after every step); accepted - finished is the backpressure depth.
 	finished atomic.Int64
 	rate     rateTracker
 	// work is the pending work estimate the router balances on: the
-	// effectiveWork of every accepted job, added at register and taken
-	// back when the job completes or is abandoned (or fails injection).
+	// effectiveWork of every accepted job, added when its submission is
+	// applied and taken back when the job completes or is abandoned (or
+	// fails injection).
 	work atomic.Int64
 
 	// mu guards the simulator (and through it the manager) — stepping,
@@ -239,8 +238,17 @@ type Engine struct {
 	once sync.Once
 }
 
-// New assembles an engine; no goroutine runs until Start.
+// New assembles an engine; no goroutine runs until Start. A journal at
+// Config.JournalPath must hold no record: replay a non-empty one with
+// Recover.
 func New(cfg Config) (*Engine, error) {
+	e, _, err := newEngine(cfg, false)
+	return e, err
+}
+
+// newEngine is New and Recover: it assembles the engine, then opens the
+// journal (openJournal), replaying its records when recovering.
+func newEngine(cfg Config, recovering bool) (*Engine, *RecoveryInfo, error) {
 	rm, policy := cfg.RM, cfg.Policy
 	if rm == nil {
 		if policy == "" {
@@ -252,18 +260,18 @@ func New(cfg Config) (*Engine, error) {
 		}
 		var err error
 		if rm, err = rmkit.New(policy, cfg.Cluster, popts); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	} else if policy == "" {
 		policy = rm.Name()
 	}
 	s, err := sim.New(cfg.Cluster, rm, nil)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	sw := faults.NewSwitch(cfg.Faults)
+	sw := faults.NewSwitch()
 	if err := s.SetFaultInjector(sw); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if cfg.Telemetry.Enabled() {
 		s.SetTelemetry(cfg.Telemetry, cfg.TelemetrySampleMS)
@@ -278,41 +286,24 @@ func New(cfg Config) (*Engine, error) {
 		cfg.Speedup = 1
 	}
 	e := &Engine{
-		cfg:     cfg,
-		rm:      rm,
-		policy:  policy,
-		sw:      sw,
-		mon:     mon,
-		sim:     s,
-		entries: make(map[int]*jobEntry),
-		wake:    make(chan struct{}, 1),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		cfg:    cfg,
+		rm:     rm,
+		policy: policy,
+		sw:     sw,
+		mon:    mon,
+		sim:    s,
+		wake:   make(chan struct{}, 1),
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 	s.AddObserver(cfg.Observer)
 	s.AddObserver(mon)
 	s.AddObserver(workObserver{e: e})
-	if cfg.JournalPath != "" {
-		pol, err := wal.ParseSyncPolicy(cfg.JournalSync)
-		if err != nil {
-			return nil, err
-		}
-		j, recs, err := wal.Open(cfg.JournalPath, wal.Options{Sync: pol})
-		if err != nil {
-			return nil, err
-		}
-		if len(recs) > 0 {
-			j.Close()
-			return nil, fmt.Errorf("service: journal %s already holds %d records; replay it with Recover or remove the file",
-				cfg.JournalPath, len(recs))
-		}
-		e.journal = j
-		if err := e.journalAppend(e.metaRecord()); err != nil {
-			j.Close()
-			return nil, err
-		}
+	info, err := e.openJournal(recovering)
+	if err != nil {
+		return nil, nil, err
 	}
-	return e, nil
+	return e, info, nil
 }
 
 // NowMS returns the engine's current simulated time: the simulator clock in
@@ -389,7 +380,8 @@ func (e *Engine) SubmitJob(spec workload.JobSpec, j *workload.Job) (int, error) 
 		// the clock advanced in between, which replay does not reproduce).
 		spec.ArrivalMS = now
 	}
-	if err := spec.Bind(j, e.nextID); err != nil {
+	id := len(e.entries)
+	if err := spec.Bind(j, id); err != nil {
 		return 0, err
 	}
 	// The admission lower bound doubles as the SLO monitor's
@@ -399,44 +391,63 @@ func (e *Engine) SubmitJob(spec workload.JobSpec, j *workload.Job) (int, error) 
 	// attributed to infeasibility rather than backlog or faults.
 	// A job the cluster can never run is refused whatever Admission says.
 	aerr, _ := core.CheckAdmission(e.cfg.Cluster, j, max(now, j.Arrival)).(*core.AdmissionError)
-	rec := &journalRecord{Kind: recSubmit, SimMS: now, ID: e.nextID, Spec: &spec}
+	rec := &journalRecord{Kind: recSubmit, SimMS: now, ID: id, Spec: &spec}
 	if aerr != nil && (e.cfg.Admission || aerr.Unrunnable != nil) {
 		rec.Rejected = aerr.Error()
 	}
-	// Journal first, register second: a failed append leaves nothing to undo.
+	// Journal first, apply second: a failed append leaves nothing to undo.
 	if err := e.journalAppend(rec); err != nil {
 		return 0, err
 	}
-	e.register(rec, j, aerr != nil)
+	e.apply(rec, j, aerr != nil)
 	if rec.Rejected != "" {
-		return rec.ID, aerr
+		return id, aerr
 	}
-	e.signal()
-	return rec.ID, nil
+	return id, nil
 }
 
-// register enters one journaled submission into the registry — the one
-// apply step of SubmitJob and journal replay; called under intakeMu. An
-// accepted record's job j joins the intake, flagged for the SLO monitor
-// when infeasible (the admission bound failed); a rejected record keeps
-// only its reason and deadline.
-func (e *Engine) register(rec *journalRecord, j *workload.Job, infeasible bool) {
-	e.nextID++
-	entry := &jobEntry{id: rec.ID}
-	e.entries[rec.ID] = entry
-	e.order = append(e.order, rec.ID)
-	if rec.Rejected != "" {
-		entry.rejectReason = rec.Rejected
-		entry.rejectDeadline = rec.Spec.DeadlineMS
-		e.rejects++
-		e.mon.JobShed(rec.SimMS, rec.ID, "infeasible")
-		return
+// apply makes one journaled input take effect, and is the only place any
+// does: the live calls (SubmitJob, ApplyFaults, InjectOutage, CloseIntake)
+// validate their input, append rec and then apply it, holding intakeMu
+// (and mu as well for an outage); Recover applies each record it decoded
+// and validated before the engine is shared. For an accepted submission, j
+// is its bound job and infeasible whether the admission bound failed,
+// which flags the job for the SLO monitor.
+func (e *Engine) apply(rec *journalRecord, j *workload.Job, infeasible bool) {
+	switch rec.Kind {
+	case recSubmit:
+		entry := &jobEntry{rejectReason: rec.Rejected}
+		if rec.Rejected != "" {
+			entry.rejectDeadline = rec.Spec.DeadlineMS
+			e.rejects++
+			e.mon.JobShed(rec.SimMS, rec.ID, "infeasible")
+		} else {
+			entry.job = j
+			e.accepted++
+			e.work.Add(e.effectiveWork(j))
+			e.intake = append(e.intake, j)
+			e.mon.JobSubmitted(rec.SimMS, rec.ID, infeasible)
+		}
+		e.entries = append(e.entries, entry)
+	case recFaults:
+		// A switch installs once the simulation clock reaches its instant:
+		// at once when applied live, and at once or from the run loop when
+		// replayed before Start.
+		if rec.SimMS > e.simNow.Load() {
+			e.scheduledFaults = append(e.scheduledFaults, rec)
+			return
+		}
+		plan, _ := rec.Faults.plan() // validated before it was journaled or replayed
+		e.sw.Set(plan)
+	case recOutage:
+		// A live window was checked before it was journaled. A replayed one
+		// the simulator refuses is skipped as its run skipped it: builds
+		// that journaled before checking wrote such records.
+		_ = e.sim.InjectOutage(rec.Outage.Resource, rec.Outage.DownMS, rec.Outage.UpMS)
+	case recClose:
+		e.closed = true
 	}
-	entry.job = j
-	e.accepted++
-	e.work.Add(e.effectiveWork(j))
-	e.intake = append(e.intake, j)
-	e.mon.JobSubmitted(rec.SimMS, rec.ID, infeasible)
+	e.signal()
 }
 
 // PendingWork returns the engine's pending work estimate in ms: the
@@ -509,16 +520,15 @@ func (e *Engine) claimStart() bool {
 // more than once and before Start.
 func (e *Engine) CloseIntake() {
 	e.intakeMu.Lock()
-	logClose := !e.closed && !e.closeLogged
-	e.closed = true
-	if logClose {
-		e.closeLogged = true
-		// Best-effort: a failed append means recovery replays an open
-		// intake, which is safe (the operator re-closes it).
-		_ = e.journalAppend(&journalRecord{Kind: recClose, SimMS: e.simNow.Load()})
+	defer e.intakeMu.Unlock()
+	if e.closed {
+		return
 	}
-	e.intakeMu.Unlock()
-	e.signal()
+	rec := &journalRecord{Kind: recClose, SimMS: e.simNow.Load()}
+	// Best-effort: a failed append means recovery replays an open intake,
+	// which is safe (the operator re-closes it).
+	_ = e.journalAppend(rec)
+	e.apply(rec, nil, false)
 }
 
 // Stop aborts the run without finishing outstanding work. Wait returns
@@ -558,14 +568,19 @@ func (e *Engine) Result() (*sim.Metrics, error) {
 // InjectOutage schedules a resource outage window starting no earlier than
 // the current simulated time and returns the window it scheduled: a window
 // that asks for a start the simulator has passed begins now and keeps its
-// length. A window the simulator refuses is neither journaled nor
-// scheduled.
+// length. A window the simulator refuses, or any window once the run has
+// ended (ErrFinished), is neither journaled nor scheduled.
 func (e *Engine) InjectOutage(res int, downAt, upAt int64) (int64, int64, error) {
 	if downAt < 0 || upAt <= downAt {
 		return 0, 0, fmt.Errorf("service: outage window [%d,%d) is invalid", downAt, upAt)
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.intakeMu.Lock()
+	defer e.intakeMu.Unlock()
+	if e.ended {
+		return 0, 0, ErrFinished
+	}
 	now := e.sim.Now()
 	if downAt < now {
 		shift := now - downAt
@@ -580,16 +595,12 @@ func (e *Engine) InjectOutage(res int, downAt, upAt int64) (int64, int64, error)
 	}
 	// Journal the clamped window before injecting (WAL discipline: nothing
 	// unjournaled takes effect) so replay schedules the exact same events.
-	if err := e.journalAppend(&journalRecord{
-		Kind: recOutage, SimMS: now,
-		Outage: &outageRecord{Resource: res, DownMS: downAt, UpMS: upAt},
-	}); err != nil {
+	rec := &journalRecord{Kind: recOutage, SimMS: now,
+		Outage: &outageRecord{Resource: res, DownMS: downAt, UpMS: upAt}}
+	if err := e.journalAppend(rec); err != nil {
 		return 0, 0, err
 	}
-	if err := e.sim.InjectOutage(res, downAt, upAt); err != nil {
-		return 0, 0, err
-	}
-	e.signal()
+	e.apply(rec, nil, false)
 	return downAt, upAt, nil
 }
 
@@ -659,19 +670,15 @@ func (e *Engine) loop() {
 	}
 }
 
-// applyScheduledFaults installs journaled mid-run fault switches once the
-// simulation clock reaches their recorded instants. Only the run loop
-// touches the slice after Start.
+// applyScheduledFaults applies replayed fault switches once the simulation
+// clock reaches their recorded instants. Only the run loop touches the
+// slice after Start.
 func (e *Engine) applyScheduledFaults() {
 	now := e.simNow.Load()
-	for len(e.scheduledFaults) > 0 && e.scheduledFaults[0].at <= now {
-		spec := e.scheduledFaults[0].spec
+	for len(e.scheduledFaults) > 0 && e.scheduledFaults[0].SimMS <= now {
+		rec := e.scheduledFaults[0]
 		e.scheduledFaults = e.scheduledFaults[1:]
-		plan, err := spec.plan()
-		if err != nil {
-			continue // the original run validated it; be lenient on replay
-		}
-		e.sw.Set(plan)
+		e.apply(rec, nil, false)
 	}
 }
 
@@ -706,12 +713,10 @@ func (e *Engine) drainIntake() {
 			// The job will never finish: count it rejected so it releases
 			// its pending depth and pending work.
 			e.intakeMu.Lock()
-			if entry, ok := e.entries[j.ID]; ok {
-				entry.injectErr = err
-				e.accepted--
-				e.rejects++
-				e.work.Add(-e.effectiveWork(j))
-			}
+			e.entries[j.ID].injectErr = err
+			e.accepted--
+			e.rejects++
+			e.work.Add(-e.effectiveWork(j))
 			e.intakeMu.Unlock()
 		}
 	}
@@ -845,12 +850,6 @@ func (e *Engine) retryAfter(excess int) time.Duration {
 	return d
 }
 
-// scheduledFault is one journaled mid-run fault switch awaiting replay.
-type scheduledFault struct {
-	at   int64
-	spec FaultSpec
-}
-
 // rateTracker keeps a short window of (wall time, finished jobs) samples
 // so shed responses can estimate the current drain rate.
 type rateTracker struct {
@@ -955,44 +954,43 @@ type JobStatus struct {
 	Placements      []TaskPlacement `json:"placements,omitempty"`
 }
 
+// registry returns the job registry as it stands.
+func (e *Engine) registry() []*jobEntry {
+	e.intakeMu.Lock()
+	defer e.intakeMu.Unlock()
+	return e.entries
+}
+
 // Job returns the status of one submission, with per-task placements.
 func (e *Engine) Job(id int) (JobStatus, bool) {
-	e.intakeMu.Lock()
-	entry, ok := e.entries[id]
-	e.intakeMu.Unlock()
-	if !ok {
+	entries := e.registry()
+	if id < 0 || id >= len(entries) {
 		return JobStatus{}, false
 	}
-	return e.status(entry, true), true
+	return e.status(id, entries[id], true), true
 }
 
 // Jobs returns the status of every submission in ID order, without
 // placements.
 func (e *Engine) Jobs() []JobStatus {
-	e.intakeMu.Lock()
-	ids := append([]int(nil), e.order...)
-	entries := make([]*jobEntry, len(ids))
-	for i, id := range ids {
-		entries[i] = e.entries[id]
-	}
-	e.intakeMu.Unlock()
+	entries := e.registry()
 	out := make([]JobStatus, len(entries))
-	for i, entry := range entries {
-		out[i] = e.status(entry, false)
+	for id, entry := range entries {
+		out[id] = e.status(id, entry, false)
 	}
 	return out
 }
 
-func (e *Engine) status(entry *jobEntry, withPlacements bool) JobStatus {
+func (e *Engine) status(id int, entry *jobEntry, withPlacements bool) JobStatus {
 	if entry.rejectReason != "" {
-		return JobStatus{ID: entry.id, State: StateRejected, Reason: entry.rejectReason,
+		return JobStatus{ID: id, State: StateRejected, Reason: entry.rejectReason,
 			DeadlineMS: entry.rejectDeadline}
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	j := entry.job
 	st := JobStatus{
-		ID:              entry.id,
+		ID:              id,
 		ArrivalMS:       j.Arrival,
 		EarliestStartMS: j.EarliestStart,
 		DeadlineMS:      j.Deadline,
@@ -1063,12 +1061,7 @@ func (e *Engine) status(entry *jobEntry, withPlacements bool) JobStatus {
 // Schedule returns the current placement plan: every placed, not-yet-
 // completed task, ordered by start time then task ID.
 func (e *Engine) Schedule() []TaskPlacement {
-	e.intakeMu.Lock()
-	entries := make([]*jobEntry, 0, len(e.order))
-	for _, id := range e.order {
-		entries = append(entries, e.entries[id])
-	}
-	e.intakeMu.Unlock()
+	entries := e.registry()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var out []TaskPlacement
@@ -1215,7 +1208,7 @@ func (e *Engine) Metrics() Snapshot {
 		Running:    h.Running,
 		Finished:   h.Finished,
 		Closed:     h.Closed,
-		Submitted:  e.nextID,
+		Submitted:  len(e.entries),
 		Rejected:   e.rejects,
 		Shed:       e.shed,
 		Pending:    e.accepted - int(e.finished.Load()),

@@ -3,7 +3,11 @@ package service
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +16,7 @@ import (
 	"mrcprm/internal/sim"
 	"mrcprm/internal/stats"
 	"mrcprm/internal/trace"
+	"mrcprm/internal/wal"
 	"mrcprm/internal/workload"
 )
 
@@ -172,6 +177,13 @@ func TestAdmissionControl(t *testing.T) {
 	if snap.Submitted != 2 || snap.Rejected != 1 || snap.JobsCompleted != 1 {
 		t.Fatalf("snapshot %+v", snap)
 	}
+	// IDs index the registry: one before the first and one past the last
+	// submission are unknown.
+	for _, id := range []int{-1, snap.Submitted} {
+		if st, ok := e.Job(id); ok {
+			t.Fatalf("Job(%d) found %+v", id, st)
+		}
+	}
 }
 
 // TestWallClockMode runs a tiny stream against the wall clock at high
@@ -301,6 +313,56 @@ func TestDoubleStart(t *testing.T) {
 	e.CloseIntake()
 	if err := e.Wait(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAdminAfterFinish: once the run has ended, a fault switch and an
+// outage are refused with ErrFinished (409 over HTTP) and nothing is
+// journaled, with the journal on and off.
+func TestAdminAfterFinish(t *testing.T) {
+	for _, journal := range []bool{false, true} {
+		t.Run(fmt.Sprintf("journal=%v", journal), func(t *testing.T) {
+			cfg := Config{Cluster: memCluster, Policy: "fifo"}
+			if journal {
+				cfg.JournalPath, cfg.JournalSync = filepath.Join(t.TempDir(), "run.wal"), "none"
+			}
+			e, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Submit(fittingSpec); err != nil {
+				t.Fatal(err)
+			}
+			runToEnd(t, e)
+			if err := e.ApplyFaults(FaultSpec{FailRate: 0.1}); !errors.Is(err, ErrFinished) {
+				t.Errorf("ApplyFaults after the run: %v, want ErrFinished", err)
+			}
+			if _, _, err := e.InjectOutage(0, e.NowMS(), e.NowMS()+1_000); !errors.Is(err, ErrFinished) {
+				t.Errorf("InjectOutage after the run: %v, want ErrFinished", err)
+			}
+			h := engineHandler(e)
+			for _, body := range []string{`{"failRate":0.1}`, `{"resource":0,"durationMs":1000}`} {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/admin/faults", strings.NewReader(body)))
+				if rec.Code != http.StatusConflict {
+					t.Errorf("%s after the run: %d %s, want 409", body, rec.Code, rec.Body)
+				}
+			}
+			if m, _ := e.Result(); m.Outages != 0 {
+				t.Errorf("%d outages in the finished run", m.Outages)
+			}
+			if !journal {
+				return
+			}
+			j, recs, err := wal.Open(cfg.JournalPath, wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			if len(recs) != 3 { // meta, submit, close
+				t.Errorf("journal holds %d records after the refused calls, want 3", len(recs))
+			}
+		})
 	}
 }
 

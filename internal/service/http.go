@@ -73,9 +73,10 @@ type Health struct {
 //	GET  /healthz          liveness + run state
 //	GET  /readyz           readiness: 503 while draining or shedding
 //
-// Error bodies are {"error":"..."}: 400 malformed, 404 unknown job, 409
-// double start, 422 admission rejection, 429 shed by backpressure (with a
-// Retry-After header), 500 journal write failure, 503 intake closed.
+// Error bodies are {"error":"..."}: 400 malformed, 404 unknown job, 409 a
+// second start or a fault request after the run ended, 422 admission
+// rejection, 429 shed by backpressure (with a Retry-After header), 500
+// journal write failure, 503 intake closed.
 func NewBackendHandler(b Backend) http.Handler {
 	s := &server{b: b}
 	mux := http.NewServeMux()
@@ -316,8 +317,11 @@ func (s *server) faults(w http.ResponseWriter, r *http.Request) {
 	// the same simulated instant on recovery; only a failed append is a 500.
 	fail := func(err error) {
 		status := http.StatusBadRequest
-		if errors.Is(err, ErrJournal) {
+		switch {
+		case errors.Is(err, ErrJournal):
 			status = http.StatusInternalServerError
+		case errors.Is(err, ErrFinished):
+			status = http.StatusConflict
 		}
 		writeError(w, status, err)
 	}

@@ -4,12 +4,19 @@ package service
 //
 // The journal (internal/wal) is a log of *inputs and decisions*, not of
 // simulator state: accepted and rejected submissions, runtime fault
-// switches, injected outages, and the intake close. Because a virtual-mode
-// run is a deterministic function of exactly those inputs (the golden
-// contract pinned by TestVirtualRunMatchesSim), recovery does not need
-// checkpoints — Recover rebuilds a fresh engine, replays the journaled
-// inputs, and re-runs; the result is bit-identical to the uninterrupted
-// run, fingerprint and all.
+// switches, injected outages, and the intake close. Each takes effect in
+// one place, Engine.apply: a live call validates its input, appends the
+// record and applies it, and Recover decodes and validates each record
+// and applies it through the same call. New and Recover are one
+// constructor that opens the journal once (openJournal): New refuses a
+// non-empty journal, Recover replays it, and either writes the meta
+// record into an empty one. Because a virtual-mode run is a deterministic
+// function of exactly those inputs (the golden contract pinned by
+// TestVirtualRunMatchesSim), recovery does not need checkpoints: the
+// replayed engine re-runs the stream, and the result is bit-identical to
+// the uninterrupted run, fingerprint and all. Once the run loop has
+// exited, a fault switch or an outage is refused with ErrFinished before
+// anything is journaled.
 //
 // The bit-exactness guarantee targets the virtual-clock regime in which
 // submissions precede Start (the loadgen / CI replay flow) under
@@ -102,18 +109,22 @@ func (s FaultSpec) plan() (sim.FaultInjector, error) {
 
 // ApplyFaults journals and installs the per-attempt fault plan described
 // by spec; an all-zero spec disables injection. The plan is replayed on
-// recovery at the simulated instant of the switch.
+// recovery at the simulated instant of the switch. Once the run has ended
+// the call returns ErrFinished.
 func (e *Engine) ApplyFaults(spec FaultSpec) error {
-	plan, err := spec.plan()
-	if err != nil {
+	if _, err := spec.plan(); err != nil {
 		return err
 	}
-	if err := e.journalAppend(&journalRecord{
-		Kind: recFaults, SimMS: e.simNow.Load(), Faults: &spec,
-	}); err != nil {
+	e.intakeMu.Lock()
+	defer e.intakeMu.Unlock()
+	if e.ended {
+		return ErrFinished
+	}
+	rec := &journalRecord{Kind: recFaults, SimMS: e.simNow.Load(), Faults: &spec}
+	if err := e.journalAppend(rec); err != nil {
 		return err
 	}
-	e.sw.Set(plan)
+	e.apply(rec, nil, false)
 	return nil
 }
 
@@ -146,9 +157,13 @@ func (e *Engine) journalAppend(rec *journalRecord) error {
 	return nil
 }
 
-// closeJournal syncs and closes the journal when the run loop exits; every
-// record that matters is already on disk by then.
+// closeJournal marks the run ended when the run loop exits, and syncs and
+// closes the journal; every record that matters is already on disk by
+// then.
 func (e *Engine) closeJournal() {
+	e.intakeMu.Lock()
+	defer e.intakeMu.Unlock()
+	e.ended = true
 	if e.journal != nil {
 		_ = e.journal.Close()
 	}
@@ -175,59 +190,64 @@ type RecoveryInfo struct {
 }
 
 // Recover rebuilds an engine from the write-ahead journal at
-// cfg.JournalPath: it opens the journal (truncating any torn tail),
-// replays every journaled submission, fault switch, outage, and intake
-// close into a fresh engine built from cfg, and leaves the journal
-// attached so the recovered engine keeps appending where the crashed one
-// stopped. Start the returned engine to run the recovered stream; in
-// virtual mode with deterministic solver settings the finished metrics
-// fingerprint is bit-identical to the uninterrupted run's.
+// cfg.JournalPath: it builds the engine New would, opens the journal
+// (truncating any torn tail), applies every journaled submission, fault
+// switch, outage, and intake close, and leaves the journal attached so the
+// recovered engine keeps appending where the crashed one stopped. Start the
+// returned engine to run the recovered stream; in virtual mode with
+// deterministic solver settings the finished metrics fingerprint is
+// bit-identical to the uninterrupted run's.
 func Recover(cfg Config) (*Engine, *RecoveryInfo, error) {
 	if cfg.JournalPath == "" {
 		return nil, nil, fmt.Errorf("service: Recover needs Config.JournalPath")
 	}
-	pol, err := wal.ParseSyncPolicy(cfg.JournalSync)
-	if err != nil {
-		return nil, nil, err
+	return newEngine(cfg, true)
+}
+
+// openJournal opens the journal at cfg.JournalPath, when one is set, and
+// attaches it. A journal holding records is replayed when recovering and
+// refused otherwise; an empty one, or one torn before its first record,
+// gets the meta record the next recovery checks.
+func (e *Engine) openJournal(recovering bool) (*RecoveryInfo, error) {
+	path := e.cfg.JournalPath
+	if path == "" {
+		return nil, nil
 	}
-	j, payloads, err := wal.Open(cfg.JournalPath, wal.Options{Sync: pol})
+	pol, err := wal.ParseSyncPolicy(e.cfg.JournalSync)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	fresh := cfg
-	fresh.JournalPath = "" // New must not reopen (or refuse) the journal
-	e, err := New(fresh)
+	j, payloads, err := wal.Open(path, wal.Options{Sync: pol})
 	if err != nil {
+		return nil, err
+	}
+	if len(payloads) > 0 && !recovering {
 		j.Close()
-		return nil, nil, err
+		return nil, fmt.Errorf("service: journal %s already holds %d records; replay it with Recover or remove the file",
+			path, len(payloads))
 	}
-	e.cfg.JournalPath = cfg.JournalPath // restore for Snapshot.Journal
+	e.journal = j
 	info := &RecoveryInfo{TornBytes: j.Torn()}
 	for i, payload := range payloads {
 		if kind, err := e.replayPayload(payload, info); err != nil {
 			j.Close()
-			return nil, nil, fmt.Errorf("service: journal record %d (%s): %w", i, kind, err)
+			return nil, fmt.Errorf("service: journal record %d (%s): %w", i, kind, err)
 		}
 		info.Records++
 	}
 	if len(payloads) == 0 {
-		// An empty (or fully torn) journal recovers to a blank engine; it
-		// still needs the meta header for the next recovery.
-		e.journal = j
 		if err := e.journalAppend(e.metaRecord()); err != nil {
 			j.Close()
-			return nil, nil, err
+			return nil, err
 		}
-		return e, info, nil
 	}
-	e.journal = j
-	return e, info, nil
+	return info, nil
 }
 
-// replayPayload decodes one journal payload and applies it. Decoding is
-// strict (decodeStrict, as for POST bodies): a record carrying a field or
-// kind this build does not know — a journal from another format — is
-// refused by name instead of replaying as something it was not. The
+// replayPayload decodes one journal payload, validates it and applies it.
+// Decoding is strict (decodeStrict, as for POST bodies): a record carrying a
+// field or kind this build does not know — a journal from another format —
+// is refused by name instead of replaying as something it was not. The
 // record's kind is returned for the caller's error; the decoder fills it in
 // even when it goes on to refuse the record.
 func (e *Engine) replayPayload(payload []byte, info *RecoveryInfo) (kind string, err error) {
@@ -238,8 +258,13 @@ func (e *Engine) replayPayload(payload []byte, info *RecoveryInfo) (kind string,
 	return rec.Kind, err
 }
 
-// replay applies one journal record to a not-yet-started engine.
+// replay checks one decoded record against the engine and what came before
+// it, counts it in info and applies it; a refused record changes nothing.
 func (e *Engine) replay(rec *journalRecord, info *RecoveryInfo) error {
+	var (
+		j          *workload.Job
+		infeasible bool
+	)
 	switch rec.Kind {
 	case recMeta:
 		if rec.Policy != e.policy {
@@ -253,70 +278,42 @@ func (e *Engine) replay(rec *journalRecord, info *RecoveryInfo) error {
 		}
 		return nil
 	case recSubmit:
-		return e.replaySubmit(rec, info)
+		if rec.Spec == nil {
+			return fmt.Errorf("submit record without a spec")
+		}
+		if next := len(e.entries); rec.ID != next {
+			return fmt.Errorf("submission id %d out of order (expected %d)", rec.ID, next)
+		}
+		if rec.Rejected != "" {
+			info.Rejected++
+			break
+		}
+		var err error
+		if j, err = rec.Spec.Job(rec.ID); err != nil {
+			return err
+		}
+		// Re-derive the infeasibility flag the original SubmitJob computed so
+		// the recovered monitor attributes identically.
+		infeasible = core.CheckAdmission(e.cfg.Cluster, j, max(rec.SimMS, j.Arrival)) != nil
+		info.Accepted++
 	case recFaults:
 		if rec.Faults == nil {
 			return fmt.Errorf("faults record without a spec")
 		}
-		info.FaultSwitches++
-		if rec.SimMS <= 0 {
-			plan, err := rec.Faults.plan()
-			if err != nil {
-				return err
-			}
-			e.sw.Set(plan)
-			return nil
+		if _, err := rec.Faults.plan(); err != nil {
+			return err
 		}
-		e.scheduledFaults = append(e.scheduledFaults, scheduledFault{at: rec.SimMS, spec: *rec.Faults})
-		return nil
+		info.FaultSwitches++
 	case recOutage:
 		if rec.Outage == nil {
 			return fmt.Errorf("outage record without a window")
 		}
 		info.Outages++
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		// The original run validated the window; a rejection here (e.g. an
-		// overlap the original also rejected after journaling) is skipped
-		// rather than fatal so recovery reproduces the effective state.
-		_ = e.sim.InjectOutage(rec.Outage.Resource, rec.Outage.DownMS, rec.Outage.UpMS)
-		return nil
 	case recClose:
 		info.Closed = true
-		e.intakeMu.Lock()
-		e.closed = true
-		e.closeLogged = true
-		e.intakeMu.Unlock()
-		return nil
+	default:
+		return fmt.Errorf("unknown record kind %q", rec.Kind)
 	}
-	return fmt.Errorf("unknown record kind %q", rec.Kind)
-}
-
-// replaySubmit restores one journaled submission, preserving its assigned
-// ID and admission outcome.
-func (e *Engine) replaySubmit(rec *journalRecord, info *RecoveryInfo) error {
-	if rec.Spec == nil {
-		return fmt.Errorf("submit record without a spec")
-	}
-	e.intakeMu.Lock()
-	defer e.intakeMu.Unlock()
-	if rec.ID != e.nextID {
-		return fmt.Errorf("submission id %d out of order (expected %d)", rec.ID, e.nextID)
-	}
-	if rec.Rejected != "" {
-		e.register(rec, nil, true)
-		info.Rejected++
-		return nil
-	}
-	// Build the job before touching the registry, so a refused record leaves
-	// the engine exactly as it was.
-	j, err := rec.Spec.Job(rec.ID)
-	if err != nil {
-		return err
-	}
-	// Re-derive the infeasibility flag the original SubmitJob computed so the
-	// recovered monitor attributes identically.
-	e.register(rec, j, core.CheckAdmission(e.cfg.Cluster, j, max(rec.SimMS, j.Arrival)) != nil)
-	info.Accepted++
+	e.apply(rec, j, infeasible)
 	return nil
 }

@@ -26,9 +26,8 @@ func FuzzJournalReplay(f *testing.F) {
 			t.Fatalf("refused (%v) yet counted %+v", err, info)
 		}
 		submits := info.Accepted + info.Rejected
-		if e.nextID != submits || len(e.order) != submits || len(e.entries) != submits {
-			t.Fatalf("registry holds nextID=%d order=%d entries=%d, summary counted %d (err %v)",
-				e.nextID, len(e.order), len(e.entries), submits, err)
+		if len(e.entries) != submits {
+			t.Fatalf("registry holds %d entries, summary counted %d (err %v)", len(e.entries), submits, err)
 		}
 		if e.accepted != info.Accepted || len(e.intake) != info.Accepted || e.rejects != info.Rejected {
 			t.Fatalf("accepted=%d intake=%d rejects=%d, summary %+v (err %v)",

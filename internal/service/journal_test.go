@@ -174,76 +174,153 @@ func frameOffsets(t *testing.T, path string) []int64 {
 	return offs
 }
 
-// TestRecoverTornTail journals a full run, truncates the file mid-record
-// and at a record boundary, and asserts the recovered engine reproduces the
-// fingerprint of the surviving submission prefix.
+// TestRecoverTornTail records one journal holding every record kind — the
+// meta header, accepted submissions and an admission-rejected one, a fault
+// switch, an outage and the intake close — and recovers every prefix of it.
+// Cut at a record boundary, the recovered engine, closed and run, has the
+// fingerprint of a fresh engine that received the same inputs through the
+// live calls; cut inside a record, it recovers to the boundary before that
+// record and reports the torn bytes.
 func TestRecoverTornTail(t *testing.T) {
-	jobs, cluster := testStream(t, 12)
+	jobs, cluster := testStream(t, 8)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.wal")
-	cfg := Config{Cluster: cluster, Manager: deterministicCfg(),
+	cfg := Config{Cluster: cluster, Manager: deterministicCfg(), Admission: true,
 		JournalPath: path, JournalSync: "none"}
+
+	// inputs are the live calls behind the records after the meta header.
+	var inputs []func(*Engine) error
+	submit := func(spec workload.JobSpec) {
+		inputs = append(inputs, func(e *Engine) error {
+			_, err := e.Submit(spec)
+			var ae *core.AdmissionError
+			if errors.As(err, &ae) {
+				return nil
+			}
+			return err
+		})
+	}
+	for _, j := range jobs[:3] {
+		submit(workload.SpecOf(j))
+	}
+	infeasible := workload.JobSpec{DeadlineMS: 10, MapExecMS: []int64{500_000_000}}
+	submit(infeasible)
+	inputs = append(inputs, func(e *Engine) error { return e.ApplyFaults(FaultSpec{FailRate: 0.05, Seed: 7}) })
+	for _, j := range jobs[3:5] {
+		submit(workload.SpecOf(j))
+	}
+	down := jobs[0].Arrival + 1_000
+	inputs = append(inputs, func(e *Engine) error {
+		_, _, err := e.InjectOutage(0, down, down+120_000)
+		return err
+	})
+	for _, j := range jobs[5:] {
+		submit(workload.SpecOf(j))
+	}
+	inputs = append(inputs, func(e *Engine) error { e.CloseIntake(); return nil })
+
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	submitAll(t, e, jobs)
-	// No close: the journal ends with the last submit record, so truncation
-	// points map cleanly onto the submission prefix.
+	for _, in := range inputs {
+		if err := in(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := e.Submit(infeasible); !errors.Is(err, ErrClosed) {
+		t.Fatalf("submit after the close: %v", err)
+	}
+	if st, _ := e.Job(3); st.State != StateRejected {
+		t.Fatalf("the infeasible submission reads %q, want rejected", st.State)
+	}
 	e.Stop()
 	<-e.Done()
 
 	offs := frameOffsets(t, path)
-	// Records: 1 meta + len(jobs) submits.
-	if len(offs) != 1+len(jobs) {
-		t.Fatalf("journal has %d records, want %d", len(offs), 1+len(jobs))
+	if len(offs) != 1+len(inputs) {
+		t.Fatalf("journal has %d records, want %d", len(offs), 1+len(inputs))
 	}
 	pristine, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	for _, tc := range []struct {
-		name   string
-		size   int64
-		prefix int // surviving submissions
-	}{
-		// Cut 5 bytes into the last submit record's payload.
-		{"mid-record", offs[len(offs)-1] - 5, len(jobs) - 1},
-		// Cut exactly at the boundary after the 8th submit record.
-		{"boundary", offs[8], 8},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			torn := filepath.Join(dir, tc.name+".wal")
-			if err := os.WriteFile(torn, pristine[:tc.size], 0o644); err != nil {
-				t.Fatal(err)
-			}
-			tcfg := cfg
-			tcfg.JournalPath = torn
-			r, info, err := Recover(tcfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if info.Accepted != tc.prefix {
-				t.Fatalf("recovered %d submissions, want %d", info.Accepted, tc.prefix)
-			}
-			if tc.name == "mid-record" && info.TornBytes == 0 {
-				t.Fatal("mid-record truncation not reported as torn")
-			}
-			r.CloseIntake()
-			if err := r.Start(); err != nil {
-				t.Fatal(err)
-			}
-			if err := r.Wait(); err != nil {
-				t.Fatal(err)
-			}
-			m, _ := r.Result()
-			want := refFingerprint(t, cluster, jobs[:tc.prefix])
-			if m.Fingerprint() != want {
-				t.Fatalf("prefix fingerprint %016x, want %016x", m.Fingerprint(), want)
-			}
-		})
+	// recoverCut recovers the journal's first size bytes, checks that k
+	// records survive, and closes, runs and fingerprints the engine.
+	recoverCut := func(t *testing.T, size int64, k int) (uint64, *RecoveryInfo) {
+		t.Helper()
+		tcfg := cfg
+		tcfg.JournalPath = filepath.Join(t.TempDir(), "cut.wal")
+		if err := os.WriteFile(tcfg.JournalPath, pristine[:size], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, info, err := Recover(tcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Records != k {
+			t.Fatalf("recovered %d records, want %d", info.Records, k)
+		}
+		return runFingerprint(t, r), info
 	}
+
+	// want[k] is the fingerprint of the first k records.
+	want := make([]uint64, len(offs)+1)
+	t.Run("boundary", func(t *testing.T) {
+		for k := range want {
+			t.Run(fmt.Sprint(k), func(t *testing.T) {
+				fresh, err := New(Config{Cluster: cluster, Manager: deterministicCfg(), Admission: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, in := range inputs[:max(k-1, 0)] {
+					if err := in(fresh); err != nil {
+						t.Fatal(err)
+					}
+				}
+				want[k] = runFingerprint(t, fresh)
+				if m, _ := fresh.Result(); k == len(offs) && (m.TasksFailed == 0 || m.Outages != 1) {
+					t.Fatalf("the whole journal's run failed %d tasks and took %d outages; the fault inputs are vacuous",
+						m.TasksFailed, m.Outages)
+				}
+				size := int64(0)
+				if k > 0 {
+					size = offs[k-1]
+				}
+				got, info := recoverCut(t, size, k)
+				if got != want[k] {
+					t.Fatalf("recovered fingerprint %016x, live calls %016x", got, want[k])
+				}
+				if info.TornBytes != 0 {
+					t.Fatalf("boundary cut reported %d torn bytes", info.TornBytes)
+				}
+			})
+		}
+	})
+	t.Run("mid-record", func(t *testing.T) {
+		start := int64(0)
+		for k, end := range offs {
+			t.Run(fmt.Sprint(k), func(t *testing.T) {
+				got, info := recoverCut(t, (start+end)/2, k)
+				if info.TornBytes == 0 {
+					t.Fatal("mid-record cut not reported as torn")
+				}
+				if got != want[k] {
+					t.Fatalf("recovered fingerprint %016x, want the previous boundary's %016x", got, want[k])
+				}
+			})
+			start = end
+		}
+	})
+}
+
+// runFingerprint closes the engine's intake, runs it to the end and returns
+// its metrics fingerprint.
+func runFingerprint(t *testing.T, e *Engine) uint64 {
+	t.Helper()
+	runToEnd(t, e)
+	m, _ := e.Result()
+	return m.Fingerprint()
 }
 
 // TestRecoverRefusesOldFormatRecords: a journal from the build that could

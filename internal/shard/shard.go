@@ -481,12 +481,20 @@ func (r *Router) Health() service.Health {
 }
 
 // ApplyFaults installs the same journaled per-attempt fault plan on every
-// shard (each segment journals its own copy).
+// shard whose run has not ended (each segment journals its own copy); it
+// returns service.ErrFinished when every shard's run has.
 func (r *Router) ApplyFaults(spec service.FaultSpec) error {
+	finished := 0
 	for s, e := range r.engines {
-		if err := e.ApplyFaults(spec); err != nil {
+		switch err := e.ApplyFaults(spec); {
+		case errors.Is(err, service.ErrFinished):
+			finished++
+		case err != nil:
 			return fmt.Errorf("shard %d: %w", s, err)
 		}
+	}
+	if finished == r.n {
+		return service.ErrFinished
 	}
 	return nil
 }

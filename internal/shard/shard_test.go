@@ -509,6 +509,12 @@ func TestPendingWorkDrainsToZero(t *testing.T) {
 			t.Errorf("/metrics %s = %v (present %v), /v1/metrics says %d", name, got, ok, v.PendingWorkMS)
 		}
 	}
+	// Every shard's run has ended: a fault plan or an outage is a conflict.
+	for _, body := range []string{`{"failRate":0.1}`, `{"resource":5,"durationMs":1000}`} {
+		if rp := call(h, "POST", "/v1/admin/faults", body); rp.status != http.StatusConflict {
+			t.Errorf("%s after the run: %d %s, want 409", body, rp.status, rp.body)
+		}
+	}
 }
 
 // TestRouterStreamsEngineTelemetry: the router and every engine share the

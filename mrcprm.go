@@ -170,8 +170,7 @@ func NewFaultPlan(cfg FaultConfig) (FaultInjector, error) { return faults.New(cf
 // SimulateWithFaults is Simulate with a fault injector installed. A nil
 // injector behaves exactly like Simulate.
 func SimulateWithFaults(cluster Cluster, rm ResourceManager, jobs []*Job, fi FaultInjector) (*Metrics, error) {
-	m, _, err := SimulateInstrumented(cluster, rm, jobs, fi, nil, 0)
-	return m, err
+	return simulate(cluster, rm, jobs, fi, nil, 0, nil)
 }
 
 // Observability (telemetry core, solver search statistics).
@@ -222,13 +221,22 @@ func ReadTelemetryReport(r io.Reader) (*TelemetryReport, error) { return obs.Rea
 // sink. A nil tel attaches nothing; a nil injector means fault-free.
 func SimulateInstrumented(cluster Cluster, rm ResourceManager, jobs []*Job,
 	fi FaultInjector, tel *Telemetry, sampleEveryMS int64) (*Metrics, *TraceRecorder, error) {
+	rec := trace.NewRecorder()
+	m, err := simulate(cluster, rm, jobs, fi, tel, sampleEveryMS, rec)
+	return m, rec, err
+}
+
+// simulate is SimulateInstrumented with the recorder rec attached only when
+// it is not nil.
+func simulate(cluster Cluster, rm ResourceManager, jobs []*Job,
+	fi FaultInjector, tel *Telemetry, sampleEveryMS int64, rec *TraceRecorder) (*Metrics, error) {
 	s, err := sim.New(cluster, rm, jobs)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if fi != nil {
 		if err := s.SetFaultInjector(fi); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	if tel.Enabled() {
@@ -237,14 +245,15 @@ func SimulateInstrumented(cluster Cluster, rm ResourceManager, jobs []*Job,
 			im.SetTelemetry(tel)
 		}
 	}
-	rec := trace.NewRecorder()
-	s.AddObserver(rec)
+	if rec != nil {
+		s.AddObserver(rec)
+	}
 	m, err := s.Run()
 	if tel.Enabled() && m != nil {
 		tel.EmitSummary(m.MakespanMS)
 		tel.Flush()
 	}
-	return m, rec, err
+	return m, err
 }
 
 // Online scheduling service (the engine behind each shard of cmd/mrcpd).
@@ -300,6 +309,9 @@ var (
 	// ErrServiceJournal means a write-ahead-journal append failed; the
 	// submission was not accepted.
 	ErrServiceJournal = service.ErrJournal
+	// ErrServiceFinished means a fault switch or an outage came after the
+	// run ended; nothing was journaled or applied.
+	ErrServiceFinished = service.ErrFinished
 )
 
 // JobSpecOf captures a job as a submission spec for the service API.
