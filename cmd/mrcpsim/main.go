@@ -7,7 +7,7 @@
 //	mrcpsim                              # Table 3 defaults under MRCP-RM
 //	mrcpsim -rm minedf                   # same workload, baseline manager
 //	mrcpsim -rm edf                      # greedy deadline-ordered baseline
-//	mrcpsim -workload facebook -fbjobs 200 -lambda 0.0003
+//	mrcpsim -workload facebook -jobs 200 -lambda 0.0003
 //	mrcpsim -emax 100 -dul 2 -jobs 500 -v
 //	mrcpsim -failrate 0.05 -straggler 0.02 -mtbf 20000 -mttr 120
 //	mrcpsim -hetero 2                    # half the machines at half speed
@@ -33,8 +33,7 @@ func main() {
 		rmName = flag.String("rm", "mrcp",
 			"resource manager: "+strings.Join(mrcprm.PolicyNames(), ", "))
 		wl       = flag.String("workload", "synthetic", "workload: synthetic or facebook")
-		jobs     = flag.Int("jobs", 300, "number of jobs (synthetic)")
-		fbjobs   = flag.Int("fbjobs", 300, "number of jobs (facebook)")
+		jobs     = flag.Int("jobs", 300, "number of jobs")
 		emax     = flag.Int64("emax", 50, "synthetic: max map task execution time (s)")
 		p        = flag.Float64("p", 0.5, "synthetic: probability of a future earliest start time")
 		smax     = flag.Int64("smax", 50000, "synthetic: max earliest start offset (s)")
@@ -92,7 +91,7 @@ func main() {
 		jl, err = cfg.Generate(*jobs, rng)
 	case "facebook":
 		cfg := mrcprm.DefaultFacebookWorkload()
-		cfg.NumJobs = *fbjobs
+		cfg.NumJobs = *jobs
 		if *dul > 0 {
 			cfg.DeadlineUL = *dul
 		}

@@ -29,7 +29,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mrcprm/internal/core"
@@ -120,7 +119,8 @@ type Config struct {
 
 // Sentinel errors surfaced to the HTTP layer.
 var (
-	// ErrClosed rejects submissions after the intake is closed.
+	// ErrClosed rejects submissions after the intake is closed or the run
+	// has ended.
 	ErrClosed = errors.New("service: intake closed")
 	// ErrRunning rejects a second Start.
 	ErrRunning = errors.New("service: engine already started")
@@ -156,7 +156,8 @@ func (e *OverloadError) Error() string {
 func (e *OverloadError) Is(target error) bool { return target == ErrOverloaded }
 
 // jobEntry is the engine's record of one submission. The immutable fields
-// are set at Submit; injectErr is written by the run loop under mu.
+// are set at Submit; injectErr is written by the run loop holding both
+// locks, so either lock reads it.
 type jobEntry struct {
 	job *workload.Job // nil when the submission was rejected
 	// rejectReason is non-empty for admission rejections (kept as a plain
@@ -169,7 +170,12 @@ type jobEntry struct {
 	injectErr error
 }
 
-// Engine is the embeddable online resource-manager engine.
+// Engine is the embeddable online resource-manager engine. It has two
+// locks, taken in the order mu, then intakeMu: mu guards the simulator, its
+// manager, taskBuf and doneWork, and intakeMu guards every other field that
+// changes after New. A step holds mu across the whole solve; intakeMu is
+// never held across one, so submissions and the metrics, clock and
+// pending-work readers never wait for a solve.
 type Engine struct {
 	cfg    Config
 	rm     sim.ResourceManager
@@ -177,9 +183,6 @@ type Engine struct {
 	sw     *faults.Switch
 	mon    *slo.Monitor
 
-	// intakeMu guards submissions, the job registry, the run's end and the
-	// journal's appends; it is never held across a simulator step, so
-	// Submit cannot block on a solve.
 	intakeMu sync.Mutex
 	intake   []*workload.Job
 	// entries is the job registry, indexed by the local ID each submission
@@ -191,46 +194,41 @@ type Engine struct {
 	rejects  int
 	accepted int
 	shed     int
-	// ended is set when the run loop exits: from then on a fault switch or
-	// an outage is refused with ErrFinished.
+	// ended is set when the run loop exits: from then on a submission is
+	// refused with ErrClosed, and a fault switch or an outage with
+	// ErrFinished.
 	ended bool
 
 	// journal is the write-ahead journal (nil when durability is off).
 	journal *wal.Journal
 	// scheduledFaults holds replayed fault switches whose instant lies
 	// ahead of the simulation clock; the run loop applies each once the
-	// clock reaches it. Owned by the loop goroutine after Start.
+	// clock reaches it.
 	scheduledFaults []*journalRecord
 
-	// finished counts completed + abandoned jobs (updated by the run loop
-	// after every step); accepted - finished is the backpressure depth.
-	finished atomic.Int64
-	rate     rateTracker
+	// view is what the readers see of the simulator and its manager,
+	// published after every change to them; accepted minus its finished
+	// jobs is the backpressure depth. rate is the drain-rate window,
+	// observed as each view is published.
+	view simView
+	rate rateTracker
 	// work is the pending work estimate the router balances on: the
 	// effectiveWork of every accepted job, added when its submission is
-	// applied and taken back when the job completes or is abandoned (or
-	// fails injection).
-	work atomic.Int64
-
-	// mu guards the simulator (and through it the manager) — stepping,
-	// injection, and every state query.
-	mu      sync.Mutex
-	sim     *sim.Simulator
-	metrics *sim.Metrics
-	runErr  error
-	// taskBuf is the buffer the job views read a job's task states into,
-	// under mu.
-	taskBuf []sim.TaskStatus
-
-	// view is the simulator state the metrics readers report, published
-	// under mu after every change to it; viewMu guards it alone, so
-	// /v1/metrics and /metrics never wait on mu, which a step holds
-	// across the whole solve.
-	viewMu sync.Mutex
-	view   simView
-
-	simNow    atomic.Int64
+	// applied and taken back when the job fails injection or when a
+	// publish folds in doneWork.
+	work int64
+	// metrics and runErr are the run's outcome, set as it ends.
+	metrics   *sim.Metrics
+	runErr    error
 	wallStart time.Time
+
+	mu  sync.Mutex
+	sim *sim.Simulator
+	// taskBuf is the buffer the job views read a job's task states into.
+	taskBuf []sim.TaskStatus
+	// doneWork sums the effectiveWork of the jobs completed or abandoned
+	// since the last publish.
+	doneWork int64
 
 	wake chan struct{}
 	stop chan struct{}
@@ -306,19 +304,23 @@ func newEngine(cfg Config, recovering bool) (*Engine, *RecoveryInfo, error) {
 	return e, info, nil
 }
 
-// NowMS returns the engine's current simulated time: the simulator clock in
-// Virtual mode, scaled elapsed wall time in Wall mode.
+// NowMS returns the engine's current simulated time: the published
+// simulator clock in Virtual mode, scaled elapsed wall time in Wall mode.
 func (e *Engine) NowMS() int64 {
-	if e.cfg.Mode == Wall {
-		e.intakeMu.Lock()
-		started, at := e.started, e.wallStart
-		e.intakeMu.Unlock()
-		if !started {
-			return 0
-		}
-		return int64(float64(time.Since(at).Milliseconds()) * e.cfg.Speedup)
+	e.intakeMu.Lock()
+	defer e.intakeMu.Unlock()
+	return e.now()
+}
+
+// now is NowMS under intakeMu.
+func (e *Engine) now() int64 {
+	if e.cfg.Mode != Wall {
+		return e.view.now
 	}
-	return e.simNow.Load()
+	if !e.started {
+		return 0
+	}
+	return int64(float64(time.Since(e.wallStart).Milliseconds()) * e.cfg.Speedup)
 }
 
 // Submit accepts one job submission and returns its assigned ID: it
@@ -340,25 +342,27 @@ func (e *Engine) Submit(spec workload.JobSpec) (int, error) {
 // one journal replay rebuilds. A non-nil *core.AdmissionError return still
 // carries a valid ID: the rejection is recorded and queryable.
 //
-// When MaxPending is set and the intake is full the submission is shed
-// with an *OverloadError (no ID is consumed, j is left as it was); when a
-// journal is attached the accepted submission is appended — and fsynced
-// per the sync policy — before SubmitJob returns, so an acknowledged job
-// survives a crash. Nothing keeps spec's slices after the call.
+// Once the intake is closed or the run has ended the submission is refused
+// with ErrClosed. When MaxPending is set and the intake is full the
+// submission is shed with an *OverloadError (no ID is consumed, j is left
+// as it was); when a journal is attached the accepted submission is
+// appended — and fsynced per the sync policy — before SubmitJob returns,
+// so an acknowledged job survives a crash. Nothing keeps spec's slices
+// after the call.
 func (e *Engine) SubmitJob(spec workload.JobSpec, j *workload.Job) (int, error) {
 	if e.cfg.Telemetry.Enabled() {
 		defer func(start time.Time) {
 			e.cfg.Telemetry.Observe(obs.HistWallAdmission, float64(time.Since(start).Nanoseconds())/1e6)
 		}(time.Now())
 	}
-	now := e.NowMS()
 	e.intakeMu.Lock()
 	defer e.intakeMu.Unlock()
-	if e.closed {
+	if e.closed || e.ended {
 		return 0, ErrClosed
 	}
+	now := e.now()
 	if max := e.cfg.MaxPending; max > 0 {
-		if depth := e.accepted - int(e.finished.Load()); depth >= max {
+		if depth := e.accepted - e.view.finished(); depth >= max {
 			e.shed++
 			e.cfg.Telemetry.Add(obs.CounterServiceShed, 1)
 			return 0, &OverloadError{Pending: depth, Max: max, RetryAfter: e.retryAfter(depth - max + 1)}
@@ -409,7 +413,8 @@ func (e *Engine) SubmitJob(spec workload.JobSpec, j *workload.Job) (int, error) 
 // apply makes one journaled input take effect, and is the only place any
 // does: the live calls (SubmitJob, ApplyFaults, InjectOutage, CloseIntake)
 // validate their input, append rec and then apply it, holding intakeMu
-// (and mu as well for an outage); Recover applies each record it decoded
+// (and mu as well for an outage), as does the run loop for a fault switch
+// it held back until its instant; Recover applies each record it decoded
 // and validated before the engine is shared. For an accepted submission, j
 // is its bound job and infeasible whether the admission bound failed,
 // which flags the job for the SLO monitor.
@@ -424,7 +429,7 @@ func (e *Engine) apply(rec *journalRecord, j *workload.Job, infeasible bool) {
 		} else {
 			entry.job = j
 			e.accepted++
-			e.work.Add(e.effectiveWork(j))
+			e.work += e.effectiveWork(j)
 			e.intake = append(e.intake, j)
 			e.mon.JobSubmitted(rec.SimMS, rec.ID, infeasible)
 		}
@@ -433,7 +438,7 @@ func (e *Engine) apply(rec *journalRecord, j *workload.Job, infeasible bool) {
 		// A switch installs once the simulation clock reaches its instant:
 		// at once when applied live, and at once or from the run loop when
 		// replayed before Start.
-		if rec.SimMS > e.simNow.Load() {
+		if rec.SimMS > e.view.now {
 			e.scheduledFaults = append(e.scheduledFaults, rec)
 			return
 		}
@@ -451,9 +456,14 @@ func (e *Engine) apply(rec *journalRecord, j *workload.Job, infeasible bool) {
 }
 
 // PendingWork returns the engine's pending work estimate in ms: the
-// effectiveWork of every accepted job not yet completed or abandoned.
-// Lock-free, so a router can balance on it without waiting for a solve.
-func (e *Engine) PendingWork() int64 { return e.work.Load() }
+// effectiveWork of every accepted job not yet completed or abandoned as of
+// the last published view. It reads under intakeMu, so a router can balance
+// on it without waiting for a solve.
+func (e *Engine) PendingWork() int64 {
+	e.intakeMu.Lock()
+	defer e.intakeMu.Unlock()
+	return e.work
+}
 
 // effectiveWork estimates the wall-clock slot time job j will consume on
 // the engine's cluster: its total nominal work divided by the cluster's
@@ -478,18 +488,19 @@ func (e *Engine) effectiveWork(j *workload.Job) int64 {
 	return int64(float64(w) / mean)
 }
 
-// workObserver takes a finished job's work back out of PendingWork.
+// workObserver sums a finished job's work into doneWork, under mu, for the
+// next publish to take out of PendingWork.
 type workObserver struct {
 	sim.NopObserver
 	e *Engine
 }
 
 func (o workObserver) JobCompleted(_ int64, j *workload.Job, _ int64) {
-	o.e.work.Add(-o.e.effectiveWork(j))
+	o.e.doneWork += o.e.effectiveWork(j)
 }
 
 func (o workObserver) JobAbandoned(_ int64, j *workload.Job) {
-	o.e.work.Add(-o.e.effectiveWork(j))
+	o.e.doneWork += o.e.effectiveWork(j)
 }
 
 // Start launches the run loop. In Virtual mode submissions made before
@@ -524,7 +535,7 @@ func (e *Engine) CloseIntake() {
 	if e.closed {
 		return
 	}
-	rec := &journalRecord{Kind: recClose, SimMS: e.simNow.Load()}
+	rec := &journalRecord{Kind: recClose, SimMS: e.view.now}
 	// Best-effort: a failed append means recovery replays an open intake,
 	// which is safe (the operator re-closes it).
 	_ = e.journalAppend(rec)
@@ -553,15 +564,14 @@ func (e *Engine) Done() <-chan struct{} { return e.done }
 // Wait blocks until the run ends and returns its error, if any.
 func (e *Engine) Wait() error {
 	<-e.done
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.runErr
+	_, err := e.Result()
+	return err
 }
 
 // Result returns the final metrics; valid only after Done.
 func (e *Engine) Result() (*sim.Metrics, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.intakeMu.Lock()
+	defer e.intakeMu.Unlock()
 	return e.metrics, e.runErr
 }
 
@@ -612,36 +622,49 @@ func (e *Engine) signal() {
 	}
 }
 
-// loop is the run loop: inject intake, step the simulator, pace against
-// the wall clock when configured, drain and finish once the intake closes.
+// loop is the run loop: it runs the stream, ends the run with the outcome
+// and closes Done.
 func (e *Engine) loop() {
 	defer close(e.done)
-	defer e.closeJournal()
+	e.end(e.run())
+}
+
+// run injects intake, steps the simulator, paces against the wall clock
+// when configured, and drains and finishes once the intake closes.
+func (e *Engine) run() (*sim.Metrics, error) {
 	drained := false
 	for {
 		select {
 		case <-e.stop:
-			e.end(nil, ErrStopped)
-			return
+			return nil, ErrStopped
 		default:
 		}
-		e.applyScheduledFaults()
 		e.drainIntake()
 		next, pending := e.peek()
 		if !pending {
-			if e.intakePending() {
+			e.intakeMu.Lock()
+			queued, closed := len(e.intake) > 0, e.closed
+			e.intakeMu.Unlock()
+			switch {
+			case queued:
 				continue // raced: a submission landed after drainIntake
+			case !closed:
+				e.sleep(0)
+				continue
 			}
-			if e.intakeClosed() {
-				if !drained && e.drainManager() {
+			if !drained {
+				forced, err := e.drainManager()
+				if err != nil {
+					return nil, err
+				}
+				if forced {
 					drained = true
 					continue
 				}
-				e.finish()
-				return
 			}
-			e.sleep(0)
-			continue
+			e.mu.Lock()
+			defer e.mu.Unlock()
+			return e.sim.Finish()
 		}
 		if e.cfg.Mode == Wall {
 			if now := e.NowMS(); next > now {
@@ -655,38 +678,26 @@ func (e *Engine) loop() {
 		}
 		e.mu.Lock()
 		_, err := e.sim.Step()
-		m := e.publish()
-		e.simNow.Store(e.sim.Now())
+		e.publish()
 		e.mu.Unlock()
 		if err != nil {
-			e.end(nil, err)
-			return
+			return nil, err
 		}
-		// Fold the step into the backpressure state: the finished count
-		// and the drain-rate window.
-		fin := int64(m.JobsCompleted + m.JobsAbandoned)
-		e.finished.Store(fin)
-		e.rate.observe(time.Now(), fin)
 	}
 }
 
-// applyScheduledFaults applies replayed fault switches once the simulation
-// clock reaches their recorded instants. Only the run loop touches the
-// slice after Start.
-func (e *Engine) applyScheduledFaults() {
-	now := e.simNow.Load()
-	for len(e.scheduledFaults) > 0 && e.scheduledFaults[0].SimMS <= now {
+// drainIntake installs the replayed fault switches whose instants the
+// simulation clock has reached, then moves queued submissions into the
+// simulator. The batch is stable-sorted by effective arrival so a
+// pre-Start submission stream reproduces sim.New's arrival ordering
+// exactly.
+func (e *Engine) drainIntake() {
+	e.intakeMu.Lock()
+	for len(e.scheduledFaults) > 0 && e.scheduledFaults[0].SimMS <= e.view.now {
 		rec := e.scheduledFaults[0]
 		e.scheduledFaults = e.scheduledFaults[1:]
 		e.apply(rec, nil, false)
 	}
-}
-
-// drainIntake moves queued submissions into the simulator. The batch is
-// stable-sorted by effective arrival so a pre-Start submission stream
-// reproduces sim.New's arrival ordering exactly.
-func (e *Engine) drainIntake() {
-	e.intakeMu.Lock()
 	batch := e.intake
 	e.intake = nil
 	e.intakeMu.Unlock()
@@ -716,14 +727,14 @@ func (e *Engine) drainIntake() {
 			e.entries[j.ID].injectErr = err
 			e.accepted--
 			e.rejects++
-			e.work.Add(-e.effectiveWork(j))
+			e.work -= e.effectiveWork(j)
 			e.intakeMu.Unlock()
 		}
 	}
 	e.publish()
 }
 
-// simView is what the metrics readers see of the simulator and manager.
+// simView is what the readers see of the simulator and manager.
 type simView struct {
 	metrics     sim.Metrics
 	now         int64
@@ -731,27 +742,28 @@ type simView struct {
 	manager     core.Stats
 }
 
+// finished counts the view's completed and abandoned jobs.
+func (v *simView) finished() int { return v.metrics.JobsCompleted + v.metrics.JobsAbandoned }
+
 // managerStats is implemented by resource managers that keep core.Stats.
 type managerStats interface{ Stats() core.Stats }
 
-// publish copies the simulator state the metrics readers report into
-// e.view, in place, and returns the metrics it copied. Called under mu.
-func (e *Engine) publish() sim.Metrics {
+// publish copies what the readers report of the simulator and manager into
+// e.view, takes doneWork out of the pending work and observes the drain
+// rate, all in one intakeMu section. Called under mu after every change to
+// the simulator.
+func (e *Engine) publish() {
 	v := simView{metrics: e.sim.CurrentMetrics(), now: e.sim.Now(), outstanding: e.sim.OutstandingJobs()}
 	if st, ok := e.rm.(managerStats); ok {
 		v.manager = st.Stats()
 	}
-	e.viewMu.Lock()
+	at := time.Now()
+	e.intakeMu.Lock()
 	e.view = v
-	e.viewMu.Unlock()
-	return v.metrics
-}
-
-// readView returns the last published view.
-func (e *Engine) readView() simView {
-	e.viewMu.Lock()
-	defer e.viewMu.Unlock()
-	return e.view
+	e.work -= e.doneWork
+	e.rate.observe(at, v.finished())
+	e.intakeMu.Unlock()
+	e.doneWork = 0
 }
 
 // peek reports the next event's timestamp under the simulator lock.
@@ -761,42 +773,29 @@ func (e *Engine) peek() (int64, bool) {
 	return e.sim.NextEventAt()
 }
 
-func (e *Engine) intakePending() bool {
-	e.intakeMu.Lock()
-	defer e.intakeMu.Unlock()
-	return len(e.intake) > 0
-}
-
-func (e *Engine) intakeClosed() bool {
-	e.intakeMu.Lock()
-	defer e.intakeMu.Unlock()
-	return e.closed
-}
-
 // drainManager force-admits jobs the manager still holds deferred after
 // the event queue ran dry; it reports whether a drain was actually needed
 // so the loop retries stepping once. In practice deferred jobs keep timers
 // queued, so this is a shutdown safety net.
-func (e *Engine) drainManager() bool {
+func (e *Engine) drainManager() (bool, error) {
 	type drainer interface {
 		Drain(sim.Context) error
 		Outstanding() int
 	}
 	d, ok := e.rm.(drainer)
 	if !ok {
-		return false
+		return false, nil
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if d.Outstanding() == 0 {
-		return false
+		return false, nil
 	}
 	if err := d.Drain(e.sim); err != nil {
-		e.runErr = err
-		return false
+		return false, err
 	}
 	e.publish()
-	return true
+	return true, nil
 }
 
 // sleep waits for a wake-up, a stop, or (when d > 0) the timeout.
@@ -814,19 +813,6 @@ func (e *Engine) sleep(d time.Duration) {
 	case <-e.wake:
 	case <-e.stop:
 	case <-t.C:
-	}
-}
-
-func (e *Engine) finish() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.runErr != nil {
-		return // a drain error already ended the run
-	}
-	m, err := e.sim.Finish()
-	e.metrics, e.runErr = m, err
-	if m != nil {
-		e.finished.Store(int64(m.JobsCompleted + m.JobsAbandoned))
 	}
 }
 
@@ -853,21 +839,18 @@ func (e *Engine) retryAfter(excess int) time.Duration {
 // rateTracker keeps a short window of (wall time, finished jobs) samples
 // so shed responses can estimate the current drain rate.
 type rateTracker struct {
-	mu  sync.Mutex
 	pts []ratePoint
 }
 
 type ratePoint struct {
 	at  time.Time
-	fin int64
+	fin int
 }
 
 // rateWindow bounds how far back the drain-rate estimate looks.
 const rateWindow = 10 * time.Second
 
-func (t *rateTracker) observe(at time.Time, fin int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+func (t *rateTracker) observe(at time.Time, fin int) {
 	n := len(t.pts)
 	if n > 0 && t.pts[n-1].fin == fin && at.Sub(t.pts[n-1].at) < 250*time.Millisecond {
 		return
@@ -884,8 +867,6 @@ func (t *rateTracker) observe(at time.Time, fin int64) {
 // perSec returns the drain rate in jobs per wall second over the sample
 // window, or 0 when unknown.
 func (t *rateTracker) perSec() float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	n := len(t.pts)
 	if n < 2 {
 		return 0
@@ -898,10 +879,15 @@ func (t *rateTracker) perSec() float64 {
 	return df / dt
 }
 
+// end records the run's outcome and marks the run ended, then syncs and
+// closes the journal; every record that matters is on disk by then.
 func (e *Engine) end(m *sim.Metrics, err error) {
-	e.mu.Lock()
-	e.metrics, e.runErr = m, err
-	e.mu.Unlock()
+	e.intakeMu.Lock()
+	defer e.intakeMu.Unlock()
+	e.metrics, e.runErr, e.ended = m, err, true
+	if e.journal != nil {
+		_ = e.journal.Close()
+	}
 }
 
 // --- Queries ---
@@ -1187,8 +1173,13 @@ func (s Snapshot) Ready() (bool, string) {
 // alone, never the simulator lock the run loop holds across a solve.
 func (e *Engine) Health() Health {
 	e.intakeMu.Lock()
+	defer e.intakeMu.Unlock()
+	return e.health()
+}
+
+// health is Health under intakeMu.
+func (e *Engine) health() Health {
 	h := Health{Mode: e.cfg.Mode.String(), Running: e.started, Closed: e.closed}
-	e.intakeMu.Unlock()
 	select {
 	case <-e.done:
 		h.Finished, h.Running = true, false
@@ -1197,45 +1188,45 @@ func (e *Engine) Health() Health {
 	return h
 }
 
-// Metrics returns the current engine-wide snapshot; safe mid-run, and it
-// reads the simulator only through the view the run loop publishes.
+// Metrics returns the current engine-wide snapshot; safe mid-run. Its
+// counters, the published view and the clock are read in one intakeMu
+// section, so they describe one moment, and the simulator lock is never
+// taken.
 func (e *Engine) Metrics() Snapshot {
-	h := e.Health()
 	e.intakeMu.Lock()
+	h, v := e.health(), e.view
+	m := &v.metrics
 	snap := Snapshot{
-		Mode:       h.Mode,
-		Policy:     e.policy,
-		Running:    h.Running,
-		Finished:   h.Finished,
-		Closed:     h.Closed,
-		Submitted:  len(e.entries),
-		Rejected:   e.rejects,
-		Shed:       e.shed,
-		Pending:    e.accepted - int(e.finished.Load()),
-		MaxPending: e.cfg.MaxPending,
-		Journal:    e.cfg.JournalPath,
+		Mode:          h.Mode,
+		Policy:        e.policy,
+		SimTimeMS:     v.now,
+		Running:       h.Running,
+		Finished:      h.Finished,
+		Closed:        h.Closed,
+		Submitted:     len(e.entries),
+		Rejected:      e.rejects,
+		Shed:          e.shed,
+		Pending:       e.accepted - v.finished(),
+		MaxPending:    e.cfg.MaxPending,
+		Journal:       e.cfg.JournalPath,
+		JobsArrived:   m.JobsArrived,
+		JobsCompleted: m.JobsCompleted,
+		LateJobs:      m.LateJobs,
+		JobsAbandoned: m.JobsAbandoned,
+		Outstanding:   v.outstanding,
+		TasksFailed:   m.TasksFailed,
+		TasksKilled:   m.TasksKilled,
+		Outages:       m.Outages,
 	}
+	final, now := e.metrics, e.now()
 	e.intakeMu.Unlock()
-	if snap.Finished {
-		if m, _ := e.Result(); m != nil {
-			snap.Fingerprint = fmt.Sprintf("%016x", m.Fingerprint())
-		}
+	if h.Finished && final != nil {
+		snap.Fingerprint = fmt.Sprintf("%016x", final.Fingerprint())
 	}
-	v := e.readView()
-	m := v.metrics
-	snap.SimTimeMS = v.now
-	snap.Outstanding = v.outstanding
 	if _, ok := e.rm.(managerStats); ok {
 		snap.Manager = &v.manager
 	}
-	snap.JobsArrived = m.JobsArrived
-	snap.JobsCompleted = m.JobsCompleted
-	snap.LateJobs = m.LateJobs
-	snap.JobsAbandoned = m.JobsAbandoned
-	snap.TasksFailed = m.TasksFailed
-	snap.TasksKilled = m.TasksKilled
-	snap.Outages = m.Outages
-	burn := e.mon.Burn(e.NowMS())
+	burn := e.mon.Burn(now)
 	snap.SLO = &burn
 	if by := missByClass(e.mon.AttributionTotals()); len(by) > 0 {
 		snap.MissByClass = by

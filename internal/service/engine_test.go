@@ -366,6 +366,106 @@ func TestAdminAfterFinish(t *testing.T) {
 	}
 }
 
+// TestSubmitAfterStop: once Stop has ended the run, its intake never
+// closed, a submission gets ErrClosed (HTTP 503), the answer a closed
+// intake gives, before anything is registered or journaled, journal on or
+// off.
+func TestSubmitAfterStop(t *testing.T) {
+	for _, journal := range []bool{false, true} {
+		t.Run(fmt.Sprintf("journal=%v", journal), func(t *testing.T) {
+			cfg := Config{Cluster: memCluster, Policy: "fifo"}
+			if journal {
+				cfg.JournalPath, cfg.JournalSync = filepath.Join(t.TempDir(), "run.wal"), "none"
+			}
+			e, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Stop()
+			if id, err := e.Submit(fittingSpec); !errors.Is(err, ErrClosed) {
+				t.Errorf("Submit after Stop: id %d, %v, want ErrClosed", id, err)
+			}
+			rec := httptest.NewRecorder()
+			engineHandler(e).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", specReader(t, fittingSpec)))
+			if rec.Code != http.StatusServiceUnavailable {
+				t.Errorf("POST after Stop: %d %s, want 503", rec.Code, rec.Body)
+			}
+			if jobs, snap := e.Jobs(), e.Metrics(); len(jobs) != 0 || snap.Submitted != 0 || e.PendingWork() != 0 {
+				t.Errorf("registry holds %d jobs (submitted %d, pending work %d) after Stop, want none",
+					len(jobs), snap.Submitted, e.PendingWork())
+			}
+			if !journal {
+				return
+			}
+			j, recs, err := wal.Open(cfg.JournalPath, wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			if len(recs) != 1 { // meta
+				t.Errorf("journal holds %d records after the refused submissions, want 1", len(recs))
+			}
+		})
+	}
+}
+
+// TestMetricsOneSnapshot polls Metrics while a virtual run drains and
+// submissions still arrive: every snapshot must read its depth and its job
+// counts at one moment, so Pending is exactly what they leave.
+func TestMetricsOneSnapshot(t *testing.T) {
+	e, err := New(Config{Cluster: memCluster, Policy: "fifo"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 300
+	for i := 0; i < n/3; i++ {
+		if _, err := e.Submit(fittingSpec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		defer e.CloseIntake()
+		for i := n / 3; i < n; i++ {
+			spec := fittingSpec
+			if i%10 == 0 {
+				spec = unrunnableSpec
+			}
+			if _, err := e.Submit(spec); err != nil && !errors.As(err, new(*core.AdmissionError)) {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	check := func(s Snapshot) {
+		t.Helper()
+		if want := s.Submitted - s.Rejected - s.JobsCompleted - s.JobsAbandoned; s.Pending != want {
+			t.Fatalf("pending %d, but submitted %d - rejected %d - completed %d - abandoned %d = %d",
+				s.Pending, s.Submitted, s.Rejected, s.JobsCompleted, s.JobsAbandoned, want)
+		}
+	}
+	polls := 0
+	for done := false; !done; polls++ {
+		select {
+		case <-e.Done():
+			done = true
+		default:
+		}
+		check(e.Metrics())
+	}
+	if err := e.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	final := e.Metrics()
+	check(final)
+	if final.Submitted != n || final.Pending != 0 {
+		t.Fatalf("final snapshot submitted %d pending %d, want %d and 0", final.Submitted, final.Pending, n)
+	}
+	t.Logf("%d consistent polls", polls)
+}
+
 // memCluster and fitting/unrunnable specs: on a capacity-4 memory cluster a
 // task asking for 5 units can never run, whatever its deadline.
 var (

@@ -76,7 +76,7 @@ type Health struct {
 // Error bodies are {"error":"..."}: 400 malformed, 404 unknown job, 409 a
 // second start or a fault request after the run ended, 422 admission
 // rejection, 429 shed by backpressure (with a Retry-After header), 500
-// journal write failure, 503 intake closed.
+// journal write failure, 503 intake closed or run ended.
 func NewBackendHandler(b Backend) http.Handler {
 	s := &server{b: b}
 	mux := http.NewServeMux()

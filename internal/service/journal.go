@@ -15,8 +15,8 @@ package service
 // TestVirtualRunMatchesSim), recovery does not need checkpoints: the
 // replayed engine re-runs the stream, and the result is bit-identical to
 // the uninterrupted run, fingerprint and all. Once the run loop has
-// exited, a fault switch or an outage is refused with ErrFinished before
-// anything is journaled.
+// exited, a fault switch or an outage is refused with ErrFinished, and a
+// submission with ErrClosed, before anything is journaled.
 //
 // The bit-exactness guarantee targets the virtual-clock regime in which
 // submissions precede Start (the loadgen / CI replay flow) under
@@ -120,7 +120,7 @@ func (e *Engine) ApplyFaults(spec FaultSpec) error {
 	if e.ended {
 		return ErrFinished
 	}
-	rec := &journalRecord{Kind: recFaults, SimMS: e.simNow.Load(), Faults: &spec}
+	rec := &journalRecord{Kind: recFaults, SimMS: e.view.now, Faults: &spec}
 	if err := e.journalAppend(rec); err != nil {
 		return err
 	}
@@ -155,18 +155,6 @@ func (e *Engine) journalAppend(rec *journalRecord) error {
 		return fmt.Errorf("%w: %v", ErrJournal, err)
 	}
 	return nil
-}
-
-// closeJournal marks the run ended when the run loop exits, and syncs and
-// closes the journal; every record that matters is already on disk by
-// then.
-func (e *Engine) closeJournal() {
-	e.intakeMu.Lock()
-	defer e.intakeMu.Unlock()
-	e.ended = true
-	if e.journal != nil {
-		_ = e.journal.Close()
-	}
 }
 
 // RecoveryInfo summarizes what Recover replayed from a journal.

@@ -41,8 +41,8 @@ func (s *Simulator) scanSample() sample {
 // ever registered.
 func (s *Simulator) scanOutstandingJobs() int {
 	n := 0
-	for j, js := range s.pending {
-		if js.left > 0 && !s.abandoned[j] {
+	for _, js := range s.byJob {
+		if js.left > 0 && !js.abandoned {
 			n++
 		}
 	}
@@ -106,7 +106,7 @@ func CheckCounters(s *Simulator) error {
 	if got, want := s.OutstandingJobs(), s.scanOutstandingJobs(); got != want {
 		return fmt.Errorf("OutstandingJobs %d, scan %d", got, want)
 	}
-	for j, js := range s.pending {
+	for j, js := range s.byJob {
 		mapsLeft := 0
 		for _, mt := range j.MapTasks {
 			if !s.tasks[mt].completed {

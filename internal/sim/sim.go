@@ -116,8 +116,10 @@ type taskState struct {
 	effExec int64
 }
 
-// jobState is the bookkeeping the task states of one job share.
+// jobState is the simulator's one record of a job: the bookkeeping its
+// task states share and how the job ended.
 type jobState struct {
+	job *workload.Job
 	// first is the key of the job's first task: its task states are
 	// byKey[first:first+NumTasks()], maps then reduces.
 	first int32
@@ -125,6 +127,10 @@ type jobState struct {
 	// mapsLeft counts uncompleted map tasks: a reduce task may start only
 	// at zero (classic MapReduce jobs; TaskPrecedence jobs use Preds).
 	mapsLeft int
+	// abandoned says the job was given up on; doneAt is its completion
+	// instant once left is 0 and it was not abandoned.
+	abandoned bool
+	doneAt    int64
 }
 
 // Simulator drives one run: a fixed job list (with arrival times) against a
@@ -132,14 +138,16 @@ type jobState struct {
 type Simulator struct {
 	cluster Cluster
 	rm      ResourceManager
-	jobs    []*workload.Job
+	// jobs holds every job's record in registration order (arrival events
+	// index it); byJob finds the same records by job.
+	jobs  []*jobState
+	byJob map[*workload.Job]*jobState
 
 	queue   eventQueue
 	clock   int64
 	ledger  *slotLedger
 	tasks   map[*workload.Task]*taskState
 	byKey   []*taskState
-	pending map[*workload.Job]*jobState
 	metrics Metrics
 	timers  map[int64]bool
 	// activeSince[r] is the instant resource r last became non-idle, or -1.
@@ -160,15 +168,12 @@ type Simulator struct {
 	injector  FaultInjector
 	down      []bool
 	downSince []int64
-	abandoned map[*workload.Job]bool
 
 	// Stepped-execution state (the clock abstraction used by the online
-	// service): started flips on the first Step, completedAt records job
-	// completion instants for mid-run status queries, and outageUntil[r]
-	// tracks the latest known outage end so runtime injection can reject
+	// service): started flips on the first Step, and outageUntil[r] tracks
+	// the latest known outage end so runtime injection can reject
 	// overlapping windows.
 	started     bool
-	completedAt map[*workload.Job]int64
 	outageUntil []int64
 }
 
@@ -281,15 +286,13 @@ func New(cluster Cluster, rm ResourceManager, jobs []*workload.Job) (*Simulator,
 	s := &Simulator{
 		cluster:     cluster,
 		rm:          rm,
-		jobs:        sorted,
+		jobs:        make([]*jobState, 0, len(sorted)),
+		byJob:       make(map[*workload.Job]*jobState, len(sorted)),
 		ledger:      newSlotLedger(cluster),
-		pending:     make(map[*workload.Job]*jobState),
 		timers:      make(map[int64]bool),
 		activeSince: make([]int64, cluster.NumResources),
 		down:        make([]bool, cluster.NumResources),
 		downSince:   make([]int64, cluster.NumResources),
-		abandoned:   make(map[*workload.Job]bool),
-		completedAt: make(map[*workload.Job]int64),
 		outageUntil: make([]int64, cluster.NumResources),
 	}
 	for r := range s.activeSince {
@@ -300,7 +303,7 @@ func New(cluster Cluster, rm ResourceManager, jobs []*workload.Job) (*Simulator,
 		nTasks += j.NumTasks()
 	}
 	s.Reserve(nTasks)
-	for idx, j := range sorted {
+	for _, j := range sorted {
 		if err := j.Validate(); err != nil {
 			return nil, err
 		}
@@ -311,7 +314,7 @@ func New(cluster Cluster, rm ResourceManager, jobs []*workload.Job) (*Simulator,
 				}
 			}
 		}
-		s.register(j, idx)
+		s.register(j)
 	}
 	return s, nil
 }
@@ -337,12 +340,12 @@ func (s *Simulator) Reserve(n int) {
 	s.tasks = tasks
 }
 
-// register enters a checked job (s.jobs[jobIdx]) into the run: its task
-// states, allocated as one block and keyed maps first, then reduces, and
-// its arrival event.
-func (s *Simulator) register(j *workload.Job, jobIdx int) {
+// register enters a checked job into the run: its record, its task states,
+// allocated as one block and keyed maps first, then reduces, and its
+// arrival event.
+func (s *Simulator) register(j *workload.Job) {
 	states := make([]taskState, j.NumTasks())
-	js := &jobState{first: int32(len(s.byKey)), left: len(states), mapsLeft: len(j.MapTasks)}
+	js := &jobState{job: j, first: int32(len(s.byKey)), left: len(states), mapsLeft: len(j.MapTasks)}
 	i := 0
 	for _, tasks := range [2][]*workload.Task{j.MapTasks, j.ReduceTasks} {
 		for _, t := range tasks {
@@ -353,8 +356,9 @@ func (s *Simulator) register(j *workload.Job, jobIdx int) {
 			s.byKey = append(s.byKey, st)
 		}
 	}
-	s.pending[j] = js
-	s.queue.push(event{at: j.Arrival, kind: evJobArrival, jobIdx: jobIdx})
+	s.queue.push(event{at: j.Arrival, kind: evJobArrival, jobIdx: len(s.jobs)})
+	s.jobs = append(s.jobs, js)
+	s.byJob[j] = js
 }
 
 // Run executes the simulation to completion and returns the metrics. It is
@@ -416,9 +420,8 @@ func (s *Simulator) Step() (bool, error) {
 	var err error
 	switch ev.kind {
 	case evJobArrival:
-		j := s.jobs[ev.jobIdx]
 		s.metrics.JobsArrived++
-		err = s.rm.OnJobArrival(s, j)
+		err = s.rm.OnJobArrival(s, s.jobs[ev.jobIdx].job)
 	case evTimer:
 		if s.timers[ev.at] {
 			delete(s.timers, ev.at)
@@ -452,12 +455,13 @@ func (s *Simulator) NextEventAt() (int64, bool) {
 }
 
 // Finish validates that every job completed (or was abandoned), emits the
-// final telemetry, and returns the metrics. Call it once, after Step reports
-// no events remain.
+// final telemetry, and returns the metrics; an incomplete run names its
+// earliest-registered incomplete job. Call it once, after Step reports no
+// events remain.
 func (s *Simulator) Finish() (*Metrics, error) {
-	for j, js := range s.pending {
-		if js.left > 0 && !s.abandoned[j] {
-			return nil, fmt.Errorf("sim: run ended with job %d incomplete (%d tasks left)", j.ID, js.left)
+	for _, js := range s.jobs {
+		if js.left > 0 && !js.abandoned {
+			return nil, fmt.Errorf("sim: run ended with job %d incomplete (%d tasks left)", js.job.ID, js.left)
 		}
 	}
 	if s.tel.Enabled() {
@@ -495,8 +499,7 @@ func (s *Simulator) AddJob(j *workload.Job) error {
 			}
 		}
 	}
-	s.jobs = append(s.jobs, j)
-	s.register(j, len(s.jobs)-1)
+	s.register(j)
 	return nil
 }
 
@@ -551,12 +554,18 @@ func (s *Simulator) OutageEnd(res int) int64 {
 // JobDone returns the completion instant of a job, or false while it is
 // still outstanding (or was abandoned).
 func (s *Simulator) JobDone(j *workload.Job) (int64, bool) {
-	at, ok := s.completedAt[j]
-	return at, ok
+	js, ok := s.byJob[j]
+	if !ok || js.left > 0 || js.abandoned {
+		return 0, false
+	}
+	return js.doneAt, true
 }
 
 // Abandoned reports whether the job was given up on.
-func (s *Simulator) Abandoned(j *workload.Job) bool { return s.abandoned[j] }
+func (s *Simulator) Abandoned(j *workload.Job) bool {
+	js, ok := s.byJob[j]
+	return ok && js.abandoned
+}
 
 // OutstandingJobs counts arrived jobs that are neither completed nor
 // abandoned plus jobs whose arrival events are still queued.
@@ -721,8 +730,8 @@ func (s *Simulator) handleTaskFinish(ev event) error {
 		st.js.mapsLeft--
 	}
 	st.js.left--
-	if st.js.left == 0 && !s.abandoned[j] {
-		s.completeJob(j)
+	if st.js.left == 0 && !st.js.abandoned {
+		s.completeJob(st.js)
 	}
 	return s.rm.OnTaskComplete(s, t)
 }
@@ -816,8 +825,9 @@ func (s *Simulator) closeActiveWindow(res int) {
 	}
 }
 
-func (s *Simulator) completeJob(j *workload.Job) {
-	s.completedAt[j] = s.clock
+func (s *Simulator) completeJob(js *jobState) {
+	j := js.job
+	js.doneAt = s.clock
 	s.metrics.JobsCompleted++
 	rec := JobRecord{Job: j, Completion: s.clock, Done: true}
 	if rec.Late() {
@@ -929,19 +939,19 @@ func (s *Simulator) Status(t *workload.Task) TaskStatus {
 
 // JobStatus appends the state of each of j's tasks, maps then reduces.
 func (s *Simulator) JobStatus(j *workload.Job, buf []TaskStatus) []TaskStatus {
-	js, ok := s.pending[j]
+	js, ok := s.byJob[j]
 	if !ok {
 		return buf
 	}
-	for _, st := range js.states(s, j) {
+	for _, st := range js.states(s) {
 		buf = append(buf, st.status())
 	}
 	return buf
 }
 
-// states returns the task states of j, whose bookkeeping js is.
-func (js *jobState) states(s *Simulator, j *workload.Job) []*taskState {
-	return s.byKey[js.first : int(js.first)+j.NumTasks()]
+// states returns the task states of js's job.
+func (js *jobState) states(s *Simulator) []*taskState {
+	return s.byKey[js.first : int(js.first)+js.job.NumTasks()]
 }
 
 func (st *taskState) status() TaskStatus {
@@ -993,22 +1003,22 @@ func (s *Simulator) Attempts(t *workload.Task) int {
 // AbandonJob implements Context: the job's pending placements are removed
 // and the run may end without completing it.
 func (s *Simulator) AbandonJob(j *workload.Job) error {
-	js, known := s.pending[j]
+	js, known := s.byJob[j]
 	if !known {
 		return fmt.Errorf("sim: cannot abandon unknown job %d", j.ID)
 	}
 	if js.left == 0 {
 		return fmt.Errorf("sim: cannot abandon completed job %d", j.ID)
 	}
-	if s.abandoned[j] {
+	if js.abandoned {
 		return fmt.Errorf("sim: job %d abandoned twice", j.ID)
 	}
-	s.abandoned[j] = true
+	js.abandoned = true
 	s.metrics.JobsAbandoned++
 	for _, o := range s.observers {
 		o.JobAbandoned(s.clock, j)
 	}
-	for _, st := range js.states(s, j) {
+	for _, st := range js.states(s) {
 		if st.scheduled && !st.started {
 			s.unplace(st)
 		}

@@ -364,12 +364,27 @@ func TestSimRejectsPastSchedule(t *testing.T) {
 }
 
 func TestSimUnscheduledTaskFailsRun(t *testing.T) {
-	// An RM that never schedules anything leaves the job incomplete.
-	j := makeJob(0, 0, 0, 1e9, []int64{1000}, nil)
-	s, _ := New(oneSlotCluster(), &noopRM{}, []*workload.Job{j})
-	_, err := s.Run()
-	if err == nil || !strings.Contains(err.Error(), "incomplete") {
-		t.Fatalf("expected incomplete-job error, got %v", err)
+	// An RM that never schedules anything leaves every job incomplete; the
+	// error names the earliest-registered one. New registers in arrival
+	// order, so of 16 jobs whose IDs run against their arrivals job 15 is
+	// named, whatever order a map would have walked them in.
+	var reversed []*workload.Job
+	for id := 0; id < 16; id++ {
+		reversed = append(reversed, makeJob(id, int64(15-id)*100, int64(15-id)*100, 1e9, []int64{1000}, nil))
+	}
+	for _, tc := range []struct {
+		name string
+		jobs []*workload.Job
+		want string
+	}{
+		{"one job", []*workload.Job{makeJob(0, 0, 0, 1e9, []int64{1000}, nil)}, "job 0 incomplete"},
+		{"earliest registered", reversed, "job 15 incomplete"},
+	} {
+		s, _ := New(oneSlotCluster(), &noopRM{}, tc.jobs)
+		_, err := s.Run()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: expected %q error, got %v", tc.name, tc.want, err)
+		}
 	}
 }
 

@@ -297,7 +297,8 @@ const (
 
 // Service sentinel errors.
 var (
-	// ErrServiceClosed means intake has been closed to new submissions.
+	// ErrServiceClosed means intake has been closed to new submissions, or
+	// the run has ended.
 	ErrServiceClosed = service.ErrClosed
 	// ErrServiceRunning means Start was called on a running engine.
 	ErrServiceRunning = service.ErrRunning
