@@ -55,7 +55,6 @@ func main() {
 	common := cli.New()
 	demo := flag.Bool("demo", false, "solve a built-in example problem")
 	direct := flag.Bool("direct", false, "use the direct (per-resource) CP formulation")
-	opl := flag.Bool("opl", false, "print the CP model in OPL-like syntax before solving")
 	common.Parse()
 
 	var data []byte
@@ -79,12 +78,6 @@ func main() {
 	cfg := mrcprm.DefaultConfig()
 	if *direct {
 		cfg.Mode = mrcprm.ModeDirect
-	}
-	if *opl {
-		if err := mrcprm.WriteBatchModelOPL(cluster, jobs, cfg, os.Stdout); err != nil {
-			fatal(err)
-		}
-		fmt.Println()
 	}
 	sched, err := mrcprm.SolveBatch(cluster, jobs, cfg)
 	if err != nil {

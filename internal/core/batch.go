@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"time"
 
@@ -48,7 +47,19 @@ type Schedule struct {
 // start times and deadlines are honored. The returned assignments are
 // sorted by start time.
 func SolveBatch(cluster sim.Cluster, jobs []*workload.Job, cfg Config) (*Schedule, error) {
-	bm, err := buildBatchModel(cluster, jobs, cfg)
+	if err := cluster.Validate(); err != nil {
+		return nil, err
+	}
+	// The closed-system model: every task of every job pending at time 0 on
+	// a fully available cluster, in the formulation the cluster calls for.
+	work := make([]*jobWork, len(jobs))
+	for i, j := range jobs {
+		if err := j.Validate(); err != nil {
+			return nil, err
+		}
+		work[i] = &jobWork{job: j, pendingMaps: j.MapTasks, pendingReds: j.ReduceTasks}
+	}
+	bm, err := new(round).buildModel(cfg.formulation(cluster), 0, cluster, work, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -106,34 +117,6 @@ func SolveBatch(cluster sim.Cluster, jobs []*workload.Job, cfg Config) (*Schedul
 	}
 	sort.Ints(sched.LateJobs)
 	return sched, nil
-}
-
-// buildBatchModel builds the closed-system model of a batch: every task of
-// every job pending at time 0 on a fully available cluster, in the
-// formulation the cluster calls for.
-func buildBatchModel(cluster sim.Cluster, jobs []*workload.Job, cfg Config) (*builtModel, error) {
-	if err := cluster.Validate(); err != nil {
-		return nil, err
-	}
-	work := make([]*jobWork, len(jobs))
-	for i, j := range jobs {
-		if err := j.Validate(); err != nil {
-			return nil, err
-		}
-		work[i] = &jobWork{job: j, pendingMaps: j.MapTasks, pendingReds: j.ReduceTasks}
-	}
-	return new(round).buildModel(cfg.formulation(cluster), 0, cluster, work, nil)
-}
-
-// WriteBatchModelOPL builds the CP model a batch solve would use and
-// renders it in OPL-like syntax (the notation of the paper's Section IV)
-// for inspection, without solving it.
-func WriteBatchModelOPL(cluster sim.Cluster, jobs []*workload.Job, cfg Config, w io.Writer) error {
-	bm, err := buildBatchModel(cluster, jobs, cfg)
-	if err != nil {
-		return err
-	}
-	return bm.model.WriteOPL(w)
 }
 
 // Validate checks a schedule against the problem rules on the cluster's

@@ -2,76 +2,11 @@ package core
 
 import (
 	"testing"
-	"time"
 
 	"mrcprm/internal/sim"
 	"mrcprm/internal/stats"
 	"mrcprm/internal/workload"
 )
-
-// --- drain ---
-
-// TestDrainWithRunningTasks: Drain force-admits a Section V.E-deferred job
-// while other tasks are mid-execution, and the run then completes without
-// waiting for the parked timer.
-func TestDrainWithRunningTasks(t *testing.T) {
-	cluster := sim.Cluster{NumResources: 2, MapSlots: 1, ReduceSlots: 1}
-	cfg := deterministicConfig()
-	cfg.DeferralLead = 10 * time.Second
-	jobs := []*workload.Job{
-		mkJob(0, 0, 0, 32_000, []int64{30_000}, nil),
-		mkJob(1, 1000, 100_000, 400_000, []int64{5_000}, nil), // deferred (far-future start)
-		mkJob(2, 2000, 2000, 300_000, []int64{5_000}, nil),
-	}
-
-	mgr := New(cluster, cfg)
-	s, err := sim.New(cluster, mgr, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Step until job 2's arrival has been processed and job 0 is running.
-	for {
-		more, err := s.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !more {
-			t.Fatal("run ended before drain point")
-		}
-		if s.Now() >= 2000 {
-			break
-		}
-	}
-	if !s.Status(jobs[0].MapTasks[0]).Started {
-		t.Fatal("job 0 should be running at drain time")
-	}
-	if mgr.Stats().Deferred != 1 {
-		t.Fatalf("deferred=%d, want 1", mgr.Stats().Deferred)
-	}
-	if mgr.Outstanding() != 3 {
-		t.Fatalf("outstanding=%d, want 3", mgr.Outstanding())
-	}
-
-	if err := mgr.Drain(s); err != nil {
-		t.Fatal(err)
-	}
-	m, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.JobsCompleted != 3 {
-		t.Fatalf("completed %d, want 3", m.JobsCompleted)
-	}
-	if mgr.Outstanding() != 0 {
-		t.Fatalf("outstanding=%d after drain+run", mgr.Outstanding())
-	}
-	// The force-admitted job still honors its earliest start time.
-	for _, r := range m.Records {
-		if r.Job.ID == 1 && r.Completion < 105_000 {
-			t.Fatalf("deferred job completed at %d, before earliest start + exec", r.Completion)
-		}
-	}
-}
 
 // --- determinism fingerprints ---
 

@@ -93,32 +93,6 @@ func (m *Manager) OnJobArrival(ctx sim.Context, j *workload.Job) error {
 	return err
 }
 
-// Drain force-admits every deferred job and replans, so that an engine
-// shutting down can finish all outstanding work without waiting for parked
-// timers. The ctx is the same simulation the manager runs against; callers
-// invoke Drain between events, never from inside a manager callback.
-func (m *Manager) Drain(ctx sim.Context) error {
-	started := time.Now()
-	n := len(m.deferred)
-	for _, j := range m.deferred {
-		m.jobs.Admit(j)
-	}
-	m.deferred = m.deferred[:0]
-	var err error
-	if n > 0 {
-		err = m.reschedule(ctx, "drain")
-	}
-	ctx.AddOverhead(time.Since(started))
-	return err
-}
-
-// Outstanding counts the jobs the manager is still responsible for: active
-// (scheduled or running, including abandoned jobs with draining attempts)
-// and deferred.
-func (m *Manager) Outstanding() int {
-	return m.jobs.Len() + len(m.deferred)
-}
-
 // parkedUntil is the Section V.E test: the simulated time until which job j
 // stays parked (EarliestStart - lead), or 0 when it should be admitted now.
 // The release time is static per job, so the timer armed at arrival suffices.

@@ -571,12 +571,6 @@ func (m *Model) AddPhaseBarrier(preds, succs []*Interval) {
 	}
 }
 
-// AddMaxEndBeforeStart posts Constraint 3 for a single successor; it is a
-// convenience wrapper over AddPhaseBarrier.
-func (m *Model) AddMaxEndBeforeStart(preds []*Interval, succ *Interval) {
-	m.AddPhaseBarrier(preds, []*Interval{succ})
-}
-
 // AddLateness posts Constraint 4: late is forced to 1 when the job's last
 // terminal task must finish after the deadline; conversely, deciding
 // late = 0 enforces the deadline on every terminal task.

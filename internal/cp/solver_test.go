@@ -58,7 +58,7 @@ func TestSolvePrecedenceMapReduce(t *testing.T) {
 	m := NewModel(10000)
 	maps := []*Interval{m.NewInterval("m1", 30), m.NewInterval("m2", 50)}
 	red := m.NewInterval("r1", 20)
-	m.AddMaxEndBeforeStart(maps, red)
+	m.AddPhaseBarrier(maps, []*Interval{red})
 	m.AddCumulative("map", -1, 2, maps)
 	m.AddCumulative("red", -1, 1, []*Interval{red})
 	r := solveOK(t, m, Params{})

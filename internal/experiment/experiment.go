@@ -265,7 +265,7 @@ func runReplications(opts Options, body func(rep int, rng *stats.Stream) (*sim.M
 	var mu sync.Mutex
 	byRep := make(map[int]*sim.Metrics)
 	var firstErr error
-	primary := opts.Policy.RunParallel(opts.replicationWorkers(), func(rep int) float64 {
+	primary := opts.Policy.Run(opts.replicationWorkers(), func(rep int) float64 {
 		rng := stats.NewStream(opts.Seed, uint64(rep)*0x9e3779b97f4a7c15+uint64(rep)+1)
 		m, err := body(rep, rng)
 		mu.Lock()

@@ -630,9 +630,9 @@ func (e *Engine) loop() {
 }
 
 // run injects intake, steps the simulator, paces against the wall clock
-// when configured, and drains and finishes once the intake closes.
+// when configured, and finishes once the intake is closed and the event
+// queue is empty.
 func (e *Engine) run() (*sim.Metrics, error) {
-	drained := false
 	for {
 		select {
 		case <-e.stop:
@@ -652,16 +652,11 @@ func (e *Engine) run() (*sim.Metrics, error) {
 				e.sleep(0)
 				continue
 			}
-			if !drained {
-				forced, err := e.drainManager()
-				if err != nil {
-					return nil, err
-				}
-				if forced {
-					drained = true
-					continue
-				}
-			}
+			// The intake is closed and no event is queued, so the run is
+			// over. No job can be left parked here: the manager arms a timer
+			// at s_j − lead for every job it defers (Section V.E), and that
+			// timer stays queued until it releases the job. A job stranded
+			// anyway makes Finish fail with "run ended with job N incomplete".
 			e.mu.Lock()
 			defer e.mu.Unlock()
 			return e.sim.Finish()
@@ -771,31 +766,6 @@ func (e *Engine) peek() (int64, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.sim.NextEventAt()
-}
-
-// drainManager force-admits jobs the manager still holds deferred after
-// the event queue ran dry; it reports whether a drain was actually needed
-// so the loop retries stepping once. In practice deferred jobs keep timers
-// queued, so this is a shutdown safety net.
-func (e *Engine) drainManager() (bool, error) {
-	type drainer interface {
-		Drain(sim.Context) error
-		Outstanding() int
-	}
-	d, ok := e.rm.(drainer)
-	if !ok {
-		return false, nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if d.Outstanding() == 0 {
-		return false, nil
-	}
-	if err := d.Drain(e.sim); err != nil {
-		return false, err
-	}
-	e.publish()
-	return true, nil
 }
 
 // sleep waits for a wake-up, a stop, or (when d > 0) the timeout.

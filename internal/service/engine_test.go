@@ -71,6 +71,12 @@ func TestVirtualRunMatchesSim(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, _ := e.Result()
+	// The manager parked jobs (Section V.E) in a run whose intake closed at
+	// Start, so the loop met a closed intake while jobs were parked and
+	// finished on their release timers alone.
+	if d := e.Metrics().Manager.Deferred; d == 0 {
+		t.Fatal("no job was deferred; the run does not cover closing the intake over parked jobs")
+	}
 
 	var want, got bytes.Buffer
 	if err := ref.WriteCSV(&want); err != nil {
@@ -426,12 +432,17 @@ func TestMetricsOneSnapshot(t *testing.T) {
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
+	// The late submissions race the run's clock, which may pass the specs'
+	// 100 s deadline first and make a spec invalid; a deadline past the n
+	// seconds of work the run holds keeps every spec valid.
+	fits, unrunnable := fittingSpec, unrunnableSpec
+	fits.DeadlineMS, unrunnable.DeadlineMS = n*1_000, n*1_000
 	go func() {
 		defer e.CloseIntake()
 		for i := n / 3; i < n; i++ {
-			spec := fittingSpec
+			spec := fits
 			if i%10 == 0 {
-				spec = unrunnableSpec
+				spec = unrunnable
 			}
 			if _, err := e.Submit(spec); err != nil && !errors.As(err, new(*core.AdmissionError)) {
 				t.Error(err)

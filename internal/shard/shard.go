@@ -267,10 +267,12 @@ func (r *Router) Submit(spec workload.JobSpec) (int64, error) {
 		switch {
 		case err == nil:
 			gid := r.gid(c.s, id)
-			r.tel.Add(obs.CounterShardRouted, 1)
-			r.tel.Emit(r.engines[c.s].NowMS(), obs.LayerShard, "route",
-				obs.I64("job", gid), obs.I64("shard", int64(c.s)),
-				obs.I64("feasible", int64(feasible)), obs.I64("workMs", r.engines[c.s].PendingWork()))
+			if r.tel.Enabled() { // NowMS and PendingWork take the engine's intake lock
+				r.tel.Add(obs.CounterShardRouted, 1)
+				r.tel.Emit(r.engines[c.s].NowMS(), obs.LayerShard, "route",
+					obs.I64("job", gid), obs.I64("shard", int64(c.s)),
+					obs.I64("feasible", int64(feasible)), obs.I64("workMs", r.engines[c.s].PendingWork()))
+			}
 			return gid, nil
 		case errors.As(err, &oe):
 			sheds = append(sheds, oe)
@@ -283,9 +285,11 @@ func (r *Router) Submit(spec workload.JobSpec) (int64, error) {
 				// The engine minted a fresh error for this submission;
 				// surface the global ID in it.
 				ae.JobID = int(gid)
-				r.tel.Add(obs.CounterShardRejected, 1)
-				r.tel.Emit(r.engines[c.s].NowMS(), obs.LayerShard, "reject",
-					obs.I64("job", gid), obs.I64("shard", int64(c.s)))
+				if r.tel.Enabled() {
+					r.tel.Add(obs.CounterShardRejected, 1)
+					r.tel.Emit(r.engines[c.s].NowMS(), obs.LayerShard, "reject",
+						obs.I64("job", gid), obs.I64("shard", int64(c.s)))
+				}
 				return gid, err
 			}
 			return 0, err // journal failure or malformed spec: not retryable elsewhere

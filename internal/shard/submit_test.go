@@ -6,12 +6,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"mrcprm/internal/obs"
 	"mrcprm/internal/sim"
 	"mrcprm/internal/workload"
 )
@@ -187,5 +189,63 @@ func TestStaleClampPastDeadlineIs400(t *testing.T) {
 	}
 	if n := r.Metrics().Submitted; n != 1 {
 		t.Fatalf("%d submissions recorded, want 1: the refused one must take no ID", n)
+	}
+}
+
+// maxAllocsPerSubmit bounds what one accepted Router.Submit allocates with
+// telemetry off: the 119 measured on linux/amd64 with go1.24, with or
+// without -race. While the router
+// built its route event's fields before the telemetry check, the same
+// Submit made one allocation more.
+const maxAllocsPerSubmit = 119
+
+// TestSubmitRouteEventOnlyWithTelemetry: with telemetry off, Submit pays
+// nothing for the route event; with a sink, the event carries the job's
+// global ID, its shard, the feasible shard count and the shard's pending
+// work, in that order.
+func TestSubmitRouteEventOnlyWithTelemetry(t *testing.T) {
+	spec := workload.SpecOf(shardStream(t, 1)[0])
+	cfg := testShardConfig()
+	cfg.Base.Policy = "fifo"
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Stop()
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := r.Submit(spec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations per Submit", allocs)
+	if allocs > maxAllocsPerSubmit {
+		t.Fatalf("a Submit with telemetry off allocates %.0f times, limit %d", allocs, maxAllocsPerSubmit)
+	}
+
+	sink := &obs.MemorySink{}
+	cfg.Base.Telemetry = obs.New(sink)
+	r, err = New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Stop()
+	gid, err := r.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var route *obs.Event
+	for _, ev := range sink.Events() {
+		if ev.Layer == obs.LayerShard && ev.Kind == "route" {
+			route = &ev
+		}
+	}
+	if route == nil {
+		t.Fatal("no shard/route event")
+	}
+	s := gid % int64(cfg.Shards)
+	want := []obs.Field{obs.I64("job", gid), obs.I64("shard", s),
+		obs.I64("feasible", int64(cfg.Shards)), obs.I64("workMs", r.engines[s].PendingWork())}
+	if !reflect.DeepEqual(route.Fields, want) {
+		t.Fatalf("route fields %+v, want %+v", route.Fields, want)
 	}
 }

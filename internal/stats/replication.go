@@ -32,37 +32,21 @@ func (p ReplicationPolicy) Done(primary []float64) bool {
 	return !math.IsInf(rel, 1) && rel <= p.RelTol
 }
 
-// Run drives replications of a simulation. The body callback receives the
-// replication index and returns the primary metric value for that run; Run
-// stops according to the policy and returns all collected values.
-func (p ReplicationPolicy) Run(body func(rep int) float64) []float64 {
-	var primary []float64
-	for rep := 0; ; rep++ {
-		primary = append(primary, body(rep))
-		if p.Done(primary) {
-			return primary
-		}
-	}
-}
-
-// RunParallel is Run with up to workers replications in flight at once. It
-// returns exactly the values Run would: bodies must be independent per
-// replication (each seeds its own stream from the index), and the stopping
-// rule is evaluated on ordered prefixes only — replication r counts toward
-// stopping only once replications 0..r-1 have all finished. Speculative
-// replications past the stopping point are discarded, so the returned
-// sample is identical to the sequential one. workers <= 1 (or a policy
-// without a MaxReps bound) falls back to Run.
-func (p ReplicationPolicy) RunParallel(workers int, body func(rep int) float64) []float64 {
-	if workers <= 1 || p.MaxReps <= 0 {
-		return p.Run(body)
-	}
-	max := p.MaxReps
-	if max < p.MinReps {
-		max = p.MinReps
-	}
-	results := make([]float64, max)
-	done := make([]bool, max)
+// Run drives replications of a simulation with up to workers of them in
+// flight at once; workers <= 1 runs them one after another. The body
+// callback receives the replication index and returns the primary metric
+// value for that run; bodies must be independent per replication (each
+// seeds its own stream from the index). The stopping rule is evaluated on
+// ordered prefixes only — replication r counts toward stopping only once
+// replications 0..r-1 have all finished — and speculative replications past
+// the stopping point are discarded, so the returned sample is the same for
+// every workers value. A policy with MaxReps <= 0 runs one replication.
+func (p ReplicationPolicy) Run(workers int, body func(rep int) float64) []float64 {
+	workers = max(workers, 1)
+	// Done holds at MaxReps replications, or at the first when MaxReps <= 0.
+	limit := max(p.MaxReps, 1)
+	results := make([]float64, limit)
+	done := make([]bool, limit)
 	type reply struct {
 		rep int
 		val float64
@@ -76,7 +60,7 @@ func (p ReplicationPolicy) RunParallel(workers int, body func(rep int) float64) 
 		inflight++
 		go func() { ch <- reply{rep, body(rep)} }()
 	}
-	for inflight < workers && next < max {
+	for inflight < workers && next < limit {
 		launch()
 	}
 	ready := 0 // length of the finished prefix
@@ -86,7 +70,7 @@ func (p ReplicationPolicy) RunParallel(workers int, body func(rep int) float64) 
 		inflight--
 		results[r.rep], done[r.rep] = r.val, true
 		stopped := false
-		for ready < max && done[ready] {
+		for ready < limit && done[ready] {
 			primary = append(primary, results[ready])
 			ready++
 			if p.Done(primary) {
@@ -102,7 +86,7 @@ func (p ReplicationPolicy) RunParallel(workers int, body func(rep int) float64) 
 			}
 			return primary
 		}
-		if next < max {
+		if next < limit {
 			launch()
 		}
 	}

@@ -87,7 +87,7 @@ func TestRelCIZeroMean(t *testing.T) {
 func TestReplicationPolicyStopsOnTightCI(t *testing.T) {
 	p := ReplicationPolicy{MinReps: 3, MaxReps: 100, Level: 0.95, RelTol: 0.05}
 	// Nearly constant metric: should stop at MinReps.
-	got := p.Run(func(rep int) float64 { return 100 + float64(rep%2)*0.01 })
+	got := p.Run(1, func(rep int) float64 { return 100 + float64(rep%2)*0.01 })
 	if len(got) != 3 {
 		t.Fatalf("ran %d reps, want 3", len(got))
 	}
@@ -96,7 +96,7 @@ func TestReplicationPolicyStopsOnTightCI(t *testing.T) {
 func TestReplicationPolicyHitsCap(t *testing.T) {
 	p := ReplicationPolicy{MinReps: 2, MaxReps: 7, Level: 0.95, RelTol: 1e-9}
 	s := testStream()
-	got := p.Run(func(rep int) float64 { return s.Float64() })
+	got := p.Run(1, func(rep int) float64 { return s.Float64() })
 	if len(got) != 7 {
 		t.Fatalf("ran %d reps, want cap 7", len(got))
 	}

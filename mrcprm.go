@@ -449,12 +449,6 @@ func SolveBatch(cluster Cluster, jobs []*Job, cfg Config) (*Schedule, error) {
 	return core.SolveBatch(cluster, jobs, cfg)
 }
 
-// WriteBatchModelOPL renders the CP model a batch solve would use in
-// OPL-like syntax (the paper's Section IV notation) without solving it.
-func WriteBatchModelOPL(cluster Cluster, jobs []*Job, cfg Config, w io.Writer) error {
-	return core.WriteBatchModelOPL(cluster, jobs, cfg, w)
-}
-
 // TraceRecorder records every task start/finish of a run; it exports CSV
 // or JSON and digests slot-occupancy profiles.
 type TraceRecorder = trace.Recorder
