@@ -1,8 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
+	"sync"
 	"time"
 
 	"mrcprm/internal/cp"
@@ -42,24 +46,46 @@ type Schedule struct {
 	Search cp.SearchStats
 }
 
+// batchRounds recycles the rounds batch solves build their models in, so a
+// batch solve, like a reschedule, resets the memory an earlier one grew
+// instead of allocating a model. Each SolveBatch call takes its own round
+// and returns it when done; concurrent calls never share one. A round in
+// the pool keeps its last batch's jobs and tasks reachable (the model's
+// task list, job work and precedence index point at them) until a later
+// batch overwrites them or the pool drops the round at a garbage
+// collection; the Schedule a call returns shares no memory with it.
+var batchRounds = sync.Pool{New: func() any { return new(round) }}
+
 // SolveBatch maps and schedules a fixed batch of jobs on the cluster,
 // minimizing the number of late jobs. Arrival times are ignored; earliest
 // start times and deadlines are honored. The returned assignments are
 // sorted by start time.
 func SolveBatch(cluster sim.Cluster, jobs []*workload.Job, cfg Config) (*Schedule, error) {
+	rd := batchRounds.Get().(*round)
+	defer batchRounds.Put(rd)
+	return solveBatch(rd, cluster, jobs, cfg)
+}
+
+// solveBatch is SolveBatch in the given round.
+func solveBatch(rd *round, cluster sim.Cluster, jobs []*workload.Job, cfg Config) (*Schedule, error) {
 	if err := cluster.Validate(); err != nil {
 		return nil, err
 	}
-	// The closed-system model: every task of every job pending at time 0 on
-	// a fully available cluster, in the formulation the cluster calls for.
-	work := make([]*jobWork, len(jobs))
-	for i, j := range jobs {
+	for _, j := range jobs {
 		if err := j.Validate(); err != nil {
 			return nil, err
 		}
-		work[i] = &jobWork{job: j, pendingMaps: j.MapTasks, pendingReds: j.ReduceTasks}
 	}
-	bm, err := new(round).buildModel(cfg.formulation(cluster), 0, cluster, work, nil)
+	// The closed-system model: every task of every job pending at time 0 on
+	// a fully available cluster, in the formulation the cluster calls for.
+	for len(rd.jobs) < len(jobs) {
+		rd.jobs = append(rd.jobs, new(jobWork))
+	}
+	work := rd.jobs[:len(jobs)]
+	for i, j := range jobs {
+		*work[i] = jobWork{job: j, pendingMaps: j.MapTasks, pendingReds: j.ReduceTasks}
+	}
+	bm, err := rd.buildModel(cfg.formulation(cluster), 0, cluster, work, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -77,7 +103,8 @@ func SolveBatch(cluster sim.Cluster, jobs []*workload.Job, cfg Config) (*Schedul
 
 	var mk *matchmaker
 	if bm.mode == ModeCombined {
-		mk = newMatchmaker(cluster.NumResources, cluster.MapSlots, cluster.ReduceSlots)
+		mk = &rd.mk
+		mk.reset(cluster.NumResources, cluster.MapSlots, cluster.ReduceSlots)
 	}
 	placed, err := bm.placements(&res, mk)
 	if err != nil {
@@ -95,11 +122,11 @@ func SolveBatch(cluster sim.Cluster, jobs []*workload.Job, cfg Config) (*Schedul
 		sched.Assignments[i] = Assignment{Task: a.task, Job: bm.tasks[a.id].job, Resource: a.res, Start: a.start,
 			Dur: sim.ScaledExec(a.task.Exec, cluster.SpeedOf(a.res))}
 	}
-	sort.SliceStable(sched.Assignments, func(a, b int) bool {
-		if sched.Assignments[a].Start != sched.Assignments[b].Start {
-			return sched.Assignments[a].Start < sched.Assignments[b].Start
+	slices.SortStableFunc(sched.Assignments, func(a, b Assignment) int {
+		if c := cmp.Compare(a.Start, b.Start); c != 0 {
+			return c
 		}
-		return sched.Assignments[a].Task.ID < sched.Assignments[b].Task.ID
+		return strings.Compare(a.Task.ID, b.Task.ID)
 	})
 
 	// Recompute lateness from the assignments' machine-scaled ends rather

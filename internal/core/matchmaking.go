@@ -108,14 +108,8 @@ type matchmaker struct {
 	redPerRes int64
 }
 
-func newMatchmaker(numRes int, mapPerRes, redPerRes int64) *matchmaker {
-	mk := new(matchmaker)
-	mk.reset(numRes, mapPerRes, redPerRes)
-	return mk
-}
-
-// reset makes mk the matchmaker newMatchmaker would return, keeping the
-// memory of its free-time arrays: every slot empty.
+// reset sizes mk for numRes resources of the given slot counts, every slot
+// empty, keeping the memory of its free-time arrays.
 func (mk *matchmaker) reset(numRes int, mapPerRes, redPerRes int64) {
 	mk.mapFree = cleared(mk.mapFree, int(int64(numRes)*mapPerRes))
 	mk.redFree = cleared(mk.redFree, int(int64(numRes)*redPerRes))

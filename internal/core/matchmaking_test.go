@@ -11,6 +11,12 @@ import (
 	"mrcprm/internal/workload"
 )
 
+func newMatchmaker(numRes int, mapPerRes, redPerRes int64) *matchmaker {
+	mk := new(matchmaker)
+	mk.reset(numRes, mapPerRes, redPerRes)
+	return mk
+}
+
 // A slot is its free time: a task fits where the free time is at or before
 // its start, and goes to the largest such free time, the lowest slot on
 // ties. Pins take the first unpinned slot of their resource, a blocked

@@ -55,8 +55,11 @@ func newEngine(m *Model) *engine {
 	// resource per resvar — and trails at least the two bounds of every
 	// interval it fixes. The pruning along the way comes on top — a fifth
 	// more on a typical reschedule, nearly twice as much again on a
-	// 2000-task batch — and is left to append: reserving for the batch
-	// would cost every reschedule more than growing costs the batch.
+	// 2000-task batch — and is left to append. The store keeps what it grew
+	// across Resets, and a batch solve, like a manager, builds into a model
+	// it recycles (core's pooled round), so only the first solve of a size
+	// pays for the growth; reserving for the batch's pruning up front would
+	// cost every reschedule more.
 	open := 0
 	for _, iv := range m.intervals {
 		if !m.Fixed(iv) {

@@ -116,17 +116,18 @@ type Model struct {
 	// indexes of earlier builds, reused by index, and the search state a
 	// Solver takes over — the engine's buffers, the candidate heap,
 	// pickResource's domain, fit and family-position buffers and
-	// placementStart's timetable buffer.
-	barriers []*phaseBarrier
-	lates    []*lateness
-	sum      sumLE
-	idxs     []*taskIndex
-	eng      engine
-	cand     candHeap
-	resBuf   []int
-	fitBuf   []int64
-	famPos   []int32
-	onBuf    []onTimetable
+	// placementStart's timetable buffer — and VerifySolution's event list.
+	barriers  []*phaseBarrier
+	lates     []*lateness
+	sum       sumLE
+	idxs      []*taskIndex
+	eng       engine
+	cand      candHeap
+	resBuf    []int
+	fitBuf    []int64
+	famPos    []int32
+	onBuf     []onTimetable
+	verifyEvs []verifyEvent
 }
 
 // watch is one entry of an interval's or resvar's watch list: the

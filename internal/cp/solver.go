@@ -115,7 +115,9 @@ type SearchStats struct {
 	Propagations int64
 	// PickWork counts the interval keys the branching rule evaluated to
 	// choose its decisions: one per interval each time a descent starts, one
-	// per interval that changed since the previous node otherwise.
+	// per interval that changed since the previous node otherwise, and one
+	// per candidate whose key rose and which reached the top of the ready
+	// set before changing again (see candHeap).
 	// ProfileBuilds counts timetable profiles derived from their event
 	// lists: one per cumulative per solve. SweepWork counts the tasks the
 	// timetables' sweeps examined, in the post-pop full pass and in the
@@ -480,10 +482,11 @@ type decision struct {
 // pick selects the next decision following the set-times rule: among
 // non-postponed undecided tasks, take the one with the smallest earliest
 // start, breaking ties with the configured ordering strategy. It reads that
-// task off the candidate heap after bringing the heap up to date: entry by
+// task off the candidate heap after telling the heap what changed: entry by
 // entry from the engine's touched list — which covers what propagation
 // changed on the way down and what a backtrack changed back — or, at the
-// start of a descent, with one pass over the model.
+// start of a descent, with one pass over the model. The heap acts on a
+// lowered key at once and on the rest when the entry reaches its top.
 func (s *Solver) pick() (decision, pickStatus) {
 	m := s.m
 	if s.candStale {
@@ -498,13 +501,14 @@ func (s *Solver) pick() (decision, pickStatus) {
 		}
 	}
 	s.e.clearTouched()
-	if len(s.cand.heap) == 0 {
+	id := s.cand.top(s.raisedKey)
+	if id < 0 {
 		if s.cand.undecided > 0 {
 			return decision{}, pickDeadEnd
 		}
 		return decision{}, pickAllDone
 	}
-	best := m.intervals[s.cand.heap[0]]
+	best := m.intervals[id]
 	if best.resVar != nil && m.ResFixedValue(best.resVar) < 0 {
 		if s.hintActive {
 			if r := s.params.Hint.res(best.id); r >= 0 && m.ResAllowed(best.resVar, r) {
@@ -524,21 +528,34 @@ func (s *Solver) rekey(iv *Interval) {
 	needRes := iv.resVar != nil && m.ResFixedValue(iv.resVar) < 0
 	switch {
 	case !needRes && m.Fixed(iv):
-		s.cand.drop(id, candDecided)
+		s.cand.setState(id, candDecided)
 	case m.postponed(iv):
-		s.cand.drop(id, candPostponed)
+		s.cand.setState(id, candPostponed)
 	default:
-		// The final tie-break is creation order (the id), NOT a
-		// duration-derived quantity: breaking ties by startMax would start a
-		// job's longest tasks first (smaller startMax), leaving every slot
-		// busy with long work at random arrival instants and killing the
-		// system's responsiveness to tight new jobs.
-		k := candKey{target: s.targetStart(iv), boosted: 1, order: s.orderKey(iv)}
-		if hasKey(s.boost, iv.JobKey) {
-			k.boosted = 0
-		}
-		s.cand.put(id, k)
+		s.cand.put(id, s.currentKey(id))
 	}
+}
+
+// raisedKey is the key of a raised entry that reached the top of the ready
+// set, evaluated anew: pick work like a rekey.
+func (s *Solver) raisedKey(id int32) candKey {
+	s.pickWork++
+	return s.currentKey(id)
+}
+
+// currentKey evaluates candidate id's key from the store. The final
+// tie-break is creation order (the id, see candEntry.less), NOT a
+// duration-derived quantity: breaking ties by startMax would start a job's
+// longest tasks first (smaller startMax), leaving every slot busy with long
+// work at random arrival instants and killing the system's responsiveness
+// to tight new jobs.
+func (s *Solver) currentKey(id int32) candKey {
+	iv := s.m.intervals[id]
+	k := candKey{target: s.targetStart(iv), boosted: 1, order: s.orderKey(iv)}
+	if hasKey(s.boost, iv.JobKey) {
+		k.boosted = 0
+	}
+	return k
 }
 
 // targetStart is the earliest start the descent aims at for iv: its
@@ -759,13 +776,25 @@ func (s *Solver) applyRight(d decision) error {
 }
 
 // capture snapshots the current (fully decided) state as the incumbent if
-// it improves on (or first establishes) the best objective.
+// it improves on (or first establishes) the best objective. The objective
+// is read off the store first, so a descent that does not improve builds
+// no Result.
 func (s *Solver) capture() {
 	m := s.m
+	obj := 0
+	for _, b := range m.objBools {
+		if m.BoolMin(b) == 1 {
+			obj++
+		}
+	}
+	if s.incumbent != nil && obj >= s.incumbent.Objective {
+		return
+	}
 	r := &Result{
-		Starts: make([]int64, len(m.intervals)),
-		Res:    make([]int, len(m.intervals)),
-		Lates:  make([]bool, len(m.bools)),
+		Starts:    make([]int64, len(m.intervals)),
+		Res:       make([]int, len(m.intervals)),
+		Lates:     make([]bool, len(m.bools)),
+		Objective: obj,
 	}
 	for i, iv := range m.intervals {
 		r.Starts[i] = m.StartMin(iv)
@@ -777,20 +806,11 @@ func (s *Solver) capture() {
 	for i, b := range m.bools {
 		r.Lates[i] = m.BoolMin(b) == 1
 	}
-	obj := 0
-	for _, b := range m.objBools {
-		if m.BoolMin(b) == 1 {
-			obj++
-		}
-	}
-	r.Objective = obj
-	if s.incumbent == nil || obj < s.incumbent.Objective {
-		s.incumbent = r
-		s.timeline = append(s.timeline, ObjectiveStep{
-			Round:     s.curRound,
-			Nodes:     s.nodes,
-			Objective: obj,
-			Wall:      time.Since(s.started),
-		})
-	}
+	s.incumbent = r
+	s.timeline = append(s.timeline, ObjectiveStep{
+		Round:     s.curRound,
+		Nodes:     s.nodes,
+		Objective: obj,
+		Wall:      time.Since(s.started),
+	})
 }

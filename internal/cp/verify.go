@@ -1,15 +1,19 @@
 package cp
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // VerifySolution is an independent checker used by tests and by the
 // resource manager to validate a solver result against the model's
 // constraints. It does not share code with the propagators: capacity is
 // checked with a fresh sweep, precedence and lateness by direct evaluation.
-// It returns nil when the assignment satisfies every posted constraint.
+// It reads only r and what the build posted; the sweep's event list is
+// scratch the model keeps, so a check allocates nothing once the model has
+// verified a solution of its size. It returns nil when the assignment
+// satisfies every posted constraint.
 func (m *Model) VerifySolution(r *Result) error {
 	if !r.HasSolution() {
 		return fmt.Errorf("cp: result status %v carries no solution", r.Status)
@@ -81,12 +85,14 @@ func (m *Model) verifyProp(p propagator, r *Result) error {
 	return nil
 }
 
+// verifyEvent is one capacity change in verifyCumulative's sweep.
+type verifyEvent struct {
+	at    int64
+	delta int64
+}
+
 func (m *Model) verifyCumulative(c *cumulative, r *Result) error {
-	type ev struct {
-		at    int64
-		delta int64
-	}
-	var evs []ev
+	evs := m.verifyEvs[:0]
 	for pos, t := range c.tasks {
 		onThis := t.resVar == nil || c.resIndex < 0 || r.Res[t.id] == c.resIndex
 		if !onThis {
@@ -94,14 +100,12 @@ func (m *Model) verifyCumulative(c *cumulative, r *Result) error {
 		}
 		st := r.Starts[t.id]
 		dur, dem := m.resultDur(t, r), c.demandAt(pos)
-		evs = append(evs, ev{st, dem}, ev{st + dur, -dem})
+		evs = append(evs, verifyEvent{st, dem}, verifyEvent{st + dur, -dem})
 	}
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].at != evs[j].at {
-			return evs[i].at < evs[j].at
-		}
-		return evs[i].delta < evs[j].delta // releases before acquisitions at ties
-	})
+	m.verifyEvs = evs
+	// Every event of an instant applies before the load is checked, so
+	// their order among themselves does not matter.
+	slices.SortFunc(evs, func(a, b verifyEvent) int { return cmp.Compare(a.at, b.at) })
 	var load int64
 	i := 0
 	for i < len(evs) {
