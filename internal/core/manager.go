@@ -19,9 +19,11 @@ type Manager struct {
 	// speeds come from the simulation's own cluster, ctx.Cluster().
 	cluster sim.Cluster
 
-	// jobs owns per-job lifecycle state (retries, abandonment) in arrival
-	// order for deterministic iteration; the kernel's pending queues stay
-	// unused because every round re-derives its work set from the simulator.
+	// jobs owns per-job lifecycle state (retries) in arrival order for
+	// deterministic iteration; every round re-derives its work set from the
+	// simulator (Context.JobStatus), and what is left of a job, what runs
+	// and whether it was abandoned are read from the simulator's record
+	// (JobState.Sim).
 	jobs     *rmkit.Tracker
 	deferred []*workload.Job // Section V.E parking lot
 
@@ -87,7 +89,7 @@ func (m *Manager) OnJobArrival(ctx sim.Context, j *workload.Job) error {
 		ctx.AddOverhead(time.Since(started))
 		return nil
 	}
-	m.jobs.Admit(j)
+	m.jobs.Admit(j, ctx.Job(j))
 	err := m.reschedule(ctx, "arrival")
 	ctx.AddOverhead(time.Since(started))
 	return err
@@ -111,7 +113,7 @@ func (m *Manager) OnTimer(ctx sim.Context) error {
 	rest := m.deferred[:0]
 	for _, j := range m.deferred {
 		if m.parkedUntil(ctx.Now(), j) == 0 {
-			m.jobs.Admit(j)
+			m.jobs.Admit(j, ctx.Job(j))
 			released = true
 		} else {
 			rest = append(rest, j)
@@ -128,24 +130,14 @@ func (m *Manager) OnTimer(ctx sim.Context) error {
 
 // OnTaskComplete implements sim.ResourceManager. MRCP-RM does not re-solve
 // on completions (the installed timetable already accounts for them); it
-// only maintains its bookkeeping.
-func (m *Manager) OnTaskComplete(ctx sim.Context, t *workload.Task) error {
+// retires a job with its last task, or an abandoned one (whose draining
+// attempts' output is discarded) once nothing of it remains on the cluster.
+func (m *Manager) OnTaskComplete(_ sim.Context, t *workload.Task) error {
 	js, ok := m.jobs.ByID(t.JobID)
 	if !ok {
 		return fmt.Errorf("core: completion for unknown task %s", t.ID)
 	}
-	if js.Abandoned {
-		// Discarded output of a draining attempt; retire the ghost once
-		// nothing of the job remains on the cluster.
-		if !rmkit.AnyRunning(ctx, js.Job) {
-			m.jobs.Retire(js)
-		}
-		return nil
-	}
-	js.TasksLeft--
-	if js.TasksLeft == 0 {
-		m.jobs.Retire(js)
-	}
+	m.jobs.RetireDrained(js)
 	return nil
 }
 
@@ -227,7 +219,7 @@ func (m *Manager) OnTaskSlowdown(ctx sim.Context, t *workload.Task) error {
 // chargeRetry books one failed attempt and abandons the job when it
 // exhausts the per-task retry cap or the per-job budget.
 func (m *Manager) chargeRetry(ctx sim.Context, js *rmkit.JobState, t *workload.Task) error {
-	if js.Abandoned {
+	if js.Sim.Abandoned() {
 		return nil
 	}
 	m.stats.TaskRetries++
@@ -237,11 +229,8 @@ func (m *Manager) chargeRetry(ctx sim.Context, js *rmkit.JobState, t *workload.T
 	if err := ctx.AbandonJob(js.Job); err != nil {
 		return err
 	}
-	js.Abandoned = true
 	m.stats.JobsAbandoned++
-	if !rmkit.AnyRunning(ctx, js.Job) {
-		m.jobs.Retire(js)
-	}
+	m.jobs.RetireDrained(js)
 	return nil
 }
 
@@ -464,7 +453,7 @@ func (m *Manager) solve(bm *builtModel, hint *cp.Hint) (res cp.Result, err error
 func (m *Manager) collectWork(ctx sim.Context) []*jobWork {
 	var gone []*rmkit.JobState
 	for _, js := range m.jobs.Active() {
-		if js.Abandoned && !rmkit.AnyRunning(ctx, js.Job) {
+		if js.Drained() {
 			gone = append(gone, js)
 		}
 	}
@@ -482,7 +471,7 @@ func (m *Manager) collectWork(ctx sim.Context) []*jobWork {
 		if n == len(rd.jobs) {
 			rd.jobs = append(rd.jobs, new(jobWork))
 		}
-		j, ghost := js.Job, js.Abandoned
+		j, ghost := js.Job, js.Sim.Abandoned()
 		w := rd.jobs[n]
 		*w = jobWork{job: j, ghost: ghost,
 			pendingMaps: w.pendingMaps[:0], pendingReds: w.pendingReds[:0],

@@ -109,7 +109,7 @@ func (m *Manager) minAllocation(js *rmkit.JobState, now int64) (int64, int64) {
 	totalMap := m.Cluster.TotalMapSlots()
 	totalRed := m.Cluster.TotalReduceSlots()
 	budget := float64(js.Job.Deadline - now)
-	if js.MapsLeft > 0 && len(js.PendingMaps) < js.MapsLeft {
+	if left := js.Sim.MapsLeft(); left > 0 && len(js.PendingMaps) < left {
 		// Maps still running contribute to the barrier; approximate their
 		// remainder with one average map duration.
 		budget -= mapsP.avg

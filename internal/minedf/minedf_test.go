@@ -130,15 +130,20 @@ func TestMinAllocationModel(t *testing.T) {
 	// slots: lower 20, upper 28, avg 24 <= 25. Four slots: lower 25,
 	// upper 32.5, avg 28.75 > 25.
 	j := mkJob(0, 0, 0, 25_000, repeat(10_000, 10), nil)
-	js := &rmkit.JobState{Job: j, PendingMaps: j.MapTasks, MapsLeft: 10, TasksLeft: 10}
+	// Impossible deadline: wide open.
+	j2 := mkJob(1, 0, 0, 1_000, repeat(10_000, 10), nil)
+	// Both jobs are registered and none of their tasks has run: the
+	// simulator's records read 10 maps left each.
+	s, err := sim.New(cluster, mgr, []*workload.Job{j, j2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	js := &rmkit.JobState{Job: j, Sim: s.Job(j), PendingMaps: j.MapTasks}
 	sm, sr := mgr.minAllocation(js, 0)
 	if sm != 5 || sr != 0 {
 		t.Fatalf("allocation (%d,%d), want (5,0)", sm, sr)
 	}
-	// Impossible deadline: wide open.
-	js2 := &rmkit.JobState{Job: mkJob(1, 0, 0, 1_000, repeat(10_000, 10), nil)}
-	js2.PendingMaps = js2.Job.MapTasks
-	js2.MapsLeft = 10
+	js2 := &rmkit.JobState{Job: j2, Sim: s.Job(j2), PendingMaps: j2.MapTasks}
 	sm, _ = mgr.minAllocation(js2, 0)
 	if sm != 10 {
 		t.Fatalf("infeasible job should get max allocation, got %d", sm)

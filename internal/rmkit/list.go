@@ -2,6 +2,7 @@ package rmkit
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"mrcprm/internal/sim"
@@ -16,8 +17,10 @@ import (
 // queue order through NewListScheduler, and supplies Dispatch.
 //
 // Dispatch fills free capacity from the active queue after every lifecycle
-// event; DispatchJob is the standard per-job inner loop. Free capacity is
-// the simulator's to know (sim.Context.FirstFit): the kernel keeps no copy.
+// event; DispatchJob is the standard per-job inner loop. Free capacity and
+// a job's progress are the simulator's to know (sim.Context.FirstFit,
+// JobState.Sim): the kernel keeps no copy of either, only each job's
+// pending queues.
 type ListScheduler struct {
 	// Kind prefixes error messages ("fifo: completion for unknown task…").
 	Kind string
@@ -36,16 +39,22 @@ type ListScheduler struct {
 
 // NewListScheduler assembles the kernel for a policy whose active queue is
 // ordered by less (nil = admission order). The default retry budget is
-// installed; tasks are queued on admission.
+// installed.
 func NewListScheduler(kind string, cluster sim.Cluster, less func(a, b *JobState) bool) *ListScheduler {
-	tr := NewTracker(less)
-	tr.QueuePending = true
 	return &ListScheduler{
 		Kind:    kind,
 		Cluster: cluster,
 		Retry:   DefaultRetryPolicy(),
-		Tracker: tr,
+		Tracker: NewTracker(less),
 	}
+}
+
+// admit makes a job active with every task queued, in natural task order,
+// as Hadoop-style dispatchers expect.
+func (ls *ListScheduler) admit(ctx sim.Context, j *workload.Job) {
+	js := ls.Tracker.Admit(j, ctx.Job(j))
+	js.PendingMaps = append([]*workload.Task(nil), j.MapTasks...)
+	js.PendingReds = append([]*workload.Task(nil), j.ReduceTasks...)
 }
 
 // OnJobArrival implements sim.ResourceManager: jobs whose earliest start
@@ -56,7 +65,7 @@ func (ls *ListScheduler) OnJobArrival(ctx sim.Context, j *workload.Job) error {
 		ls.deferred = append(ls.deferred, j)
 		ctx.SetTimer(j.EarliestStart)
 	} else {
-		ls.Tracker.Admit(j)
+		ls.admit(ctx, j)
 	}
 	err := ls.Dispatch(ctx)
 	ctx.AddOverhead(time.Since(started))
@@ -70,7 +79,7 @@ func (ls *ListScheduler) OnTimer(ctx sim.Context) error {
 	rest := ls.deferred[:0]
 	for _, j := range ls.deferred {
 		if j.EarliestStart <= ctx.Now() {
-			ls.Tracker.Admit(j)
+			ls.admit(ctx, j)
 		} else {
 			rest = append(rest, j)
 		}
@@ -82,25 +91,15 @@ func (ls *ListScheduler) OnTimer(ctx sim.Context) error {
 }
 
 // OnTaskComplete implements sim.ResourceManager. Completions of abandoned
-// jobs' draining attempts only discard their output.
+// jobs' draining attempts only discard their output; a job retires with its
+// last task or its last draining attempt.
 func (ls *ListScheduler) OnTaskComplete(ctx sim.Context, t *workload.Task) error {
 	started := time.Now()
 	js, ok := ls.Tracker.ByTask(t)
 	if !ok {
 		return fmt.Errorf("%s: completion for unknown task %s", ls.Kind, t.ID)
 	}
-	if t.Type == workload.MapTask {
-		js.RunningMaps--
-		js.MapsLeft--
-	} else {
-		js.RunningReds--
-	}
-	if !js.Abandoned {
-		js.TasksLeft--
-		if js.TasksLeft == 0 {
-			ls.Tracker.Retire(js)
-		}
-	}
+	ls.Tracker.RetireDrained(js)
 	err := ls.Dispatch(ctx)
 	ctx.AddOverhead(time.Since(started))
 	return err
@@ -115,15 +114,8 @@ func (ls *ListScheduler) OnTaskFailed(ctx sim.Context, t *workload.Task, _ int) 
 	if !ok {
 		return fmt.Errorf("%s: failure for unknown task %s", ls.Kind, t.ID)
 	}
-	if t.Type == workload.MapTask {
-		js.RunningMaps--
-	} else {
-		js.RunningReds--
-	}
-	if !js.Abandoned {
-		if err := ls.chargeRetry(ctx, js, t); err != nil {
-			return err
-		}
+	if err := ls.chargeRetry(ctx, js, t); err != nil {
+		return err
 	}
 	err := ls.Dispatch(ctx)
 	ctx.AddOverhead(time.Since(started))
@@ -135,34 +127,24 @@ func (ls *ListScheduler) OnTaskFailed(ctx sim.Context, t *workload.Task, _ int) 
 // free; dispatch skips the down resource because FirstFit does.
 func (ls *ListScheduler) OnResourceDown(ctx sim.Context, _ int, killed, evacuated []*workload.Task) error {
 	started := time.Now()
-	for _, t := range killed {
+	// Resolve every task before charging any: a kill can abandon and retire
+	// its job, and that job's other kills and evacuations must then count
+	// as drained, not as tasks of a job the kernel never admitted.
+	states := make([]*JobState, 0, len(killed)+len(evacuated))
+	for _, t := range append(slices.Clip(killed), evacuated...) {
 		js, ok := ls.Tracker.ByTask(t)
 		if !ok {
-			return fmt.Errorf("%s: outage kill for unknown task %s", ls.Kind, t.ID)
+			return fmt.Errorf("%s: outage kill or evacuation of unknown task %s", ls.Kind, t.ID)
 		}
-		if t.Type == workload.MapTask {
-			js.RunningMaps--
-		} else {
-			js.RunningReds--
-		}
-		if js.Abandoned {
-			continue
-		}
-		if err := ls.chargeRetry(ctx, js, t); err != nil {
+		states = append(states, js)
+	}
+	for i, t := range killed {
+		if err := ls.chargeRetry(ctx, states[i], t); err != nil {
 			return err
 		}
 	}
-	for _, t := range evacuated {
-		js, ok := ls.Tracker.ByTask(t)
-		if !ok {
-			return fmt.Errorf("%s: evacuation of unknown task %s", ls.Kind, t.ID)
-		}
-		if t.Type == workload.MapTask {
-			js.RunningMaps--
-		} else {
-			js.RunningReds--
-		}
-		if !js.Abandoned {
+	for i, t := range evacuated {
+		if js := states[len(killed)+i]; !js.Sim.Abandoned() {
 			js.Requeue(t)
 		}
 	}
@@ -187,8 +169,14 @@ func (ls *ListScheduler) OnResourceUp(ctx sim.Context, _ int) error {
 func (ls *ListScheduler) OnTaskSlowdown(sim.Context, *workload.Task) error { return nil }
 
 // chargeRetry books one failed attempt: the task is re-queued unless its
-// job exhausted a retry budget, in which case the job is abandoned.
+// job exhausted a retry budget, in which case the job is abandoned. The end
+// of an abandoned job's draining attempt is charged nothing; it retires the
+// job when it was the last.
 func (ls *ListScheduler) chargeRetry(ctx sim.Context, js *JobState, t *workload.Task) error {
+	if js.Sim.Abandoned() {
+		ls.Tracker.RetireDrained(js)
+		return nil
+	}
 	if !js.ChargeRetry(ls.Retry, ctx.Attempts(t)) {
 		js.Requeue(t)
 		return nil
@@ -196,28 +184,17 @@ func (ls *ListScheduler) chargeRetry(ctx sim.Context, js *JobState, t *workload.
 	return ls.Abandon(ctx, js)
 }
 
-// Abandon gives up on a job: dispatched-but-not-started placements stop
-// counting as the job's running tasks, the simulator drops its pending work,
-// and the job leaves the active queue while its last attempts drain (lookup
-// indices stay live so their notifications resolve).
+// Abandon gives up on a job: the simulator drops its pending work and the
+// job leaves the active queue. It retires at once when no attempt of it is
+// running, and otherwise when the last one ends (its lookup entry stays
+// live until then so their notifications resolve).
 func (ls *ListScheduler) Abandon(ctx sim.Context, js *JobState) error {
-	for _, tasks := range [2][]*workload.Task{js.Job.MapTasks, js.Job.ReduceTasks} {
-		for _, t := range tasks {
-			if st := ctx.Status(t); st.Placed && !st.Started && !st.Completed {
-				if t.Type == workload.MapTask {
-					js.RunningMaps--
-				} else {
-					js.RunningReds--
-				}
-			}
-		}
-	}
 	if err := ctx.AbandonJob(js.Job); err != nil {
 		return err
 	}
-	js.Abandoned = true
 	js.PendingMaps, js.PendingReds = nil, nil
 	ls.Tracker.Dequeue(js)
+	ls.Tracker.RetireDrained(js)
 	return nil
 }
 
@@ -229,7 +206,7 @@ func (ls *ListScheduler) Abandon(ctx sim.Context, js *JobState) error {
 // only after all of the job's maps completed.
 func (ls *ListScheduler) DispatchJob(ctx sim.Context, js *JobState, mapCap, redCap int64) error {
 	for len(js.PendingMaps) > 0 {
-		if mapCap >= 0 && js.RunningMaps >= mapCap {
+		if mapCap >= 0 && int64(js.Sim.Placed(workload.MapTask)) >= mapCap {
 			break
 		}
 		t := js.PendingMaps[0]
@@ -238,14 +215,13 @@ func (ls *ListScheduler) DispatchJob(ctx sim.Context, js *JobState, mapCap, redC
 			break
 		}
 		js.PendingMaps = js.PendingMaps[1:]
-		js.RunningMaps++
 		if err := ctx.Schedule(t, r, ctx.Now()); err != nil {
 			return err
 		}
 	}
-	if js.MapsDone() {
+	if js.Sim.MapsLeft() == 0 {
 		for len(js.PendingReds) > 0 {
-			if redCap >= 0 && js.RunningReds >= redCap {
+			if redCap >= 0 && int64(js.Sim.Placed(workload.ReduceTask)) >= redCap {
 				break
 			}
 			t := js.PendingReds[0]
@@ -254,7 +230,6 @@ func (ls *ListScheduler) DispatchJob(ctx sim.Context, js *JobState, mapCap, redC
 				break
 			}
 			js.PendingReds = js.PendingReds[1:]
-			js.RunningReds++
 			if err := ctx.Schedule(t, r, ctx.Now()); err != nil {
 				return err
 			}

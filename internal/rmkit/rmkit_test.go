@@ -46,12 +46,15 @@ func TestTrackerAdmitOrderAndIndices(t *testing.T) {
 	// Deadline-ordered tracker: equal keys keep insertion order, and every
 	// index resolves.
 	tr := NewTracker(func(a, b *JobState) bool { return a.Job.Deadline < b.Job.Deadline })
-	tr.QueuePending = true
 	j1 := mkJob(1, 0, 5000, 2, 1)
 	j2 := mkJob(2, 10, 3000, 1, 0)
 	j3 := mkJob(3, 20, 5000, 1, 1)
+	s, err := sim.New(sim.Cluster{NumResources: 1, MapSlots: 1, ReduceSlots: 1}, nil, []*workload.Job{j1, j2, j3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, j := range []*workload.Job{j1, j2, j3} {
-		tr.Admit(j)
+		tr.Admit(j, s.Job(j))
 	}
 	var ids []int
 	for _, js := range tr.Active() {
@@ -65,7 +68,7 @@ func TestTrackerAdmitOrderAndIndices(t *testing.T) {
 	if !ok || js.Job != j1 {
 		t.Fatal("ByID(1) did not resolve")
 	}
-	if js.TasksLeft != 3 || js.MapsLeft != 2 || len(js.PendingMaps) != 2 || len(js.PendingReds) != 1 {
+	if js.Sim != s.Job(j1) || js.Sim.Left() != 3 || js.Sim.MapsLeft() != 2 || len(js.PendingMaps)+len(js.PendingReds) != 0 {
 		t.Fatalf("admitted state %+v", js)
 	}
 	if byTask, ok := tr.ByTask(j1.MapTasks[0]); !ok || byTask != js {
@@ -102,7 +105,7 @@ func TestTrackerAdmitOrderAndIndices(t *testing.T) {
 func TestTrackerNilComparatorKeepsAdmissionOrder(t *testing.T) {
 	tr := NewTracker(nil)
 	for _, id := range []int{3, 1, 2} {
-		tr.Admit(mkJob(id, 0, int64(id), 1, 0))
+		tr.Admit(mkJob(id, 0, int64(id), 1, 0), sim.JobRef{})
 	}
 	var ids []int
 	for _, js := range tr.Active() {

@@ -7,27 +7,22 @@ import (
 	"mrcprm/internal/workload"
 )
 
-// JobState is the kernel's per-job lifecycle record. Every manager tracks
-// the same core facts — remaining work, charged retries, abandonment —
-// while policy-specific schedulers use the queue and allocation fields as
-// they see fit (MRCP-RM regenerates its work set from the simulator each
-// round and leaves the queues empty).
+// JobState is the kernel's per-job lifecycle record: what a manager decides
+// about a job. What the job's tasks have done — tasks left, placed and
+// running, abandonment — is the simulator's to know, read through Sim.
+// Policy-specific schedulers use the queue and allocation fields as they see
+// fit (MRCP-RM regenerates its work set from the simulator each round and
+// leaves the queues empty).
 type JobState struct {
 	Job *workload.Job
+	// Sim is the simulator's record of the job.
+	Sim sim.JobRef
 
 	// PendingMaps and PendingReds queue not-yet-dispatched tasks for
-	// reactive (slot-mirror) schedulers; tasks dispatch from the front and
-	// failed attempts re-queue at the back.
+	// reactive schedulers; tasks dispatch from the front and failed
+	// attempts re-queue at the back.
 	PendingMaps []*workload.Task
 	PendingReds []*workload.Task
-	// RunningMaps and RunningReds count dispatched-but-unfinished tasks per
-	// phase, mirrored synchronously by ListScheduler.
-	RunningMaps int64
-	RunningReds int64
-	// MapsLeft counts running or pending map tasks (the reduce barrier);
-	// TasksLeft counts all uncompleted tasks.
-	MapsLeft  int
-	TasksLeft int
 
 	// AllocMap and AllocRed are the job's current slot allocation targets
 	// for allocation-model policies (MinEDF-WC's ARIA minimum); zero
@@ -35,15 +30,16 @@ type JobState struct {
 	AllocMap int64
 	AllocRed int64
 
-	// Retries counts failed attempts charged against the job's budget;
-	// Abandoned marks a job given up on (it stays tracked while attempts
-	// are still draining on the cluster, so their capacity stays modeled).
-	Retries   int
-	Abandoned bool
+	// Retries counts failed attempts charged against the job's budget.
+	Retries int
 }
 
-// MapsDone reports whether every map task completed (the reduce barrier).
-func (js *JobState) MapsDone() bool { return js.MapsLeft == 0 }
+// Drained reports whether nothing of the job is left to notify its manager:
+// every task completed, or the job was abandoned and its last attempt has
+// ended.
+func (js *JobState) Drained() bool {
+	return js.Sim.Left() == 0 || js.Sim.Abandoned() && js.Sim.Running() == 0
+}
 
 // Requeue returns a failed, killed, or evacuated task to its pending queue.
 func (js *JobState) Requeue(t *workload.Task) {
@@ -66,11 +62,6 @@ func (js *JobState) ChargeRetry(p RetryPolicy, taskAttempts int) bool {
 // in a policy-chosen order plus a lookup index by job ID, which also
 // resolves tasks (a valid job's tasks carry its ID).
 type Tracker struct {
-	// QueuePending makes Admit pre-fill each job's pending task queues (in
-	// natural task order, as Hadoop-style dispatchers expect). Managers
-	// that re-derive their work set from the simulator leave it false.
-	QueuePending bool
-
 	less  func(a, b *JobState) bool
 	byID  map[int]*JobState
 	order []*JobState
@@ -87,17 +78,10 @@ func NewTracker(less func(a, b *JobState) bool) *Tracker {
 	}
 }
 
-// Admit registers a job as active and returns its fresh state.
-func (tr *Tracker) Admit(j *workload.Job) *JobState {
-	js := &JobState{
-		Job:       j,
-		MapsLeft:  len(j.MapTasks),
-		TasksLeft: j.NumTasks(),
-	}
-	if tr.QueuePending {
-		js.PendingMaps = append([]*workload.Task(nil), j.MapTasks...)
-		js.PendingReds = append([]*workload.Task(nil), j.ReduceTasks...)
-	}
+// Admit registers a job, with the simulator's record of it, as active and
+// returns its fresh state.
+func (tr *Tracker) Admit(j *workload.Job, run sim.JobRef) *JobState {
+	js := &JobState{Job: j, Sim: run}
 	tr.byID[j.ID] = js
 	if tr.less == nil {
 		tr.order = append(tr.order, js)
@@ -147,16 +131,9 @@ func (tr *Tracker) Retire(js *JobState) {
 	delete(tr.byID, js.Job.ID)
 }
 
-// AnyRunning reports whether any of the job's tasks is mid-execution —
-// the condition that keeps an abandoned job tracked as a capacity-holding
-// ghost until its last attempts drain.
-func AnyRunning(ctx sim.Context, j *workload.Job) bool {
-	for _, tasks := range [2][]*workload.Task{j.MapTasks, j.ReduceTasks} {
-		for _, t := range tasks {
-			if st := ctx.Status(t); st.Started && !st.Completed {
-				return true
-			}
-		}
+// RetireDrained retires the job if it is drained (JobState.Drained).
+func (tr *Tracker) RetireDrained(js *JobState) {
+	if js.Drained() {
+		tr.Retire(js)
 	}
-	return false
 }

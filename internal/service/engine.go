@@ -958,26 +958,24 @@ func (e *Engine) status(id int, entry *jobEntry, withPlacements bool) JobStatus 
 		st.Reason = entry.injectErr.Error()
 		return st
 	}
+	run := e.sim.Job(j)
+	if run == (sim.JobRef{}) {
+		// Not registered with the simulator yet: no record, no placement.
+		st.State = StateQueued
+		return st
+	}
+	st.CompletedTasks = j.NumTasks() - run.Left()
+	// A completed task keeps its placement: every task is placed when every
+	// one not completed is.
+	allPlaced := run.Placed(workload.MapTask)+run.Placed(workload.ReduceTask) == run.Left()
+	var end int64
 	e.taskBuf = e.sim.JobStatus(j, e.taskBuf[:0])
-	var (
-		anyStarted bool
-		// A job the simulator has not registered yet has no placement.
-		allPlaced = len(e.taskBuf) == j.NumTasks()
-		end       int64
-	)
 	for _, ts := range e.taskBuf {
-		switch {
-		case ts.Completed:
-			st.CompletedTasks++
-		case ts.Started:
-			anyStarted = true
-		}
 		if !ts.Placed {
-			allPlaced = false
-		} else if tEnd := ts.Start + ts.Exec; tEnd > end {
-			end = tEnd
+			continue
 		}
-		if withPlacements && ts.Placed {
+		end = max(end, ts.Start+ts.Exec)
+		if withPlacements {
 			t := ts.Task
 			st.Placements = append(st.Placements, TaskPlacement{
 				Task: t.ID, JobID: j.ID, Type: t.Type.String(), Resource: ts.Res,
@@ -986,29 +984,28 @@ func (e *Engine) status(id int, entry *jobEntry, withPlacements bool) JobStatus 
 			})
 		}
 	}
-	switch {
-	case e.sim.Abandoned(j):
+	if run.Abandoned() {
 		st.State = StateAbandoned
+		return st
+	}
+	if at, done := run.Done(); done {
+		st.State = StateCompleted
+		st.CompletionMS = at
+		st.Late = at > j.Deadline
+		return st
+	}
+	switch {
+	case run.Running() > 0 || st.CompletedTasks > 0:
+		st.State = StateRunning
+	case allPlaced:
+		st.State = StateScheduled
 	default:
-		if at, done := e.sim.JobDone(j); done {
-			st.State = StateCompleted
-			st.CompletionMS = at
-			st.Late = at > j.Deadline
-			return st
-		}
-		switch {
-		case anyStarted || st.CompletedTasks > 0:
-			st.State = StateRunning
-		case allPlaced:
-			st.State = StateScheduled
-		default:
-			st.State = StateQueued
-		}
-		if allPlaced {
-			st.PredictedEndMS = end
-			if end > j.Deadline {
-				st.PredictedLateMS = end - j.Deadline
-			}
+		st.State = StateQueued
+	}
+	if allPlaced {
+		st.PredictedEndMS = end
+		if end > j.Deadline {
+			st.PredictedLateMS = end - j.Deadline
 		}
 	}
 	return st

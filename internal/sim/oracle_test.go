@@ -86,7 +86,8 @@ func checkPromised(dim string, held, use, scan []int64) error {
 
 // CheckCounters compares everything the simulator keeps by counting
 // transitions — the seven sample fields, the ledger's promised demand per
-// resource, OutstandingJobs and each job's uncompleted-map count — with a
+// resource, OutstandingJobs and each job's uncompleted-map, placed-or-running
+// and running counts — with a
 // scan of the state it summarises. It is the hook the policy-driven oracle
 // runs in the external test package call after every Step.
 func CheckCounters(s *Simulator) error {
@@ -107,14 +108,30 @@ func CheckCounters(s *Simulator) error {
 		return fmt.Errorf("OutstandingJobs %d, scan %d", got, want)
 	}
 	for j, js := range s.byJob {
-		mapsLeft := 0
-		for _, mt := range j.MapTasks {
-			if !s.tasks[mt].completed {
+		var mapsLeft, running int
+		var placed [2]int
+		for _, st := range js.states(s) {
+			if st.completed {
+				continue
+			}
+			if st.task.Type == workload.MapTask {
 				mapsLeft++
+			}
+			if st.scheduled {
+				placed[st.task.Type]++
+			}
+			if st.started {
+				running++
 			}
 		}
 		if js.mapsLeft != mapsLeft {
 			return fmt.Errorf("job %d: uncompleted-map count %d, scan %d", j.ID, js.mapsLeft, mapsLeft)
+		}
+		if js.placed != placed {
+			return fmt.Errorf("job %d: placed-or-running counts %v, scan %v", j.ID, js.placed, placed)
+		}
+		if js.running != running {
+			return fmt.Errorf("job %d: running count %d, scan %d", j.ID, js.running, running)
 		}
 	}
 	return nil

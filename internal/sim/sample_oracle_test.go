@@ -104,8 +104,9 @@ func checkJobStatus(s *sim.Simulator, jobs []*workload.Job) error {
 
 // TestSampleCountersMatchScan is the sample oracle: on seeded, heavily
 // faulted runs of every built-in policy family it compares, after every
-// single Step, the seven sample fields, OutstandingJobs and the per-job
-// uncompleted-map counts, and the ledger's promised demand per resource,
+// single Step, the seven sample fields, OutstandingJobs, the per-job
+// uncompleted-map, placed-or-running and running counts, and the ledger's
+// promised demand per resource,
 // with a scan of the simulator's state (sim.CheckCounters), and every
 // job's JobStatus with its tasks' Status (checkJobStatus). The runs are
 // built to cross every transition a counter is updated at — first placement

@@ -51,6 +51,10 @@ type Context interface {
 	// reduces, to buf and returns it: one lookup for the whole job. An
 	// unknown job appends nothing.
 	JobStatus(j *workload.Job, buf []TaskStatus) []TaskStatus
+	// Job returns the handle on the simulator's record of j: its tasks
+	// left, placed and running. It is the zero JobRef for a job the run
+	// has not registered.
+	Job(j *workload.Job) JobRef
 	// FirstFit returns the lowest-index up resource on which the task can
 	// start now — its slot demand (Req) and memory demand (Mem) fit beside
 	// the running attempts and the tasks placed there but not yet started —
@@ -99,6 +103,36 @@ type TaskStatus struct {
 // whole run.
 type TaskRef struct{ st *taskState }
 
+// JobRef is a handle on the simulator's record of one job, valid for the
+// whole run. Its counts are the simulator's own, current at every callback.
+// The zero JobRef names no job; its methods must not be called.
+type JobRef struct{ js *jobState }
+
+// Left returns the number of the job's tasks not yet completed.
+func (r JobRef) Left() int { return r.js.left }
+
+// MapsLeft returns the number of the job's map tasks not yet completed.
+func (r JobRef) MapsLeft() int { return r.js.mapsLeft }
+
+// Placed returns the number of the job's tasks of the given type that are
+// placed and waiting to start, or running.
+func (r JobRef) Placed(typ workload.TaskType) int { return r.js.placed[typ] }
+
+// Running returns the number of the job's attempts in flight.
+func (r JobRef) Running() int { return r.js.running }
+
+// Abandoned reports whether the job was given up on.
+func (r JobRef) Abandoned() bool { return r.js.abandoned }
+
+// Done returns the job's completion instant, or false while it is still
+// outstanding or when it was abandoned.
+func (r JobRef) Done() (int64, bool) {
+	if r.js.left > 0 || r.js.abandoned {
+		return 0, false
+	}
+	return r.js.doneAt, true
+}
+
 type taskState struct {
 	task      *workload.Task
 	job       *workload.Job
@@ -127,6 +161,10 @@ type jobState struct {
 	// mapsLeft counts uncompleted map tasks: a reduce task may start only
 	// at zero (classic MapReduce jobs; TaskPrecedence jobs use Preds).
 	mapsLeft int
+	// placed counts the tasks of each type placed or running, and running
+	// the attempts in flight (JobRef.Placed, JobRef.Running).
+	placed  [2]int
+	running int
 	// abandoned says the job was given up on; doneAt is its completion
 	// instant once left is 0 and it was not abandoned.
 	abandoned bool
@@ -551,22 +589,6 @@ func (s *Simulator) OutageEnd(res int) int64 {
 	return end
 }
 
-// JobDone returns the completion instant of a job, or false while it is
-// still outstanding (or was abandoned).
-func (s *Simulator) JobDone(j *workload.Job) (int64, bool) {
-	js, ok := s.byJob[j]
-	if !ok || js.left > 0 || js.abandoned {
-		return 0, false
-	}
-	return js.doneAt, true
-}
-
-// Abandoned reports whether the job was given up on.
-func (s *Simulator) Abandoned(j *workload.Job) bool {
-	js, ok := s.byJob[j]
-	return ok && js.abandoned
-}
-
 // OutstandingJobs counts arrived jobs that are neither completed nor
 // abandoned plus jobs whose arrival events are still queued.
 func (s *Simulator) OutstandingJobs() int {
@@ -658,6 +680,7 @@ func (s *Simulator) handleTaskStart(ev event) error {
 	}
 	st.started = true
 	s.running++
+	st.js.running++
 	if st.attempt > 0 {
 		s.metrics.TasksRetried++
 	}
@@ -723,6 +746,8 @@ func (s *Simulator) handleTaskFinish(ev event) error {
 	s.closeActiveWindow(st.res)
 	st.completed = true
 	s.running--
+	st.js.running--
+	st.js.placed[t.Type]--
 	for _, o := range s.observers {
 		o.TaskFinished(s.clock, t, j, st.res)
 	}
@@ -808,6 +833,8 @@ func (s *Simulator) handleResourceUp(ev event) error {
 // failed or killed attempt.
 func (s *Simulator) resetAttempt(st *taskState) {
 	s.running--
+	st.js.running--
+	st.js.placed[st.task.Type]--
 	st.started = false
 	st.scheduled = false
 	st.res, st.start = -1, 0
@@ -893,6 +920,8 @@ func (s *Simulator) place(st *taskState, res int, start int64) error {
 	replan := st.scheduled
 	if replan {
 		s.ledger.promise(st.res, t, -1)
+	} else {
+		st.js.placed[t.Type]++
 	}
 	s.ledger.promise(res, t, 1)
 	st.res, st.start = res, start
@@ -923,6 +952,7 @@ func (s *Simulator) Unschedule(t *workload.Task) error {
 // unplace removes the pending placement of a placed, not yet started task.
 func (s *Simulator) unplace(st *taskState) {
 	s.ledger.promise(st.res, st.task, -1)
+	st.js.placed[st.task.Type]--
 	st.scheduled = false
 	st.res, st.start = -1, 0 // never leave a stale placement behind
 	st.version++             // existing start events become stale
@@ -948,6 +978,10 @@ func (s *Simulator) JobStatus(j *workload.Job, buf []TaskStatus) []TaskStatus {
 	}
 	return buf
 }
+
+// Job returns the handle on j's record; the zero JobRef when j is not
+// registered.
+func (s *Simulator) Job(j *workload.Job) JobRef { return JobRef{s.byJob[j]} }
 
 // states returns the task states of js's job.
 func (js *jobState) states(s *Simulator) []*taskState {

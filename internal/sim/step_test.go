@@ -111,7 +111,7 @@ func TestAddJobMatchesPreloaded(t *testing.T) {
 		t.Fatalf("outstanding = %d after completion", sAdd.OutstandingJobs())
 	}
 	for _, j := range jobs {
-		if _, ok := sAdd.JobDone(j); !ok {
+		if _, ok := sAdd.Job(j).Done(); !ok {
 			t.Fatalf("job %d not recorded as done", j.ID)
 		}
 	}

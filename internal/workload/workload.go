@@ -170,8 +170,11 @@ func (j *Job) Validate() error {
 	if len(j.MapTasks) == 0 && (!j.TaskPrecedence || len(j.ReduceTasks) == 0) {
 		return fmt.Errorf("workload: job %d has no map tasks", j.ID)
 	}
-	for _, tasks := range [2][]*Task{j.MapTasks, j.ReduceTasks} {
+	for typ, tasks := range [2][]*Task{j.MapTasks, j.ReduceTasks} {
 		for _, t := range tasks {
+			if t.Type != TaskType(typ) {
+				return fmt.Errorf("workload: job %d task %s of type %d is in the %s list", j.ID, t.ID, t.Type, TaskType(typ))
+			}
 			if t.Exec <= 0 {
 				return fmt.Errorf("workload: job %d task %s has non-positive execution time %d",
 					j.ID, t.ID, t.Exec)

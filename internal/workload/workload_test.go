@@ -339,4 +339,11 @@ func TestJobValidateCatchesBadJobs(t *testing.T) {
 	if err := j.Validate(); err != nil {
 		t.Fatalf("reduce-pool-only workflow refused: %v", err)
 	}
+	// A task's type names its list, which the simulator counts it by.
+	for _, typ := range []TaskType{MapTask, 2} {
+		j.ReduceTasks[0].Type = typ
+		if err := j.Validate(); err == nil {
+			t.Fatalf("task of type %d in the reduce list accepted", typ)
+		}
+	}
 }
