@@ -175,7 +175,11 @@ func main() {
 		}
 	}
 
-	metrics, rec, err := mrcprm.SimulateInstrumented(cluster, rm, jl, injector,
+	var rec *mrcprm.TraceRecorder
+	if *traceOut != "" || *gantt {
+		rec = mrcprm.NewTraceRecorder()
+	}
+	metrics, err := mrcprm.SimulateInstrumented(cluster, rm, jl, injector, rec,
 		common.Telemetry(), common.TelemetrySampleMS)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

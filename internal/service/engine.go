@@ -109,11 +109,10 @@ type Config struct {
 	// the recent drain rate. 0 means unbounded.
 	MaxPending int
 
-	// SLO tunes the deadline-miss attribution and burn monitor (miss
-	// budget, window, trace ring size). Zero values select the slo
-	// package defaults; the Telemetry field is overridden with the
-	// engine's own handle. The monitor always runs — traces and burn
-	// state are available even without a telemetry sink.
+	// SLO tunes the deadline-miss burn monitor (miss budget and window).
+	// Zero values select the slo package defaults; the Telemetry field is
+	// overridden with the engine's own handle. The monitor always runs —
+	// traces and burn state are available even without a telemetry sink.
 	SLO slo.Config
 }
 
@@ -919,6 +918,8 @@ func (e *Engine) registry() []*jobEntry {
 
 // Job returns the status of one submission, with per-task placements.
 func (e *Engine) Job(id int) (JobStatus, bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	entries := e.registry()
 	if id < 0 || id >= len(entries) {
 		return JobStatus{}, false
@@ -927,8 +928,11 @@ func (e *Engine) Job(id int) (JobStatus, bool) {
 }
 
 // Jobs returns the status of every submission in ID order, without
-// placements.
+// placements. The whole listing is read under one hold of the simulator
+// lock, so it describes one moment.
 func (e *Engine) Jobs() []JobStatus {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	entries := e.registry()
 	out := make([]JobStatus, len(entries))
 	for id, entry := range entries {
@@ -937,13 +941,14 @@ func (e *Engine) Jobs() []JobStatus {
 	return out
 }
 
+// status reports one submission. It scans the job's tasks only for its
+// placements or for the predicted end of a live job whose tasks are all
+// placed. Callers hold mu.
 func (e *Engine) status(id int, entry *jobEntry, withPlacements bool) JobStatus {
 	if entry.rejectReason != "" {
 		return JobStatus{ID: id, State: StateRejected, Reason: entry.rejectReason,
 			DeadlineMS: entry.rejectDeadline}
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	j := entry.job
 	st := JobStatus{
 		ID:              id,
@@ -968,33 +973,34 @@ func (e *Engine) status(id int, entry *jobEntry, withPlacements bool) JobStatus 
 	// A completed task keeps its placement: every task is placed when every
 	// one not completed is.
 	allPlaced := run.Placed(workload.MapTask)+run.Placed(workload.ReduceTask) == run.Left()
+	at, done := run.Done()
 	var end int64
-	e.taskBuf = e.sim.JobStatus(j, e.taskBuf[:0])
-	for _, ts := range e.taskBuf {
-		if !ts.Placed {
-			continue
-		}
-		end = max(end, ts.Start+ts.Exec)
-		if withPlacements {
-			t := ts.Task
-			st.Placements = append(st.Placements, TaskPlacement{
-				Task: t.ID, JobID: j.ID, Type: t.Type.String(), Resource: ts.Res,
-				StartMS: ts.Start, EndMS: ts.Start + ts.Exec,
-				Started: ts.Started, Done: ts.Completed,
-			})
+	if withPlacements || (allPlaced && !done && !run.Abandoned()) {
+		e.taskBuf = e.sim.JobStatus(j, e.taskBuf[:0])
+		for _, ts := range e.taskBuf {
+			if !ts.Placed {
+				continue
+			}
+			end = max(end, ts.Start+ts.Exec)
+			if withPlacements {
+				t := ts.Task
+				st.Placements = append(st.Placements, TaskPlacement{
+					Task: t.ID, JobID: j.ID, Type: t.Type.String(), Resource: ts.Res,
+					StartMS: ts.Start, EndMS: ts.Start + ts.Exec,
+					Started: ts.Started, Done: ts.Completed,
+				})
+			}
 		}
 	}
-	if run.Abandoned() {
+	switch {
+	case run.Abandoned():
 		st.State = StateAbandoned
 		return st
-	}
-	if at, done := run.Done(); done {
+	case done:
 		st.State = StateCompleted
 		st.CompletionMS = at
 		st.Late = at > j.Deadline
 		return st
-	}
-	switch {
 	case run.Running() > 0 || st.CompletedTasks > 0:
 		st.State = StateRunning
 	case allPlaced:
@@ -1195,25 +1201,8 @@ func (e *Engine) Metrics() Snapshot {
 	}
 	burn := e.mon.Burn(now)
 	snap.SLO = &burn
-	if by := missByClass(e.mon.AttributionTotals()); len(by) > 0 {
-		snap.MissByClass = by
-	}
+	snap.MissByClass = e.mon.MissByClass()
 	return snap
-}
-
-// missByClass folds a monitor's attribution totals into one miss count per
-// class, dropping empty classes.
-func missByClass(tot slo.Totals) map[string]int64 {
-	var by map[string]int64
-	for _, class := range slo.Classes() {
-		if n := tot.LateByClass[class] + tot.AbandonedByClass[class]; n > 0 {
-			if by == nil {
-				by = make(map[string]int64)
-			}
-			by[class] = n
-		}
-	}
-	return by
 }
 
 // Trace returns one job's recorded lifecycle timeline plus how many early

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -567,4 +568,99 @@ func TestInjectFailureReleasesPending(t *testing.T) {
 	}
 	runToEnd(t, r)
 	checkOneRejected(t, r, 1)
+}
+
+// stopAfter is an observer that stops its engine on the simulator's n-th
+// task finish, so the run freezes mid-way: the step in flight completes
+// and the run loop exits before the next.
+type stopAfter struct {
+	sim.NopObserver
+	e *Engine
+	n int
+}
+
+func (o *stopAfter) TaskFinished(int64, *workload.Task, *workload.Job, int) {
+	if o.n--; o.n == 0 {
+		o.e.Stop()
+	}
+}
+
+// TestJobsMatchesJob: a listing is one moment's view and holds what a
+// lookup reports, placements aside. Faulted runs are frozen at three
+// points mid-way and one runs to the end; in each, Jobs()[i] must equal
+// Job(i) without Placements for every submission. While the runs step,
+// a second goroutine lists and looks up for the race detector.
+func TestJobsMatchesJob(t *testing.T) {
+	jobs, cluster, mcfg := faultedStream(t)
+	for _, finishes := range []int{40, 120, 200, 0} {
+		t.Run(fmt.Sprintf("stop-after-%d", finishes), func(t *testing.T) {
+			stop := &stopAfter{n: finishes}
+			e, err := New(Config{Cluster: cluster, Manager: mcfg, Observer: stop})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stop.e = e
+			injectFaults(t, e, jobs)
+			for _, j := range jobs {
+				if _, err := e.Submit(workload.SpecOf(j)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-e.Done():
+						return
+					default:
+					}
+					for _, st := range e.Jobs() {
+						e.Job(st.ID)
+					}
+				}
+			}()
+			if err := e.Start(); err != nil {
+				t.Fatal(err)
+			}
+			if finishes == 0 {
+				e.CloseIntake()
+			}
+			err = e.Wait()
+			wg.Wait()
+			if finishes == 0 && err != nil || finishes > 0 && !errors.Is(err, ErrStopped) {
+				t.Fatalf("run ended with %v", err)
+			}
+
+			list := e.Jobs()
+			if len(list) != len(jobs) {
+				t.Fatalf("%d listed, %d submitted", len(list), len(jobs))
+			}
+			states := map[JobState]int{}
+			predicted := 0
+			for i, st := range list {
+				one, ok := e.Job(i)
+				if !ok {
+					t.Fatalf("job %d not found", i)
+				}
+				one.Placements = nil
+				if !reflect.DeepEqual(st, one) {
+					t.Fatalf("Jobs()[%d] = %+v\nJob(%d)   = %+v", i, st, i, one)
+				}
+				states[st.State]++
+				if st.PredictedEndMS > 0 {
+					predicted++
+				}
+			}
+			t.Logf("states %v, %d with a predicted end", states, predicted)
+			if finishes > 0 && (states[StateRunning] == 0 || predicted == 0) {
+				t.Errorf("frozen run has %d running jobs and %d predicted ends, want both > 0",
+					states[StateRunning], predicted)
+			}
+			if finishes == 0 && states[StateCompleted]+states[StateAbandoned] != len(jobs) {
+				t.Errorf("finished run states %v", states)
+			}
+		})
+	}
 }

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"mrcprm/internal/core"
 	"mrcprm/internal/rmkit"
 	"mrcprm/internal/sim"
 	"mrcprm/internal/slo"
@@ -20,14 +21,11 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// TestSLOTraceGolden pins what the SLO monitor serves for one faulted
-// virtual run: every job's GET /v1/jobs/{id}/trace body, then the slo and
-// missByClass blocks of GET /v1/metrics. Failures and stragglers come from
-// ApplyFaults, kills from two InjectOutage windows, one infeasible
-// submission is shed with admission on and one is admitted with it off.
-// The test fails unless the run reached every trace kind, both completion
-// verdicts and all three attribution classes.
-func TestSLOTraceGolden(t *testing.T) {
+// faultedStream is a loaded 40-job stream on 4 resources and an MRCP-RM
+// configuration that solves it quickly and abandons a job on the second
+// failed attempt of one of its tasks.
+func faultedStream(t *testing.T) ([]*workload.Job, sim.Cluster, core.Config) {
+	t.Helper()
 	gen := workload.DefaultSynthetic()
 	gen.NumResources = 4
 	gen.NumMapHi = 8
@@ -37,14 +35,17 @@ func TestSLOTraceGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster := sim.Cluster{NumResources: 4, MapSlots: 2, ReduceSlots: 2}
 	mcfg := deterministicCfg()
 	mcfg.NodeLimit = 2000
 	mcfg.Retry = rmkit.RetryPolicy{MaxTaskRetries: 1}
-	e, err := New(Config{Cluster: cluster, Manager: mcfg})
-	if err != nil {
-		t.Fatal(err)
-	}
+	return jobs, sim.Cluster{NumResources: 4, MapSlots: 2, ReduceSlots: 2}, mcfg
+}
+
+// injectFaults installs a failure and straggler plan on e and takes
+// resources 0 and 1 down for 40 s, a quarter and half way into jobs'
+// arrivals.
+func injectFaults(t *testing.T, e *Engine, jobs []*workload.Job) {
+	t.Helper()
 	if err := e.ApplyFaults(FaultSpec{FailRate: 0.05, StragglerProb: 0.05, Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -54,6 +55,23 @@ func TestSLOTraceGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestSLOTraceGolden pins what the SLO monitor serves for one faulted
+// virtual run: every job's GET /v1/jobs/{id}/trace body, then the slo and
+// missByClass blocks of GET /v1/metrics. Failures and stragglers come from
+// ApplyFaults, kills from two InjectOutage windows, one infeasible
+// submission is shed with admission on and one is admitted with it off.
+// The test fails unless the run reached every trace kind, both completion
+// verdicts and all three attribution classes.
+func TestSLOTraceGolden(t *testing.T) {
+	jobs, cluster, mcfg := faultedStream(t)
+	e, err := New(Config{Cluster: cluster, Manager: mcfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	injectFaults(t, e, jobs)
+	horizon := jobs[len(jobs)-1].Arrival
 	infeasible := workload.JobSpec{ArrivalMS: horizon / 3, DeadlineMS: horizon/3 + 10, MapExecMS: []int64{500}}
 	e.cfg.Admission = true
 	if _, err := e.Submit(infeasible); err == nil {
@@ -117,7 +135,7 @@ func TestSLOTraceGolden(t *testing.T) {
 			t.Errorf("no trace holds %s", want)
 		}
 	}
-	for _, class := range slo.Classes() {
+	for _, class := range []string{slo.ClassInfeasible, slo.ClassFaultDelay, slo.ClassQueuedBacklog} {
 		if snap.MissByClass[class] == 0 {
 			t.Errorf("no miss attributed to %s: %v", class, snap.MissByClass)
 		}

@@ -401,15 +401,16 @@ func TestShardHTTPEndToEnd(t *testing.T) {
 // render one snapshot.
 func TestFleetBurnIsOneAnswer(t *testing.T) {
 	cfg := testShardConfig()
-	cfg.Base.SLO = slo.Config{MissBudget: 0.05, WindowMS: 1 << 40, MinSample: 3}
+	cfg.Base.SLO = slo.Config{MissBudget: 0.05, WindowMS: 1 << 40}
 	r, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := NewHandler(r)
-	// Four equal, unmeetable jobs, accepted because admission is off; least
-	// load routes them two to a shard.
-	const n = 4
+	// 24 equal, unmeetable jobs, accepted because admission is off; least
+	// load routes them 12 to a shard, under slo.MinSample (20) on each and
+	// over it for the fleet.
+	const n = 24
 	for i := 0; i < n; i++ {
 		body := fmt.Sprintf(`{"arrivalMs":%d,"deadlineMs":%d,"mapExecMs":[500]}`, i*10, i*10+1)
 		if rp := call(h, "POST", "/v1/jobs", body); rp.status != http.StatusAccepted {

@@ -45,8 +45,8 @@ func (o *eventLog) ResourceDown(now int64, res int) { o.note("down", now, res) }
 
 func (o *eventLog) ResourceUp(now int64, res int) { o.note("up", now, res) }
 
-func (o *eventLog) TaskScheduled(now int64, t *workload.Task, j *workload.Job, res int, start int64, replan bool) {
-	o.note("scheduled", now, t.ID, j.ID, res, start, replan)
+func (o *eventLog) TaskScheduled(now int64, t *workload.Task, j *workload.Job, res int, start int64, kind sim.PlaceKind) {
+	o.note("scheduled", now, t.ID, j.ID, res, start, kind)
 }
 
 func (o *eventLog) TaskSlowdown(now int64, t *workload.Task, j *workload.Job, res int, effExec, nominal int64) {

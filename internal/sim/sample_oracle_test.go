@@ -19,6 +19,7 @@ import (
 // It also counts what the run exercised.
 type churnRM struct {
 	sim.ResourceManager
+	cov                    *coverage
 	jobs                   []*workload.Job
 	unscheduled, evacuated int
 }
@@ -41,6 +42,7 @@ func (c *churnRM) OnTaskComplete(ctx sim.Context, t *workload.Task) error {
 			if err := ctx.Unschedule(pt); err != nil {
 				return err
 			}
+			delete(c.cov.pending, pt)
 			c.unscheduled++
 			return ctx.Schedule(pt, st.Res, st.Start)
 		}
@@ -54,7 +56,12 @@ func (c *churnRM) OnResourceDown(ctx sim.Context, res int, killed, evacuated []*
 }
 
 // coverage observes the run so the test can insist that every transition
-// the counters hang on actually happened.
+// the counters hang on actually happened. It is also the placement-kind
+// oracle: it derives each TaskScheduled kind from the events alone — a
+// task whose last attempt failed or was killed and that has not been
+// placed since is retried, a task with a pending placement is replanned,
+// any other is new — and records the first placement whose reported kind
+// differs.
 type coverage struct {
 	sim.NopObserver
 	replans, slowdowns int
@@ -62,6 +69,29 @@ type coverage struct {
 	// finishedAfterAbandon counts tasks of an abandoned job whose in-flight
 	// attempt ran to completion afterwards.
 	finishedAfterAbandon int
+
+	// failed holds the tasks whose last attempt failed or was killed and
+	// that have not been placed since; pending each placed, not yet started
+	// task (the Unschedule in churnRM takes it out).
+	failed  map[*workload.Task]bool
+	pending map[*workload.Task]pendingPlacement
+	// evacuatedRetry holds the tasks an outage evacuated while their
+	// pending placement was a retry; evacuatedRetries counts how many were
+	// placed again. Such a placement has a failed attempt behind it and is
+	// still not a retry: the oracle says PlaceNew.
+	evacuatedRetry   map[*workload.Task]bool
+	evacuatedRetries int
+	mismatch         string
+}
+
+type pendingPlacement struct {
+	res   int
+	retry bool // the placement chain began with a retry
+}
+
+func newCoverage() *coverage {
+	return &coverage{abandoned: make(map[*workload.Job]bool), failed: make(map[*workload.Task]bool),
+		pending: make(map[*workload.Task]pendingPlacement), evacuatedRetry: make(map[*workload.Task]bool)}
 }
 
 func (c *coverage) TaskFinished(_ int64, _ *workload.Task, j *workload.Job, _ int) {
@@ -70,9 +100,48 @@ func (c *coverage) TaskFinished(_ int64, _ *workload.Task, j *workload.Job, _ in
 	}
 }
 
-func (c *coverage) TaskScheduled(_ int64, _ *workload.Task, _ *workload.Job, _ int, _ int64, replan bool) {
-	if replan {
+func (c *coverage) TaskScheduled(now int64, t *workload.Task, _ *workload.Job, res int, _ int64, kind sim.PlaceKind) {
+	p, replan := c.pending[t]
+	want := sim.PlaceNew
+	switch {
+	case c.failed[t]:
+		want = sim.PlaceRetry
+	case replan:
+		want = sim.PlaceReplan
+	}
+	if kind != want && c.mismatch == "" {
+		c.mismatch = fmt.Sprintf("t=%d task %s: TaskScheduled kind %d, oracle %d", now, t.ID, kind, want)
+	}
+	if kind == sim.PlaceReplan {
 		c.replans++
+	}
+	if c.evacuatedRetry[t] {
+		c.evacuatedRetries++
+		delete(c.evacuatedRetry, t)
+	}
+	delete(c.failed, t)
+	c.pending[t] = pendingPlacement{res: res, retry: want == sim.PlaceRetry || p.retry}
+}
+
+func (c *coverage) TaskStarted(_ int64, t *workload.Task, _ *workload.Job, _ int) {
+	delete(c.pending, t)
+}
+
+func (c *coverage) TaskFailed(_ int64, t *workload.Task, _ *workload.Job, _ int) { c.failed[t] = true }
+
+func (c *coverage) TaskKilled(_ int64, t *workload.Task, _ *workload.Job, _ int) { c.failed[t] = true }
+
+// ResourceDown fires after the outage evacuated every pending placement on
+// res and before the manager places them again.
+func (c *coverage) ResourceDown(_ int64, res int) {
+	for t, p := range c.pending {
+		if p.res != res {
+			continue
+		}
+		if p.retry {
+			c.evacuatedRetry[t] = true
+		}
+		delete(c.pending, t)
 	}
 }
 
@@ -115,9 +184,17 @@ func checkJobStatus(s *sim.Simulator, jobs []*workload.Job) error {
 // resource down and up, AddJob mid-run — and the test fails if one of them
 // never happened. The list policies also run on a memory-constrained
 // cluster, where they place by the simulator's FirstFit on two dimensions.
+// Every TaskScheduled kind must equal the coverage oracle's, and some run
+// must place a retried task again after an outage evacuated it.
 func TestSampleCountersMatchScan(t *testing.T) {
 	mrcp := core.DeterministicConfig()
 	mrcp.NodeLimit = 2000
+	evacuatedRetries := 0
+	defer func() {
+		if evacuatedRetries == 0 && !t.Failed() {
+			t.Error("no run placed a retried task again after an outage evacuated it")
+		}
+	}()
 
 	for _, run := range []struct {
 		name, policy string
@@ -162,8 +239,8 @@ func TestSampleCountersMatchScan(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					rm := &churnRM{ResourceManager: inner}
-					cov := &coverage{abandoned: make(map[*workload.Job]bool)}
+					cov := newCoverage()
+					rm := &churnRM{ResourceManager: inner, cov: cov}
 
 					// The first job is pre-loaded; every later one is added once its
 					// predecessor has arrived, i.e. while the run is executing.
@@ -211,10 +288,14 @@ func TestSampleCountersMatchScan(t *testing.T) {
 					if s.OutstandingJobs() != 0 {
 						t.Fatalf("%d jobs outstanding after the run", s.OutstandingJobs())
 					}
+					if cov.mismatch != "" {
+						t.Fatal(cov.mismatch)
+					}
+					evacuatedRetries += cov.evacuatedRetries
 
-					t.Logf("failed=%d killed=%d retried=%d slowdowns=%d outages=%d evacuated=%d replans=%d unscheduled=%d abandoned=%d finishedAfterAbandon=%d",
+					t.Logf("failed=%d killed=%d retried=%d slowdowns=%d outages=%d evacuated=%d replans=%d unscheduled=%d abandoned=%d finishedAfterAbandon=%d evacuatedRetries=%d",
 						m.TasksFailed, m.TasksKilled, m.TasksRetried, cov.slowdowns, m.Outages, rm.evacuated,
-						cov.replans, rm.unscheduled, m.JobsAbandoned, cov.finishedAfterAbandon)
+						cov.replans, rm.unscheduled, m.JobsAbandoned, cov.finishedAfterAbandon, cov.evacuatedRetries)
 					for what, n := range map[string]int{
 						"task failures":                     m.TasksFailed,
 						"outage kills":                      m.TasksKilled,

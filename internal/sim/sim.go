@@ -144,6 +144,9 @@ type taskState struct {
 	scheduled bool
 	started   bool
 	completed bool
+	// retry says the last attempt failed or was killed and the task has not
+	// been placed since: its next placement is a PlaceRetry.
+	retry bool
 	// attempt counts failed execution attempts; effExec is the effective
 	// (slowdown-adjusted) duration of the in-flight attempt.
 	attempt int
@@ -231,10 +234,11 @@ type Observer interface {
 	ResourceDown(now int64, res int)
 	// ResourceUp fires when a resource outage ends.
 	ResourceUp(now int64, res int)
-	// TaskScheduled fires for every placement the manager installs. replan
-	// is true when the task already had a pending placement that this one
-	// replaces.
-	TaskScheduled(now int64, t *workload.Task, j *workload.Job, res int, start int64, replan bool)
+	// TaskScheduled fires for every placement the manager installs; kind
+	// says whether it is the task's first placement since it became
+	// schedulable (PlaceNew), replaces a pending one (PlaceReplan), or is
+	// the first after a failed or killed attempt (PlaceRetry).
+	TaskScheduled(now int64, t *workload.Task, j *workload.Job, res int, start int64, kind PlaceKind)
 	// TaskSlowdown fires when an attempt starts with effective duration
 	// effExec stretched beyond the machine-adjusted exec time nominal.
 	TaskSlowdown(now int64, t *workload.Task, j *workload.Job, res int, effExec, nominal int64)
@@ -245,19 +249,33 @@ type Observer interface {
 	JobAbandoned(now int64, j *workload.Job)
 }
 
+// PlaceKind tells a TaskScheduled notification's placement apart.
+type PlaceKind uint8
+
+const (
+	// PlaceNew places a task with no pending placement and no failed
+	// attempt since it was last placed: its first placement, or one after
+	// Unschedule or an outage evacuation.
+	PlaceNew PlaceKind = iota
+	// PlaceReplan replaces the task's pending placement.
+	PlaceReplan
+	// PlaceRetry is the first placement after a failed or killed attempt.
+	PlaceRetry
+)
+
 // NopObserver implements every Observer event as a no-op.
 type NopObserver struct{}
 
-func (NopObserver) TaskStarted(int64, *workload.Task, *workload.Job, int)                {}
-func (NopObserver) TaskFinished(int64, *workload.Task, *workload.Job, int)               {}
-func (NopObserver) TaskFailed(int64, *workload.Task, *workload.Job, int)                 {}
-func (NopObserver) TaskKilled(int64, *workload.Task, *workload.Job, int)                 {}
-func (NopObserver) ResourceDown(int64, int)                                              {}
-func (NopObserver) ResourceUp(int64, int)                                                {}
-func (NopObserver) TaskScheduled(int64, *workload.Task, *workload.Job, int, int64, bool) {}
-func (NopObserver) TaskSlowdown(int64, *workload.Task, *workload.Job, int, int64, int64) {}
-func (NopObserver) JobCompleted(int64, *workload.Job, int64)                             {}
-func (NopObserver) JobAbandoned(int64, *workload.Job)                                    {}
+func (NopObserver) TaskStarted(int64, *workload.Task, *workload.Job, int)                     {}
+func (NopObserver) TaskFinished(int64, *workload.Task, *workload.Job, int)                    {}
+func (NopObserver) TaskFailed(int64, *workload.Task, *workload.Job, int)                      {}
+func (NopObserver) TaskKilled(int64, *workload.Task, *workload.Job, int)                      {}
+func (NopObserver) ResourceDown(int64, int)                                                   {}
+func (NopObserver) ResourceUp(int64, int)                                                     {}
+func (NopObserver) TaskScheduled(int64, *workload.Task, *workload.Job, int, int64, PlaceKind) {}
+func (NopObserver) TaskSlowdown(int64, *workload.Task, *workload.Job, int, int64, int64)      {}
+func (NopObserver) JobCompleted(int64, *workload.Job, int64)                                  {}
+func (NopObserver) JobAbandoned(int64, *workload.Job)                                         {}
 
 // AddObserver attaches a lifecycle observer; call before Run. Every event
 // reaches the observers in attach order. A nil observer is ignored.
@@ -837,6 +855,7 @@ func (s *Simulator) resetAttempt(st *taskState) {
 	st.js.placed[st.task.Type]--
 	st.started = false
 	st.scheduled = false
+	st.retry = true
 	st.res, st.start = -1, 0
 	st.effExec = 0
 	st.attempt++
@@ -917,19 +936,24 @@ func (s *Simulator) place(st *taskState, res int, start int64) error {
 	if res < 0 || res >= s.cluster.NumResources {
 		return fmt.Errorf("sim: task %s scheduled on invalid resource %d", t.ID, res)
 	}
-	replan := st.scheduled
-	if replan {
+	kind := PlaceNew
+	if st.scheduled {
+		kind = PlaceReplan
 		s.ledger.promise(st.res, t, -1)
 	} else {
+		if st.retry {
+			kind = PlaceRetry
+		}
 		st.js.placed[t.Type]++
 	}
 	s.ledger.promise(res, t, 1)
 	st.res, st.start = res, start
 	st.scheduled = true
+	st.retry = false
 	st.version++
 	s.queue.push(event{at: start, kind: evTaskStart, taskKey: st.key, version: st.version})
 	for _, o := range s.observers {
-		o.TaskScheduled(s.clock, t, st.job, res, start, replan)
+		o.TaskScheduled(s.clock, t, st.job, res, start, kind)
 	}
 	return nil
 }

@@ -8,6 +8,7 @@
 package slo
 
 import (
+	"maps"
 	"sync"
 
 	"mrcprm/internal/obs"
@@ -29,11 +30,6 @@ const (
 	// itself — it queued behind too much other work.
 	ClassQueuedBacklog = "queued_backlog"
 )
-
-// Classes lists every attribution class in reporting order.
-func Classes() []string {
-	return []string{ClassInfeasible, ClassFaultDelay, ClassQueuedBacklog}
-}
 
 // CounterMiss is the obs counter-family prefix: one counter per class,
 // e.g. "slo_miss_fault_delay".
@@ -64,6 +60,15 @@ const (
 	KindAbandoned = "abandoned"
 )
 
+const (
+	// MinSample is the minimum number of finishes inside the window before
+	// the burn alarm may trip (guards cold starts).
+	MinSample = 20
+	// TraceCap bounds each job's timeline ring; older events are dropped
+	// (and counted) beyond it.
+	TraceCap = 64
+)
+
 // Config tunes a Monitor. Zero values select the defaults.
 type Config struct {
 	// MissBudget is the tolerated fraction of SLA misses among finishes
@@ -72,12 +77,6 @@ type Config struct {
 	// WindowMS is the sliding-window length in simulated ms. Default
 	// 60000.
 	WindowMS int64
-	// MinSample is the minimum number of finishes inside the window
-	// before the burn alarm may trip (guards cold starts). Default 20.
-	MinSample int
-	// TraceCap bounds each job's timeline ring; older events are dropped
-	// (and counted) beyond it. Default 64.
-	TraceCap int
 	// Telemetry receives slo_attribution events and the per-class miss
 	// counter family; nil records traces and burn state only.
 	Telemetry *obs.Telemetry
@@ -90,31 +89,7 @@ func (c Config) withDefaults() Config {
 	if c.WindowMS <= 0 {
 		c.WindowMS = 60_000
 	}
-	if c.MinSample <= 0 {
-		c.MinSample = 20
-	}
-	if c.TraceCap <= 0 {
-		c.TraceCap = 64
-	}
 	return c
-}
-
-// Attribution is one finished miss with its assigned class.
-type Attribution struct {
-	JobID      int    `json:"job"`
-	Class      string `json:"class"`
-	Outcome    string `json:"outcome"` // "late" or "abandoned"
-	LatenessMS int64  `json:"latenessMS"`
-}
-
-// Totals is the reconciliation view of everything attributed so far.
-type Totals struct {
-	// LateByClass counts late completions per class; its values sum to
-	// the simulator's Metrics.LateJobs.
-	LateByClass map[string]int64 `json:"lateByClass"`
-	// AbandonedByClass counts abandonments per class; its values sum to
-	// Metrics.JobsAbandoned.
-	AbandonedByClass map[string]int64 `json:"abandonedByClass"`
 }
 
 // BurnInfo is a point-in-time view of the miss-budget burn monitor.
@@ -135,15 +110,14 @@ type BurnInfo struct {
 	Burning bool `json:"burning"`
 }
 
+// jobState is what the monitor knows of a job and the simulator does not:
+// its timeline ring and how many entries fell off it, whether it was
+// infeasible at admission, and how many fault events hit it.
 type jobState struct {
-	id          int
-	ring        []TraceEvent
-	dropped     int
-	infeasible  bool
-	faultEvents int
-	placedOnce  bool
-	failedTasks map[string]bool
-	done        bool
+	ring       []TraceEvent
+	dropped    int
+	infeasible bool
+	faults     int
 }
 
 type finish struct {
@@ -151,40 +125,32 @@ type finish struct {
 	miss bool
 }
 
-// Monitor accumulates traces, attributions, and burn state. All methods are
-// safe for concurrent use; a nil *Monitor is inert on every method it
-// defines, so callers thread it like a telemetry handle (the no-op events
-// it inherits from sim.NopObserver need a live one: attach only that).
+// Monitor accumulates traces, per-class miss counts, and burn state,
+// keeping per job only what the simulator does not know: what a placement
+// is (new, replan, retry) comes from the simulator's sim.PlaceKind. All
+// methods are safe for concurrent use.
 type Monitor struct {
 	sim.NopObserver
 	cfg Config
 
 	mu      sync.Mutex
 	jobs    map[int]*jobState
-	lateBy  map[string]int64
-	abandBy map[string]int64
-	attrs   []Attribution
-	window  []finish // finish instants, ascending
+	missBy  map[string]int64 // misses per class; nil until the first
+	window  []finish         // finish instants, ascending
 	lastNow int64
 }
 
 // NewMonitor creates a monitor with the given configuration.
 func NewMonitor(cfg Config) *Monitor {
-	return &Monitor{
-		cfg:     cfg.withDefaults(),
-		jobs:    make(map[int]*jobState),
-		lateBy:  make(map[string]int64),
-		abandBy: make(map[string]int64),
-	}
+	return &Monitor{cfg: cfg.withDefaults(), jobs: make(map[int]*jobState)}
 }
 
 // state returns the job's record, creating it on first sight. Lazy creation
-// lets the monitor attach to a plain simulation (no engine submissions):
-// the first observer event adopts the job mid-flight.
+// lets the monitor attach to a plain simulation (no engine submissions).
 func (m *Monitor) state(id int) *jobState {
 	js := m.jobs[id]
 	if js == nil {
-		js = &jobState{id: id}
+		js = &jobState{}
 		m.jobs[id] = js
 	}
 	return js
@@ -203,7 +169,7 @@ func (m *Monitor) record(js *jobState, at int64, kind, detail string) {
 			return
 		}
 	}
-	if len(js.ring) >= m.cfg.TraceCap {
+	if len(js.ring) >= TraceCap {
 		copy(js.ring, js.ring[1:])
 		js.ring = js.ring[:len(js.ring)-1]
 		js.dropped++
@@ -216,9 +182,6 @@ func (m *Monitor) record(js *jobState, at int64, kind, detail string) {
 // JobSubmitted records an intake submission. infeasible marks jobs whose
 // SLA lower bound already exceeded the deadline at admission time.
 func (m *Monitor) JobSubmitted(now int64, id int, infeasible bool) {
-	if m == nil {
-		return
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	js := m.state(id)
@@ -235,15 +198,11 @@ func (m *Monitor) JobSubmitted(now int64, id int, infeasible bool) {
 // backpressure); the reason lands in the trace so rejected IDs still
 // explain themselves.
 func (m *Monitor) JobShed(now int64, id int, reason string) {
-	if m == nil {
-		return
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	js := m.state(id)
 	m.record(js, now, KindSubmitted, "")
 	m.record(js, now, KindShed, reason)
-	js.done = true
 }
 
 // --- sim.Observer ---
@@ -253,21 +212,16 @@ func (m *Monitor) JobShed(now int64, id int, reason string) {
 // resource outages, which are cluster-level.
 
 // TaskScheduled implements sim.Observer.
-func (m *Monitor) TaskScheduled(now int64, t *workload.Task, j *workload.Job, res int, start int64, replan bool) {
-	if m == nil {
-		return
-	}
+func (m *Monitor) TaskScheduled(now int64, t *workload.Task, j *workload.Job, res int, start int64, kind sim.PlaceKind) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	js := m.state(j.ID)
-	switch {
-	case js.failedTasks[t.ID]:
-		delete(js.failedTasks, t.ID)
+	switch kind {
+	case sim.PlaceRetry:
 		m.record(js, now, KindTaskRetry, t.ID)
-	case replan && js.placedOnce:
+	case sim.PlaceReplan:
 		m.record(js, now, KindReplanned, "")
 	default:
-		js.placedOnce = true
 		m.record(js, now, KindPlaced, "")
 	}
 }
@@ -283,104 +237,86 @@ func (m *Monitor) TaskKilled(now int64, t *workload.Task, j *workload.Job, res i
 }
 
 func (m *Monitor) taskFault(now int64, t *workload.Task, j *workload.Job, kind string) {
-	if m == nil {
-		return
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	js := m.state(j.ID)
-	js.faultEvents++
-	if js.failedTasks == nil {
-		js.failedTasks = make(map[string]bool)
-	}
-	js.failedTasks[t.ID] = true
+	js.faults++
 	m.record(js, now, kind, t.ID)
 }
 
 // TaskSlowdown implements sim.Observer.
 func (m *Monitor) TaskSlowdown(now int64, t *workload.Task, j *workload.Job, res int, effExec, nominal int64) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	js := m.state(j.ID)
-	js.faultEvents++
-	m.record(js, now, KindStraggle, t.ID)
+	m.taskFault(now, t, j, KindStraggle)
 }
 
 // JobCompleted implements sim.Observer: on-time completions close the
 // trace; late ones are attributed and counted against the budget.
 func (m *Monitor) JobCompleted(now int64, j *workload.Job, latenessMS int64) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	js := m.state(j.ID)
-	js.done = true
-	detail := "on_time"
 	late := latenessMS > 0
+	detail := "on_time"
 	if late {
 		detail = "late"
 	}
+	m.mu.Lock()
+	js := m.state(j.ID)
 	m.record(js, now, KindCompleted, detail)
-	var attr Attribution
+	var class string
 	if late {
-		attr = Attribution{JobID: j.ID, Class: m.classify(js), Outcome: "late", LatenessMS: latenessMS}
-		m.lateBy[attr.Class]++
-		m.attrs = append(m.attrs, attr)
+		class = m.miss(js)
 	}
 	m.observeFinish(now, late)
 	m.mu.Unlock()
 	if late {
-		m.emitAttribution(now, attr, now-j.Arrival)
+		m.emitAttribution(now, j, class, "late", latenessMS)
 	}
 }
 
 // JobAbandoned implements sim.Observer: every abandonment is an SLA miss.
 func (m *Monitor) JobAbandoned(now int64, j *workload.Job) {
-	if m == nil {
-		return
-	}
 	m.mu.Lock()
 	js := m.state(j.ID)
-	js.done = true
 	m.record(js, now, KindAbandoned, "")
-	attr := Attribution{JobID: j.ID, Class: m.classify(js), Outcome: "abandoned", LatenessMS: now - j.Deadline}
-	m.abandBy[attr.Class]++
-	m.attrs = append(m.attrs, attr)
+	class := m.miss(js)
 	m.observeFinish(now, true)
 	m.mu.Unlock()
-	m.emitAttribution(now, attr, now-j.Arrival)
+	m.emitAttribution(now, j, class, "abandoned", now-j.Deadline)
 }
 
-// classify picks the dominant miss cause. Priority: a job that was doomed
-// at admission blames admission regardless of later noise; fault damage
+// miss counts one miss of js's job against its class and returns the class.
+// The class is the dominant miss cause. Priority: a job that was doomed at
+// admission blames admission regardless of later noise; fault damage
 // outranks backlog (it delays the job directly); backlog is the residual
 // explanation. Callers hold mu.
-func (m *Monitor) classify(js *jobState) string {
+func (m *Monitor) miss(js *jobState) string {
+	class := ClassQueuedBacklog
 	switch {
 	case js.infeasible:
-		return ClassInfeasible
-	case js.faultEvents > 0:
-		return ClassFaultDelay
+		class = ClassInfeasible
+	case js.faults > 0:
+		class = ClassFaultDelay
 	}
-	return ClassQueuedBacklog
+	if m.missBy == nil {
+		m.missBy = make(map[string]int64)
+	}
+	m.missBy[class]++
+	return class
 }
 
-func (m *Monitor) emitAttribution(now int64, a Attribution, e2eMS int64) {
+// emitAttribution streams one miss, outcome "late" or "abandoned", as an
+// slo_attribution event and counts it in the miss counter family.
+func (m *Monitor) emitAttribution(now int64, j *workload.Job, class, outcome string, latenessMS int64) {
 	tel := m.cfg.Telemetry
 	if !tel.Enabled() {
 		return
 	}
 	tel.Emit(now, "obs", "slo_attribution",
-		obs.Int("job", a.JobID),
-		obs.Str("class", a.Class),
-		obs.Str("outcome", a.Outcome),
-		obs.I64("lateness_ms", a.LatenessMS),
-		obs.I64("e2e_ms", e2eMS),
+		obs.Int("job", j.ID),
+		obs.Str("class", class),
+		obs.Str("outcome", outcome),
+		obs.I64("lateness_ms", latenessMS),
+		obs.I64("e2e_ms", now-j.Arrival),
 	)
-	tel.Add(CounterMiss+a.Class, 1)
+	tel.Add(CounterMiss+class, 1)
 	tel.Add("slo_miss_total", 1)
 }
 
@@ -405,18 +341,15 @@ func (m *Monitor) pruneLocked(now int64) {
 }
 
 // Burn returns the burn-monitor view as of simulated time now (pass the
-// latest known sim time; it never moves the window backwards). Safe on nil.
+// latest known sim time; it never moves the window backwards).
 func (m *Monitor) Burn(now int64) BurnInfo {
-	if m == nil {
-		return BurnInfo{}
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.pruneLocked(now)
 	info := BurnInfo{
 		WindowMS:   m.cfg.WindowMS,
 		MissBudget: m.cfg.MissBudget,
-		MinSample:  m.cfg.MinSample,
+		MinSample:  MinSample,
 		Finished:   len(m.window),
 	}
 	for _, f := range m.window {
@@ -433,11 +366,8 @@ func (m *Monitor) Burn(now int64) BurnInfo {
 }
 
 // Trace returns a copy of the job's timeline plus how many older events
-// were dropped past the ring cap. ok is false for unknown jobs. Safe on nil.
+// were dropped past the ring cap. ok is false for unknown jobs.
 func (m *Monitor) Trace(jobID int) (events []TraceEvent, dropped int, ok bool) {
-	if m == nil {
-		return nil, 0, false
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	js := m.jobs[jobID]
@@ -447,31 +377,12 @@ func (m *Monitor) Trace(jobID int) (events []TraceEvent, dropped int, ok bool) {
 	return append([]TraceEvent(nil), js.ring...), js.dropped, true
 }
 
-// AttributionTotals returns copies of the per-class reconciliation maps.
-// Safe on nil.
-func (m *Monitor) AttributionTotals() Totals {
-	t := Totals{LateByClass: map[string]int64{}, AbandonedByClass: map[string]int64{}}
-	if m == nil {
-		return t
-	}
+// MissByClass returns the SLA misses (late completions plus abandonments)
+// attributed so far per class, holding only classes with a miss; nil
+// before the first miss. Its values sum to the simulator's LateJobs plus
+// JobsAbandoned.
+func (m *Monitor) MissByClass() map[string]int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for k, v := range m.lateBy {
-		t.LateByClass[k] = v
-	}
-	for k, v := range m.abandBy {
-		t.AbandonedByClass[k] = v
-	}
-	return t
-}
-
-// Attributions returns every attribution recorded so far, in finish order.
-// Safe on nil.
-func (m *Monitor) Attributions() []Attribution {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]Attribution(nil), m.attrs...)
+	return maps.Clone(m.missBy)
 }

@@ -1,6 +1,7 @@
 package slo
 
 import (
+	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -12,35 +13,35 @@ import (
 	"mrcprm/internal/workload"
 )
 
+// classes lists every attribution class.
+var classes = []string{ClassInfeasible, ClassFaultDelay, ClassQueuedBacklog}
+
 func job(id int, arrival, deadline int64) *workload.Job {
 	return &workload.Job{ID: id, Arrival: arrival, EarliestStart: arrival, Deadline: deadline}
 }
 
-func TestNilMonitorInert(t *testing.T) {
-	var m *Monitor
-	j := job(1, 0, 100)
-	tk := &workload.Task{ID: "t"}
-	m.JobSubmitted(0, 1, false)
-	m.JobShed(0, 1, "x")
-	m.TaskScheduled(0, tk, j, 0, 10, false)
-	m.TaskFailed(5, tk, j, 0)
-	m.TaskKilled(5, tk, j, 0)
-	m.TaskSlowdown(5, tk, j, 0, 20, 10)
-	m.JobCompleted(50, j, -50)
-	m.JobAbandoned(60, j)
-	if b := m.Burn(100); b.Burning {
-		t.Fatal("nil monitor burning")
+// attribution is one slo_attribution event as a sink recorded it.
+type attribution struct {
+	Job     int    `json:"job"`
+	Class   string `json:"class"`
+	Outcome string `json:"outcome"`
+}
+
+// attributions returns the slo_attribution events sink recorded, in order.
+func attributions(t *testing.T, sink *obs.MemorySink) []attribution {
+	t.Helper()
+	var out []attribution
+	for _, ev := range sink.Events() {
+		if ev.Kind != "slo_attribution" {
+			continue
+		}
+		var a attribution
+		if err := json.Unmarshal(ev.AppendJSON(nil), &a); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, a)
 	}
-	if _, _, ok := m.Trace(1); ok {
-		t.Fatal("nil monitor returned a trace")
-	}
-	tot := m.AttributionTotals()
-	if len(tot.LateByClass) != 0 || len(tot.AbandonedByClass) != 0 {
-		t.Fatal("nil monitor has totals")
-	}
-	if a := m.Attributions(); a != nil {
-		t.Fatal("nil monitor has attributions")
-	}
+	return out
 }
 
 func TestTraceLifecycleAndCoalescing(t *testing.T) {
@@ -49,11 +50,11 @@ func TestTraceLifecycleAndCoalescing(t *testing.T) {
 	m.JobSubmitted(0, 7, false)
 	tasks := []*workload.Task{{ID: "m0"}, {ID: "m1"}, {ID: "m2"}}
 	for _, tk := range tasks {
-		m.TaskScheduled(0, tk, j, 0, 10, false)
+		m.TaskScheduled(0, tk, j, 0, 10, sim.PlaceNew)
 	}
-	m.TaskScheduled(5, tasks[1], j, 1, 20, true)
+	m.TaskScheduled(5, tasks[1], j, 1, 20, sim.PlaceReplan)
 	m.TaskFailed(30, tasks[2], j, 0)
-	m.TaskScheduled(31, tasks[2], j, 1, 40, false)
+	m.TaskScheduled(31, tasks[2], j, 1, 40, sim.PlaceRetry)
 	m.JobCompleted(900, j, -100)
 
 	events, dropped, ok := m.Trace(7)
@@ -79,25 +80,26 @@ func TestTraceLifecycleAndCoalescing(t *testing.T) {
 		t.Fatalf("completed detail = %q, want on_time", events[6].Detail)
 	}
 	// On-time completion must not be attributed.
-	if n := len(m.Attributions()); n != 0 {
-		t.Fatalf("on-time job attributed %d times", n)
+	if by := m.MissByClass(); by != nil {
+		t.Fatalf("on-time job attributed: %v", by)
 	}
 }
 
 func TestTraceRingCap(t *testing.T) {
-	m := NewMonitor(Config{TraceCap: 4})
+	m := NewMonitor(Config{})
 	j := job(1, 0, 10)
-	for i := 0; i < 10; i++ {
+	const n = TraceCap + 6
+	for i := 0; i < n; i++ {
 		m.TaskFailed(int64(i), &workload.Task{ID: fmt.Sprintf("t%d", i)}, j, 0)
 	}
 	events, dropped, _ := m.Trace(1)
-	if len(events) != 4 {
-		t.Fatalf("ring len = %d, want 4", len(events))
+	if len(events) != TraceCap {
+		t.Fatalf("ring len = %d, want %d", len(events), TraceCap)
 	}
 	if dropped != 6 {
 		t.Fatalf("dropped = %d, want 6", dropped)
 	}
-	if events[0].Detail != "t6" || events[3].Detail != "t9" {
+	if events[0].Detail != "t6" || events[TraceCap-1].Detail != fmt.Sprintf("t%d", n-1) {
 		t.Fatalf("ring kept wrong tail: %v", events)
 	}
 }
@@ -119,12 +121,13 @@ func TestClassificationPriority(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m := NewMonitor(Config{})
+			sink := &obs.MemorySink{}
+			m := NewMonitor(Config{Telemetry: obs.New(sink)})
 			j := job(1, 0, 50)
 			m.JobSubmitted(0, 1, tc.name == "infeasible_beats_all")
 			tc.setup(m, j)
 			m.JobCompleted(100, j, 50)
-			attrs := m.Attributions()
+			attrs := attributions(t, sink)
 			if len(attrs) != 1 {
 				t.Fatalf("attributions = %d, want 1", len(attrs))
 			}
@@ -136,34 +139,37 @@ func TestClassificationPriority(t *testing.T) {
 }
 
 func TestBurnMonitorWindowAndGate(t *testing.T) {
-	m := NewMonitor(Config{MissBudget: 0.2, WindowMS: 1000, MinSample: 5})
-	// Four misses out of four finishes: rate 1.0 but below MinSample.
-	for i := 0; i < 4; i++ {
-		m.JobAbandoned(int64(i*10), job(i, 0, 1))
+	m := NewMonitor(Config{MissBudget: 0.2, WindowMS: 1000})
+	// MinSample-1 misses out of as many finishes: rate 1.0 but below
+	// MinSample.
+	const misses = MinSample - 1
+	for i := 0; i < misses; i++ {
+		m.JobAbandoned(int64(i), job(i, 0, 1))
 	}
-	if b := m.Burn(40); b.Burning {
+	if b := m.Burn(misses); b.Burning {
 		t.Fatalf("burning below MinSample: %+v", b)
 	}
-	// Fifth finish (on time) crosses the gate: 4/5 misses > 0.2 budget.
-	m.JobCompleted(50, job(10, 0, 1000), -950)
+	// One more finish (on time) crosses the gate: 19/20 misses > 0.2 budget.
+	m.JobCompleted(50, job(100, 0, 1000), -950)
 	b := m.Burn(50)
-	if !b.Burning || b.Finished != 5 || b.Missed != 4 {
-		t.Fatalf("expected burning 4/5: %+v", b)
+	if !b.Burning || b.Finished != MinSample || b.Missed != misses {
+		t.Fatalf("expected burning %d/%d: %+v", misses, MinSample, b)
 	}
-	if b.BurnRate < 3.9 || b.BurnRate > 4.1 {
-		t.Fatalf("burn rate = %v, want 4.0", b.BurnRate)
+	if want := float64(misses) / MinSample / 0.2; b.BurnRate < want-0.01 || b.BurnRate > want+0.01 {
+		t.Fatalf("burn rate = %v, want %v", b.BurnRate, want)
 	}
 	// The window slides: after the misses age out, only recent on-time
-	// finishes remain and the alarm clears.
-	for i := 0; i < 6; i++ {
-		m.JobCompleted(2000+int64(i), job(20+i, 0, 1e9), -1)
+	// finishes remain, enough to pass the gate, and the alarm clears.
+	const onTime = MinSample + 1
+	for i := 0; i < onTime; i++ {
+		m.JobCompleted(2000+int64(i), job(200+i, 0, 1e9), -1)
 	}
-	b = m.Burn(2010)
+	b = m.Burn(2000 + onTime)
 	if b.Burning {
 		t.Fatalf("still burning after window slid: %+v", b)
 	}
-	if b.Missed != 0 || b.Finished != 6 {
-		t.Fatalf("window contents = %+v, want 6 finishes 0 missed", b)
+	if b.Missed != 0 || b.Finished != onTime {
+		t.Fatalf("window contents = %+v, want %d finishes 0 missed", b, onTime)
 	}
 	// Burn never moves backwards in time.
 	if b2 := m.Burn(100); b2.Finished != b.Finished {
@@ -192,7 +198,7 @@ func TestFaultSweepReconciliation(t *testing.T) {
 		ReduceSlots:  cfg.ReduceSlotsPerResource,
 	}
 	classSet := map[string]bool{}
-	for _, c := range Classes() {
+	for _, c := range classes {
 		classSet[c] = true
 	}
 	for _, rate := range []float64{0, 0.05, 0.25} {
@@ -223,21 +229,21 @@ func TestFaultSweepReconciliation(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			tel := obs.New(&obs.MemorySink{})
+			sink := &obs.MemorySink{}
+			tel := obs.New(sink)
 			mon := NewMonitor(Config{Telemetry: tel})
 			s.AddObserver(mon)
 			metrics, err := s.Run()
 			if err != nil {
 				t.Fatal(err)
 			}
-			attrs := mon.Attributions()
 			var late, abandoned int
 			seen := map[int]int{}
-			for _, a := range attrs {
+			for _, a := range attributions(t, sink) {
 				if !classSet[a.Class] {
-					t.Fatalf("unknown class %q on job %d", a.Class, a.JobID)
+					t.Fatalf("unknown class %q on job %d", a.Class, a.Job)
 				}
-				seen[a.JobID]++
+				seen[a.Job]++
 				switch a.Outcome {
 				case "late":
 					late++
@@ -258,39 +264,34 @@ func TestFaultSweepReconciliation(t *testing.T) {
 			if abandoned != metrics.JobsAbandoned {
 				t.Fatalf("abandoned attributions = %d, sim JobsAbandoned = %d", abandoned, metrics.JobsAbandoned)
 			}
-			tot := mon.AttributionTotals()
-			var sumLate, sumAband int64
-			for _, v := range tot.LateByClass {
-				sumLate += v
+			by := mon.MissByClass()
+			var sum int64
+			for _, v := range by {
+				sum += v
 			}
-			for _, v := range tot.AbandonedByClass {
-				sumAband += v
-			}
-			if sumLate != int64(metrics.LateJobs) || sumAband != int64(metrics.JobsAbandoned) {
-				t.Fatalf("totals (%d late, %d abandoned) do not reconcile with metrics (%d, %d)",
-					sumLate, sumAband, metrics.LateJobs, metrics.JobsAbandoned)
+			if sum != int64(metrics.LateJobs+metrics.JobsAbandoned) {
+				t.Fatalf("MissByClass %v sums to %d, metrics have %d late and %d abandoned",
+					by, sum, metrics.LateJobs, metrics.JobsAbandoned)
 			}
 			// The emitted counter family reconciles too.
 			var counterSum int64
-			for _, c := range Classes() {
+			for _, c := range classes {
 				counterSum += tel.Counter(CounterMiss + c)
 			}
 			if counterSum != tel.Counter("slo_miss_total") {
 				t.Fatalf("counter family sum %d != slo_miss_total %d",
 					counterSum, tel.Counter("slo_miss_total"))
 			}
-			if counterSum != sumLate+sumAband {
-				t.Fatalf("counters %d != attribution totals %d", counterSum, sumLate+sumAband)
+			if counterSum != sum {
+				t.Fatalf("counters %d != MissByClass total %d", counterSum, sum)
 			}
 			// At positive fault rates with misses present, fault damage
 			// must be visible in the attribution breakdown.
-			if rate >= 0.25 && late+abandoned > 0 {
-				if tot.LateByClass[ClassFaultDelay]+tot.AbandonedByClass[ClassFaultDelay] == 0 {
-					t.Fatalf("no fault_delay attributions at failrate %g: %+v", rate, tot)
-				}
+			if rate >= 0.25 && late+abandoned > 0 && by[ClassFaultDelay] == 0 {
+				t.Fatalf("no fault_delay attributions at failrate %g: %v", rate, by)
 			}
-			t.Logf("failrate=%g: %d late, %d abandoned, totals=%+v",
-				rate, metrics.LateJobs, metrics.JobsAbandoned, tot)
+			t.Logf("failrate=%g: %d late, %d abandoned, by class %v",
+				rate, metrics.LateJobs, metrics.JobsAbandoned, by)
 		})
 	}
 }

@@ -170,7 +170,7 @@ func NewFaultPlan(cfg FaultConfig) (FaultInjector, error) { return faults.New(cf
 // SimulateWithFaults is Simulate with a fault injector installed. A nil
 // injector behaves exactly like Simulate.
 func SimulateWithFaults(cluster Cluster, rm ResourceManager, jobs []*Job, fi FaultInjector) (*Metrics, error) {
-	return simulate(cluster, rm, jobs, fi, nil, 0, nil)
+	return SimulateInstrumented(cluster, rm, jobs, fi, nil, nil, 0)
 }
 
 // Observability (telemetry core, solver search statistics).
@@ -213,23 +213,15 @@ func ParsePrometheus(r io.Reader) (*PromScrape, error) { return obs.ParsePrometh
 // sim time-series envelope).
 func ReadTelemetryReport(r io.Reader) (*TelemetryReport, error) { return obs.ReadReport(r) }
 
-// SimulateInstrumented is the widest run: SimulateTraced with an optional
-// fault injector and a telemetry stream attached to the simulator and, when
-// rm supports it (MRCP-RM does), to the resource manager. sampleEveryMS sets
-// the sim time-series cadence (<=0 selects the 5 s default). After the run it
-// emits the counter summary (stamped at the run's makespan) and flushes the
-// sink. A nil tel attaches nothing; a nil injector means fault-free.
+// SimulateInstrumented is the widest run: Simulate with an optional fault
+// injector, an optional schedule recorder (NewTraceRecorder) and a
+// telemetry stream attached to the simulator and, when rm supports it
+// (MRCP-RM does), to the resource manager. sampleEveryMS sets the sim
+// time-series cadence (<=0 selects the 5 s default). After the run it emits
+// the counter summary (stamped at the run's makespan) and flushes the sink.
+// A nil injector means fault-free; a nil rec or tel attaches nothing.
 func SimulateInstrumented(cluster Cluster, rm ResourceManager, jobs []*Job,
-	fi FaultInjector, tel *Telemetry, sampleEveryMS int64) (*Metrics, *TraceRecorder, error) {
-	rec := trace.NewRecorder()
-	m, err := simulate(cluster, rm, jobs, fi, tel, sampleEveryMS, rec)
-	return m, rec, err
-}
-
-// simulate is SimulateInstrumented with the recorder rec attached only when
-// it is not nil.
-func simulate(cluster Cluster, rm ResourceManager, jobs []*Job,
-	fi FaultInjector, tel *Telemetry, sampleEveryMS int64, rec *TraceRecorder) (*Metrics, error) {
+	fi FaultInjector, rec *TraceRecorder, tel *Telemetry, sampleEveryMS int64) (*Metrics, error) {
 	s, err := sim.New(cluster, rm, jobs)
 	if err != nil {
 		return nil, err
@@ -453,10 +445,8 @@ func SolveBatch(cluster Cluster, jobs []*Job, cfg Config) (*Schedule, error) {
 // or JSON and digests slot-occupancy profiles.
 type TraceRecorder = trace.Recorder
 
-// SimulateTraced is Simulate with schedule tracing attached.
-func SimulateTraced(cluster Cluster, rm ResourceManager, jobs []*Job) (*Metrics, *TraceRecorder, error) {
-	return SimulateInstrumented(cluster, rm, jobs, nil, nil, 0)
-}
+// NewTraceRecorder returns an empty recorder to hand SimulateInstrumented.
+func NewTraceRecorder() *TraceRecorder { return trace.NewRecorder() }
 
 // Experiments lists every registered experiment in paper order.
 func Experiments() []Experiment { return experiment.Registry }

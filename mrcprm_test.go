@@ -121,7 +121,9 @@ func TestSimulateTracedFacade(t *testing.T) {
 	cluster := mrcprm.Cluster{NumResources: 1, MapSlots: 1, ReduceSlots: 1}
 	j := &mrcprm.Job{ID: 0, Arrival: 0, EarliestStart: 0, Deadline: 100_000}
 	j.MapTasks = []*mrcprm.Task{{ID: "t0_m1", JobID: 0, Type: mrcprm.MapTask, Exec: 1000, Req: 1}}
-	m, rec, err := mrcprm.SimulateTraced(cluster, mrcprm.NewManager(cluster, mrcprm.DefaultConfig()), []*mrcprm.Job{j})
+	rec := mrcprm.NewTraceRecorder()
+	m, err := mrcprm.SimulateInstrumented(cluster, mrcprm.NewManager(cluster, mrcprm.DefaultConfig()),
+		[]*mrcprm.Job{j}, nil, rec, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +139,7 @@ func TestSimulateRejectsBadCluster(t *testing.T) {
 	if _, err := mrcprm.Simulate(mrcprm.Cluster{}, nil, nil); err == nil {
 		t.Fatal("bad cluster accepted")
 	}
-	if _, _, err := mrcprm.SimulateTraced(mrcprm.Cluster{}, nil, nil); err == nil {
+	if _, err := mrcprm.SimulateInstrumented(mrcprm.Cluster{}, nil, nil, nil, mrcprm.NewTraceRecorder(), nil, 0); err == nil {
 		t.Fatal("bad cluster accepted")
 	}
 }

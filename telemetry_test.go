@@ -38,8 +38,8 @@ func deterministicConfig() mrcprm.Config {
 func runInstrumented(t *testing.T, tel *mrcprm.Telemetry) *mrcprm.Metrics {
 	t.Helper()
 	cluster, jobs := telemetryWorkload(t)
-	m, _, err := mrcprm.SimulateInstrumented(cluster,
-		mrcprm.NewManager(cluster, deterministicConfig()), jobs, nil, tel, 0)
+	m, err := mrcprm.SimulateInstrumented(cluster,
+		mrcprm.NewManager(cluster, deterministicConfig()), jobs, nil, nil, tel, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
