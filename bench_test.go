@@ -76,8 +76,6 @@ func BenchmarkAblationCombinedVsDirect(b *testing.B) { benchFigure(b, "ablation-
 
 func BenchmarkAblationDeferral(b *testing.B) { benchFigure(b, "ablation-deferral") }
 
-func BenchmarkAblationOrdering(b *testing.B) { benchFigure(b, "ablation-ordering") }
-
 // Table 3: synthetic workload generation throughput.
 func BenchmarkTable3SyntheticGenerator(b *testing.B) {
 	cfg := workload.DefaultSynthetic()

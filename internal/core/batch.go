@@ -92,7 +92,6 @@ func solveBatch(rd *round, cluster sim.Cluster, jobs []*workload.Job, cfg Config
 	res := cp.NewSolver(bm.model, cp.Params{
 		TimeLimit: cfg.SolveTimeLimit,
 		NodeLimit: cfg.NodeLimit,
-		Ordering:  cfg.Ordering,
 	}).Solve()
 	if !res.HasSolution() {
 		return nil, fmt.Errorf("core: batch solve failed with status %v", res.Status)

@@ -17,7 +17,6 @@ package core
 import (
 	"time"
 
-	"mrcprm/internal/cp"
 	"mrcprm/internal/rmkit"
 	"mrcprm/internal/sim"
 )
@@ -68,9 +67,6 @@ type Config struct {
 	SolveTimeLimit time.Duration
 	// NodeLimit bounds each CP solve's search nodes (0 = solver default).
 	NodeLimit int64
-	// Ordering is the job ordering strategy of Section VI.B; EDF is the
-	// paper's reported configuration.
-	Ordering cp.OrderingStrategy
 	// DeferralLead implements Section V.E: a job whose earliest start time
 	// is more than this far in the future is parked and only enters
 	// matchmaking when s_j is at most DeferralLead away. Zero disables
@@ -104,13 +100,12 @@ func (c Config) formulation(plan sim.Cluster) SolveMode {
 }
 
 // DefaultConfig returns the configuration used by the experiments: combined
-// mode, EDF ordering, a 200ms solve budget, and a 30s deferral lead.
+// mode, a 200ms solve budget, and a 30s deferral lead.
 func DefaultConfig() Config {
 	return Config{
 		Mode:           ModeCombined,
 		SolveTimeLimit: 200 * time.Millisecond,
 		NodeLimit:      100_000,
-		Ordering:       cp.OrderEDF,
 		DeferralLead:   30 * time.Second,
 		Retry:          rmkit.DefaultRetryPolicy(),
 	}

@@ -432,7 +432,6 @@ func (m *Manager) solve(bm *builtModel, hint *cp.Hint) (res cp.Result, err error
 	solver := cp.NewSolver(bm.model, cp.Params{
 		TimeLimit: m.cfg.SolveTimeLimit,
 		NodeLimit: m.cfg.NodeLimit,
-		Ordering:  m.cfg.Ordering,
 		Hint:      hint,
 	})
 	return solver.Solve(), nil

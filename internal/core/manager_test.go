@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"mrcprm/internal/cp"
 	"mrcprm/internal/obs"
 	"mrcprm/internal/sim"
 	"mrcprm/internal/stats"
@@ -132,17 +131,30 @@ func TestIncrementalReschedulingFreezesStartedTasks(t *testing.T) {
 }
 
 func TestBnBAvoidsUnnecessaryLateJob(t *testing.T) {
-	// Two jobs arrive together; scheduling job 0 first makes job 1 late,
-	// the other order meets both deadlines. The CP objective must find it
-	// even with the job-id ordering heuristic.
+	// Three jobs arrive together on one slot: job 0 takes 10 s and is due
+	// at 10 s, jobs 1 and 2 take 6 s each and are due at 12 s. EDF's first
+	// descent runs job 0 first and makes the other two late; the CP search
+	// must improve on it and leave only job 0 late.
 	cluster := sim.Cluster{NumResources: 1, MapSlots: 1, ReduceSlots: 1}
-	j0 := mkJob(0, 0, 0, 100_000, []int64{10_000}, nil)
-	j1 := mkJob(1, 0, 0, 10_000, []int64{10_000}, nil)
-	cfg := deterministicConfig()
-	cfg.Ordering = cp.OrderJobID
-	m, _ := runJobs(t, cluster, cfg, []*workload.Job{j0, j1})
-	if m.LateJobs != 0 {
-		t.Fatalf("%d late jobs, want 0 (B&B should reorder)", m.LateJobs)
+	jobs := []*workload.Job{
+		mkJob(0, 0, 0, 10_000, []int64{10_000}, nil),
+		mkJob(1, 0, 0, 12_000, []int64{6_000}, nil),
+		mkJob(2, 0, 0, 12_000, []int64{6_000}, nil),
+	}
+	mgr := New(cluster, deterministicConfig())
+	sink := &solveWorkSink{}
+	mgr.SetTelemetry(obs.New(sink))
+	m := runManager(t, cluster, mgr, jobs)
+	if m.LateJobs != 1 {
+		t.Fatalf("%d late jobs, want 1 (the search should reorder)", m.LateJobs)
+	}
+	if len(sink.events) == 0 {
+		t.Fatal("no solve events")
+	}
+	// The jobs arrive one by one; the last solve sees all three.
+	if w := sink.events[len(sink.events)-1]; w.FirstObjective <= w.Objective {
+		t.Fatalf("first incumbent %d is no worse than the final %d: EDF's first descent did not mislead",
+			w.FirstObjective, w.Objective)
 	}
 }
 
@@ -278,13 +290,15 @@ func TestModeStrings(t *testing.T) {
 	}
 }
 
-// solveWork is what TestSolveEventCarriesWorkCounters reads off a "solve"
-// event.
+// solveWork is what TestSolveEventCarriesWorkCounters and
+// TestBnBAvoidsUnnecessaryLateJob read off a "solve" event.
 type solveWork struct {
-	Nodes         int64 `json:"nodes"`
-	PickWork      int64 `json:"pick_work"`
-	ProfileBuilds int64 `json:"profile_builds"`
-	SweepWork     int64 `json:"sweep_work"`
+	Objective      int   `json:"objective"`
+	FirstObjective int   `json:"first_objective"`
+	Nodes          int64 `json:"nodes"`
+	PickWork       int64 `json:"pick_work"`
+	ProfileBuilds  int64 `json:"profile_builds"`
+	SweepWork      int64 `json:"sweep_work"`
 }
 
 type solveWorkSink struct{ events []solveWork }

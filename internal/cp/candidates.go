@@ -1,7 +1,7 @@
 package cp
 
 // candKey orders the set-times candidates: smallest target start first,
-// then boosted jobs, then the rank of the ordering strategy. The interval
+// then boosted jobs, then the earliest job deadline (EDF). The interval
 // id, which the heap entry carries beside the key, breaks the remaining
 // ties, so the order is total and the minimum does not depend on how the
 // container arranges equal keys: the search is the one a linear scan for
@@ -9,7 +9,7 @@ package cp
 type candKey struct {
 	target  int64
 	boosted int64 // 0 for a task of a boosted job, 1 otherwise
-	order   int64
+	due     int64
 }
 
 // The state of an interval in the ready set, stored in candHeap.state.
@@ -54,19 +54,19 @@ type candHeap struct {
 // is an index into a model's interval slice, far below 2^31.
 type candEntry struct {
 	target int64
-	order  int64
+	due    int64
 	tie    uint32 // boosted<<31 | id
 }
 
 const candIDMask = 1<<31 - 1
 
 func newCandEntry(id int32, k candKey) candEntry {
-	return candEntry{target: k.target, order: k.order, tie: uint32(k.boosted)<<31 | uint32(id)}
+	return candEntry{target: k.target, due: k.due, tie: uint32(k.boosted)<<31 | uint32(id)}
 }
 
 func (e *candEntry) id() int32 { return int32(e.tie & candIDMask) }
 
-// less orders entries by (target, boosted, order, id).
+// less orders entries by (target, boosted, due, id).
 func (e *candEntry) less(o *candEntry) bool {
 	if e.target != o.target {
 		return e.target < o.target
@@ -74,8 +74,8 @@ func (e *candEntry) less(o *candEntry) bool {
 	if eb, ob := e.tie>>31, o.tie>>31; eb != ob {
 		return eb < ob
 	}
-	if e.order != o.order {
-		return e.order < o.order
+	if e.due != o.due {
+		return e.due < o.due
 	}
 	return e.tie < o.tie
 }

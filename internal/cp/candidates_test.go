@@ -27,12 +27,12 @@ type candModel struct {
 // scanKey is id's full key under k, in the form pickScan compares.
 func (m *candModel) scanKey(id int32) [4]int64 {
 	k := m.key[id]
-	return [4]int64{k.target, k.boosted, k.order, int64(id)}
+	return [4]int64{k.target, k.boosted, k.due, int64(id)}
 }
 
 // storedKey is the key the heap stores for entry e, in the same form.
 func storedKey(e candEntry) [4]int64 {
-	return [4]int64{e.target, int64(e.tie >> 31), e.order, int64(e.id())}
+	return [4]int64{e.target, int64(e.tie >> 31), e.due, int64(e.id())}
 }
 
 func (m *candModel) min() int32 {
@@ -75,7 +75,7 @@ func randomCandOps(rng *stats.Stream, n, steps int) []candOp {
 				op.state = candPostponed
 			}
 		default:
-			op.key = candKey{target: int64(rng.IntN(12)), boosted: int64(rng.IntN(2)), order: int64(rng.IntN(4))}
+			op.key = candKey{target: int64(rng.IntN(12)), boosted: int64(rng.IntN(2)), due: int64(rng.IntN(4))}
 		}
 		ops = append(ops, op)
 	}

@@ -3,6 +3,8 @@ package cp
 import (
 	"fmt"
 	"testing"
+
+	"mrcprm/internal/stats"
 )
 
 // hintTestModel builds a contested combined-mode model: eight tasks on a
@@ -145,5 +147,33 @@ func TestHintGarbageIsHarmless(t *testing.T) {
 		if err := m.VerifySolution(&r); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+	}
+}
+
+// A hint repair descent can backtrack, unlike the cold one, so it is held
+// to the node budget. Here the cold result, with starts pushed 0, 5 or 10 s
+// later in turn, leads the repair into a subtree of about seven million
+// nodes: the repair must give up at the budget and leave the incumbent to
+// the cold descent.
+func TestHintRepairRespectsNodeLimit(t *testing.T) {
+	build := func() *Model {
+		return buildRandomInstance(new(Model), stats.NewStream(4242, 48), 8, 5, 1, 1, true).m
+	}
+	const limit = 1500
+	r := solveOK(t, build(), Params{NodeLimit: limit})
+	h := &Hint{Starts: append([]int64(nil), r.Starts...)}
+	for i := range h.Starts {
+		h.Starts[i] += 5000 * int64(i%3)
+	}
+	m := build()
+	rh := solveOK(t, m, Params{NodeLimit: limit, Hint: h})
+	if rh.Search.HintSeeded {
+		t.Fatal("the repair seeded; the instance no longer exercises an abandoned repair")
+	}
+	if n := int64(len(m.Intervals())); rh.Search.Nodes > limit+2*n {
+		t.Fatalf("%d nodes under a %d-node limit on %d intervals", rh.Search.Nodes, limit, n)
+	}
+	if !rh.Search.NodeLimitHit {
+		t.Fatal("the abandoned repair spent the budget but NodeLimitHit is false")
 	}
 }

@@ -15,10 +15,10 @@ type Interval struct {
 	Dur    int64 // execution time e_t, in model time units (ms)
 	Demand int64 // resource capacity requirement q_t (1 in the paper)
 
-	// Due is the deadline of the owning job, used by the EDF and
-	// least-laxity search orderings. Not a constraint by itself.
+	// Due is the deadline of the owning job: the search breaks ties
+	// between equally early tasks by it (EDF). Not a constraint by itself.
 	Due int64
-	// JobKey identifies the owning job for the job-id search ordering.
+	// JobKey identifies the owning job; Phase B boosts a job's tasks by it.
 	JobKey int
 
 	id      int

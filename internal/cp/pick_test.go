@@ -55,7 +55,7 @@ func (s *Solver) scanKey(iv *Interval) [4]int64 {
 	if hasKey(s.boost, iv.JobKey) {
 		boosted = 0
 	}
-	return [4]int64{s.targetStart(iv), boosted, s.orderKey(iv), int64(iv.id)}
+	return [4]int64{s.targetStart(iv), boosted, iv.Due, int64(iv.id)}
 }
 
 func lessKey(a, b [4]int64) bool {
@@ -141,8 +141,6 @@ func solveAudited(t *testing.T, m *Model, p Params, label string) (Result, *pick
 	return s.Solve(), a
 }
 
-var allOrderings = []OrderingStrategy{OrderEDF, OrderJobID, OrderLeastLaxity}
-
 // The candidate heap must return, at every node of every kind of solve, the
 // decision the linear scan returns.
 func TestPickMatchesScanAtEveryNode(t *testing.T) {
@@ -151,62 +149,58 @@ func TestPickMatchesScanAtEveryNode(t *testing.T) {
 
 	// Combined models, loose and tight; the tight ones leave late jobs for
 	// Phase B to boost and backtrack in Phase C until the node limit.
-	for seed := uint64(0); seed < 24; seed++ {
-		for _, ord := range allOrderings {
-			tight := seed%2 == 0
-			build := func() *Model {
-				rng := stats.NewStream(4242, seed)
-				return buildRandomInstance(new(Model), rng, 2+int(seed%7), 5, int64(1+seed%3), int64(1+seed%2), tight).m
+	for seed := uint64(0); seed < 72; seed++ {
+		tight := seed%2 == 0
+		build := func() *Model {
+			rng := stats.NewStream(4242, seed)
+			return buildRandomInstance(new(Model), rng, 2+int(seed%7), 5, int64(1+seed%3), int64(1+seed%2), tight).m
+		}
+		label := fmt.Sprintf("combined seed %d", seed)
+		r, a := solveAudited(t, build(), Params{NodeLimit: 1500}, label)
+		total.add(a)
+		if r.Search.NodeLimitHit {
+			limitHits++
+		}
+		if !r.HasSolution() {
+			continue
+		}
+		// Warm-start from the cold result: exact, then shifted so targets
+		// are clamped to StartMax and the repair has to move tasks.
+		for _, shift := range []int64{0, 37, 5000} {
+			h := &Hint{Starts: append([]int64(nil), r.Starts...)}
+			for i := range h.Starts {
+				h.Starts[i] += shift * int64(i%3)
 			}
-			label := fmt.Sprintf("combined seed %d ordering %d", seed, ord)
-			r, a := solveAudited(t, build(), Params{NodeLimit: 1500, Ordering: ord}, label)
-			total.add(a)
-			if r.Search.NodeLimitHit {
-				limitHits++
-			}
-			if !r.HasSolution() {
-				continue
-			}
-			// Warm-start from the cold result: exact, then shifted so targets
-			// are clamped to StartMax and the repair has to move tasks.
-			for _, shift := range []int64{0, 37, 5000} {
-				h := &Hint{Starts: append([]int64(nil), r.Starts...)}
-				for i := range h.Starts {
-					h.Starts[i] += shift * int64(i%3)
-				}
-				rh, ah := solveAudited(t, build(), Params{NodeLimit: 1500, Ordering: ord, Hint: h},
-					fmt.Sprintf("%s hint+%d", label, shift))
-				total.add(ah)
-				if rh.Search.HintSeeded {
-					hintSeeds++
-				} else {
-					hintFails++
-				}
+			rh, ah := solveAudited(t, build(), Params{NodeLimit: 1500, Hint: h},
+				fmt.Sprintf("%s hint+%d", label, shift))
+			total.add(ah)
+			if rh.Search.HintSeeded {
+				hintSeeds++
+			} else {
+				hintFails++
 			}
 		}
 	}
 
 	// Direct models: matchmaking variables, with and without duration
 	// tables and a memory dimension; hinted with the cold result's resources.
-	for seed := uint64(0); seed < 30; seed++ {
-		for _, ord := range allOrderings {
-			build := func() *Model {
-				inst, _, _ := buildRandomDirectInstance(stats.NewStream(5151, seed), 6, seed%2 == 1)
-				return inst.m
-			}
-			label := fmt.Sprintf("direct seed %d ordering %d", seed, ord)
-			r, a := solveAudited(t, build(), Params{NodeLimit: 1200, Ordering: ord}, label)
-			total.add(a)
-			if r.Search.NodeLimitHit {
-				limitHits++
-			}
-			if !r.HasSolution() {
-				continue
-			}
-			h := &Hint{Starts: r.Starts, Res: r.Res}
-			_, ah := solveAudited(t, build(), Params{NodeLimit: 1200, Ordering: ord, Hint: h}, label+" hinted")
-			total.add(ah)
+	for seed := uint64(0); seed < 90; seed++ {
+		build := func() *Model {
+			inst, _, _ := buildRandomDirectInstance(stats.NewStream(5151, seed), 6, seed%2 == 1)
+			return inst.m
 		}
+		label := fmt.Sprintf("direct seed %d", seed)
+		r, a := solveAudited(t, build(), Params{NodeLimit: 1200}, label)
+		total.add(a)
+		if r.Search.NodeLimitHit {
+			limitHits++
+		}
+		if !r.HasSolution() {
+			continue
+		}
+		h := &Hint{Starts: r.Starts, Res: r.Res}
+		_, ah := solveAudited(t, build(), Params{NodeLimit: 1200, Hint: h}, label+" hinted")
+		total.add(ah)
 	}
 
 	// Frozen tasks.

@@ -7,22 +7,6 @@ import (
 	"time"
 )
 
-// OrderingStrategy selects the tie-breaking rule used when several tasks
-// are schedulable at the same earliest time — the paper's three job
-// ordering strategies (Section VI.B).
-type OrderingStrategy int
-
-const (
-	// OrderEDF prefers tasks of the job with the earliest deadline. This is
-	// the strategy the paper reports results for.
-	OrderEDF OrderingStrategy = iota
-	// OrderJobID prefers tasks of the job with the smallest id.
-	OrderJobID
-	// OrderLeastLaxity prefers tasks with the least slack to their job's
-	// deadline.
-	OrderLeastLaxity
-)
-
 // Params configures a solve.
 type Params struct {
 	// TimeLimit bounds wall-clock solve time; zero means no time limit.
@@ -30,8 +14,6 @@ type Params struct {
 	// NodeLimit bounds the number of search nodes; zero means the default
 	// of 200000.
 	NodeLimit int64
-	// Ordering is the search tie-breaking strategy.
-	Ordering OrderingStrategy
 	// Hint warm-starts the solve from a prior assignment (see Hint). Nil
 	// (the default) leaves every search path bit-identical to a
 	// hint-unaware solver. A hint that does not cover the model's
@@ -300,12 +282,13 @@ func (s *Solver) Solve() Result {
 
 	// Phase A: first descent — a greedy, backtrack-free schedule. With a
 	// warm-start hint the descent instead repairs the hinted assignment
-	// (see Hint); when that fails (e.g. a hint a root cut rejects), the
-	// canonical cold descent runs as if no hint was given.
+	// (see Hint); when that fails (e.g. a hint a root cut rejects) or
+	// spends the node budget, the canonical cold descent runs as if no hint
+	// was given.
 	rounds := 1
 	s.curRound = rounds
-	// Limits do not apply before a first incumbent (see checkLimit), so a
-	// descent that finds nothing has exhausted the search space.
+	// Limits do not apply to the cold descent before a first incumbent (see
+	// checkLimit), so one that finds nothing has exhausted the search space.
 	var found bool
 	if s.params.Hint.covers(len(m.intervals)) {
 		s.hintActive = true
@@ -446,8 +429,13 @@ func (s *Solver) searchStats(rounds int, start time.Time) SearchStats {
 // first solution (the set-times first descent is backtrack-free on these
 // models, so this terminates after one decision per task), mirroring a CP
 // engine that always emits at least its greedy solution under a time limit.
+// A hint repair descent can backtrack, so it alone is held to the node
+// budget; when it spends it, the cold descent runs instead.
 func (s *Solver) checkLimit() bool {
-	if s.incumbent == nil || s.ignoreLimits {
+	if s.incumbent == nil {
+		return s.hintActive && s.nodes >= s.nodeLimit
+	}
+	if s.ignoreLimits {
 		return false
 	}
 	if s.limitHit {
@@ -481,7 +469,7 @@ type decision struct {
 
 // pick selects the next decision following the set-times rule: among
 // non-postponed undecided tasks, take the one with the smallest earliest
-// start, breaking ties with the configured ordering strategy. It reads that
+// start, breaking ties by boost, then by job deadline (EDF). It reads that
 // task off the candidate heap after telling the heap what changed: entry by
 // entry from the engine's touched list — which covers what propagation
 // changed on the way down and what a backtrack changed back — or, at the
@@ -551,7 +539,7 @@ func (s *Solver) raisedKey(id int32) candKey {
 // to tight new jobs.
 func (s *Solver) currentKey(id int32) candKey {
 	iv := s.m.intervals[id]
-	k := candKey{target: s.targetStart(iv), boosted: 1, order: s.orderKey(iv)}
+	k := candKey{target: s.targetStart(iv), boosted: 1, due: iv.Due}
 	if hasKey(s.boost, iv.JobKey) {
 		k.boosted = 0
 	}
@@ -576,21 +564,6 @@ func (s *Solver) targetStart(iv *Interval) int64 {
 		}
 	}
 	return st
-}
-
-// orderKey computes the tie-breaking rank of a schedulable task.
-func (s *Solver) orderKey(iv *Interval) int64 {
-	switch s.params.Ordering {
-	case OrderJobID:
-		return int64(iv.JobKey)
-	case OrderLeastLaxity:
-		if iv.Due == math.MaxInt64 {
-			return math.MaxInt64
-		}
-		return iv.Due - s.m.EndMin(iv)
-	default:
-		return iv.Due
-	}
 }
 
 // pickResource chooses the domain value where the task can COMPLETE

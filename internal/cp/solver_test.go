@@ -1,7 +1,6 @@
 package cp
 
 import (
-	"math"
 	"testing"
 
 	"mrcprm/internal/stats"
@@ -97,28 +96,35 @@ func TestSolveMeetsDeadlineWhenPossible(t *testing.T) {
 	}
 }
 
-// Two unit-capacity jobs where the naive job-id order makes job B late but
-// scheduling B first meets both deadlines. Branch-and-bound must find the
-// 0-late schedule even under the job-id ordering strategy.
+// One slot: job A takes 10 and is due at 10, jobs B and C take 6 each and
+// are due at 12. EDF's first descent runs A first and makes B and C late;
+// the optimum runs B and C first and leaves only A late. The search must
+// improve on its first incumbent and reach the 1-late schedule.
 func TestBnBRecoversFromBadFirstOrder(t *testing.T) {
 	m := NewModel(1000)
-	a := m.NewInterval("a", 10)
-	a.JobKey = 0
-	a.Due = 100
-	b := m.NewInterval("b", 10)
-	b.JobKey = 1
-	b.Due = 10
-	lateA, lateB := m.NewBool("lateA"), m.NewBool("lateB")
-	m.AddLateness([]*Interval{a}, 100, lateA)
-	m.AddLateness([]*Interval{b}, 10, lateB)
-	m.AddCumulative("r", -1, 1, []*Interval{a, b})
-	m.Minimize([]*Bool{lateA, lateB})
-	r := solveOK(t, m, Params{Ordering: OrderJobID})
-	if r.Objective != 0 {
-		t.Fatalf("objective %d, want 0 (schedule b first)", r.Objective)
+	var ivs []*Interval
+	var lates []*Bool
+	for j, spec := range []struct{ dur, due int64 }{{10, 10}, {6, 12}, {6, 12}} {
+		iv := m.NewInterval("t", spec.dur)
+		iv.JobKey = j
+		iv.Due = spec.due
+		ivs = append(ivs, iv)
+		late := m.NewBool("late")
+		m.AddLateness([]*Interval{iv}, spec.due, late)
+		lates = append(lates, late)
 	}
-	if r.Starts[b.ID()] != 0 || r.Starts[a.ID()] < 10 {
-		t.Fatalf("starts a=%d b=%d", r.Starts[a.ID()], r.Starts[b.ID()])
+	m.AddCumulative("r", -1, 1, ivs)
+	m.Minimize(lates)
+	r := solveOK(t, m, Params{})
+	if r.Objective != 1 {
+		t.Fatalf("objective %d, want 1 (B and C first, A late)", r.Objective)
+	}
+	if r.Search.FirstObjective <= r.Objective {
+		t.Fatalf("first incumbent %d is no worse than the final %d: EDF's first descent did not mislead",
+			r.Search.FirstObjective, r.Objective)
+	}
+	if a := ivs[0]; r.Starts[a.ID()] < 12 {
+		t.Fatalf("A starts at %d, want after B and C", r.Starts[a.ID()])
 	}
 }
 
@@ -166,7 +172,7 @@ func TestEDFOrderingMeetsBothDeadlinesFirstDescent(t *testing.T) {
 	m.AddLateness([]*Interval{b}, 10, lateB)
 	m.AddCumulative("r", -1, 1, []*Interval{a, b})
 	m.Minimize([]*Bool{lateA, lateB})
-	r := solveOK(t, m, Params{Ordering: OrderEDF})
+	r := solveOK(t, m, Params{})
 	if r.Objective != 0 {
 		t.Fatalf("objective %d, want 0", r.Objective)
 	}
@@ -339,38 +345,6 @@ func TestSolverMatchesBruteForceOnTinyInstances(t *testing.T) {
 				trial, durs, deadlines, capacity, r.Objective, want)
 		}
 	}
-}
-
-func TestOrderingStrategiesAllProduceValidSchedules(t *testing.T) {
-	for _, ord := range []OrderingStrategy{OrderEDF, OrderJobID, OrderLeastLaxity} {
-		m := NewModel(10000)
-		var ivs []*Interval
-		var lates []*Bool
-		rng := stats.NewStream(3, uint64(ord))
-		for i := 0; i < 10; i++ {
-			iv := m.NewInterval("t", 10+int64(rng.IntN(50)))
-			iv.JobKey = i
-			iv.Due = 100 + int64(rng.IntN(400))
-			ivs = append(ivs, iv)
-			l := m.NewBool("late")
-			m.AddLateness([]*Interval{iv}, iv.Due, l)
-			lates = append(lates, l)
-		}
-		m.AddCumulative("r", -1, 2, ivs)
-		m.Minimize(lates)
-		solveOK(t, m, Params{Ordering: ord})
-	}
-}
-
-func TestDueDefaultsDoNotOverflowLaxity(t *testing.T) {
-	m := NewModel(1000)
-	iv := m.NewInterval("t", 10) // Due stays MaxInt64
-	m.AddCumulative("r", -1, 1, []*Interval{iv})
-	s := NewSolver(m, Params{Ordering: OrderLeastLaxity})
-	if k := s.orderKey(iv); k != math.MaxInt64 {
-		t.Fatalf("orderKey for no-deadline task = %d", k)
-	}
-	solveOK(t, m, Params{Ordering: OrderLeastLaxity})
 }
 
 // bruteForceMinLateHetero enumerates resource assignments and start times

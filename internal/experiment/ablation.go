@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"mrcprm/internal/core"
-	"mrcprm/internal/cp"
 	"mrcprm/internal/workload"
 )
 
@@ -66,36 +65,6 @@ func runAblationDeferral(opts Options) (Result, error) {
 			mcfg.DeferralLead = 0
 		}
 		point, err := ablationArm(opts, cfg, mcfg, jobsPerRep, fmt.Sprintf("deferral=%v", deferral))
-		if err != nil {
-			return r, err
-		}
-		r.Points = append(r.Points, point)
-	}
-	r.Elapsed = time.Since(started)
-	return r, nil
-}
-
-// runAblationOrdering compares the three job ordering strategies of
-// Section VI.B under the tight-deadline configuration (dUL = 2) where
-// ordering matters most. The paper reports no significant difference.
-func runAblationOrdering(opts Options) (Result, error) {
-	started := time.Now()
-	r := Result{ID: "ablation-ordering", Title: "Job ordering strategies under tight deadlines"}
-	cfg := workload.DefaultSynthetic()
-	cfg.DeadlineUL = 2
-
-	orderings := []struct {
-		name string
-		ord  cp.OrderingStrategy
-	}{
-		{"edf", cp.OrderEDF},
-		{"job-id", cp.OrderJobID},
-		{"least-laxity", cp.OrderLeastLaxity},
-	}
-	for _, o := range orderings {
-		mcfg := opts.ManagerConfig
-		mcfg.Ordering = o.ord
-		point, err := ablationArm(opts, cfg, mcfg, opts.Jobs, "ordering="+o.name)
 		if err != nil {
 			return r, err
 		}

@@ -41,10 +41,6 @@ type Options struct {
 	Policy stats.ReplicationPolicy
 	// ManagerConfig configures MRCP-RM.
 	ManagerConfig core.Config
-	// ComparePolicies lists the registry names of the policies the
-	// comparison experiments (fig2/fig3, faults) run side by side; empty
-	// reproduces the paper's MRCP-RM vs MinEDF-WC pairing.
-	ComparePolicies []string
 	// Telemetry, when non-nil, streams solver/manager/sim events from every
 	// replication into one JSONL sink. Events from different replications
 	// interleave; the per-replication "run_end" events delimit them.
@@ -79,13 +75,10 @@ func (o Options) replicationWorkers() int {
 	return w
 }
 
-// comparePolicies resolves which policies the comparison experiments run.
-func (o Options) comparePolicies() []string {
-	if len(o.ComparePolicies) > 0 {
-		return o.ComparePolicies
-	}
-	return []string{"mrcp", "minedf"}
-}
+// comparedPolicies are the registry names of the policies the comparison
+// experiments (fig2/fig3, faults) run side by side: the paper's MRCP-RM vs
+// MinEDF-WC pairing.
+var comparedPolicies = []string{"mrcp", "minedf"}
 
 // newManager constructs a registered policy's manager, forwarding the
 // MRCP-RM configuration when it applies.
@@ -240,7 +233,6 @@ var Registry = []Spec{
 	{"fig9", "Effect of the number of resources (m)", runFig9},
 	{"ablation-matchmaking", "Combined-resource + matchmaking vs direct CP matchmaking (Section V.D)", runAblationMatchmaking},
 	{"ablation-deferral", "Deferral of far-future jobs on vs off (Section V.E)", runAblationDeferral},
-	{"ablation-ordering", "Job ordering strategies: EDF vs job-id vs least laxity (Section VI.B)", runAblationOrdering},
 	{"faults", "Effect of task failure rate: MRCP-RM vs MinEDF-WC (robustness)", runFaultSweep},
 	{"hetero", "Effect of machine speed heterogeneity: speed-aware vs speed-blind planning", runHeteroSweep},
 }

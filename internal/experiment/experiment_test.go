@@ -24,7 +24,7 @@ func tinyOptions() Options {
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
-		"ablation-matchmaking", "ablation-deferral", "ablation-ordering", "faults", "hetero"}
+		"ablation-matchmaking", "ablation-deferral", "faults", "hetero"}
 	var got []string
 	for _, s := range Registry {
 		got = append(got, s.ID)
@@ -172,17 +172,6 @@ func TestAblationMatchmakingRuns(t *testing.T) {
 	}
 	if r.Points[0].Factor != "mode=combined" || r.Points[1].Factor != "mode=direct" {
 		t.Fatalf("unexpected factors %q/%q", r.Points[0].Factor, r.Points[1].Factor)
-	}
-}
-
-func TestAblationOrderingRuns(t *testing.T) {
-	spec, _ := ByID("ablation-ordering")
-	r, err := spec.Run(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Points) != 3 {
-		t.Fatalf("%d points", len(r.Points))
 	}
 }
 

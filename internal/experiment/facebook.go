@@ -27,7 +27,7 @@ func runFacebookComparison(opts Options) (Result, error) {
 			NumResources: 64,
 		}
 		cluster := sim.Cluster{NumResources: fb.NumResources, MapSlots: 1, ReduceSlots: 1}
-		for _, policy := range opts.comparePolicies() {
+		for _, policy := range comparedPolicies {
 			probe, err := opts.newManager(policy, cluster)
 			if err != nil {
 				return r, err

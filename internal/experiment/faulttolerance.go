@@ -31,7 +31,7 @@ func runFaultSweep(opts Options) (Result, error) {
 		ReduceSlots:  cfg.ReduceSlotsPerResource,
 	}
 	for _, rate := range FailureRates {
-		for _, policy := range opts.comparePolicies() {
+		for _, policy := range comparedPolicies {
 			probe, err := opts.newManager(policy, cluster)
 			if err != nil {
 				return r, err

@@ -22,6 +22,16 @@ import (
 	"mrcprm/internal/stats"
 )
 
+// A failure strikes at a uniform fraction in [failPointLo, failPointHi] of
+// the attempt's effective execution time; a straggler's execution time is
+// multiplied by a uniform factor in [stragglerLo, stragglerHi]. The bounds
+// are typed, so hi-lo is their float64 difference (0.8999999999999999 for
+// the fail point), not the exact one an untyped expression folds to.
+const (
+	failPointLo, failPointHi float64 = 0.05, 0.95
+	stragglerLo, stragglerHi float64 = 1.5, 3.0
+)
+
 // Config parameterizes a fault plan. The zero value injects nothing: a
 // plan built from it leaves every simulation bit-identical to a fault-free
 // run.
@@ -29,17 +39,9 @@ type Config struct {
 	// TaskFailureProb is the per-attempt probability that a task attempt
 	// fails before completing, in [0, 1).
 	TaskFailureProb float64
-	// FailPointLo/Hi bound the uniform fraction of the attempt's effective
-	// execution time at which a failure strikes. Zero values default to
-	// [0.05, 0.95].
-	FailPointLo, FailPointHi float64
-
 	// StragglerProb is the per-attempt probability of a straggler slowdown,
 	// in [0, 1).
 	StragglerProb float64
-	// StragglerFactorLo/Hi bound the uniform execution-time multiplier of a
-	// straggler attempt. Zero values default to [1.5, 3.0].
-	StragglerFactorLo, StragglerFactorHi float64
 
 	// MTBFMs is the mean operating time (ms) between outages of one
 	// resource; 0 disables outages. MTTRMs is the mean repair time (ms).
@@ -74,14 +76,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("faults: failure + straggler probability %g reaches 1",
 			c.TaskFailureProb+c.StragglerProb)
 	}
-	lo, hi := c.failPointRange()
-	if lo <= 0 || hi > 1 || hi < lo {
-		return fmt.Errorf("faults: fail point range [%g,%g] outside (0,1]", lo, hi)
-	}
-	lo, hi = c.stragglerRange()
-	if lo < 1 || hi < lo {
-		return fmt.Errorf("faults: straggler factor range [%g,%g] invalid (need 1 <= lo <= hi)", lo, hi)
-	}
 	if c.MTBFMs < 0 || c.MTTRMs < 0 {
 		return fmt.Errorf("faults: negative MTBF/MTTR")
 	}
@@ -97,22 +91,6 @@ func (c Config) Validate() error {
 		}
 	}
 	return nil
-}
-
-func (c Config) failPointRange() (float64, float64) {
-	lo, hi := c.FailPointLo, c.FailPointHi
-	if lo == 0 && hi == 0 {
-		lo, hi = 0.05, 0.95
-	}
-	return lo, hi
-}
-
-func (c Config) stragglerRange() (float64, float64) {
-	lo, hi := c.StragglerFactorLo, c.StragglerFactorHi
-	if lo == 0 && hi == 0 {
-		lo, hi = 1.5, 3.0
-	}
-	return lo, hi
 }
 
 // Plan is a realized fault-injection plan. It is stateless per query —
@@ -167,12 +145,10 @@ func (p *Plan) Attempt(taskID string, attempt int) sim.AttemptFault {
 	u := s.Float64()
 	switch {
 	case u < p.cfg.TaskFailureProb:
-		lo, hi := p.cfg.failPointRange()
 		f.Fails = true
-		f.FailPoint = lo + (hi-lo)*s.Float64()
+		f.FailPoint = failPointLo + (failPointHi-failPointLo)*s.Float64()
 	case u < p.cfg.TaskFailureProb+p.cfg.StragglerProb:
-		lo, hi := p.cfg.stragglerRange()
-		f.Factor = lo + (hi-lo)*s.Float64()
+		f.Factor = stragglerLo + (stragglerHi-stragglerLo)*s.Float64()
 	}
 	return f
 }

@@ -1020,12 +1020,17 @@ func (e *Engine) status(id int, entry *jobEntry, withPlacements bool) JobStatus 
 // Schedule returns the current placement plan: every placed, not-yet-
 // completed task, ordered by start time then task ID.
 func (e *Engine) Schedule() []TaskPlacement {
-	entries := e.registry()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var out []TaskPlacement
-	for _, entry := range entries {
+	for _, entry := range e.registry() {
 		if entry.job == nil {
+			continue
+		}
+		// Only a job with a task placed and not completed has one to list:
+		// finished and not-yet-registered jobs cost one lookup, no task scan.
+		run := e.sim.Job(entry.job)
+		if run == (sim.JobRef{}) || run.Placed(workload.MapTask)+run.Placed(workload.ReduceTask) == 0 {
 			continue
 		}
 		e.taskBuf = e.sim.JobStatus(entry.job, e.taskBuf[:0])

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -639,10 +640,16 @@ func TestJobsMatchesJob(t *testing.T) {
 			}
 			states := map[JobState]int{}
 			predicted := 0
+			var plan []TaskPlacement
 			for i, st := range list {
 				one, ok := e.Job(i)
 				if !ok {
 					t.Fatalf("job %d not found", i)
+				}
+				for _, p := range one.Placements {
+					if !p.Done {
+						plan = append(plan, p)
+					}
 				}
 				one.Placements = nil
 				if !reflect.DeepEqual(st, one) {
@@ -653,7 +660,17 @@ func TestJobsMatchesJob(t *testing.T) {
 					predicted++
 				}
 			}
-			t.Logf("states %v, %d with a predicted end", states, predicted)
+			sort.Slice(plan, func(a, b int) bool {
+				if plan[a].StartMS != plan[b].StartMS {
+					return plan[a].StartMS < plan[b].StartMS
+				}
+				return plan[a].Task < plan[b].Task
+			})
+			if got := e.Schedule(); !reflect.DeepEqual(got, plan) {
+				t.Errorf("Schedule() lists %d placements, the jobs' undone placements are %d:\n%+v\n%+v",
+					len(got), len(plan), got, plan)
+			}
+			t.Logf("states %v, %d with a predicted end, %d placements planned", states, predicted, len(plan))
 			if finishes > 0 && (states[StateRunning] == 0 || predicted == 0) {
 				t.Errorf("frozen run has %d running jobs and %d predicted ends, want both > 0",
 					states[StateRunning], predicted)

@@ -24,8 +24,8 @@
 //
 // Sync policy. SyncAlways fsyncs after every append (the durable default:
 // an acknowledged submission survives power loss), SyncBatch fsyncs every
-// Options.BatchEvery appends (bounded loss, much cheaper), SyncNever
-// leaves flushing to the OS (tests and throwaway runs).
+// 64 appends (bounded loss, much cheaper), SyncNever leaves flushing to
+// the OS (tests and throwaway runs).
 package wal
 
 import (
@@ -49,7 +49,7 @@ type SyncPolicy int
 const (
 	// SyncAlways fsyncs after every append.
 	SyncAlways SyncPolicy = iota
-	// SyncBatch fsyncs every Options.BatchEvery appends (and on Close).
+	// SyncBatch fsyncs every batchEvery appends (and on Close).
 	SyncBatch
 	// SyncNever never fsyncs explicitly; the OS flushes when it pleases.
 	SyncNever
@@ -83,10 +83,10 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 type Options struct {
 	// Sync is the fsync policy; the zero value is SyncAlways.
 	Sync SyncPolicy
-	// BatchEvery is the append count between fsyncs under SyncBatch;
-	// <= 0 means 64.
-	BatchEvery int
 }
+
+// batchEvery is the append count between fsyncs under SyncBatch.
+const batchEvery = 64
 
 // Journal is an open append-only journal. All methods are safe for
 // concurrent use.
@@ -106,9 +106,6 @@ type Journal struct {
 // intact record, truncates any torn tail, and returns the journal
 // positioned for appending plus the recovered payloads in append order.
 func Open(path string, opts Options) (*Journal, [][]byte, error) {
-	if opts.BatchEvery <= 0 {
-		opts.BatchEvery = 64
-	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: open %s: %w", path, err)
@@ -226,7 +223,7 @@ func (j *Journal) Append(payload []byte) error {
 		}
 	case SyncBatch:
 		j.sinceSync++
-		if j.sinceSync >= j.opts.BatchEvery {
+		if j.sinceSync >= batchEvery {
 			j.sinceSync = 0
 			if err := j.f.Sync(); err != nil {
 				return fmt.Errorf("wal: sync %s: %w", j.path, err)

@@ -69,9 +69,12 @@ func TestRoundTrip(t *testing.T) {
 
 func TestReopenAppend(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.wal")
-	want := payloads(6)
-	j, _ := mustOpen(t, path, Options{Sync: SyncBatch, BatchEvery: 2})
-	for _, p := range want[:3] {
+	// The first session appends past one batch, so a batch fsync runs
+	// mid-stream and Close syncs the rest.
+	first := batchEvery + 1
+	want := payloads(first + 3)
+	j, _ := mustOpen(t, path, Options{Sync: SyncBatch})
+	for _, p := range want[:first] {
 		if err := j.Append(p); err != nil {
 			t.Fatal(err)
 		}
@@ -80,10 +83,10 @@ func TestReopenAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	j, recs := mustOpen(t, path, Options{Sync: SyncNever})
-	if len(recs) != 3 {
-		t.Fatalf("recovered %d records, want 3", len(recs))
+	if len(recs) != first {
+		t.Fatalf("recovered %d records, want %d", len(recs), first)
 	}
-	for _, p := range want[3:] {
+	for _, p := range want[first:] {
 		if err := j.Append(p); err != nil {
 			t.Fatal(err)
 		}

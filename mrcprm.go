@@ -114,18 +114,12 @@ type (
 	Assignment = core.Assignment
 	// SolveMode selects combined (two-phase) or direct matchmaking.
 	SolveMode = core.SolveMode
-	// OrderingStrategy selects the search's job ordering heuristic.
-	OrderingStrategy = cp.OrderingStrategy
 )
 
-// Solve modes and ordering strategies.
+// Solve modes.
 const (
 	ModeCombined = core.ModeCombined
 	ModeDirect   = core.ModeDirect
-
-	OrderEDF         = cp.OrderEDF
-	OrderJobID       = cp.OrderJobID
-	OrderLeastLaxity = cp.OrderLeastLaxity
 )
 
 // Experiments (Section VI).
