@@ -49,21 +49,49 @@ type Schedule struct {
 // batchRounds recycles the rounds batch solves build their models in, so a
 // batch solve, like a reschedule, resets the memory an earlier one grew
 // instead of allocating a model. Each SolveBatch call takes its own round
-// and returns it when done; concurrent calls never share one. A round in
-// the pool keeps its last batch's jobs and tasks reachable (the model's
-// task list, job work and precedence index point at them) until a later
-// batch overwrites them or the pool drops the round at a garbage
-// collection; the Schedule a call returns shares no memory with it.
-var batchRounds = sync.Pool{New: func() any { return new(round) }}
+// and returns it when done; concurrent calls never share one. A round kept
+// here keeps its last batch's jobs and tasks reachable (the model's task
+// list, job work and precedence index point at them) until a later batch
+// overwrites them; the Schedule a call returns shares no memory with it.
+//
+// The pool drops what it holds after two garbage collections, so one round,
+// the spare, is kept beside it where no collection reaches: the first batch
+// solve after a collection would otherwise rebuild its whole model.
+var (
+	batchRounds = sync.Pool{New: func() any { return new(round) }}
+	spareRound  struct {
+		sync.Mutex
+		rd *round
+	}
+)
 
 // SolveBatch maps and schedules a fixed batch of jobs on the cluster,
 // minimizing the number of late jobs. Arrival times are ignored; earliest
 // start times and deadlines are honored. The returned assignments are
 // sorted by start time.
 func SolveBatch(cluster sim.Cluster, jobs []*workload.Job, cfg Config) (*Schedule, error) {
-	rd := batchRounds.Get().(*round)
-	defer batchRounds.Put(rd)
+	spareRound.Lock()
+	rd := spareRound.rd
+	spareRound.rd = nil
+	spareRound.Unlock()
+	if rd == nil {
+		rd = batchRounds.Get().(*round)
+	}
+	defer putBatchRound(rd)
 	return solveBatch(rd, cluster, jobs, cfg)
+}
+
+// putBatchRound returns a round SolveBatch is done with: to the spare when
+// it is empty, to the pool otherwise.
+func putBatchRound(rd *round) {
+	spareRound.Lock()
+	if spareRound.rd == nil {
+		spareRound.rd, rd = rd, nil
+	}
+	spareRound.Unlock()
+	if rd != nil {
+		batchRounds.Put(rd)
+	}
 }
 
 // solveBatch is SolveBatch in the given round.

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -198,25 +199,37 @@ func TestPooledRoundConcurrent(t *testing.T) {
 	}
 }
 
-// A repeated batch solve of one instance rebuilds its model in the round
-// it recycles and allocates only what its Schedule and the solve's results
-// own: the assignments, each incumbent's Result, the improvement timeline,
-// the solver and a few small slices. On this 20-job combined instance
-// (2,270 tasks) that is 20 allocations; a fresh round costs over 8,000.
-// The count is taken on one round handed to solveBatch, the body of
-// SolveBatch: the pool SolveBatch takes its round from may be emptied by a
-// collection, and under the race detector it drops rounds at random.
-func TestSolveBatchAllocations(t *testing.T) {
+// recycledBatchAllocs bounds the allocations of a batch solve of the
+// allocation instance in a round that last held the same instance.
+const recycledBatchAllocs = 40
+
+// allocInstance is the 20-job combined instance (2,270 tasks) the
+// allocation tests solve.
+func allocInstance(t *testing.T) (sim.Cluster, []*workload.Job) {
+	t.Helper()
 	gen := workload.DefaultSynthetic()
 	jobs, err := gen.Generate(20, stats.NewStream(17, 18))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster := sim.Cluster{NumResources: 10,
-		MapSlots: gen.MapSlotsPerResource, ReduceSlots: gen.ReduceSlotsPerResource}
+	return sim.Cluster{NumResources: 10,
+		MapSlots: gen.MapSlotsPerResource, ReduceSlots: gen.ReduceSlotsPerResource}, jobs
+}
+
+// A repeated batch solve of one instance rebuilds its model in the round
+// it recycles and allocates only what its Schedule and the solve's results
+// own: the assignments, each incumbent's Result, the improvement timeline,
+// the solver and a few small slices. On the allocation instance that is 20
+// allocations; a fresh round costs over 8,000. The count is taken on one
+// round handed to solveBatch, the body of SolveBatch.
+func TestSolveBatchAllocations(t *testing.T) {
+	cluster, jobs := allocInstance(t)
 	cfg := batchConfig()
 	rd := new(round)
-	var s *Schedule
+	var (
+		s   *Schedule
+		err error
+	)
 	allocs := testing.AllocsPerRun(3, func() {
 		if s, err = solveBatch(rd, cluster, jobs, cfg); err != nil {
 			t.Fatal(err)
@@ -224,7 +237,26 @@ func TestSolveBatchAllocations(t *testing.T) {
 	})
 	t.Logf("%d jobs, %d tasks: %.0f allocations per batch solve in a recycled round (%d solutions)",
 		len(jobs), len(s.Assignments), allocs, s.Search.Solutions)
-	if limit := float64(40); allocs > limit {
-		t.Fatalf("a repeated batch solve made %.0f allocations, limit %.0f", allocs, limit)
+	if allocs > recycledBatchAllocs {
+		t.Fatalf("a repeated batch solve made %.0f allocations, limit %d", allocs, recycledBatchAllocs)
+	}
+}
+
+// SolveBatch keeps its spare round through garbage collections: two
+// collections empty a sync.Pool, and a batch solve after them still
+// allocates no more than one in a recycled round.
+func TestSolveBatchAfterCollections(t *testing.T) {
+	cluster, jobs := allocInstance(t)
+	cfg := batchConfig()
+	allocs := testing.AllocsPerRun(3, func() {
+		runtime.GC()
+		runtime.GC()
+		if _, err := SolveBatch(cluster, jobs, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations per batch solve after two collections", allocs)
+	if allocs > recycledBatchAllocs {
+		t.Fatalf("a batch solve after two collections made %.0f allocations, limit %d", allocs, recycledBatchAllocs)
 	}
 }

@@ -172,9 +172,9 @@ type jobEntry struct {
 // Engine is the embeddable online resource-manager engine. It has two
 // locks, taken in the order mu, then intakeMu: mu guards the simulator, its
 // manager, taskBuf and doneWork, and intakeMu guards every other field that
-// changes after New. A step holds mu across the whole solve; intakeMu is
-// never held across one, so submissions and the metrics, clock and
-// pending-work readers never wait for a solve.
+// changes after New. The run loop holds mu across a batch of steps, solves
+// included; intakeMu is never held across a step, so submissions and the
+// metrics, clock and pending-work readers never wait for a solve.
 type Engine struct {
 	cfg    Config
 	rm     sim.ResourceManager
@@ -412,11 +412,11 @@ func (e *Engine) SubmitJob(spec workload.JobSpec, j *workload.Job) (int, error) 
 // apply makes one journaled input take effect, and is the only place any
 // does: the live calls (SubmitJob, ApplyFaults, InjectOutage, CloseIntake)
 // validate their input, append rec and then apply it, holding intakeMu
-// (and mu as well for an outage), as does the run loop for a fault switch
-// it held back until its instant; Recover applies each record it decoded
-// and validated before the engine is shared. For an accepted submission, j
-// is its bound job and infeasible whether the admission bound failed,
-// which flags the job for the SLO monitor.
+// (and mu as well for a fault switch or an outage), as does the run loop
+// for a fault switch it held back until its instant; Recover applies each
+// record it decoded and validated before the engine is shared. For an
+// accepted submission, j is its bound job and infeasible whether the
+// admission bound failed, which flags the job for the SLO monitor.
 func (e *Engine) apply(rec *journalRecord, j *workload.Job, infeasible bool) {
 	switch rec.Kind {
 	case recSubmit:
@@ -628,9 +628,23 @@ func (e *Engine) loop() {
 	e.end(e.run())
 }
 
+// Bounds on one batch of a closed virtual drain (see run): a reader that
+// needs mu waits for at most this many steps, or for about this much of the
+// manager's own scheduling time, whichever comes first.
+const (
+	batchSteps    = 64
+	batchOverhead = time.Millisecond
+)
+
 // run injects intake, steps the simulator, paces against the wall clock
 // when configured, and finishes once the intake is closed and the event
-// queue is empty.
+// queue is empty. It steps in batches, publishing the view once per batch:
+// a batch is one step while the intake is open and always in Wall mode, so
+// submissions, the arrival clamp, the MaxPending bound, a router's
+// PendingWork and wall pacing see the view of every step. Once the intake
+// of a Virtual engine is closed, a batch runs under one hold of mu until
+// the queue empties, a step fails, a signal is pending, the clock reaches
+// the next held-back fault switch or the batch bounds are reached.
 func (e *Engine) run() (*sim.Metrics, error) {
 	for {
 		select {
@@ -638,7 +652,13 @@ func (e *Engine) run() (*sim.Metrics, error) {
 			return nil, ErrStopped
 		default:
 		}
-		e.drainIntake()
+		// This pass answers every signal pending now, so it consumes it; one
+		// left pending would end every batch after its first step.
+		select {
+		case <-e.wake:
+		default:
+		}
+		steps, until := e.drainIntake()
 		next, pending := e.peek()
 		if !pending {
 			e.intakeMu.Lock()
@@ -671,7 +691,7 @@ func (e *Engine) run() (*sim.Metrics, error) {
 			}
 		}
 		e.mu.Lock()
-		_, err := e.sim.Step()
+		err := e.stepBatch(steps, until)
 		e.publish()
 		e.mu.Unlock()
 		if err != nil {
@@ -680,23 +700,48 @@ func (e *Engine) run() (*sim.Metrics, error) {
 	}
 }
 
+// stepBatch runs up to n simulator steps under mu, ending the batch early
+// once the queue is empty, a step fails, a signal is pending, the clock
+// reaches until or the manager's scheduling time in the batch passes
+// batchOverhead.
+func (e *Engine) stepBatch(n int, until int64) error {
+	spent := e.sim.Overhead()
+	for range n {
+		more, err := e.sim.Step()
+		if err != nil || !more || len(e.wake) > 0 || e.sim.Now() >= until ||
+			e.sim.Overhead()-spent > batchOverhead {
+			return err
+		}
+	}
+	return nil
+}
+
 // drainIntake installs the replayed fault switches whose instants the
 // simulation clock has reached, then moves queued submissions into the
 // simulator. The batch is stable-sorted by effective arrival so a
 // pre-Start submission stream reproduces sim.New's arrival ordering
-// exactly.
-func (e *Engine) drainIntake() {
+// exactly. It returns the next step batch's bounds: its length, batchSteps
+// once the intake of a Virtual engine is closed and 1 otherwise, and the
+// instant of the next held-back fault switch (math.MaxInt64 when none is).
+func (e *Engine) drainIntake() (steps int, until int64) {
 	e.intakeMu.Lock()
 	for len(e.scheduledFaults) > 0 && e.scheduledFaults[0].SimMS <= e.view.now {
 		rec := e.scheduledFaults[0]
 		e.scheduledFaults = e.scheduledFaults[1:]
 		e.apply(rec, nil, false)
 	}
+	steps, until = 1, math.MaxInt64
+	if e.closed && e.cfg.Mode == Virtual {
+		steps = batchSteps
+	}
+	if len(e.scheduledFaults) > 0 {
+		until = e.scheduledFaults[0].SimMS
+	}
 	batch := e.intake
 	e.intake = nil
 	e.intakeMu.Unlock()
 	if len(batch) == 0 {
-		return
+		return steps, until
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -726,6 +771,7 @@ func (e *Engine) drainIntake() {
 		}
 	}
 	e.publish()
+	return steps, until
 }
 
 // simView is what the readers see of the simulator and manager.
@@ -745,7 +791,7 @@ type managerStats interface{ Stats() core.Stats }
 // publish copies what the readers report of the simulator and manager into
 // e.view, takes doneWork out of the pending work and observes the drain
 // rate, all in one intakeMu section. Called under mu after every change to
-// the simulator.
+// the simulator: every batch of steps, every intake drain.
 func (e *Engine) publish() {
 	v := simView{metrics: e.sim.CurrentMetrics(), now: e.sim.Now(), outstanding: e.sim.OutstandingJobs()}
 	if st, ok := e.rm.(managerStats); ok {

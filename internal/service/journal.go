@@ -109,18 +109,22 @@ func (s FaultSpec) plan() (sim.FaultInjector, error) {
 
 // ApplyFaults journals and installs the per-attempt fault plan described
 // by spec; an all-zero spec disables injection. The plan is replayed on
-// recovery at the simulated instant of the switch. Once the run has ended
-// the call returns ErrFinished.
+// recovery at the simulated instant of the switch. The call takes the
+// simulator lock, as InjectOutage does, so the switch lands at a step
+// boundary and is journaled at the simulator's clock there. Once the run
+// has ended the call returns ErrFinished.
 func (e *Engine) ApplyFaults(spec FaultSpec) error {
 	if _, err := spec.plan(); err != nil {
 		return err
 	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	e.intakeMu.Lock()
 	defer e.intakeMu.Unlock()
 	if e.ended {
 		return ErrFinished
 	}
-	rec := &journalRecord{Kind: recFaults, SimMS: e.view.now, Faults: &spec}
+	rec := &journalRecord{Kind: recFaults, SimMS: e.sim.Now(), Faults: &spec}
 	if err := e.journalAppend(rec); err != nil {
 		return err
 	}

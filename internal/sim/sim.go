@@ -1044,6 +1044,10 @@ func (s *Simulator) AddOverhead(d time.Duration) {
 	s.metrics.Invocations++
 }
 
+// Overhead returns the scheduling wall time accrued so far, the sum behind
+// the O metric.
+func (s *Simulator) Overhead() time.Duration { return s.metrics.totalOverhead }
+
 // ResourceDown reports whether the resource is currently in an outage.
 func (s *Simulator) ResourceDown(res int) bool {
 	return res >= 0 && res < len(s.down) && s.down[res]
