@@ -46,52 +46,44 @@ type Schedule struct {
 	Search cp.SearchStats
 }
 
-// batchRounds recycles the rounds batch solves build their models in, so a
-// batch solve, like a reschedule, resets the memory an earlier one grew
-// instead of allocating a model. Each SolveBatch call takes its own round
-// and returns it when done; concurrent calls never share one. A round kept
-// here keeps its last batch's jobs and tasks reachable (the model's task
-// list, job work and precedence index point at them) until a later batch
-// overwrites them; the Schedule a call returns shares no memory with it.
-//
-// The pool drops what it holds after two garbage collections, so one round,
-// the spare, is kept beside it where no collection reaches: the first batch
-// solve after a collection would otherwise rebuild its whole model.
-var (
-	batchRounds = sync.Pool{New: func() any { return new(round) }}
-	spareRound  struct {
-		sync.Mutex
-		rd *round
-	}
-)
+// spareRound is the round batch solves build their models in, so a batch
+// solve, like a reschedule, resets the memory an earlier one grew instead of
+// allocating a model. SolveBatch takes the spare, or a new round when
+// another call holds it, and puts its round back when the slot is empty:
+// concurrent calls never share one. The spare lives as long as the process
+// and keeps the memory of the largest batch solved in it; it drops its last
+// batch's jobs and tasks when put back (round.forget), and the Schedule a
+// call returns shares no memory with it.
+var spareRound struct {
+	sync.Mutex
+	rd *round
+}
 
 // SolveBatch maps and schedules a fixed batch of jobs on the cluster,
 // minimizing the number of late jobs. Arrival times are ignored; earliest
 // start times and deadlines are honored. The returned assignments are
 // sorted by start time.
+//
+// The model is built in a round kept for the life of the process, so
+// after a call the memory of the largest batch solved so far stays
+// allocated (no job or task of the caller's stays reachable through it).
 func SolveBatch(cluster sim.Cluster, jobs []*workload.Job, cfg Config) (*Schedule, error) {
 	spareRound.Lock()
 	rd := spareRound.rd
 	spareRound.rd = nil
 	spareRound.Unlock()
 	if rd == nil {
-		rd = batchRounds.Get().(*round)
+		rd = new(round)
 	}
-	defer putBatchRound(rd)
+	defer func() {
+		rd.forget()
+		spareRound.Lock()
+		if spareRound.rd == nil {
+			spareRound.rd = rd
+		}
+		spareRound.Unlock()
+	}()
 	return solveBatch(rd, cluster, jobs, cfg)
-}
-
-// putBatchRound returns a round SolveBatch is done with: to the spare when
-// it is empty, to the pool otherwise.
-func putBatchRound(rd *round) {
-	spareRound.Lock()
-	if spareRound.rd == nil {
-		spareRound.rd, rd = rd, nil
-	}
-	spareRound.Unlock()
-	if rd != nil {
-		batchRounds.Put(rd)
-	}
 }
 
 // solveBatch is SolveBatch in the given round.

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"weak"
 
 	"mrcprm/internal/cp"
 	"mrcprm/internal/sim"
@@ -165,8 +166,8 @@ func TestPooledRoundMatchesFresh(t *testing.T) {
 	}
 }
 
-// Concurrent SolveBatch calls each take their own round from the pool:
-// every goroutine's sequence decides what fresh rounds decide. Run under
+// Concurrent SolveBatch calls each take their own round, the spare or a
+// new one: every goroutine's sequence decides what fresh rounds decide. Run under
 // -race, this also shows no two calls share a round.
 func TestPooledRoundConcurrent(t *testing.T) {
 	seq := pooledSequence(t)
@@ -242,9 +243,8 @@ func TestSolveBatchAllocations(t *testing.T) {
 	}
 }
 
-// SolveBatch keeps its spare round through garbage collections: two
-// collections empty a sync.Pool, and a batch solve after them still
-// allocates no more than one in a recycled round.
+// SolveBatch keeps its spare round through garbage collections: a batch
+// solve after two of them allocates no more than one in a recycled round.
 func TestSolveBatchAfterCollections(t *testing.T) {
 	cluster, jobs := allocInstance(t)
 	cfg := batchConfig()
@@ -258,5 +258,40 @@ func TestSolveBatchAfterCollections(t *testing.T) {
 	t.Logf("%.0f allocations per batch solve after two collections", allocs)
 	if allocs > recycledBatchAllocs {
 		t.Fatalf("a batch solve after two collections made %.0f allocations, limit %d", allocs, recycledBatchAllocs)
+	}
+}
+
+// The spare round SolveBatch keeps drops the caller's jobs and tasks when
+// the call returns: once the caller lets go of a batch and its Schedule, a
+// collection frees every job and task of it, in each kind of batch model.
+func TestSolveBatchReleasesJobs(t *testing.T) {
+	seq := pooledSequence(t)
+	for i := range seq {
+		jobs := make([]weak.Pointer[workload.Job], 0, len(seq[i].jobs))
+		var tasks []weak.Pointer[workload.Task]
+		for _, j := range seq[i].jobs {
+			jobs = append(jobs, weak.Make(j))
+			for _, tk := range j.MapTasks {
+				tasks = append(tasks, weak.Make(tk))
+			}
+			for _, tk := range j.ReduceTasks {
+				tasks = append(tasks, weak.Make(tk))
+			}
+		}
+		if _, err := SolveBatch(seq[i].cluster, seq[i].jobs, batchConfig()); err != nil {
+			t.Fatal(err)
+		}
+		seq[i].jobs = nil
+		runtime.GC()
+		for _, j := range jobs {
+			if j.Value() != nil {
+				t.Fatalf("%s: a job is still reachable after SolveBatch returned", seq[i].name)
+			}
+		}
+		for _, tk := range tasks {
+			if tk.Value() != nil {
+				t.Fatalf("%s: a task is still reachable after SolveBatch returned", seq[i].name)
+			}
+		}
 	}
 }

@@ -99,6 +99,19 @@ func reserve[T any](s []T, n int) []T {
 	return s[:0]
 }
 
+// forget drops the round's references to the jobs and tasks of its last
+// build, keeping every buffer's memory, so a round kept between batch
+// solves keeps no caller's jobs reachable. A batch build sets no frozen
+// work, so zeroing each jobWork loses no buffer a later batch reuses.
+func (rd *round) forget() {
+	for _, w := range rd.jobs {
+		*w = jobWork{}
+	}
+	clear(rd.bm.tasks[:cap(rd.bm.tasks)])
+	clear(rd.bm.placed[:cap(rd.bm.placed)])
+	clear(rd.index)
+}
+
 // cumulNames returns the direct model's per-resource cumulative names for
 // the map, reduce and memory timetables, formatted once per round value.
 func (rd *round) cumulNames(numRes int) *[3][]string {

@@ -430,7 +430,9 @@ func Simulate(cluster Cluster, rm ResourceManager, jobs []*Job) (*Metrics, error
 }
 
 // SolveBatch maps and schedules a fixed batch of jobs in one shot (the
-// closed-system scenario), minimizing the number of late jobs.
+// closed-system scenario), minimizing the number of late jobs. It builds
+// its model in memory it keeps for the life of the process, sized by the
+// largest batch solved so far; it keeps none of the caller's jobs.
 func SolveBatch(cluster Cluster, jobs []*Job, cfg Config) (*Schedule, error) {
 	return core.SolveBatch(cluster, jobs, cfg)
 }
