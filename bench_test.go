@@ -194,7 +194,7 @@ func benchTelemetry(b *testing.B, makeTel func() *mrcprm.Telemetry) {
 			b.Fatal(err)
 		}
 		mgr := mrcprm.NewManager(cluster, mcfg)
-		if _, err := mrcprm.SimulateInstrumented(cluster, mgr, jobs, nil, nil, makeTel(), 0); err != nil {
+		if _, err := mrcprm.SimulateInstrumented(cluster, mgr, jobs, nil, nil, makeTel()); err != nil {
 			b.Fatal(err)
 		}
 	}

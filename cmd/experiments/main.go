@@ -57,7 +57,6 @@ func main() {
 	}
 	opts.ReplicationWorkers = *repWorkers
 	opts.Telemetry = common.Telemetry()
-	opts.TelemetrySampleMS = common.TelemetrySampleMS
 
 	ids := resolveIDs(*fig)
 	if len(ids) == 0 {

@@ -8,7 +8,7 @@
 // generates, so the daemon's metrics are comparable to the offline
 // simulator's. With -verify the served final-metrics fingerprint is also
 // checked against a local deterministic replay of the accepted stream —
-// the daemon must then run with -deterministic and the same cluster shape.
+// the daemon must then run with the same cluster shape.
 //
 // In -mode wall it replays the stream open-loop: each job is submitted
 // when its generated arrival time comes up on the (speedup-scaled) wall
@@ -32,7 +32,7 @@
 //
 //	loadgen -addr http://localhost:8373 -jobs 40 -seed 3
 //	loadgen -mode wall -speedup 60 -jobs 20
-//	loadgen -jobs 40 -seed 3 -verify          # daemon: -mode virtual -deterministic
+//	loadgen -jobs 40 -seed 3 -verify          # daemon: -mode virtual
 //	loadgen -mode stress -rate0 5 -rate1 120 -duration 10s
 package main
 
@@ -62,7 +62,7 @@ func main() {
 		mode    = flag.String("mode", "virtual", "replay mode: virtual, wall, or stress")
 		speedup = flag.Float64("speedup", 1, "wall mode: simulated ms per wall ms (match the daemon)")
 		timeout = flag.Duration("timeout", 5*time.Minute, "max time to wait for the run to finish")
-		verify  = flag.Bool("verify", false, "virtual mode: replay the accepted stream locally and require an identical metrics fingerprint (daemon must run -deterministic)")
+		verify  = flag.Bool("verify", false, "virtual mode: replay the accepted stream locally and require an identical metrics fingerprint (daemon must run -mode virtual)")
 
 		rate0      = flag.Float64("rate0", 5, "stress: initial arrival rate in jobs/s")
 		rate1      = flag.Float64("rate1", 100, "stress: final arrival rate in jobs/s")
@@ -237,11 +237,7 @@ type acceptedJob struct {
 // deterministically, and returns the metrics fingerprint for comparison
 // with what the daemon served.
 func replayFingerprint(cluster mrcprm.Cluster, policy string, accepted []acceptedJob, n int) (uint64, error) {
-	opts := mrcprm.PolicyOptions{}
-	if policy == "mrcp" {
-		opts.Extra = mrcprm.DeterministicConfig()
-	}
-	rm, err := mrcprm.NewPolicy(policy, cluster, opts)
+	rm, err := mrcprm.NewPolicy(policy, cluster, mrcprm.PolicyOptions{Extra: mrcprm.DeterministicConfig()})
 	if err != nil {
 		return 0, err
 	}

@@ -8,9 +8,10 @@
 //     submissions are stamped with their wall-clock arrival (scaled by
 //     -speedup) and the schedule executes in real time.
 //   - -mode virtual: submissions accumulate until POST /v1/admin/run, then
-//     the whole stream executes in virtual time. A virtual run over a
-//     recorded stream is deterministic and byte-comparable to the offline
-//     simulator (see cmd/loadgen).
+//     the whole stream executes in virtual time under pinned solver
+//     settings (DeterministicConfig: no time limit, a node budget). A
+//     virtual run over a recorded stream is deterministic and
+//     byte-comparable to the offline simulator (see cmd/loadgen).
 //
 // One backend: the daemon always serves the shard router. -shards N
 // (default 1) partitions the cluster into N engines behind it (-routeseed
@@ -22,11 +23,10 @@
 // switch, and outage to shard i's write-ahead journal segment base.shard<i>
 // before acknowledging it; after a crash, -recover replays every segment
 // into fresh engines and finishes the stream, and refuses to start when a
-// segment is missing. With -deterministic (pinned solver settings) a
-// recovered virtual run's final metrics fingerprint is bit-identical to
-// the uninterrupted run's. -maxpending bounds the intake (split across
-// shards): excess submissions get 429 with a Retry-After derived from the
-// recent drain rate.
+// segment is missing. A recovered virtual run's final metrics fingerprint
+// is bit-identical to the uninterrupted run's. -maxpending bounds the
+// intake (split across shards): excess submissions get 429 with a
+// Retry-After derived from the recent drain rate.
 //
 // Observability: GET /metrics serves Prometheus text exposition (latency
 // and end-to-end histograms, job-flow counters, SLO burn gauges) backed by
@@ -47,9 +47,9 @@
 //	mrcpd -speedup 60 -warmstart
 //	mrcpd -rm minedf -admission=false
 //	mrcpd -hetero 2 -memcap 64             # two speed classes + memory dimension
-//	mrcpd -mode virtual -deterministic -journal run.wal   # writes run.wal.shard0
-//	mrcpd -mode virtual -deterministic -journal run.wal -recover
-//	mrcpd -mode virtual -deterministic -shards 2 -journal run.wal
+//	mrcpd -mode virtual -journal run.wal   # writes run.wal.shard0
+//	mrcpd -mode virtual -journal run.wal -recover
+//	mrcpd -mode virtual -shards 2 -journal run.wal
 package main
 
 import (
@@ -95,7 +95,6 @@ func main() {
 		journalSync = flag.String("journalsync", "always", "journal fsync policy: always, batch, or none")
 		doRecover   = flag.Bool("recover", false, "replay the -journal into a fresh engine before serving")
 		maxPending  = flag.Int("maxpending", 0, "shed submissions beyond this many accepted-but-unfinished jobs (0 = unbounded)")
-		determin    = flag.Bool("deterministic", false, "pin solver settings (no time limit, node budget) for reproducible runs")
 
 		missBudget = flag.Float64("missbudget", 0.1, "SLO miss budget: the deadline-miss rate that flips /readyz to slo-burn")
 		sloWindow  = flag.Duration("slowindow", time.Minute, "simulated-time window for the SLO burn monitor")
@@ -122,9 +121,19 @@ func main() {
 			os.Exit(2)
 		}
 	}
+	// A virtual run is the replayable one: it pins the solver settings that
+	// a wall-clock time limit would otherwise make vary run to run.
+	var svcMode mrcprm.ServiceMode
 	mcfg := mrcprm.DefaultConfig()
-	if *determin {
+	switch *mode {
+	case "wall":
+		svcMode = mrcprm.ServiceWall
+	case "virtual":
+		svcMode = mrcprm.ServiceVirtual
 		mcfg = mrcprm.DeterministicConfig()
+	default:
+		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
+		os.Exit(2)
 	}
 	mcfg.DeferralLead = *deferral
 	mcfg.WarmStart = *warmStart
@@ -137,26 +146,17 @@ func main() {
 		tel = mrcprm.NewRegistryTelemetry()
 	}
 	cfg := mrcprm.ServiceConfig{
-		Cluster:           cluster,
-		Policy:            *rmName,
-		Manager:           mcfg,
-		Speedup:           *speedup,
-		Admission:         *admission,
-		Telemetry:         tel,
-		TelemetrySampleMS: common.TelemetrySampleMS,
-		JournalPath:       *journal,
-		JournalSync:       *journalSync,
-		MaxPending:        *maxPending,
-		SLO:               mrcprm.SLOConfig{MissBudget: *missBudget, WindowMS: sloWindow.Milliseconds()},
-	}
-	switch *mode {
-	case "wall":
-		cfg.Mode = mrcprm.ServiceWall
-	case "virtual":
-		cfg.Mode = mrcprm.ServiceVirtual
-	default:
-		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
-		os.Exit(2)
+		Cluster:     cluster,
+		Policy:      *rmName,
+		Manager:     mcfg,
+		Mode:        svcMode,
+		Speedup:     *speedup,
+		Admission:   *admission,
+		Telemetry:   tel,
+		JournalPath: *journal,
+		JournalSync: *journalSync,
+		MaxPending:  *maxPending,
+		SLO:         mrcprm.SLOConfig{MissBudget: *missBudget, WindowMS: sloWindow.Milliseconds()},
 	}
 
 	if *doRecover && *journal == "" {

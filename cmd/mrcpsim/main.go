@@ -126,16 +126,13 @@ func main() {
 
 	// Policies come from the registry; -rm selects by name. MRCP-RM's
 	// policy-specific config rides along in Extra (other factories ignore it).
-	popts := mrcprm.PolicyOptions{}
-	if *rmName == "mrcp" {
-		mcfg := mrcprm.DefaultConfig()
-		mcfg.WarmStart = *warmStart
-		popts.Extra = mcfg
-	} else if *warmStart {
+	if *warmStart && *rmName != "mrcp" {
 		fmt.Fprintln(os.Stderr, "-warmstart needs -rm mrcp")
 		os.Exit(2)
 	}
-	rm, err := mrcprm.NewPolicy(*rmName, cluster, popts)
+	mcfg := mrcprm.DefaultConfig()
+	mcfg.WarmStart = *warmStart
+	rm, err := mrcprm.NewPolicy(*rmName, cluster, mrcprm.PolicyOptions{Extra: mcfg})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -179,8 +176,7 @@ func main() {
 	if *traceOut != "" || *gantt {
 		rec = mrcprm.NewTraceRecorder()
 	}
-	metrics, err := mrcprm.SimulateInstrumented(cluster, rm, jl, injector, rec,
-		common.Telemetry(), common.TelemetrySampleMS)
+	metrics, err := mrcprm.SimulateInstrumented(cluster, rm, jl, injector, rec, common.Telemetry())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -31,10 +31,9 @@ import (
 type Common struct {
 	// Seed is the master random seed (WithSeed).
 	Seed uint64
-	// TelemetryPath and TelemetrySampleMS configure the JSONL telemetry
-	// stream (WithTelemetry); open it with Telemetry().
-	TelemetryPath     string
-	TelemetrySampleMS int64
+	// TelemetryPath names the JSONL telemetry stream (WithTelemetry); open
+	// it with Telemetry().
+	TelemetryPath string
 	// CPUProfile, MemProfile, PprofAddr are the profiling flags
 	// (WithProfiling).
 	CPUProfile string
@@ -58,13 +57,11 @@ func WithSeed(def uint64) Option {
 	}
 }
 
-// WithTelemetry registers -telemetry and -telemetrysample.
+// WithTelemetry registers -telemetry.
 func WithTelemetry() Option {
 	return func(c *Common, fs *flag.FlagSet) {
 		fs.StringVar(&c.TelemetryPath, "telemetry", "",
 			"stream telemetry events to this JSONL file (digest with obsreport)")
-		fs.Int64Var(&c.TelemetrySampleMS, "telemetrysample", 0,
-			"sim time-series sample period in ms (0 = 5000)")
 	}
 }
 

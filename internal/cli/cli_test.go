@@ -26,7 +26,7 @@ func TestOptionsRegisterFlags(t *testing.T) {
 	var got []string
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
 	want := []string{"cpuprofile", "memprofile", "pprof", "seed",
-		"telemetry", "telemetrysample", "version"}
+		"telemetry", "version"}
 	if !slices.Equal(got, want) {
 		t.Fatalf("registered flags %v, want %v", got, want)
 	}

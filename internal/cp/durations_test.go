@@ -83,10 +83,9 @@ func TestDurationBoundsMatchScan(t *testing.T) {
 			m.SetStartBounds(iv, start, start+int64(local.IntN(1000)))
 			m.NewResVar(iv, numRes)
 			m.SetResDurations(iv, table)
-			// The modes sit past the table's end; a caller's append must not
-			// reach them.
-			if d := iv.Durations(); d != nil && (!slices.Equal(d, table) || cap(d) != len(d)) {
-				t.Fatalf("trial %d: Durations() = %v (cap %d), table %v", trial, d, cap(d), table)
+			// A uniform table keeps no per-resource durations.
+			if len(iv.durs) > 0 && !slices.Equal(iv.durs, table) {
+				t.Fatalf("trial %d: durations %v, table %v", trial, iv.durs, table)
 			}
 			ivs = append(ivs, iv)
 			tables = append(tables, table)
@@ -98,11 +97,11 @@ func TestDurationBoundsMatchScan(t *testing.T) {
 				lo, hi := durScan(m, iv, tables[i])
 				if got := m.DurMin(iv); got != lo {
 					t.Fatalf("trial %d step %d: DurMin %d, scan %d (table %v, domain %v)",
-						trial, step, got, lo, tables[i], m.ResDomain(iv.resVar))
+						trial, step, got, lo, tables[i], m.AppendResDomain(iv.resVar, nil))
 				}
 				if got := m.DurMax(iv); got != hi {
 					t.Fatalf("trial %d step %d: DurMax %d, scan %d (table %v, domain %v)",
-						trial, step, got, hi, tables[i], m.ResDomain(iv.resVar))
+						trial, step, got, hi, tables[i], m.AppendResDomain(iv.resVar, nil))
 				}
 				if m.EndMin(iv) != m.StartMin(iv)+lo || m.EndMax(iv) != m.StartMax(iv)+hi {
 					t.Fatalf("trial %d step %d: end bounds [%d,%d], scan [%d,%d]",

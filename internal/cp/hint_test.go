@@ -170,7 +170,7 @@ func TestHintRepairRespectsNodeLimit(t *testing.T) {
 	if rh.Search.HintSeeded {
 		t.Fatal("the repair seeded; the instance no longer exercises an abandoned repair")
 	}
-	if n := int64(len(m.Intervals())); rh.Search.Nodes > limit+2*n {
+	if n := int64(len(m.intervals)); rh.Search.Nodes > limit+2*n {
 		t.Fatalf("%d nodes under a %d-node limit on %d intervals", rh.Search.Nodes, limit, n)
 	}
 	if !rh.Search.NodeLimitHit {

@@ -42,15 +42,6 @@ type Interval struct {
 // stride = 1 + resVar.words.
 func (iv *Interval) modes() []int64 { return iv.durs[len(iv.durs):cap(iv.durs)] }
 
-// Durations returns the per-resource duration table, or nil for a uniform
-// interval.
-func (iv *Interval) Durations() []int64 {
-	if len(iv.durs) == 0 {
-		return nil
-	}
-	return iv.durs[:len(iv.durs):len(iv.durs)]
-}
-
 // ID returns the interval's dense model index.
 func (iv *Interval) ID() int { return iv.id }
 
@@ -234,12 +225,6 @@ func emptied[T any](s []T, n int) []T {
 	}
 	return s[:0]
 }
-
-// Intervals returns all intervals in creation order.
-func (m *Model) Intervals() []*Interval { return m.intervals[:len(m.intervals):len(m.intervals)] }
-
-// Bools returns all boolean variables in creation order.
-func (m *Model) Bools() []*Bool { return m.bools[:len(m.bools):len(m.bools)] }
 
 // NewInterval adds a task interval with the given duration and demand 1.
 // Its start window is [0, horizon-dur].
@@ -484,11 +469,6 @@ func (m *Model) ResFixedValue(rv *ResVar) int {
 	return found
 }
 
-// ResDomain returns the allowed resources in increasing order.
-func (m *Model) ResDomain(rv *ResVar) []int {
-	return m.AppendResDomain(rv, nil)
-}
-
 // AppendResDomain appends the allowed resources in increasing order to buf
 // and returns it, reusing buf's backing storage — the allocation-free
 // domain iteration for the search hot path.
@@ -594,14 +574,10 @@ func (m *Model) AddLateness(terminals []*Interval, deadline int64, late *Bool) {
 	m.watchBool(late, idx)
 }
 
-// AddSumLE posts Σ bools <= bound, the branch-and-bound cut on the number of
-// late jobs. At most one such constraint may be posted per model; the solver
-// tightens the bound between branch-and-bound rounds.
-func (m *Model) AddSumLE(bools []*Bool, bound int) *SumLEHandle {
-	return &SumLEHandle{p: m.addSumLE(bools, bound)}
-}
-
-// addSumLE is AddSumLE without the handle.
+// addSumLE posts Σ bools <= bound, the branch-and-bound cut on the number
+// of late jobs. At most one such constraint may be posted per model; the
+// solver tightens the returned constraint's bound between branch-and-bound
+// rounds.
 func (m *Model) addSumLE(bools []*Bool, bound int) *sumLE {
 	if m.sumLE != nil {
 		panic("cp: model already has a SumLE constraint")
@@ -615,15 +591,6 @@ func (m *Model) addSumLE(bools []*Bool, bound int) *sumLE {
 	m.sumLE = p
 	return p
 }
-
-// SumLEHandle lets the solver tighten the late-job bound between rounds.
-type SumLEHandle struct{ p *sumLE }
-
-// SetBound replaces the bound. Valid at the root level only.
-func (h *SumLEHandle) SetBound(b int) { h.p.bound = b }
-
-// Bound returns the current bound.
-func (h *SumLEHandle) Bound() int { return h.p.bound }
 
 // AddCumulative posts Constraints 5/6 for one resource: at every instant the
 // total demand of tasks executing on it is at most capacity. Tasks whose

@@ -65,7 +65,7 @@ func TestResVarDomainOps(t *testing.T) {
 	if m.ResFixedValue(rv) != 65 || m.ResDomainSize(rv) != 1 {
 		t.Fatal("FixRes failed")
 	}
-	if d := m.ResDomain(rv); len(d) != 1 || d[0] != 65 {
+	if d := m.AppendResDomain(rv, nil); len(d) != 1 || d[0] != 65 {
 		t.Fatalf("domain %v", d)
 	}
 }

@@ -125,7 +125,7 @@ func TestSumLEForcesRemainingOnTime(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		bools = append(bools, m.NewBool("b"))
 	}
-	m.AddSumLE(bools, 1)
+	m.addSumLE(bools, 1)
 	e := newEngine(m)
 	if err := e.setBool(bools[0], 1); err != nil {
 		t.Fatal(err)
@@ -146,7 +146,7 @@ func TestSumLEOverflowFails(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		bools = append(bools, m.NewBool("b"))
 	}
-	m.AddSumLE(bools, 1)
+	m.addSumLE(bools, 1)
 	e := newEngine(m)
 	if err := e.setBool(bools[0], 1); err != nil {
 		t.Fatal(err)
@@ -163,11 +163,11 @@ func TestSumLEOverflowFails(t *testing.T) {
 func TestSumLEHandleUpdatesBound(t *testing.T) {
 	m := NewModel(10_000)
 	b := m.NewBool("b")
-	h := m.AddSumLE([]*Bool{b}, 1)
-	if h.Bound() != 1 {
+	cut := m.addSumLE([]*Bool{b}, 1)
+	if cut.bound != 1 {
 		t.Fatal("initial bound")
 	}
-	h.SetBound(0)
+	cut.bound = 0
 	e := newEngine(m)
 	e.scheduleAll()
 	if err := e.propagate(); err != nil {
@@ -181,8 +181,8 @@ func TestSumLEHandleUpdatesBound(t *testing.T) {
 func TestDoubleSumLEPanics(t *testing.T) {
 	m := NewModel(100)
 	b := m.NewBool("b")
-	m.AddSumLE([]*Bool{b}, 1)
-	mustPanic(t, "second SumLE", func() { m.AddSumLE([]*Bool{b}, 1) })
+	m.addSumLE([]*Bool{b}, 1)
+	mustPanic(t, "second SumLE", func() { m.addSumLE([]*Bool{b}, 1) })
 }
 
 func TestEmptyBarrierIsNoop(t *testing.T) {

@@ -45,8 +45,6 @@ type Options struct {
 	// replication into one JSONL sink. Events from different replications
 	// interleave; the per-replication "run_end" events delimit them.
 	Telemetry *obs.Telemetry
-	// TelemetrySampleMS is the sim time-series cadence (<=0 = 5 s default).
-	TelemetrySampleMS int64
 	// ReplicationWorkers bounds how many replications of one cell run
 	// concurrently. 0 picks min(GOMAXPROCS, 4); 1 forces sequential runs.
 	// Replications are independently seeded, so results are identical to a
@@ -80,25 +78,17 @@ func (o Options) replicationWorkers() int {
 // MinEDF-WC pairing.
 var comparedPolicies = []string{"mrcp", "minedf"}
 
-// newManager constructs a registered policy's manager, forwarding the
-// MRCP-RM configuration when it applies.
+// newManager constructs a registered policy's manager; the MRCP-RM
+// configuration rides in Extra, which every other policy ignores.
 func (o Options) newManager(policy string, cluster sim.Cluster) (sim.ResourceManager, error) {
-	popts := rmkit.Options{}
-	if policy == "mrcp" {
-		popts.Extra = o.ManagerConfig
-	}
-	return rmkit.New(policy, cluster, popts)
+	return rmkit.New(policy, cluster, rmkit.Options{Extra: o.ManagerConfig})
 }
 
 // instrument attaches the run's telemetry stream (if any) to a freshly
-// built simulator and its resource manager before Run.
-func (o Options) instrument(s *sim.Simulator, rm sim.ResourceManager) {
-	if !o.Telemetry.Enabled() {
-		return
-	}
-	s.SetTelemetry(o.Telemetry, o.TelemetrySampleMS)
-	if im, ok := rm.(interface{ SetTelemetry(*obs.Telemetry) }); ok {
-		im.SetTelemetry(o.Telemetry)
+// built simulator, which hands it on to its resource manager, before Run.
+func (o Options) instrument(s *sim.Simulator) {
+	if o.Telemetry.Enabled() {
+		s.SetTelemetry(o.Telemetry, 0)
 	}
 }
 
@@ -314,7 +304,7 @@ func runSyntheticCell(opts Options, cfg workload.SyntheticConfig, factor string,
 		if err != nil {
 			return nil, err
 		}
-		opts.instrument(s, mgr)
+		opts.instrument(s)
 		return s.Run()
 	})
 	if err != nil {

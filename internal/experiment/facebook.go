@@ -45,7 +45,7 @@ func runFacebookComparison(opts Options) (Result, error) {
 				if err != nil {
 					return nil, err
 				}
-				opts.instrument(s, rm)
+				opts.instrument(s)
 				return s.Run()
 			})
 			if err != nil {

@@ -62,7 +62,7 @@ func runFaultSweep(opts Options) (Result, error) {
 				if err := s.SetFaultInjector(plan); err != nil {
 					return nil, err
 				}
-				opts.instrument(s, rm)
+				opts.instrument(s)
 				return s.Run()
 			})
 			if err != nil {

@@ -60,7 +60,7 @@ func runHeteroSweep(opts Options) (Result, error) {
 				if err != nil {
 					return nil, err
 				}
-				opts.instrument(s, rm)
+				opts.instrument(s)
 				return s.Run()
 			})
 			if err != nil {

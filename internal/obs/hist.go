@@ -34,14 +34,6 @@ func makeHistBounds() [numHistBounds]float64 {
 	return b
 }
 
-// HistBounds returns the shared bucket upper bounds (ascending, without the
-// implicit +Inf overflow bucket). The slice is a copy.
-func HistBounds() []float64 {
-	out := make([]float64, numHistBounds)
-	copy(out[:], histBounds[:])
-	return out
-}
-
 // histBucket returns the bucket index for a value: the first bucket whose
 // upper bound is >= v, or the overflow bucket. Negative values clamp into
 // bucket 0 alongside zero.

@@ -7,10 +7,7 @@ import (
 )
 
 func TestHistBoundsShape(t *testing.T) {
-	b := HistBounds()
-	if len(b) != numHistBounds {
-		t.Fatalf("bounds len = %d, want %d", len(b), numHistBounds)
-	}
+	b := histBounds[:]
 	if b[0] != 1 {
 		t.Fatalf("bounds[0] = %v, want 1", b[0])
 	}
@@ -29,7 +26,7 @@ func TestHistBoundsShape(t *testing.T) {
 }
 
 func TestHistBucketPlacement(t *testing.T) {
-	b := HistBounds()
+	b := histBounds[:]
 	// Every bound value must land in its own bucket (bounds are inclusive
 	// upper edges), and a value just above must land in the next one.
 	for i, ub := range b {

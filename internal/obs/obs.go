@@ -259,16 +259,6 @@ func (t *Telemetry) Snapshot() map[string]int64 {
 	return maps.Clone(t.counters)
 }
 
-// Counter returns the current value of a counter (0 when disabled).
-func (t *Telemetry) Counter(name string) int64 {
-	if !t.Enabled() {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.counters[name]
-}
-
 // Observe records one value into the named streaming histogram, creating it
 // on first use. Histogram names follow the field-key convention: names
 // starting with "wall_" hold wall-clock-derived values that vary run to

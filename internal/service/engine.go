@@ -67,8 +67,8 @@ type Config struct {
 	// ("mrcp", "minedf", "fifo", "edf", ...); empty means "mrcp". Ignored
 	// when RM is set.
 	Policy string
-	// Manager tunes the default MRCP-RM manager; ignored unless the engine
-	// runs the "mrcp" policy.
+	// Manager tunes the default MRCP-RM manager; it rides in the policy's
+	// rmkit.Options.Extra, which every other policy ignores.
 	Manager core.Config
 	// RM overrides the resource manager with a pre-built instance,
 	// bypassing the registry.
@@ -83,10 +83,9 @@ type Config struct {
 	// rejected at submission instead of entering the system. A job with a
 	// task no resource can hold is rejected either way.
 	Admission bool
-	// Telemetry and TelemetrySampleMS attach a telemetry stream to the
-	// simulator and (when supported) the manager.
-	Telemetry         *obs.Telemetry
-	TelemetrySampleMS int64
+	// Telemetry attaches a telemetry stream to the simulator and (when
+	// supported) the manager.
+	Telemetry *obs.Telemetry
 	// Observer receives task lifecycle notifications (e.g. a
 	// trace.Recorder for the determinism golden test).
 	Observer sim.Observer
@@ -251,12 +250,8 @@ func newEngine(cfg Config, recovering bool) (*Engine, *RecoveryInfo, error) {
 		if policy == "" {
 			policy = "mrcp"
 		}
-		popts := rmkit.Options{}
-		if policy == "mrcp" {
-			popts.Extra = cfg.Manager
-		}
 		var err error
-		if rm, err = rmkit.New(policy, cfg.Cluster, popts); err != nil {
+		if rm, err = rmkit.New(policy, cfg.Cluster, rmkit.Options{Extra: cfg.Manager}); err != nil {
 			return nil, nil, err
 		}
 	} else if policy == "" {
@@ -271,10 +266,7 @@ func newEngine(cfg Config, recovering bool) (*Engine, *RecoveryInfo, error) {
 		return nil, nil, err
 	}
 	if cfg.Telemetry.Enabled() {
-		s.SetTelemetry(cfg.Telemetry, cfg.TelemetrySampleMS)
-		if im, ok := rm.(interface{ SetTelemetry(*obs.Telemetry) }); ok {
-			im.SetTelemetry(cfg.Telemetry)
-		}
+		s.SetTelemetry(cfg.Telemetry, 0)
 	}
 	sloCfg := cfg.SLO
 	sloCfg.Telemetry = cfg.Telemetry

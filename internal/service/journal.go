@@ -20,7 +20,8 @@ package service
 //
 // The bit-exactness guarantee targets the virtual-clock regime in which
 // submissions precede Start (the loadgen / CI replay flow) under
-// deterministic solver settings (core.DeterministicConfig). Mid-run
+// deterministic solver settings (core.DeterministicConfig, which mrcpd
+// -mode virtual always builds its manager from). Mid-run
 // submissions and fault switches are replayed at their recorded simulated
 // instants, which reproduces the original run up to the clock position of
 // the racing intake drain; wall-mode journals recover every accepted job

@@ -14,14 +14,13 @@ import (
 )
 
 // churnRM wraps a policy and, on every task completion, takes one placed
-// but not yet started task of a live job, unschedules it and schedules it
-// back where it was — the one Context transition no built-in policy makes.
-// It also counts what the run exercised.
+// but not yet started task of a live job and schedules it again where it
+// was: a replan, which the list policies never make. It also counts what
+// the run exercised.
 type churnRM struct {
 	sim.ResourceManager
-	cov                    *coverage
-	jobs                   []*workload.Job
-	unscheduled, evacuated int
+	jobs                []*workload.Job
+	replaced, evacuated int
 }
 
 func (c *churnRM) OnJobArrival(ctx sim.Context, j *workload.Job) error {
@@ -39,11 +38,7 @@ func (c *churnRM) OnTaskComplete(ctx sim.Context, t *workload.Task) error {
 			if !st.Placed || st.Started {
 				continue
 			}
-			if err := ctx.Unschedule(pt); err != nil {
-				return err
-			}
-			delete(c.cov.pending, pt)
-			c.unscheduled++
+			c.replaced++
 			return ctx.Schedule(pt, st.Res, st.Start)
 		}
 	}
@@ -72,7 +67,7 @@ type coverage struct {
 
 	// failed holds the tasks whose last attempt failed or was killed and
 	// that have not been placed since; pending each placed, not yet started
-	// task (the Unschedule in churnRM takes it out).
+	// task.
 	failed  map[*workload.Task]bool
 	pending map[*workload.Task]pendingPlacement
 	// evacuatedRetry holds the tasks an outage evacuated while their
@@ -179,7 +174,7 @@ func checkJobStatus(s *sim.Simulator, jobs []*workload.Job) error {
 // with a scan of the simulator's state (sim.CheckCounters), and every
 // job's JobStatus with its tasks' Status (checkJobStatus). The runs are
 // built to cross every transition a counter is updated at — first placement
-// and replan, Unschedule, start, finish, failure, outage kill, outage
+// and replan, start, finish, failure, outage kill, outage
 // evacuation, retry-cap abandonment with an attempt still in flight,
 // resource down and up, AddJob mid-run — and the test fails if one of them
 // never happened. The list policies also run on a memory-constrained
@@ -240,7 +235,7 @@ func TestSampleCountersMatchScan(t *testing.T) {
 						t.Fatal(err)
 					}
 					cov := newCoverage()
-					rm := &churnRM{ResourceManager: inner, cov: cov}
+					rm := &churnRM{ResourceManager: inner}
 
 					// The first job is pre-loaded; every later one is added once its
 					// predecessor has arrived, i.e. while the run is executing.
@@ -293,16 +288,16 @@ func TestSampleCountersMatchScan(t *testing.T) {
 					}
 					evacuatedRetries += cov.evacuatedRetries
 
-					t.Logf("failed=%d killed=%d retried=%d slowdowns=%d outages=%d evacuated=%d replans=%d unscheduled=%d abandoned=%d finishedAfterAbandon=%d evacuatedRetries=%d",
+					t.Logf("failed=%d killed=%d retried=%d slowdowns=%d outages=%d evacuated=%d replans=%d replaced=%d abandoned=%d finishedAfterAbandon=%d evacuatedRetries=%d",
 						m.TasksFailed, m.TasksKilled, m.TasksRetried, cov.slowdowns, m.Outages, rm.evacuated,
-						cov.replans, rm.unscheduled, m.JobsAbandoned, cov.finishedAfterAbandon, cov.evacuatedRetries)
+						cov.replans, rm.replaced, m.JobsAbandoned, cov.finishedAfterAbandon, cov.evacuatedRetries)
 					for what, n := range map[string]int{
 						"task failures":                     m.TasksFailed,
 						"outage kills":                      m.TasksKilled,
 						"retried attempts":                  m.TasksRetried,
 						"stragglers":                        cov.slowdowns,
 						"outages":                           m.Outages,
-						"Unschedule calls":                  rm.unscheduled,
+						"churn re-placements":               rm.replaced,
 						"abandoned jobs":                    m.JobsAbandoned,
 						"completed jobs":                    m.JobsCompleted,
 						"finishes after the job's abandon":  cov.finishedAfterAbandon,

@@ -40,9 +40,6 @@ type Context interface {
 	// Place is Schedule for the task a status handle names, without the
 	// lookup: ref is TaskStatus.Ref from Status or JobStatus.
 	Place(ref TaskRef, res int, start int64) error
-	// Unschedule removes a pending placement. It is an error to unschedule
-	// a started task.
-	Unschedule(t *workload.Task) error
 	// Status returns what the simulator knows of a task: its planned or
 	// actual placement, whether it started and completed, the duration of
 	// its in-flight attempt, and the handle Place takes.
@@ -197,7 +194,6 @@ type Simulator struct {
 
 	// Telemetry sampling state; inert when tel is nil.
 	tel        *obs.Telemetry
-	sampleMS   int64
 	nextSample int64
 	// What a sample reports, kept current at the state transitions
 	// themselves (with or without telemetry attached): attempts in flight
@@ -255,7 +251,7 @@ type PlaceKind uint8
 const (
 	// PlaceNew places a task with no pending placement and no failed
 	// attempt since it was last placed: its first placement, or one after
-	// Unschedule or an outage evacuation.
+	// an outage evacuation.
 	PlaceNew PlaceKind = iota
 	// PlaceReplan replaces the task's pending placement.
 	PlaceReplan
@@ -285,19 +281,24 @@ func (s *Simulator) AddObserver(o Observer) {
 	}
 }
 
-// SetTelemetry attaches a telemetry core; call before Run. The simulator
-// emits a sampled time-series of slot occupancy, task queue depths, and
-// outstanding jobs: whenever event processing crosses a multiple of
-// sampleEveryMS in simulated time, one "sample" event is recorded at that
-// boundary (so long idle gaps produce one sample, not thousands).
-// sampleEveryMS <= 0 selects the default of 5000 ms. A nil tel detaches.
+// samplePeriodMS is the simulated-time period of the telemetry
+// time-series.
+const samplePeriodMS = 5000
+
+// SetTelemetry attaches a telemetry core to the simulator and, when the
+// resource manager has a SetTelemetry(*obs.Telemetry) method (MRCP-RM
+// does), to the manager; call before Run. The simulator emits a sampled
+// time-series of slot occupancy, task queue depths, and outstanding jobs:
+// whenever event processing crosses a multiple of 5000 ms in simulated
+// time, one "sample" event is recorded at that boundary (so long idle gaps
+// produce one sample, not thousands). The period is fixed; sampleEveryMS
+// is ignored. A nil tel detaches both.
 func (s *Simulator) SetTelemetry(tel *obs.Telemetry, sampleEveryMS int64) {
-	if sampleEveryMS <= 0 {
-		sampleEveryMS = 5000
-	}
 	s.tel = tel
-	s.sampleMS = sampleEveryMS
-	s.nextSample = sampleEveryMS
+	s.nextSample = samplePeriodMS
+	if tm, ok := s.rm.(interface{ SetTelemetry(*obs.Telemetry) }); ok {
+		tm.SetTelemetry(tel)
+	}
 }
 
 // SetFaultInjector installs a fault plan; call before Run. Planned outages
@@ -470,7 +471,7 @@ func (s *Simulator) Step() (bool, error) {
 		// One sample per crossing, stamped at the first crossed
 		// boundary; long idle gaps yield one sample, not thousands.
 		s.emitSample(s.nextSample)
-		s.nextSample += s.sampleMS * ((ev.at-s.nextSample)/s.sampleMS + 1)
+		s.nextSample += samplePeriodMS * ((ev.at-s.nextSample)/samplePeriodMS + 1)
 	}
 	s.clock = ev.at
 	var err error
@@ -954,21 +955,6 @@ func (s *Simulator) place(st *taskState, res int, start int64) error {
 	s.queue.push(event{at: start, kind: evTaskStart, taskKey: st.key, version: st.version})
 	for _, o := range s.observers {
 		o.TaskScheduled(s.clock, t, st.job, res, start, kind)
-	}
-	return nil
-}
-
-// Unschedule removes a pending placement.
-func (s *Simulator) Unschedule(t *workload.Task) error {
-	st, err := s.stateOf(t)
-	if err != nil {
-		return err
-	}
-	if st.started {
-		return fmt.Errorf("sim: cannot unschedule started task %s", t.ID)
-	}
-	if st.scheduled {
-		s.unplace(st)
 	}
 	return nil
 }

@@ -438,12 +438,6 @@ func TestSimPlacementQueries(t *testing.T) {
 	if !st.Placed || st.Res != 0 || st.Start != 500 {
 		t.Fatalf("placement %d/%d/%v", st.Res, st.Start, st.Placed)
 	}
-	if err := s.Unschedule(task); err != nil {
-		t.Fatal(err)
-	}
-	if s.Status(task).Placed {
-		t.Fatal("unscheduled placement still visible")
-	}
 	// Place through the handle is Schedule without the lookup.
 	if err := s.Place(st.Ref, 0, 700); err != nil {
 		t.Fatal(err)

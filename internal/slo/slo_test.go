@@ -274,13 +274,14 @@ func TestFaultSweepReconciliation(t *testing.T) {
 					by, sum, metrics.LateJobs, metrics.JobsAbandoned)
 			}
 			// The emitted counter family reconciles too.
+			counters := tel.Snapshot()
 			var counterSum int64
 			for _, c := range classes {
-				counterSum += tel.Counter(CounterMiss + c)
+				counterSum += counters[CounterMiss+c]
 			}
-			if counterSum != tel.Counter("slo_miss_total") {
+			if counterSum != counters["slo_miss_total"] {
 				t.Fatalf("counter family sum %d != slo_miss_total %d",
-					counterSum, tel.Counter("slo_miss_total"))
+					counterSum, counters["slo_miss_total"])
 			}
 			if counterSum != sum {
 				t.Fatalf("counters %d != MissByClass total %d", counterSum, sum)

@@ -5,16 +5,6 @@ import (
 	"math"
 )
 
-// Dist is a real-valued distribution that can be sampled from a Stream.
-type Dist interface {
-	// Sample draws one variate.
-	Sample(s *Stream) float64
-	// Mean returns the distribution's theoretical mean.
-	Mean() float64
-	// String describes the distribution in the paper's notation.
-	String() string
-}
-
 // DiscreteUniform is the DU[lo, hi] distribution of Table 3: integers drawn
 // uniformly from the closed range [lo, hi].
 type DiscreteUniform struct {
@@ -122,20 +112,6 @@ func (d LogNormal) Sample(s *Stream) float64 {
 func (d LogNormal) Mean() float64 { return math.Exp(d.Mu + d.Sigma2/2) }
 
 func (d LogNormal) String() string { return fmt.Sprintf("LN(%g,%g)", d.Mu, d.Sigma2) }
-
-// Constant is a degenerate distribution, convenient for tests and for
-// pinning a workload parameter.
-type Constant struct {
-	Value float64
-}
-
-// Sample returns Value.
-func (d Constant) Sample(*Stream) float64 { return d.Value }
-
-// Mean returns Value.
-func (d Constant) Mean() float64 { return d.Value }
-
-func (d Constant) String() string { return fmt.Sprintf("Const(%g)", d.Value) }
 
 // PoissonProcess generates arrival instants with exponentially distributed
 // inter-arrival times at the configured rate (events per second).

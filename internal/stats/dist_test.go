@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -174,16 +175,9 @@ func TestPoissonProcessArrivalsN(t *testing.T) {
 	}
 }
 
-func TestConstant(t *testing.T) {
-	d := Constant{Value: 17}
-	if d.Sample(nil) != 17 || d.Mean() != 17 {
-		t.Fatal("Constant distribution broken")
-	}
-}
-
 func TestDistStrings(t *testing.T) {
 	cases := []struct {
-		d    Dist
+		d    fmt.Stringer
 		want string
 	}{
 		{DiscreteUniform{1, 100}, "DU[1,100]"},
@@ -191,7 +185,6 @@ func TestDistStrings(t *testing.T) {
 		{Bernoulli{0.5}, "Bernoulli(0.5)"},
 		{Exponential{0.01}, "Exp(rate=0.01)"},
 		{LogNormal{9.9511, 1.6764}, "LN(9.9511,1.6764)"},
-		{Constant{3}, "Const(3)"},
 	}
 	for _, c := range cases {
 		if got := c.d.String(); got != c.want {

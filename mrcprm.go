@@ -164,7 +164,7 @@ func NewFaultPlan(cfg FaultConfig) (FaultInjector, error) { return faults.New(cf
 // SimulateWithFaults is Simulate with a fault injector installed. A nil
 // injector behaves exactly like Simulate.
 func SimulateWithFaults(cluster Cluster, rm ResourceManager, jobs []*Job, fi FaultInjector) (*Metrics, error) {
-	return SimulateInstrumented(cluster, rm, jobs, fi, nil, nil, 0)
+	return SimulateInstrumented(cluster, rm, jobs, fi, nil, nil)
 }
 
 // Observability (telemetry core, solver search statistics).
@@ -210,12 +210,11 @@ func ReadTelemetryReport(r io.Reader) (*TelemetryReport, error) { return obs.Rea
 // SimulateInstrumented is the widest run: Simulate with an optional fault
 // injector, an optional schedule recorder (NewTraceRecorder) and a
 // telemetry stream attached to the simulator and, when rm supports it
-// (MRCP-RM does), to the resource manager. sampleEveryMS sets the sim
-// time-series cadence (<=0 selects the 5 s default). After the run it emits
-// the counter summary (stamped at the run's makespan) and flushes the sink.
-// A nil injector means fault-free; a nil rec or tel attaches nothing.
+// (MRCP-RM does), to the resource manager. After the run it emits the
+// counter summary (stamped at the run's makespan) and flushes the sink. A
+// nil injector means fault-free; a nil rec or tel attaches nothing.
 func SimulateInstrumented(cluster Cluster, rm ResourceManager, jobs []*Job,
-	fi FaultInjector, rec *TraceRecorder, tel *Telemetry, sampleEveryMS int64) (*Metrics, error) {
+	fi FaultInjector, rec *TraceRecorder, tel *Telemetry) (*Metrics, error) {
 	s, err := sim.New(cluster, rm, jobs)
 	if err != nil {
 		return nil, err
@@ -226,10 +225,7 @@ func SimulateInstrumented(cluster Cluster, rm ResourceManager, jobs []*Job,
 		}
 	}
 	if tel.Enabled() {
-		s.SetTelemetry(tel, sampleEveryMS)
-		if im, ok := rm.(interface{ SetTelemetry(*Telemetry) }); ok {
-			im.SetTelemetry(tel)
-		}
+		s.SetTelemetry(tel, 0)
 	}
 	if rec != nil {
 		s.AddObserver(rec)

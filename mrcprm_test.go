@@ -123,7 +123,7 @@ func TestSimulateTracedFacade(t *testing.T) {
 	j.MapTasks = []*mrcprm.Task{{ID: "t0_m1", JobID: 0, Type: mrcprm.MapTask, Exec: 1000, Req: 1}}
 	rec := mrcprm.NewTraceRecorder()
 	m, err := mrcprm.SimulateInstrumented(cluster, mrcprm.NewManager(cluster, mrcprm.DefaultConfig()),
-		[]*mrcprm.Job{j}, nil, rec, nil, 0)
+		[]*mrcprm.Job{j}, nil, rec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestSimulateRejectsBadCluster(t *testing.T) {
 	if _, err := mrcprm.Simulate(mrcprm.Cluster{}, nil, nil); err == nil {
 		t.Fatal("bad cluster accepted")
 	}
-	if _, err := mrcprm.SimulateInstrumented(mrcprm.Cluster{}, nil, nil, nil, mrcprm.NewTraceRecorder(), nil, 0); err == nil {
+	if _, err := mrcprm.SimulateInstrumented(mrcprm.Cluster{}, nil, nil, nil, mrcprm.NewTraceRecorder(), nil); err == nil {
 		t.Fatal("bad cluster accepted")
 	}
 }

@@ -39,7 +39,7 @@ func runInstrumented(t *testing.T, tel *mrcprm.Telemetry) *mrcprm.Metrics {
 	t.Helper()
 	cluster, jobs := telemetryWorkload(t)
 	m, err := mrcprm.SimulateInstrumented(cluster,
-		mrcprm.NewManager(cluster, deterministicConfig()), jobs, nil, nil, tel, 0)
+		mrcprm.NewManager(cluster, deterministicConfig()), jobs, nil, nil, tel)
 	if err != nil {
 		t.Fatal(err)
 	}
