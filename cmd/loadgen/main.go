@@ -7,8 +7,8 @@
 // submitted stream is exactly what `mrcpsim -n <jobs> -seed <seed>`
 // generates, so the daemon's metrics are comparable to the offline
 // simulator's. With -verify the served final-metrics fingerprint is also
-// checked against a local deterministic replay of the accepted stream —
-// the daemon must then run with the same cluster shape.
+// checked against a local deterministic replay of the accepted stream, on
+// the cluster each shard reports in /v1/metrics.
 //
 // In -mode wall it replays the stream open-loop: each job is submitted
 // when its generated arrival time comes up on the (speedup-scaled) wall
@@ -20,7 +20,7 @@
 // the admission path: p50/p90/p95/p99 admission latency, shed (429)
 // counts, the max sustainable rate (the highest 1-second offered rate the
 // daemon absorbed with zero sheds and p99 under -p99cap), and end-to-end
-// job-latency quantiles scraped from the daemon's Prometheus endpoint.
+// job-latency quantiles of the jobs GET /v1/jobs reports completed.
 //
 // Exit status is non-zero if any submission fails unexpectedly, if
 // accepted != completed + abandoned, or if -verify finds a fingerprint
@@ -194,7 +194,8 @@ func main() {
 // daemon is a router over N >= 1 shards, and a global ID encodes the
 // placement (gid = local*N + shard, see internal/shard), so the accepted
 // stream partitions exactly as the router placed it: each shard's slice is
-// replayed on that shard's resources, and every per-shard fingerprint — and
+// replayed on the cluster that shard reports (speeds, memory and slot
+// counts included), and every per-shard fingerprint — and
 // their combination — must match what the daemon served.
 func verifyReplay(snap mrcprm.ServiceSnapshot, accepted []acceptedJob) error {
 	n := len(snap.Shards)
@@ -207,8 +208,7 @@ func verifyReplay(snap mrcprm.ServiceSnapshot, accepted []acceptedJob) error {
 	}
 	fps := make([]uint64, n)
 	for s, view := range snap.Shards {
-		cluster := mrcprm.Cluster{NumResources: view.Resources, MapSlots: 2, ReduceSlots: 2}
-		fp, err := replayFingerprint(cluster, view.Policy, byShard[s], n)
+		fp, err := replayFingerprint(view.Cluster, view.Policy, byShard[s], n)
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", s, err)
 		}
@@ -297,12 +297,11 @@ type stressReport struct {
 	// Admission latency quantiles in ms, client side.
 	p50, p90, p95, p99 float64
 
-	// End-to-end job latency quantiles in ms, scraped from the daemon's
-	// mrcp_job_e2e_ms histogram after the ramp; zero when nothing completed
-	// by scrape time. Estimates carry the histogram's one-bucket-width
-	// (factor sqrt 2) accuracy.
+	// End-to-end job latency quantiles in simulated ms (completion minus
+	// arrival) over the jobs GET /v1/jobs reports completed after the ramp;
+	// zero when none had completed by then.
 	e2eP50, e2eP90, e2eP95 float64
-	e2eCount               int64
+	e2eCount               int
 
 	// sustainable is the highest 1-second offered rate (jobs/s) the daemon
 	// absorbed with zero sheds and bucket p99 within the cap.
@@ -369,12 +368,12 @@ func stress(cfg stressConfig) int {
 	wg.Wait()
 
 	rep := analyze(cfg, samples)
-	scrapeE2E(client, cfg.addr, rep)
+	readE2E(client, cfg.addr, rep)
 	fmt.Printf("loadgen stress: submitted=%d accepted=%d rejected=%d shed=%d errors=%d p50=%.1fms p90=%.1fms p95=%.1fms p99=%.1fms sustainable=%.0f jobs/s\n",
 		rep.submitted, rep.accepted, rep.rejected, rep.shed, rep.errors,
 		rep.p50, rep.p90, rep.p95, rep.p99, rep.sustainable)
 	if rep.e2eCount > 0 {
-		fmt.Printf("loadgen stress: e2e (n=%d, scraped) p50=%.0fms p90=%.0fms p95=%.0fms\n",
+		fmt.Printf("loadgen stress: e2e (n=%d, completed) p50=%.0fms p90=%.0fms p95=%.0fms\n",
 			rep.e2eCount, rep.e2eP50, rep.e2eP90, rep.e2eP95)
 	}
 	if rep.errors > 0 {
@@ -441,7 +440,6 @@ func analyze(cfg stressConfig, samples []stressSample) *stressReport {
 		buckets[b].lats = append(buckets[b].lats, s.latency)
 	}
 	sort.Slice(lats, func(i, k int) bool { return lats[i] < lats[k] })
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	rep.p50 = ms(percentile(lats, 0.50))
 	rep.p90 = ms(percentile(lats, 0.90))
 	rep.p95 = ms(percentile(lats, 0.95))
@@ -458,38 +456,29 @@ func analyze(cfg stressConfig, samples []stressSample) *stressReport {
 	return rep
 }
 
-// scrapeE2E pulls the daemon's end-to-end job-latency histogram off the
-// Prometheus endpoint and folds its quantiles into the report. Best
-// effort: a daemon predating /metrics, a scrape failure, or an empty
-// histogram (nothing completed yet) leaves the fields zero.
-func scrapeE2E(client *http.Client, addr string, rep *stressReport) {
-	resp, err := client.Get(addr + "/metrics")
-	if err != nil {
+// readE2E lists the daemon's jobs and folds the end-to-end latency of the
+// completed ones into the report, nearest rank like the admission
+// quantiles. Best effort: a failed listing leaves the fields zero.
+func readE2E(client *http.Client, addr string, rep *stressReport) {
+	var jobs []mrcprm.ServiceJobStatus
+	if err := getJSON(client, addr+"/v1/jobs", &jobs); err != nil {
+		fmt.Fprintf(os.Stderr, "stress: job listing: %v\n", err)
 		return
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return
+	var e2e []time.Duration
+	for _, j := range jobs {
+		if j.State == "completed" {
+			e2e = append(e2e, time.Duration(j.CompletionMS-j.ArrivalMS)*time.Millisecond)
+		}
 	}
-	scrape, err := mrcprm.ParsePrometheus(resp.Body)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "stress: bad /metrics exposition: %v\n", err)
-		return
-	}
-	ph, ok := scrape.Hists["mrcp_job_e2e_ms"]
-	if !ok || ph.Count == 0 {
-		return
-	}
-	h, err := ph.Snapshot("job_e2e_ms")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "stress: e2e histogram: %v\n", err)
-		return
-	}
-	rep.e2eCount = h.Count
-	rep.e2eP50 = h.Quantile(0.50)
-	rep.e2eP90 = h.Quantile(0.90)
-	rep.e2eP95 = h.Quantile(0.95)
+	sort.Slice(e2e, func(i, k int) bool { return e2e[i] < e2e[k] })
+	rep.e2eCount = len(e2e)
+	rep.e2eP50 = ms(percentile(e2e, 0.50))
+	rep.e2eP90 = ms(percentile(e2e, 0.90))
+	rep.e2eP95 = ms(percentile(e2e, 0.95))
 }
+
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // percentile returns the q-quantile of sorted durations (nearest rank).
 func percentile(sorted []time.Duration, q float64) time.Duration {

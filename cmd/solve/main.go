@@ -36,10 +36,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"mrcprm"
 	"mrcprm/internal/cli"
+	"mrcprm/internal/trace"
 )
 
 const demoProblem = `{
@@ -99,7 +99,14 @@ func main() {
 			a.Task.ID, a.Task.Type, a.Resource, ms2sec(a.Start), ms2sec(a.End()))
 	}
 	fmt.Println()
-	fmt.Print(gantt(cluster, sched))
+	spans := make([]trace.Span, len(sched.Assignments))
+	for i, a := range sched.Assignments {
+		spans[i] = trace.Span{Resource: a.Resource, Pool: a.Task.Type,
+			Start: a.Start, End: a.End(), Job: a.Task.JobID}
+	}
+	for _, row := range trace.Gantt(cluster, spans, 72) {
+		fmt.Println(row)
+	}
 }
 
 // readProblem decodes a problem document strictly — no unknown field, no
@@ -129,63 +136,6 @@ func readProblem(data []byte) (mrcprm.Cluster, []*mrcprm.Job, error) {
 }
 
 func ms2sec(ms int64) float64 { return float64(ms) / 1000 }
-
-// gantt renders one row per (resource, slot kind) with '0'..'9' marking
-// which job occupies each time column.
-func gantt(cluster mrcprm.Cluster, sched *mrcprm.Schedule) string {
-	var maxEnd int64
-	for _, a := range sched.Assignments {
-		if a.End() > maxEnd {
-			maxEnd = a.End()
-		}
-	}
-	const width = 72
-	if maxEnd == 0 {
-		return ""
-	}
-	scale := float64(width) / float64(maxEnd)
-	rows := map[string][]byte{}
-	order := []string{}
-	rowFor := func(kind string, res int) []byte {
-		key := fmt.Sprintf("r%d/%s", res, kind)
-		if _, ok := rows[key]; !ok {
-			rows[key] = []byte(strings.Repeat(".", width))
-			order = append(order, key)
-		}
-		return rows[key]
-	}
-	for r := 0; r < cluster.NumResources; r++ {
-		if cluster.MapSlots > 0 {
-			rowFor("map", r)
-		}
-		if cluster.ReduceSlots > 0 {
-			rowFor("red", r)
-		}
-	}
-	for _, a := range sched.Assignments {
-		kind := "map"
-		if a.Task.Type == mrcprm.ReduceTask {
-			kind = "red"
-		}
-		row := rowFor(kind, a.Resource)
-		from := int(float64(a.Start) * scale)
-		to := int(float64(a.End()) * scale)
-		if to <= from {
-			to = from + 1
-		}
-		mark := byte('0' + a.Task.JobID%10)
-		for x := from; x < to && x < width; x++ {
-			row[x] = mark
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "gantt (0..%.0fs, one char ≈ %.1fs; digit = job id mod 10)\n",
-		ms2sec(maxEnd), float64(maxEnd)/1000/width)
-	for _, key := range order {
-		fmt.Fprintf(&b, "%-10s %s\n", key, rows[key])
-	}
-	return b.String()
-}
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, err)

@@ -26,11 +26,11 @@ func faultTestWorkload(t *testing.T) ([]*mrcprm.Job, mrcprm.Cluster) {
 	return jobs, cluster
 }
 
-func managers(cluster mrcprm.Cluster) map[string]func() mrcprm.ResourceManager {
+func managers(t *testing.T, cluster mrcprm.Cluster) map[string]func() mrcprm.ResourceManager {
 	return map[string]func() mrcprm.ResourceManager{
 		"mrcp":   func() mrcprm.ResourceManager { return mrcprm.NewManager(cluster, mrcprm.DefaultConfig()) },
 		"minedf": func() mrcprm.ResourceManager { return mrcprm.NewMinEDF(cluster) },
-		"fifo":   func() mrcprm.ResourceManager { return mrcprm.NewFIFO(cluster) },
+		"fifo":   func() mrcprm.ResourceManager { return newRegisteredPolicy(t, "fifo", cluster, mrcprm.PolicyOptions{}) },
 	}
 }
 
@@ -38,7 +38,7 @@ func managers(cluster mrcprm.Cluster) map[string]func() mrcprm.ResourceManager {
 // run with no injector installed at all.
 func TestZeroRateFaultsBitIdentical(t *testing.T) {
 	jobs, cluster := faultTestWorkload(t)
-	for name, mk := range managers(cluster) {
+	for name, mk := range managers(t, cluster) {
 		plain, err := mrcprm.Simulate(cluster, mk(), jobs)
 		if err != nil {
 			t.Fatalf("%s plain: %v", name, err)
@@ -47,7 +47,7 @@ func TestZeroRateFaultsBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		injected, err := mrcprm.SimulateWithFaults(cluster, mk(), jobs, plan)
+		injected, err := mrcprm.SimulateInstrumented(cluster, mk(), jobs, plan, nil, nil)
 		if err != nil {
 			t.Fatalf("%s zero-rate: %v", name, err)
 		}
@@ -70,7 +70,7 @@ func TestFaultDeterminism(t *testing.T) {
 		Seed1:           99, Seed2: 7,
 	}
 	failedBy := map[string]int{}
-	for name, mk := range managers(cluster) {
+	for name, mk := range managers(t, cluster) {
 		var prints []uint64
 		var failed int
 		for rep := 0; rep < 2; rep++ {
@@ -78,7 +78,7 @@ func TestFaultDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := mrcprm.SimulateWithFaults(cluster, mk(), jobs, plan)
+			m, err := mrcprm.SimulateInstrumented(cluster, mk(), jobs, plan, nil, nil)
 			if err != nil {
 				t.Fatalf("%s rep %d: %v", name, rep, err)
 			}
@@ -115,12 +115,12 @@ func TestRecoveryUnderCombinedFaults(t *testing.T) {
 		NumResources:    cluster.NumResources,
 		Seed1:           5, Seed2: 6,
 	}
-	for name, mk := range managers(cluster) {
+	for name, mk := range managers(t, cluster) {
 		plan, err := mrcprm.NewFaultPlan(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := mrcprm.SimulateWithFaults(cluster, mk(), jobs, plan)
+		m, err := mrcprm.SimulateInstrumented(cluster, mk(), jobs, plan, nil, nil)
 		if err != nil {
 			t.Fatalf("%s: run failed under faults: %v", name, err)
 		}
@@ -145,8 +145,8 @@ func (alwaysFail) PlannedOutages() []mrcprm.Outage { return nil }
 
 func TestRetryCapsAbandonDoomedJobs(t *testing.T) {
 	jobs, cluster := faultTestWorkload(t)
-	for name, mk := range managers(cluster) {
-		m, err := mrcprm.SimulateWithFaults(cluster, mk(), jobs, alwaysFail{})
+	for name, mk := range managers(t, cluster) {
+		m, err := mrcprm.SimulateInstrumented(cluster, mk(), jobs, alwaysFail{}, nil, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

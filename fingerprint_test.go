@@ -26,15 +26,11 @@ func mrcpDeterministic(cluster mrcprm.Cluster) mrcprm.ResourceManager {
 	return mrcprm.NewManager(cluster, cfg)
 }
 
-// newEDF builds the plain EDF list policy through the registry (the facade
-// has no constructor of its own for it).
-func newEDF(t *testing.T) func(mrcprm.Cluster) mrcprm.ResourceManager {
+// listPolicy builds a list policy ("fifo", "edf") through the registry
+// (the facade has no constructor of its own for either).
+func listPolicy(t *testing.T, name string) func(mrcprm.Cluster) mrcprm.ResourceManager {
 	return func(cluster mrcprm.Cluster) mrcprm.ResourceManager {
-		rm, err := mrcprm.NewPolicy("edf", cluster, mrcprm.PolicyOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rm
+		return newRegisteredPolicy(t, name, cluster, mrcprm.PolicyOptions{})
 	}
 }
 
@@ -86,31 +82,31 @@ func TestPinnedFingerprints(t *testing.T) {
 		{name: "minedf/plain", jobs: faultJobs, cluster: faultCluster,
 			rm: mrcprm.NewMinEDF, want: 0xf8b83b796890cdae},
 		{name: "fifo/plain", jobs: faultJobs, cluster: faultCluster,
-			rm: mrcprm.NewFIFO, want: 0xf8b83b796890cdae},
+			rm: listPolicy(t, "fifo"), want: 0xf8b83b796890cdae},
 		{name: "edf/plain", jobs: faultJobs, cluster: faultCluster,
-			rm: newEDF(t), want: 0xf8b83b796890cdae},
+			rm: listPolicy(t, "edf"), want: 0xf8b83b796890cdae},
 
 		{name: "mrcp/faults", jobs: faultJobs, cluster: faultCluster,
 			rm: mrcpDeterministic, plan: plan, want: 0xcad3f7de46a6f7b9, late: 7, abandoned: 5},
 		{name: "minedf/faults", jobs: faultJobs, cluster: faultCluster,
 			rm: mrcprm.NewMinEDF, plan: plan, want: 0x97a978ad6aa83b05, late: 7, abandoned: 6},
 		{name: "fifo/faults", jobs: faultJobs, cluster: faultCluster,
-			rm: mrcprm.NewFIFO, plan: plan, want: 0xda5c03474a540bae, late: 7, abandoned: 5},
+			rm: listPolicy(t, "fifo"), plan: plan, want: 0xda5c03474a540bae, late: 7, abandoned: 5},
 		{name: "edf/faults", jobs: faultJobs, cluster: faultCluster,
-			rm: newEDF(t), plan: plan, want: 0x022a135fb9accbe9, late: 7, abandoned: 5},
+			rm: listPolicy(t, "edf"), plan: plan, want: 0x022a135fb9accbe9, late: 7, abandoned: 5},
 
 		{name: "mrcp/tight", jobs: tightJobs, cluster: tightCluster,
 			rm: mrcpDeterministic, want: 0x1ff7e76c274e0a72, late: 2},
 		{name: "minedf/tight", jobs: tightJobs, cluster: tightCluster,
 			rm: mrcprm.NewMinEDF, want: 0xe7197aadc0e68d9d, late: 4},
 		{name: "fifo/tight", jobs: tightJobs, cluster: tightCluster,
-			rm: mrcprm.NewFIFO, want: 0xf6d0876f8020f1ba, late: 2},
+			rm: listPolicy(t, "fifo"), want: 0xf6d0876f8020f1ba, late: 2},
 		{name: "edf/tight", jobs: tightJobs, cluster: tightCluster,
-			rm: newEDF(t), want: 0xfb560e0c35b7e2f0, late: 3},
+			rm: listPolicy(t, "edf"), want: 0xfb560e0c35b7e2f0, late: 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m, err := mrcprm.SimulateWithFaults(tc.cluster, tc.rm(tc.cluster), tc.jobs, tc.plan)
+			m, err := mrcprm.SimulateInstrumented(tc.cluster, tc.rm(tc.cluster), tc.jobs, tc.plan, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -71,7 +71,7 @@ func TestUniformSpeedRepresentationInvariance(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					m, err := mrcprm.SimulateWithFaults(c, rm, jobs, inj)
+					m, err := mrcprm.SimulateInstrumented(c, rm, jobs, inj, nil, nil)
 					if err != nil {
 						t.Fatal(err)
 					}

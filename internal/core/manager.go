@@ -265,16 +265,18 @@ func (m *Manager) reschedule(ctx sim.Context, reason string) error {
 		pendingN += len(w.pendingMaps) + len(w.pendingReds)
 	}
 	telOn := m.tel.Enabled()
-	var sp *obs.Span
+	// ev opens the manager/reschedule event; the round's outcome and its
+	// wall time close it.
+	var ev []obs.Field
 	var wallStart time.Time
 	if telOn {
 		wallStart = time.Now()
-		sp = m.tel.StartSpan(now, obs.LayerManager, "reschedule",
+		ev = []obs.Field{
 			obs.Str("reason", reason),
 			obs.Str("mode", m.cfg.Mode.String()),
 			obs.Int("jobs", len(work)),
 			obs.Int("frozen_tasks", frozenN),
-			obs.Int("pending_tasks", pendingN))
+			obs.Int("pending_tasks", pendingN)}
 		m.tel.Observe(obs.HistSolveModelTasks, float64(frozenN+pendingN))
 	}
 
@@ -284,8 +286,9 @@ func (m *Manager) reschedule(ctx sim.Context, reason string) error {
 	}
 	if err != nil {
 		if telOn {
-			sp.End(obs.Str("status", "model_error"),
-				obs.Int("objective", -1), obs.Int("predicted_late", -1))
+			m.tel.Emit(now, obs.LayerManager, "reschedule", append(ev,
+				obs.Str("status", "model_error"), obs.Int("objective", -1),
+				obs.Int("predicted_late", -1), obs.Wall("ms", time.Since(wallStart)))...)
 		}
 		return err
 	}
@@ -312,19 +315,23 @@ func (m *Manager) reschedule(ctx sim.Context, reason string) error {
 	}
 	if solveErr != nil {
 		if telOn {
-			sp.End(obs.Str("status", "solve_error"),
-				obs.Int("objective", -1), obs.Int("predicted_late", -1))
+			m.tel.Emit(now, obs.LayerManager, "reschedule", append(ev,
+				obs.Str("status", "solve_error"), obs.Int("objective", -1),
+				obs.Int("predicted_late", -1), obs.Wall("ms", time.Since(wallStart)))...)
 		}
 		return fmt.Errorf("core: %s reschedule at %d ms: %w", reason, now, solveErr)
 	}
 
 	err = m.install(ctx, bm, &res, work, down)
 	if telOn {
-		sp.End(obs.Str("status", res.Status.String()),
+		wall := time.Since(wallStart)
+		m.tel.Emit(now, obs.LayerManager, "reschedule", append(ev,
+			obs.Str("status", res.Status.String()),
 			obs.Bool("limit_hit", res.Search.LimitHit()),
 			obs.Int("objective", res.Objective),
-			obs.Int("predicted_late", predictedLateAfter(ctx, work, err)))
-		m.tel.Observe(obs.HistWallReschedule, float64(time.Since(wallStart).Nanoseconds())/1e6)
+			obs.Int("predicted_late", predictedLateAfter(ctx, work, err)),
+			obs.Wall("ms", wall))...)
+		m.tel.Observe(obs.HistWallReschedule, float64(wall.Nanoseconds())/1e6)
 	}
 	if m.onReschedule != nil {
 		m.onReschedule(now, reason, false)

@@ -112,8 +112,7 @@ type SearchStats struct {
 	// squeaky-wheel improvement pass, and each branch-and-bound round.
 	Rounds int
 	// ImprovePasses counts Phase B squeaky-wheel re-descents attempted;
-	// ImproveAccepts counts those that improved the incumbent (the solver's
-	// LNS-style neighborhood iterations and acceptances).
+	// ImproveAccepts counts those that improved the incumbent.
 	ImprovePasses  int
 	ImproveAccepts int
 	// Solutions counts accepted incumbents (equals len(Timeline)).

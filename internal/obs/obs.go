@@ -1,14 +1,14 @@
 // Package obs is the zero-dependency telemetry core of this repository:
-// structured events, counters, histograms and wall-clock spans, funneled
-// into a pluggable Sink (typically the JSONL writer in sink.go).
+// structured events, counters and histograms, funneled into a pluggable
+// Sink (typically the JSONL writer in sink.go).
 //
 // Design rules:
 //
 //   - Every event is stamped with *simulated* time, so two seeded runs of
 //     the same workload emit identical event streams. Wall-clock-derived
-//     quantities (solve latency, span durations) are carried in fields whose
-//     keys start with "wall_"; consumers that need byte-for-byte determinism
-//     strip exactly those fields.
+//     quantities (solve latency, reschedule durations) are carried in
+//     fields whose keys start with "wall_"; consumers that need
+//     byte-for-byte determinism strip exactly those fields.
 //   - A nil *Telemetry is a valid, fully inert instance: every method is
 //     nil-receiver safe and returns immediately. Instrumented hot paths
 //     guard field construction behind Enabled() so a run without a sink
@@ -31,7 +31,6 @@ const (
 	LayerSolver  = "solver"
 	LayerManager = "manager"
 	LayerSim     = "sim"
-	LayerService = "service"
 	LayerShard   = "shard"
 )
 
@@ -295,12 +294,8 @@ func (t *Telemetry) HistSnapshots() []HistSnapshot {
 		return nil
 	}
 	t.mu.Lock()
-	names := make([]string, 0, len(t.hists))
-	hs := make([]*Histogram, 0, len(t.hists))
-	for n := range t.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	names := sortedKeys(t.hists)
+	hs := make([]*Histogram, 0, len(names))
 	for _, n := range names {
 		hs = append(hs, t.hists[n])
 	}
@@ -352,11 +347,7 @@ func (t *Telemetry) EmitSummary(simMS int64) {
 }
 
 func sortedFields(m map[string]int64) []Field {
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	names := sortedKeys(m)
 	fs := make([]Field, len(names))
 	for i, n := range names {
 		fs[i] = I64(n, m[n])
@@ -375,34 +366,12 @@ func (t *Telemetry) Flush() error {
 	return nil
 }
 
-// Span measures the wall-clock duration of one operation at a fixed
-// simulated instant. A nil *Span (from a disabled Telemetry) is inert.
-type Span struct {
-	t         *Telemetry
-	simMS     int64
-	layer     string
-	kind      string
-	wallStart time.Time
-	fields    []Field
-}
-
-// StartSpan opens a span; End emits the event with a wall_ms field
-// appended. Returns nil when telemetry is disabled.
-func (t *Telemetry) StartSpan(simMS int64, layer, kind string, fields ...Field) *Span {
-	if !t.Enabled() {
-		return nil
+// sortedKeys returns m's keys in increasing order.
+func sortedKeys[V any](m map[string]V) []string {
+	ks := make([]string, 0, len(m))
+	for k := range m {
+		ks = append(ks, k)
 	}
-	return &Span{t: t, simMS: simMS, layer: layer, kind: kind,
-		wallStart: time.Now(), fields: fields}
-}
-
-// End emits the span's event, appending its wall-clock duration. Safe on
-// nil.
-func (sp *Span) End(fields ...Field) {
-	if sp == nil {
-		return
-	}
-	fs := append(sp.fields, fields...)
-	fs = append(fs, Wall("ms", time.Since(sp.wallStart)))
-	sp.t.Emit(sp.simMS, sp.layer, sp.kind, fs...)
+	sort.Strings(ks)
+	return ks
 }

@@ -14,8 +14,10 @@ import (
 // gauges render as single samples; histograms render as the conventional
 // cumulative _bucket{le=...} series plus _sum and _count. Families are
 // emitted in sorted name order so output is deterministic for a given
-// registry state. The matching parser below exists for round-trip tests
-// and for clients (loadgen) that recover quantile estimates from a scrape.
+// registry state. The matching parser below is the reference reader of
+// GET /metrics in the obs and service tests: it round-trips the
+// exposition and recovers histogram quantiles from a scrape. loadgen's
+// stress mode reads its end-to-end latencies from GET /v1/jobs instead.
 
 // promName sanitizes a registry name into a legal Prometheus metric name:
 // [a-zA-Z_:][a-zA-Z0-9_:]*, with every illegal byte mapped to '_'.
@@ -70,12 +72,7 @@ func promFloat(v float64) string {
 func WritePrometheus(w io.Writer, ns string, counters, gauges map[string]int64, hists []HistSnapshot) error {
 	bw := bufio.NewWriter(w)
 	writeScalar := func(m map[string]int64, typ string) {
-		names := make([]string, 0, len(m))
-		for n := range m {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
+		for _, n := range sortedKeys(m) {
 			fam := promName(ns + n)
 			fmt.Fprintf(bw, "# TYPE %s %s\n", fam, typ)
 			fmt.Fprintf(bw, "%s %d\n", fam, m[n])

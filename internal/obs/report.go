@@ -23,7 +23,7 @@ type Report struct {
 	LimitHits     int
 	StatusCounts  map[string]int
 	ReasonCounts  map[string]int
-	InvokeWallMS  []float64 // reschedule span durations
+	InvokeWallMS  []float64 // reschedule wall durations
 	PredictedLate []float64
 
 	// Solver digest.
@@ -43,7 +43,7 @@ type Report struct {
 	// Incremental-solving digest: CP model sizes (tasks per solve), the
 	// warm-start funnel (hinted solves and how many of their hints seeded
 	// the incumbent), and the final counter summary ("obs/counters"
-	// event), which carries the solve-cache hit/miss totals.
+	// event): every registry counter at the end of the run.
 	ModelTasks []float64
 	WarmSolves int
 	WarmSeeded int
@@ -325,12 +325,7 @@ func (rep *Report) Write(w io.Writer) error {
 	b.WriteString("\n\n")
 
 	b.WriteString("events by kind\n")
-	keys := make([]string, 0, len(rep.KindCounts))
-	for k := range rep.KindCounts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range sortedKeys(rep.KindCounts) {
 		fmt.Fprintf(&b, "  %-24s %8d\n", k, rep.KindCounts[k])
 	}
 
@@ -409,7 +404,7 @@ func (rep *Report) Write(w io.Writer) error {
 
 	if len(rep.Hists) > 0 {
 		b.WriteString("\nhistograms\n")
-		for _, name := range sortedKeysH(rep.Hists) {
+		for _, name := range sortedKeys(rep.Hists) {
 			h := rep.Hists[name]
 			mean := 0.0
 			if h.Count > 0 {
@@ -457,7 +452,7 @@ func (rep *Report) Write(w io.Writer) error {
 
 	if rep.RunEnd != nil {
 		b.WriteString("\nrun end\n")
-		for _, k := range sortedKeysF(rep.RunEnd) {
+		for _, k := range sortedKeys(rep.RunEnd) {
 			if k == "t" {
 				continue
 			}
@@ -477,31 +472,4 @@ func WriteReport(r io.Reader, w io.Writer) error {
 		return err
 	}
 	return rep.Write(w)
-}
-
-func sortedKeys(m map[string]int) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
-}
-
-func sortedKeysH(m map[string]HistDigest) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
-}
-
-func sortedKeysF(m map[string]float64) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
 }

@@ -86,9 +86,6 @@ type Config struct {
 	// Telemetry attaches a telemetry stream to the simulator and (when
 	// supported) the manager.
 	Telemetry *obs.Telemetry
-	// Observer receives task lifecycle notifications (e.g. a
-	// trace.Recorder for the determinism golden test).
-	Observer sim.Observer
 
 	// JournalPath enables the write-ahead journal: accepted submissions,
 	// runtime fault switches, injected outages and the intake close are
@@ -285,7 +282,6 @@ func newEngine(cfg Config, recovering bool) (*Engine, *RecoveryInfo, error) {
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	s.AddObserver(cfg.Observer)
 	s.AddObserver(mon)
 	s.AddObserver(workObserver{e: e})
 	info, err := e.openJournal(recovering)
@@ -1151,12 +1147,14 @@ type Snapshot struct {
 }
 
 // ShardView is one shard's slice of an aggregated snapshot: the shard's
-// engine snapshot plus its partition shape and the engine's PendingWork.
+// engine snapshot plus its partition (the cluster its engine runs, and
+// where that slice starts in the full cluster) and the engine's
+// PendingWork.
 type ShardView struct {
-	Shard         int   `json:"shard"`
-	Resources     int   `json:"resources"`
-	FirstResource int   `json:"firstResource"`
-	PendingWorkMS int64 `json:"pendingWorkMs"`
+	Shard         int         `json:"shard"`
+	Cluster       sim.Cluster `json:"cluster"`
+	FirstResource int         `json:"firstResource"`
+	PendingWorkMS int64       `json:"pendingWorkMs"`
 	Snapshot
 }
 

@@ -52,10 +52,11 @@ func TestVirtualRunMatchesSim(t *testing.T) {
 	}
 
 	rec := trace.NewRecorder()
-	e, err := New(Config{Cluster: cluster, Manager: deterministicCfg(), Observer: rec})
+	e, err := New(Config{Cluster: cluster, Manager: deterministicCfg()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.sim.AddObserver(rec)
 	for _, j := range jobs {
 		id, err := e.Submit(workload.SpecOf(j))
 		if err != nil {
@@ -596,11 +597,12 @@ func TestJobsMatchesJob(t *testing.T) {
 	for _, finishes := range []int{40, 120, 200, 0} {
 		t.Run(fmt.Sprintf("stop-after-%d", finishes), func(t *testing.T) {
 			stop := &stopAfter{n: finishes}
-			e, err := New(Config{Cluster: cluster, Manager: mcfg, Observer: stop})
+			e, err := New(Config{Cluster: cluster, Manager: mcfg})
 			if err != nil {
 				t.Fatal(err)
 			}
 			stop.e = e
+			e.sim.AddObserver(stop)
 			injectFaults(t, e, jobs)
 			for _, j := range jobs {
 				if _, err := e.Submit(workload.SpecOf(j)); err != nil {

@@ -552,7 +552,7 @@ func (r *Router) Metrics() Snapshot {
 		snap := r.engines[s].Metrics()
 		views[s] = service.ShardView{
 			Shard:         s,
-			Resources:     r.parts[s].NumResources,
+			Cluster:       r.parts[s],
 			FirstResource: r.offsets[s],
 			PendingWorkMS: r.engines[s].PendingWork(),
 			Snapshot:      snap,

@@ -9,12 +9,11 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"mrcprm/internal/obs"
-	"mrcprm/internal/sim"
+	"mrcprm/internal/service"
 	"mrcprm/internal/workload"
 )
 
@@ -70,29 +69,13 @@ func TestSubmitAllocations(t *testing.T) {
 	}
 }
 
-// completions records every completed job; both shards' engines report
-// to it from their own run loops.
-type completions struct {
-	sim.NopObserver
-	mu   sync.Mutex
-	jobs []*workload.Job
-}
-
-func (c *completions) JobCompleted(_ int64, j *workload.Job, _ int64) {
-	c.mu.Lock()
-	c.jobs = append(c.jobs, j)
-	c.mu.Unlock()
-}
-
 // TestShedProbeBindsToAcceptingShard: shard 0 holds the least pending work
 // but is full, so it sheds the probe; shard 1 accepts it. The job shard 1
 // runs carries shard 1's local ID and task names, not the probe's.
 func TestShedProbeBindsToAcceptingShard(t *testing.T) {
-	done := &completions{}
 	cfg := testShardConfig()
 	cfg.Base.Policy = "fifo"
 	cfg.Base.MaxPending = 2
-	cfg.Base.Observer = done
 	r, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -125,25 +108,20 @@ func TestShedProbeBindsToAcceptingShard(t *testing.T) {
 	if err := r.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	var got *workload.Job
-	for _, j := range done.jobs {
-		if j.NumTasks() == 3 {
-			got = j
-		}
-	}
-	if got == nil {
-		t.Fatalf("the routed job never completed (%d jobs did)", len(done.jobs))
+	got, ok := r.Engine(1).Job(1)
+	if !ok || got.State != service.StateCompleted || got.MapTasks != 2 || got.ReduceTasks != 1 {
+		t.Fatalf("shard 1's job 1 is %+v, want the routed job completed", got)
 	}
 	want, err := spec.Job(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.ID != 1 {
-		t.Fatalf("shard 1 ran the job as ID %d, want 1", got.ID)
+	if len(got.Placements) != want.NumTasks() {
+		t.Fatalf("%d placements for %d tasks", len(got.Placements), want.NumTasks())
 	}
-	for i, task := range got.Tasks() {
-		if w := want.Tasks()[i]; task.ID != w.ID || task.JobID != 1 {
-			t.Fatalf("task %d is %s of job %d, want %s of job 1", i, task.ID, task.JobID, w.ID)
+	for i, p := range got.Placements {
+		if w := want.Tasks()[i]; p.Task != w.ID || p.JobID != 1 {
+			t.Fatalf("task %d is %s of job %d, want %s of job 1", i, p.Task, p.JobID, w.ID)
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package trace records the executed schedule of a simulation run — every
 // task start and finish with its resource assignment — and exports it as
-// CSV or JSON, or digests it into slot-occupancy profiles. It plugs into
+// CSV or JSON, or renders it as an ASCII Gantt chart. It plugs into
 // the simulator through sim.Simulator.AddObserver.
 package trace
 
@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 
 	"mrcprm/internal/sim"
 	"mrcprm/internal/workload"
@@ -137,64 +138,78 @@ func (r *Recorder) WriteJSON(w io.Writer) error {
 	return enc.Encode(r.events)
 }
 
-// GanttRows renders one text row per resource with job digits marking
-// occupancy — a compact visual of the executed schedule for CLI output.
+// GanttRows renders the recorded run as Gantt does, one span per attempt:
+// from its start to its finish, failure or kill.
 func (r *Recorder) GanttRows(cluster sim.Cluster, width int) []string {
-	if width <= 0 || len(r.events) == 0 {
-		return nil
-	}
-	var maxEnd int64
-	type placed struct {
-		from, to int64
-		job      int
-		res      int
-	}
 	open := map[string]Event{}
-	var spans []placed
+	var spans []Span
 	for _, e := range r.events {
 		switch e.Kind {
 		case TaskStart:
 			open[e.TaskID] = e
 		case TaskFinish, TaskFail, TaskKill:
 			if st, ok := open[e.TaskID]; ok {
-				spans = append(spans, placed{st.TimeMS, e.TimeMS, e.JobID, e.Resource})
-				delete(open, e.TaskID)
-				if e.TimeMS > maxEnd {
-					maxEnd = e.TimeMS
+				pool := workload.MapTask
+				if e.TaskType == workload.ReduceTask.String() {
+					pool = workload.ReduceTask
 				}
+				spans = append(spans, Span{Resource: e.Resource, Pool: pool,
+					Start: st.TimeMS, End: e.TimeMS, Job: e.JobID})
+				delete(open, e.TaskID)
 			}
 		}
 	}
-	if maxEnd == 0 {
+	return Gantt(cluster, spans, width)
+}
+
+// Span is one task occupying a resource's map or reduce pool.
+type Span struct {
+	Resource   int
+	Pool       workload.TaskType
+	Start, End int64
+	Job        int
+}
+
+// Gantt renders spans as an ASCII chart width columns wide: a header with
+// the time scale, then one row per resource and pool ("r3/map", "r3/red")
+// in which '0'..'9' mark the job (ID mod 10) occupying each column. A pool
+// has a row when the cluster gives it slots or a span uses it. Nil when
+// width <= 0 or no span ends after time 0.
+func Gantt(cluster sim.Cluster, spans []Span, width int) []string {
+	var maxEnd int64
+	for _, sp := range spans {
+		maxEnd = max(maxEnd, sp.End)
+	}
+	if width <= 0 || maxEnd == 0 {
 		return nil
 	}
-	rows := make([][]byte, cluster.NumResources)
+	blank := func() []byte { return []byte(strings.Repeat(".", width)) }
+	slots := [2]int64{cluster.MapSlots, cluster.ReduceSlots}
+	rows := make([][]byte, 2*cluster.NumResources) // row 2r+pool
 	for i := range rows {
-		rows[i] = []byte(repeat('.', width))
+		if slots[i%2] > 0 {
+			rows[i] = blank()
+		}
 	}
 	scale := float64(width) / float64(maxEnd)
 	for _, sp := range spans {
-		from := int(float64(sp.from) * scale)
-		to := int(float64(sp.to) * scale)
-		if to <= from {
-			to = from + 1
+		row := &rows[2*sp.Resource+int(sp.Pool)]
+		if *row == nil {
+			*row = blank()
 		}
-		mark := byte('0' + sp.job%10)
+		from := int(float64(sp.Start) * scale)
+		to := max(int(float64(sp.End)*scale), from+1)
 		for x := from; x < to && x < width; x++ {
-			rows[sp.res][x] = mark
+			(*row)[x] = byte('0' + sp.Job%10)
 		}
 	}
-	out := make([]string, len(rows))
+	out := []string{fmt.Sprintf("gantt (0..%.0fs, one char ≈ %.1fs; digit = job id mod 10)",
+		float64(maxEnd)/1000, float64(maxEnd)/1000/float64(width))}
 	for i, row := range rows {
-		out[i] = fmt.Sprintf("r%-3d %s", i, row)
+		if row != nil {
+			key := fmt.Sprintf("r%d/%s", i/2, [2]string{"map", "red"}[i%2])
+			out = append(out, fmt.Sprintf("%-10s %s", key, row))
+		}
 	}
 	return out
-}
-
-func repeat(b byte, n int) string {
-	buf := make([]byte, n)
-	for i := range buf {
-		buf[i] = b
-	}
-	return string(buf)
 }

@@ -92,8 +92,11 @@ func TestJSONExportRoundTrips(t *testing.T) {
 func TestGanttRows(t *testing.T) {
 	rec, cluster := runTraced(t)
 	rows := rec.GanttRows(cluster, 40)
-	if len(rows) != 2 {
+	if len(rows) != 5 { // header + 2 resources × 2 pools
 		t.Fatalf("%d rows", len(rows))
+	}
+	if !strings.HasPrefix(rows[1], "r0/map     ") || !strings.HasPrefix(rows[4], "r1/red     ") {
+		t.Fatalf("rows not one per resource and pool:\n%s", strings.Join(rows, "\n"))
 	}
 	joined := strings.Join(rows, "\n")
 	if !strings.Contains(joined, "0") {
@@ -104,5 +107,26 @@ func TestGanttRows(t *testing.T) {
 	}
 	if NewRecorder().GanttRows(cluster, 40) != nil {
 		t.Fatal("empty recorder should return nil")
+	}
+}
+
+// A map and a reduce attempt that overlap on one resource occupy different
+// pools, so each keeps its own marks.
+func TestGanttRowsSeparatePools(t *testing.T) {
+	cluster := sim.Cluster{NumResources: 1, MapSlots: 1, ReduceSlots: 1}
+	m := &workload.Task{ID: "t1_m1", JobID: 1, Type: workload.MapTask, Exec: 10_000}
+	r := &workload.Task{ID: "t2_r1", JobID: 2, Type: workload.ReduceTask, Exec: 10_000}
+	rec := NewRecorder()
+	rec.TaskStarted(0, m, &workload.Job{ID: 1}, 0)
+	rec.TaskStarted(0, r, &workload.Job{ID: 2}, 0)
+	rec.TaskFinished(10_000, m, &workload.Job{ID: 1}, 0)
+	rec.TaskFinished(10_000, r, &workload.Job{ID: 2}, 0)
+	want := []string{
+		"gantt (0..10s, one char ≈ 1.0s; digit = job id mod 10)",
+		"r0/map     1111111111",
+		"r0/red     2222222222",
+	}
+	if got := rec.GanttRows(cluster, 10); strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("gantt\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

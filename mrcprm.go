@@ -11,7 +11,11 @@
 //     the MinEDF-WC baseline it is evaluated against,
 //   - the discrete event simulator and its metrics (O, N, T, P),
 //   - the closed-system batch solver, and
-//   - the experiment harness that regenerates Figs 2-9.
+//   - the online scheduling service behind cmd/mrcpd.
+//
+// It keeps only what a program, an example or the README uses; the
+// figure harness (cmd/experiments) and the telemetry digest
+// (cmd/obsreport) import their internal packages directly.
 //
 // # Quick start
 //
@@ -31,9 +35,7 @@ import (
 
 	"mrcprm/internal/core"
 	"mrcprm/internal/cp"
-	"mrcprm/internal/experiment"
 	"mrcprm/internal/faults"
-	"mrcprm/internal/fifo"
 	"mrcprm/internal/minedf"
 	"mrcprm/internal/obs"
 	_ "mrcprm/internal/policies" // register every built-in policy
@@ -122,16 +124,6 @@ const (
 	ModeDirect   = core.ModeDirect
 )
 
-// Experiments (Section VI).
-type (
-	// Experiment is one registered evaluation experiment.
-	Experiment = experiment.Spec
-	// ExperimentOptions sizes an experiment run.
-	ExperimentOptions = experiment.Options
-	// ExperimentResult is a regenerated figure.
-	ExperimentResult = experiment.Result
-)
-
 // NewWorkflow creates an empty workflow — the paper's future-work
 // generalization beyond two-phase MapReduce — with the given SLA. A
 // workflow is a Job whose tasks, added with AddTask, follow the
@@ -161,32 +153,19 @@ type (
 // and outage windows regardless of the manager under test.
 func NewFaultPlan(cfg FaultConfig) (FaultInjector, error) { return faults.New(cfg) }
 
-// SimulateWithFaults is Simulate with a fault injector installed. A nil
-// injector behaves exactly like Simulate.
-func SimulateWithFaults(cluster Cluster, rm ResourceManager, jobs []*Job, fi FaultInjector) (*Metrics, error) {
-	return SimulateInstrumented(cluster, rm, jobs, fi, nil, nil)
-}
-
 // Observability (telemetry core, solver search statistics).
 type (
 	// Telemetry is the process-wide telemetry handle: counters, gauges,
-	// spans, and a structured JSONL event sink. A nil *Telemetry is inert
+	// histograms, and a structured JSONL event sink. A nil *Telemetry is inert
 	// and adds no overhead, so instrumented code never branches on it.
 	Telemetry = obs.Telemetry
 	// SearchStats carries the CP solver's per-solve search counters
 	// (nodes, backtracks, propagations, improvement passes, objective
 	// timeline); available on every batch Schedule via Schedule.Search.
 	SearchStats = cp.SearchStats
-	// TelemetryReport is the digest obsreport renders from a JSONL stream.
-	TelemetryReport = obs.Report
 	// HistSnapshot is an immutable streaming-histogram snapshot with
 	// quantile estimation (one-bucket-width accuracy, factor sqrt 2).
 	HistSnapshot = obs.HistSnapshot
-	// PromScrape is the parsed content of one Prometheus text exposition
-	// payload (counters/gauges plus reconstructed histogram families).
-	PromScrape = obs.PromScrape
-	// PromHist is one scraped Prometheus histogram family.
-	PromHist = obs.PromHist
 )
 
 // NewJSONLTelemetry returns a telemetry handle that streams events to w as
@@ -197,15 +176,6 @@ func NewJSONLTelemetry(w io.Writer) *Telemetry { return obs.New(obs.NewJSONLWrit
 // and histogram registries but no event stream — the mrcpd default, so the
 // Prometheus endpoint serves histograms even without a -telemetry file.
 func NewRegistryTelemetry() *Telemetry { return obs.New(obs.DiscardSink{}) }
-
-// ParsePrometheus parses Prometheus text exposition format 0.0.4, strictly
-// enough to double as a well-formedness assertion in CI.
-func ParsePrometheus(r io.Reader) (*PromScrape, error) { return obs.ParsePrometheus(r) }
-
-// ReadTelemetryReport digests a telemetry JSONL stream into a report
-// (solve-latency percentiles, solve-limit hit rate, objective convergence,
-// sim time-series envelope).
-func ReadTelemetryReport(r io.Reader) (*TelemetryReport, error) { return obs.ReadReport(r) }
 
 // SimulateInstrumented is the widest run: Simulate with an optional fault
 // injector, an optional schedule recorder (NewTraceRecorder) and a
@@ -319,7 +289,7 @@ type (
 func NewShardRouter(cfg ShardConfig) (*ShardRouter, error) { return shard.New(cfg) }
 
 // RecoverShardRouter rebuilds a router from its N journal segments
-// (ShardJournalPath(Base.JournalPath, 0..N-1)), replaying every journaled
+// (Base.JournalPath + ".shard0" .. ".shard<N-1>"), replaying every journaled
 // submission, fault switch, outage and intake close; a missing segment is
 // an error. Start the returned router to run the recovered streams; in
 // virtual mode with DeterministicConfig solver settings the fingerprint is
@@ -331,14 +301,6 @@ func RecoverShardRouter(cfg ShardConfig) (*ShardRouter, *ShardRecoveryInfo, erro
 // NewServiceHandler exposes a router over HTTP/JSON (the cmd/mrcpd API).
 func NewServiceHandler(r *ShardRouter) http.Handler { return shard.NewHandler(r) }
 
-// ShardJournalPath names shard i's write-ahead journal segment under a
-// base path.
-func ShardJournalPath(base string, i int) string { return shard.SegmentPath(base, i) }
-
-// PartitionCluster splits a cluster into n disjoint shards (the first
-// NumResources%n shards absorb the remainder).
-func PartitionCluster(c Cluster, n int) ([]Cluster, error) { return shard.Partition(c, n) }
-
 // CombineShardFingerprints folds per-shard run fingerprints (in shard
 // order) into the aggregate fingerprint the sharded /v1/metrics reports.
 func CombineShardFingerprints(fps []uint64) uint64 { return shard.CombineFingerprints(fps) }
@@ -348,18 +310,6 @@ func CombineShardFingerprints(fps []uint64) uint64 { return shard.CombineFingerp
 // 1/spread (spread >= 1; 1.0 yields a uniform cluster).
 func TwoClassCluster(m int, mapSlots, reduceSlots int64, spread float64) ClusterSpec {
 	return core.TwoClassSpec(m, mapSlots, reduceSlots, spread)
-}
-
-// ScaledExec returns the effective running time of a task with nominal
-// execution time exec on a machine with the given speed factor (ceiling,
-// minimum 1 ms; speed 1.0 returns exec unchanged).
-func ScaledExec(exec int64, speed float64) int64 { return sim.ScaledExec(exec, speed) }
-
-// CheckAdmission is the service's fast lower-bound feasibility test: a
-// non-nil *AdmissionError means the job provably cannot meet its deadline
-// on the cluster even with every slot idle.
-func CheckAdmission(cluster Cluster, j *Job, now int64) error {
-	return core.CheckAdmission(cluster, j, now)
 }
 
 // Stream is a deterministic random number stream.
@@ -390,9 +340,6 @@ func NewManager(cluster Cluster, cfg Config) *Manager { return core.New(cluster,
 // NewMinEDF creates the MinEDF-WC baseline resource manager.
 func NewMinEDF(cluster Cluster) ResourceManager { return minedf.New(cluster) }
 
-// NewFIFO creates the deadline-blind best-effort baseline.
-func NewFIFO(cluster Cluster) ResourceManager { return fifo.New(cluster) }
-
 // Policy registry (internal/rmkit): every resource-management policy
 // registers itself under a selection name, and entry points construct
 // managers by that name — adding a policy requires no edits outside its own
@@ -405,9 +352,6 @@ type (
 	// honors: a per-task retry cap and an optional per-job retry budget.
 	RetryPolicy = rmkit.RetryPolicy
 )
-
-// DefaultRetryPolicy returns the retry budgets every policy starts from.
-func DefaultRetryPolicy() RetryPolicy { return rmkit.DefaultRetryPolicy() }
 
 // NewPolicy constructs a registered policy's manager by name ("mrcp",
 // "minedf", "fifo", "edf", ...). An unknown name's error lists every
@@ -422,7 +366,7 @@ func PolicyNames() []string { return rmkit.Names() }
 // Simulate runs the job stream against the cluster under the manager and
 // returns the collected metrics.
 func Simulate(cluster Cluster, rm ResourceManager, jobs []*Job) (*Metrics, error) {
-	return SimulateWithFaults(cluster, rm, jobs, nil)
+	return SimulateInstrumented(cluster, rm, jobs, nil, nil, nil)
 }
 
 // SolveBatch maps and schedules a fixed batch of jobs in one shot (the
@@ -434,20 +378,8 @@ func SolveBatch(cluster Cluster, jobs []*Job, cfg Config) (*Schedule, error) {
 }
 
 // TraceRecorder records every task start/finish of a run; it exports CSV
-// or JSON and digests slot-occupancy profiles.
+// or JSON and renders an ASCII Gantt chart.
 type TraceRecorder = trace.Recorder
 
 // NewTraceRecorder returns an empty recorder to hand SimulateInstrumented.
 func NewTraceRecorder() *TraceRecorder { return trace.NewRecorder() }
-
-// Experiments lists every registered experiment in paper order.
-func Experiments() []Experiment { return experiment.Registry }
-
-// ExperimentByID looks up one experiment ("fig2".."fig9", "ablation-...").
-func ExperimentByID(id string) (Experiment, bool) { return experiment.ByID(id) }
-
-// DefaultExperimentOptions sizes a full-quality experiment run.
-func DefaultExperimentOptions() ExperimentOptions { return experiment.DefaultOptions() }
-
-// FastExperimentOptions sizes a quick (benchmark/CI) experiment run.
-func FastExperimentOptions() ExperimentOptions { return experiment.FastOptions() }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"mrcprm"
+	"mrcprm/internal/experiment"
 )
 
 // The facade tests exercise the public API end to end the way the README
@@ -76,15 +77,17 @@ func TestBatchFlow(t *testing.T) {
 	}
 }
 
+// The registry cmd/experiments runs (it imports internal/experiment, not
+// the facade) lists every figure, and fast runs are smaller than full ones.
 func TestExperimentRegistryExposed(t *testing.T) {
-	if len(mrcprm.Experiments()) < 11 {
-		t.Fatalf("registry has %d entries", len(mrcprm.Experiments()))
+	if len(experiment.Registry) < 11 {
+		t.Fatalf("registry has %d entries", len(experiment.Registry))
 	}
-	if _, ok := mrcprm.ExperimentByID("fig7"); !ok {
+	if _, ok := experiment.ByID("fig7"); !ok {
 		t.Fatal("fig7 missing")
 	}
-	d := mrcprm.DefaultExperimentOptions()
-	f := mrcprm.FastExperimentOptions()
+	d := experiment.DefaultOptions()
+	f := experiment.FastOptions()
 	if f.Jobs >= d.Jobs {
 		t.Fatal("fast options not smaller than default")
 	}

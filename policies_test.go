@@ -120,7 +120,7 @@ func TestPoliciesAgreeOnAbandonment(t *testing.T) {
 		t.Run(rp.name, func(t *testing.T) {
 			for _, name := range mrcprm.PolicyNames() {
 				rm := newRegisteredPolicy(t, name, cluster, rp.opts)
-				m, err := mrcprm.SimulateWithFaults(cluster, rm, jobs, plan)
+				m, err := mrcprm.SimulateInstrumented(cluster, rm, jobs, plan, nil, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -178,7 +178,7 @@ func TestPoliciesAgreeOnDoubleKill(t *testing.T) {
 	opts := mrcprm.PolicyOptions{Retry: &mrcprm.RetryPolicy{JobRetryBudget: 1}}
 	for _, name := range mrcprm.PolicyNames() {
 		rm := newRegisteredPolicy(t, name, cluster, opts)
-		m, err := mrcprm.SimulateWithFaults(cluster, rm, jobs, doubleKill{failFirst: "t0_m1"})
+		m, err := mrcprm.SimulateInstrumented(cluster, rm, jobs, doubleKill{failFirst: "t0_m1"}, nil, nil)
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mrcprm"
+	"mrcprm/internal/obs"
 )
 
 // telemetryWorkload builds a small seeded scenario shared by the telemetry
@@ -132,7 +133,7 @@ func TestTelemetryStreamShape(t *testing.T) {
 		}
 	}
 
-	rep, err := mrcprm.ReadTelemetryReport(bytes.NewReader(buf.Bytes()))
+	rep, err := obs.ReadReport(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
