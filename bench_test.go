@@ -1,80 +1,16 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation
-// (Section VI), plus the ablations called out in DESIGN.md and
-// micro-benchmarks of the CP substrate.
-//
-// Each BenchmarkFigN runs the corresponding experiment at benchmark scale
-// (experiment.FastOptions) and reports the figure's metrics through
-// b.ReportMetric; the full-size tables behind EXPERIMENTS.md come from
-// `go run ./cmd/experiments`. Run with -v to see the regenerated tables.
+// Benchmarks of the paper's Tables 1-4 workloads and micro-benchmarks of
+// the CP substrate. The figures and ablations of the evaluation (Section
+// VI) are `go run ./cmd/experiments -fig <id>`, which prints their tables.
 package mrcprm_test
 
 import (
 	"fmt"
 	"io"
-	"strings"
 	"testing"
 
 	"mrcprm"
-	"mrcprm/internal/experiment"
 	"mrcprm/internal/workload"
 )
-
-// benchFigure runs one experiment per iteration and reports its metric
-// columns. The metric names encode the factor value so the figure's series
-// is visible in the benchmark output.
-func benchFigure(b *testing.B, id string) {
-	spec, ok := experiment.ByID(id)
-	if !ok {
-		b.Fatalf("unknown experiment %q", id)
-	}
-	opts := experiment.FastOptions()
-	var last experiment.Result
-	for i := 0; i < b.N; i++ {
-		res, err := spec.Run(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	for _, p := range last.Points {
-		tag := sanitize(p.Factor)
-		if strings.HasPrefix(id, "fig2") || strings.HasPrefix(id, "fig3") {
-			tag = sanitize(p.Manager) + "_" + tag
-		}
-		b.ReportMetric(p.P.Mean*100, "P%_"+tag)
-		b.ReportMetric(p.T.Mean, "T_s_"+tag)
-		b.ReportMetric(p.O.Mean*1000, "O_ms_"+tag)
-	}
-	b.Log("\n" + last.Table())
-}
-
-func sanitize(s string) string {
-	return strings.NewReplacer("=", "", " ", "", "-", "").Replace(s)
-}
-
-// Figs 2 and 3 share one sweep: the MRCP-RM vs MinEDF-WC comparison on the
-// Facebook workload. Fig 2 is the P column, Fig 3 the T column.
-func BenchmarkFig2FacebookLateJobs(b *testing.B) { benchFigure(b, "fig2") }
-
-func BenchmarkFig3FacebookTurnaround(b *testing.B) { benchFigure(b, "fig3") }
-
-// Factor-at-a-time experiments over the Table 3 synthetic workload.
-func BenchmarkFig4TaskExecutionTime(b *testing.B) { benchFigure(b, "fig4") }
-
-func BenchmarkFig5EarliestStartTime(b *testing.B) { benchFigure(b, "fig5") }
-
-func BenchmarkFig6EarliestStartProbability(b *testing.B) { benchFigure(b, "fig6") }
-
-func BenchmarkFig7Deadline(b *testing.B) { benchFigure(b, "fig7") }
-
-func BenchmarkFig8ArrivalRate(b *testing.B) { benchFigure(b, "fig8") }
-
-func BenchmarkFig9NumResources(b *testing.B) { benchFigure(b, "fig9") }
-
-// Ablations of the paper's design choices (DESIGN.md §5).
-func BenchmarkAblationCombinedVsDirect(b *testing.B) { benchFigure(b, "ablation-matchmaking") }
-
-func BenchmarkAblationDeferral(b *testing.B) { benchFigure(b, "ablation-deferral") }
 
 // Table 3: synthetic workload generation throughput.
 func BenchmarkTable3SyntheticGenerator(b *testing.B) {

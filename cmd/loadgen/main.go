@@ -7,8 +7,8 @@
 // submitted stream is exactly what `mrcpsim -n <jobs> -seed <seed>`
 // generates, so the daemon's metrics are comparable to the offline
 // simulator's. With -verify the served final-metrics fingerprint is also
-// checked against a local deterministic replay of the accepted stream, on
-// the cluster each shard reports in /v1/metrics.
+// checked against a local replay of the accepted stream, under the cluster
+// and manager config each shard reports in /v1/metrics.
 //
 // In -mode wall it replays the stream open-loop: each job is submitted
 // when its generated arrival time comes up on the (speedup-scaled) wall
@@ -195,8 +195,9 @@ func main() {
 // placement (gid = local*N + shard, see internal/shard), so the accepted
 // stream partitions exactly as the router placed it: each shard's slice is
 // replayed on the cluster that shard reports (speeds, memory and slot
-// counts included), and every per-shard fingerprint — and
-// their combination — must match what the daemon served.
+// counts included) under its manager config (deferral lead, warm start,
+// node budget), and every per-shard fingerprint — and their combination —
+// must match what the daemon served.
 func verifyReplay(snap mrcprm.ServiceSnapshot, accepted []acceptedJob) error {
 	n := len(snap.Shards)
 	if n == 0 {
@@ -208,7 +209,7 @@ func verifyReplay(snap mrcprm.ServiceSnapshot, accepted []acceptedJob) error {
 	}
 	fps := make([]uint64, n)
 	for s, view := range snap.Shards {
-		fp, err := replayFingerprint(view.Cluster, view.Policy, byShard[s], n)
+		fp, err := replayFingerprint(view, byShard[s], n)
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", s, err)
 		}
@@ -233,11 +234,11 @@ type acceptedJob struct {
 }
 
 // replayFingerprint rebuilds one shard's accepted stream as simulator jobs —
-// with IDs mapped from global to engine-local space (gid/n) — runs it
-// deterministically, and returns the metrics fingerprint for comparison
-// with what the daemon served.
-func replayFingerprint(cluster mrcprm.Cluster, policy string, accepted []acceptedJob, n int) (uint64, error) {
-	rm, err := mrcprm.NewPolicy(policy, cluster, mrcprm.PolicyOptions{Extra: mrcprm.DeterministicConfig()})
+// with IDs mapped from global to engine-local space (gid/n) — runs it under
+// the shard's policy, manager config and cluster, and returns the metrics
+// fingerprint for comparison with what the daemon served.
+func replayFingerprint(view mrcprm.ShardView, accepted []acceptedJob, n int) (uint64, error) {
+	rm, err := mrcprm.NewPolicy(view.Policy, view.Cluster, mrcprm.PolicyOptions{Extra: view.ManagerConfig})
 	if err != nil {
 		return 0, err
 	}
@@ -249,7 +250,7 @@ func replayFingerprint(cluster mrcprm.Cluster, policy string, accepted []accepte
 		}
 		ref = append(ref, j)
 	}
-	metrics, err := mrcprm.Simulate(cluster, rm, ref)
+	metrics, err := mrcprm.Simulate(view.Cluster, rm, ref)
 	if err != nil {
 		return 0, err
 	}

@@ -15,17 +15,29 @@ import (
 // TestVerifyReplayUsesShardCluster drives a virtual two-shard daemon whose
 // machines run at two speeds with one map and one reduce slot each, and
 // requires -verify's local replay to reproduce every served fingerprint.
-// A replay on a uniform 2+2 cluster of the same size diverges here.
+// A replay on a uniform 2+2 cluster of the same size diverges here, and so
+// does one under DeterministicConfig when the daemon's manager runs a
+// different deferral lead with warm start on.
 func TestVerifyReplayUsesShardCluster(t *testing.T) {
-	for _, policy := range []string{"fifo", "mrcp"} {
-		t.Run(policy, func(t *testing.T) {
+	warm := mrcprm.DeterministicConfig()
+	warm.DeferralLead = time.Second
+	warm.WarmStart = true
+	for _, tc := range []struct {
+		name, policy string
+		manager      mrcprm.Config
+	}{
+		{"fifo", "fifo", mrcprm.DeterministicConfig()},
+		{"mrcp", "mrcp", mrcprm.DeterministicConfig()},
+		{"mrcp-deferral-warmstart", "mrcp", warm},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			cluster, err := mrcprm.TwoClassCluster(4, 1, 1, 2).Cluster()
 			if err != nil {
 				t.Fatal(err)
 			}
 			r, err := mrcprm.NewShardRouter(mrcprm.ShardConfig{
-				Base: mrcprm.ServiceConfig{Cluster: cluster, Policy: policy,
-					Manager: mrcprm.DeterministicConfig(), Mode: mrcprm.ServiceVirtual},
+				Base: mrcprm.ServiceConfig{Cluster: cluster, Policy: tc.policy,
+					Manager: tc.manager, Mode: mrcprm.ServiceVirtual},
 				Shards: 2,
 				Seed:   1,
 			})

@@ -21,7 +21,6 @@ import (
 
 	"mrcprm/internal/core"
 	"mrcprm/internal/obs"
-	_ "mrcprm/internal/policies" // register every built-in policy
 	"mrcprm/internal/rmkit"
 	"mrcprm/internal/sim"
 	"mrcprm/internal/stats"

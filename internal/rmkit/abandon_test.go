@@ -10,25 +10,6 @@ import (
 	"mrcprm/internal/workload"
 )
 
-// fifoList is FIFO on the kernel: admission order, every job dispatched
-// work-conservingly.
-type fifoList struct{ *ListScheduler }
-
-func (fifoList) Name() string { return "fifo" }
-
-func newFIFOList(cluster sim.Cluster) fifoList {
-	ls := NewListScheduler("fifo", cluster, nil)
-	ls.Dispatch = func(ctx sim.Context) error {
-		for _, js := range ls.Tracker.Active() {
-			if err := ls.DispatchJob(ctx, js, -1, -1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return fifoList{ls}
-}
-
 // abandonings sorts each abandonment by whether an attempt of the job was
 // still running: such a job retires when that attempt ends, any other at
 // once.
@@ -78,7 +59,7 @@ func TestListSchedulerRetiresAbandonedJobs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rm := newFIFOList(cluster)
+			rm := newList(t, "fifo", cluster)
 			rm.Retry = RetryPolicy{MaxTaskRetries: 1}
 			s, err := sim.New(cluster, rm, jobs)
 			if err != nil {

@@ -1,15 +1,16 @@
-package fifo
+package rmkit
 
 import (
 	"testing"
 
-	"mrcprm/internal/minedf"
 	"mrcprm/internal/sim"
 	"mrcprm/internal/stats"
 	"mrcprm/internal/workload"
 )
 
-func mkJob(id int, arrival, earliest, deadline int64, mapExec, redExec []int64) *workload.Job {
+// mkExecJob builds a job whose map and reduce tasks take the given
+// execution times, one slot each.
+func mkExecJob(id int, arrival, earliest, deadline int64, mapExec, redExec []int64) *workload.Job {
 	j := &workload.Job{ID: id, Arrival: arrival, EarliestStart: earliest, Deadline: deadline}
 	for _, e := range mapExec {
 		j.MapTasks = append(j.MapTasks, &workload.Task{
@@ -22,9 +23,21 @@ func mkJob(id int, arrival, earliest, deadline int64, mapExec, redExec []int64) 
 	return j
 }
 
-func run(t *testing.T, cluster sim.Cluster, jobs []*workload.Job) *sim.Metrics {
+// newList builds the registered list baseline name for the cluster.
+func newList(t *testing.T, name string, cluster sim.Cluster) *ListScheduler {
 	t.Helper()
-	s, err := sim.New(cluster, New(cluster), jobs)
+	rm, err := New(name, cluster, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rm.(*ListScheduler)
+}
+
+// runList runs the jobs under the named list baseline and requires every
+// job to complete.
+func runList(t *testing.T, name string, cluster sim.Cluster, jobs []*workload.Job) *sim.Metrics {
+	t.Helper()
+	s, err := sim.New(cluster, newList(t, name, cluster), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,10 +53,10 @@ func run(t *testing.T, cluster sim.Cluster, jobs []*workload.Job) *sim.Metrics {
 
 func TestFIFOServesInArrivalOrder(t *testing.T) {
 	cluster := sim.Cluster{NumResources: 1, MapSlots: 1, ReduceSlots: 1}
-	first := mkJob(0, 0, 0, 1e9, []int64{5000}, nil)
+	first := mkExecJob(0, 0, 0, 1e9, []int64{5000}, nil)
 	// The second job has a much tighter deadline, but FIFO ignores it.
-	tight := mkJob(1, 100, 100, 5200, []int64{1000}, nil)
-	m := run(t, cluster, []*workload.Job{first, tight})
+	tight := mkExecJob(1, 100, 100, 5200, []int64{1000}, nil)
+	m := runList(t, "fifo", cluster, []*workload.Job{first, tight})
 	for _, r := range m.Records {
 		if r.Job.ID == 1 {
 			if !r.Late() {
@@ -58,8 +71,8 @@ func TestFIFOServesInArrivalOrder(t *testing.T) {
 
 func TestFIFOWorkConserving(t *testing.T) {
 	cluster := sim.Cluster{NumResources: 4, MapSlots: 1, ReduceSlots: 1}
-	j := mkJob(0, 0, 0, 1e9, []int64{3000, 3000, 3000, 3000}, nil)
-	m := run(t, cluster, []*workload.Job{j})
+	j := mkExecJob(0, 0, 0, 1e9, []int64{3000, 3000, 3000, 3000}, nil)
+	m := runList(t, "fifo", cluster, []*workload.Job{j})
 	if m.MakespanMS != 3000 {
 		t.Fatalf("makespan %d, want 3000 (all maps in parallel)", m.MakespanMS)
 	}
@@ -67,8 +80,8 @@ func TestFIFOWorkConserving(t *testing.T) {
 
 func TestFIFOReduceAfterMaps(t *testing.T) {
 	cluster := sim.Cluster{NumResources: 2, MapSlots: 1, ReduceSlots: 1}
-	j := mkJob(0, 0, 0, 1e9, []int64{1000, 8000}, []int64{2000})
-	m := run(t, cluster, []*workload.Job{j})
+	j := mkExecJob(0, 0, 0, 1e9, []int64{1000, 8000}, []int64{2000})
+	m := runList(t, "fifo", cluster, []*workload.Job{j})
 	if m.MakespanMS != 10_000 {
 		t.Fatalf("makespan %d, want 10000", m.MakespanMS)
 	}
@@ -76,8 +89,8 @@ func TestFIFOReduceAfterMaps(t *testing.T) {
 
 func TestFIFORespectsEarliestStart(t *testing.T) {
 	cluster := sim.Cluster{NumResources: 1, MapSlots: 1, ReduceSlots: 1}
-	j := mkJob(0, 0, 4000, 1e9, []int64{1000}, nil)
-	m := run(t, cluster, []*workload.Job{j})
+	j := mkExecJob(0, 0, 4000, 1e9, []int64{1000}, nil)
+	m := runList(t, "fifo", cluster, []*workload.Job{j})
 	if m.MakespanMS != 5000 {
 		t.Fatalf("makespan %d, want 5000", m.MakespanMS)
 	}
@@ -93,19 +106,12 @@ func TestDeadlineAwarenessBeatsFIFOWhereItMatters(t *testing.T) {
 	cluster := sim.Cluster{NumResources: 1, MapSlots: 1, ReduceSlots: 1}
 	mk := func() []*workload.Job {
 		return []*workload.Job{
-			mkJob(0, 0, 0, 100_000, []int64{5000, 5000}, nil), // loose
-			mkJob(1, 100, 100, 7000, []int64{1000}, nil),      // tight, arrives second
+			mkExecJob(0, 0, 0, 100_000, []int64{5000, 5000}, nil), // loose
+			mkExecJob(1, 100, 100, 7000, []int64{1000}, nil),      // tight, arrives second
 		}
 	}
-	mFIFO := run(t, cluster, mk())
-	s, err := sim.New(cluster, minedf.New(cluster), mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mEDF, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	mFIFO := runList(t, "fifo", cluster, mk())
+	mEDF := runList(t, "minedf", cluster, mk())
 	if mFIFO.N() != 1 {
 		t.Fatalf("FIFO late %d, want 1 (blind to the tight job)", mFIFO.N())
 	}
@@ -125,7 +131,7 @@ func TestFIFOHandlesSyntheticStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := run(t, cluster, jobs)
+	m := runList(t, "fifo", cluster, jobs)
 	if m.Invocations == 0 {
 		t.Fatal("overhead accounting broken")
 	}

@@ -10,17 +10,16 @@ import (
 )
 
 // ListScheduler is the shared reactive-manager kernel: the Hadoop-style
-// slot-based schedulers (FIFO, EDF, MinEDF-WC) differ only in their queue
-// discipline and dispatch policy, so this type owns everything else — the
-// deferred-arrival queue, the job tracker, retry charging and abandonment,
-// and every simulator callback. A policy embeds *ListScheduler, picks the
-// queue order through NewListScheduler, and supplies Dispatch.
+// slot-based schedulers (FIFO, EDF, MinEDF-WC; the rows of listPolicies)
+// differ only in their queue discipline and dispatch pass, so this type
+// owns everything else — the deferred-arrival queue, the job tracker, retry
+// charging and abandonment, and every simulator callback.
 //
-// Dispatch fills free capacity from the active queue after every lifecycle
-// event; DispatchJob is the standard per-job inner loop. Free capacity and
-// a job's progress are the simulator's to know (sim.Context.FirstFit,
-// JobState.Sim): the kernel keeps no copy of either, only each job's
-// pending queues.
+// The dispatch pass fills free capacity from the active queue after every
+// lifecycle event; DispatchJob is the standard per-job inner loop. Free
+// capacity and a job's progress are the simulator's to know
+// (sim.Context.FirstFit, JobState.Sim): the kernel keeps no copy of either,
+// only each job's pending queues.
 type ListScheduler struct {
 	// Kind prefixes error messages ("fifo: completion for unknown task…").
 	Kind string
@@ -30,24 +29,30 @@ type ListScheduler struct {
 	Retry RetryPolicy
 	// Tracker owns per-job lifecycle state.
 	Tracker *Tracker
-	// Dispatch fills free capacity after a lifecycle event; the policy must
-	// set it before the simulation starts.
-	Dispatch func(ctx sim.Context) error
 
-	deferred []*workload.Job // arrived, earliest start in the future
+	name     string                                  // Name's display name
+	dispatch func(*ListScheduler, sim.Context) error // fills free capacity
+	deferred []*workload.Job                         // arrived, earliest start in the future
 }
 
-// NewListScheduler assembles the kernel for a policy whose active queue is
-// ordered by less (nil = admission order). The default retry budget is
-// installed.
-func NewListScheduler(kind string, cluster sim.Cluster, less func(a, b *JobState) bool) *ListScheduler {
+// NewListScheduler assembles the kernel for a policy: kind prefixes its
+// errors, name is its display name, less orders the active queue (nil =
+// admission order), and dispatch fills free capacity after every lifecycle
+// event. The default retry budget is installed.
+func NewListScheduler(kind, name string, cluster sim.Cluster, less func(a, b *JobState) bool,
+	dispatch func(*ListScheduler, sim.Context) error) *ListScheduler {
 	return &ListScheduler{
-		Kind:    kind,
-		Cluster: cluster,
-		Retry:   DefaultRetryPolicy(),
-		Tracker: NewTracker(less),
+		Kind:     kind,
+		Cluster:  cluster,
+		Retry:    DefaultRetryPolicy(),
+		Tracker:  NewTracker(less),
+		name:     name,
+		dispatch: dispatch,
 	}
 }
+
+// Name implements sim.ResourceManager.
+func (ls *ListScheduler) Name() string { return ls.name }
 
 // admit makes a job active with every task queued, in natural task order,
 // as Hadoop-style dispatchers expect.
@@ -67,7 +72,7 @@ func (ls *ListScheduler) OnJobArrival(ctx sim.Context, j *workload.Job) error {
 	} else {
 		ls.admit(ctx, j)
 	}
-	err := ls.Dispatch(ctx)
+	err := ls.dispatch(ls, ctx)
 	ctx.AddOverhead(time.Since(started))
 	return err
 }
@@ -85,7 +90,7 @@ func (ls *ListScheduler) OnTimer(ctx sim.Context) error {
 		}
 	}
 	ls.deferred = rest
-	err := ls.Dispatch(ctx)
+	err := ls.dispatch(ls, ctx)
 	ctx.AddOverhead(time.Since(started))
 	return err
 }
@@ -100,7 +105,7 @@ func (ls *ListScheduler) OnTaskComplete(ctx sim.Context, t *workload.Task) error
 		return fmt.Errorf("%s: completion for unknown task %s", ls.Kind, t.ID)
 	}
 	ls.Tracker.RetireDrained(js)
-	err := ls.Dispatch(ctx)
+	err := ls.dispatch(ls, ctx)
 	ctx.AddOverhead(time.Since(started))
 	return err
 }
@@ -117,7 +122,7 @@ func (ls *ListScheduler) OnTaskFailed(ctx sim.Context, t *workload.Task, _ int) 
 	if err := ls.chargeRetry(ctx, js, t); err != nil {
 		return err
 	}
-	err := ls.Dispatch(ctx)
+	err := ls.dispatch(ls, ctx)
 	ctx.AddOverhead(time.Since(started))
 	return err
 }
@@ -148,7 +153,7 @@ func (ls *ListScheduler) OnResourceDown(ctx sim.Context, _ int, killed, evacuate
 			js.Requeue(t)
 		}
 	}
-	err := ls.Dispatch(ctx)
+	err := ls.dispatch(ls, ctx)
 	ctx.AddOverhead(time.Since(started))
 	return err
 }
@@ -157,7 +162,7 @@ func (ls *ListScheduler) OnResourceDown(ctx sim.Context, _ int, killed, evacuate
 // again at the next dispatch.
 func (ls *ListScheduler) OnResourceUp(ctx sim.Context, _ int) error {
 	started := time.Now()
-	err := ls.Dispatch(ctx)
+	err := ls.dispatch(ls, ctx)
 	ctx.AddOverhead(time.Since(started))
 	return err
 }

@@ -29,8 +29,8 @@ var (
 )
 
 // Register adds a policy under a selection name (the -rm value). Policies
-// call it from an init function in their own package; importing the
-// package — directly or via internal/policies — is all it takes to make
+// call it from an init function in their own package (rmkit for the list
+// baselines, core for mrcp); importing the package is all it takes to make
 // the policy selectable everywhere. Registering a duplicate or empty name,
 // or a nil factory, panics: both are programming errors.
 func Register(name string, f Factory) {

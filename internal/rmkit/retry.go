@@ -1,13 +1,15 @@
 // Package rmkit is the shared resource-manager kernel: the job-lifecycle
 // machinery every matchmaking-and-scheduling policy needs (per-job
-// tracking, retry budgets and abandonment, slot-availability mirrors, the
-// reactive dispatch loop) plus the policy registry that lets binaries,
-// experiments, and the online service select a manager by name.
+// tracking, retry budgets and abandonment, the reactive dispatch loop),
+// the policy registry that lets binaries, experiments, and the online
+// service select a manager by name, and the list baselines.
 //
 // The paper's evaluation is a comparison of policies (MRCP-RM versus
-// MinEDF-WC, Section VI); this package makes adding a new policy a
-// one-file change: implement sim.ResourceManager — usually on top of
-// Tracker/ListScheduler — and call Register in an init function. Every
+// MinEDF-WC, Section VI). MinEDF-WC and the FIFO and EDF baselines are
+// rows of one table (listPolicies) over ListScheduler, registered by this
+// package's init; MRCP-RM (internal/core) registers itself. A new policy
+// implements sim.ResourceManager — usually on top of
+// Tracker/ListScheduler — and calls Register in an init function. Every
 // entry point (cmd/mrcpsim -rm, cmd/mrcpd -rm, the experiment harness, the
 // public mrcprm facade) resolves policies through the registry.
 package rmkit

@@ -10,9 +10,8 @@ import (
 // JobState is the kernel's per-job lifecycle record: what a manager decides
 // about a job. What the job's tasks have done — tasks left, placed and
 // running, abandonment — is the simulator's to know, read through Sim.
-// Policy-specific schedulers use the queue and allocation fields as they see
-// fit (MRCP-RM regenerates its work set from the simulator each round and
-// leaves the queues empty).
+// Reactive schedulers use the pending queues (MRCP-RM regenerates its work
+// set from the simulator each round and leaves them empty).
 type JobState struct {
 	Job *workload.Job
 	// Sim is the simulator's record of the job.
@@ -23,12 +22,6 @@ type JobState struct {
 	// attempts re-queue at the back.
 	PendingMaps []*workload.Task
 	PendingReds []*workload.Task
-
-	// AllocMap and AllocRed are the job's current slot allocation targets
-	// for allocation-model policies (MinEDF-WC's ARIA minimum); zero
-	// elsewhere.
-	AllocMap int64
-	AllocRed int64
 
 	// Retries counts failed attempts charged against the job's budget.
 	Retries int

@@ -34,7 +34,6 @@ import (
 	"mrcprm/internal/core"
 	"mrcprm/internal/faults"
 	"mrcprm/internal/obs"
-	_ "mrcprm/internal/policies" // register every built-in policy
 	"mrcprm/internal/rmkit"
 	"mrcprm/internal/sim"
 	"mrcprm/internal/slo"
@@ -1148,11 +1147,13 @@ type Snapshot struct {
 
 // ShardView is one shard's slice of an aggregated snapshot: the shard's
 // engine snapshot plus its partition (the cluster its engine runs, and
-// where that slice starts in the full cluster) and the engine's
-// PendingWork.
+// where that slice starts in the full cluster), the manager config its
+// policy was built with, and the engine's PendingWork. Cluster and
+// ManagerConfig are what an offline replay of the shard needs.
 type ShardView struct {
 	Shard         int         `json:"shard"`
 	Cluster       sim.Cluster `json:"cluster"`
+	ManagerConfig core.Config `json:"managerConfig"`
 	FirstResource int         `json:"firstResource"`
 	PendingWorkMS int64       `json:"pendingWorkMs"`
 	Snapshot

@@ -553,6 +553,7 @@ func (r *Router) Metrics() Snapshot {
 		views[s] = service.ShardView{
 			Shard:         s,
 			Cluster:       r.parts[s],
+			ManagerConfig: r.cfg.Base.Manager,
 			FirstResource: r.offsets[s],
 			PendingWorkMS: r.engines[s].PendingWork(),
 			Snapshot:      snap,

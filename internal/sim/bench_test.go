@@ -5,8 +5,8 @@ import (
 	"runtime"
 	"testing"
 
-	"mrcprm/internal/fifo"
 	"mrcprm/internal/obs"
+	"mrcprm/internal/rmkit"
 	"mrcprm/internal/sim"
 	"mrcprm/internal/stats"
 	"mrcprm/internal/workload"
@@ -34,7 +34,11 @@ func BenchmarkDrainFIFO(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				s, err := sim.New(cluster, fifo.New(cluster), jobs)
+				rm, err := rmkit.New("fifo", cluster, rmkit.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				s, err := sim.New(cluster, rm, jobs)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -6,7 +6,6 @@ import (
 
 	"mrcprm/internal/core"
 	"mrcprm/internal/faults"
-	_ "mrcprm/internal/policies"
 	"mrcprm/internal/rmkit"
 	"mrcprm/internal/sim"
 	"mrcprm/internal/stats"

@@ -9,9 +9,9 @@ import (
 	"mrcprm/internal/workload"
 )
 
-// ResourceManager is the pluggable matchmaking-and-scheduling policy. Both
-// MRCP-RM (internal/core) and the MinEDF-WC baseline (internal/minedf)
-// implement it. Callbacks receive the simulation Context through which the
+// ResourceManager is the pluggable matchmaking-and-scheduling policy.
+// MRCP-RM (internal/core) and the list baselines, MinEDF-WC among them
+// (internal/rmkit), implement it. Callbacks receive the simulation Context through which the
 // manager inspects state and installs placements.
 type ResourceManager interface {
 	// Name identifies the manager in reports.

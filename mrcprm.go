@@ -36,9 +36,7 @@ import (
 	"mrcprm/internal/core"
 	"mrcprm/internal/cp"
 	"mrcprm/internal/faults"
-	"mrcprm/internal/minedf"
 	"mrcprm/internal/obs"
-	_ "mrcprm/internal/policies" // register every built-in policy
 	"mrcprm/internal/rmkit"
 	"mrcprm/internal/service"
 	"mrcprm/internal/shard"
@@ -338,12 +336,14 @@ func DeterministicConfig() Config { return core.DeterministicConfig() }
 func NewManager(cluster Cluster, cfg Config) *Manager { return core.New(cluster, cfg) }
 
 // NewMinEDF creates the MinEDF-WC baseline resource manager.
-func NewMinEDF(cluster Cluster) ResourceManager { return minedf.New(cluster) }
+func NewMinEDF(cluster Cluster) ResourceManager {
+	rm, _ := rmkit.New("minedf", cluster, rmkit.Options{}) // a list baseline's factory never fails
+	return rm
+}
 
 // Policy registry (internal/rmkit): every resource-management policy
-// registers itself under a selection name, and entry points construct
-// managers by that name — adding a policy requires no edits outside its own
-// package.
+// registers itself under a selection name (rmkit the list baselines, core
+// mrcp), and entry points construct managers by that name.
 type (
 	// PolicyOptions carries the policy-agnostic construction knobs; policy
 	// specific configuration (e.g. Config for "mrcp") travels in Extra.
