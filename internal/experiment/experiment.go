@@ -1,7 +1,9 @@
 // Package experiment regenerates every figure of the paper's evaluation
 // (Section VI) plus the ablations called out in DESIGN.md. Each experiment
-// is a registered Spec; cmd/experiments and the repository benchmarks are
-// thin wrappers over this package.
+// is a registered Spec whose Run lists the figure's cells — one (factor
+// value, manager) point each — and hands them to one runner;
+// cmd/experiments and the repository benchmarks are thin wrappers over
+// this package.
 //
 // Absolute numbers (especially the scheduling overhead O, which is real
 // wall-clock time of this repository's CP solver) differ from the paper's
@@ -20,6 +22,7 @@ import (
 	"time"
 
 	"mrcprm/internal/core"
+	"mrcprm/internal/faults"
 	"mrcprm/internal/obs"
 	"mrcprm/internal/rmkit"
 	"mrcprm/internal/sim"
@@ -76,20 +79,6 @@ func (o Options) replicationWorkers() int {
 // experiments (fig2/fig3, faults) run side by side: the paper's MRCP-RM vs
 // MinEDF-WC pairing.
 var comparedPolicies = []string{"mrcp", "minedf"}
-
-// newManager constructs a registered policy's manager; the MRCP-RM
-// configuration rides in Extra, which every other policy ignores.
-func (o Options) newManager(policy string, cluster sim.Cluster) (sim.ResourceManager, error) {
-	return rmkit.New(policy, cluster, rmkit.Options{Extra: o.ManagerConfig})
-}
-
-// instrument attaches the run's telemetry stream (if any) to a freshly
-// built simulator, which hands it on to its resource manager, before Run.
-func (o Options) instrument(s *sim.Simulator) {
-	if o.Telemetry.Enabled() {
-		s.SetTelemetry(o.Telemetry, 0)
-	}
-}
 
 // DefaultOptions is sized to finish a full figure in minutes on a laptop
 // while keeping confidence intervals meaningful.
@@ -236,19 +225,56 @@ func ByID(id string) (Spec, bool) {
 	return Spec{}, false
 }
 
-// runReplications drives one (factor value, manager) cell: body builds and
-// runs a fresh simulation per replication and returns its metrics. Up to
-// Options.ReplicationWorkers replications run concurrently; each derives
-// its own stream from (Seed, rep), so the collected sample is identical to
-// a sequential run.
-func runReplications(opts Options, body func(rep int, rng *stats.Stream) (*sim.Metrics, error)) (Point, error) {
-	var p Point
+// cell is one (factor value, manager) point of a figure: the labels its
+// Point carries and what each of its replications runs.
+type cell struct {
+	factor string  // the point's Factor, e.g. "emax=10"
+	value  float64 // the point's FactorValue
+	// manager is the point's Manager label; empty reads the policy's Name().
+	manager string
+	policy  string      // registry name of the policy (rmkit.New)
+	config  core.Config // MRCP-RM's configuration; other policies ignore it
+	cluster sim.Cluster // the cluster the simulator runs
+	plan    sim.Cluster // the cluster the manager plans on
+	jobs    func(*stats.Stream) ([]*workload.Job, error)
+	// faults, when non-nil, is the fault plan installed in every
+	// replication, seeded by (master seed, replication) alone so every
+	// policy faces the same attempt fates.
+	faults *faults.Config
+}
+
+// figure is a runnable experiment built from the function that lists its
+// cells: it runs each cell in order and times the whole.
+func figure(id, title string, cells func(Options) ([]cell, error)) func(Options) (Result, error) {
+	return func(opts Options) (Result, error) {
+		started := time.Now()
+		r := Result{ID: id, Title: title}
+		cs, err := cells(opts)
+		if err != nil {
+			return r, err
+		}
+		for _, c := range cs {
+			point, err := c.run(opts)
+			if err != nil {
+				return r, err
+			}
+			r.Points = append(r.Points, point)
+		}
+		r.Elapsed = time.Since(started)
+		return r, nil
+	}
+}
+
+// run drives the cell's replications. Up to Options.ReplicationWorkers run
+// concurrently; each derives its own stream from (Seed, rep), so the
+// collected sample is identical to a sequential run.
+func (c cell) run(opts Options) (Point, error) {
+	p := Point{Factor: c.factor, FactorValue: c.value, Manager: c.manager}
 	var mu sync.Mutex
 	byRep := make(map[int]*sim.Metrics)
 	var firstErr error
 	primary := opts.Policy.Run(opts.replicationWorkers(), func(rep int) float64 {
-		rng := stats.NewStream(opts.Seed, uint64(rep)*0x9e3779b97f4a7c15+uint64(rep)+1)
-		m, err := body(rep, rng)
+		m, name, err := c.replicate(opts, rep)
 		mu.Lock()
 		defer mu.Unlock()
 		if err != nil {
@@ -256,6 +282,9 @@ func runReplications(opts Options, body func(rep int, rng *stats.Stream) (*sim.M
 				firstErr = fmt.Errorf("replication %d: %w", rep, err)
 			}
 			return 0
+		}
+		if p.Manager == "" {
+			p.Manager = name
 		}
 		byRep[rep] = m
 		return m.T() // the paper's CI criterion is on T
@@ -283,56 +312,69 @@ func runReplications(opts Options, body func(rep int, rng *stats.Stream) (*sim.M
 	return p, nil
 }
 
-// runSyntheticCell runs MRCP-RM over a Table 3 configuration.
-func runSyntheticCell(opts Options, cfg workload.SyntheticConfig, factor string, value float64) (Point, error) {
+// replicate runs replication rep of the cell — draw the jobs, build the
+// policy's manager on the planning cluster and the simulator on the true
+// one, install the fault plan, attach telemetry, run — and returns its
+// metrics and the manager's name.
+func (c cell) replicate(opts Options, rep int) (*sim.Metrics, string, error) {
+	rng := stats.NewStream(opts.Seed, uint64(rep)*0x9e3779b97f4a7c15+uint64(rep)+1)
+	jobs, err := c.jobs(rng)
+	if err != nil {
+		return nil, "", err
+	}
+	rm, err := rmkit.New(c.policy, c.plan, rmkit.Options{Extra: c.config})
+	if err != nil {
+		return nil, "", err
+	}
+	s, err := sim.New(c.cluster, rm, jobs)
+	if err != nil {
+		return nil, "", err
+	}
+	if c.faults != nil {
+		fc := *c.faults
+		fc.Seed1, fc.Seed2 = opts.Seed, 0xfa1157+uint64(rep)
+		plan, err := faults.New(fc)
+		if err != nil {
+			return nil, "", err
+		}
+		if err := s.SetFaultInjector(plan); err != nil {
+			return nil, "", err
+		}
+	}
+	if opts.Telemetry.Enabled() {
+		s.SetTelemetry(opts.Telemetry, 0)
+	}
+	m, err := s.Run()
+	return m, rm.Name(), err
+}
+
+// synthetic is the cell running MRCP-RM under the options' configuration
+// over n jobs per replication of a Table 3 workload, on the cluster the
+// workload sizes.
+func synthetic(opts Options, cfg workload.SyntheticConfig, n int, factor string, value float64) cell {
 	cluster := sim.Cluster{
 		NumResources: cfg.NumResources,
 		MapSlots:     cfg.MapSlotsPerResource,
 		ReduceSlots:  cfg.ReduceSlotsPerResource,
 	}
-	point, err := runReplications(opts, func(rep int, rng *stats.Stream) (*sim.Metrics, error) {
-		jobs, err := cfg.Generate(opts.Jobs, rng)
-		if err != nil {
-			return nil, err
-		}
-		mgr, err := opts.newManager("mrcp", cluster)
-		if err != nil {
-			return nil, err
-		}
-		s, err := sim.New(cluster, mgr, jobs)
-		if err != nil {
-			return nil, err
-		}
-		opts.instrument(s)
-		return s.Run()
-	})
-	if err != nil {
-		return point, err
-	}
-	point.Factor = factor
-	point.FactorValue = value
-	point.Manager = "MRCP-RM"
-	return point, nil
+	return cell{factor: factor, value: value, policy: "mrcp", config: opts.ManagerConfig,
+		cluster: cluster, plan: cluster,
+		jobs: func(rng *stats.Stream) ([]*workload.Job, error) { return cfg.Generate(n, rng) }}
 }
 
-// sweepSynthetic runs a factor-at-a-time sweep (Figs 4-9).
+// sweepSynthetic lists a factor-at-a-time sweep (Figs 4-9): one synthetic
+// cell per factor value on the Table 3 defaults.
 func sweepSynthetic(id, title, factorName string, values []float64,
 	apply func(*workload.SyntheticConfig, float64)) func(Options) (Result, error) {
-	return func(opts Options) (Result, error) {
-		started := time.Now()
-		r := Result{ID: id, Title: title}
+	return figure(id, title, func(opts Options) ([]cell, error) {
+		var cells []cell
 		for _, v := range values {
 			cfg := workload.DefaultSynthetic()
 			apply(&cfg, v)
-			point, err := runSyntheticCell(opts, cfg, fmt.Sprintf("%s=%g", factorName, v), v)
-			if err != nil {
-				return r, err
-			}
-			r.Points = append(r.Points, point)
+			cells = append(cells, synthetic(opts, cfg, opts.Jobs, fmt.Sprintf("%s=%g", factorName, v), v))
 		}
-		r.Elapsed = time.Since(started)
-		return r, nil
-	}
+		return cells, nil
+	})
 }
 
 var (
