@@ -31,6 +31,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 
 	"mrcprm/internal/core"
 	"mrcprm/internal/faults"
@@ -58,6 +59,7 @@ type journalRecord struct {
 	Policy  string       `json:"policy,omitempty"`
 	Mode    string       `json:"mode,omitempty"`
 	Cluster *sim.Cluster `json:"cluster,omitempty"`
+	Manager *core.Config `json:"manager,omitempty"`
 
 	// submit.
 	ID       int               `json:"id"`
@@ -133,15 +135,17 @@ func (e *Engine) ApplyFaults(spec FaultSpec) error {
 	return nil
 }
 
-// metaRecord describes the engine shape; Recover refuses to replay a
-// journal into a mismatched configuration.
+// metaRecord describes the engine shape and the manager configuration its
+// policy was built with; Recover refuses to replay a journal into a
+// mismatched engine.
 func (e *Engine) metaRecord() *journalRecord {
-	cluster := e.cfg.Cluster
+	cluster, manager := e.cfg.Cluster, e.cfg.Manager
 	return &journalRecord{
 		Kind:    recMeta,
 		Policy:  e.policy,
 		Mode:    e.cfg.Mode.String(),
 		Cluster: &cluster,
+		Manager: &manager,
 	}
 }
 
@@ -269,6 +273,12 @@ func (e *Engine) replay(rec *journalRecord, info *RecoveryInfo) error {
 		if rec.Cluster != nil && !rec.Cluster.Equal(e.cfg.Cluster) {
 			return fmt.Errorf("journal cluster %+v does not match engine cluster %+v", *rec.Cluster, e.cfg.Cluster)
 		}
+		// A meta record written before the manager configuration was
+		// journaled carries none: that journal is checked on policy, mode
+		// and cluster alone.
+		if rec.Manager != nil {
+			return managerMismatch(*rec.Manager, e.cfg.Manager)
+		}
 		return nil
 	case recSubmit:
 		if rec.Spec == nil {
@@ -308,5 +318,20 @@ func (e *Engine) replay(rec *journalRecord, info *RecoveryInfo) error {
 		return fmt.Errorf("unknown record kind %q", rec.Kind)
 	}
 	e.apply(rec, j, infeasible)
+	return nil
+}
+
+// managerMismatch refuses a journal written under another manager
+// configuration, naming the first core.Config field, in declaration order,
+// that differs. It applies whatever the policy, so a journal replays under
+// the configuration it was written with.
+func managerMismatch(journal, engine core.Config) error {
+	jv, ev := reflect.ValueOf(journal), reflect.ValueOf(engine)
+	for i := range jv.NumField() {
+		if j, e := jv.Field(i).Interface(), ev.Field(i).Interface(); !reflect.DeepEqual(j, e) {
+			return fmt.Errorf("journal was written under manager %s %v, engine runs %v",
+				jv.Type().Field(i).Name, j, e)
+		}
+	}
 	return nil
 }

@@ -420,6 +420,24 @@ func TestRecoverRejectsMismatchedConfig(t *testing.T) {
 	if _, _, err := Recover(bad); err == nil {
 		t.Fatal("Recover accepted a journal written for another cluster")
 	}
+	// A journal replays under the manager configuration it was written
+	// with; the refusal names the first differing core.Config field.
+	for _, tc := range []struct {
+		field  string
+		mutate func(*core.Config)
+	}{
+		{"DeferralLead", func(c *core.Config) { c.DeferralLead = 0 }},
+		{"WarmStart", func(c *core.Config) { c.WarmStart = true }},
+	} {
+		bad = cfg
+		tc.mutate(&bad.Manager)
+		_, _, err := Recover(bad)
+		if err == nil {
+			t.Errorf("Recover accepted a journal written under another %s", tc.field)
+		} else if !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("refusal %q does not name %s", err, tc.field)
+		}
+	}
 }
 
 // TestSubmitJobMatchesReplay: the job SubmitJob registers is the caller's
