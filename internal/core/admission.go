@@ -20,21 +20,16 @@ import (
 // exceed the optimum), this is a true bound: each phase needs at least its
 // longest task and at least its total work spread across every slot of the
 // cluster, and classic MapReduce semantics force the reduce phase to start
-// after the map phase ends. On heterogeneous clusters the longest-task term
-// assumes the fastest machine and the spread term the aggregate
-// speed-weighted slot capacity — both still true bounds, and both reduce
-// exactly to the uniform integer arithmetic when every speed is 1.0. A
-// workflow's two pools may run side by side, so its bound is the larger pool
-// bound or its critical path on the fastest machine, not their sum.
+// after the map phase ends. The longest-task term assumes the fastest
+// machine and the spread term the aggregate speed-weighted slot capacity —
+// both still true bounds on a heterogeneous cluster. On a uniform one the
+// slot rate is an exact integer-valued float, so the spread term equals the
+// integer ceiling of area over slots (TestPhaseBoundMatchesIntegerFormula).
+// A workflow's two pools may run side by side, so its bound is the larger
+// pool bound or its critical path on the fastest machine, not their sum.
 func SLALowerBound(cluster sim.Cluster, j *workload.Job) int64 {
-	var mapLB, redLB int64
-	if cluster.Heterogeneous() {
-		mapLB = phaseLowerBoundHetero(j.MapTasks, cluster.MapSlots, cluster)
-		redLB = phaseLowerBoundHetero(j.ReduceTasks, cluster.ReduceSlots, cluster)
-	} else {
-		mapLB = phaseLowerBound(j.MapTasks, cluster.TotalMapSlots())
-		redLB = phaseLowerBound(j.ReduceTasks, cluster.TotalReduceSlots())
-	}
+	mapLB := phaseLowerBound(j.MapTasks, cluster.MapSlots, cluster)
+	redLB := phaseLowerBound(j.ReduceTasks, cluster.ReduceSlots, cluster)
 	if j.TaskPrecedence {
 		// ceil(path / speed) never exceeds the path's per-task ceilings.
 		return max(mapLB, redLB, sim.ScaledExec(j.CriticalPath(), cluster.MaxSpeed()))
@@ -42,30 +37,12 @@ func SLALowerBound(cluster sim.Cluster, j *workload.Job) int64 {
 	return mapLB + redLB
 }
 
-// phaseLowerBound bounds one phase: max(longest task, ceil(area / slots)).
-func phaseLowerBound(tasks []*workload.Task, slots int64) int64 {
-	if slots <= 0 {
-		return 0
-	}
-	var longest, area int64
-	for _, t := range tasks {
-		if t.Exec > longest {
-			longest = t.Exec
-		}
-		area += t.Exec * t.Req
-	}
-	if spread := (area + slots - 1) / slots; spread > longest {
-		return spread
-	}
-	return longest
-}
-
-// phaseLowerBoundHetero bounds one phase of a heterogeneous cluster:
-// max(longest task on the fastest machine, total nominal work over the
-// aggregate speed-weighted slot rate). Every slot of resource r retires
-// nominal work at rate SpeedOf(r), so slotsPer * Σ_r speed_r nominal
-// milliseconds of the phase drain per wall millisecond at best.
-func phaseLowerBoundHetero(tasks []*workload.Task, slotsPer int64, cluster sim.Cluster) int64 {
+// phaseLowerBound bounds one phase: max(longest task on the fastest
+// machine, total nominal work over the aggregate speed-weighted slot
+// rate). Every slot of resource r retires nominal work at rate SpeedOf(r),
+// so slotsPer * Σ_r speed_r nominal milliseconds of the phase drain per
+// wall millisecond at best.
+func phaseLowerBound(tasks []*workload.Task, slotsPer int64, cluster sim.Cluster) int64 {
 	if slotsPer <= 0 || len(tasks) == 0 {
 		return 0
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mrcprm/internal/sim"
+	"mrcprm/internal/stats"
 	"mrcprm/internal/workload"
 )
 
@@ -37,14 +38,56 @@ func TestSLALowerBoundHetero(t *testing.T) {
 	if lb := SLALowerBound(cluster, j2); lb != 30_000 {
 		t.Fatalf("hetero longest bound = %d, want 30000", lb)
 	}
-	// An explicit all-1.0 vector must take the uniform integer path and
-	// agree exactly with the nil representation.
+	// An explicit all-1.0 vector must agree exactly with the nil
+	// representation.
 	uniform := sim.Cluster{NumResources: 2, MapSlots: 1, ReduceSlots: 1}
 	explicit := uniform
 	explicit.Speed = []float64{1, 1}
 	j3 := mkJob(2, 0, 0, 1, []int64{10_000, 10_000, 10_000, 10_000}, []int64{5_000})
 	if a, b := SLALowerBound(uniform, j3), SLALowerBound(explicit, j3); a != b {
 		t.Fatalf("uniform bound %d != explicit all-1.0 bound %d", a, b)
+	}
+}
+
+// TestPhaseBoundMatchesIntegerFormula holds the speed-weighted phase bound
+// to the integer formula max(longest, ceil(area / slots)) on uniform
+// clusters, with Speed nil or all 1.0: there the slot rate is an exact
+// float and area stays far below 2^53, so the float ceiling is exact.
+func TestPhaseBoundMatchesIntegerFormula(t *testing.T) {
+	integer := func(tasks []*workload.Task, slots int64) int64 {
+		if slots <= 0 {
+			return 0
+		}
+		var longest, area int64
+		for _, t := range tasks {
+			longest = max(longest, t.Exec)
+			area += t.Exec * t.Req
+		}
+		return max(longest, (area+slots-1)/slots)
+	}
+	rng := stats.NewStream(7, 11)
+	for i := 0; i < 20_000; i++ {
+		c := sim.Cluster{NumResources: 1 + rng.IntN(200),
+			MapSlots: int64(1 + rng.IntN(8)), ReduceSlots: int64(1 + rng.IntN(8))}
+		if rng.IntN(2) == 0 {
+			c.Speed = make([]float64, c.NumResources)
+			for r := range c.Speed {
+				c.Speed[r] = 1
+			}
+		}
+		var tasks [2][]*workload.Task
+		for p, n := range []int{rng.IntN(60), rng.IntN(20)} {
+			for k := 0; k < n; k++ {
+				tasks[p] = append(tasks[p], &workload.Task{
+					Exec: int64(1 + rng.IntN(3_000_000)), Req: int64(1 + rng.IntN(2))})
+			}
+		}
+		if got, want := phaseLowerBound(tasks[0], c.MapSlots, c), integer(tasks[0], c.TotalMapSlots()); got != want {
+			t.Fatalf("case %d: map bound %d on %+v, integer formula %d", i, got, c, want)
+		}
+		if got, want := phaseLowerBound(tasks[1], c.ReduceSlots, c), integer(tasks[1], c.TotalReduceSlots()); got != want {
+			t.Fatalf("case %d: reduce bound %d on %+v, integer formula %d", i, got, c, want)
+		}
 	}
 }
 

@@ -120,16 +120,9 @@ func New(c Config) (*Plan, error) {
 // stream builds an independent RNG stream keyed by the plan seeds and two
 // tag words, with splitmix64 finalizers separating nearby tags.
 func (p *Plan) stream(tag1, tag2 uint64) *stats.Stream {
-	a := mix64(p.cfg.Seed1 ^ mix64(tag1))
-	b := mix64(p.cfg.Seed2 ^ mix64(tag2) ^ 0x9e3779b97f4a7c15)
+	a := stats.Mix64(p.cfg.Seed1 ^ stats.Mix64(tag1))
+	b := stats.Mix64(p.cfg.Seed2 ^ stats.Mix64(tag2) ^ 0x9e3779b97f4a7c15)
 	return stats.NewStream(a, b)
-}
-
-func mix64(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }
 
 // Attempt implements sim.FaultInjector: the fate of one execution attempt,

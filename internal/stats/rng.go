@@ -28,12 +28,14 @@ func NewStream(seed1, seed2 uint64) *Stream {
 // statistically independent for practical purposes.
 func (s *Stream) Derive(tag uint64) *Stream {
 	// splitmix64 finalizer over (draw, tag) gives well-separated seeds.
-	a := mix(s.rng.Uint64() ^ tag)
-	b := mix(a ^ 0x9e3779b97f4a7c15)
+	a := Mix64(s.rng.Uint64() ^ tag)
+	b := Mix64(a ^ 0x9e3779b97f4a7c15)
 	return NewStream(a, b)
 }
 
-func mix(z uint64) uint64 {
+// Mix64 is the splitmix64 finalizer: a bijective mixer that spreads nearby
+// inputs into well-separated 64-bit words, for deriving seeds from tags.
+func Mix64(z uint64) uint64 {
 	z += 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
